@@ -9,8 +9,8 @@ transcript.
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (DEFAULT_MODULUS, BivariatePolynomial, EvaluationDomain,
-                    Field, FieldElement, Polynomial, interpolate,
-                    interpolate_on_domain, poly_div_exact)
+                    Field, FieldElement, Polynomial, evaluate_on_domain,
+                    interpolate, interpolate_on_domain, poly_div_exact)
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, PrfKey, Transcript, hash_to_group, prf
 
@@ -18,9 +18,9 @@ __all__ = [
     "AuthPath", "BivariatePolynomial", "ConstraintViolation",
     "DEFAULT_MODULUS", "EvaluationDomain", "Field", "FieldElement",
     "HASH_ID", "InternalError", "MerkleTree", "Polynomial", "PrfKey",
-    "Transcript", "UsageError", "VerifyResult", "hash_to_group",
-    "interpolate", "interpolate_on_domain", "poly_div_exact", "prf",
-    "verify_path",
+    "Transcript", "UsageError", "VerifyResult", "evaluate_on_domain",
+    "hash_to_group", "interpolate", "interpolate_on_domain",
+    "poly_div_exact", "prf", "verify_path",
 ]
 
 __version__ = "0.1.0"

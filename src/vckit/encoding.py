@@ -59,3 +59,8 @@ class Reader:
 
     def done(self) -> bool:
         return self.pos == len(self.data)
+
+    def finish(self):
+        """Raise UsageError unless every byte has been consumed."""
+        if not self.done():
+            raise UsageError("trailing bytes after the encoded value")

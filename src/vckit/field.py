@@ -1,9 +1,11 @@
 """Prime-field arithmetic, univariate/bivariate polynomials and evaluation domains.
 
 Scalar operations go through FieldElement and are tallied in Field.op_count
-so verifier cost experiments can meter them.  Bulk evaluation and subgroup
-interpolation take a vectorized numpy path (still O(n^2), no FFT) for
-moduli below 2^32, which covers every vetted field.
+so verifier cost experiments can meter them.  For moduli below 2^32, which
+covers every vetted field, evaluation on and interpolation over subgroup
+and coset domains run a vectorized radix-2 NTT in O(n log n);
+Polynomial.evaluate_array is the generic O(n * deg) Horner path for
+arbitrary point arrays.
 """
 
 from __future__ import annotations
@@ -313,11 +315,6 @@ class Polynomial:
             acc = (acc * xs + np.uint64(c)) % np.uint64(p)
         return acc
 
-    def evaluate_domain(self, domain: "EvaluationDomain"):
-        """Evaluations in domain iteration order, as FieldElements."""
-        vals = self.evaluate_array(domain.point_array())
-        return [FieldElement(self.field, int(v)) for v in vals]
-
     def __divmod__(self, divisor: "Polynomial"):
         """Schoolbook long division; cost O((quotient degree)*(divisor degree))."""
         if divisor.is_zero():
@@ -406,38 +403,94 @@ def _power_array(base: int, n: int, p: int) -> np.ndarray:
     return arr[:n]
 
 
+def _pow_array(xs: np.ndarray, exponent: int, p: int) -> np.ndarray:
+    """Elementwise xs^exponent mod p by square-and-multiply over the array."""
+    mod = np.uint64(p)
+    acc = np.ones(len(xs), dtype=np.uint64)
+    base = np.asarray(xs, dtype=np.uint64)
+    while exponent:
+        if exponent & 1:
+            acc = acc * base % mod
+        base = base * base % mod
+        exponent >>= 1
+    return acc
+
+
+def _ntt(coeffs: np.ndarray, root: int, p: int) -> np.ndarray:
+    """Evaluations at root^0, ..., root^(n-1) of the polynomial with the given
+    n coefficients (n a power of two, root of order n, p < 2^32).
+
+    Radix-2 decimation in time without bit reversal: before each stage, row
+    r of the (s, L) view holds the length-L transform of the coefficients
+    r, r + s, r + 2s, ...; a stage merges rows r and r + s/2 with one
+    butterfly over whole arrays.
+    """
+    n = len(coeffs)
+    mod = np.uint64(p)
+    twiddles = _power_array(root, max(n // 2, 1), p)
+    cur = np.asarray(coeffs, dtype=np.uint64).reshape(n, 1)
+    while cur.shape[0] > 1:
+        s, length = cur.shape
+        even, odd = cur[:s // 2], cur[s // 2:]
+        odd = odd * twiddles[::n // (2 * length)] % mod
+        cur = np.concatenate([(even + odd) % mod, (even + (mod - odd)) % mod],
+                             axis=1)
+    return cur.reshape(n)
+
+
+def _values_array(values, field: Field) -> np.ndarray:
+    p = field.modulus
+    return np.array([v.value if isinstance(v, FieldElement) else v % p
+                     for v in values], dtype=np.uint64)
+
+
 def interpolate_on_domain(values, domain: "EvaluationDomain") -> Polynomial:
     """Interpolate evaluations given in domain order.
 
-    On a subgroup the Lagrange basis collapses: c_k = n^{-1} V(g^{-k}) with
-    V the polynomial whose coefficients are the values, so interpolation is
-    n Horner evaluations (vectorized).  Cosets rescale by the offset;
-    explicit domains fall back to generic Lagrange.
+    On a subgroup of order n with generator g, c_k = n^{-1} sum_j v_j g^{-jk}:
+    an inverse NTT.  A coset with offset h then rescales c_k by h^{-k}.
+    Explicit domains, and fields too large for uint64 products, fall back
+    to generic Lagrange interpolation.
     """
     field = domain.field
     p = field.modulus
-    vals = [field(v).value for v in values]
-    if len(vals) != domain.size:
+    if len(values) != domain.size:
         raise UsageError("value count does not match domain size")
     if domain.kind == "explicit" or not field._vectorizable:
-        pts = domain.points()
-        return interpolate(list(zip(pts, [field(v) for v in vals])))
+        return interpolate(list(zip(domain.points(),
+                                    [field(v) for v in values])))
     n = domain.size
-    g = domain.generator.value
-    g_inv = pow(g, -1, p)
-    inv_pows = _power_array(g_inv, n, p)
-    vpoly = Polynomial(field, vals)
-    coeffs = vpoly.evaluate_array(inv_pows)
-    n_inv = pow(n, -1, p)
-    coeffs = (coeffs * np.uint64(n_inv)) % np.uint64(p)
-    out = [int(c) for c in coeffs]
+    mod = np.uint64(p)
+    coeffs = _ntt(_values_array(values, field),
+                  pow(domain.generator.value, -1, p), p)
+    coeffs = coeffs * np.uint64(pow(n, -1, p)) % mod
     if domain.kind == "coset":
-        h_inv = pow(domain.offset.value, -1, p)
-        hk = 1
-        for k in range(n):
-            out[k] = out[k] * hk % p
-            hk = hk * h_inv % p
-    return Polynomial(field, out)
+        coeffs = coeffs * _power_array(pow(domain.offset.value, -1, p),
+                                       n, p) % mod
+    return Polynomial(field, coeffs.tolist())
+
+
+def evaluate_on_domain(poly: Polynomial, domain: "EvaluationDomain"
+                       ) -> np.ndarray:
+    """Evaluations of poly in domain order as an array.
+
+    On a subgroup this is one NTT; a coset with offset h first scales
+    coefficient k by h^k.  The polynomial must have fewer coefficients
+    than the domain has points.  Explicit domains, and fields too large for
+    uint64 products, fall back to evaluate_array.
+    """
+    field = domain.field
+    if domain.kind == "explicit" or not field._vectorizable:
+        return poly.evaluate_array(domain.point_array())
+    n = domain.size
+    if len(poly.coeffs) > n:
+        raise UsageError("polynomial degree is not below the domain size")
+    p = field.modulus
+    coeffs = np.zeros(n, dtype=np.uint64)
+    coeffs[:len(poly.coeffs)] = poly.coeffs
+    if domain.kind == "coset":
+        coeffs = coeffs * _power_array(domain.offset.value, n, p) % np.uint64(p)
+    return _ntt(coeffs, domain.generator.value, p)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ class FriProof:
 
     @staticmethod
     def deserialize(data) -> "FriProof":
+        """Decode a proof that fills all of data (bytes or a Reader)."""
         reader = data if isinstance(data, Reader) else Reader(data)
         if reader.take(4) != PROOF_MAGIC:
             raise UsageError("not a FRI proof")
@@ -100,9 +101,10 @@ class FriProof:
             for _ in range(reader.u32()):
                 v = reader.u64()
                 vn = reader.u64()
-                layers.append(FriQueryLayer(v, vn,
-                                            AuthPath.deserialize(Reader(reader.bytes_lp()))))
+                layers.append(FriQueryLayer(
+                    v, vn, AuthPath.from_bytes(reader.bytes_lp())))
             queries.append(FriQuery(idx, layers))
+        reader.finish()
         return FriProof(roots, final_value, queries)
 
 
@@ -143,12 +145,10 @@ def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
 
 def _pair_leaves(evals) -> list:
     """Interleave (alpha, -alpha) partners into adjacent leaves."""
+    evals = np.asarray(evals, dtype=np.uint64)
     h = len(evals) // 2
-    leaves = []
-    for j in range(h):
-        leaves.append(u64(int(evals[j])))
-        leaves.append(u64(int(evals[j + h])))
-    return leaves
+    raw = np.stack([evals[:h], evals[h:2 * h]], axis=1).astype(">u8").tobytes()
+    return [raw[k:k + 8] for k in range(0, len(raw), 8)]
 
 
 def pair_tree(evals) -> MerkleTree:
@@ -179,8 +179,10 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     prover continue for soundness experiments.
     """
     field = params.domain.field
-    evals = np.asarray([v.value if isinstance(v, FieldElement) else int(v)
-                        for v in evals], dtype=np.uint64)
+    if not isinstance(evals, np.ndarray):
+        evals = [v.value if isinstance(v, FieldElement) else int(v)
+                 for v in evals]
+    evals = np.asarray(evals, dtype=np.uint64)
     if len(evals) != params.domain.size:
         raise UsageError("evaluation count does not match the domain")
     layers = [evals]

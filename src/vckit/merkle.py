@@ -37,6 +37,14 @@ class AuthPath:
         n = reader.u8()
         return AuthPath(idx, [reader.take(32) for _ in range(n)])
 
+    @staticmethod
+    def from_bytes(data: bytes) -> "AuthPath":
+        """Decode a path that must fill the whole byte string."""
+        reader = Reader(data)
+        path = AuthPath.deserialize(reader)
+        reader.finish()
+        return path
+
 
 class MerkleTree:
     """Immutable commitment to a leaf vector; reads are freely concurrent."""

@@ -1,6 +1,9 @@
-"""Transparent STARK-style argument: trace arithmetisation, quotient
-construction over vanishing polynomials, low-degree extension on a coset,
-randomized composition, Merkle commitment and FRI.
+"""Transparent STARK-style argument: trace arithmetisation, low-degree
+extension on a coset by NTT, constraint quotients and their randomized
+composition evaluated pointwise on that coset, Merkle commitment and FRI.
+The prover interpolates the trace columns once and handles every other
+polynomial by its values on the coset: O(n log n) field work, plus one
+pass over the coset for each row the transition constraints exclude.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -17,8 +20,11 @@ import numpy as np
 
 from . import fri
 from .encoding import Reader, bytes_lp, u8, u32, u64
-from .errors import ConstraintViolation, UsageError, VerifyResult
+from .errors import (ConstraintViolation, InternalError, UsageError,
+                     VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, Polynomial,
+                    _pow_array, _values_array,
+                    evaluate_on_domain,
                     interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, Transcript
@@ -65,17 +71,19 @@ class MultivariatePoly:
             acc = acc + term
         return acc
 
-    def substitute(self, polys) -> Polynomial:
-        """Compose with polynomial arguments (symbolic expansion)."""
-        if len(polys) != self.num_vars:
+    def evaluate_array(self, values) -> np.ndarray:
+        """Vectorized evaluation over uint64 arrays of reduced values, one
+        per variable."""
+        if len(values) != self.num_vars:
             raise UsageError("wrong number of predicate inputs")
-        acc = Polynomial.zero(self.field)
+        mod = np.uint64(self.field.modulus)
+        acc = np.zeros(len(values[0]), dtype=np.uint64)
         for exps, c in self.terms.items():
-            term = Polynomial.constant(self.field, c)
-            for poly, e in zip(polys, exps):
+            term = np.full(len(acc), c, dtype=np.uint64)
+            for v, e in zip(values, exps):
                 for _ in range(e):
-                    term = term * poly
-            acc = acc + term
+                    term = term * v % mod
+            acc = (acc + term) % mod
         return acc
 
     def serialize(self) -> bytes:
@@ -195,6 +203,13 @@ class StarkParams:
                                       field.generator())
 
 
+def _flag(reader: Reader, what: str) -> bool:
+    v = reader.u8()
+    if v not in (0, 1):
+        raise UsageError(f"{what} flag must be 0 or 1, got {v}")
+    return v == 1
+
+
 @dataclass
 class StarkProof:
     trace_length: int
@@ -242,9 +257,9 @@ class StarkProof:
         ncols = reader.u32()
         blowup = reader.u32()
         queries = reader.u32()
-        zk = bool(reader.u8())
+        zk = _flag(reader, "zk")
         cs_digest = reader.take(32)
-        binding = reader.take(32) if reader.u8() else None
+        binding = reader.take(32) if _flag(reader, "binding") else None
         trace_root = reader.take(32)
         comp_root = reader.take(32)
         fri_proof = fri.FriProof.deserialize(Reader(reader.bytes_lp()))
@@ -253,9 +268,10 @@ class StarkProof:
             bundle = []
             for _ in range(reader.u32()):
                 values = [reader.u64() for _ in range(ncols)]
-                path = AuthPath.deserialize(Reader(reader.bytes_lp()))
+                path = AuthPath.from_bytes(reader.bytes_lp())
                 bundle.append((values, path))
             openings.append(bundle)
+        reader.finish()
         return StarkProof(n, orig, ncols, blowup, queries, zk, cs_digest,
                           binding, trace_root, comp_root, fri_proof, openings)
 
@@ -312,44 +328,47 @@ def membership_poly(field: Field, values) -> Polynomial:
 # ---------------------------------------------------------------------------
 # arithmetisation pipeline
 
-def interpolate_trace(trace: TraceTable) -> List[Polynomial]:
-    domain = trace.domain()
-    return [interpolate_on_domain(col, domain) for col in trace.columns]
-
-
-def low_degree_extend(polys, lde_domain: EvaluationDomain) -> List[np.ndarray]:
-    pts = lde_domain.point_array()
-    return [p.evaluate_array(pts) for p in polys]
-
-
-def boundary_quotient(column_poly: Polynomial, bcs, trace_domain,
-                      require_exact: bool = True) -> Polynomial:
-    """(column - B) / Z_B where B interpolates the boundary points."""
-    field = column_poly.field
-    if not bcs:
-        return column_poly
-    pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-    b_poly = interpolate(pts)
-    z_b = membership_poly(field, [x for x, _ in pts])
-    quot, rem = divmod(column_poly - b_poly, z_b)
-    if require_exact and not rem.is_zero():
-        raise ConstraintViolation("trace breaks a boundary constraint")
-    return quot
-
-
 def _transition_rows(trace: TraceTable, tc: TransitionConstraint) -> int:
-    return trace.original_length - (tc.window - 1)
+    num_rows = trace.original_length - (tc.window - 1)
+    if num_rows < 1:
+        raise UsageError("window does not fit in the trace")
+    return num_rows
 
 
-def transition_vanishing(field: Field, trace_domain: EvaluationDomain,
-                         num_rows: int) -> Polynomial:
-    """Z over rows 0..num_rows-1: (x^n - 1) / prod over excluded rows."""
-    n = trace_domain.size
-    excluded = membership_poly(
-        field, [trace_domain.point(i) for i in range(num_rows, n)])
-    quot, rem = divmod(trace_domain.vanishing_poly(), excluded)
-    assert rem.is_zero()
-    return quot
+def evaluate_transition(tc: TransitionConstraint, columns,
+                        stride: int) -> np.ndarray:
+    """tc's predicate at every index i of the column arrays, window row r
+    being index (i + r*stride) mod length: stride 1 on the trace itself,
+    stride blowup on its low-degree extension."""
+    window = [np.roll(col, -r * stride) for r in range(tc.window)
+              for col in columns]
+    return tc.predicate.evaluate_array(window)
+
+
+def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
+    """values / divisor pointwise (inverses by Fermat), for a vanishing
+    polynomial's values on the LDE coset, never zero while the offset
+    generates the whole group."""
+    if not divisor.all():
+        raise InternalError("vanishing polynomial is zero on the LDE coset")
+    return values * _pow_array(divisor, p - 2, p) % np.uint64(p)
+
+
+def boundary_quotient(column_lde: np.ndarray, bcs,
+                      trace_domain: EvaluationDomain,
+                      lde: EvaluationDomain) -> np.ndarray:
+    """(column - B) / Z_B on the LDE coset, where B interpolates the
+    boundary points and Z_B is the product of (x - g^row) over them."""
+    field = trace_domain.field
+    p = field.modulus
+    mod = np.uint64(p)
+    pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
+    xs = lde.point_array()
+    num = (column_lde + (mod - interpolate(pts).evaluate_array(xs))) % mod
+    z_b = np.ones(len(xs), dtype=np.uint64)
+    for x, _ in pts:
+        z_b = z_b * ((xs + (mod - np.uint64(x.value))) % mod) % mod
+    return _divide(num, z_b, p)
 
 
 def transition_vanishing_eval(field: Field, trace_domain: EvaluationDomain,
@@ -358,70 +377,62 @@ def transition_vanishing_eval(field: Field, trace_domain: EvaluationDomain,
     x = field(x)
     num = trace_domain.vanishing_eval(x)
     den = field.one
-    for i in range(num_rows, trace_domain.size):
-        den = den * (x - trace_domain.point(i))
+    pt = trace_domain.point(num_rows)
+    for _ in range(num_rows, trace_domain.size):
+        den = den * (x - pt)
+        pt = pt * trace_domain.generator
     return num / den
 
 
-def transition_quotient(column_polys, tc: TransitionConstraint,
-                        trace: TraceTable, require_exact: bool = True
-                        ) -> Polynomial:
-    """predicate(col(x), col(g x), ...) divided exactly by Z over the
-    constrained rows."""
-    field = trace.field
-    domain = trace.domain()
-    g = domain.generator
-    shifted = []
-    for r in range(tc.window):
-        for poly in column_polys:
-            shifted.append(poly.compose_scale(g ** r))
-    # variable order is row-major: (row offset, column)
-    composed = tc.predicate.substitute(shifted)
+def transition_quotient(lde_columns, tc: TransitionConstraint,
+                        trace: TraceTable, lde: EvaluationDomain
+                        ) -> np.ndarray:
+    """predicate(col(x), col(g x), ...) / Z_E on the LDE coset, where
+    Z_E = (x^n - 1) / prod over excluded rows j of (x - g^j) vanishes on
+    the constrained rows."""
+    p = trace.field.modulus
+    mod = np.uint64(p)
     num_rows = _transition_rows(trace, tc)
-    if num_rows < 1:
-        raise UsageError("window does not fit in the trace")
-    z_e = transition_vanishing(field, domain, num_rows)
-    quot, rem = divmod(composed, z_e)
-    if require_exact and not rem.is_zero():
-        row = _first_violation(trace, tc)
-        raise ConstraintViolation(
-            f"transition constraint violated at row {row}")
-    return quot
-
-
-def _first_violation(trace: TraceTable, tc: TransitionConstraint):
-    for i in range(_transition_rows(trace, tc)):
-        vals = [trace.columns[c][i + r]
-                for r in range(tc.window) for c in range(trace.num_columns)]
-        if not tc.predicate.evaluate(vals).is_zero():
-            return i
-    return None
+    n = trace.length
+    xs = lde.point_array()
+    values = evaluate_transition(tc, lde_columns, lde.size // n)
+    g = trace.domain().generator
+    pt = (g ** num_rows).value
+    for _ in range(num_rows, n):
+        values = values * ((xs + (mod - np.uint64(pt))) % mod) % mod
+        pt = pt * g.value % p
+    return _divide(values, (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
 
 
 def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
-    """Evaluation-scan oracle: raise naming the first violated constraint."""
+    """Raise naming the first violated constraint (and for a transition,
+    its first violating row)."""
     for bc in cs.boundaries:
         if bc.row >= trace.original_length:
             raise UsageError("boundary row outside the original trace")
         if trace.columns[bc.column][bc.row] != bc.value % trace.field.modulus:
             raise ConstraintViolation(
                 f"boundary (col {bc.column}, row {bc.row}) unsatisfied")
+    columns = [_values_array(col, trace.field) for col in trace.columns]
     for k, tc in enumerate(cs.transitions):
-        row = _first_violation(trace, tc)
-        if row is not None:
+        num_rows = _transition_rows(trace, tc)
+        bad = np.flatnonzero(evaluate_transition(tc, columns, 1)[:num_rows])
+        if bad.size:
             raise ConstraintViolation(
-                f"transition {k} violated at row {row}")
+                f"transition {k} violated at row {bad[0]}")
 
 
-def compose(quotients, t: Transcript) -> Tuple[Polynomial, List[FieldElement]]:
-    """Random linear combination; gammas drawn after the trace commitment."""
+def compose(quotients, field: Field, t: Transcript
+            ) -> Tuple[np.ndarray, List[FieldElement]]:
+    """Random linear combination of the quotient evaluations; gammas drawn
+    after the trace commitment."""
     if not quotients:
         raise UsageError("nothing to compose")
-    field = quotients[0].field
+    mod = np.uint64(field.modulus)
     gammas = [t.challenge_field(field) for _ in quotients]
-    acc = Polynomial.zero(field)
+    acc = np.zeros(len(quotients[0]), dtype=np.uint64)
     for gamma, q in zip(gammas, quotients):
-        acc = acc + q.scale(gamma)
+        acc = (acc + q * np.uint64(gamma.value) % mod) % mod
     return acc, gammas
 
 
@@ -483,16 +494,28 @@ def _row_leaf(values) -> bytes:
     return b"".join(u64(int(v)) for v in values)
 
 
+def _row_leaves(columns) -> List[bytes]:
+    """_row_leaf of every row, from one big-endian dump of the columns."""
+    raw = np.stack(columns, axis=1).astype(">u8").tobytes()
+    width = 8 * len(columns)
+    return [raw[k:k + width] for k in range(0, len(raw), width)]
+
+
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
           zk_seed=None, secret_binding: Optional[bytes] = None,
           skip_satisfaction_check: bool = False) -> StarkProof:
     """Commit, draw gammas, compose, run FRI, open trace windows.
 
+    The trace columns are interpolated and extended to the LDE coset by
+    NTT; the quotients and their combination are computed pointwise there.
     skip_satisfaction_check enables the cheating-prover variant used by
-    soundness experiments: unsatisfied constraints yield floor quotients
-    instead of a refusal.
+    soundness experiments: unsatisfied constraints then give a composition
+    that is a rational function rather than a polynomial, and FRI runs
+    without insisting on a constant final layer.
     """
     field = trace.field
+    if not field._vectorizable:
+        raise UsageError("the prover needs a field modulus below 2^32")
     if params.zk:
         trace = zk_pad(trace, params.num_queries, zk_seed)
     if not skip_satisfaction_check:
@@ -510,29 +533,25 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
         (n, trace.original_length, cs.num_columns, params.blowup,
          params.num_queries, params.zk, cs.digest(), binding)))
 
-    column_polys = interpolate_trace(trace)
-    lde_columns = low_degree_extend(column_polys, lde)
-    rows = [_row_leaf([col[i] for col in lde_columns])
-            for i in range(lde.size)]
-    trace_tree = MerkleTree(rows)
+    lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
+                                      lde)
+                   for col in trace.columns]
+    trace_tree = MerkleTree(_row_leaves(lde_columns))
     t.absorb(b"trace-root", trace_tree.root)
 
-    require = not skip_satisfaction_check
     quotients = []
-    by_col = {c: [bc for bc in cs.boundaries if bc.column == c]
-              for c in cs.boundary_columns()}
     for c in cs.boundary_columns():
-        quotients.append(boundary_quotient(column_polys[c], by_col[c],
-                                           trace_domain, require))
+        bcs = [bc for bc in cs.boundaries if bc.column == c]
+        quotients.append(boundary_quotient(lde_columns[c], bcs, trace_domain,
+                                           lde))
     for tc in cs.transitions:
-        quotients.append(transition_quotient(column_polys, tc, trace,
-                                             require))
+        quotients.append(transition_quotient(lde_columns, tc, trace, lde))
 
-    composition, _ = compose(quotients, t)
+    comp_evals, _ = compose(quotients, field, t)
     d = composition_degree_bound(n, trace.original_length, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
-    comp_evals = composition.evaluate_array(lde.point_array())
-    fri_proof = fri.prove(comp_evals, fri_params, t)
+    fri_proof = fri.prove(comp_evals, fri_params, t,
+                          enforce_low_degree=not skip_satisfaction_check)
     composition_root = fri_proof.layer_roots[0]
 
     w = cs.max_window()

@@ -182,10 +182,13 @@ def verify(params: VdfParams, x_prime: int, proof: VdfProof,
            ) -> VerifyResult:
     """Check pi^r * x'^residue == +-y, recomputing r from the transcript.
 
-    Passing interactive_r skips the Fiat-Shamir recomputation (protocol
-    trace testing).
+    y and pi must lie in (0, N): 0 and N satisfy the equation for any
+    input.  Passing interactive_r skips the Fiat-Shamir recomputation
+    (protocol trace testing).
     """
     n = params.n_modulus
+    if not (0 < proof.y < n and 0 < proof.pi < n):
+        return VerifyResult.reject("out-of-range")
     if interactive_r is None:
         expected = derive_challenge(params, x_prime, proof.y)
         if expected != proof.r:

@@ -1,0 +1,69 @@
+"""Symbolic STARK quotients, kept as a slow oracle for the pointwise prover.
+
+Everything here works on coefficient lists: predicates are expanded by
+substituting column polynomials, and quotients come from schoolbook
+divmod by the vanishing polynomials.  The remainders tell whether a trace
+satisfies its constraints.
+"""
+
+from vckit import stark
+from vckit.field import Polynomial, interpolate
+
+
+def substitute(pred, polys):
+    """Compose a multivariate predicate with polynomial arguments."""
+    assert len(polys) == pred.num_vars
+    acc = Polynomial.zero(pred.field)
+    for exps, c in pred.terms.items():
+        term = Polynomial.constant(pred.field, c)
+        for poly, e in zip(polys, exps):
+            for _ in range(e):
+                term = term * poly
+        acc = acc + term
+    return acc
+
+
+def interpolate_trace(trace):
+    """Column polynomials by generic Lagrange interpolation."""
+    pts = trace.domain().points()
+    return [interpolate(list(zip(pts, [trace.field(v) for v in col])))
+            for col in trace.columns]
+
+
+def boundary_quotient(column_poly, bcs, trace_domain):
+    """(quotient, remainder) of (column - B) by Z_B."""
+    field = column_poly.field
+    pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
+    z_b = stark.membership_poly(field, [x for x, _ in pts])
+    return divmod(column_poly - interpolate(pts), z_b)
+
+
+def transition_vanishing(field, trace_domain, num_rows):
+    """Z over rows 0..num_rows-1: (x^n - 1) / prod over excluded rows."""
+    excluded = stark.membership_poly(
+        field, [trace_domain.point(i)
+                for i in range(num_rows, trace_domain.size)])
+    quot, rem = divmod(trace_domain.vanishing_poly(), excluded)
+    assert rem.is_zero()
+    return quot
+
+
+def transition_quotient(column_polys, tc, trace):
+    """(quotient, remainder) of predicate(col(x), col(g x), ...) by Z_E."""
+    domain = trace.domain()
+    g = domain.generator
+    shifted = [poly.compose_scale(g ** r)
+               for r in range(tc.window) for poly in column_polys]
+    num_rows = trace.original_length - (tc.window - 1)
+    return divmod(substitute(tc.predicate, shifted),
+                  transition_vanishing(trace.field, domain, num_rows))
+
+
+def first_violation(trace, tc):
+    """First row whose window breaks the predicate, by a scalar scan."""
+    for i in range(trace.original_length - (tc.window - 1)):
+        vals = [trace.columns[c][i + r]
+                for r in range(tc.window) for c in range(trace.num_columns)]
+        if not tc.predicate.evaluate(vals).is_zero():
+            return i
+    return None

@@ -7,7 +7,8 @@ import pytest
 from vckit.errors import UsageError
 from vckit.field import (DEFAULT_MODULUS, BivariatePolynomial,
                          EvaluationDomain, Field, FieldElement, Polynomial,
-                         interpolate, interpolate_on_domain, poly_div_exact)
+                         evaluate_on_domain, interpolate,
+                         interpolate_on_domain, poly_div_exact)
 
 F13 = Field(13)
 F17 = Field(17)
@@ -215,6 +216,45 @@ def test_interpolate_on_coset_roundtrip():
     poly = Polynomial(FBIG, [rng.randrange(FBIG.modulus) for _ in range(32)])
     vals = [int(v) for v in poly.evaluate_array(dom.point_array())]
     assert interpolate_on_domain(vals, dom) == poly
+
+
+# sizes 1 .. the largest power of two below 2^10 that each field supports
+NTT_CASES = [pytest.param(field, k, id=f"F{field.modulus}-2^{k}")
+             for field, top in ((F17, 4), (F97, 5), (FBIG, 10))
+             for k in range(top + 1)]
+
+
+def _domain(field, size, kind):
+    if kind == "subgroup":
+        return EvaluationDomain.subgroup(field, size)
+    return EvaluationDomain.coset(field, size, field.generator())
+
+
+@pytest.mark.parametrize("kind", ["subgroup", "coset"])
+@pytest.mark.parametrize("field,log_size", NTT_CASES)
+def test_ntt_matches_horner_and_lagrange(field, log_size, kind):
+    """Forward NTT against Horner evaluate_array; inverse NTT against
+    generic Lagrange interpolation."""
+    size = 2 ** log_size
+    rng = random.Random(field.modulus * 64 + log_size * 2 + (kind == "coset"))
+    dom = _domain(field, size, kind)
+    poly = Polynomial(field, [rng.randrange(field.modulus)
+                              for _ in range(size)])
+    assert (evaluate_on_domain(poly, dom).tolist()
+            == poly.evaluate_array(dom.point_array()).tolist())
+    vals = [rng.randrange(field.modulus) for _ in range(size)]
+    slow = interpolate(list(zip(dom.points(), [field(v) for v in vals])))
+    assert interpolate_on_domain(vals, dom) == slow
+
+
+def test_evaluate_on_domain_short_and_oversized_polys():
+    dom = _domain(FBIG, 16, "coset")
+    for coeffs in ([], [7], [1, 2, 3]):
+        poly = Polynomial(FBIG, coeffs)
+        assert (evaluate_on_domain(poly, dom).tolist()
+                == poly.evaluate_array(dom.point_array()).tolist())
+    with pytest.raises(UsageError):
+        evaluate_on_domain(Polynomial(FBIG, [1] * 17), dom)
 
 
 def test_serialize_roundtrip():

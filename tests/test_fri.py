@@ -5,6 +5,7 @@ import random
 import pytest
 
 from vckit import fri
+from vckit.encoding import Reader, bytes_lp
 from vckit.errors import InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          Polynomial)
@@ -169,3 +170,22 @@ def test_serialize_roundtrip():
     assert fri.verify(back, params, Transcript("t"))
     with pytest.raises(UsageError):
         fri.FriProof.deserialize(b"BAD!" + proof.serialize()[4:])
+
+
+def test_decoder_rejects_trailing_bytes():
+    dom = EvaluationDomain.subgroup(FBIG, 32)
+    params = fri.FriParams(dom, 8, 5)
+    evals = rand_poly(FBIG, 8, seed=14).evaluate_array(dom.point_array())
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
+    with pytest.raises(UsageError, match="trailing"):
+        fri.FriProof.deserialize(blob + b"\x00")
+    # one byte appended inside the first query's first path record
+    reader = Reader(blob)
+    reader.take(5)
+    reader.take(32 * reader.u32() + 8)
+    reader.take(4 + 4 + 4 + 16)
+    start = reader.pos
+    path = reader.bytes_lp()
+    padded = blob[:start] + bytes_lp(path + b"\x00") + blob[reader.pos:]
+    with pytest.raises(UsageError, match="trailing"):
+        fri.FriProof.deserialize(padded)

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from test_stark import _two_column
 from vckit import fri, stark
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
@@ -27,23 +28,7 @@ def _fib_proof(length, blowup, queries, zk_seed=None):
 
 
 def _two_column_proof():
-    """Columns (a, b) with a' = b, b' = a + b (as in test_stark.py)."""
-    n = 8
-    p = F.modulus
-    a, b = [1], [1]
-    for _ in range(n - 1):
-        a.append(b[-1])
-        b.append((a[-2] + b[-1]) % p)
-    trace = stark.TraceTable([a, b], n, F)
-    pred_a = stark.MultivariatePoly(F, 4, {(0, 0, 1, 0): 1, (0, 1, 0, 0): -1})
-    pred_b = stark.MultivariatePoly(F, 4, {(0, 0, 0, 1): 1, (1, 0, 0, 0): -1,
-                                           (0, 1, 0, 0): -1})
-    cs = stark.ConstraintSystem(
-        2,
-        [stark.BoundaryConstraint(0, 0, 1), stark.BoundaryConstraint(1, 0, 1),
-         stark.BoundaryConstraint(1, n - 1, b[-1])],
-        [stark.TransitionConstraint(2, pred_a),
-         stark.TransitionConstraint(2, pred_b)])
+    trace, cs = _two_column(8)
     return stark.prove(trace, cs, stark.StarkParams(8, 10)).serialize()
 
 

@@ -2,11 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import symbolic_oracle as oracle
 from vckit import stark
-from vckit.errors import ConstraintViolation, UsageError
-from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
+from vckit.encoding import Reader, bytes_lp
+from vckit.errors import ConstraintViolation, InternalError, UsageError
+from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
+                         evaluate_on_domain, interpolate,
+                         interpolate_on_domain)
 from vckit.transcript import Transcript
 
 F = Field(DEFAULT_MODULUS)
@@ -45,58 +50,85 @@ def test_check_satisfaction_oracle():
         stark.check_satisfaction(bad, cs)
 
 
+def _lde_columns(trace, lde):
+    dom = trace.domain()
+    return [evaluate_on_domain(interpolate_on_domain(col, dom), lde)
+            for col in trace.columns]
+
+
 def test_multivariate_predicate_eval_and_substitute():
     pred = stark.MultivariatePoly(F, 2, {(2, 0): 1, (0, 1): -1})  # x^2 - y
     assert pred.evaluate([F(5), F(25)]).is_zero()
     assert pred.total_degree == 2
     px = Polynomial(F, [1, 1])
     py = Polynomial(F, [0, 2])
-    composed = pred.substitute([px, py])
-    for x in (0, 3, 17):
+    composed = oracle.substitute(pred, [px, py])
+    xs = np.array([0, 3, 17, F.modulus - 1], dtype=np.uint64)
+    vec = pred.evaluate_array([px.evaluate_array(xs), py.evaluate_array(xs)])
+    for x, v in zip(xs.tolist(), vec.tolist()):
         want = px.evaluate(x) ** 2 - py.evaluate(x)
         assert composed.evaluate(x) == want
+        assert v == want.value
 
 
 def test_boundary_quotient_exactness():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
     dom = tr.domain()
-    poly = stark.interpolate_trace(tr)[0]
-    quot = stark.boundary_quotient(poly, cs.boundaries, dom)
+    lde = stark.StarkParams(8, 1).lde_domain(F, tr.length)
+    poly = oracle.interpolate_trace(tr)[0]
+    quot, rem = oracle.boundary_quotient(poly, cs.boundaries, dom)
+    assert rem.is_zero()
     # recombining must reproduce the column polynomial off the boundary
     pts = [(dom.point(bc.row), F(bc.value)) for bc in cs.boundaries]
-    from vckit.field import interpolate
     b_poly = interpolate(pts)
     z_b = stark.membership_poly(F, [x for x, _ in pts])
     assert quot * z_b + b_poly == poly
+    # the pointwise quotient is the oracle quotient at every LDE point
+    pointwise = stark.boundary_quotient(_lde_columns(tr, lde)[0],
+                                        cs.boundaries, dom, lde)
+    assert pointwise.tolist() == quot.evaluate_array(
+        lde.point_array()).tolist()
+    # off the boundary values, division leaves a remainder, and the
+    # pointwise values are no longer those of a low-degree polynomial
     bad = poly + Polynomial(F, [1])
-    with pytest.raises(ConstraintViolation):
-        stark.boundary_quotient(bad, cs.boundaries, dom)
+    _, rem = oracle.boundary_quotient(bad, cs.boundaries, dom)
+    assert not rem.is_zero()
+    bad_values = stark.boundary_quotient(evaluate_on_domain(bad, lde),
+                                         cs.boundaries, dom, lde)
+    assert interpolate_on_domain(bad_values, lde).degree >= tr.length
 
 
 def test_transition_vanishing_matches_eval():
     dom = EvaluationDomain.subgroup(F, 8)
-    z = stark.transition_vanishing(F, dom, 6)
-    for i in range(8):
-        pt = dom.point(i)
-        expect_zero = i < 6
-        assert z.evaluate(pt).is_zero() == expect_zero
-    for x in (5, 123, 99991):
-        if not dom.contains(F(x)):
-            assert z.evaluate(x) == stark.transition_vanishing_eval(F, dom, 6, x)
+    for num_rows in (1, 5, 6, 8):
+        z = oracle.transition_vanishing(F, dom, num_rows)
+        for i in range(8):
+            assert z.evaluate(dom.point(i)).is_zero() == (i < num_rows)
+        for x in (5, 123, 99991):
+            if not dom.contains(F(x)):
+                assert z.evaluate(x) == stark.transition_vanishing_eval(
+                    F, dom, num_rows, x)
 
 
 def test_transition_quotient_exact_for_honest_trace():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
-    polys = stark.interpolate_trace(tr)
-    quot = stark.transition_quotient(polys, cs.transitions[0], tr)
+    tc = cs.transitions[0]
+    lde = stark.StarkParams(8, 1).lde_domain(F, tr.length)
+    quot, rem = oracle.transition_quotient(oracle.interpolate_trace(tr), tc, tr)
+    assert rem.is_zero()
     assert quot.degree is None or quot.degree < tr.length
+    pointwise = stark.transition_quotient(_lde_columns(tr, lde), tc, tr, lde)
+    assert pointwise.tolist() == quot.evaluate_array(
+        lde.point_array()).tolist()
     bad = stark.TraceTable([list(tr.columns[0])], 8, F)
     bad.columns[0][3] += 1
-    with pytest.raises(ConstraintViolation):
-        stark.transition_quotient(stark.interpolate_trace(bad),
-                                  cs.transitions[0], bad)
+    _, rem = oracle.transition_quotient(oracle.interpolate_trace(bad), tc, bad)
+    assert not rem.is_zero()
+    row = oracle.first_violation(bad, tc)
+    with pytest.raises(ConstraintViolation, match=f"at row {row}$"):
+        stark.check_satisfaction(bad, cs)
 
 
 def test_prove_verify_roundtrip():
@@ -231,9 +263,8 @@ def _seeded(i):
     return t
 
 
-def test_custom_two_column_system():
-    """A second program shape: columns (a, b) with a' = b, b' = a + b."""
-    n = 8
+def _two_column(n):
+    """Columns (a, b) with a' = b, b' = a + b, over n rows."""
     p = F.modulus
     a, b = [1], [1]
     for _ in range(n - 1):
@@ -249,6 +280,14 @@ def test_custom_two_column_system():
          stark.BoundaryConstraint(1, n - 1, b[-1])],
         [stark.TransitionConstraint(2, pred_a),
          stark.TransitionConstraint(2, pred_b)])
+    return tr, cs
+
+
+def test_custom_two_column_system():
+    """A second program shape: columns (a, b) with a' = b, b' = a + b."""
+    n = 8
+    tr, cs = _two_column(n)
+    a, b = tr.columns
     params = stark.StarkParams(8, 10)
     proof = stark.prove(tr, cs, params)
     v = stark.verify(proof, cs, params, F)
@@ -257,3 +296,151 @@ def test_custom_two_column_system():
     bad.columns[1][3] += 5
     cheat = stark.prove(bad, cs, params, skip_satisfaction_check=True)
     assert not stark.verify(cheat, cs, params, F)
+
+
+@pytest.mark.parametrize("program", ["fib64-zk", "two-column"])
+def test_pointwise_quotients_match_oracle(program):
+    """Every boundary and transition quotient of the prover equals the
+    symbolic quotient at every point of the LDE coset."""
+    if program == "two-column":
+        tr, cs = _two_column(8)
+    else:
+        tr = stark.zk_pad(stark.trace_fibonacci(64, F), 8, 1)
+        cs = stark.fibonacci_constraint_system(64, F)
+    stark.check_satisfaction(tr, cs)
+    dom = tr.domain()
+    lde = stark.StarkParams(4, 1).lde_domain(F, tr.length)
+    pts = lde.point_array()
+    lde_cols = _lde_columns(tr, lde)
+    polys = oracle.interpolate_trace(tr)
+    for poly, col in zip(polys, lde_cols):
+        assert poly.evaluate_array(pts).tolist() == col.tolist()
+    for c in cs.boundary_columns():
+        bcs = [bc for bc in cs.boundaries if bc.column == c]
+        quot, rem = oracle.boundary_quotient(polys[c], bcs, dom)
+        assert rem.is_zero()
+        got = stark.boundary_quotient(lde_cols[c], bcs, dom, lde)
+        assert got.tolist() == quot.evaluate_array(pts).tolist()
+    for tc in cs.transitions:
+        quot, rem = oracle.transition_quotient(polys, tc, tr)
+        assert rem.is_zero()
+        got = stark.transition_quotient(lde_cols, tc, tr, lde)
+        assert got.tolist() == quot.evaluate_array(pts).tolist()
+
+
+def test_check_satisfaction_names_first_violation():
+    """The vectorized scan reports the same row as a scalar scan."""
+    rng = random.Random(31)
+    programs = [(stark.trace_fibonacci(64, F),
+                 stark.fibonacci_constraint_system(64, F)), _two_column(16)]
+    for tr, cs in programs:
+        for _ in range(20):
+            bad = stark.TraceTable([list(col) for col in tr.columns],
+                                   tr.original_length, F)
+            col = rng.randrange(bad.num_columns)
+            row = rng.randrange(2, tr.original_length - 1)
+            bad.columns[col][row] = (bad.columns[col][row]
+                                     + rng.randrange(1, F.modulus)) % F.modulus
+            if any(bc.column == col and bc.row == row for bc in cs.boundaries):
+                continue
+            for k, tc in enumerate(cs.transitions):
+                first = oracle.first_violation(bad, tc)
+                if first is not None:
+                    break
+            with pytest.raises(ConstraintViolation,
+                               match=f"^transition {k} violated at row "
+                                     f"{first}$"):
+                stark.check_satisfaction(bad, cs)
+
+
+def test_cheating_prover_rejected_by_fri():
+    """An unsatisfied trace makes the composition a rational function;
+    the pointwise prover still answers every query consistently, so the
+    rejection comes from the low-degree test."""
+    tr = stark.trace_fibonacci(8, F)
+    tr.columns[0][5] = (tr.columns[0][5] + 17) % F.modulus
+    cs = stark.fibonacci_constraint_system(8, F)
+    params = stark.StarkParams(8, 20)
+    verdict = stark.verify(
+        stark.prove(tr, cs, params, skip_satisfaction_check=True),
+        cs, params, F)
+    assert not verdict and verdict.reason.startswith("fri:")
+
+
+# Offset of the zk flag byte: magic, hash id, five u32 header fields; the
+# binding flag follows the 32-byte constraint-system digest.
+ZK_FLAG = 4 + 1 + 5 * 4
+BINDING_FLAG = ZK_FLAG + 1 + 32
+
+
+def _blob():
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    return stark.prove(tr, cs, stark.StarkParams(4, 4, zk=True),
+                       zk_seed=3).serialize()
+
+
+def test_decoder_rejects_trailing_bytes():
+    blob = _blob()
+    assert stark.StarkProof.deserialize(blob).serialize() == blob
+    with pytest.raises(UsageError, match="trailing"):
+        stark.StarkProof.deserialize(blob + b"\x00")
+
+
+@pytest.mark.parametrize("offset", [ZK_FLAG, BINDING_FLAG])
+@pytest.mark.parametrize("value", [2, 3, 255])
+def test_decoder_rejects_non_boolean_flags(offset, value):
+    blob = bytearray(_blob())
+    assert blob[offset] in (0, 1)
+    blob[offset] = value
+    with pytest.raises(UsageError, match="flag"):
+        stark.StarkProof.deserialize(bytes(blob))
+
+
+def _rewrap(blob, what):
+    """Re-encode a proof with one byte appended inside a sub-record: the
+    FRI proof or the first trace-opening path."""
+    reader = Reader(blob)
+    reader.take(BINDING_FLAG)
+    assert reader.u8() == 0
+    reader.take(64)
+    fri_start = reader.pos
+    fri_blob = reader.bytes_lp()
+    if what == "fri":
+        return (blob[:fri_start] + bytes_lp(fri_blob + b"\x00")
+                + blob[reader.pos:])
+    reader.u32()
+    reader.u32()
+    reader.u64()
+    path_start = reader.pos
+    path = reader.bytes_lp()
+    return (blob[:path_start] + bytes_lp(path + b"\x00")
+            + blob[reader.pos:])
+
+
+@pytest.mark.parametrize("what", ["fri", "trace-path"])
+def test_decoder_rejects_trailing_bytes_in_sub_records(what):
+    with pytest.raises(UsageError, match="trailing"):
+        stark.StarkProof.deserialize(_rewrap(_blob(), what))
+
+
+def test_prover_refuses_fields_beyond_uint64_products():
+    """The pointwise prover multiplies in uint64, so p must stay below 2^32."""
+    big = Field(2**64 - 2**32 + 1)
+    tr = stark.trace_fibonacci(8, big)
+    cs = stark.fibonacci_constraint_system(8, big)
+    with pytest.raises(UsageError, match="2\\^32"):
+        stark.prove(tr, cs, stark.StarkParams(8, 4))
+
+
+def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
+    """Division by a vanishing polynomial that is zero somewhere on the
+    evaluation domain is an internal error, never a silent 0."""
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    bad_lde = EvaluationDomain.subgroup(F, 64)
+    cols = _lde_columns(tr, bad_lde)
+    with pytest.raises(InternalError):
+        stark.boundary_quotient(cols[0], cs.boundaries, tr.domain(), bad_lde)
+    with pytest.raises(InternalError):
+        stark.transition_quotient(cols, cs.transitions[0], tr, bad_lde)

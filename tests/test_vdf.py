@@ -132,3 +132,30 @@ def test_serialize_roundtrip():
 def test_zero_delay_identity():
     params = vdf.VdfParams(35, 0, 16)
     assert vdf.eval_sequential(params, 2) == 2
+
+
+@pytest.mark.parametrize("bogus", ["zero", "modulus"])
+def test_degenerate_values_rejected(bogus):
+    """y = pi = 0 and y = pi = N satisfy pi^r * x'^residue == +-y for any
+    input; verify must reject them even with a matching challenge."""
+    params, _ = vdf.setup(16, b"degenerate", delay=64)
+    x, proof = vdf.vdf_round(params, b"m")
+    n = params.n_modulus
+    v = 0 if bogus == "zero" else n
+    forged = vdf.VdfProof(v, v, vdf.derive_challenge(params, x, v))
+    verdict = vdf.verify(params, x, forged)
+    assert not verdict and verdict.reason == "out-of-range"
+    assert not vdf.verify(params, x, forged, interactive_r=forged.r)
+
+
+@pytest.mark.parametrize("field", ["y", "pi"])
+@pytest.mark.parametrize("value", ["zero", "modulus", "above"])
+def test_out_of_range_component_rejected(field, value):
+    params, _ = vdf.setup(16, b"range", delay=64)
+    x, proof = vdf.vdf_round(params, b"m")
+    n = params.n_modulus
+    v = {"zero": 0, "modulus": n, "above": getattr(proof, field) + n}[value]
+    y, pi = (v, proof.pi) if field == "y" else (proof.y, v)
+    verdict = vdf.verify(params, x, vdf.VdfProof(y, pi, proof.r),
+                         interactive_r=proof.r)
+    assert not verdict and verdict.reason == "out-of-range"
