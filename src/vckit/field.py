@@ -476,12 +476,14 @@ def evaluate_on_domain(poly: Polynomial, domain: "EvaluationDomain"
 
     On a subgroup this is one NTT; a coset with offset h first scales
     coefficient k by h^k.  The polynomial must have fewer coefficients
-    than the domain has points.  Explicit domains, and fields too large for
-    uint64 products, fall back to evaluate_array.
+    than the domain has points.  Only subgroup and coset domains over
+    fields below 2^32 are supported; evaluate_array is the generic path.
     """
     field = domain.field
-    if domain.kind == "explicit" or not field._vectorizable:
-        return poly.evaluate_array(domain.point_array())
+    if domain.kind == "explicit":
+        raise UsageError("NTT evaluation needs a subgroup or coset domain")
+    if not field._vectorizable:
+        raise UsageError("NTT evaluation needs a modulus below 2^32")
     n = domain.size
     if len(poly.coeffs) > n:
         raise UsageError("polynomial degree is not below the domain size")

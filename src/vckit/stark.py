@@ -354,6 +354,16 @@ def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
     return values * _pow_array(divisor, p - 2, p) % np.uint64(p)
 
 
+def _row_product(xs: np.ndarray, g: FieldElement, rows) -> np.ndarray:
+    """prod over the given trace rows j of (x - g^j) at every x in xs."""
+    p = g.field.modulus
+    mod = np.uint64(p)
+    acc = np.ones(len(xs), dtype=np.uint64)
+    for j in rows:
+        acc = acc * ((xs + (mod - np.uint64(pow(g.value, j, p)))) % mod) % mod
+    return acc
+
+
 def boundary_quotient(column_lde: np.ndarray, bcs,
                       trace_domain: EvaluationDomain,
                       lde: EvaluationDomain) -> np.ndarray:
@@ -365,9 +375,7 @@ def boundary_quotient(column_lde: np.ndarray, bcs,
     pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
     xs = lde.point_array()
     num = (column_lde + (mod - interpolate(pts).evaluate_array(xs))) % mod
-    z_b = np.ones(len(xs), dtype=np.uint64)
-    for x, _ in pts:
-        z_b = z_b * ((xs + (mod - np.uint64(x.value))) % mod) % mod
+    z_b = _row_product(xs, trace_domain.generator, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
 
 
@@ -396,12 +404,9 @@ def transition_quotient(lde_columns, tc: TransitionConstraint,
     n = trace.length
     xs = lde.point_array()
     values = evaluate_transition(tc, lde_columns, lde.size // n)
-    g = trace.domain().generator
-    pt = (g ** num_rows).value
-    for _ in range(num_rows, n):
-        values = values * ((xs + (mod - np.uint64(pt))) % mod) % mod
-        pt = pt * g.value % p
-    return _divide(values, (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
+    excluded = _row_product(xs, trace.domain().generator, range(num_rows, n))
+    return _divide(values * excluded % mod,
+                   (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
 
 
 def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):

@@ -257,6 +257,16 @@ def test_evaluate_on_domain_short_and_oversized_polys():
         evaluate_on_domain(Polynomial(FBIG, [1] * 17), dom)
 
 
+def test_evaluate_on_domain_refuses_explicit_and_wide_fields():
+    with pytest.raises(UsageError):
+        evaluate_on_domain(Polynomial(F97, [1, 2]),
+                           EvaluationDomain.explicit([F97(1), F97(2)]))
+    wide = Field(2**64 - 2**32 + 1)
+    with pytest.raises(UsageError):
+        evaluate_on_domain(Polynomial(wide, [1, 2]),
+                           EvaluationDomain.subgroup(wide, 8))
+
+
 def test_serialize_roundtrip():
     from vckit.encoding import Reader
     poly = Polynomial(F97, [5, 0, 3])

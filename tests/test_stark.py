@@ -149,12 +149,16 @@ def test_prover_refuses_bad_trace():
 
 
 def test_cheating_prover_rejected():
+    """An unsatisfied trace makes the composition a rational function;
+    the pointwise prover still answers every query consistently, so the
+    rejection comes from the low-degree test."""
     tr = stark.trace_fibonacci(8, F)
     tr.columns[0][5] = (tr.columns[0][5] + 17) % F.modulus
     cs = stark.fibonacci_constraint_system(8, F)
     params = stark.StarkParams(8, 20)
     proof = stark.prove(tr, cs, params, skip_satisfaction_check=True)
-    assert not stark.verify(proof, cs, params, F)
+    verdict = stark.verify(proof, cs, params, F)
+    assert not verdict and verdict.reason.startswith("fri:")
 
 
 def test_wrong_statement_rejected():
@@ -351,20 +355,6 @@ def test_check_satisfaction_names_first_violation():
                                match=f"^transition {k} violated at row "
                                      f"{first}$"):
                 stark.check_satisfaction(bad, cs)
-
-
-def test_cheating_prover_rejected_by_fri():
-    """An unsatisfied trace makes the composition a rational function;
-    the pointwise prover still answers every query consistently, so the
-    rejection comes from the low-degree test."""
-    tr = stark.trace_fibonacci(8, F)
-    tr.columns[0][5] = (tr.columns[0][5] + 17) % F.modulus
-    cs = stark.fibonacci_constraint_system(8, F)
-    params = stark.StarkParams(8, 20)
-    verdict = stark.verify(
-        stark.prove(tr, cs, params, skip_satisfaction_check=True),
-        cs, params, F)
-    assert not verdict and verdict.reason.startswith("fri:")
 
 
 # Offset of the zk flag byte: magic, hash id, five u32 header fields; the
