@@ -3,8 +3,10 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The hashes were taken from the symbolic (divmod-quotient, Horner-LDE)
-prover before it was replaced.
+The STARK and FRI hashes were taken from the symbolic (divmod-quotient,
+Horner-LDE) prover before it was replaced; the VDF hashes from the
+bit-by-bit long-division prover and 40-round random Miller-Rabin, so they
+also pin the setup moduli and the challenge primes.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import random
 import pytest
 
 from test_stark import _two_column
-from vckit import fri, stark
+from vckit import fri, stark, vdf
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
 
@@ -42,6 +44,12 @@ def _fri_proof():
                      t).serialize()
 
 
+def _vdf_proof(prime_bits, seed, delay, security_bits=16):
+    params, _ = vdf.setup(prime_bits, seed, delay, security_bits)
+    x_prime, proof = vdf.vdf_round(params, b"golden-input")
+    return vdf.serialize_proof(params, x_prime, proof)
+
+
 CASES = {
     "fib8-b8-q12": lambda: _fib_proof(8, 8, 12),
     "fib64-b4-q8-zk1": lambda: _fib_proof(64, 4, 8, zk_seed=1),
@@ -49,6 +57,14 @@ CASES = {
     "fib4000-b4-q8-zk5": lambda: _fib_proof(4000, 4, 8, zk_seed=5),
     "two-column-b8-q10": _two_column_proof,
     "fri-coset256-d32-q16": _fri_proof,
+    "vdf-n32-T0": lambda: _vdf_proof(16, b"golden-vdf-t0", 0),
+    "vdf-n32-T3": lambda: _vdf_proof(16, b"golden-vdf-t3", 3),
+    "vdf-n64-T1013": lambda: _vdf_proof(32, b"golden-vdf-1013", 1013),
+    "vdf-n128-T777-lam32": lambda: _vdf_proof(64, b"golden-vdf-lam32", 777,
+                                              32),
+    "vdf-n256-T300-lam48": lambda: _vdf_proof(128, b"golden-vdf-lam48", 300,
+                                              48),
+    "vdf-n2048-T4096": lambda: _vdf_proof(1024, b"golden-vdf-2048", 4096),
 }
 
 GOLDEN = {
@@ -64,6 +80,18 @@ GOLDEN = {
         "b10ea7ca77aafcd0989d177704584848228b1071c0b7344f323c64fe0f6cb0e5",
     "fri-coset256-d32-q16":
         "1090c5f99d05448574d4a149c3f2003a3950a4498313e49d905f1c7943b5bf59",
+    "vdf-n32-T0":
+        "eebcd9802aad643d9e511489830c80bd5f6de22f343b0e5f22dedd7f8110b0da",
+    "vdf-n32-T3":
+        "2ab1ebef09dc3d4f2357261843b611e3583026a0f5002e34d75f9a09766c1264",
+    "vdf-n64-T1013":
+        "ac27443d2c8304f22eb251ce7073b84977db560b3815c5c5384f3d09fa7ac025",
+    "vdf-n128-T777-lam32":
+        "57d3c311ea6fea0de6cf1eb9b51205bc97637d0e38c9f10dac940f037b056b2d",
+    "vdf-n256-T300-lam48":
+        "040c5aa2ab519c3032082aacd9eed088fde5987328c1da5acccfc293977a6c2c",
+    "vdf-n2048-T4096":
+        "1908fc005a1161daa0c70082d7f511080019e742425615317dbdcfd36e79875b",
 }
 
 
