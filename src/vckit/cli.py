@@ -13,7 +13,7 @@ import time
 from . import fri as fri_mod
 from . import hauth, stark, vdf
 from .encoding import Reader, bytes_lp, u8, u32, u64
-from .errors import InternalError, UsageError
+from .errors import InternalError, UsageError, VerifyResult
 from .field import DEFAULT_MODULUS, Field, Polynomial
 from .transcript import Transcript
 
@@ -152,15 +152,24 @@ def cmd_vdf(args):
                        "p": trapdoor.p, "q": trapdoor.q}, fh)
         print(f"wrote params (T={params.delay}) to {args.output}")
         return EXIT_OK
-    if args.cmd == "verify":
-        with open(args.proof, "rb") as fh:
-            params, x_prime, proof = vdf.deserialize_proof(fh.read())
-        verdict = vdf.verify(params, x_prime, proof)
-        print("accept" if verdict else f"reject ({verdict.reason})")
-        return EXIT_OK if verdict else EXIT_REJECT
     with open(args.params) as fh:
         raw = json.load(fh)
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
+    if args.cmd == "verify":
+        # N, T, lambda and x' come from the verifier's own files; the copies
+        # in the proof file must match them, never replace them.
+        with open(args.proof, "rb") as fh:
+            file_params, file_x, proof = vdf.deserialize_proof(fh.read())
+        x_prime = vdf.hash_to_group(bytes.fromhex(args.input),
+                                    params.n_modulus)
+        if file_params != params:
+            verdict = VerifyResult.reject("params-mismatch")
+        elif file_x != x_prime:
+            verdict = VerifyResult.reject("input-mismatch")
+        else:
+            verdict = vdf.verify(params, x_prime, proof)
+        print("accept" if verdict else f"reject ({verdict.reason})")
+        return EXIT_OK if verdict else EXIT_REJECT
     if args.cmd == "eval":
         x_prime = vdf.hash_to_group(bytes.fromhex(args.input),
                                     params.n_modulus)
@@ -327,6 +336,7 @@ def bench_vdf_asymmetry(args, field):
     ratio = counters.squarings / max(1, vcount.multiplications)
     record = {"bench": "vdf-asymmetry", "T": args.T,
               "prover_squarings": counters.squarings,
+              "prover_multiplications": counters.multiplications,
               "verifier_multiplications": vcount.multiplications,
               "ratio": ratio}
     print(json.dumps(record))
@@ -438,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             pp.add_argument("-o", "--output", required=True)
     pv = vd.add_parser("verify")
+    pv.add_argument("--params", required=True)
+    pv.add_argument("--input", required=True, help="hex input bytes")
     pv.add_argument("proof")
 
     fr = sub.add_parser("fri").add_subparsers(dest="cmd", required=True)

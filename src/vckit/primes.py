@@ -1,21 +1,44 @@
 """Miller-Rabin primality testing.
 
-Bases are drawn from a PRNG seeded with the candidate itself, so results
-are deterministic across runs and platforms for a fixed round count.
+Below 3.3e24 the test is deterministic and exact: the bases {2, 7, 61}
+decide every n < 4 759 123 141 (Jaeschke 1993), which covers every 32-bit
+challenge prime, and the first 13 primes decide every
+n < 3 317 044 064 679 887 385 961 981 (Sorenson & Webster 2015).  Above
+that, bases are drawn from a PRNG seeded with the candidate itself, so
+results are deterministic across runs and platforms for a fixed round
+count.
 """
 
 import random
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 _SIEVE_LIMIT = 1000
 _sieve_primes = []
 for _n in range(2, _SIEVE_LIMIT):
     if all(_n % _p for _p in _sieve_primes):
         _sieve_primes.append(_n)
 
+# (exclusive bound, bases that decide every n below it)
+_DETERMINISTIC_BASES = [
+    (4_759_123_141, (2, 7, 61)),
+    (3_317_044_064_679_887_385_961_981, tuple(_sieve_primes[:13])),
+]
+
+
+def _strong_probable_prime(n: int, d: int, s: int, a: int) -> bool:
+    """Miller-Rabin round for n - 1 = d * 2^s with base a."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
 
 def is_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin with `rounds` random bases, after small-prime sieving."""
+    """Miller-Rabin after small-prime sieving: exact with fixed bases below
+    3.3e24, `rounds` random bases above."""
     if n < 2:
         return False
     for p in _sieve_primes:
@@ -28,16 +51,10 @@ def is_prime(n: int, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    for bound, bases in _DETERMINISTIC_BASES:
+        if n < bound:
+            break
+    else:
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+    return all(_strong_probable_prime(n, d, s, a) for a in bases)

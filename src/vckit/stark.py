@@ -587,6 +587,8 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
         return VerifyResult.reject("constraint-system digest mismatch")
     if proof.blowup != params.blowup or proof.num_queries != params.num_queries:
         return VerifyResult.reject("parameter mismatch")
+    if proof.num_columns != cs.num_columns:
+        return VerifyResult.reject("column count mismatch")
     n = proof.trace_length
     if n & (n - 1) or not 2 <= proof.original_length <= n:
         return VerifyResult.reject("malformed header")
@@ -605,6 +607,8 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
 
     d = composition_degree_bound(n, proof.original_length, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
+    if not proof.fri_proof.layer_roots:
+        return VerifyResult.reject("fri: no layer roots")
     if proof.composition_root != proof.fri_proof.layer_roots[0]:
         return VerifyResult.reject("composition root mismatch")
     fri_verdict = fri.verify(proof.fri_proof, fri_params, t)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vckit import cli
+from vckit import cli, vdf
 
 
 def run(argv):
@@ -46,11 +46,55 @@ def test_vdf_end_to_end(tmp_path):
                 "--input", "deadbeef"]) == 0
     assert run(["vdf", "beacon", "--params", params,
                 "--input", "deadbeef", "-o", proof]) == 0
-    assert run(["vdf", "verify", proof]) == 0
+    verify = ["vdf", "verify", "--params", params, "--input", "deadbeef"]
+    assert run(verify + [proof]) == 0
+    assert run(["vdf", "verify", "--params", params, "--input", "cafe",
+                proof]) == 1
     blob = bytearray(open(proof, "rb").read())
     blob[-1] ^= 1
     open(proof, "wb").write(bytes(blob))
-    assert run(["vdf", "verify", proof]) in (1, 2)
+    assert run(verify + [proof]) in (1, 2)
+
+
+def _forge_zero_delay(params_path, proof_path, input_hex):
+    """A proof of the input under the file's N but T = 0: y = x', pi = 1."""
+    with open(params_path) as fh:
+        raw = json.load(fh)
+    params = vdf.VdfParams(raw["N"], 0, raw["lambda"])
+    x = vdf.hash_to_group(bytes.fromhex(input_hex), params.n_modulus)
+    y = vdf.eval_sequential(params, x)
+    r = vdf.derive_challenge(params, x, y)
+    proof = vdf.VdfProof(y, vdf.prove(params, x, y, r), r)
+    assert vdf.verify(params, x, proof)
+    with open(proof_path, "wb") as fh:
+        fh.write(vdf.serialize_proof(params, x, proof))
+
+
+def test_vdf_verify_rejects_zero_delay_forgery(tmp_path, capsys):
+    """The proof file's own N, T, lambda and x' are never trusted: a
+    self-consistent T = 0 proof is rejected under the real parameters."""
+    params = str(tmp_path / "params.json")
+    proof = str(tmp_path / "forged.bin")
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
+                "-T", "64", "-o", params]) == 0
+    _forge_zero_delay(params, proof, "deadbeef")
+    capsys.readouterr()
+    assert run(["vdf", "verify", "--params", params, "--input", "deadbeef",
+                proof]) == 1
+    assert "params-mismatch" in capsys.readouterr().out
+
+
+def test_vdf_verify_requires_params_and_input(tmp_path):
+    params = str(tmp_path / "params.json")
+    proof = str(tmp_path / "proof.bin")
+    run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "8",
+         "-o", params])
+    run(["vdf", "beacon", "--params", params, "--input", "00", "-o", proof])
+    assert run(["vdf", "verify", proof]) == 2
+    assert run(["vdf", "verify", "--params", params, proof]) == 2
+    assert run(["vdf", "verify", "--input", "00", proof]) == 2
+    assert run(["vdf", "verify", "--params", params, "--input", "00",
+                proof]) == 0
 
 
 def test_vdf_trapdoor_agrees(tmp_path, capsys):
@@ -103,7 +147,10 @@ def test_stark_zk_and_custom_boundary(tmp_path):
 def test_usage_errors(tmp_path):
     assert run(["nope"]) == 2
     assert run(["vdf"]) == 2
-    assert run(["vdf", "verify", str(tmp_path / "missing.bin")]) == 2
+    params = str(tmp_path / "params.json")
+    run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-o", params])
+    assert run(["vdf", "verify", "--params", params, "--input", "00",
+                str(tmp_path / "missing.bin")]) == 2
     assert run(["--modulus", "15", "fri", "demo"]) == 2
 
 
@@ -112,6 +159,9 @@ def test_bench_smoke(capsys):
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["bench"] == "2poly"
     assert run(["bench", "vdf-asymmetry", "--T", "2048"]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec["prover_squarings"] == 2048
+    assert 0 < rec["prover_multiplications"] < 2048
     assert run(["bench", "fri-soundness", "--trials", "20"]) == 0
     assert run(["bench", "stark-mutation", "--trials", "5"]) == 0
 

@@ -1,17 +1,19 @@
 """STARK pipeline tests: arithmetisation pieces, prover/verifier, zk."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 import symbolic_oracle as oracle
-from vckit import stark
+from vckit import fri, stark
 from vckit.encoding import Reader, bytes_lp
 from vckit.errors import ConstraintViolation, InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
+from vckit.merkle import MerkleTree
 from vckit.transcript import Transcript
 
 F = Field(DEFAULT_MODULUS)
@@ -434,3 +436,59 @@ def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
         stark.boundary_quotient(cols[0], cs.boundaries, tr.domain(), bad_lde)
     with pytest.raises(InternalError):
         stark.transition_quotient(cols, cs.transitions[0], tr, bad_lde)
+
+
+def _fib8_proof():
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    params = stark.StarkParams(8, 6)
+    return stark.prove(tr, cs, params), cs, params
+
+
+def _column_count_forgery(num_columns):
+    """A fib-8 proof re-made for a header claiming `num_columns` columns:
+    an all-zero trace of that width and composition, with an honest FRI
+    proof on the forged transcript, so only the column count is wrong."""
+    proof, cs, params = _fib8_proof()
+    n, orig = proof.trace_length, proof.original_length
+    lde = params.lde_domain(F, n)
+    t = Transcript("stark")
+    t.absorb(b"header", stark._header_bytes(
+        (n, orig, num_columns, params.blowup, params.num_queries, False,
+         cs.digest(), None)))
+    tree = MerkleTree([stark._row_leaf([0] * num_columns)] * lde.size)
+    t.absorb(b"trace-root", tree.root)
+    for _ in range(len(cs.boundary_columns()) + len(cs.transitions)):
+        t.challenge_field(F)
+    d = stark.composition_degree_bound(n, orig, cs)
+    fri_proof = fri.prove(np.zeros(lde.size, dtype=np.uint64),
+                          fri.FriParams(lde, d, params.num_queries), t)
+    openings = [[([0] * num_columns,
+                  tree.open((q.index + r * params.blowup) % lde.size))
+                 for r in range(cs.max_window())]
+                for q in fri_proof.queries]
+    forged = dataclasses.replace(
+        proof, num_columns=num_columns, trace_root=tree.root,
+        composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
+        trace_openings=openings)
+    return forged, cs, params
+
+
+@pytest.mark.parametrize("num_columns", [0, 2])
+def test_column_count_mismatch_rejected(num_columns):
+    """A header whose column count differs from the constraint system is a
+    rejection, even when its FRI proof and trace paths are consistent."""
+    forged, cs, params = _column_count_forgery(num_columns)
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict and verdict.reason == "column count mismatch"
+
+
+def test_fri_proof_without_layer_roots_rejected():
+    proof, cs, params = _fib8_proof()
+    empty = dataclasses.replace(proof.fri_proof, layer_roots=[])
+    verdict = stark.verify(dataclasses.replace(proof, fri_proof=empty),
+                           cs, params, F)
+    assert not verdict and verdict.reason == "fri: no layer roots"
+    blob = dataclasses.replace(proof, fri_proof=empty).serialize()
+    verdict = stark.verify(stark.StarkProof.deserialize(blob), cs, params, F)
+    assert not verdict and verdict.reason == "fri: no layer roots"

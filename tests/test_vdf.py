@@ -1,7 +1,12 @@
 """Time-lock and VDF tests, anchored on a hand-checked N = 35 example."""
 
+import random
+import sys
+import threading
+
 import pytest
 
+import vdf_oracle as oracle
 from vckit import vdf
 from vckit.errors import UsageError
 from vckit.primes import is_prime
@@ -159,3 +164,142 @@ def test_out_of_range_component_rejected(field, value):
     verdict = vdf.verify(params, x, vdf.VdfProof(y, pi, proof.r),
                          interactive_r=proof.r)
     assert not verdict and verdict.reason == "out-of-range"
+
+
+# ---------------------------------------------------------------------------
+# checkpoint prover against the long-division oracle
+
+K16 = vdf._chunk_bits(2 ** 16)
+INTERVAL16 = vdf._GAMMA * K16
+
+
+def _instance(delay, tag=b""):
+    params, _ = vdf.setup(16, b"oracle-%d" % delay + tag, delay=delay)
+    return params, vdf.hash_to_group(b"x-%d" % delay + tag, params.n_modulus)
+
+
+def _hit_and_miss(params, x):
+    """(pi from the memo, pi recomputed, their multiplication counts)."""
+    y = vdf.eval_sequential(params, x)
+    r = vdf.derive_challenge(params, x, y)
+    hit_count, miss_count = vdf.VdfCounters(), vdf.VdfCounters()
+    hit = vdf.prove(params, x, y, r, hit_count)
+    miss = vdf.prove(params, x, y, r, miss_count)
+    return r, hit, miss, hit_count.multiplications, miss_count.multiplications
+
+
+EDGE_DELAYS = sorted({0, 1, 2, 3, K16 - 1, K16, K16 + 1, INTERVAL16 - 1,
+                      INTERVAL16, INTERVAL16 + 1, 2 * INTERVAL16 + 1,
+                      *range(4, 70)})
+RANDOM_DELAYS = random.Random(3000).sample(range(3001), 40)
+
+
+@pytest.mark.parametrize("delay", EDGE_DELAYS + RANDOM_DELAYS)
+def test_checkpoint_prover_matches_long_division(delay):
+    params, x = _instance(delay)
+    r, hit, miss, hit_muls, miss_muls = _hit_and_miss(params, x)
+    assert hit == miss == oracle.long_division_prove(params, x, r)
+    # the hit cleared the memo, so the second call squared T times again
+    assert miss_muls == hit_muls + delay
+
+
+def test_checkpoint_prover_at_every_chunk_size():
+    """One delay per chunk size k, at an interval boundary and beside it."""
+    delays = {}
+    for delay in range(2 ** 13):
+        delays.setdefault(vdf._chunk_bits(delay), delay)
+    assert len(delays) >= 6
+    for first in delays.values():
+        interval = vdf._GAMMA * vdf._chunk_bits(first)
+        for delay in (first, first + interval - first % interval,
+                      first + interval - first % interval + 1):
+            params, x = _instance(delay, b"k")
+            r, hit, miss, _, _ = _hit_and_miss(params, x)
+            assert hit == miss == oracle.long_division_prove(params, x, r)
+
+
+def test_memo_keeps_only_the_latest_evaluation():
+    """eval x1, eval x2, prove x1 recomputes; prove x2 then uses the memo."""
+    params, x1 = _instance(500)
+    x2 = vdf.hash_to_group(b"other", params.n_modulus)
+    y1 = vdf.eval_sequential(params, x1)
+    y2 = vdf.eval_sequential(params, x2)
+    r1 = vdf.derive_challenge(params, x1, y1)
+    r2 = vdf.derive_challenge(params, x2, y2)
+    c1, c2 = vdf.VdfCounters(), vdf.VdfCounters()
+    assert vdf.prove(params, x1, y1, r1, c1) == \
+        oracle.long_division_prove(params, x1, r1)
+    assert vdf.prove(params, x2, y2, r2, c2) == \
+        oracle.long_division_prove(params, x2, r2)
+    assert c2.multiplications < 500 < c1.multiplications
+
+
+def test_memo_is_keyed_on_modulus_and_delay():
+    params, x = _instance(300)
+    y = vdf.eval_sequential(params, x)
+    r = vdf.derive_challenge(params, x, y)
+    shorter = vdf.VdfParams(params.n_modulus, 299, params.security_bits)
+    assert vdf.prove(shorter, x, y, r) == \
+        oracle.long_division_prove(shorter, x, r)
+    other, _ = vdf.setup(16, b"other-modulus", delay=300)
+    assert x < other.n_modulus
+    assert vdf.prove(other, x, y, r) == \
+        oracle.long_division_prove(other, x, r)
+    # neither call matched, so the memo still serves the original input
+    count = vdf.VdfCounters()
+    vdf.prove(params, x, y, r, count)
+    assert count.multiplications < 300
+
+
+def test_prover_multiplications_at_the_beacon_delay():
+    """About T/k + gamma*2^(k+1) + gamma*k at T = 2^16 (k = 8: ~9.2k)."""
+    params, x = _instance(2 ** 16)
+    r, hit, miss, hit_muls, miss_muls = _hit_and_miss(params, x)
+    assert hit == miss == oracle.long_division_prove(params, x, r)
+    bound = (2 ** 16 // K16 + vdf._GAMMA * 2 ** (K16 + 1)
+             + vdf._GAMMA * (K16 + 1))
+    assert hit_muls <= bound <= 12_000
+    assert miss_muls == hit_muls + 2 ** 16
+
+
+def test_interleaved_threads_never_get_a_wrong_proof():
+    """Threads evaluating and proving different inputs share the memo; a
+    race may force a recompute but every proof must still be right."""
+    params, trapdoor = vdf.setup(16, b"threads", delay=300)
+    inputs = [vdf.hash_to_group(b"t-%d" % i, params.n_modulus)
+              for i in range(6)]
+    expected = {}
+    for x in inputs:
+        y = vdf.eval_trapdoor(trapdoor, params, x)
+        r = vdf.derive_challenge(params, x, y)
+        expected[x] = (y, r, oracle.long_division_prove(params, x, r))
+    wrong = []
+
+    def work(x):
+        for _ in range(15):
+            y = vdf.eval_sequential(params, x)
+            pi = vdf.prove(params, x, y, expected[x][1])
+            if (y, pi) != (expected[x][0], expected[x][2]):
+                wrong.append(x)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(x,)) for x in inputs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def test_deserialize_rejects_trailing_bytes():
+    params, _ = vdf.setup(16, b"strict", delay=40)
+    x, proof = vdf.vdf_round(params, b"m")
+    blob = vdf.serialize_proof(params, x, proof)
+    assert vdf.deserialize_proof(blob) == (params, x, proof)
+    with pytest.raises(UsageError, match="trailing"):
+        vdf.deserialize_proof(blob + b"\x00")
