@@ -10,7 +10,7 @@ from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (DEFAULT_MODULUS, BivariatePolynomial, EvaluationDomain,
                     Field, FieldElement, Polynomial, evaluate_on_domain,
-                    interpolate, interpolate_on_domain, poly_div_exact)
+                    interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, PrfKey, Transcript, hash_to_group, prf
 
@@ -19,8 +19,8 @@ __all__ = [
     "DEFAULT_MODULUS", "EvaluationDomain", "Field", "FieldElement",
     "HASH_ID", "InternalError", "MerkleTree", "Polynomial", "PrfKey",
     "Transcript", "UsageError", "VerifyResult", "evaluate_on_domain",
-    "hash_to_group", "interpolate", "interpolate_on_domain",
-    "poly_div_exact", "prf", "verify_path",
+    "hash_to_group", "interpolate", "interpolate_on_domain", "prf",
+    "verify_path",
 ]
 
 __version__ = "0.1.0"

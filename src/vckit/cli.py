@@ -10,6 +10,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import fri as fri_mod
 from . import hauth, stark, vdf
 from .encoding import Reader, bytes_lp, u8, u32, u64
@@ -40,6 +42,29 @@ def load_config(path):
     return cfg
 
 
+def _require(doc, what, keys):
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise UsageError(f"{what} has no {key!r}")
+    return doc
+
+
+def load_json(source, what, keys=()):
+    """The JSON document in a file (a path) or in bytes already read.
+    Malformed JSON, or a document without one of the given keys, is a
+    UsageError."""
+    if not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    try:
+        doc = json.loads(source)
+    except ValueError as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    return _require(doc, what, keys) if keys else doc
+
+
 def get_field(args) -> Field:
     modulus = getattr(args, "modulus", None) or DEFAULT_MODULUS
     if modulus not in VETTED_MODULI:
@@ -51,8 +76,7 @@ def get_field(args) -> Field:
 # hauth
 
 def load_circuit(path) -> hauth.Circuit:
-    with open(path) as fh:
-        desc = json.load(fh)
+    desc = load_json(path, "circuit file", ("inputs",))
     gates = []
     for g in desc.get("gates", []):
         op = g[0]
@@ -85,7 +109,9 @@ def load_tag(path, field) -> hauth.Tag:
         reader = Reader(fh.read())
     if reader.u8() != 1:
         raise UsageError("tag files carry arity-1 tags")
-    return hauth.Tag(Polynomial.deserialize(field, reader), arity=1)
+    poly = Polynomial.deserialize(field, reader)
+    reader.finish()
+    return hauth.Tag(poly, arity=1)
 
 
 def cmd_hauth(args):
@@ -97,8 +123,7 @@ def cmd_hauth(args):
                        "modulus": field.modulus}, fh)
         print(f"wrote key to {args.output}")
         return EXIT_OK
-    with open(args.key) as fh:
-        raw = json.load(fh)
+    raw = load_json(args.key, "key file", ("sk", "prf_key", "modulus"))
     field = Field(raw["modulus"])
     key = hauth.AuthKey(field(raw["sk"]),
                         hauth.PrfKey(bytes.fromhex(raw["prf_key"])))
@@ -152,8 +177,10 @@ def cmd_vdf(args):
                        "p": trapdoor.p, "q": trapdoor.q}, fh)
         print(f"wrote params (T={params.delay}) to {args.output}")
         return EXIT_OK
-    with open(args.params) as fh:
-        raw = json.load(fh)
+    keys = ("N", "T", "lambda")
+    if getattr(args, "trapdoor", False):
+        keys += ("p", "q")
+    raw = load_json(args.params, "params file", keys)
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
     if args.cmd == "verify":
         # N, T, lambda and x' come from the verifier's own files; the copies
@@ -255,9 +282,14 @@ def build_program(name: str, length: int, field, boundary_json=None):
     trace = stark.trace_fibonacci(length, field)
     cs = stark.fibonacci_constraint_system(length, field)
     if boundary_json:
+        if not isinstance(boundary_json, list):
+            raise UsageError("boundary constraints must be a JSON list")
+        entries = [_require(b, "boundary constraint",
+                            ("column", "row", "value"))
+                   for b in boundary_json]
         extra = [stark.BoundaryConstraint(int(b["column"]), int(b["row"]),
                                           int(b["value"]))
-                 for b in boundary_json]
+                 for b in entries]
         cs = stark.ConstraintSystem(cs.num_columns,
                                     cs.boundaries + extra, cs.transitions)
     return trace, cs
@@ -268,8 +300,7 @@ def cmd_stark(args):
     if args.cmd == "prove":
         boundary = None
         if args.boundary_json:
-            with open(args.boundary_json) as fh:
-                boundary = json.load(fh)
+            boundary = load_json(args.boundary_json, "boundary file")
         trace, cs = build_program(args.program, args.length, field, boundary)
         params = stark.StarkParams(args.blowup or 8, args.queries or 20,
                                    zk=args.zk)
@@ -283,7 +314,8 @@ def cmd_stark(args):
     if args.cmd == "verify":
         with open(args.proof, "rb") as fh:
             reader = Reader(fh.read())
-        meta = json.loads(reader.bytes_lp())
+        meta = load_json(reader.bytes_lp(), "proof header",
+                         ("program", "length"))
         proof = stark.StarkProof.deserialize(reader.take(
             len(reader.data) - reader.pos))
         _, cs = build_program(meta["program"], meta["length"], field,
@@ -303,15 +335,16 @@ def bench_2poly(args, field):
     import random as _random
     rng = _random.Random(args.seed)
     n, d = args.domain, args.d
-    pts = [field(i) for i in range(n)]
-    domain = stark.EvaluationDomain.explicit(pts)
+    if n > field.modulus:
+        raise UsageError("the domain has more points than the field")
+    xs = np.arange(n, dtype=np.uint64)
     f = Polynomial(field, [rng.randrange(field.modulus)
                            for _ in range(d + 1)])
     roots = rng.sample(range(n), d)
-    z_s = stark.membership_poly(field, [pts[i] for i in roots])
+    z_s = stark.membership_poly(field, roots)
     g = f + z_s
-    f_evals = [int(v) for v in f.evaluate_array(domain.point_array())]
-    g_evals = [int(v) for v in g.evaluate_array(domain.point_array())]
+    f_evals = [int(v) for v in f.evaluate_array(xs)]
+    g_evals = [int(v) for v in g.evaluate_array(xs)]
     accepts = 0
     for trial in range(args.trials):
         t = Transcript("2poly-bench")

@@ -1,11 +1,14 @@
 """Prime-field arithmetic, univariate/bivariate polynomials and evaluation domains.
 
-Scalar operations go through FieldElement and are tallied in Field.op_count
-so verifier cost experiments can meter them.  For moduli below 2^32, which
-covers every vetted field, evaluation on and interpolation over subgroup
-and coset domains run a vectorized radix-2 NTT in O(n log n);
-Polynomial.evaluate_array is the generic O(n * deg) Horner path for
-arbitrary point arrays.
+Moduli are below 2^32, so the product of two reduced values fits in a
+uint64 and every bulk path works on numpy uint64 arrays.  Scalar
+operations go through FieldElement and are tallied in Field.op_count so
+cost experiments can meter them; the array paths are not metered.  An
+evaluation domain is a coset offset*<g> of a power-of-two subgroup (the
+subgroup itself has offset 1); evaluation on and interpolation over a
+domain run a vectorized radix-2 NTT in O(n log n), and
+Polynomial.evaluate_array is the O(n * deg) Horner path for arbitrary
+point arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ class Field:
     """A prime field F_p.  Instances with equal modulus compare equal."""
 
     def __init__(self, modulus: int):
+        if modulus >= 2**32:
+            # products of two reduced values must fit in a uint64
+            raise UsageError(f"modulus {modulus} is not below 2^32")
         if modulus not in _VERIFIED_MODULI:
             if not is_prime(modulus, rounds=40):
                 raise UsageError(f"modulus {modulus} is not prime")
@@ -32,7 +38,6 @@ class Field:
         self.modulus = modulus
         self.op_count = 0  # scalar add/sub/mul/inv tally
         self._generator = None
-        self._vectorizable = modulus < 2**32
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.modulus == other.modulus
@@ -195,8 +200,8 @@ class FieldElement:
 class Polynomial:
     """Univariate polynomial, coefficients lowest-degree first, normalized.
 
-    The zero polynomial is the empty coefficient sequence; its degree is the
-    explicit None sentinel rather than any integer.
+    The zero polynomial is the empty coefficient sequence; its degree is
+    None rather than any integer.
     """
 
     __slots__ = ("field", "coeffs")
@@ -216,10 +221,6 @@ class Polynomial:
     @staticmethod
     def constant(field: Field, c) -> "Polynomial":
         return Polynomial(field, [c])
-
-    @staticmethod
-    def x(field: Field) -> "Polynomial":
-        return Polynomial(field, [0, 1])
 
     @property
     def degree(self):
@@ -307,9 +308,6 @@ class Polynomial:
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized Horner over a uint64 point array (unmetered bulk path)."""
         p = self.field.modulus
-        if not self.field._vectorizable:
-            return np.array([self.evaluate(int(x)).value for x in xs],
-                            dtype=object)
         acc = np.zeros(len(xs), dtype=np.uint64)
         for c in reversed(self.coeffs):
             acc = (acc * xs + np.uint64(c)) % np.uint64(p)
@@ -341,12 +339,6 @@ class Polynomial:
     def deserialize(field: Field, reader: Reader) -> "Polynomial":
         n = reader.u32()
         return Polynomial(field, [reader.u64() for _ in range(n)])
-
-
-def poly_div_exact(numerator: Polynomial, divisor: Polynomial):
-    """Quotient plus an exactness flag (True iff the remainder is zero)."""
-    q, r = divmod(numerator, divisor)
-    return q, r.is_zero()
 
 
 def interpolate(points) -> Polynomial:
@@ -418,7 +410,7 @@ def _pow_array(xs: np.ndarray, exponent: int, p: int) -> np.ndarray:
 
 def _ntt(coeffs: np.ndarray, root: int, p: int) -> np.ndarray:
     """Evaluations at root^0, ..., root^(n-1) of the polynomial with the given
-    n coefficients (n a power of two, root of order n, p < 2^32).
+    n coefficients (n a power of two, root of order n).
 
     Radix-2 decimation in time without bit reversal: before each stage, row
     r of the (s, L) view holds the length-L transform of the coefficients
@@ -447,51 +439,35 @@ def _values_array(values, field: Field) -> np.ndarray:
 def interpolate_on_domain(values, domain: "EvaluationDomain") -> Polynomial:
     """Interpolate evaluations given in domain order.
 
-    On a subgroup of order n with generator g, c_k = n^{-1} sum_j v_j g^{-jk}:
-    an inverse NTT.  A coset with offset h then rescales c_k by h^{-k}.
-    Explicit domains, and fields too large for uint64 products, fall back
-    to generic Lagrange interpolation.
+    On a subgroup of order n with generator g,
+    c_k = n^{-1} sum_j v_j g^{-jk}: an inverse NTT.  The offset h then
+    rescales c_k by h^{-k}.
     """
     field = domain.field
     p = field.modulus
     if len(values) != domain.size:
         raise UsageError("value count does not match domain size")
-    if domain.kind == "explicit" or not field._vectorizable:
-        return interpolate(list(zip(domain.points(),
-                                    [field(v) for v in values])))
     n = domain.size
     mod = np.uint64(p)
     coeffs = _ntt(_values_array(values, field),
                   pow(domain.generator.value, -1, p), p)
     coeffs = coeffs * np.uint64(pow(n, -1, p)) % mod
-    if domain.kind == "coset":
-        coeffs = coeffs * _power_array(pow(domain.offset.value, -1, p),
-                                       n, p) % mod
+    coeffs = coeffs * _power_array(pow(domain.offset.value, -1, p), n, p) % mod
     return Polynomial(field, coeffs.tolist())
 
 
 def evaluate_on_domain(poly: Polynomial, domain: "EvaluationDomain"
                        ) -> np.ndarray:
-    """Evaluations of poly in domain order as an array.
-
-    On a subgroup this is one NTT; a coset with offset h first scales
-    coefficient k by h^k.  The polynomial must have fewer coefficients
-    than the domain has points.  Only subgroup and coset domains over
-    fields below 2^32 are supported; evaluate_array is the generic path.
-    """
-    field = domain.field
-    if domain.kind == "explicit":
-        raise UsageError("NTT evaluation needs a subgroup or coset domain")
-    if not field._vectorizable:
-        raise UsageError("NTT evaluation needs a modulus below 2^32")
+    """Evaluations of poly in domain order as an array: scale coefficient
+    k by offset^k, then one NTT.  The polynomial must have fewer
+    coefficients than the domain has points."""
     n = domain.size
     if len(poly.coeffs) > n:
         raise UsageError("polynomial degree is not below the domain size")
-    p = field.modulus
+    p = domain.field.modulus
     coeffs = np.zeros(n, dtype=np.uint64)
     coeffs[:len(poly.coeffs)] = poly.coeffs
-    if domain.kind == "coset":
-        coeffs = coeffs * _power_array(domain.offset.value, n, p) % np.uint64(p)
+    coeffs = coeffs * _power_array(domain.offset.value, n, p) % np.uint64(p)
     return _ntt(coeffs, domain.generator.value, p)
 
 
@@ -499,29 +475,17 @@ def evaluate_on_domain(poly: Polynomial, domain: "EvaluationDomain"
 # evaluation domains
 
 class EvaluationDomain:
-    """Explicit point list, power-of-two multiplicative subgroup, or coset."""
+    """The coset offset*<generator> of a power-of-two multiplicative
+    subgroup; the subgroup itself is the coset with offset 1."""
 
-    def __init__(self, field, kind, size, generator=None, offset=None,
-                 explicit_points=None):
+    def __init__(self, field: Field, size: int, generator: FieldElement,
+                 offset: FieldElement):
         self.field = field
-        self.kind = kind
         self.size = size
         self.generator = generator
         self.offset = offset
-        self._explicit = explicit_points
         self._points = None
         self._point_array = None
-
-    @staticmethod
-    def explicit(points) -> "EvaluationDomain":
-        points = list(points)
-        if not points:
-            raise UsageError("empty domain")
-        field = points[0].field
-        if len({pt.value for pt in points}) != len(points):
-            raise UsageError("domain points must be distinct")
-        return EvaluationDomain(field, "explicit", len(points),
-                                explicit_points=points)
 
     @staticmethod
     def subgroup(field: Field, size: int) -> "EvaluationDomain":
@@ -529,7 +493,7 @@ class EvaluationDomain:
         gen = field.nth_root(size)
         if size > 1 and (gen ** (size // 2)).value == 1:
             raise UsageError("generator has too small an order")
-        return EvaluationDomain(field, "subgroup", size, generator=gen)
+        return EvaluationDomain(field, size, gen, field.one)
 
     @staticmethod
     def coset(field: Field, size: int, offset) -> "EvaluationDomain":
@@ -537,20 +501,13 @@ class EvaluationDomain:
         offset = field(offset)
         if offset.is_zero():
             raise UsageError("coset offset must be nonzero")
-        return EvaluationDomain(field, "coset", size, generator=dom.generator,
-                                offset=offset)
+        return EvaluationDomain(field, size, dom.generator, offset)
 
     def point_array(self) -> np.ndarray:
         if self._point_array is None:
             p = self.field.modulus
-            if self.kind == "explicit":
-                arr = np.array([pt.value for pt in self._explicit],
-                               dtype=np.uint64)
-            else:
-                arr = _power_array(self.generator.value, self.size, p)
-                if self.kind == "coset":
-                    arr = (arr * np.uint64(self.offset.value)) % np.uint64(p)
-            self._point_array = arr
+            arr = _power_array(self.generator.value, self.size, p)
+            self._point_array = arr * np.uint64(self.offset.value) % np.uint64(p)
         return self._point_array
 
     def points(self):
@@ -560,59 +517,25 @@ class EvaluationDomain:
         return self._points
 
     def point(self, i: int) -> FieldElement:
-        """i-th domain point, computed in O(log i) for subgroups/cosets."""
-        if self.kind == "explicit":
-            return self._explicit[i]
-        pt = self.generator ** i
-        if self.kind == "coset":
-            pt = pt * self.offset
-        return pt
+        """i-th domain point, offset * generator^i, in O(log i)."""
+        return self.offset * self.generator ** i
 
     def contains(self, x) -> bool:
-        x = self.field(x)
-        if self.kind == "explicit":
-            return any(x == pt for pt in self._explicit)
-        if self.kind == "coset":
-            x = x / self.offset
-        return (x ** self.size).value == 1
+        # x = offset * y with y^size = 1 exactly when x^size = offset^size
+        return self.field(x) ** self.size == self.offset ** self.size
 
     def squared(self) -> "EvaluationDomain":
         """Image of this domain under x -> x^2 (half size)."""
-        if self.kind == "explicit":
-            raise UsageError("squaring is defined for subgroup/coset domains")
         if self.size < 2:
             raise UsageError("cannot halve a size-1 domain")
-        gen = self.generator * self.generator
-        if self.kind == "subgroup":
-            return EvaluationDomain(self.field, "subgroup", self.size // 2,
-                                    generator=gen)
-        return EvaluationDomain(self.field, "coset", self.size // 2,
-                                generator=gen, offset=self.offset * self.offset)
+        return EvaluationDomain(self.field, self.size // 2,
+                                self.generator * self.generator,
+                                self.offset * self.offset)
 
     def vanishing_poly(self) -> Polynomial:
-        """Z_D, zero exactly on the domain."""
-        field = self.field
-        if self.kind == "subgroup":
-            return Polynomial(field, [-1] + [0] * (self.size - 1) + [1])
-        if self.kind == "coset":
-            hn = (self.offset ** self.size).value
-            return Polynomial(field, [-hn] + [0] * (self.size - 1) + [1])
-        acc = Polynomial(field, [1])
-        for pt in self._explicit:
-            acc = acc * Polynomial(field, [-pt.value, 1])
-        return acc
-
-    def vanishing_eval(self, x) -> FieldElement:
-        """Z_D(x); O(log size) multiplications for subgroup/coset kinds."""
-        x = self.field(x)
-        if self.kind == "subgroup":
-            return x ** self.size - 1
-        if self.kind == "coset":
-            return x ** self.size - self.offset ** self.size
-        acc = self.field.one
-        for pt in self._explicit:
-            acc = acc * (x - pt)
-        return acc
+        """Z_D = x^size - offset^size, zero exactly on the domain."""
+        hn = (self.offset ** self.size).value
+        return Polynomial(self.field, [-hn] + [0] * (self.size - 1) + [1])
 
 
 def _check_pow2(n: int):

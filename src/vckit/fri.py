@@ -14,7 +14,7 @@ import numpy as np
 
 from .encoding import Reader, bytes_lp, u8, u32, u64
 from .errors import InternalError, UsageError, VerifyResult
-from .field import EvaluationDomain, FieldElement, Polynomial, _power_array
+from .field import EvaluationDomain, FieldElement, _power_array
 from .merkle import AuthPath, MerkleTree, leaf_hash, verify_path
 from .transcript import HASH_ID, Transcript
 
@@ -23,14 +23,12 @@ PROOF_MAGIC = b"VCKF"
 
 @dataclass(frozen=True)
 class FriParams:
-    domain: EvaluationDomain          # power-of-two subgroup or coset
+    domain: EvaluationDomain
     degree_bound: int                 # asserts deg(f) < degree_bound
     num_queries: int
 
     def __post_init__(self):
         d, n = self.degree_bound, self.domain.size
-        if self.domain.kind == "explicit":
-            raise UsageError("FRI needs a subgroup or coset domain")
         if d < 1 or d & (d - 1):
             raise UsageError("degree bound must be a power of two")
         if n % d != 0:
@@ -108,12 +106,6 @@ class FriProof:
         return FriProof(roots, final_value, queries)
 
 
-def split(f: Polynomial):
-    """f(x) = f_even(x^2) + x * f_odd(x^2)."""
-    return (Polynomial(f.field, f.coeffs[0::2]),
-            Polynomial(f.field, f.coeffs[1::2]))
-
-
 def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
     """One folding round in closed form.
 
@@ -133,11 +125,8 @@ def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
     b = evals[h:]
     inv2 = np.uint64(pow(2, -1, p))
     x0v = np.uint64(field(x0).value)
-    gen_inv = pow(domain.generator.value, -1, p)
-    alpha_inv = _power_array(gen_inv, h, p)
-    if domain.kind == "coset":
-        off_inv = np.uint64(pow(domain.offset.value, -1, p))
-        alpha_inv = (alpha_inv * off_inv) % mod
+    alpha_inv = (_power_array(pow(domain.generator.value, -1, p), h, p)
+                 * np.uint64(pow(domain.offset.value, -1, p)) % mod)
     even = ((a + b) % mod) * inv2 % mod
     odd = ((a + (mod - b)) % mod) * inv2 % mod * alpha_inv % mod
     return (even + odd * x0v) % mod
@@ -249,6 +238,8 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     field = params.domain.field
     if len(proof.layer_roots) != params.rounds:
         return VerifyResult.reject("wrong number of layer roots")
+    if proof.final_value >= field.modulus:
+        return VerifyResult.reject("non-canonical final value")
     challenges = []
     for root in proof.layer_roots:
         t.absorb(b"fri-root", root)
@@ -262,13 +253,14 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
             return VerifyResult.reject("malformed query bundle")
         cur = q.index
         size = params.domain.size
-        offset = (params.domain.offset if params.domain.kind == "coset"
-                  else field.one)
+        offset = params.domain.offset
         gen = params.domain.generator
         prev_fold = None
         for j, ql in enumerate(q.layers):
             h = size // 2
             b = cur % h
+            if ql.value >= field.modulus or ql.value_neg >= field.modulus:
+                return VerifyResult.reject(f"layer {j}: non-canonical value")
             if not verify_pair(proof.layer_roots[j], b, ql.value,
                                ql.value_neg, ql.path):
                 return VerifyResult.reject(f"layer {j}: bad opening")

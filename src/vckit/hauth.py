@@ -148,20 +148,21 @@ class Circuit:
     def _wire_count(self) -> int:
         return self.num_inputs + len(self.gates)
 
-    def evaluate(self, inputs, ops):
-        """Run the circuit over any algebra exposing add/mul/add_const/mul_const."""
+    def evaluate(self, inputs):
+        """Run the circuit over field elements, polynomials or bivariate
+        polynomials: anything with + and * between values and with ints."""
         if len(inputs) != self.num_inputs:
             raise UsageError("wrong number of circuit inputs")
         wires = list(inputs)
         for g in self.gates:
             if g.op == "add":
-                wires.append(ops.add(wires[g.a], wires[g.b]))
+                wires.append(wires[g.a] + wires[g.b])
             elif g.op == "mul":
-                wires.append(ops.mul(wires[g.a], wires[g.b]))
+                wires.append(wires[g.a] * wires[g.b])
             elif g.op == "addc":
-                wires.append(ops.add_const(wires[g.a], g.const))
+                wires.append(wires[g.a] + g.const)
             elif g.op == "mulc":
-                wires.append(ops.mul_const(wires[g.a], g.const))
+                wires.append(wires[g.a] * g.const)
             else:
                 raise UsageError(f"unknown gate {g.op}")
         return wires[self.output]
@@ -183,29 +184,6 @@ class Circuit:
         return Circuit(1, (), output=0)
 
 
-class _FieldOps:
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def add_const(a, c):
-        return a + c
-
-    @staticmethod
-    def mul_const(a, c):
-        return a * c
-
-
-# polynomials and bivariate polynomials share the operator surface
-FIELD_OPS = _FieldOps
-POLY_OPS = _FieldOps
-
-
 def eval_tags(circuit: Circuit, tags) -> Tag:
     """sigma_y = f(sigma_x): apply the circuit to tag polynomials."""
     tags = list(tags)
@@ -216,7 +194,7 @@ def eval_tags(circuit: Circuit, tags) -> Tag:
         raise UsageError("mixed tag arities")
     if arity == 2:
         _check_slots(tags)
-    out = circuit.evaluate([t.poly for t in tags], POLY_OPS)
+    out = circuit.evaluate([t.poly for t in tags])
     return Tag(out, arity=arity)
 
 
@@ -236,7 +214,7 @@ def verify(key: AuthKey, circuit: Circuit, labels, tag: Tag,
     field = key.field
     claimed_y = field(claimed_y)
     rs = [label_randomness(key, lab) for lab in labels]
-    f_r = circuit.evaluate(rs, FIELD_OPS)
+    f_r = circuit.evaluate(rs)
     deg = tag.poly.degree
     if deg is not None and deg > circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")
@@ -263,17 +241,13 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
                slot=slot, key_fp=key.fingerprint())
 
 
-def eval_mk(circuit: Circuit, tags) -> Tag:
-    return eval_tags(circuit, tags)
-
-
 def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
               labeled_slots, tag: Tag, claimed_y) -> VerifyResult:
     """Verification needs both secret keys: tag(sk1, sk2) = f(r)."""
     field = keys[0].field
     claimed_y = field(claimed_y)
     rs = [label_randomness(keys[slot], lab) for lab, slot in labeled_slots]
-    f_r = circuit.evaluate(rs, FIELD_OPS)
+    f_r = circuit.evaluate(rs)
     deg = tag.poly.total_degree
     if deg is not None and deg > 2 * circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")
@@ -300,10 +274,7 @@ def amortize_offline(key: AuthKey, circuit: Circuit,
         raise UsageError("amortization caps circuits at degree 2")
     field = key.field
     placeholders = [Polynomial(field, [_prf1(key, l), 1]) for l in l_parts]
-    c = circuit.evaluate(placeholders, POLY_OPS)
-    if not isinstance(c, Polynomial):
-        c = Polynomial.constant(field, c)
-    return AmortizedPrecompute(c)
+    return AmortizedPrecompute(circuit.evaluate(placeholders))
 
 
 def load(pre: AmortizedPrecompute, key: AuthKey, delta: bytes) -> FieldElement:
@@ -435,7 +406,3 @@ def group_lift(p: Polynomial) -> GroupPolynomial:
     rest = [InstrumentedGroupElement(p.coefficient(i), BASE)
             for i in range(1, len(p.coeffs))]
     return GroupPolynomial(p.field, p.coefficient(0), rest)
-
-
-def group_eval(gp: GroupPolynomial, x) -> InstrumentedGroupElement:
-    return gp.evaluate(x)

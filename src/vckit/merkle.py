@@ -68,10 +68,6 @@ class MerkleTree:
             self.levels.append(level)
         self.root = level[0]
 
-    @property
-    def height(self) -> int:
-        return len(self.levels) - 1
-
     def open(self, index: int) -> AuthPath:
         if not 0 <= index < self.num_leaves:
             raise UsageError(f"leaf index {index} out of range")

@@ -1,9 +1,15 @@
 """Transparent STARK-style argument: trace arithmetisation, low-degree
 extension on a coset by NTT, constraint quotients and their randomized
-composition evaluated pointwise on that coset, Merkle commitment and FRI.
+composition evaluated pointwise, Merkle commitment and FRI.
+
+One evaluator, compose, computes the composition at any array of points x
+from the trace values at x, g x, ..., g^(w-1) x.  The prover calls it on
+the whole LDE coset with the rolled LDE columns; the verifier calls it on
+its query points with the opened rows, so the constraint check is
+vectorized and, unlike FRI's scalar checks, not metered in op_count.
 The prover interpolates the trace columns once and handles every other
 polynomial by its values on the coset: O(n log n) field work, plus one
-pass over the coset for each row the transition constraints exclude.
+pass over the points for each row the transition constraints exclude.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -57,19 +63,6 @@ class MultivariatePoly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def evaluate(self, values) -> FieldElement:
-        if len(values) != self.num_vars:
-            raise UsageError("wrong number of predicate inputs")
-        values = [self.field(v) for v in values]
-        acc = self.field.zero
-        for exps, c in self.terms.items():
-            term = FieldElement(self.field, c)
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v ** e
-            acc = acc + term
-        return acc
 
     def evaluate_array(self, values) -> np.ndarray:
         """Vectorized evaluation over uint64 arrays of reduced values, one
@@ -335,22 +328,26 @@ def _transition_rows(trace: TraceTable, tc: TransitionConstraint) -> int:
     return num_rows
 
 
-def evaluate_transition(tc: TransitionConstraint, columns,
-                        stride: int) -> np.ndarray:
-    """tc's predicate at every index i of the column arrays, window row r
-    being index (i + r*stride) mod length: stride 1 on the trace itself,
-    stride blowup on its low-degree extension."""
-    window = [np.roll(col, -r * stride) for r in range(tc.window)
-              for col in columns]
-    return tc.predicate.evaluate_array(window)
+def _windows(columns, stride: int, width: int):
+    """rows[r][c] = column c rolled left by r*stride: with stride 1 on the
+    trace, row r holds the cell r rows below each row; with stride blowup
+    on the low-degree extension, the value at g^r x for each point x."""
+    return [[np.roll(col, -r * stride) for col in columns]
+            for r in range(width)]
+
+
+def evaluate_transition(tc: TransitionConstraint, rows) -> np.ndarray:
+    """tc's predicate at every point, variable r*ncols+c being rows[r][c]."""
+    return tc.predicate.evaluate_array(
+        [col for row in rows[:tc.window] for col in row])
 
 
 def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
     """values / divisor pointwise (inverses by Fermat), for a vanishing
-    polynomial's values on the LDE coset, never zero while the offset
-    generates the whole group."""
+    polynomial's values off the trace subgroup, never zero while the LDE
+    offset generates the whole group."""
     if not divisor.all():
-        raise InternalError("vanishing polynomial is zero on the LDE coset")
+        raise InternalError("vanishing polynomial is zero at an LDE point")
     return values * _pow_array(divisor, p - 2, p) % np.uint64(p)
 
 
@@ -364,49 +361,40 @@ def _row_product(xs: np.ndarray, g: FieldElement, rows) -> np.ndarray:
     return acc
 
 
-def boundary_quotient(column_lde: np.ndarray, bcs,
-                      trace_domain: EvaluationDomain,
-                      lde: EvaluationDomain) -> np.ndarray:
-    """(column - B) / Z_B on the LDE coset, where B interpolates the
-    boundary points and Z_B is the product of (x - g^row) over them."""
+def boundary_quotient(xs: np.ndarray, column: np.ndarray, bcs,
+                      trace_domain: EvaluationDomain) -> np.ndarray:
+    """(column - B) / Z_B at the points xs, column holding the trace column
+    at xs, B interpolating the boundary points and Z_B the product of
+    (x - g^row) over them."""
     field = trace_domain.field
     p = field.modulus
     mod = np.uint64(p)
     pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-    xs = lde.point_array()
-    num = (column_lde + (mod - interpolate(pts).evaluate_array(xs))) % mod
+    num = (column + (mod - interpolate(pts).evaluate_array(xs))) % mod
     z_b = _row_product(xs, trace_domain.generator, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
 
 
-def transition_vanishing_eval(field: Field, trace_domain: EvaluationDomain,
-                              num_rows: int, x) -> FieldElement:
-    """Z_{D_E}(x) in O(log n + excluded) multiplications."""
-    x = field(x)
-    num = trace_domain.vanishing_eval(x)
-    den = field.one
-    pt = trace_domain.point(num_rows)
-    for _ in range(num_rows, trace_domain.size):
-        den = den * (x - pt)
-        pt = pt * trace_domain.generator
-    return num / den
-
-
-def transition_quotient(lde_columns, tc: TransitionConstraint,
-                        trace: TraceTable, lde: EvaluationDomain
-                        ) -> np.ndarray:
-    """predicate(col(x), col(g x), ...) / Z_E on the LDE coset, where
-    Z_E = (x^n - 1) / prod over excluded rows j of (x - g^j) vanishes on
-    the constrained rows."""
-    p = trace.field.modulus
+def transition_vanishing_eval(xs: np.ndarray, trace_domain: EvaluationDomain,
+                              num_rows: int) -> np.ndarray:
+    """1 / Z_E at the points xs, where Z_E = (x^n - 1) / prod over the
+    excluded rows j >= num_rows of (x - g^j) vanishes exactly on the
+    constrained rows 0 .. num_rows-1.  The reciprocal costs one inversion,
+    the same as Z_E itself, and turns the quotient into a product."""
+    n = trace_domain.size
+    p = trace_domain.field.modulus
     mod = np.uint64(p)
-    num_rows = _transition_rows(trace, tc)
-    n = trace.length
-    xs = lde.point_array()
-    values = evaluate_transition(tc, lde_columns, lde.size // n)
-    excluded = _row_product(xs, trace.domain().generator, range(num_rows, n))
-    return _divide(values * excluded % mod,
-                   (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
+    excluded = _row_product(xs, trace_domain.generator, range(num_rows, n))
+    return _divide(excluded, (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
+
+
+def transition_quotient(xs: np.ndarray, rows, tc: TransitionConstraint,
+                        trace_domain: EvaluationDomain,
+                        num_rows: int) -> np.ndarray:
+    """predicate(col(x), col(g x), ...) / Z_E at the points xs."""
+    return (evaluate_transition(tc, rows)
+            * transition_vanishing_eval(xs, trace_domain, num_rows)
+            % np.uint64(trace_domain.field.modulus))
 
 
 def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
@@ -418,27 +406,41 @@ def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
         if trace.columns[bc.column][bc.row] != bc.value % trace.field.modulus:
             raise ConstraintViolation(
                 f"boundary (col {bc.column}, row {bc.row}) unsatisfied")
-    columns = [_values_array(col, trace.field) for col in trace.columns]
+    rows = _windows([_values_array(col, trace.field)
+                     for col in trace.columns], 1, cs.max_window())
     for k, tc in enumerate(cs.transitions):
         num_rows = _transition_rows(trace, tc)
-        bad = np.flatnonzero(evaluate_transition(tc, columns, 1)[:num_rows])
+        bad = np.flatnonzero(evaluate_transition(tc, rows)[:num_rows])
         if bad.size:
             raise ConstraintViolation(
                 f"transition {k} violated at row {bad[0]}")
 
 
-def compose(quotients, field: Field, t: Transcript
-            ) -> Tuple[np.ndarray, List[FieldElement]]:
-    """Random linear combination of the quotient evaluations; gammas drawn
-    after the trace commitment."""
-    if not quotients:
-        raise UsageError("nothing to compose")
-    mod = np.uint64(field.modulus)
-    gammas = [t.challenge_field(field) for _ in quotients]
-    acc = np.zeros(len(quotients[0]), dtype=np.uint64)
+def _draw_gammas(cs: ConstraintSystem, field: Field,
+                 t: Transcript) -> List[FieldElement]:
+    """One gamma per quotient, drawn right after the trace commitment."""
+    return [t.challenge_field(field)
+            for _ in range(len(cs.boundary_columns()) + len(cs.transitions))]
+
+
+def compose(xs: np.ndarray, rows, cs: ConstraintSystem,
+            trace_domain: EvaluationDomain, original_length: int,
+            gammas) -> np.ndarray:
+    """Random linear combination, with the gammas, of every boundary and
+    transition quotient at the points xs; rows[r][c] holds column c at
+    g^r x for each x in xs."""
+    quotients = [boundary_quotient(xs, rows[0][c],
+                                   [bc for bc in cs.boundaries
+                                    if bc.column == c], trace_domain)
+                 for c in cs.boundary_columns()]
+    quotients += [transition_quotient(xs, rows, tc, trace_domain,
+                                      original_length - (tc.window - 1))
+                  for tc in cs.transitions]
+    mod = np.uint64(trace_domain.field.modulus)
+    acc = np.zeros(len(xs), dtype=np.uint64)
     for gamma, q in zip(gammas, quotients):
         acc = (acc + q * np.uint64(gamma.value) % mod) % mod
-    return acc, gammas
+    return acc
 
 
 def composition_degree_bound(trace_length: int, orig_length: int,
@@ -519,8 +521,6 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     without insisting on a constant final layer.
     """
     field = trace.field
-    if not field._vectorizable:
-        raise UsageError("the prover needs a field modulus below 2^32")
     if params.zk:
         trace = zk_pad(trace, params.num_queries, zk_seed)
     if not skip_satisfaction_check:
@@ -544,15 +544,10 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     trace_tree = MerkleTree(_row_leaves(lde_columns))
     t.absorb(b"trace-root", trace_tree.root)
 
-    quotients = []
-    for c in cs.boundary_columns():
-        bcs = [bc for bc in cs.boundaries if bc.column == c]
-        quotients.append(boundary_quotient(lde_columns[c], bcs, trace_domain,
-                                           lde))
-    for tc in cs.transitions:
-        quotients.append(transition_quotient(lde_columns, tc, trace, lde))
-
-    comp_evals, _ = compose(quotients, field, t)
+    gammas = _draw_gammas(cs, field, t)
+    comp_evals = compose(lde.point_array(),
+                         _windows(lde_columns, params.blowup, cs.max_window()),
+                         cs, trace_domain, trace.original_length, gammas)
     d = composition_degree_bound(n, trace.original_length, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
     fri_proof = fri.prove(comp_evals, fri_params, t,
@@ -602,8 +597,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
          proof.binding_digest)))
     t.absorb(b"trace-root", proof.trace_root)
 
-    num_quotients = len(cs.boundary_columns()) + len(cs.transitions)
-    gammas = [t.challenge_field(field) for _ in range(num_quotients)]
+    gammas = _draw_gammas(cs, field, t)
 
     d = composition_degree_bound(n, proof.original_length, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
@@ -615,53 +609,39 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     if not fri_verdict:
         return VerifyResult.reject(f"fri: {fri_verdict.reason}")
 
-    # boundary interpolants are query-independent
-    by_col = {c: [bc for bc in cs.boundaries if bc.column == c]
-              for c in cs.boundary_columns()}
-    b_polys = {}
-    b_points = {}
-    for c, bcs in by_col.items():
-        pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-        b_polys[c] = interpolate(pts)
-        b_points[c] = [x for x, _ in pts]
-
     w = cs.max_window()
-    if len(proof.trace_openings) != len(proof.fri_proof.queries):
+    queries = proof.fri_proof.queries
+    if len(proof.trace_openings) != len(queries):
         return VerifyResult.reject("query bundle count mismatch")
-    for k, (q, bundle) in enumerate(zip(proof.fri_proof.queries,
-                                        proof.trace_openings)):
+    for k, (q, bundle) in enumerate(zip(queries, proof.trace_openings)):
         if len(bundle) != w:
             return VerifyResult.reject(f"query {k}: window truncated")
-        row_values = []
         for r, (values, path) in enumerate(bundle):
             idx = (q.index + r * params.blowup) % lde.size
             if len(values) != proof.num_columns:
                 return VerifyResult.reject(f"query {k}: bad row width")
+            if any(v >= field.modulus for v in values):
+                return VerifyResult.reject(
+                    f"query {k}: non-canonical trace value")
             if not verify_path(proof.trace_root, idx, _row_leaf(values),
                                path):
                 return VerifyResult.reject(f"query {k}: trace path failure")
-            row_values.append([FieldElement(field, v) for v in values])
-        x = lde.point(q.index)
-        parts = []
-        for c in cs.boundary_columns():
-            z_b = field.one
-            for pt in b_points[c]:
-                z_b = z_b * (x - pt)
-            parts.append((row_values[0][c] - b_polys[c].evaluate(x)) / z_b)
-        for tc in cs.transitions:
-            vals = [row_values[r][c] for r in range(tc.window)
-                    for c in range(proof.num_columns)]
-            num_rows = proof.original_length - (tc.window - 1)
-            z_e = transition_vanishing_eval(field, trace_domain, num_rows, x)
-            parts.append(tc.predicate.evaluate(vals) / z_e)
-        comb = field.zero
-        for gamma, part in zip(gammas, parts):
-            comb = comb + gamma * part
-        comp_value = (q.layers[0].value if q.layers
-                      else proof.fri_proof.final_value)
-        if comb.value != comp_value:
-            return VerifyResult.reject(
-                f"query {k}: constraint equation failure")
+
+    # rows[r][c]: column c at g^r x over the query points x
+    xs = np.array([lde.point(q.index).value for q in queries],
+                  dtype=np.uint64)
+    rows = [[np.array([bundle[r][0][c] for bundle in proof.trace_openings],
+                      dtype=np.uint64)
+             for c in range(proof.num_columns)] for r in range(w)]
+    combined = compose(xs, rows, cs, trace_domain, proof.original_length,
+                       gammas)
+    claimed = np.array([q.layers[0].value if q.layers
+                        else proof.fri_proof.final_value for q in queries],
+                       dtype=np.uint64)
+    bad = np.flatnonzero(combined != claimed)
+    if bad.size:
+        return VerifyResult.reject(
+            f"query {bad[0]}: constraint equation failure")
     return VerifyResult.accept()
 
 

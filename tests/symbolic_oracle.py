@@ -10,6 +10,20 @@ from vckit import stark
 from vckit.field import Polynomial, interpolate
 
 
+def evaluate(pred, values):
+    """A predicate at one point, by metered scalar FieldElement arithmetic."""
+    assert len(values) == pred.num_vars
+    field = pred.field
+    acc = field.zero
+    for exps, c in pred.terms.items():
+        term = field(c)
+        for v, e in zip(values, exps):
+            if e:
+                term = term * field(v) ** e
+        acc = acc + term
+    return acc
+
+
 def substitute(pred, polys):
     """Compose a multivariate predicate with polynomial arguments."""
     assert len(polys) == pred.num_vars
@@ -64,6 +78,6 @@ def first_violation(trace, tc):
     for i in range(trace.original_length - (tc.window - 1)):
         vals = [trace.columns[c][i + r]
                 for r in range(tc.window) for c in range(trace.num_columns)]
-        if not tc.predicate.evaluate(vals).is_zero():
+        if not evaluate(tc.predicate, vals).is_zero():
             return i
     return None

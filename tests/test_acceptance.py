@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from vckit import fri, hauth, stark, vdf
@@ -46,14 +47,13 @@ def test_criterion_01_2poly_soundness_rate():
     everywhere except d points: expected d/|D| = 4/400 = 0.01."""
     d, n, trials = 4, 400, 100_000
     rng = random.Random(20240)
-    pts = [F(i) for i in range(n)]
-    dom = EvaluationDomain.explicit(pts)
+    xs = np.arange(n, dtype=np.uint64)
     f = Polynomial(F, [rng.randrange(F.modulus) for _ in range(d + 1)])
     agree = rng.sample(range(n), d)
-    z_s = stark.membership_poly(F, [pts[i] for i in agree])
+    z_s = stark.membership_poly(F, agree)
     g = f + z_s
-    fe = [int(v) for v in f.evaluate_array(dom.point_array())]
-    ge = [int(v) for v in g.evaluate_array(dom.point_array())]
+    fe = [int(v) for v in f.evaluate_array(xs)]
+    ge = [int(v) for v in g.evaluate_array(xs)]
     assert sum(a == b for a, b in zip(fe, ge)) == d
     accepts = 0
     for trial in range(trials):
@@ -299,7 +299,7 @@ def test_criterion_10_hauth_laws():
         msgs = [rng.randrange(F.modulus) for _ in range(k)]
         tags = [hauth.auth(key, m, l) for m, l in zip(msgs, labels)]
         out = hauth.eval_tags(circ, tags)
-        y = circ.evaluate([F(m) for m in msgs], hauth.FIELD_OPS)
+        y = circ.evaluate([F(m) for m in msgs])
         if not hauth.verify(key, circ, labels, out, y):
             completeness_failures += 1
 
@@ -311,7 +311,7 @@ def test_criterion_10_hauth_laws():
         delta = b"delta-%d" % rng.randrange(10**6)
         rs = [hauth.label_randomness(key, hauth.MultiLabel(l, delta))
               for l in l_parts]
-        if hauth.load(pre, key, delta) != circ.evaluate(rs, hauth.FIELD_OPS):
+        if hauth.load(pre, key, delta) != circ.evaluate(rs):
             amortized_mismatches += 1
 
     forgeries = 0
@@ -332,14 +332,13 @@ def test_criterion_10_hauth_laws():
         ma, mb = rng.randrange(F.modulus), rng.randrange(F.modulus)
         t1 = hauth.auth_mk((key, key2), ma, la, slot=0)
         t2 = hauth.auth_mk((key, key2), mb, lb, slot=1)
-        out = hauth.eval_mk(circ, [t1, t2])
-        y = circ.evaluate([F(ma), F(mb)], hauth.FIELD_OPS)
+        out = hauth.eval_tags(circ, [t1, t2])
+        y = circ.evaluate([F(ma), F(mb)])
         if not hauth.verify_mk((key, key2), circ, [(la, 0), (lb, 1)], out, y):
             mk_failures += 1
         # substitution oracle at a random point
         x, z = rng.randrange(F.modulus), rng.randrange(F.modulus)
-        want = circ.evaluate([t1.poly.evaluate(x, z), t2.poly.evaluate(x, z)],
-                             hauth.FIELD_OPS)
+        want = circ.evaluate([t1.poly.evaluate(x, z), t2.poly.evaluate(x, z)])
         if out.poly.evaluate(x, z) != want:
             mk_failures += 1
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from vckit import cli, vdf
+from vckit.encoding import Reader, bytes_lp
 
 
 def run(argv):
@@ -173,3 +174,72 @@ def test_config_file(tmp_path):
     assert run(["--config", cfg, "stark", "prove", "--length", "8",
                 "-o", proof]) == 0
     assert run(["stark", "verify", proof]) == 0
+
+
+# Malformed JSON, and a document without a key the command needs, in each
+# kind of input file: all are usage errors (exit 2), never exit 3.
+
+@pytest.mark.parametrize("text", ["{not json", '{"N": 35}', "[35]"])
+def test_bad_params_file(tmp_path, text):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    assert run(["vdf", "eval", "--params", str(params),
+                "--input", "00"]) == 2
+
+
+@pytest.mark.parametrize("text", ["{", '{"sk": 5, "modulus": 97}'])
+def test_bad_key_file(tmp_path, text):
+    key = tmp_path / "key.json"
+    key.write_text(text)
+    assert run(["hauth", "auth", "--key", str(key), "-m", "1",
+                "--label", "a", "-o", str(tmp_path / "t.bin")]) == 2
+
+
+@pytest.mark.parametrize("text", ["gates: []", '{"gates": []}'])
+def test_bad_circuit_file(tmp_path, text):
+    key, tag = str(tmp_path / "key.json"), str(tmp_path / "t.bin")
+    circuit = tmp_path / "circ.json"
+    circuit.write_text(text)
+    assert run(["hauth", "keygen", "--seed", "01", "-o", key]) == 0
+    assert run(["hauth", "auth", "--key", key, "-m", "1", "--label", "a",
+                "-o", tag]) == 0
+    assert run(["hauth", "eval", "--key", key, "--circuit", str(circuit),
+                "--tags", tag, "-o", str(tmp_path / "out.bin")]) == 2
+
+
+@pytest.mark.parametrize("text", ['[{"column": 0,',
+                                  '[{"column": 0, "row": 2}]',
+                                  '{"column": 0, "row": 2, "value": 2}'])
+def test_bad_boundary_file(tmp_path, text):
+    boundary = tmp_path / "b.json"
+    boundary.write_text(text)
+    assert run(["stark", "prove", "--length", "8", "--boundary-json",
+                str(boundary), "-o", str(tmp_path / "s.bin")]) == 2
+
+
+@pytest.mark.parametrize("header", [b"{\"program\": ", b'{"program": "fib"}',
+                                    b"\xff\xfe"])
+def test_bad_stark_proof_header(tmp_path, header):
+    proof = tmp_path / "s.bin"
+    assert run(["stark", "prove", "--length", "8", "-o", str(proof)]) == 0
+    reader = Reader(proof.read_bytes())
+    reader.bytes_lp()
+    proof.write_bytes(bytes_lp(header) + reader.data[reader.pos:])
+    assert run(["stark", "verify", str(proof)]) == 2
+
+
+def test_tag_file_with_trailing_byte_rejected(tmp_path, circuit_file):
+    key, t1, t2, out = (str(tmp_path / n)
+                        for n in ("key.json", "t1.bin", "t2.bin", "out.bin"))
+    assert run(["hauth", "keygen", "--seed", "00ff", "-o", key]) == 0
+    for tag, m, label in ((t1, "3", "a"), (t2, "5", "b")):
+        assert run(["hauth", "auth", "--key", key, "-m", m,
+                    "--label", label, "-o", tag]) == 0
+    assert run(["hauth", "eval", "--key", key, "--circuit", circuit_file,
+                "--tags", t1, t2, "-o", out]) == 0
+    verify = ["hauth", "verify", "--key", key, "--circuit", circuit_file,
+              "--labels", "a", "b", "--tag", out, "--claim", "22"]
+    assert run(verify) == 0
+    with open(out, "ab") as fh:
+        fh.write(b"\x00")
+    assert run(verify) == 2

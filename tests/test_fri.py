@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from vckit import fri
-from vckit.encoding import Reader, bytes_lp
+from vckit.encoding import Reader, bytes_lp, u64
 from vckit.errors import InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          Polynomial)
@@ -22,10 +23,16 @@ def rand_poly(field, degree_bound, seed):
                        for _ in range(degree_bound)])
 
 
+def split(f):
+    """f(x) = f_even(x^2) + x * f_odd(x^2)."""
+    return (Polynomial(f.field, f.coeffs[0::2]),
+            Polynomial(f.field, f.coeffs[1::2]))
+
+
 def test_split_identity_f17():
     """f(x) = f_even(x^2) + x * f_odd(x^2), checked on all of F_17."""
     poly = Polynomial(F17, [3, 1, 4, 1, 5, 9, 2, 6])
-    fe, fo = fri.split(poly)
+    fe, fo = split(poly)
     for x in range(17):
         xf = F17(x)
         assert poly.evaluate(xf) == (fe.evaluate(xf * xf)
@@ -39,7 +46,7 @@ def test_fold_layer_oracle_f17():
     evals = [poly.evaluate(pt).value for pt in dom.points()]
     x0 = F17(7)
     folded = fri.fold_layer(evals, dom, x0)
-    fe, fo = fri.split(poly)
+    fe, fo = split(poly)
     expected = fe + Polynomial.constant(F17, x0) * fo
     sq = dom.squared()
     for i in range(8):
@@ -52,7 +59,7 @@ def test_fold_layer_coset():
     evals = [poly.evaluate(pt).value for pt in dom.points()]
     x0 = F17(5)
     folded = fri.fold_layer(evals, dom, x0)
-    fe, fo = fri.split(poly)
+    fe, fo = split(poly)
     expected = fe + Polynomial.constant(F17, x0) * fo
     sq = dom.squared()
     for i in range(4):
@@ -65,8 +72,6 @@ def test_params_validation():
         fri.FriParams(dom, 3, 4)            # not a power of two
     with pytest.raises(UsageError):
         fri.FriParams(dom, 64, 4)           # rate above 1/2
-    with pytest.raises(UsageError):
-        fri.FriParams(EvaluationDomain.explicit([FBIG(1)]), 1, 1)
     params = fri.FriParams(dom, 8, 100)
     assert params.rounds == 3
     assert params.effective_queries() == 32
@@ -189,3 +194,64 @@ def test_decoder_rejects_trailing_bytes():
     padded = blob[:start] + bytes_lp(path + b"\x00") + blob[reader.pos:]
     with pytest.raises(UsageError, match="trailing"):
         fri.FriProof.deserialize(padded)
+
+
+def _prove_committing(evals, params, t, committed):
+    """fri.prove, except that the layer-0 tree commits to `committed`,
+    which equals evals mod p, and the layer-0 openings read from it."""
+    layers = [np.asarray(evals, dtype=np.uint64)]
+    trees, roots = [], []
+    domain = params.domain
+    for j in range(params.rounds):
+        tree = fri.pair_tree(committed if j == 0 else layers[-1])
+        trees.append(tree)
+        roots.append(tree.root)
+        t.absorb(b"fri-root", tree.root)
+        layers.append(fri.fold_layer(layers[-1], domain,
+                                     t.challenge_field(FBIG)))
+        domain = domain.squared()
+    final_value = int(layers[-1][0])
+    t.absorb(b"fri-final", u64(final_value))
+    return fri.query_phase([committed] + layers[1:], trees, t, params, roots,
+                           final_value)
+
+
+def test_prove_committing_reproduces_the_honest_proof():
+    dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
+    params = fri.FriParams(dom, 4, 6)
+    evals = rand_poly(FBIG, 4, seed=15).evaluate_array(dom.point_array())
+    honest = fri.prove(evals, params, Transcript("t"))
+    same = _prove_committing(evals, params, Transcript("t"), evals)
+    assert same.serialize() == honest.serialize()
+
+
+@pytest.mark.parametrize("half", ["value", "value_neg"])
+def test_non_canonical_layer_values_rejected(half):
+    """Layer-0 values are never compared with a fold, so value + p there
+    folds like value; the verifier must reject it as non-canonical."""
+    dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
+    params = fri.FriParams(dom, 4, 6)
+    evals = rand_poly(FBIG, 4, seed=16).evaluate_array(dom.point_array())
+    committed = evals.copy()
+    if half == "value":
+        committed[:16] += np.uint64(FBIG.modulus)
+    else:
+        committed[16:] += np.uint64(FBIG.modulus)
+    proof = _prove_committing(evals, params, Transcript("t"), committed)
+    v = fri.verify(proof, params, Transcript("t"))
+    assert not v and v.reason == "layer 0: non-canonical value"
+
+
+def test_non_canonical_final_value_rejected():
+    """With zero folding rounds nothing compares the final value, so
+    c + p for a constant c must be rejected as non-canonical."""
+    dom = EvaluationDomain.coset(FBIG, 16, FBIG.generator())
+    params = fri.FriParams(dom, 1, 4)
+    evals = np.full(16, 7, dtype=np.uint64)
+    assert fri.verify(fri.prove(evals, params, Transcript("t")), params,
+                      Transcript("t"))
+    t = Transcript("t")
+    t.absorb(b"fri-final", u64(7 + FBIG.modulus))
+    proof = fri.query_phase([evals], [], t, params, [], 7 + FBIG.modulus)
+    v = fri.verify(proof, params, Transcript("t"))
+    assert not v and v.reason == "non-canonical final value"

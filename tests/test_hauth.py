@@ -119,7 +119,7 @@ def test_amortized_load_equals_direct():
     pre = hauth.amortize_offline(KEY, circ, [b"in0", b"in1"])
     for delta in (b"day1", b"day2", b"another"):
         rs = [hauth.label_randomness(KEY, lab(l.l, delta)) for l in labels]
-        direct = circ.evaluate(rs, hauth.FIELD_OPS)
+        direct = circ.evaluate(rs)
         assert hauth.load(pre, KEY, delta) == direct
 
 
@@ -152,7 +152,7 @@ def test_multikey_roundtrip():
     la, lb = lab(b"alice"), lab(b"bob")
     t1 = hauth.auth_mk(keys, 3, la, slot=0)
     t2 = hauth.auth_mk(keys, 4, lb, slot=1)
-    out = hauth.eval_mk(circ, [t1, t2])
+    out = hauth.eval_tags(circ, [t1, t2])
     assert hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 13)
     v = hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 14)
     assert not v and v.reason == "output-check"
@@ -167,11 +167,11 @@ def test_multikey_substitution_oracle():
                              hauth.Gate("mul", 2, 0)))
     t1 = hauth.auth_mk(keys, 8, lab(b"p0"), slot=0)
     t2 = hauth.auth_mk(keys, 9, lab(b"p1"), slot=1)
-    out = hauth.eval_mk(circ, [t1, t2])
+    out = hauth.eval_tags(circ, [t1, t2])
     for _ in range(30):
         x, y = rng.randrange(F.modulus), rng.randrange(F.modulus)
         want = circ.evaluate([t1.poly.evaluate(x, y),
-                              t2.poly.evaluate(x, y)], hauth.FIELD_OPS)
+                              t2.poly.evaluate(x, y)])
         assert out.poly.evaluate(x, y) == want
 
 
@@ -181,7 +181,7 @@ def test_slot_collision_rejected():
     t2 = hauth.auth_mk((KEY2, KEY), 2, lab(b"v"), slot=0)
     circ = hauth.Circuit(2, (hauth.Gate("add", 0, 1),))
     with pytest.raises(UsageError):
-        hauth.eval_mk(circ, [t1, t2])
+        hauth.eval_tags(circ, [t1, t2])
 
 
 def test_mixed_arity_rejected():
@@ -199,7 +199,7 @@ def test_group_lift_evaluates_like_polynomial():
     tag = hauth.auth(KEY, 5, lab(b"g1"))
     gp = hauth.group_lift(tag.poly)
     for x in (0, 1, 12345):
-        assert hauth.group_eval(gp, x).exponent == tag.poly.evaluate(x)
+        assert gp.evaluate(x).exponent == tag.poly.evaluate(x)
 
 
 def test_group_first_coefficient_stays_clear():

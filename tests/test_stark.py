@@ -60,7 +60,7 @@ def _lde_columns(trace, lde):
 
 def test_multivariate_predicate_eval_and_substitute():
     pred = stark.MultivariatePoly(F, 2, {(2, 0): 1, (0, 1): -1})  # x^2 - y
-    assert pred.evaluate([F(5), F(25)]).is_zero()
+    assert oracle.evaluate(pred, [F(5), F(25)]).is_zero()
     assert pred.total_degree == 2
     px = Polynomial(F, [1, 1])
     py = Polynomial(F, [0, 2])
@@ -87,30 +87,31 @@ def test_boundary_quotient_exactness():
     z_b = stark.membership_poly(F, [x for x, _ in pts])
     assert quot * z_b + b_poly == poly
     # the pointwise quotient is the oracle quotient at every LDE point
-    pointwise = stark.boundary_quotient(_lde_columns(tr, lde)[0],
-                                        cs.boundaries, dom, lde)
-    assert pointwise.tolist() == quot.evaluate_array(
-        lde.point_array()).tolist()
+    xs = lde.point_array()
+    pointwise = stark.boundary_quotient(xs, _lde_columns(tr, lde)[0],
+                                        cs.boundaries, dom)
+    assert pointwise.tolist() == quot.evaluate_array(xs).tolist()
     # off the boundary values, division leaves a remainder, and the
     # pointwise values are no longer those of a low-degree polynomial
     bad = poly + Polynomial(F, [1])
     _, rem = oracle.boundary_quotient(bad, cs.boundaries, dom)
     assert not rem.is_zero()
-    bad_values = stark.boundary_quotient(evaluate_on_domain(bad, lde),
-                                         cs.boundaries, dom, lde)
+    bad_values = stark.boundary_quotient(xs, evaluate_on_domain(bad, lde),
+                                         cs.boundaries, dom)
     assert interpolate_on_domain(bad_values, lde).degree >= tr.length
 
 
 def test_transition_vanishing_matches_eval():
     dom = EvaluationDomain.subgroup(F, 8)
+    xs = np.array([5, 123, 99991], dtype=np.uint64)
+    assert not any(dom.contains(F(int(x))) for x in xs)
     for num_rows in (1, 5, 6, 8):
         z = oracle.transition_vanishing(F, dom, num_rows)
         for i in range(8):
             assert z.evaluate(dom.point(i)).is_zero() == (i < num_rows)
-        for x in (5, 123, 99991):
-            if not dom.contains(F(x)):
-                assert z.evaluate(x) == stark.transition_vanishing_eval(
-                    F, dom, num_rows, x)
+        inverse = stark.transition_vanishing_eval(xs, dom, num_rows)
+        assert (inverse * z.evaluate_array(xs) % np.uint64(F.modulus)
+                ).tolist() == [1] * len(xs)
 
 
 def test_transition_quotient_exact_for_honest_trace():
@@ -121,9 +122,11 @@ def test_transition_quotient_exact_for_honest_trace():
     quot, rem = oracle.transition_quotient(oracle.interpolate_trace(tr), tc, tr)
     assert rem.is_zero()
     assert quot.degree is None or quot.degree < tr.length
-    pointwise = stark.transition_quotient(_lde_columns(tr, lde), tc, tr, lde)
-    assert pointwise.tolist() == quot.evaluate_array(
-        lde.point_array()).tolist()
+    xs = lde.point_array()
+    rows = stark._windows(_lde_columns(tr, lde), 8, tc.window)
+    pointwise = stark.transition_quotient(xs, rows, tc, tr.domain(),
+                                          stark._transition_rows(tr, tc))
+    assert pointwise.tolist() == quot.evaluate_array(xs).tolist()
     bad = stark.TraceTable([list(tr.columns[0])], 8, F)
     bad.columns[0][3] += 1
     _, rem = oracle.transition_quotient(oracle.interpolate_trace(bad), tc, bad)
@@ -308,16 +311,13 @@ def test_custom_two_column_system():
 def test_pointwise_quotients_match_oracle(program):
     """Every boundary and transition quotient of the prover equals the
     symbolic quotient at every point of the LDE coset."""
-    if program == "two-column":
-        tr, cs = _two_column(8)
-    else:
-        tr = stark.zk_pad(stark.trace_fibonacci(64, F), 8, 1)
-        cs = stark.fibonacci_constraint_system(64, F)
+    tr, cs = _program(program)
     stark.check_satisfaction(tr, cs)
     dom = tr.domain()
     lde = stark.StarkParams(4, 1).lde_domain(F, tr.length)
     pts = lde.point_array()
     lde_cols = _lde_columns(tr, lde)
+    rows = stark._windows(lde_cols, 4, cs.max_window())
     polys = oracle.interpolate_trace(tr)
     for poly, col in zip(polys, lde_cols):
         assert poly.evaluate_array(pts).tolist() == col.tolist()
@@ -325,13 +325,46 @@ def test_pointwise_quotients_match_oracle(program):
         bcs = [bc for bc in cs.boundaries if bc.column == c]
         quot, rem = oracle.boundary_quotient(polys[c], bcs, dom)
         assert rem.is_zero()
-        got = stark.boundary_quotient(lde_cols[c], bcs, dom, lde)
+        got = stark.boundary_quotient(pts, lde_cols[c], bcs, dom)
         assert got.tolist() == quot.evaluate_array(pts).tolist()
     for tc in cs.transitions:
         quot, rem = oracle.transition_quotient(polys, tc, tr)
         assert rem.is_zero()
-        got = stark.transition_quotient(lde_cols, tc, tr, lde)
+        got = stark.transition_quotient(pts, rows, tc, dom,
+                                        stark._transition_rows(tr, tc))
         assert got.tolist() == quot.evaluate_array(pts).tolist()
+
+
+def _program(name):
+    if name == "two-column":
+        return _two_column(8)
+    tr = stark.zk_pad(stark.trace_fibonacci(64, F), 8, 1)
+    return tr, stark.fibonacci_constraint_system(64, F)
+
+
+@pytest.mark.parametrize("program", ["fib64-zk", "two-column"])
+def test_composition_at_sampled_points_matches_the_coset(program):
+    """compose at a few LDE points, given only the window values there
+    (the verifier's call), equals the prover's composition over the whole
+    coset at those indices."""
+    tr, cs = _program(program)
+    params = stark.StarkParams(4, 1)
+    dom = tr.domain()
+    lde = params.lde_domain(F, tr.length)
+    cols = _lde_columns(tr, lde)
+    w = cs.max_window()
+    rng = random.Random(program)
+    gammas = [F(rng.randrange(F.modulus)) for _ in range(
+        len(cs.boundary_columns()) + len(cs.transitions))]
+    full = stark.compose(lde.point_array(),
+                         stark._windows(cols, params.blowup, w), cs, dom,
+                         tr.original_length, gammas)
+    idx = np.array(rng.sample(range(lde.size), 20) + [0, lde.size - 1])
+    rows = [[col[(idx + r * params.blowup) % lde.size] for col in cols]
+            for r in range(w)]
+    sampled = stark.compose(lde.point_array()[idx], rows, cs, dom,
+                            tr.original_length, gammas)
+    assert sampled.tolist() == full[idx].tolist()
 
 
 def test_check_satisfaction_names_first_violation():
@@ -416,26 +449,19 @@ def test_decoder_rejects_trailing_bytes_in_sub_records(what):
         stark.StarkProof.deserialize(_rewrap(_blob(), what))
 
 
-def test_prover_refuses_fields_beyond_uint64_products():
-    """The pointwise prover multiplies in uint64, so p must stay below 2^32."""
-    big = Field(2**64 - 2**32 + 1)
-    tr = stark.trace_fibonacci(8, big)
-    cs = stark.fibonacci_constraint_system(8, big)
-    with pytest.raises(UsageError, match="2\\^32"):
-        stark.prove(tr, cs, stark.StarkParams(8, 4))
-
-
 def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
     """Division by a vanishing polynomial that is zero somewhere on the
     evaluation domain is an internal error, never a silent 0."""
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
     bad_lde = EvaluationDomain.subgroup(F, 64)
+    xs = bad_lde.point_array()
     cols = _lde_columns(tr, bad_lde)
     with pytest.raises(InternalError):
-        stark.boundary_quotient(cols[0], cs.boundaries, tr.domain(), bad_lde)
+        stark.boundary_quotient(xs, cols[0], cs.boundaries, tr.domain())
     with pytest.raises(InternalError):
-        stark.transition_quotient(cols, cs.transitions[0], tr, bad_lde)
+        stark.transition_quotient(xs, stark._windows(cols, 8, 3),
+                                  cs.transitions[0], tr.domain(), 6)
 
 
 def _fib8_proof():
@@ -445,33 +471,63 @@ def _fib8_proof():
     return stark.prove(tr, cs, params), cs, params
 
 
+def _forge(proof, cs, params, leaf_columns, composition):
+    """`proof` re-made with a trace tree over leaf_columns (LDE arrays, one
+    per column the header claims) and, on the forged transcript, an honest
+    FRI proof of composition(gammas)."""
+    n, orig = proof.trace_length, proof.original_length
+    lde = params.lde_domain(F, n)
+    t = Transcript("stark")
+    t.absorb(b"header", stark._header_bytes(
+        (n, orig, len(leaf_columns), params.blowup, params.num_queries,
+         proof.zk, cs.digest(), proof.binding_digest)))
+    leaves = [[int(col[i]) for col in leaf_columns] for i in range(lde.size)]
+    tree = MerkleTree([stark._row_leaf(row) for row in leaves])
+    t.absorb(b"trace-root", tree.root)
+    comp = composition(stark._draw_gammas(cs, F, t))
+    d = stark.composition_degree_bound(n, orig, cs)
+    fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
+    openings = []
+    for q in fri_proof.queries:
+        idxs = [(q.index + r * params.blowup) % lde.size
+                for r in range(cs.max_window())]
+        openings.append([(leaves[i], tree.open(i)) for i in idxs])
+    return dataclasses.replace(
+        proof, num_columns=len(leaf_columns), trace_root=tree.root,
+        composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
+        trace_openings=openings)
+
+
+def _fib8_lde():
+    """The fib-8 proof with its LDE columns and honest composition."""
+    proof, cs, params = _fib8_proof()
+    tr = stark.trace_fibonacci(8, F)
+    lde = params.lde_domain(F, tr.length)
+    cols = _lde_columns(tr, lde)
+
+    def composition(gammas):
+        return stark.compose(lde.point_array(),
+                             stark._windows(cols, params.blowup,
+                                            cs.max_window()),
+                             cs, tr.domain(), tr.original_length, gammas)
+    return proof, cs, params, cols, composition
+
+
+def test_forge_reproduces_the_honest_proof():
+    proof, cs, params, cols, composition = _fib8_lde()
+    forged = _forge(proof, cs, params, cols, composition)
+    assert forged.serialize() == proof.serialize()
+
+
 def _column_count_forgery(num_columns):
     """A fib-8 proof re-made for a header claiming `num_columns` columns:
     an all-zero trace of that width and composition, with an honest FRI
     proof on the forged transcript, so only the column count is wrong."""
     proof, cs, params = _fib8_proof()
-    n, orig = proof.trace_length, proof.original_length
-    lde = params.lde_domain(F, n)
-    t = Transcript("stark")
-    t.absorb(b"header", stark._header_bytes(
-        (n, orig, num_columns, params.blowup, params.num_queries, False,
-         cs.digest(), None)))
-    tree = MerkleTree([stark._row_leaf([0] * num_columns)] * lde.size)
-    t.absorb(b"trace-root", tree.root)
-    for _ in range(len(cs.boundary_columns()) + len(cs.transitions)):
-        t.challenge_field(F)
-    d = stark.composition_degree_bound(n, orig, cs)
-    fri_proof = fri.prove(np.zeros(lde.size, dtype=np.uint64),
-                          fri.FriParams(lde, d, params.num_queries), t)
-    openings = [[([0] * num_columns,
-                  tree.open((q.index + r * params.blowup) % lde.size))
-                 for r in range(cs.max_window())]
-                for q in fri_proof.queries]
-    forged = dataclasses.replace(
-        proof, num_columns=num_columns, trace_root=tree.root,
-        composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
-        trace_openings=openings)
-    return forged, cs, params
+    size = params.lde_domain(F, proof.trace_length).size
+    zeros = np.zeros(size, dtype=np.uint64)
+    return (_forge(proof, cs, params, [zeros] * num_columns,
+                   lambda gammas: zeros), cs, params)
 
 
 @pytest.mark.parametrize("num_columns", [0, 2])
@@ -492,3 +548,44 @@ def test_fri_proof_without_layer_roots_rejected():
     blob = dataclasses.replace(proof, fri_proof=empty).serialize()
     verdict = stark.verify(stark.StarkProof.deserialize(blob), cs, params, F)
     assert not verdict and verdict.reason == "fri: no layer roots"
+
+
+def test_non_canonical_trace_values_rejected():
+    """Opened trace values must be below p: a trace tree committing to
+    value + p in every cell, with an honest composition, is rejected."""
+    proof, cs, params, cols, composition = _fib8_lde()
+    shifted = [col + np.uint64(F.modulus) for col in cols]
+    forged = _forge(proof, cs, params, shifted, composition)
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict
+    assert verdict.reason == "query 0: non-canonical trace value"
+
+
+def test_constraint_failure_names_the_query():
+    """A trace tree over columns changed at a random set of LDE indices,
+    with the honest composition in FRI, fails the constraint check at the
+    first query whose window opens a changed index."""
+    proof, cs, params, cols, composition = _fib8_lde()
+    size = len(cols[0])
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        changed = {i for i in range(size) if rng.random() < 0.1}
+        bumped = cols[0].copy()
+        for i in changed:
+            bumped[i] = (int(bumped[i]) + 1) % F.modulus
+        forged = _forge(proof, cs, params, [bumped], composition)
+        hit = [k for k, q in enumerate(forged.fri_proof.queries)
+               if {(q.index + r * params.blowup) % size
+                   for r in range(cs.max_window())} & changed]
+        verdict = stark.verify(forged, cs, params, F)
+        if not hit:
+            assert verdict
+            continue
+        assert not verdict
+        assert verdict.reason == (f"query {hit[0]}: constraint equation "
+                                  f"failure")
+        seen.add(hit[0] > 0)
+        if seen == {False, True}:
+            break
+    assert seen == {False, True}
