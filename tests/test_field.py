@@ -256,6 +256,16 @@ def test_evaluate_on_domain_short_and_oversized_polys():
         evaluate_on_domain(Polynomial(FBIG, [1] * 17), dom)
 
 
+def test_evaluate_on_domain_refuses_explicit_and_wide_fields():
+    """Domains are cosets of a power-of-two subgroup only, and a field too
+    wide for uint64 products is refused before a polynomial over it exists."""
+    assert not hasattr(EvaluationDomain, "explicit")
+    with pytest.raises(UsageError, match="2\\^32"):
+        wide = Field(2**64 - 2**32 + 1)
+        evaluate_on_domain(Polynomial(wide, [1, 2]),
+                           EvaluationDomain.subgroup(wide, 8))
+
+
 def test_serialize_roundtrip():
     from vckit.encoding import Reader
     poly = Polynomial(F97, [5, 0, 3])

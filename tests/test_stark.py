@@ -449,6 +449,16 @@ def test_decoder_rejects_trailing_bytes_in_sub_records(what):
         stark.StarkProof.deserialize(_rewrap(_blob(), what))
 
 
+def test_prover_refuses_fields_beyond_uint64_products():
+    """The pointwise prover multiplies in uint64, so p must stay below 2^32;
+    Field refuses a wider modulus before a trace over it can be built."""
+    with pytest.raises(UsageError, match="2\\^32"):
+        big = Field(2**64 - 2**32 + 1)
+        tr = stark.trace_fibonacci(8, big)
+        cs = stark.fibonacci_constraint_system(8, big)
+        stark.prove(tr, cs, stark.StarkParams(8, 4))
+
+
 def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
     """Division by a vanishing polynomial that is zero somewhere on the
     evaluation domain is an internal error, never a silent 0."""
