@@ -42,19 +42,37 @@ def load_config(path):
     return cfg
 
 
-def _require(doc, what, keys):
+def _of_type(value, kind) -> bool:
+    # JSON true and false load as bool, a subclass of int, never a number here
+    return isinstance(value, kind) and not (kind is int
+                                            and isinstance(value, bool))
+
+
+def _require(doc, what, fields):
+    """doc, checked to be a JSON object holding every key of fields with a
+    value of the type fields maps it to."""
     if not isinstance(doc, dict):
         raise UsageError(f"{what} must be a JSON object")
-    for key in keys:
+    for key, kind in fields.items():
         if key not in doc:
             raise UsageError(f"{what} has no {key!r}")
+        if not _of_type(doc[key], kind):
+            raise UsageError(
+                f"{what}: {key!r} must be of type {kind.__name__}")
     return doc
 
 
-def load_json(source, what, keys=()):
+def _from_hex(text, what) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what} is not a hex string") from None
+
+
+def load_json(source, what, fields=None):
     """The JSON document in a file (a path) or in bytes already read.
-    Malformed JSON, or a document without one of the given keys, is a
-    UsageError."""
+    Malformed JSON, or a document without one of the keys of fields or
+    with a value of another type there, is a UsageError."""
     if not isinstance(source, bytes):
         with open(source, "rb") as fh:
             source = fh.read()
@@ -62,7 +80,7 @@ def load_json(source, what, keys=()):
         doc = json.loads(source)
     except ValueError as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from None
-    return _require(doc, what, keys) if keys else doc
+    return _require(doc, what, fields) if fields else doc
 
 
 def get_field(args) -> Field:
@@ -76,18 +94,32 @@ def get_field(args) -> Field:
 # hauth
 
 def load_circuit(path) -> hauth.Circuit:
-    desc = load_json(path, "circuit file", ("inputs",))
+    """A circuit file: {"inputs": n, "gates": [[op, wire, wire or
+    constant], ...], "output": wire}, each gate reading only inputs and
+    earlier gates."""
+    desc = load_json(path, "circuit file", {"inputs": int})
+    wires = desc["inputs"]
+    spec = desc.get("gates", [])
+    output = desc.get("output", -1)
+    if not isinstance(spec, list):
+        raise UsageError("circuit file: 'gates' must be a list")
     gates = []
-    for g in desc.get("gates", []):
-        op = g[0]
-        if op in ("add", "mul"):
-            gates.append(hauth.Gate(op, g[1], g[2]))
-        elif op in ("addc", "mulc"):
-            gates.append(hauth.Gate(op, g[1], const=int(g[2])))
-        else:
+    for k, g in enumerate(spec):
+        if not (isinstance(g, list) and len(g) == 3 and _of_type(g[1], int)
+                and _of_type(g[2], int)):
+            raise UsageError(f"circuit gate {k} is not [op, wire, wire "
+                             f"or constant]")
+        op, a, b = g
+        if op not in ("add", "mul", "addc", "mulc"):
             raise UsageError(f"unknown gate {op}")
-    return hauth.Circuit(int(desc["inputs"]), tuple(gates),
-                         desc.get("output", -1))
+        if not 0 <= a < wires or (op in ("add", "mul") and not 0 <= b < wires):
+            raise UsageError(f"circuit gate {k} reads a wire not yet computed")
+        gates.append(hauth.Gate(op, a, b) if op in ("add", "mul")
+                     else hauth.Gate(op, a, const=b))
+        wires += 1
+    if not (_of_type(output, int) and -wires <= output < wires):
+        raise UsageError("circuit output is not a wire")
+    return hauth.Circuit(desc["inputs"], tuple(gates), output)
 
 
 def parse_label(text) -> hauth.MultiLabel:
@@ -117,16 +149,17 @@ def load_tag(path, field) -> hauth.Tag:
 def cmd_hauth(args):
     field = get_field(args)
     if args.cmd == "keygen":
-        key = hauth.keygen(bytes.fromhex(args.seed), field)
+        key = hauth.keygen(_from_hex(args.seed, "--seed"), field)
         with open(args.output, "w") as fh:
             json.dump({"sk": key.sk.value, "prf_key": key.prf_key.key.hex(),
                        "modulus": field.modulus}, fh)
         print(f"wrote key to {args.output}")
         return EXIT_OK
-    raw = load_json(args.key, "key file", ("sk", "prf_key", "modulus"))
+    raw = load_json(args.key, "key file",
+                    {"sk": int, "prf_key": str, "modulus": int})
     field = Field(raw["modulus"])
-    key = hauth.AuthKey(field(raw["sk"]),
-                        hauth.PrfKey(bytes.fromhex(raw["prf_key"])))
+    key = hauth.AuthKey(field(raw["sk"]), hauth.PrfKey(
+        _from_hex(raw["prf_key"], "key file 'prf_key'")))
     if args.cmd == "auth":
         tag = hauth.auth(key, args.message, parse_label(args.label))
         save_tag(tag, args.output)
@@ -164,7 +197,7 @@ def estimate_delay(seconds: float, n_modulus: int) -> int:
 
 def cmd_vdf(args):
     if args.cmd == "setup":
-        params, trapdoor = vdf.setup(args.bits, bytes.fromhex(args.seed),
+        params, trapdoor = vdf.setup(args.bits, _from_hex(args.seed, "--seed"),
                                      delay=args.delay or 0,
                                      security_bits=args.security)
         if args.delay_seconds:
@@ -177,17 +210,17 @@ def cmd_vdf(args):
                        "p": trapdoor.p, "q": trapdoor.q}, fh)
         print(f"wrote params (T={params.delay}) to {args.output}")
         return EXIT_OK
-    keys = ("N", "T", "lambda")
+    fields = {"N": int, "T": int, "lambda": int}
     if getattr(args, "trapdoor", False):
-        keys += ("p", "q")
-    raw = load_json(args.params, "params file", keys)
+        fields.update(p=int, q=int)
+    raw = load_json(args.params, "params file", fields)
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
     if args.cmd == "verify":
         # N, T, lambda and x' come from the verifier's own files; the copies
         # in the proof file must match them, never replace them.
         with open(args.proof, "rb") as fh:
             file_params, file_x, proof = vdf.deserialize_proof(fh.read())
-        x_prime = vdf.hash_to_group(bytes.fromhex(args.input),
+        x_prime = vdf.hash_to_group(_from_hex(args.input, "--input"),
                                     params.n_modulus)
         if file_params != params:
             verdict = VerifyResult.reject("params-mismatch")
@@ -198,7 +231,7 @@ def cmd_vdf(args):
         print("accept" if verdict else f"reject ({verdict.reason})")
         return EXIT_OK if verdict else EXIT_REJECT
     if args.cmd == "eval":
-        x_prime = vdf.hash_to_group(bytes.fromhex(args.input),
+        x_prime = vdf.hash_to_group(_from_hex(args.input, "--input"),
                                     params.n_modulus)
         if args.trapdoor:
             y = vdf.eval_trapdoor(vdf.TrapdoorKey(raw["p"], raw["q"]),
@@ -208,7 +241,8 @@ def cmd_vdf(args):
         print(json.dumps({"x_prime": x_prime, "y": y}))
         return EXIT_OK
     if args.cmd in ("prove", "beacon"):
-        x_prime, proof = vdf.vdf_round(params, bytes.fromhex(args.input))
+        x_prime, proof = vdf.vdf_round(params,
+                                       _from_hex(args.input, "--input"))
         with open(args.output, "wb") as fh:
             fh.write(vdf.serialize_proof(params, x_prime, proof))
         print(f"wrote proof (y={proof.y}) to {args.output}")
@@ -285,10 +319,9 @@ def build_program(name: str, length: int, field, boundary_json=None):
         if not isinstance(boundary_json, list):
             raise UsageError("boundary constraints must be a JSON list")
         entries = [_require(b, "boundary constraint",
-                            ("column", "row", "value"))
+                            {"column": int, "row": int, "value": int})
                    for b in boundary_json]
-        extra = [stark.BoundaryConstraint(int(b["column"]), int(b["row"]),
-                                          int(b["value"]))
+        extra = [stark.BoundaryConstraint(b["column"], b["row"], b["value"])
                  for b in entries]
         cs = stark.ConstraintSystem(cs.num_columns,
                                     cs.boundaries + extra, cs.transitions)
@@ -315,7 +348,7 @@ def cmd_stark(args):
         with open(args.proof, "rb") as fh:
             reader = Reader(fh.read())
         meta = load_json(reader.bytes_lp(), "proof header",
-                         ("program", "length"))
+                         {"program": str, "length": int})
         proof = stark.StarkProof.deserialize(reader.take(
             len(reader.data) - reader.pos))
         _, cs = build_program(meta["program"], meta["length"], field,

@@ -408,6 +408,30 @@ def _pow_array(xs: np.ndarray, exponent: int, p: int) -> np.ndarray:
     return acc
 
 
+def _inverse_array(xs: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p of nonzero reduced values by batch
+    inversion: multiply neighbours pairwise until one product is left,
+    invert it with one pow, then walk back down, each element's inverse
+    being its pair's inverse times its partner.  About three array
+    multiplications per element, against some 60 for Fermat."""
+    mod = np.uint64(p)
+    levels = []
+    cur = np.asarray(xs, dtype=np.uint64)
+    while len(cur) > 1:
+        if len(cur) % 2:
+            cur = np.append(cur, np.uint64(1))
+        levels.append(cur)
+        cur = cur[0::2] * cur[1::2] % mod
+    inv = np.array([pow(int(v), -1, p) for v in cur], dtype=np.uint64)
+    for level in reversed(levels):
+        inv = inv[:len(level) // 2]  # drop the padding 1's inverse
+        out = np.empty(len(level), dtype=np.uint64)
+        out[0::2] = inv * level[1::2] % mod
+        out[1::2] = inv * level[0::2] % mod
+        inv = out
+    return inv[:len(xs)]
+
+
 def _ntt(coeffs: np.ndarray, root: int, p: int) -> np.ndarray:
     """Evaluations at root^0, ..., root^(n-1) of the polynomial with the given
     n coefficients (n a power of two, root of order n).

@@ -137,7 +137,7 @@ def _pair_leaves(evals) -> list:
     evals = np.asarray(evals, dtype=np.uint64)
     h = len(evals) // 2
     raw = np.stack([evals[:h], evals[h:2 * h]], axis=1).astype(">u8").tobytes()
-    return [raw[k:k + 8] for k in range(0, len(raw), 8)]
+    return np.frombuffer(raw, dtype="V8").tolist()
 
 
 def pair_tree(evals) -> MerkleTree:

@@ -1,7 +1,9 @@
 """Binary Merkle-tree vector commitments with authentication paths.
 
 Leaf and node hashes are domain-separated (0x00 / 0x01 prefixes); odd leaf
-counts are padded by duplicating the final leaf.
+counts are padded by duplicating the final leaf.  Every hash starts from a
+copy of a SHA-256 state already fed its prefix, so the tree build hashes
+each level in one loop with no per-hash function call or concatenation.
 """
 
 import hashlib
@@ -12,12 +14,22 @@ from .encoding import Reader, u8, u32
 from .errors import UsageError
 
 
+# Never updated after creation, only copied, so safe to share across threads.
+_LEAF_STATE = hashlib.sha256(b"\x00")
+_NODE_STATE = hashlib.sha256(b"\x01")
+
+
 def leaf_hash(data: bytes) -> bytes:
-    return hashlib.sha256(b"\x00" + data).digest()
+    h = _LEAF_STATE.copy()
+    h.update(data)
+    return h.digest()
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(b"\x01" + left + right).digest()
+    h = _NODE_STATE.copy()
+    h.update(left)
+    h.update(right)
+    return h.digest()
 
 
 @dataclass
@@ -35,7 +47,8 @@ class AuthPath:
     def deserialize(reader: Reader) -> "AuthPath":
         idx = reader.u32()
         n = reader.u8()
-        return AuthPath(idx, [reader.take(32) for _ in range(n)])
+        raw = reader.take(32 * n)
+        return AuthPath(idx, [raw[k:k + 32] for k in range(0, len(raw), 32)])
 
     @staticmethod
     def from_bytes(data: bytes) -> "AuthPath":
@@ -60,11 +73,23 @@ class MerkleTree:
         leaves = leaves + [leaves[-1]] * (padded - len(leaves))
         if len(leaves) == 1:
             leaves = leaves * 2  # single leaf still hashes one internal node
-        level = [leaf_hash(l) for l in leaves]
+        # leaf_hash and node_hash, inlined: one loop per level
+        copy = _LEAF_STATE.copy
+        level = []
+        for leaf in leaves:
+            h = copy()
+            h.update(leaf)
+            level.append(h.digest())
         self.levels = [level]
+        copy = _NODE_STATE.copy
         while len(level) > 1:
-            level = [node_hash(level[i], level[i + 1])
-                     for i in range(0, len(level), 2)]
+            pairs = iter(level)
+            level = []
+            for left, right in zip(pairs, pairs):
+                h = copy()
+                h.update(left)
+                h.update(right)
+                level.append(h.digest())
             self.levels.append(level)
         self.root = level[0]
 

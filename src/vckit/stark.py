@@ -8,8 +8,11 @@ the whole LDE coset with the rolled LDE columns; the verifier calls it on
 its query points with the opened rows, so the constraint check is
 vectorized and, unlike FRI's scalar checks, not metered in op_count.
 The prover interpolates the trace columns once and handles every other
-polynomial by its values on the coset: O(n log n) field work, plus one
-pass over the points for each row the transition constraints exclude.
+polynomial by its values on the coset: O(n log n) field work.  The
+product of (x - g^j) over the e rows the transition constraints exclude
+is multiplied out once, in O(e^2) on arrays of at most e + 1
+coefficients, and evaluated on the coset by one NTT; x^n - 1 takes only
+blowup distinct values there, so only those are inverted.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -29,7 +32,7 @@ from .encoding import Reader, bytes_lp, u8, u32, u64
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, Polynomial,
-                    _pow_array, _values_array,
+                    _inverse_array, _pow_array, _values_array,
                     evaluate_on_domain,
                     interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
@@ -160,14 +163,26 @@ class ConstraintSystem:
         if not self.boundaries and not self.transitions:
             raise UsageError("constraint system is empty")
         for bc in self.boundaries:
-            if bc.column >= self.num_columns:
+            if not 0 <= bc.column < self.num_columns:
                 raise UsageError("boundary references a missing column")
+            if not (0 <= bc.row < 2**32 and 0 <= bc.value < 2**64):
+                raise UsageError("boundary row or value not encodable")
 
     def boundary_columns(self) -> List[int]:
         return sorted({bc.column for bc in self.boundaries})
 
     def max_window(self) -> int:
         return max((tc.window for tc in self.transitions), default=1)
+
+    def length_fault(self, original_length: int) -> Optional[str]:
+        """Why a trace of original_length rows cannot carry these
+        constraints, or None: every boundary row and every transition
+        window must lie below it."""
+        if any(bc.row >= original_length for bc in self.boundaries):
+            return "boundary row outside the original trace"
+        if original_length < self.max_window():
+            return "window does not fit in the trace"
+        return None
 
     def digest(self) -> bytes:
         h = hashlib.sha256()
@@ -322,10 +337,7 @@ def membership_poly(field: Field, values) -> Polynomial:
 # arithmetisation pipeline
 
 def _transition_rows(trace: TraceTable, tc: TransitionConstraint) -> int:
-    num_rows = trace.original_length - (tc.window - 1)
-    if num_rows < 1:
-        raise UsageError("window does not fit in the trace")
-    return num_rows
+    return trace.original_length - (tc.window - 1)
 
 
 def _windows(columns, stride: int, width: int):
@@ -343,66 +355,98 @@ def evaluate_transition(tc: TransitionConstraint, rows) -> np.ndarray:
 
 
 def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
-    """values / divisor pointwise (inverses by Fermat), for a vanishing
+    """values / divisor pointwise (batch inversion), for a vanishing
     polynomial's values off the trace subgroup, never zero while the LDE
-    offset generates the whole group."""
+    offset generates the whole group.  A divisor shorter than values
+    repeats with its length as period, so only one period is inverted."""
     if not divisor.all():
         raise InternalError("vanishing polynomial is zero at an LDE point")
-    return values * _pow_array(divisor, p - 2, p) % np.uint64(p)
+    inverse = np.tile(_inverse_array(divisor, p), len(values) // len(divisor))
+    return values * inverse % np.uint64(p)
 
 
-def _row_product(xs: np.ndarray, g: FieldElement, rows) -> np.ndarray:
-    """prod over the given trace rows j of (x - g^j) at every x in xs."""
+def _point_array(points) -> np.ndarray:
+    """The points as a uint64 array: a domain's points in domain order, or
+    the array itself."""
+    if isinstance(points, EvaluationDomain):
+        return points.point_array()
+    return points
+
+
+def _row_product(points, g: FieldElement, rows) -> np.ndarray:
+    """prod over the given trace rows j of (x - g^j) at every point x.
+
+    On a domain (the prover's LDE coset) the product's coefficients are
+    multiplied out once, one short array pass per row, and evaluated by
+    NTT; at a point array (the verifier's queries) it takes one pass over
+    the points per row."""
     p = g.field.modulus
     mod = np.uint64(p)
-    acc = np.ones(len(xs), dtype=np.uint64)
-    for j in rows:
-        acc = acc * ((xs + (mod - np.uint64(pow(g.value, j, p)))) % mod) % mod
+    negated_roots = [np.uint64(p - pow(g.value, j, p)) for j in rows]
+    if isinstance(points, EvaluationDomain):
+        coeffs = np.zeros(len(negated_roots) + 1, dtype=np.uint64)
+        coeffs[0] = 1  # lowest degree first
+        for k, neg in enumerate(negated_roots):
+            # times (x - root): c[i] <- c[i-1] - root c[i], degree k+1;
+            # p^2 - p < 2^64, so one reduction suffices
+            coeffs[1:k + 2] = (coeffs[:k + 1] + coeffs[1:k + 2] * neg) % mod
+            coeffs[0] = coeffs[0] * neg % mod
+        return evaluate_on_domain(Polynomial(g.field, coeffs.tolist()), points)
+    acc = np.ones(len(points), dtype=np.uint64)
+    for neg in negated_roots:
+        acc = acc * ((points + neg) % mod) % mod
     return acc
 
 
-def boundary_quotient(xs: np.ndarray, column: np.ndarray, bcs,
+def boundary_quotient(points, column: np.ndarray, bcs,
                       trace_domain: EvaluationDomain) -> np.ndarray:
-    """(column - B) / Z_B at the points xs, column holding the trace column
-    at xs, B interpolating the boundary points and Z_B the product of
-    (x - g^row) over them."""
+    """(column - B) / Z_B at the points (a domain or a uint64 array),
+    column holding the trace column there, B interpolating the boundary
+    points and Z_B the product of (x - g^row) over them."""
     field = trace_domain.field
     p = field.modulus
     mod = np.uint64(p)
     pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-    num = (column + (mod - interpolate(pts).evaluate_array(xs))) % mod
-    z_b = _row_product(xs, trace_domain.generator, [bc.row for bc in bcs])
+    num = (column + (mod - interpolate(pts).evaluate_array(
+        _point_array(points)))) % mod
+    z_b = _row_product(points, trace_domain.generator, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
 
 
-def transition_vanishing_eval(xs: np.ndarray, trace_domain: EvaluationDomain,
+def transition_vanishing_eval(points, trace_domain: EvaluationDomain,
                               num_rows: int) -> np.ndarray:
-    """1 / Z_E at the points xs, where Z_E = (x^n - 1) / prod over the
-    excluded rows j >= num_rows of (x - g^j) vanishes exactly on the
-    constrained rows 0 .. num_rows-1.  The reciprocal costs one inversion,
-    the same as Z_E itself, and turns the quotient into a product."""
+    """1 / Z_E at the points (a domain or a uint64 array), where
+    Z_E = (x^n - 1) / prod over the excluded rows j >= num_rows of
+    (x - g^j) vanishes exactly on the constrained rows 0 .. num_rows-1.
+    The reciprocal turns the quotient into a product.  On a coset of N
+    points x^n - 1 repeats with period N/n, and one period is inverted."""
     n = trace_domain.size
     p = trace_domain.field.modulus
     mod = np.uint64(p)
-    excluded = _row_product(xs, trace_domain.generator, range(num_rows, n))
+    excluded = _row_product(points, trace_domain.generator, range(num_rows, n))
+    xs = _point_array(points)
+    if isinstance(points, EvaluationDomain):
+        xs = xs[:max(points.size // n, 1)]
     return _divide(excluded, (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
 
 
-def transition_quotient(xs: np.ndarray, rows, tc: TransitionConstraint,
+def transition_quotient(points, rows, tc: TransitionConstraint,
                         trace_domain: EvaluationDomain,
                         num_rows: int) -> np.ndarray:
-    """predicate(col(x), col(g x), ...) / Z_E at the points xs."""
+    """predicate(col(x), col(g x), ...) / Z_E at the points (a domain or
+    a uint64 array)."""
     return (evaluate_transition(tc, rows)
-            * transition_vanishing_eval(xs, trace_domain, num_rows)
+            * transition_vanishing_eval(points, trace_domain, num_rows)
             % np.uint64(trace_domain.field.modulus))
 
 
 def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
     """Raise naming the first violated constraint (and for a transition,
     its first violating row)."""
+    fault = cs.length_fault(trace.original_length)
+    if fault:
+        raise UsageError(fault)
     for bc in cs.boundaries:
-        if bc.row >= trace.original_length:
-            raise UsageError("boundary row outside the original trace")
         if trace.columns[bc.column][bc.row] != bc.value % trace.field.modulus:
             raise ConstraintViolation(
                 f"boundary (col {bc.column}, row {bc.row}) unsatisfied")
@@ -423,21 +467,22 @@ def _draw_gammas(cs: ConstraintSystem, field: Field,
             for _ in range(len(cs.boundary_columns()) + len(cs.transitions))]
 
 
-def compose(xs: np.ndarray, rows, cs: ConstraintSystem,
+def compose(points, rows, cs: ConstraintSystem,
             trace_domain: EvaluationDomain, original_length: int,
             gammas) -> np.ndarray:
     """Random linear combination, with the gammas, of every boundary and
-    transition quotient at the points xs; rows[r][c] holds column c at
-    g^r x for each x in xs."""
-    quotients = [boundary_quotient(xs, rows[0][c],
+    transition quotient at the points: the prover's LDE coset as an
+    EvaluationDomain, or the verifier's query points as a uint64 array.
+    rows[r][c] holds column c at g^r x for each point x."""
+    quotients = [boundary_quotient(points, rows[0][c],
                                    [bc for bc in cs.boundaries
                                     if bc.column == c], trace_domain)
                  for c in cs.boundary_columns()]
-    quotients += [transition_quotient(xs, rows, tc, trace_domain,
+    quotients += [transition_quotient(points, rows, tc, trace_domain,
                                       original_length - (tc.window - 1))
                   for tc in cs.transitions]
     mod = np.uint64(trace_domain.field.modulus)
-    acc = np.zeros(len(xs), dtype=np.uint64)
+    acc = np.zeros(len(_point_array(points)), dtype=np.uint64)
     for gamma, q in zip(gammas, quotients):
         acc = (acc + q * np.uint64(gamma.value) % mod) % mod
     return acc
@@ -504,8 +549,7 @@ def _row_leaf(values) -> bytes:
 def _row_leaves(columns) -> List[bytes]:
     """_row_leaf of every row, from one big-endian dump of the columns."""
     raw = np.stack(columns, axis=1).astype(">u8").tobytes()
-    width = 8 * len(columns)
-    return [raw[k:k + width] for k in range(0, len(raw), width)]
+    return np.frombuffer(raw, dtype=f"V{8 * len(columns)}").tolist()
 
 
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
@@ -545,7 +589,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     t.absorb(b"trace-root", trace_tree.root)
 
     gammas = _draw_gammas(cs, field, t)
-    comp_evals = compose(lde.point_array(),
+    comp_evals = compose(lde,
                          _windows(lde_columns, params.blowup, cs.max_window()),
                          cs, trace_domain, trace.original_length, gammas)
     d = composition_degree_bound(n, trace.original_length, cs)
@@ -587,6 +631,11 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     n = proof.trace_length
     if n & (n - 1) or not 2 <= proof.original_length <= n:
         return VerifyResult.reject("malformed header")
+    # the prover chooses original_length: it must still cover every
+    # constraint, or rows past it would go unchecked
+    fault = cs.length_fault(proof.original_length)
+    if fault:
+        return VerifyResult.reject(fault)
     trace_domain = EvaluationDomain.subgroup(field, n)
     lde = params.lde_domain(field, n)
 

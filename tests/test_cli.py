@@ -148,6 +148,8 @@ def test_stark_zk_and_custom_boundary(tmp_path):
 def test_usage_errors(tmp_path):
     assert run(["nope"]) == 2
     assert run(["vdf"]) == 2
+    assert run(["hauth", "keygen", "--seed", "xyz",
+                "-o", str(tmp_path / "k.json")]) == 2
     params = str(tmp_path / "params.json")
     run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-o", params])
     assert run(["vdf", "verify", "--params", params, "--input", "00",
@@ -176,10 +178,14 @@ def test_config_file(tmp_path):
     assert run(["stark", "verify", proof]) == 0
 
 
-# Malformed JSON, and a document without a key the command needs, in each
-# kind of input file: all are usage errors (exit 2), never exit 3.
+# Malformed JSON, a document without a key the command needs, and one
+# whose values have the wrong type or shape, in each kind of input file:
+# all are usage errors (exit 2), never exit 3.
 
-@pytest.mark.parametrize("text", ["{not json", '{"N": 35}', "[35]"])
+@pytest.mark.parametrize("text", ["{not json", '{"N": 35}', "[35]",
+                                  '{"N": "x", "T": 1, "lambda": 16}',
+                                  '{"N": 35, "T": true, "lambda": 16}',
+                                  '{"N": 35, "T": 1.5, "lambda": 16}'])
 def test_bad_params_file(tmp_path, text):
     params = tmp_path / "params.json"
     params.write_text(text)
@@ -187,7 +193,11 @@ def test_bad_params_file(tmp_path, text):
                 "--input", "00"]) == 2
 
 
-@pytest.mark.parametrize("text", ["{", '{"sk": 5, "modulus": 97}'])
+@pytest.mark.parametrize("text", [
+    "{", '{"sk": 5, "modulus": 97}',
+    '{"sk": "5", "prf_key": "00", "modulus": 97}',
+    '{"sk": 5, "prf_key": "zz", "modulus": 97}',
+    '{"sk": 5, "prf_key": 0, "modulus": 97}'])
 def test_bad_key_file(tmp_path, text):
     key = tmp_path / "key.json"
     key.write_text(text)
@@ -195,7 +205,15 @@ def test_bad_key_file(tmp_path, text):
                 "--label", "a", "-o", str(tmp_path / "t.bin")]) == 2
 
 
-@pytest.mark.parametrize("text", ["gates: []", '{"gates": []}'])
+@pytest.mark.parametrize("text", [
+    "gates: []", '{"gates": []}',
+    '{"inputs": 1, "gates": [["add", 0]]}',
+    '{"inputs": 1, "gates": [["add", 0, 1]]}',
+    '{"inputs": 1, "gates": [["mulc", 0, "7"]]}',
+    '{"inputs": 1, "gates": [["sub", 0, 0]]}',
+    '{"inputs": 1, "gates": "add"}',
+    '{"inputs": "1"}',
+    '{"inputs": 1, "gates": [["add", 0, 0]], "output": 2}'])
 def test_bad_circuit_file(tmp_path, text):
     key, tag = str(tmp_path / "key.json"), str(tmp_path / "t.bin")
     circuit = tmp_path / "circ.json"
@@ -209,7 +227,10 @@ def test_bad_circuit_file(tmp_path, text):
 
 @pytest.mark.parametrize("text", ['[{"column": 0,',
                                   '[{"column": 0, "row": 2}]',
-                                  '{"column": 0, "row": 2, "value": 2}'])
+                                  '{"column": 0, "row": 2, "value": 2}',
+                                  '[{"column": 0, "row": "2", "value": 2}]',
+                                  '[{"column": 0, "row": -1, "value": 2}]',
+                                  '[{"column": 0, "row": 2, "value": -2}]'])
 def test_bad_boundary_file(tmp_path, text):
     boundary = tmp_path / "b.json"
     boundary.write_text(text)
@@ -218,7 +239,9 @@ def test_bad_boundary_file(tmp_path, text):
 
 
 @pytest.mark.parametrize("header", [b"{\"program\": ", b'{"program": "fib"}',
-                                    b"\xff\xfe"])
+                                    b"\xff\xfe",
+                                    b'{"program": "fib", "length": "8"}',
+                                    b'{"program": 1, "length": 8}'])
 def test_bad_stark_proof_header(tmp_path, header):
     proof = tmp_path / "s.bin"
     assert run(["stark", "prove", "--length", "8", "-o", str(proof)]) == 0

@@ -2,12 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from vckit.errors import UsageError
 from vckit.field import (DEFAULT_MODULUS, BivariatePolynomial,
                          EvaluationDomain, Field, FieldElement, Polynomial,
-                         evaluate_on_domain, interpolate,
+                         _inverse_array, evaluate_on_domain, interpolate,
                          interpolate_on_domain)
 
 F13 = Field(13)
@@ -244,6 +245,18 @@ def test_ntt_matches_horner_and_lagrange(field, log_size, kind):
     vals = [rng.randrange(field.modulus) for _ in range(size)]
     slow = interpolate(list(zip(dom.points(), [field(v) for v in vals])))
     assert interpolate_on_domain(vals, dom) == slow
+
+
+@pytest.mark.parametrize("field", [F17, F97, FBIG])
+def test_batch_inverse_matches_pow(field):
+    """Batch inversion against pow(x, -1, p), for every length up to 70
+    (odd lengths pad a level) and for random values at 2^12 + 3."""
+    p = field.modulus
+    rng = random.Random(p)
+    for n in list(range(71)) + [2**12 + 3]:
+        xs = [rng.randrange(1, p) for _ in range(n)]
+        got = _inverse_array(np.array(xs, dtype=np.uint64), p)
+        assert got.tolist() == [pow(x, -1, p) for x in xs]
 
 
 def test_evaluate_on_domain_short_and_oversized_polys():

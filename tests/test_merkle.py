@@ -97,3 +97,56 @@ def test_leaf_hash_collision_scan():
     for i in range(100_000):
         seen.add(leaf_hash(i.to_bytes(4, "big")))
     assert len(seen) == 100_000
+
+
+def test_hashes_match_their_definitions():
+    """leaf_hash and node_hash start from pre-fed SHA-256 states; they
+    must equal SHA-256 over the prefixed, concatenated message."""
+    for data in (b"", b"a", bytes(range(64))):
+        assert leaf_hash(data) == hashlib.sha256(b"\x00" + data).digest()
+    left, right = bytes(range(32)), bytes(range(32, 64))
+    assert (node_hash(left, right)
+            == hashlib.sha256(b"\x01" + left + right).digest())
+
+
+def _reference_levels(leaves):
+    """The tree's levels by a plain fold over leaf_hash and node_hash."""
+    padded = 1
+    while padded < len(leaves):
+        padded *= 2
+    leaves = list(leaves) + [leaves[-1]] * (padded - len(leaves))
+    if len(leaves) == 1:
+        leaves = leaves * 2
+    level = [leaf_hash(l) for l in leaves]
+    levels = [level]
+    while len(level) > 1:
+        level = [node_hash(level[i], level[i + 1])
+                 for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1000])
+def test_level_build_matches_reference_fold(n, width):
+    leaves = [hashlib.sha256(i.to_bytes(4, "big")).digest()[:width]
+              for i in range(n)]
+    tree = MerkleTree(leaves)
+    levels = _reference_levels(leaves)
+    assert tree.levels == levels
+    assert tree.root == levels[-1][0]
+
+
+def test_truncated_path_rejected():
+    """The siblings are read in one piece: a path one byte short, or one
+    claiming a sibling more than it carries, is a usage error."""
+    data = MerkleTree([b"a", b"b", b"c", b"d"]).open(1).serialize()
+    assert data[4] == 2
+    for forged in (data[:-1], data[:4] + bytes([3]) + data[5:]):
+        with pytest.raises(UsageError, match="truncated"):
+            AuthPath.from_bytes(forged)
+
+
+def test_path_with_no_siblings_roundtrips():
+    path = AuthPath(0, [])
+    assert AuthPath.from_bytes(path.serialize()) == path

@@ -102,16 +102,35 @@ def test_boundary_quotient_exactness():
 
 
 def test_transition_vanishing_matches_eval():
+    """1/Z_E times the oracle Z_E is 1, at a point array and on cosets of
+    4 and 32 times the trace size (the domain path), and on a coset of
+    the trace's own size, where x^8 - 1 is constant."""
     dom = EvaluationDomain.subgroup(F, 8)
     xs = np.array([5, 123, 99991], dtype=np.uint64)
     assert not any(dom.contains(F(int(x))) for x in xs)
+    cosets = [EvaluationDomain.coset(F, size, F.generator())
+              for size in (8, 32, 256)]
     for num_rows in (1, 5, 6, 8):
         z = oracle.transition_vanishing(F, dom, num_rows)
         for i in range(8):
             assert z.evaluate(dom.point(i)).is_zero() == (i < num_rows)
-        inverse = stark.transition_vanishing_eval(xs, dom, num_rows)
-        assert (inverse * z.evaluate_array(xs) % np.uint64(F.modulus)
-                ).tolist() == [1] * len(xs)
+        for points in [xs] + cosets:
+            inverse = stark.transition_vanishing_eval(points, dom, num_rows)
+            pts = stark._point_array(points)
+            assert (inverse * z.evaluate_array(pts) % np.uint64(F.modulus)
+                    ).tolist() == [1] * len(pts)
+
+
+@pytest.mark.parametrize("rows", [[], [0], [0, 1, 31], list(range(5, 64)),
+                                  [3, 3]])
+def test_row_product_on_a_domain_matches_the_point_array(rows):
+    """The coefficient-and-NTT product on a coset equals the pass-per-row
+    product at the same points."""
+    g = EvaluationDomain.subgroup(F, 64).generator
+    lde = EvaluationDomain.coset(F, 256, F.generator())
+    on_domain = stark._row_product(lde, g, rows)
+    assert on_domain.tolist() == stark._row_product(
+        lde.point_array(), g, rows).tolist()
 
 
 def test_transition_quotient_exact_for_honest_trace():
@@ -325,28 +344,37 @@ def test_pointwise_quotients_match_oracle(program):
         bcs = [bc for bc in cs.boundaries if bc.column == c]
         quot, rem = oracle.boundary_quotient(polys[c], bcs, dom)
         assert rem.is_zero()
-        got = stark.boundary_quotient(pts, lde_cols[c], bcs, dom)
-        assert got.tolist() == quot.evaluate_array(pts).tolist()
+        want = quot.evaluate_array(pts).tolist()
+        for points in (lde, pts):
+            got = stark.boundary_quotient(points, lde_cols[c], bcs, dom)
+            assert got.tolist() == want
     for tc in cs.transitions:
         quot, rem = oracle.transition_quotient(polys, tc, tr)
         assert rem.is_zero()
-        got = stark.transition_quotient(pts, rows, tc, dom,
-                                        stark._transition_rows(tr, tc))
-        assert got.tolist() == quot.evaluate_array(pts).tolist()
+        want = quot.evaluate_array(pts).tolist()
+        for points in (lde, pts):
+            got = stark.transition_quotient(points, rows, tc, dom,
+                                            stark._transition_rows(tr, tc))
+            assert got.tolist() == want
 
 
 def _program(name):
     if name == "two-column":
         return _two_column(8)
+    if name == "fib33":
+        # unpadded, just above a power of two: 33 of 64 rows excluded
+        return (stark.trace_fibonacci(33, F),
+                stark.fibonacci_constraint_system(33, F))
     tr = stark.zk_pad(stark.trace_fibonacci(64, F), 8, 1)
     return tr, stark.fibonacci_constraint_system(64, F)
 
 
-@pytest.mark.parametrize("program", ["fib64-zk", "two-column"])
+@pytest.mark.parametrize("program", ["fib64-zk", "two-column", "fib33"])
 def test_composition_at_sampled_points_matches_the_coset(program):
     """compose at a few LDE points, given only the window values there
-    (the verifier's call), equals the prover's composition over the whole
-    coset at those indices."""
+    (the verifier's call, on a point array), equals the prover's
+    composition over the whole coset (an EvaluationDomain) at those
+    indices."""
     tr, cs = _program(program)
     params = stark.StarkParams(4, 1)
     dom = tr.domain()
@@ -356,9 +384,8 @@ def test_composition_at_sampled_points_matches_the_coset(program):
     rng = random.Random(program)
     gammas = [F(rng.randrange(F.modulus)) for _ in range(
         len(cs.boundary_columns()) + len(cs.transitions))]
-    full = stark.compose(lde.point_array(),
-                         stark._windows(cols, params.blowup, w), cs, dom,
-                         tr.original_length, gammas)
+    full = stark.compose(lde, stark._windows(cols, params.blowup, w), cs,
+                         dom, tr.original_length, gammas)
     idx = np.array(rng.sample(range(lde.size), 20) + [0, lde.size - 1])
     rows = [[col[(idx + r * params.blowup) % lde.size] for col in cols]
             for r in range(w)]
@@ -465,13 +492,14 @@ def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
     bad_lde = EvaluationDomain.subgroup(F, 64)
-    xs = bad_lde.point_array()
     cols = _lde_columns(tr, bad_lde)
-    with pytest.raises(InternalError):
-        stark.boundary_quotient(xs, cols[0], cs.boundaries, tr.domain())
-    with pytest.raises(InternalError):
-        stark.transition_quotient(xs, stark._windows(cols, 8, 3),
-                                  cs.transitions[0], tr.domain(), 6)
+    for points in (bad_lde, bad_lde.point_array()):
+        with pytest.raises(InternalError):
+            stark.boundary_quotient(points, cols[0], cs.boundaries,
+                                    tr.domain())
+        with pytest.raises(InternalError):
+            stark.transition_quotient(points, stark._windows(cols, 8, 3),
+                                      cs.transitions[0], tr.domain(), 6)
 
 
 def _fib8_proof():
@@ -599,3 +627,58 @@ def test_constraint_failure_names_the_query():
         if seen == {False, True}:
             break
     assert seen == {False, True}
+
+
+def _short_length_proof(column, original_length, cs):
+    trace = stark.TraceTable([column], original_length, F)
+    params = stark.StarkParams(8, 20)
+    return (stark.prove(trace, cs, params, skip_satisfaction_check=True),
+            params)
+
+
+@pytest.mark.parametrize("column,original_length", [
+    ([1, 1, 2, 0, 0, 0, 0, 999], 3),
+    ([1, 1, 2, 3, 0, 0, 0, 999], 4)])
+def test_original_length_below_a_boundary_row_rejected(column,
+                                                        original_length):
+    """The prover sets original_length in the header.  Set below the
+    output row, it would leave the transitions unchecked past it, and a
+    false output (999 at row 7) would verify; the verifier refuses it."""
+    cs = stark.fibonacci_constraint_system(8, F)
+    cs = stark.ConstraintSystem(1, [stark.BoundaryConstraint(0, 0, 1),
+                                    stark.BoundaryConstraint(0, 1, 1),
+                                    stark.BoundaryConstraint(0, 7, 999)],
+                                cs.transitions)
+    proof, params = _short_length_proof(column, original_length, cs)
+    verdict = stark.verify(proof, cs, params, F)
+    assert not verdict
+    assert verdict.reason == "boundary row outside the original trace"
+    with pytest.raises(UsageError, match="boundary row outside"):
+        stark.check_satisfaction(stark.TraceTable([column], original_length,
+                                                  F), cs)
+    full, _ = _short_length_proof(column, 8, cs)
+    assert not stark.verify(full, cs, params, F)
+
+
+def test_original_length_below_the_window_rejected():
+    """A header whose original length is shorter than a transition
+    window is refused, as check_satisfaction refuses the trace."""
+    fib = stark.fibonacci_constraint_system(8, F)
+    cs = stark.ConstraintSystem(1, fib.boundaries[:2], fib.transitions)
+    column = [1, 1, 5, 0, 0, 0, 0, 0]
+    proof, params = _short_length_proof(column, 2, cs)
+    verdict = stark.verify(proof, cs, params, F)
+    assert not verdict and verdict.reason == "window does not fit in the trace"
+    with pytest.raises(UsageError, match="window does not fit"):
+        stark.check_satisfaction(stark.TraceTable([column], 2, F), cs)
+
+
+@pytest.mark.parametrize("column,row,value", [(-1, 0, 1), (1, 0, 1),
+                                              (0, -1, 1), (0, 2**32, 1),
+                                              (0, 0, -1), (0, 0, 2**64)])
+def test_boundaries_outside_the_encoding_refused(column, row, value):
+    """Boundary columns must exist, and rows and values must fit the u32
+    and u64 fields of the constraint-system digest."""
+    with pytest.raises(UsageError):
+        stark.ConstraintSystem(1, [stark.BoundaryConstraint(column, row,
+                                                            value)], [])
