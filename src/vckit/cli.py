@@ -15,7 +15,8 @@ import numpy as np
 from . import fri as fri_mod
 from . import hauth, stark, vdf
 from .encoding import Reader, bytes_lp, u8, u32, u64
-from .errors import InternalError, UsageError, VerifyResult
+from .errors import (ConstraintViolation, InternalError, UsageError,
+                     VerifyResult)
 from .field import DEFAULT_MODULUS, Field, Polynomial
 from .transcript import Transcript
 
@@ -576,7 +577,7 @@ def main(argv=None) -> int:
         handler = {"hauth": cmd_hauth, "vdf": cmd_vdf, "fri": cmd_fri,
                    "stark": cmd_stark, "bench": cmd_bench}[args.group]
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, ConstraintViolation) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -1,5 +1,7 @@
 """Big-endian, length-prefixed binary encoding shared by all proof formats."""
 
+import numpy as np
+
 from .errors import UsageError
 
 
@@ -13,6 +15,13 @@ def u32(v: int) -> bytes:
 
 def u64(v: int) -> bytes:
     return v.to_bytes(8, "big")
+
+
+def u64_rows(matrix) -> list:
+    """Each row of a 2-D uint64 array as the u64 encodings of its values,
+    concatenated: one big-endian dump of the array, cut into rows."""
+    raw = matrix.astype(">u8").tobytes()
+    return np.frombuffer(raw, dtype=f"V{8 * matrix.shape[1]}").tolist()
 
 
 def bytes_lp(b: bytes) -> bytes:

@@ -556,11 +556,6 @@ class EvaluationDomain:
                                 self.generator * self.generator,
                                 self.offset * self.offset)
 
-    def vanishing_poly(self) -> Polynomial:
-        """Z_D = x^size - offset^size, zero exactly on the domain."""
-        hn = (self.offset ** self.size).value
-        return Polynomial(self.field, [-hn] + [0] * (self.size - 1) + [1])
-
 
 def _check_pow2(n: int):
     if n < 1 or n & (n - 1):

@@ -5,6 +5,10 @@ Layer i lives on the 2^i-fold squared image of the starting domain.  Each
 layer's evaluations are committed with a paired-leaf Merkle layout: the
 values at alpha and -alpha (indices j and j + size/2) sit in adjacent
 leaves, so a single authentication path covers both.
+
+One kernel, _fold, folds (alpha, -alpha) pairs: the prover's whole layer
+at once, and the verifier's opened pairs of all queries at once, layer
+by layer.
 """
 
 from dataclasses import dataclass
@@ -12,9 +16,10 @@ from typing import List
 
 import numpy as np
 
-from .encoding import Reader, bytes_lp, u8, u32, u64
+from .encoding import Reader, bytes_lp, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
-from .field import EvaluationDomain, FieldElement, _power_array
+from .field import (EvaluationDomain, FieldElement, _inverse_array,
+                    _power_array)
 from .merkle import AuthPath, MerkleTree, leaf_hash, verify_path
 from .transcript import HASH_ID, Transcript
 
@@ -106,12 +111,20 @@ class FriProof:
         return FriProof(roots, final_value, queries)
 
 
-def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
-    """One folding round in closed form.
+def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
+    """(a+b)/2 + x0*(a-b)/(2 alpha) elementwise: the value at x0 of the
+    line through (alpha, a) and (-alpha, b), from reduced uint64 arrays
+    and 1/alpha."""
+    mod = np.uint64(p)
+    inv2 = np.uint64(pow(2, -1, p))
+    even = ((a + b) % mod) * inv2 % mod
+    odd = ((a + (mod - b)) % mod) * inv2 % mod * alpha_inv % mod
+    return (even + odd * np.uint64(x0)) % mod
 
-    For each y = alpha^2: (f(a)+f(-a))/2 + x0*(f(a)-f(-a))/(2a), the value
-    at x0 of the line through (a, f(a)) and (-a, f(-a)).
-    """
+
+def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
+    """One folding round: _fold over each pair (alpha, -alpha), which sit
+    in the two halves of the layer."""
     field = domain.field
     p = field.modulus
     if p == 2:
@@ -121,27 +134,17 @@ def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
         raise UsageError("evaluation count does not match the domain")
     h = domain.size // 2
     mod = np.uint64(p)
-    a = evals[:h]
-    b = evals[h:]
-    inv2 = np.uint64(pow(2, -1, p))
-    x0v = np.uint64(field(x0).value)
     alpha_inv = (_power_array(pow(domain.generator.value, -1, p), h, p)
                  * np.uint64(pow(domain.offset.value, -1, p)) % mod)
-    even = ((a + b) % mod) * inv2 % mod
-    odd = ((a + (mod - b)) % mod) * inv2 % mod * alpha_inv % mod
-    return (even + odd * x0v) % mod
-
-
-def _pair_leaves(evals) -> list:
-    """Interleave (alpha, -alpha) partners into adjacent leaves."""
-    evals = np.asarray(evals, dtype=np.uint64)
-    h = len(evals) // 2
-    raw = np.stack([evals[:h], evals[h:2 * h]], axis=1).astype(">u8").tobytes()
-    return np.frombuffer(raw, dtype="V8").tolist()
+    return _fold(evals[:h], evals[h:], alpha_inv, field(x0).value, p)
 
 
 def pair_tree(evals) -> MerkleTree:
-    return MerkleTree(_pair_leaves(evals))
+    """Commit a layer with each (alpha, -alpha) pair in adjacent leaves."""
+    evals = np.asarray(evals, dtype=np.uint64)
+    h = len(evals) // 2
+    return MerkleTree(u64_rows(
+        np.stack([evals[:h], evals[h:2 * h]], axis=1).reshape(-1, 1)))
 
 
 def open_pair(tree: MerkleTree, j: int) -> AuthPath:
@@ -233,53 +236,49 @@ def prove(evals, params: FriParams, t: Transcript,
 
 
 def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
-    """Replay the transcript, re-draw challenges and query indices, and run
-    the per-layer consistency checks down to the final constant."""
+    """Replay the transcript, re-draw challenges and query indices, then
+    check every query layer by layer down to the final constant: opened
+    values canonical, pair paths valid, opened values equal to the
+    previous layer's folds, which are then folded in one call."""
     field = params.domain.field
+    p = field.modulus
     if len(proof.layer_roots) != params.rounds:
         return VerifyResult.reject("wrong number of layer roots")
-    if proof.final_value >= field.modulus:
+    if proof.final_value >= p:
         return VerifyResult.reject("non-canonical final value")
     challenges = []
     for root in proof.layer_roots:
         t.absorb(b"fri-root", root)
         challenges.append(t.challenge_field(field))
     t.absorb(b"fri-final", u64(proof.final_value))
-    expected_indices = _draw_indices(t, params)
-    if [q.index for q in proof.queries] != expected_indices:
+    indices = _draw_indices(t, params)
+    if [q.index for q in proof.queries] != indices:
         return VerifyResult.reject("query indices diverge from transcript")
-    for q in proof.queries:
-        if len(q.layers) != params.rounds:
-            return VerifyResult.reject("malformed query bundle")
-        cur = q.index
-        size = params.domain.size
-        offset = params.domain.offset
-        gen = params.domain.generator
-        prev_fold = None
-        for j, ql in enumerate(q.layers):
-            h = size // 2
-            b = cur % h
-            if ql.value >= field.modulus or ql.value_neg >= field.modulus:
-                return VerifyResult.reject(f"layer {j}: non-canonical value")
-            if not verify_pair(proof.layer_roots[j], b, ql.value,
-                               ql.value_neg, ql.path):
-                return VerifyResult.reject(f"layer {j}: bad opening")
-            here = ql.value if cur < h else ql.value_neg
-            if prev_fold is not None and here != prev_fold.value:
-                return VerifyResult.reject(f"layer {j}: consistency failure")
-            alpha = offset * gen ** b
-            va = FieldElement(field, ql.value)
-            vb = FieldElement(field, ql.value_neg)
-            half = (va + vb) / 2
-            slope = (va - vb) / (2 * alpha)
-            prev_fold = half + challenges[j] * slope
-            cur = b
-            size = h
-            offset = offset * offset
-            gen = gen * gen
-        if prev_fold is None:
-            # zero rounds: layer 0 is already the constant
-            continue
-        if prev_fold.value != proof.final_value:
-            return VerifyResult.reject("final value mismatch")
+    if any(len(q.layers) != params.rounds for q in proof.queries):
+        return VerifyResult.reject("malformed query bundle")
+    domain = params.domain
+    folded = None
+    for j, (root, x0) in enumerate(zip(proof.layer_roots, challenges)):
+        opened = [q.layers[j] for q in proof.queries]
+        if any(ql.value >= p or ql.value_neg >= p for ql in opened):
+            return VerifyResult.reject(f"layer {j}: non-canonical value")
+        h = domain.size // 2
+        base = [i % h for i in indices]
+        if not all(verify_pair(root, i, ql.value, ql.value_neg, ql.path)
+                   for i, ql in zip(base, opened)):
+            return VerifyResult.reject(f"layer {j}: bad opening")
+        values = np.array([ql.value for ql in opened], dtype=np.uint64)
+        negs = np.array([ql.value_neg for ql in opened], dtype=np.uint64)
+        here = np.where(np.array(indices) < h, values, negs)
+        if folded is not None and (here != folded).any():
+            return VerifyResult.reject(f"layer {j}: consistency failure")
+        alpha = np.array([domain.offset.value
+                          * pow(domain.generator.value, i, p) % p
+                          for i in base], dtype=np.uint64)
+        folded = _fold(values, negs, _inverse_array(alpha, p), x0.value, p)
+        indices = base
+        domain = domain.squared()
+    # with zero rounds layer 0 is already the constant
+    if folded is not None and (folded != proof.final_value).any():
+        return VerifyResult.reject("final value mismatch")
     return VerifyResult.accept()

@@ -113,10 +113,7 @@ class HauthSession:
         if (label.l, label.delta) in self._seen:
             raise UsageError("label reuse under one key breaks soundness")
         self._seen.add((label.l, label.delta))
-        m = self.key.field(m)
-        r = label_randomness(self.key, label)
-        return Tag(_fresh_tag_poly(self.key, m, r), arity=1,
-                   key_fp=self.key.fingerprint())
+        return auth(self.key, m, label)
 
 
 def auth(key: AuthKey, m, label: MultiLabel) -> Tag:
@@ -144,9 +141,6 @@ class Circuit:
     num_inputs: int
     gates: Tuple[Gate, ...]
     output: int = -1
-
-    def _wire_count(self) -> int:
-        return self.num_inputs + len(self.gates)
 
     def evaluate(self, inputs):
         """Run the circuit over field elements, polynomials or bivariate

@@ -6,7 +6,7 @@ One evaluator, compose, computes the composition at any array of points x
 from the trace values at x, g x, ..., g^(w-1) x.  The prover calls it on
 the whole LDE coset with the rolled LDE columns; the verifier calls it on
 its query points with the opened rows, so the constraint check is
-vectorized and, unlike FRI's scalar checks, not metered in op_count.
+vectorized and not metered in op_count.
 The prover interpolates the trace columns once and handles every other
 polynomial by its values on the coset: O(n log n) field work.  The
 product of (x - g^j) over the e rows the transition constraints exclude
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import fri
-from .encoding import Reader, bytes_lp, u8, u32, u64
+from .encoding import Reader, bytes_lp, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, Polynomial,
@@ -160,7 +160,7 @@ class ConstraintSystem:
     transitions: List[TransitionConstraint]
 
     def __post_init__(self):
-        if not self.boundaries and not self.transitions:
+        if self.num_columns < 1 or not (self.boundaries or self.transitions):
             raise UsageError("constraint system is empty")
         for bc in self.boundaries:
             if not 0 <= bc.column < self.num_columns:
@@ -542,16 +542,6 @@ def _header_bytes(proof_fields) -> bytes:
     return out
 
 
-def _row_leaf(values) -> bytes:
-    return b"".join(u64(int(v)) for v in values)
-
-
-def _row_leaves(columns) -> List[bytes]:
-    """_row_leaf of every row, from one big-endian dump of the columns."""
-    raw = np.stack(columns, axis=1).astype(">u8").tobytes()
-    return np.frombuffer(raw, dtype=f"V{8 * len(columns)}").tolist()
-
-
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
           zk_seed=None, secret_binding: Optional[bytes] = None,
           skip_satisfaction_check: bool = False) -> StarkProof:
@@ -585,7 +575,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
                    for col in trace.columns]
-    trace_tree = MerkleTree(_row_leaves(lde_columns))
+    trace_tree = MerkleTree(u64_rows(np.stack(lde_columns, axis=1)))
     t.absorb(b"trace-root", trace_tree.root)
 
     gammas = _draw_gammas(cs, field, t)
@@ -662,26 +652,32 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     queries = proof.fri_proof.queries
     if len(proof.trace_openings) != len(queries):
         return VerifyResult.reject("query bundle count mismatch")
-    for k, (q, bundle) in enumerate(zip(queries, proof.trace_openings)):
+    for k, bundle in enumerate(proof.trace_openings):
         if len(bundle) != w:
             return VerifyResult.reject(f"query {k}: window truncated")
-        for r, (values, path) in enumerate(bundle):
-            idx = (q.index + r * params.blowup) % lde.size
+        for values, _ in bundle:
             if len(values) != proof.num_columns:
                 return VerifyResult.reject(f"query {k}: bad row width")
             if any(v >= field.modulus for v in values):
                 return VerifyResult.reject(
                     f"query {k}: non-canonical trace value")
-            if not verify_path(proof.trace_root, idx, _row_leaf(values),
+    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point
+    opened = np.array([[values for values, _ in bundle]
+                       for bundle in proof.trace_openings],
+                      dtype=np.uint64).reshape(len(queries), w,
+                                               proof.num_columns)
+    leaves = u64_rows(opened.reshape(-1, proof.num_columns))
+    for k, (q, bundle) in enumerate(zip(queries, proof.trace_openings)):
+        for r, (_, path) in enumerate(bundle):
+            idx = (q.index + r * params.blowup) % lde.size
+            if not verify_path(proof.trace_root, idx, leaves[k * w + r],
                                path):
                 return VerifyResult.reject(f"query {k}: trace path failure")
 
-    # rows[r][c]: column c at g^r x over the query points x
     xs = np.array([lde.point(q.index).value for q in queries],
                   dtype=np.uint64)
-    rows = [[np.array([bundle[r][0][c] for bundle in proof.trace_openings],
-                      dtype=np.uint64)
-             for c in range(proof.num_columns)] for r in range(w)]
+    rows = [[opened[:, r, c] for c in range(proof.num_columns)]
+            for r in range(w)]
     combined = compose(xs, rows, cs, trace_domain, proof.original_length,
                        gammas)
     claimed = np.array([q.layers[0].value if q.layers

@@ -52,12 +52,18 @@ def boundary_quotient(column_poly, bcs, trace_domain):
     return divmod(column_poly - interpolate(pts), z_b)
 
 
+def vanishing_poly(domain):
+    """Z_D = x^size - offset^size, zero exactly on the domain."""
+    hn = (domain.offset ** domain.size).value
+    return Polynomial(domain.field, [-hn] + [0] * (domain.size - 1) + [1])
+
+
 def transition_vanishing(field, trace_domain, num_rows):
     """Z over rows 0..num_rows-1: (x^n - 1) / prod over excluded rows."""
     excluded = stark.membership_poly(
         field, [trace_domain.point(i)
                 for i in range(num_rows, trace_domain.size)])
-    quot, rem = divmod(trace_domain.vanishing_poly(), excluded)
+    quot, rem = divmod(vanishing_poly(trace_domain), excluded)
     assert rem.is_zero()
     return quot
 

@@ -142,7 +142,7 @@ def test_stark_zk_and_custom_boundary(tmp_path):
     open(bad_boundary, "w").write(
         json.dumps([{"column": 0, "row": 2, "value": 3}]))
     assert run(["stark", "prove", "--length", "8",
-                "--boundary-json", bad_boundary, "-o", proof]) == 3
+                "--boundary-json", bad_boundary, "-o", proof]) == 2
 
 
 def test_usage_errors(tmp_path):

@@ -196,14 +196,16 @@ def test_decoder_rejects_trailing_bytes():
         fri.FriProof.deserialize(padded)
 
 
-def _prove_committing(evals, params, t, committed):
-    """fri.prove, except that the layer-0 tree commits to `committed`,
-    which equals evals mod p, and the layer-0 openings read from it."""
+def _prove_committing(evals, params, t, tamper, layer=0):
+    """fri.prove, except that layer `layer` is committed and opened as
+    tamper(the honest layer), while folding continues from the honest
+    layer."""
     layers = [np.asarray(evals, dtype=np.uint64)]
-    trees, roots = [], []
+    committed, trees, roots = [], [], []
     domain = params.domain
     for j in range(params.rounds):
-        tree = fri.pair_tree(committed if j == 0 else layers[-1])
+        committed.append(tamper(layers[-1]) if j == layer else layers[-1])
+        tree = fri.pair_tree(committed[-1])
         trees.append(tree)
         roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
@@ -212,7 +214,7 @@ def _prove_committing(evals, params, t, committed):
         domain = domain.squared()
     final_value = int(layers[-1][0])
     t.absorb(b"fri-final", u64(final_value))
-    return fri.query_phase([committed] + layers[1:], trees, t, params, roots,
+    return fri.query_phase(committed + layers[-1:], trees, t, params, roots,
                            final_value)
 
 
@@ -221,8 +223,10 @@ def test_prove_committing_reproduces_the_honest_proof():
     params = fri.FriParams(dom, 4, 6)
     evals = rand_poly(FBIG, 4, seed=15).evaluate_array(dom.point_array())
     honest = fri.prove(evals, params, Transcript("t"))
-    same = _prove_committing(evals, params, Transcript("t"), evals)
-    assert same.serialize() == honest.serialize()
+    for layer in range(params.rounds):
+        same = _prove_committing(evals, params, Transcript("t"),
+                                 lambda honest_layer: honest_layer, layer)
+        assert same.serialize() == honest.serialize()
 
 
 @pytest.mark.parametrize("half", ["value", "value_neg"])
@@ -237,7 +241,8 @@ def test_non_canonical_layer_values_rejected(half):
         committed[:16] += np.uint64(FBIG.modulus)
     else:
         committed[16:] += np.uint64(FBIG.modulus)
-    proof = _prove_committing(evals, params, Transcript("t"), committed)
+    proof = _prove_committing(evals, params, Transcript("t"),
+                              lambda _: committed)
     v = fri.verify(proof, params, Transcript("t"))
     assert not v and v.reason == "layer 0: non-canonical value"
 
@@ -255,3 +260,59 @@ def test_non_canonical_final_value_rejected():
     proof = fri.query_phase([evals], [], t, params, [], 7 + FBIG.modulus)
     v = fri.verify(proof, params, Transcript("t"))
     assert not v and v.reason == "non-canonical final value"
+
+
+def _proof_64():
+    dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
+    params = fri.FriParams(dom, 8, 6)
+    evals = rand_poly(FBIG, 8, seed=17).evaluate_array(dom.point_array())
+    return evals, params
+
+
+def test_consistency_failure_in_a_later_query_and_layer():
+    """A layer-1 commitment changed at one value, which only query k > 0
+    opens and which is its own point there, not its partner's: every
+    query passes layer 0 and the layer-1 paths, and the fold of layer 0
+    fails to match at query k alone."""
+    evals, params = _proof_64()
+    quarter = params.domain.size // 4
+    for pos in range(2 * quarter):
+        def bump(layer):
+            out = layer.copy()
+            out[pos] = (int(out[pos]) + 1) % FBIG.modulus
+            return out
+        proof = _prove_committing(evals, params, Transcript("t"), bump, 1)
+        touching = [k for k, q in enumerate(proof.queries)
+                    if q.index % quarter == pos % quarter]
+        if (len(touching) != 1 or touching[0] == 0
+                or proof.queries[touching[0]].index != pos):
+            continue
+        v = fri.verify(proof, params, Transcript("t"))
+        assert not v and v.reason == "layer 1: consistency failure"
+        return
+    pytest.fail("no position is opened by exactly one later query")
+
+
+def test_bad_opening_in_the_last_query_only():
+    evals, params = _proof_64()
+    for layer in range(params.rounds):
+        proof = fri.prove(evals, params, Transcript("t"))
+        path = proof.queries[-1].layers[layer].path
+        path.siblings[-1] = bytes(32)
+        v = fri.verify(proof, params, Transcript("t"))
+        assert not v and v.reason == f"layer {layer}: bad opening"
+
+
+def test_malformed_query_bundle_rejected():
+    """A query with a layer missing, or one too many, is malformed."""
+    evals, params = _proof_64()
+    for k in (0, -1):
+        for change in ("drop", "extra"):
+            proof = fri.prove(evals, params, Transcript("t"))
+            layers = proof.queries[k].layers
+            if change == "drop":
+                layers.pop()
+            else:
+                layers.append(layers[-1])
+            v = fri.verify(proof, params, Transcript("t"))
+            assert not v and v.reason == "malformed query bundle"

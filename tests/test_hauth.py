@@ -93,7 +93,8 @@ def test_wrong_key_rejected():
 
 def test_session_rejects_label_reuse():
     sess = hauth.HauthSession(KEY)
-    sess.auth(1, lab(b"once", b"d0"))
+    assert (sess.auth(1, lab(b"once", b"d0"))
+            == hauth.auth(KEY, 1, lab(b"once", b"d0")))
     sess.auth(1, lab(b"once", b"d1"))  # fresh delta is fine
     with pytest.raises(UsageError):
         sess.auth(2, lab(b"once", b"d0"))

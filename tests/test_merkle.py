@@ -2,10 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from vckit.encoding import Reader
+from vckit.encoding import Reader, u64, u64_rows
 from vckit.errors import UsageError
+from vckit.field import DEFAULT_MODULUS
 from vckit.merkle import AuthPath, MerkleTree, leaf_hash, node_hash, verify_path
 
 
@@ -150,3 +152,13 @@ def test_truncated_path_rejected():
 def test_path_with_no_siblings_roundtrips():
     path = AuthPath(0, [])
     assert AuthPath.from_bytes(path.serialize()) == path
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_u64_rows_matches_scalar_encoding(width):
+    """Leaf rows from one array dump equal the per-value u64 encoding."""
+    values = [0, DEFAULT_MODULUS - 1, 2**64 - 1, 1, 2**32, 12345]
+    rows = [[values[(i + c) % len(values)] for c in range(width)]
+            for i in range(len(values))]
+    leaves = u64_rows(np.array(rows, dtype=np.uint64))
+    assert leaves == [b"".join(u64(v) for v in row) for row in rows]

@@ -8,7 +8,7 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri, stark
-from vckit.encoding import Reader, bytes_lp
+from vckit.encoding import Reader, bytes_lp, u64
 from vckit.errors import ConstraintViolation, InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
@@ -520,7 +520,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
         (n, orig, len(leaf_columns), params.blowup, params.num_queries,
          proof.zk, cs.digest(), proof.binding_digest)))
     leaves = [[int(col[i]) for col in leaf_columns] for i in range(lde.size)]
-    tree = MerkleTree([stark._row_leaf(row) for row in leaves])
+    tree = MerkleTree([b"".join(u64(v) for v in row) for row in leaves])
     t.absorb(b"trace-root", tree.root)
     comp = composition(stark._draw_gammas(cs, F, t))
     d = stark.composition_degree_bound(n, orig, cs)
@@ -682,3 +682,10 @@ def test_boundaries_outside_the_encoding_refused(column, row, value):
     with pytest.raises(UsageError):
         stark.ConstraintSystem(1, [stark.BoundaryConstraint(column, row,
                                                             value)], [])
+
+
+def test_constraint_system_without_columns_refused():
+    """A system over no columns constrains nothing a trace could hold."""
+    pred = stark.MultivariatePoly(F, 0, {(): 1})
+    with pytest.raises(UsageError, match="empty"):
+        stark.ConstraintSystem(0, [], [stark.TransitionConstraint(2, pred)])
