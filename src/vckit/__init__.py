@@ -8,16 +8,16 @@ transcript.
 
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
-from .field import (DEFAULT_MODULUS, BivariatePolynomial, EvaluationDomain,
-                    Field, FieldElement, Polynomial, evaluate_on_domain,
+from .field import (DEFAULT_MODULUS, EvaluationDomain, Field, FieldElement,
+                    MultivariatePoly, Polynomial, evaluate_on_domain,
                     interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, PrfKey, Transcript, hash_to_group, prf
 
 __all__ = [
-    "AuthPath", "BivariatePolynomial", "ConstraintViolation",
-    "DEFAULT_MODULUS", "EvaluationDomain", "Field", "FieldElement",
-    "HASH_ID", "InternalError", "MerkleTree", "Polynomial", "PrfKey",
+    "AuthPath", "ConstraintViolation", "DEFAULT_MODULUS",
+    "EvaluationDomain", "Field", "FieldElement", "HASH_ID", "InternalError",
+    "MerkleTree", "MultivariatePoly", "Polynomial", "PrfKey",
     "Transcript", "UsageError", "VerifyResult", "evaluate_on_domain",
     "hash_to_group", "interpolate", "interpolate_on_domain", "prf",
     "verify_path",

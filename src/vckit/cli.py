@@ -30,16 +30,20 @@ VETTED_MODULI = {DEFAULT_MODULUS, 17, 13, 97}
 
 def load_config(path):
     """Optional key = value config lines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            cfg[k.strip()] = v.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        k, v = line.split("=", 1)
+        cfg[k.strip()] = v.strip()
     return cfg
 
 
@@ -172,13 +176,12 @@ def cmd_hauth(args):
         save_tag(hauth.eval_tags(circuit, tags), args.output)
         print(f"wrote tag to {args.output}")
         return EXIT_OK
-    if args.cmd == "verify":
-        labels = [parse_label(l) for l in args.labels]
-        tag = load_tag(args.tag, field)
-        verdict = hauth.verify(key, circuit, labels, tag, args.claim)
-        print("accept" if verdict else f"reject ({verdict.reason})")
-        return EXIT_OK if verdict else EXIT_REJECT
-    raise UsageError(f"unknown hauth command {args.cmd}")
+    # verify
+    labels = [parse_label(l) for l in args.labels]
+    tag = load_tag(args.tag, field)
+    verdict = hauth.verify(key, circuit, labels, tag, args.claim)
+    print("accept" if verdict else f"reject ({verdict.reason})")
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +244,12 @@ def cmd_vdf(args):
             y = vdf.eval_sequential(params, x_prime)
         print(json.dumps({"x_prime": x_prime, "y": y}))
         return EXIT_OK
-    if args.cmd in ("prove", "beacon"):
-        x_prime, proof = vdf.vdf_round(params,
-                                       _from_hex(args.input, "--input"))
-        with open(args.output, "wb") as fh:
-            fh.write(vdf.serialize_proof(params, x_prime, proof))
-        print(f"wrote proof (y={proof.y}) to {args.output}")
-        return EXIT_OK
-    raise UsageError(f"unknown vdf command {args.cmd}")
+    # prove and beacon
+    x_prime, proof = vdf.vdf_round(params, _from_hex(args.input, "--input"))
+    with open(args.output, "wb") as fh:
+        fh.write(vdf.serialize_proof(params, x_prime, proof))
+    print(f"wrote proof (y={proof.y}) to {args.output}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +288,24 @@ def cmd_fri(args):
                      + proof.serialize())
         print(f"wrote FRI proof to {args.output}")
         return EXIT_OK
-    if args.cmd == "verify":
-        with open(args.proof, "rb") as fh:
-            reader = Reader(fh.read())
-        if reader.take(4) != FRI_FILE_MAGIC:
-            raise UsageError("not a FRI proof file")
-        field = Field(reader.u32())
-        domain_size = reader.u32()
-        degree = reader.u32()
-        queries = reader.u32()
-        domain = stark.EvaluationDomain.coset(field, domain_size,
-                                              field.generator())
-        params = fri_mod.FriParams(domain, degree, queries)
-        proof = fri_mod.FriProof.deserialize(reader)
-        t = Transcript("fri")
-        t.absorb(b"params", u32(domain_size) + u32(degree) + u32(queries))
-        verdict = fri_mod.verify(proof, params, t)
-        print("accept" if verdict else f"reject ({verdict.reason})")
-        return EXIT_OK if verdict else EXIT_REJECT
-    raise UsageError(f"unknown fri command {args.cmd}")
+    # verify
+    with open(args.proof, "rb") as fh:
+        reader = Reader(fh.read())
+    if reader.take(4) != FRI_FILE_MAGIC:
+        raise UsageError("not a FRI proof file")
+    field = Field(reader.u32())
+    domain_size = reader.u32()
+    degree = reader.u32()
+    queries = reader.u32()
+    domain = stark.EvaluationDomain.coset(field, domain_size,
+                                          field.generator())
+    params = fri_mod.FriParams(domain, degree, queries)
+    proof = fri_mod.FriProof.deserialize(reader)
+    t = Transcript("fri")
+    t.absorb(b"params", u32(domain_size) + u32(degree) + u32(queries))
+    verdict = fri_mod.verify(proof, params, t)
+    print("accept" if verdict else f"reject ({verdict.reason})")
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,9 @@ def cmd_stark(args):
         if args.boundary_json:
             boundary = load_json(args.boundary_json, "boundary file")
         trace, cs = build_program(args.program, args.length, field, boundary)
-        params = stark.StarkParams(args.blowup or 8, args.queries or 20,
-                                   zk=args.zk)
+        params = stark.StarkParams(
+            8 if args.blowup is None else args.blowup,
+            20 if args.queries is None else args.queries, zk=args.zk)
         proof = stark.prove(trace, cs, params, zk_seed=args.zk_seed)
         blob = (json.dumps({"program": args.program, "length": args.length,
                             "boundary": boundary}).encode())
@@ -345,21 +346,19 @@ def cmd_stark(args):
             fh.write(bytes_lp(blob) + proof.serialize())
         print(f"wrote proof ({args.length}-row trace) to {args.output}")
         return EXIT_OK
-    if args.cmd == "verify":
-        with open(args.proof, "rb") as fh:
-            reader = Reader(fh.read())
-        meta = load_json(reader.bytes_lp(), "proof header",
-                         {"program": str, "length": int})
-        proof = stark.StarkProof.deserialize(reader.take(
-            len(reader.data) - reader.pos))
-        _, cs = build_program(meta["program"], meta["length"], field,
-                              meta.get("boundary"))
-        params = stark.StarkParams(proof.blowup, proof.num_queries,
-                                   zk=proof.zk)
-        verdict = stark.verify(proof, cs, params, field)
-        print("accept" if verdict else f"reject ({verdict.reason})")
-        return EXIT_OK if verdict else EXIT_REJECT
-    raise UsageError(f"unknown stark command {args.cmd}")
+    # verify
+    with open(args.proof, "rb") as fh:
+        reader = Reader(fh.read())
+    meta = load_json(reader.bytes_lp(), "proof header",
+                     {"program": str, "length": int})
+    proof = stark.StarkProof.deserialize(reader.take(
+        len(reader.data) - reader.pos))
+    _, cs = build_program(meta["program"], meta["length"], field,
+                          meta.get("boundary"))
+    params = stark.StarkParams(proof.blowup, proof.num_queries, zk=proof.zk)
+    verdict = stark.verify(proof, cs, params, field)
+    print("accept" if verdict else f"reject ({verdict.reason})")
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +370,8 @@ def bench_2poly(args, field):
     n, d = args.domain, args.d
     if n > field.modulus:
         raise UsageError("the domain has more points than the field")
+    if n < 1 or not 0 <= d <= n:
+        raise UsageError("need 0 <= d <= domain size and a nonempty domain")
     xs = np.arange(n, dtype=np.uint64)
     f = Polynomial(field, [rng.randrange(field.modulus)
                            for _ in range(d + 1)])
@@ -461,6 +462,8 @@ def bench_stark_mutation(args, field):
 
 def cmd_bench(args):
     field = get_field(args)
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError("need at least one trial")
     return {"2poly": bench_2poly, "vdf-asymmetry": bench_vdf_asymmetry,
             "fri-soundness": bench_fri_soundness,
             "stark-mutation": bench_stark_mutation}[args.cmd](args, field)
@@ -572,8 +575,12 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config)
             for key in ("modulus", "blowup", "queries"):
-                if key in cfg and getattr(args, key, None) in (None,):
-                    setattr(args, key, int(cfg[key]))
+                if key in cfg and getattr(args, key, None) is None:
+                    try:
+                        setattr(args, key, int(cfg[key]))
+                    except ValueError:
+                        raise UsageError(
+                            f"config {key} is not an integer") from None
         handler = {"hauth": cmd_hauth, "vdf": cmd_vdf, "fri": cmd_fri,
                    "stark": cmd_stark, "bench": cmd_bench}[args.group]
         return handler(args)

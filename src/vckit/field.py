@@ -1,4 +1,5 @@
-"""Prime-field arithmetic, univariate/bivariate polynomials and evaluation domains.
+"""Prime-field arithmetic, univariate and sparse multivariate polynomials,
+and evaluation domains.
 
 Moduli are below 2^32, so the product of two reduced values fits in a
 uint64 and every bulk path works on numpy uint64 arrays.  Scalar
@@ -189,9 +190,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def to_bytes(self) -> bytes:
-        return u64(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -563,83 +561,108 @@ def _check_pow2(n: int):
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials (two-party authenticator tags)
+# sparse multivariate polynomials
 
-class BivariatePolynomial:
-    """Polynomial in x, y stored as a sparse {(i, j): coeff} map."""
+class MultivariatePoly:
+    """Sparse polynomial {exponent tuple: coeff} in num_vars variables: a
+    STARK transition predicate over a window of trace cells, or a
+    two-party authenticator tag in (x, y)."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: dict):
+    def __init__(self, field: Field, num_vars: int, terms: dict):
         p = field.modulus
         clean = {}
-        for (i, j), c in coeffs.items():
+        for exps, c in terms.items():
+            if len(exps) != num_vars:
+                raise UsageError("exponent tuple arity mismatch")
             v = (c.value if isinstance(c, FieldElement) else c) % p
             if v:
-                clean[(i, j)] = v
+                clean[tuple(exps)] = v
         self.field = field
-        self.coeffs = clean
+        self.num_vars = num_vars
+        self.terms = clean
 
     @staticmethod
-    def from_univariate(poly: Polynomial, var: int) -> "BivariatePolynomial":
-        """Embed a univariate polynomial as a function of variable 0 (x) or 1 (y)."""
-        if var not in (0, 1):
-            raise UsageError("variable index must be 0 or 1")
-        coeffs = {}
-        for k, c in enumerate(poly.coeffs):
-            key = (k, 0) if var == 0 else (0, k)
-            coeffs[key] = c
-        return BivariatePolynomial(poly.field, coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, BivariatePolynomial)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"BivariatePolynomial({self.coeffs})"
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def from_univariate(poly: Polynomial, var: int,
+                        num_vars: int = 2) -> "MultivariatePoly":
+        """Embed a univariate polynomial as a function of variable var."""
+        if not 0 <= var < num_vars:
+            raise UsageError(f"variable index must be below {num_vars}")
+        terms = {tuple(k if v == var else 0 for v in range(num_vars)): c
+                 for k, c in enumerate(poly.coeffs)}
+        return MultivariatePoly(poly.field, num_vars, terms)
 
     @property
-    def total_degree(self):
-        if not self.coeffs:
-            return None
-        return max(i + j for i, j in self.coeffs)
+    def total_degree(self) -> int:
+        if not self.terms:
+            return 0
+        return max(sum(e) for e in self.terms)
+
+    def _coerce(self, other) -> "MultivariatePoly":
+        if isinstance(other, (int, FieldElement)):
+            other = MultivariatePoly(self.field, self.num_vars,
+                                     {(0,) * self.num_vars: other})
+        if other.field != self.field or other.num_vars != self.num_vars:
+            raise UsageError("mixed-field or mixed-arity arithmetic")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = BivariatePolynomial(self.field, {(0, 0): other})
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        out = dict(self.terms)
+        for k, v in self._coerce(other).terms.items():
             out[k] = out.get(k, 0) + v
-        return BivariatePolynomial(self.field, out)
+        return MultivariatePoly(self.field, self.num_vars, out)
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = BivariatePolynomial(self.field, {(0, 0): other})
-        return self + other.scale(-1)
+        return self + self._coerce(other).scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
+        other = self._coerce(other)
         out = {}
-        for (i, j), a in self.coeffs.items():
-            for (k, l), b in other.coeffs.items():
-                key = (i + k, j + l)
+        for ea, a in self.terms.items():
+            for eb, b in other.terms.items():
+                key = tuple(i + j for i, j in zip(ea, eb))
                 out[key] = out.get(key, 0) + a * b
-        return BivariatePolynomial(self.field, out)
+        return MultivariatePoly(self.field, self.num_vars, out)
 
-    def scale(self, c) -> "BivariatePolynomial":
+    def scale(self, c) -> "MultivariatePoly":
         c = self.field(c).value
-        return BivariatePolynomial(
-            self.field, {k: v * c for k, v in self.coeffs.items()})
+        return MultivariatePoly(self.field, self.num_vars,
+                                {k: v * c for k, v in self.terms.items()})
 
-    def evaluate(self, x, y) -> FieldElement:
-        x, y = self.field(x), self.field(y)
+    def evaluate(self, *xs) -> FieldElement:
+        """Scalar evaluation at one point; metered as two ops per term."""
+        if len(xs) != self.num_vars:
+            raise UsageError("wrong number of polynomial inputs")
         p = self.field.modulus
+        xs = [self.field(x).value for x in xs]
         acc = 0
-        for (i, j), c in self.coeffs.items():
-            acc = (acc + c * pow(x.value, i, p) * pow(y.value, j, p)) % p
+        for exps, c in self.terms.items():
+            for x, e in zip(xs, exps):
+                c = c * pow(x, e, p) % p
+            acc = (acc + c) % p
             self.field.op_count += 2
         return FieldElement(self.field, acc)
+
+    def evaluate_array(self, values) -> np.ndarray:
+        """Vectorized evaluation over uint64 arrays of reduced values, one
+        per variable."""
+        if len(values) != self.num_vars:
+            raise UsageError("wrong number of predicate inputs")
+        mod = np.uint64(self.field.modulus)
+        acc = np.zeros(len(values[0]), dtype=np.uint64)
+        for exps, c in self.terms.items():
+            term = np.full(len(acc), c, dtype=np.uint64)
+            for v, e in zip(values, exps):
+                for _ in range(e):
+                    term = term * v % mod
+            acc = (acc + term) % mod
+        return acc
+
+    def serialize(self) -> bytes:
+        items = sorted(self.terms.items())
+        out = [u32(self.num_vars), u32(len(items))]
+        for exps, c in items:
+            out += [u32(e) for e in exps]
+            out.append(u64(c))
+        return b"".join(out)

@@ -40,10 +40,8 @@ class FriParams:
             raise UsageError("degree bound must divide the domain size")
         if d > n // 2:
             raise UsageError("rate must be at most 1/2")
-
-    @property
-    def rate(self) -> float:
-        return self.degree_bound / self.domain.size
+        if self.num_queries < 1:
+            raise UsageError("need at least one query")
 
     @property
     def rounds(self) -> int:

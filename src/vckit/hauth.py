@@ -2,9 +2,9 @@
 
 A fresh tag is the degree-1 polynomial through (0, m) and (sk, r); circuit
 evaluation acts on tags coefficientwise, so the evaluated tag still passes
-through (0, f(m)) and (sk, f(r)).  Includes the two-party bivariate
-extension, multi-label amortization, and an instrumented exponent-tracking
-group standing in for a pairing curve.
+through (0, f(m)) and (sk, f(r)).  Includes the two-party extension, whose
+tags are sparse polynomials in (x, y), multi-label amortization, and an
+instrumented exponent-tracking group standing in for a pairing curve.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .errors import UsageError, VerifyResult
-from .field import (BivariatePolynomial, Field, FieldElement, Polynomial)
+from .field import Field, FieldElement, MultivariatePoly, Polynomial
 from .transcript import PrfKey, prf
 
 
@@ -47,16 +47,12 @@ class AuthKey:
 
 @dataclass(frozen=True)
 class Tag:
-    """Authenticator polynomial; arity 1 (univariate) or 2 (bivariate)."""
+    """Authenticator polynomial; arity 1 (univariate) or 2 (in x, y)."""
 
-    poly: Union[Polynomial, BivariatePolynomial]
+    poly: Union[Polynomial, MultivariatePoly]
     arity: int = 1
     slot: Optional[int] = None        # variable index for two-party tags
     key_fp: Optional[bytes] = None
-
-    @property
-    def degree(self):
-        return self.poly.degree if self.arity == 1 else self.poly.total_degree
 
 
 def keygen(seed: bytes, field: Field = None) -> AuthKey:
@@ -143,8 +139,8 @@ class Circuit:
     output: int = -1
 
     def evaluate(self, inputs):
-        """Run the circuit over field elements, polynomials or bivariate
-        polynomials: anything with + and * between values and with ints."""
+        """Run the circuit over field elements or polynomials, univariate or
+        multivariate: anything with + and * between values and with ints."""
         if len(inputs) != self.num_inputs:
             raise UsageError("wrong number of circuit inputs")
         wires = list(inputs)
@@ -231,7 +227,7 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
     m = key.field(m)
     r = label_randomness(key, label)
     uni = _fresh_tag_poly(key, m, r)
-    return Tag(BivariatePolynomial.from_univariate(uni, slot), arity=2,
+    return Tag(MultivariatePoly.from_univariate(uni, slot), arity=2,
                slot=slot, key_fp=key.fingerprint())
 
 
@@ -242,8 +238,7 @@ def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
     claimed_y = field(claimed_y)
     rs = [label_randomness(keys[slot], lab) for lab, slot in labeled_slots]
     f_r = circuit.evaluate(rs)
-    deg = tag.poly.total_degree
-    if deg is not None and deg > 2 * circuit.syntactic_degree():
+    if tag.poly.total_degree > 2 * circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")
     if tag.poly.evaluate(keys[0].sk, keys[1].sk) != f_r:
         return VerifyResult.reject("key-check")
@@ -310,9 +305,6 @@ class GroupPolynomial:
     def degree(self) -> int:
         return len(self.rest)
 
-    def _levels(self):
-        return [e.level for e in self.rest]
-
     def add(self, other: "GroupPolynomial") -> "GroupPolynomial":
         n = max(len(self.rest), len(other.rest))
         rest = []
@@ -343,33 +335,26 @@ class GroupPolynomial:
                                self.used_pairing)
 
     def mul(self, other: "GroupPolynomial") -> "GroupPolynomial":
-        """One pairing-backed multiplication; exhausting the budget raises."""
+        """One pairing-backed multiplication; exhausting the budget raises.
+
+        Before the pairing every lifted coefficient is at the base level, so
+        product coefficient k pairs two lifted coefficients, and is at the
+        target level, exactly when k >= 2 and both factors have any; every
+        other coefficient of degree >= 1 takes one lift and stays at base.
+        """
         if self.used_pairing or other.used_pairing:
             raise UsageError("pairing budget exhausted")
         a = [self.clear0] + [e.exponent for e in self.rest]
         b = [other.clear0] + [e.exponent for e in other.rest]
-        alev = [None] + self._levels()
-        blev = [None] + other._levels()
-        n = len(a) + len(b) - 1
-        exps = [self.field.zero] * n
-        levels = [None] * n
-        for i, (av, al) in enumerate(zip(a, alev)):
-            for j, (bv, bl) in enumerate(zip(b, blev)):
-                term_level = (None if al is None and bl is None
-                              else TARGET if al is not None and bl is not None
-                              else BASE)
-                k = i + j
-                exps[k] = exps[k] + av * bv
-                levels[k] = _merge_level(levels[k], term_level)
-        clear0 = exps[0] if levels[0] is None else self.field.zero
-        rest = []
-        for k in range(1, n):
-            lvl = levels[k] or BASE
-            rest.append(InstrumentedGroupElement(exps[k], lvl))
-        if levels[0] is not None:
-            # constant term picked up group contributions; fold into degree 0
-            raise UsageError("constant term left the clear; unsupported shape")
-        return GroupPolynomial(self.field, clear0, rest, used_pairing=True)
+        exps = [self.field.zero] * (len(a) + len(b) - 1)
+        for i, av in enumerate(a):
+            for j, bv in enumerate(b):
+                exps[i + j] = exps[i + j] + av * bv
+        paired = bool(self.rest and other.rest)
+        rest = [InstrumentedGroupElement(e, TARGET if paired and k >= 2
+                                         else BASE)
+                for k, e in enumerate(exps[1:], start=1)]
+        return GroupPolynomial(self.field, exps[0], rest, used_pairing=True)
 
     def evaluate(self, x) -> InstrumentedGroupElement:
         x = self.field(x)
@@ -382,18 +367,6 @@ class GroupPolynomial:
             if e.level == TARGET:
                 level = TARGET
         return InstrumentedGroupElement(acc, level)
-
-
-def _merge_level(cur, new):
-    # a coefficient that mixes base and target contributions is promoted
-    # to target (lifting base terms through e(., g))
-    if cur is None:
-        return new
-    if new is None:
-        return cur
-    if cur == new:
-        return cur
-    return TARGET
 
 
 def group_lift(p: Polynomial) -> GroupPolynomial:

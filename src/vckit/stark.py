@@ -23,7 +23,7 @@ zero-knowledge padding relies on.
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,64 +31,13 @@ from . import fri
 from .encoding import Reader, bytes_lp, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
-from .field import (EvaluationDomain, Field, FieldElement, Polynomial,
-                    _inverse_array, _pow_array, _values_array,
-                    evaluate_on_domain,
-                    interpolate, interpolate_on_domain)
+from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
+                    Polynomial, _inverse_array, _pow_array, _values_array,
+                    evaluate_on_domain, interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, Transcript
 
 PROOF_MAGIC = b"VCKS"
-
-
-# ---------------------------------------------------------------------------
-# constraint predicates
-
-class MultivariatePoly:
-    """Sparse multivariate polynomial {exponent tuple: coeff} used as a
-    transition predicate over a window of trace cells."""
-
-    def __init__(self, field: Field, num_vars: int, terms: Dict[tuple, int]):
-        p = field.modulus
-        clean = {}
-        for exps, c in terms.items():
-            if len(exps) != num_vars:
-                raise UsageError("exponent tuple arity mismatch")
-            v = (c.value if isinstance(c, FieldElement) else c) % p
-            if v:
-                clean[tuple(exps)] = v
-        self.field = field
-        self.num_vars = num_vars
-        self.terms = clean
-
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def evaluate_array(self, values) -> np.ndarray:
-        """Vectorized evaluation over uint64 arrays of reduced values, one
-        per variable."""
-        if len(values) != self.num_vars:
-            raise UsageError("wrong number of predicate inputs")
-        mod = np.uint64(self.field.modulus)
-        acc = np.zeros(len(values[0]), dtype=np.uint64)
-        for exps, c in self.terms.items():
-            term = np.full(len(acc), c, dtype=np.uint64)
-            for v, e in zip(values, exps):
-                for _ in range(e):
-                    term = term * v % mod
-            acc = (acc + term) % mod
-        return acc
-
-    def serialize(self) -> bytes:
-        items = sorted(self.terms.items())
-        out = [u32(self.num_vars), u32(len(items))]
-        for exps, c in items:
-            out += [u32(e) for e in exps]
-            out.append(u64(c))
-        return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +153,8 @@ class StarkParams:
     def __post_init__(self):
         if self.blowup < 4 or self.blowup & (self.blowup - 1):
             raise UsageError("blowup must be a power of two >= 4")
+        if self.num_queries < 1:
+            raise UsageError("need at least one query")
 
     def lde_domain(self, field: Field, trace_length: int) -> EvaluationDomain:
         # offset = full-group generator, never inside any 2^k subgroup

@@ -1,11 +1,14 @@
 """CLI behaviour: exit codes, file round-trips, config handling."""
 
 import json
+import random
 
 import pytest
 
-from vckit import cli, vdf
-from vckit.encoding import Reader, bytes_lp
+from vckit import cli, fri, stark, vdf
+from vckit.encoding import Reader, bytes_lp, u32
+from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field
+from vckit.transcript import Transcript
 
 
 def run(argv):
@@ -176,6 +179,70 @@ def test_config_file(tmp_path):
     assert run(["--config", cfg, "stark", "prove", "--length", "8",
                 "-o", proof]) == 0
     assert run(["stark", "verify", proof]) == 0
+
+
+@pytest.mark.parametrize("content", ["blowup = x\n", b"queries = \xff\n",
+                                     None])
+def test_bad_config_file(tmp_path, content):
+    """A non-integer value, a file that is not UTF-8 and a directory are
+    usage errors."""
+    cfg = tmp_path / "vckit.cfg"
+    if content is None:
+        cfg.mkdir()
+    elif isinstance(content, bytes):
+        cfg.write_bytes(content)
+    else:
+        cfg.write_text(content)
+    assert run(["--config", str(cfg), "stark", "prove", "--length", "8",
+                "-o", str(tmp_path / "s.bin")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stark", "prove", "--length", "8", "--blowup", "0"],
+    ["stark", "prove", "--length", "8", "--queries", "0"],
+    ["bench", "2poly", "--trials", "0"],
+    ["bench", "2poly", "--trials", "-1"],
+    ["bench", "2poly", "--domain", "0"],
+    ["bench", "2poly", "--d", "5", "--domain", "4"],
+    ["bench", "fri-soundness", "--trials", "0"],
+    ["bench", "fri-soundness", "--trials", "-1"],
+    ["bench", "stark-mutation", "--trials", "0"],
+    ["bench", "stark-mutation", "--trials", "-1"]])
+def test_bad_numeric_arguments(tmp_path, argv):
+    assert run(argv + (["-o", str(tmp_path / "s.bin")]
+                       if argv[0] == "stark" else [])) == 2
+
+
+def test_zero_query_fri_file_refused(tmp_path):
+    """A FRI proof file of 256 random evaluations that declares zero
+    queries, and so opens nothing, is refused."""
+    field = Field(DEFAULT_MODULUS)
+    domain = EvaluationDomain.coset(field, 256, field.generator())
+    rng = random.Random(3)
+    evals = [rng.randrange(field.modulus) for _ in range(256)]
+    t = Transcript("fri")
+    t.absorb(b"params", u32(256) + u32(8) + u32(0))
+    proof = fri.prove(evals, fri.FriParams(domain, 8, 1), t,
+                      enforce_low_degree=False)
+    proof.queries = []
+    path = tmp_path / "fri.bin"
+    path.write_bytes(cli.FRI_FILE_MAGIC + u32(field.modulus) + u32(256)
+                     + u32(8) + u32(0) + proof.serialize())
+    assert run(["fri", "verify", str(path)]) == 2
+
+
+def test_zero_query_stark_file_refused(tmp_path):
+    path = tmp_path / "s.bin"
+    assert run(["stark", "prove", "--length", "8", "-o", str(path)]) == 0
+    reader = Reader(path.read_bytes())
+    header = reader.bytes_lp()
+    proof = stark.StarkProof.deserialize(reader.take(
+        len(reader.data) - reader.pos))
+    proof.num_queries = 0
+    proof.trace_openings = []
+    proof.fri_proof.queries = []
+    path.write_bytes(bytes_lp(header) + proof.serialize())
+    assert run(["stark", "verify", str(path)]) == 2
 
 
 # Malformed JSON, a document without a key the command needs, and one

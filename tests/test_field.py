@@ -7,8 +7,8 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit.errors import UsageError
-from vckit.field import (DEFAULT_MODULUS, BivariatePolynomial,
-                         EvaluationDomain, Field, FieldElement, Polynomial,
+from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
+                         FieldElement, MultivariatePoly, Polynomial,
                          _inverse_array, evaluate_on_domain, interpolate,
                          interpolate_on_domain)
 
@@ -344,7 +344,7 @@ def test_non_pow2_subgroup_rejected():
 def test_bivariate_evaluate_oracle():
     rng = random.Random(5)
     terms = {(i, j): rng.randrange(97) for i in range(3) for j in range(3)}
-    bp = BivariatePolynomial(F97, terms)
+    bp = MultivariatePoly(F97, 2, terms)
     for _ in range(20):
         x, y = rng.randrange(97), rng.randrange(97)
         want = sum(c * pow(x, i, 97) * pow(y, j, 97)
@@ -354,18 +354,52 @@ def test_bivariate_evaluate_oracle():
 
 def test_bivariate_from_univariate():
     poly = Polynomial(F17, [2, 3, 4])
-    bx = BivariatePolynomial.from_univariate(poly, 0)
-    by = BivariatePolynomial.from_univariate(poly, 1)
+    bx = MultivariatePoly.from_univariate(poly, 0)
+    by = MultivariatePoly.from_univariate(poly, 1)
     for v in range(17):
         assert bx.evaluate(v, 9) == poly.evaluate(v)
         assert by.evaluate(9, v) == poly.evaluate(v)
 
 
 def test_bivariate_ring_ops():
-    a = BivariatePolynomial(F17, {(1, 0): 1})   # x
-    b = BivariatePolynomial(F17, {(0, 1): 1})   # y
+    a = MultivariatePoly(F17, 2, {(1, 0): 1})   # x
+    b = MultivariatePoly(F17, 2, {(0, 1): 1})   # y
     prod = a * b + a - b
     for x in range(17):
         for y in range(17):
             assert prod.evaluate(x, y).value == (x * y + x - y) % 17
     assert prod.total_degree == 2
+
+
+@pytest.mark.parametrize("num_vars", [2, 3])
+def test_multivariate_evaluate_matches_evaluate_array(num_vars):
+    """The metered scalar evaluate and the bulk evaluate_array agree, and
+    the scalar path counts two ops per term."""
+    rng = random.Random(40 + num_vars)
+    terms = {tuple(rng.randrange(4) for _ in range(num_vars)): rng.randrange(97)
+             for _ in range(12)}
+    mp = MultivariatePoly(F97, num_vars, terms)
+    points = [[rng.randrange(97) for _ in range(num_vars)] for _ in range(30)]
+    bulk = mp.evaluate_array([np.array(col, dtype=np.uint64)
+                              for col in zip(*points)])
+    for xs, want in zip(points, bulk):
+        before = F97.op_count
+        assert mp.evaluate(*xs).value == int(want)
+        assert F97.op_count - before == 2 * len(mp.terms)
+    with pytest.raises(UsageError):
+        mp.evaluate(*points[0][1:])
+
+
+def test_from_univariate_each_of_three_variables():
+    poly = Polynomial(F97, [5, 0, 7, 11])
+    rng = random.Random(9)
+    for var in range(3):
+        mp = MultivariatePoly.from_univariate(poly, var, num_vars=3)
+        assert mp.num_vars == 3 and mp.total_degree == 3
+        for _ in range(10):
+            xs = [rng.randrange(97) for _ in range(3)]
+            assert mp.evaluate(*xs) == poly.evaluate(xs[var])
+    with pytest.raises(UsageError):
+        MultivariatePoly.from_univariate(poly, 3, num_vars=3)
+    with pytest.raises(UsageError):   # mixed arities do not combine
+        mp * MultivariatePoly.from_univariate(poly, 0)

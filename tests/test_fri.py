@@ -72,6 +72,8 @@ def test_params_validation():
         fri.FriParams(dom, 3, 4)            # not a power of two
     with pytest.raises(UsageError):
         fri.FriParams(dom, 64, 4)           # rate above 1/2
+    with pytest.raises(UsageError):
+        fri.FriParams(dom, 8, 0)            # no query checks nothing
     params = fri.FriParams(dom, 8, 100)
     assert params.rounds == 3
     assert params.effective_queries() == 32

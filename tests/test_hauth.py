@@ -7,7 +7,7 @@ import pytest
 
 from vckit import hauth
 from vckit.errors import UsageError
-from vckit.field import DEFAULT_MODULUS, BivariatePolynomial, Field
+from vckit.field import DEFAULT_MODULUS, Field, Polynomial
 
 F = Field(DEFAULT_MODULUS)
 KEY = hauth.keygen(b"unit-test-key", F)
@@ -201,6 +201,61 @@ def test_group_lift_evaluates_like_polynomial():
     gp = hauth.group_lift(tag.poly)
     for x in (0, 1, 12345):
         assert gp.evaluate(x).exponent == tag.poly.evaluate(x)
+
+
+def _merge_level(cur, new):
+    # the per-coefficient level rule GroupPolynomial.mul once tracked: a
+    # coefficient mixing base and target contributions is promoted to target
+    if cur is None:
+        return new
+    if new is None:
+        return cur
+    return cur if cur == new else hauth.TARGET
+
+
+def _tracked_levels(x, y):
+    """Product levels by merging every term's level, None for the clear
+    coefficient."""
+    alev = [None] + [e.level for e in x.rest]
+    blev = [None] + [e.level for e in y.rest]
+    levels = [None] * (len(alev) + len(blev) - 1)
+    for i, al in enumerate(alev):
+        for j, bl in enumerate(blev):
+            term = (None if al is None and bl is None
+                    else hauth.TARGET if al is not None and bl is not None
+                    else hauth.BASE)
+            levels[i + j] = _merge_level(levels[i + j], term)
+    return levels
+
+
+@pytest.mark.parametrize("da", range(4))
+@pytest.mark.parametrize("db", range(4))
+def test_group_mul_levels_match_tracked_rule(da, db):
+    """Derived product levels equal the tracked merge rule for factor
+    degrees 0-3; the exponents are the polynomial product's coefficients
+    and the multiplication costs two ops per coefficient pair."""
+    rng = random.Random(100 * da + db)
+
+    def poly(d):
+        return Polynomial(F, [rng.randrange(F.modulus)
+                              for _ in range(d)] + [1])
+
+    pa, pb = poly(da), poly(db)
+    x, y = hauth.group_lift(pa), hauth.group_lift(pb)
+    before = F.op_count
+    prod = x.mul(y)
+    assert F.op_count - before == 2 * (da + 1) * (db + 1)
+    levels = _tracked_levels(x, y)
+    assert levels[0] is None
+    assert [e.level for e in prod.rest] == [l or hauth.BASE
+                                           for l in levels[1:]]
+    if da == 0 or db == 0:
+        assert all(e.level == hauth.BASE for e in prod.rest)
+    want = pa * pb
+    assert prod.clear0 == want.coefficient(0)
+    assert [e.exponent for e in prod.rest] == [
+        want.coefficient(k) for k in range(1, da + db + 1)]
+    assert prod.used_pairing
 
 
 def test_group_first_coefficient_stays_clear():

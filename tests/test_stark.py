@@ -199,6 +199,12 @@ def test_wrong_statement_rejected():
     assert not stark.verify(proof, other, params, F)
 
 
+@pytest.mark.parametrize("blowup, queries", [(2, 8), (6, 8), (8, 0), (8, -1)])
+def test_params_validation(blowup, queries):
+    with pytest.raises(UsageError):
+        stark.StarkParams(blowup, queries)
+
+
 def test_proof_serialize_roundtrip():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
