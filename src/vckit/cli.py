@@ -15,8 +15,7 @@ import numpy as np
 from . import fri as fri_mod
 from . import hauth, stark, vdf
 from .encoding import Reader, bytes_lp, u8, u32, u64
-from .errors import (ConstraintViolation, InternalError, UsageError,
-                     VerifyResult)
+from .errors import ConstraintViolation, UsageError, VerifyResult
 from .field import DEFAULT_MODULUS, Field, Polynomial
 from .transcript import Transcript
 
@@ -89,7 +88,7 @@ def load_json(source, what, fields=None):
 
 
 def get_field(args) -> Field:
-    modulus = getattr(args, "modulus", None) or DEFAULT_MODULUS
+    modulus = DEFAULT_MODULUS if args.modulus is None else args.modulus
     if modulus not in VETTED_MODULI:
         raise UsageError(f"modulus {modulus} is not on the vetted list")
     return Field(modulus)
@@ -189,6 +188,8 @@ def cmd_hauth(args):
 
 def estimate_delay(seconds: float, n_modulus: int) -> int:
     """Map a wall-clock target to a squaring count by measuring throughput."""
+    if not 0 < seconds < float("inf"):
+        raise UsageError("--delay-seconds must be positive and finite")
     x = 0x1234567 % n_modulus
     count, start = 0, time.perf_counter()
     while time.perf_counter() - start < 0.2:
@@ -204,7 +205,7 @@ def cmd_vdf(args):
         params, trapdoor = vdf.setup(args.bits, _from_hex(args.seed, "--seed"),
                                      delay=args.delay or 0,
                                      security_bits=args.security)
-        if args.delay_seconds:
+        if args.delay_seconds is not None:
             delay = estimate_delay(args.delay_seconds, params.n_modulus)
             params = vdf.VdfParams(params.n_modulus, delay,
                                    params.security_bits)
@@ -504,9 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = vd.add_parser("setup")
     ps.add_argument("--bits", type=int, default=16)
     ps.add_argument("--seed", required=True)
-    ps.add_argument("-T", "--delay", type=int)
-    ps.add_argument("--delay-seconds", type=float,
-                    help="calibrate T from a wall-clock target")
+    delay = ps.add_mutually_exclusive_group(required=True)
+    delay.add_argument("-T", "--delay", type=int)
+    delay.add_argument("--delay-seconds", type=float,
+                       help="calibrate T from a wall-clock target")
     ps.add_argument("--security", type=int, default=16)
     ps.add_argument("-o", "--output", required=True)
     for name in ("eval", "prove", "beacon"):
@@ -590,9 +592,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

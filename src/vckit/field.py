@@ -33,7 +33,7 @@ class Field:
             # products of two reduced values must fit in a uint64
             raise UsageError(f"modulus {modulus} is not below 2^32")
         if modulus not in _VERIFIED_MODULI:
-            if not is_prime(modulus, rounds=40):
+            if not is_prime(modulus):
                 raise UsageError(f"modulus {modulus} is not prime")
             _VERIFIED_MODULI.add(modulus)
         self.modulus = modulus
@@ -299,9 +299,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __call__(self, x) -> FieldElement:
-        return self.evaluate(x)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized Horner over a uint64 point array (unmetered bulk path)."""

@@ -55,11 +55,8 @@ class Tag:
     key_fp: Optional[bytes] = None
 
 
-def keygen(seed: bytes, field: Field = None) -> AuthKey:
+def keygen(seed: bytes, field: Field) -> AuthKey:
     """Deterministic key from seed: nonzero sk by rejection, independent PRF key."""
-    if field is None:
-        from .field import DEFAULT_MODULUS
-        field = Field(DEFAULT_MODULUS)
     mask = (1 << field.modulus.bit_length()) - 1
     ctr = 0
     while True:

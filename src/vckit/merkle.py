@@ -1,9 +1,10 @@
 """Binary Merkle-tree vector commitments with authentication paths.
 
-Leaf and node hashes are domain-separated (0x00 / 0x01 prefixes); odd leaf
-counts are padded by duplicating the final leaf.  Every hash starts from a
-copy of a SHA-256 state already fed its prefix, so the tree build hashes
-each level in one loop with no per-hash function call or concatenation.
+Leaf and node hashes are domain-separated (0x00 / 0x01 prefixes); a tree
+has 2^k >= 2 leaves, so no padding can give two leaf vectors one root.
+Every hash starts from a copy of a SHA-256 state already fed its prefix, so
+the tree build hashes each level in one loop with no per-hash function call
+or concatenation.
 """
 
 import hashlib
@@ -64,15 +65,10 @@ class MerkleTree:
 
     def __init__(self, leaves):
         leaves = list(leaves)
-        if not leaves:
-            raise UsageError("a Merkle tree needs at least one leaf")
-        self.num_leaves = len(leaves)
-        padded = 1
-        while padded < len(leaves):
-            padded *= 2
-        leaves = leaves + [leaves[-1]] * (padded - len(leaves))
-        if len(leaves) == 1:
-            leaves = leaves * 2  # single leaf still hashes one internal node
+        n = len(leaves)
+        if n < 2 or n & (n - 1):
+            raise UsageError(f"a Merkle tree needs 2^k >= 2 leaves, not {n}")
+        self.num_leaves = n
         # leaf_hash and node_hash, inlined: one loop per level
         copy = _LEAF_STATE.copy
         level = []

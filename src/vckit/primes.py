@@ -4,9 +4,8 @@ Below 3.3e24 the test is deterministic and exact: the bases {2, 7, 61}
 decide every n < 4 759 123 141 (Jaeschke 1993), which covers every 32-bit
 challenge prime, and the first 13 primes decide every
 n < 3 317 044 064 679 887 385 961 981 (Sorenson & Webster 2015).  Above
-that, bases are drawn from a PRNG seeded with the candidate itself, so
-results are deterministic across runs and platforms for a fixed round
-count.
+that, _RANDOM_ROUNDS bases are drawn from a PRNG seeded with the candidate
+itself, so results are deterministic across runs and platforms.
 """
 
 import random
@@ -23,6 +22,8 @@ _DETERMINISTIC_BASES = [
     (3_317_044_064_679_887_385_961_981, tuple(_sieve_primes[:13])),
 ]
 
+_RANDOM_ROUNDS = 40  # random bases drawn above both bounds
+
 
 def _strong_probable_prime(n: int, d: int, s: int, a: int) -> bool:
     """Miller-Rabin round for n - 1 = d * 2^s with base a."""
@@ -36,9 +37,9 @@ def _strong_probable_prime(n: int, d: int, s: int, a: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = 40) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin after small-prime sieving: exact with fixed bases below
-    3.3e24, `rounds` random bases above."""
+    3.3e24, _RANDOM_ROUNDS random bases above."""
     if n < 2:
         return False
     for p in _sieve_primes:
@@ -56,5 +57,5 @@ def is_prime(n: int, rounds: int = 40) -> bool:
             break
     else:
         rng = random.Random(n)
-        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = (rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS))
     return all(_strong_probable_prime(n, d, s, a) for a in bases)

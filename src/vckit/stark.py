@@ -238,13 +238,10 @@ class StarkProof:
 # ---------------------------------------------------------------------------
 # reference trace and constraints
 
-def trace_fibonacci(n: int, field: Field = None) -> TraceTable:
+def trace_fibonacci(n: int, field: Field) -> TraceTable:
     """Single-column Fibonacci trace of n rows, zero-padded to a power of two."""
     if n < 2:
         raise UsageError("need at least the two seed rows")
-    if field is None:
-        from .field import DEFAULT_MODULUS
-        field = Field(DEFAULT_MODULUS)
     p = field.modulus
     rows = [1, 1]
     while len(rows) < n:
@@ -257,12 +254,9 @@ def trace_fibonacci(n: int, field: Field = None) -> TraceTable:
     return TraceTable([rows], n, field)
 
 
-def fibonacci_constraint_system(n: int, field: Field = None) -> ConstraintSystem:
+def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
     """Seed rows pinned to 1, output row pinned to fib(n-1), and the
     window-3 recurrence on every interior row."""
-    if field is None:
-        from .field import DEFAULT_MODULUS
-        field = Field(DEFAULT_MODULUS)
     p = field.modulus
     a, b = 1, 1
     for _ in range(n - 2):
@@ -556,13 +550,10 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
 
 def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
-           field: Field = None) -> VerifyResult:
+           field: Field) -> VerifyResult:
     """Replay the transcript, check every opening, re-derive each query's
     constraint combination and compare with the FRI layer-0 value, then
     check the FRI low-degree proof."""
-    if field is None:
-        from .field import DEFAULT_MODULUS
-        field = Field(DEFAULT_MODULUS)
     if proof.cs_digest != cs.digest():
         return VerifyResult.reject("constraint-system digest mismatch")
     if proof.blowup != params.blowup or proof.num_queries != params.num_queries:

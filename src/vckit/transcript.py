@@ -78,12 +78,12 @@ class Transcript:
 
     def challenge_prime(self, bits: int) -> int:
         """Prime of exactly `bits` bits: masked draw, top bit forced, then
-        incremented until Miller-Rabin (40 rounds) passes."""
+        incremented until `is_prime` passes."""
         if bits < 16:
             raise UsageError("prime challenges need at least 16 bits")
         raw = int.from_bytes(self.challenge_bytes((bits + 7) // 8), "big")
         v = (raw & ((1 << bits) - 1)) | (1 << (bits - 1)) | 1
-        while not is_prime(v, rounds=40):
+        while not is_prime(v):
             v += 2
         if v.bit_length() != bits:
             raise InternalError("prime search overflowed the bit budget")

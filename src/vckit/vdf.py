@@ -36,6 +36,8 @@ class VdfParams:
             raise UsageError("modulus too small")
         if self.delay < 0:
             raise UsageError("delay must be non-negative")
+        if self.security_bits < 8:  # challenge primes need 2*lambda >= 16 bits
+            raise UsageError("security must be at least 8 bits")
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,24 @@ def _prime_from_seed(seed: bytes, bits: int, counter: int) -> int:
         block += 1
     v = int.from_bytes(stream[:nbytes], "big")
     v = (v & ((1 << bits) - 1)) | (1 << (bits - 1)) | 1
-    while not is_prime(v, rounds=40):
+    while not is_prime(v):
         v += 2
     return v
 
 
 def setup(prime_bits: int, seed: bytes, delay: int = 0,
           security_bits: int = 16):
-    """Deterministic-per-seed RSA-style modulus from two distinct primes."""
+    """Deterministic-per-seed RSA-style modulus from two distinct primes of
+    exactly prime_bits bits, each from the next counter that yields one."""
     if prime_bits < 8:
         raise UsageError("prime_bits must be at least 8")
-    p = _prime_from_seed(seed, prime_bits, 0)
-    counter = 1
-    q = _prime_from_seed(seed, prime_bits, counter)
-    while q == p:
+    primes, counter = [], 0
+    while len(primes) < 2:
+        v = _prime_from_seed(seed, prime_bits, counter)
         counter += 1
-        q = _prime_from_seed(seed, prime_bits, counter)
+        if v.bit_length() == prime_bits and v not in primes:
+            primes.append(v)
+    p, q = primes
     params = VdfParams(p * q, delay, security_bits)
     return params, TrapdoorKey(p, q)
 
@@ -200,7 +204,7 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
     plus T more when the checkpoints are not in the memo.  No knowledge of
     phi(N) is needed.
     """
-    if r < 3 or not is_prime(r, rounds=40):
+    if r < 3 or not is_prime(r):
         raise UsageError("challenge must be a prime >= 3")
     n = params.n_modulus
     _require_unit(x_prime, n)
@@ -230,33 +234,21 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
 
 def counting_modpow(base: int, exponent: int, n: int,
                     counters: VdfCounters = None) -> int:
-    """Square-and-multiply with a per-multiplication meter."""
-    if exponent == 0:
-        return 1 % n
-    result = base % n
-    for i in range(exponent.bit_length() - 2, -1, -1):
-        result = result * result % n
-        if counters is not None:
-            counters.multiplications += 1
-        if (exponent >> i) & 1:
-            result = result * base % n
-            if counters is not None:
-                counters.multiplications += 1
-    return result
+    """pow, metered as square-and-multiply: a squaring per bit below the
+    top bit and a multiplication per set bit below it."""
+    if counters is not None and exponent:
+        counters.multiplications += (exponent.bit_length()
+                                     + exponent.bit_count() - 2)
+    return pow(base, exponent, n)
 
 
-def challenge_transcript(params: VdfParams, x_prime: int, y: int) -> Transcript:
+def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:
     t = Transcript("vdf")
     t.absorb_int(b"N", params.n_modulus)
     t.absorb_int(b"T", params.delay)
     t.absorb_int(b"x", x_prime)
     t.absorb_int(b"y", y)
-    return t
-
-
-def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:
-    return challenge_transcript(params, x_prime, y).challenge_prime(
-        2 * params.security_bits)
+    return t.challenge_prime(2 * params.security_bits)
 
 
 def verify(params: VdfParams, x_prime: int, proof: VdfProof,

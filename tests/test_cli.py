@@ -2,6 +2,8 @@
 
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,35 @@ def test_vdf_trapdoor_agrees(tmp_path, capsys):
     assert slow == fast
 
 
+@pytest.mark.parametrize("extra", [
+    [],
+    ["-T", "8", "--delay-seconds", "1"],
+    ["--delay-seconds", "0"],
+    ["--delay-seconds", "-1"],
+    ["--delay-seconds", "nan"],
+    ["--delay-seconds", "inf"],
+    ["-T", "64", "--security", "0"],
+    ["-T", "64", "--security", "7"]])
+def test_vdf_setup_bad_delay_or_security(tmp_path, extra):
+    """Setup needs exactly one delay, a wall-clock target that is positive
+    and finite, and a security level whose 2*lambda-bit challenge primes
+    `vdf beacon` can draw; otherwise it writes no params file."""
+    params = tmp_path / "params.json"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
+                "-o", str(params)] + extra) == 2
+    assert not params.exists()
+
+
+def test_vdf_setup_primes_keep_their_bit_length(tmp_path):
+    """This seed's upward prime search passes 2^16 (to 65537)."""
+    params = tmp_path / "params.json"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "353536",
+                "-T", "10", "-o", str(params)]) == 0
+    raw = json.loads(params.read_text())
+    assert raw["p"].bit_length() == raw["q"].bit_length() == 16
+    assert raw["N"] == raw["p"] * raw["q"]
+
+
 def test_fri_prove_verify(tmp_path):
     proof = str(tmp_path / "fri.bin")
     assert run(["fri", "prove", "--domain", "64", "--degree", "8",
@@ -154,7 +185,8 @@ def test_usage_errors(tmp_path):
     assert run(["hauth", "keygen", "--seed", "xyz",
                 "-o", str(tmp_path / "k.json")]) == 2
     params = str(tmp_path / "params.json")
-    run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-o", params])
+    run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "8",
+         "-o", params])
     assert run(["vdf", "verify", "--params", params, "--input", "00",
                 str(tmp_path / "missing.bin")]) == 2
     assert run(["--modulus", "15", "fri", "demo"]) == 2
@@ -207,7 +239,8 @@ def test_bad_config_file(tmp_path, content):
     ["bench", "fri-soundness", "--trials", "0"],
     ["bench", "fri-soundness", "--trials", "-1"],
     ["bench", "stark-mutation", "--trials", "0"],
-    ["bench", "stark-mutation", "--trials", "-1"]])
+    ["bench", "stark-mutation", "--trials", "-1"],
+    ["--modulus", "0", "fri", "demo"]])
 def test_bad_numeric_arguments(tmp_path, argv):
     assert run(argv + (["-o", str(tmp_path / "s.bin")]
                        if argv[0] == "stark" else [])) == 2
@@ -333,3 +366,29 @@ def test_tag_file_with_trailing_byte_rejected(tmp_path, circuit_file):
     with open(out, "ab") as fh:
         fh.write(b"\x00")
     assert run(verify) == 2
+
+
+def _readme_cli_lines():
+    """The shell lines of the README's CLI block, `\\` continuations
+    joined, comments and blank lines dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every `vckit` line of the README's CLI block exits 0, run in order
+    in a fresh directory; the block's `echo ... > file` writes the file."""
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert sum(line.startswith("vckit ") for line in lines) >= 15
+    for line in lines:
+        words = shlex.split(line)
+        if words[0] == "echo":
+            assert words[2] == ">" and len(words) == 4, line
+            Path(words[3]).write_text(words[1] + "\n")
+            continue
+        assert words[0] == "vckit", line
+        assert run(words[1:]) == 0, line

@@ -1,5 +1,6 @@
 """FRI tests with small-field oracles for split and fold."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from vckit import fri
 from vckit.encoding import Reader, bytes_lp, u64
 from vckit.errors import InternalError, UsageError
+from vckit.merkle import AuthPath
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          Polynomial)
 from vckit.transcript import Transcript
@@ -318,3 +320,27 @@ def test_malformed_query_bundle_rejected():
                 layers.append(layers[-1])
             v = fri.verify(proof, params, Transcript("t"))
             assert not v and v.reason == "malformed query bundle"
+
+
+def test_wrong_number_of_layer_roots_rejected():
+    """One root dropped or one added: the list is not empty, but its
+    length is not the number of folding rounds."""
+    evals, params = _proof_64()
+    proof = fri.prove(evals, params, Transcript("t"))
+    roots = proof.layer_roots
+    for forged in (roots[:-1], roots + roots[-1:]):
+        assert forged
+        v = fri.verify(dataclasses.replace(proof, layer_roots=forged),
+                       params, Transcript("t"))
+        assert not v and v.reason == "wrong number of layer roots"
+
+
+def test_pair_path_without_siblings_rejected():
+    evals, params = _proof_64()
+    for layer in range(params.rounds):
+        proof = fri.prove(evals, params, Transcript("t"))
+        layers = proof.queries[0].layers
+        layers[layer] = dataclasses.replace(
+            layers[layer], path=AuthPath(layers[layer].path.leaf_index, []))
+        v = fri.verify(proof, params, Transcript("t"))
+        assert not v and v.reason == f"layer {layer}: bad opening"

@@ -1,13 +1,14 @@
 """Homomorphic authenticator tests: tag laws, circuits, amortization,
 two-party tags and the instrumented group."""
 
+import dataclasses
 import random
 
 import pytest
 
 from vckit import hauth
 from vckit.errors import UsageError
-from vckit.field import DEFAULT_MODULUS, Field, Polynomial
+from vckit.field import DEFAULT_MODULUS, Field, MultivariatePoly, Polynomial
 
 F = Field(DEFAULT_MODULUS)
 KEY = hauth.keygen(b"unit-test-key", F)
@@ -157,6 +158,33 @@ def test_multikey_roundtrip():
     assert hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 13)
     v = hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 14)
     assert not v and v.reason == "output-check"
+
+
+def _multikey_forgery(pad_terms):
+    """The honest tag of test_multikey_roundtrip plus a padding term."""
+    keys = (KEY, KEY2)
+    circ = hauth.Circuit(2, (hauth.Gate("mul", 0, 1),
+                             hauth.Gate("addc", 2, const=1)))
+    la, lb = lab(b"alice"), lab(b"bob")
+    out = hauth.eval_tags(circ, [hauth.auth_mk(keys, 3, la, slot=0),
+                                 hauth.auth_mk(keys, 4, lb, slot=1)])
+    pad = MultivariatePoly(F, 2, pad_terms)
+    forged = dataclasses.replace(out, poly=out.poly + pad)
+    return hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], forged, 13)
+
+
+def test_multikey_degree_check_rejects_padded_tag():
+    """x^3 y (x - sk1) vanishes at (0, 0) and (sk1, sk2), so only the
+    degree (5, above twice the circuit's 2) gives the forgery away."""
+    v = _multikey_forgery({(4, 1): 1, (3, 1): -KEY.sk.value})
+    assert not v and v.reason == "degree-check"
+
+
+def test_multikey_key_check_rejects_shifted_tag():
+    """Adding x keeps the degree and the output at (0, 0), but moves the
+    value at (sk1, sk2)."""
+    v = _multikey_forgery({(1, 0): 1})
+    assert not v and v.reason == "key-check"
 
 
 def test_multikey_substitution_oracle():

@@ -594,6 +594,62 @@ def test_fri_proof_without_layer_roots_rejected():
     assert not verdict and verdict.reason == "fri: no layer roots"
 
 
+@pytest.mark.parametrize("change", [{"trace_length": 3},
+                                    {"original_length": 1},
+                                    {"original_length": 9}])
+def test_malformed_header_rejected(change):
+    """A trace length that is not a power of two, or an original length
+    below the two seed rows or above the trace length."""
+    proof, cs, params = _fib8_proof()
+    verdict = stark.verify(dataclasses.replace(proof, **change), cs, params, F)
+    assert not verdict and verdict.reason == "malformed header"
+
+
+def test_composition_root_mismatch_rejected():
+    proof, cs, params = _fib8_proof()
+    forged = dataclasses.replace(proof, composition_root=bytes(32))
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict and verdict.reason == "composition root mismatch"
+
+
+def test_fri_layer_root_dropped_rejected():
+    """The last FRI root dropped: layer 0 still matches the composition
+    root, and FRI refuses the root count."""
+    proof, cs, params = _fib8_proof()
+    roots = proof.fri_proof.layer_roots[:-1]
+    assert roots
+    forged = dataclasses.replace(
+        proof, fri_proof=dataclasses.replace(proof.fri_proof,
+                                             layer_roots=roots))
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict and verdict.reason == "fri: wrong number of layer roots"
+
+
+def _with_last_bundle(proof, change):
+    """proof with its last query's trace-opening bundle changed."""
+    openings = list(proof.trace_openings)
+    openings[-1] = change(openings[-1])
+    return dataclasses.replace(proof, trace_openings=openings)
+
+
+def test_trace_bundle_shape_rejected():
+    """One bundle too few, a window one row short, a row one value wide
+    too many: each named, the last two by their query."""
+    proof, cs, params = _fib8_proof()
+    last = len(proof.trace_openings) - 1
+    forged = {
+        "query bundle count mismatch": dataclasses.replace(
+            proof, trace_openings=proof.trace_openings[:-1]),
+        f"query {last}: window truncated": _with_last_bundle(
+            proof, lambda bundle: bundle[:-1]),
+        f"query {last}: bad row width": _with_last_bundle(
+            proof, lambda bundle: [(values + [0], path)
+                                   for values, path in bundle])}
+    for reason, bad in forged.items():
+        verdict = stark.verify(bad, cs, params, F)
+        assert not verdict and verdict.reason == reason
+
+
 def test_non_canonical_trace_values_rejected():
     """Opened trace values must be below p: a trace tree committing to
     value + p in every cell, with an honest composition, is rejected."""

@@ -123,6 +123,55 @@ def test_counting_modpow_matches_pow():
         assert vdf.counting_modpow(base, e, n) == pow(base, e, n)
 
 
+def test_counting_modpow_meter_matches_square_and_multiply():
+    """pow's result, metered with the square-and-multiply count: exponent
+    0 and 1, powers of two, all-ones runs, the verifier's 32-bit challenge
+    sizes and 2000 random exponents up to 300 bits."""
+    rng = random.Random(11)
+    exponents = [0, 1, 2, 3, 4, 2**31, 2**32 - 1, 2**100 + 1]
+    exponents += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(2000)]
+    n = 1000003 * 998244353
+    for e in exponents:
+        base = rng.randrange(n)
+        counters = vdf.VdfCounters()
+        value = vdf.counting_modpow(base, e, n, counters)
+        assert (value, counters.multiplications) == \
+            oracle.square_and_multiply(base, e, n)
+        assert counters.squarings == 0
+
+
+def test_setup_primes_have_exactly_the_requested_bits():
+    """The upward prime search from a draw can pass 2^bits: seed b"556"
+    reached p = 65537 at 16 bits and b"s15" q = 257 at 8 bits.  Such a
+    prime is skipped for the next counter's draw."""
+    _, key = vdf.setup(16, b"556")
+    assert key.p.bit_length() == key.q.bit_length() == 16
+    assert 65537 not in (key.p, key.q)
+    _, key = vdf.setup(8, b"s15")
+    assert 257 not in (key.p, key.q)
+    for i in range(200):
+        params, key = vdf.setup(8, b"s%d" % i)
+        assert key.p.bit_length() == key.q.bit_length() == 8
+        assert key.p != key.q and is_prime(key.p) and is_prime(key.q)
+        assert params.n_modulus == key.p * key.q
+
+
+@pytest.mark.parametrize("security", [-1, 0, 7])
+def test_security_below_eight_bits_refused(security):
+    """Challenge primes have 2*lambda bits and need at least 16."""
+    with pytest.raises(UsageError, match="security"):
+        vdf.VdfParams(35, 3, security)
+    with pytest.raises(UsageError, match="security"):
+        vdf.setup(16, b"sec", delay=3, security_bits=security)
+
+
+def test_eight_bit_security_round_trips():
+    params, _ = vdf.setup(16, b"sec", delay=16, security_bits=8)
+    x, proof = vdf.vdf_round(params, b"m")
+    assert proof.r.bit_length() == 16
+    assert vdf.verify(params, x, proof)
+
+
 def test_serialize_roundtrip():
     params, _ = vdf.setup(16, b"ser", delay=40)
     x, proof = vdf.vdf_round(params, b"m")

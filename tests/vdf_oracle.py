@@ -22,3 +22,18 @@ def long_division_prove(params, x_prime, r):
         if bit:
             pi = pi * x_prime % n
     return vdf._normalize(pi, n)
+
+
+def square_and_multiply(base, exponent, n):
+    """(base^exponent mod n, multiplications) by left-to-right
+    square-and-multiply, the meter `vckit.vdf.counting_modpow` reports."""
+    if exponent == 0:
+        return 1 % n, 0
+    result, count = base % n, 0
+    for i in range(exponent.bit_length() - 2, -1, -1):
+        result = result * result % n
+        count += 1
+        if (exponent >> i) & 1:
+            result = result * base % n
+            count += 1
+    return result, count
