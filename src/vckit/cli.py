@@ -87,8 +87,9 @@ def load_json(source, what, fields=None):
     return _require(doc, what, fields) if fields else doc
 
 
-def get_field(args) -> Field:
-    modulus = DEFAULT_MODULUS if args.modulus is None else args.modulus
+def get_field(modulus) -> Field:
+    """The field of a vetted modulus, the default one for None."""
+    modulus = DEFAULT_MODULUS if modulus is None else modulus
     if modulus not in VETTED_MODULI:
         raise UsageError(f"modulus {modulus} is not on the vetted list")
     return Field(modulus)
@@ -151,8 +152,8 @@ def load_tag(path, field) -> hauth.Tag:
 
 
 def cmd_hauth(args):
-    field = get_field(args)
     if args.cmd == "keygen":
+        field = get_field(args.modulus)
         key = hauth.keygen(_from_hex(args.seed, "--seed"), field)
         with open(args.output, "w") as fh:
             json.dump({"sk": key.sk.value, "prf_key": key.prf_key.key.hex(),
@@ -161,7 +162,11 @@ def cmd_hauth(args):
         return EXIT_OK
     raw = load_json(args.key, "key file",
                     {"sk": int, "prf_key": str, "modulus": int})
-    field = Field(raw["modulus"])
+    # the key fixes the field: --modulus may only repeat it
+    if args.modulus is not None and args.modulus != raw["modulus"]:
+        raise UsageError(f"--modulus {args.modulus} differs from the key "
+                         f"file's modulus {raw['modulus']}")
+    field = get_field(raw["modulus"])
     key = hauth.AuthKey(field(raw["sk"]), hauth.PrfKey(
         _from_hex(raw["prf_key"], "key file 'prf_key'")))
     if args.cmd == "auth":
@@ -202,6 +207,9 @@ def estimate_delay(seconds: float, n_modulus: int) -> int:
 
 def cmd_vdf(args):
     if args.cmd == "setup":
+        if args.delay is not None and args.delay < 1:
+            raise UsageError("-T must be at least 1: with no squaring there "
+                             "is no delay")
         params, trapdoor = vdf.setup(args.bits, _from_hex(args.seed, "--seed"),
                                      delay=args.delay or 0,
                                      security_bits=args.security)
@@ -260,13 +268,18 @@ FRI_FILE_MAGIC = b"VCKp"
 
 
 def cmd_fri(args):
-    field = get_field(args)
+    field = get_field(args.modulus)
     if args.cmd == "demo":
-        print("FRI folds a committed evaluation table log2(d) times;")
+        params = fri_mod.FriParams(
+            stark.EvaluationDomain.subgroup(field, args.domain),
+            args.degree, 1)
+        print("FRI commits each layer with one leaf per folding coset and "
+              "folds it by 4 (by 2 in an odd last round);")
         size, d = args.domain, args.degree
-        while d > 1:
-            print(f"  layer of {size} evaluations, degree bound {d}")
-            size, d = size // 2, d // 2
+        for arity in params.arities:
+            print(f"  layer of {size} evaluations, degree bound {d}: "
+                  f"{size // arity} leaves of {arity} values")
+            size, d = size // arity, d // arity
         print(f"  final layer of {size} evaluations: a single constant")
         return EXIT_OK
     if args.cmd == "prove":
@@ -331,7 +344,7 @@ def build_program(name: str, length: int, field, boundary_json=None):
 
 
 def cmd_stark(args):
-    field = get_field(args)
+    field = get_field(args.modulus)
     if args.cmd == "prove":
         boundary = None
         if args.boundary_json:
@@ -462,7 +475,7 @@ def bench_stark_mutation(args, field):
 
 
 def cmd_bench(args):
-    field = get_field(args)
+    field = get_field(args.modulus)
     if getattr(args, "trials", 1) < 1:
         raise UsageError("need at least one trial")
     return {"2poly": bench_2poly, "vdf-asymmetry": bench_vdf_asymmetry,

@@ -37,6 +37,16 @@ def int_lp(v: int) -> bytes:
     return bytes_lp(raw)
 
 
+def read_magic(reader: "Reader", magic: bytes, what: str):
+    """Consume magic, a 4-byte format tag then a format version byte,
+    refusing another tag or another version."""
+    if reader.take(4) != magic[:4]:
+        raise UsageError(f"not a {what} proof")
+    version = reader.u8()
+    if version != magic[4]:
+        raise UsageError(f"unsupported {what} proof format version {version}")
+
+
 class Reader:
     """Cursor over a byte string; raises UsageError on truncation."""
 

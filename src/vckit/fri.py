@@ -1,14 +1,24 @@
 """Fast Reed-Solomon IOP of Proximity: commit-phase folding plus the
 query-phase consistency check.
 
-Layer i lives on the 2^i-fold squared image of the starting domain.  Each
-layer's evaluations are committed with a paired-leaf Merkle layout: the
-values at alpha and -alpha (indices j and j + size/2) sit in adjacent
-leaves, so a single authentication path covers both.
+Each round folds by 4.  Write f(x) = sum over r < 4 of x^r f_r(x^4); the
+round draws one challenge beta and the next layer holds sum_r beta^r f_r
+on the image of the layer's domain under x -> x^4.  When log2 of the
+degree bound is odd, the last round folds by 2 (f_0 + beta f_1 on the
+squared domain), so the final layer is always one constant.
 
-One kernel, _fold, folds (alpha, -alpha) pairs: the prover's whole layer
-at once, and the verifier's opened pairs of all queries at once, layer
-by layer.
+A layer of m values is committed with one leaf per folding coset: leaf c
+holds, as u64s, the values at indices c, c + m/4, c + m/2 and c + 3m/4,
+the points x_c * {1, i, -1, -i} that fold to x_c^4 (two values, at
++-x_c, in a 2-fold round).  One authentication path covers a query's
+whole coset.  Query positions are drawn from all of the first domain;
+on each layer the verifier opens the coset holding the position, checks
+that the position's slot equals the previous layer's fold, and folds.
+
+One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 4 takes two
+of its calls, with beta and then beta^2 (_fold_cosets).  The prover folds
+its whole layer at once, the verifier the opened cosets of all queries
+at once, layer by layer.
 """
 
 from dataclasses import dataclass
@@ -16,14 +26,17 @@ from typing import List
 
 import numpy as np
 
-from .encoding import Reader, bytes_lp, u8, u32, u64, u64_rows
+from .encoding import (Reader, bytes_lp, read_magic, u8, u32, u64,
+                       u64_rows)
 from .errors import InternalError, UsageError, VerifyResult
 from .field import (EvaluationDomain, FieldElement, _inverse_array,
                     _power_array)
-from .merkle import AuthPath, MerkleTree, leaf_hash, verify_path
+from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, Transcript
 
-PROOF_MAGIC = b"VCKF"
+PROOF_VERSION = 2
+# Every proof starts with the magic and then the format version byte.
+PROOF_MAGIC = b"VCKF" + u8(PROOF_VERSION)
 
 
 @dataclass(frozen=True)
@@ -44,24 +57,30 @@ class FriParams:
             raise UsageError("need at least one query")
 
     @property
+    def arities(self) -> List[int]:
+        """The folding factor of each round: 4, and 2 for the last round
+        when log2 of the degree bound is odd."""
+        log_d = self.degree_bound.bit_length() - 1
+        return [4] * (log_d // 2) + [2] * (log_d % 2)
+
+    @property
     def rounds(self) -> int:
-        return self.degree_bound.bit_length() - 1
+        return len(self.arities)
 
     def effective_queries(self) -> int:
-        # queries are drawn without replacement from [0, |D|/2)
-        return min(self.num_queries, self.domain.size // 2)
+        # positions are drawn without replacement from [0, |D|)
+        return min(self.num_queries, self.domain.size)
 
 
 @dataclass
 class FriQueryLayer:
-    value: int        # f(alpha)
-    value_neg: int    # f(-alpha)
+    values: List[int]   # the coset holding the position, in slot order
     path: AuthPath
 
 
 @dataclass
 class FriQuery:
-    index: int                     # base index in [0, |D|/2)
+    index: int                     # position in [0, |D|)
     layers: List[FriQueryLayer]
 
 
@@ -80,17 +99,17 @@ class FriProof:
             out.append(u32(q.index))
             out.append(u32(len(q.layers)))
             for ql in q.layers:
-                out.append(u64(ql.value))
-                out.append(u64(ql.value_neg))
+                out.append(u8(len(ql.values)))
+                out += [u64(v) for v in ql.values]
                 out.append(bytes_lp(ql.path.serialize()))
         return b"".join(out)
 
     @staticmethod
     def deserialize(data) -> "FriProof":
-        """Decode a proof that fills all of data (bytes or a Reader)."""
+        """Decode a proof that fills all of data (bytes or a Reader).  An
+        opened coset has 4 values, or 2 on a query's last layer."""
         reader = data if isinstance(data, Reader) else Reader(data)
-        if reader.take(4) != PROOF_MAGIC:
-            raise UsageError("not a FRI proof")
+        read_magic(reader, PROOF_MAGIC, "FRI")
         if reader.u8() != HASH_ID:
             raise UsageError("unsupported hash algorithm id")
         roots = [reader.take(32) for _ in range(reader.u32())]
@@ -99,11 +118,15 @@ class FriProof:
         for _ in range(reader.u32()):
             idx = reader.u32()
             layers = []
-            for _ in range(reader.u32()):
-                v = reader.u64()
-                vn = reader.u64()
+            num_layers = reader.u32()
+            for k in range(num_layers):
+                width = reader.u8()
+                if width != 4 and (width != 2 or k + 1 < num_layers):
+                    raise UsageError(f"opened coset of width {width} on "
+                                     f"layer {k}")
+                values = [reader.u64() for _ in range(width)]
                 layers.append(FriQueryLayer(
-                    v, vn, AuthPath.from_bytes(reader.bytes_lp())))
+                    values, AuthPath.from_bytes(reader.bytes_lp())))
             queries.append(FriQuery(idx, layers))
         reader.finish()
         return FriProof(roots, final_value, queries)
@@ -120,9 +143,39 @@ def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
     return (even + odd * np.uint64(x0)) % mod
 
 
-def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
-    """One folding round: _fold over each pair (alpha, -alpha), which sit
-    in the two halves of the layer."""
+def _fold_cosets(rows, x_inv, root_inv: int, beta: int,
+                 p: int) -> np.ndarray:
+    """Fold cosets of k = len(rows) points, k a power of two: rows[s][c]
+    is f(x_c w^s) for a primitive k-th root of unity w, x_inv[c] is
+    1/x_c and root_inv 1/w.  Returns sum_r beta^r f_r(x_c^k) for each c.
+
+    Each halving is one _fold: rows s and s + k/2 hold f at +-x_c w^s,
+    and the result holds the next function at (x_c w^s)^2, whose cosets
+    have half the points, the squared root and the squared challenge."""
+    mod = np.uint64(p)
+    while len(rows) > 1:
+        h = len(rows) // 2
+        alpha_inv = _power_array(root_inv, h, p)[:, None] * x_inv % mod
+        rows = _fold(rows[:h], rows[h:], alpha_inv, beta, p)
+        x_inv = x_inv * x_inv % mod
+        root_inv = root_inv * root_inv % p
+        beta = beta * beta % p
+    return rows[0]
+
+
+def _image(domain: EvaluationDomain, arity: int) -> EvaluationDomain:
+    """The domain's image under x -> x^arity, arity a power of two."""
+    while arity > 1:
+        domain = domain.squared()
+        arity //= 2
+    return domain
+
+
+def fold_layer(evals, domain: EvaluationDomain, beta,
+               arity: int) -> np.ndarray:
+    """One folding round: each coset of `arity` points, the values at
+    indices c, c + m/arity, ... of the m-point layer, folded with the
+    challenge beta to one value at x_c^arity, index c of the image."""
     field = domain.field
     p = field.modulus
     if p == 2:
@@ -130,39 +183,19 @@ def fold_layer(evals, domain: EvaluationDomain, x0) -> np.ndarray:
     evals = np.asarray(evals, dtype=np.uint64)
     if len(evals) != domain.size:
         raise UsageError("evaluation count does not match the domain")
-    h = domain.size // 2
-    mod = np.uint64(p)
-    alpha_inv = (_power_array(pow(domain.generator.value, -1, p), h, p)
-                 * np.uint64(pow(domain.offset.value, -1, p)) % mod)
-    return _fold(evals[:h], evals[h:], alpha_inv, field(x0).value, p)
-
-
-def pair_tree(evals) -> MerkleTree:
-    """Commit a layer with each (alpha, -alpha) pair in adjacent leaves."""
-    evals = np.asarray(evals, dtype=np.uint64)
-    h = len(evals) // 2
-    return MerkleTree(u64_rows(
-        np.stack([evals[:h], evals[h:2 * h]], axis=1).reshape(-1, 1)))
-
-
-def open_pair(tree: MerkleTree, j: int) -> AuthPath:
-    """Path for the pair (j, j + half); authenticates both values."""
-    return tree.open(2 * j)
-
-
-def verify_pair(root: bytes, j: int, value: int, value_neg: int,
-                path: AuthPath) -> bool:
-    if not path.siblings:
-        return False
-    if path.siblings[0] != leaf_hash(u64(value_neg)):
-        return False
-    return verify_path(root, 2 * j, u64(value), path)
+    width = domain.size // arity
+    g = domain.generator.value
+    x_inv = (_power_array(pow(g, -1, p), width, p)
+             * np.uint64(pow(domain.offset.value, -1, p)) % np.uint64(p))
+    return _fold_cosets(evals.reshape(arity, width), x_inv,
+                        pow(g, -width, p), field(beta).value, p)
 
 
 def commit_phase(evals, params: FriParams, t: Transcript,
                  enforce_low_degree: bool = True):
-    """Fold log2(d) times, committing each layer and drawing the next
-    challenge from the transcript.
+    """Commit each layer with one leaf per folding coset, draw the
+    round's challenge from the transcript and fold, until the degree
+    bound is used up.
 
     Returns (layers, trees, roots, final_value).  The final layer must be
     constant for an honest prover; enforce_low_degree=False lets a cheating
@@ -179,14 +212,14 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     trees = []
     roots = []
     domain = params.domain
-    for _ in range(params.rounds):
-        tree = pair_tree(layers[-1])
+    for arity in params.arities:
+        tree = MerkleTree(u64_rows(layers[-1].reshape(arity, -1).T))
         trees.append(tree)
         roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
-        x_i = t.challenge_field(field)
-        layers.append(fold_layer(layers[-1], domain, x_i))
-        domain = domain.squared()
+        beta = t.challenge_field(field)
+        layers.append(fold_layer(layers[-1], domain, beta, arity))
+        domain = _image(domain, arity)
     final_layer = layers[-1]
     if enforce_low_degree and len(set(int(v) for v in final_layer)) != 1:
         raise InternalError("final layer is not constant; input degree "
@@ -196,33 +229,29 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     return layers, trees, roots, final_value
 
 
-def _draw_indices(t: Transcript, params: FriParams) -> List[int]:
-    h0 = params.domain.size // 2
-    indices = []
-    while len(indices) < params.effective_queries():
-        idx = t.challenge_index(h0)
-        if idx not in indices:
-            indices.append(idx)
-    return indices
+def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
+    size = params.domain.size
+    positions = []
+    while len(positions) < params.effective_queries():
+        pos = t.challenge_index(size)
+        if pos not in positions:
+            positions.append(pos)
+    return positions
 
 
 def query_phase(layers, trees, t: Transcript, params: FriParams,
                 roots, final_value) -> FriProof:
-    """Open the (alpha, -alpha) pair on every layer for each query index."""
+    """Open, on every layer, the coset holding each query position."""
     queries = []
-    for idx in _draw_indices(t, params):
+    for pos in _draw_positions(t, params):
         bundle = []
-        cur = idx
-        size = params.domain.size
-        for j in range(params.rounds):
-            h = size // 2
-            b = cur % h
-            bundle.append(FriQueryLayer(int(layers[j][b]),
-                                        int(layers[j][b + h]),
-                                        open_pair(trees[j], b)))
-            cur = b
-            size = h
-        queries.append(FriQuery(idx, bundle))
+        c = pos
+        for layer, tree, arity in zip(layers, trees, params.arities):
+            width = len(layer) // arity
+            c %= width
+            bundle.append(FriQueryLayer(
+                [int(v) for v in layer[c::width]], tree.open(c)))
+        queries.append(FriQuery(pos, bundle))
     return FriProof(list(roots), final_value, queries)
 
 
@@ -234,49 +263,64 @@ def prove(evals, params: FriParams, t: Transcript,
 
 
 def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
-    """Replay the transcript, re-draw challenges and query indices, then
+    """Replay the transcript, re-draw challenges and query positions, then
     check every query layer by layer down to the final constant: opened
-    values canonical, pair paths valid, opened values equal to the
-    previous layer's folds, which are then folded in one call."""
+    cosets of the round's width, values canonical, coset paths valid, the
+    slot at each position equal to the previous layer's fold; then the
+    cosets of all queries are folded in one call."""
     field = params.domain.field
     p = field.modulus
-    if len(proof.layer_roots) != params.rounds:
+    arities = params.arities
+    if len(proof.layer_roots) != len(arities):
         return VerifyResult.reject("wrong number of layer roots")
     if proof.final_value >= p:
         return VerifyResult.reject("non-canonical final value")
     challenges = []
     for root in proof.layer_roots:
         t.absorb(b"fri-root", root)
-        challenges.append(t.challenge_field(field))
+        challenges.append(t.challenge_field(field).value)
     t.absorb(b"fri-final", u64(proof.final_value))
-    indices = _draw_indices(t, params)
-    if [q.index for q in proof.queries] != indices:
+    positions = _draw_positions(t, params)
+    if [q.index for q in proof.queries] != positions:
         return VerifyResult.reject("query indices diverge from transcript")
-    if any(len(q.layers) != params.rounds for q in proof.queries):
+    if any(len(q.layers) != len(arities) for q in proof.queries):
         return VerifyResult.reject("malformed query bundle")
     domain = params.domain
     folded = None
-    for j, (root, x0) in enumerate(zip(proof.layer_roots, challenges)):
+    for j, (root, beta, arity) in enumerate(zip(proof.layer_roots,
+                                                challenges, arities)):
         opened = [q.layers[j] for q in proof.queries]
-        if any(ql.value >= p or ql.value_neg >= p for ql in opened):
+        if any(len(ql.values) != arity for ql in opened):
+            return VerifyResult.reject(f"layer {j}: wrong coset width")
+        if any(v >= p for ql in opened for v in ql.values):
             return VerifyResult.reject(f"layer {j}: non-canonical value")
-        h = domain.size // 2
-        base = [i % h for i in indices]
-        if not all(verify_pair(root, i, ql.value, ql.value_neg, ql.path)
-                   for i, ql in zip(base, opened)):
+        width = domain.size // arity
+        cosets = [pos % width for pos in positions]
+        values = np.array([ql.values for ql in opened], dtype=np.uint64)
+        if not all(verify_path(root, c, leaf, ql.path) for c, leaf, ql
+                   in zip(cosets, u64_rows(values), opened)):
             return VerifyResult.reject(f"layer {j}: bad opening")
-        values = np.array([ql.value for ql in opened], dtype=np.uint64)
-        negs = np.array([ql.value_neg for ql in opened], dtype=np.uint64)
-        here = np.where(np.array(indices) < h, values, negs)
+        slots = [pos // width for pos in positions]
+        here = values[np.arange(len(positions)), slots]
         if folded is not None and (here != folded).any():
             return VerifyResult.reject(f"layer {j}: consistency failure")
-        alpha = np.array([domain.offset.value
-                          * pow(domain.generator.value, i, p) % p
-                          for i in base], dtype=np.uint64)
-        folded = _fold(values, negs, _inverse_array(alpha, p), x0.value, p)
-        indices = base
-        domain = domain.squared()
+        g = domain.generator.value
+        xs = np.array([domain.offset.value * pow(g, c, p) % p
+                       for c in cosets], dtype=np.uint64)
+        folded = _fold_cosets(values.T, _inverse_array(xs, p),
+                              pow(g, -width, p), beta, p)
+        positions = cosets
+        domain = _image(domain, arity)
     # with zero rounds layer 0 is already the constant
     if folded is not None and (folded != proof.final_value).any():
         return VerifyResult.reject("final value mismatch")
     return VerifyResult.accept()
+
+
+def queried_values(proof: FriProof, params: FriParams) -> List[int]:
+    """f at each query position, read from its opened layer-0 coset (the
+    final constant when no round folds).  For a proof verify accepted."""
+    if not params.arities:
+        return [proof.final_value] * len(proof.queries)
+    width = params.domain.size // params.arities[0]
+    return [q.layers[0].values[q.index // width] for q in proof.queries]

@@ -11,8 +11,15 @@ The prover interpolates the trace columns once and handles every other
 polynomial by its values on the coset: O(n log n) field work.  The
 product of (x - g^j) over the e rows the transition constraints exclude
 is multiplied out once, in O(e^2) on arrays of at most e + 1
-coefficients, and evaluated on the coset by one NTT; x^n - 1 takes only
-blowup distinct values there, so only those are inverted.
+coefficients, and evaluated on the coset by one NTT; a product over at
+most log2 N rows, such as the boundary rows, takes one pass over the
+coset per row instead.  x^n - 1 takes only blowup distinct values
+there, so only those are inverted.
+
+FRI draws its query positions from the whole coset.  For a position
+holding x the proof opens the trace rows at x, g x, ..., g^(w-1) x
+(indices position + r * blowup), and the verifier reads the composition
+at x from the FRI layer-0 coset that holds the position.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -28,7 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import fri
-from .encoding import Reader, bytes_lp, u8, u32, u64, u64_rows
+from .encoding import Reader, bytes_lp, read_magic, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
@@ -37,7 +44,9 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, Transcript
 
-PROOF_MAGIC = b"VCKS"
+PROOF_VERSION = 2
+# Every proof starts with the magic and then the format version byte.
+PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +216,7 @@ class StarkProof:
     @staticmethod
     def deserialize(data: bytes) -> "StarkProof":
         reader = Reader(data)
-        if reader.take(4) != PROOF_MAGIC:
-            raise UsageError("not a STARK proof")
+        read_magic(reader, PROOF_MAGIC, "STARK")
         if reader.u8() != HASH_ID:
             raise UsageError("unsupported hash algorithm id")
         n = reader.u32()
@@ -321,14 +329,17 @@ def _point_array(points) -> np.ndarray:
 def _row_product(points, g: FieldElement, rows) -> np.ndarray:
     """prod over the given trace rows j of (x - g^j) at every point x.
 
-    On a domain (the prover's LDE coset) the product's coefficients are
+    At a point array (the verifier's queries), and on a domain for at
+    most log2 N rows (the boundary rows), it takes one pass over the
+    points per row.  On a domain of N points for more rows (the rows the
+    transition constraints exclude) the product's coefficients are
     multiplied out once, one short array pass per row, and evaluated by
-    NTT; at a point array (the verifier's queries) it takes one pass over
-    the points per row."""
+    NTT, which costs about log2 N passes."""
     p = g.field.modulus
     mod = np.uint64(p)
     negated_roots = [np.uint64(p - pow(g.value, j, p)) for j in rows]
-    if isinstance(points, EvaluationDomain):
+    if (isinstance(points, EvaluationDomain)
+            and len(negated_roots) > points.size.bit_length() - 1):
         coeffs = np.zeros(len(negated_roots) + 1, dtype=np.uint64)
         coeffs[0] = 1  # lowest degree first
         for k, neg in enumerate(negated_roots):
@@ -337,9 +348,10 @@ def _row_product(points, g: FieldElement, rows) -> np.ndarray:
             coeffs[1:k + 2] = (coeffs[:k + 1] + coeffs[1:k + 2] * neg) % mod
             coeffs[0] = coeffs[0] * neg % mod
         return evaluate_on_domain(Polynomial(g.field, coeffs.tolist()), points)
-    acc = np.ones(len(points), dtype=np.uint64)
+    xs = _point_array(points)
+    acc = np.ones(len(xs), dtype=np.uint64)
     for neg in negated_roots:
-        acc = acc * ((points + neg) % mod) % mod
+        acc = acc * ((xs + neg) % mod) % mod
     return acc
 
 
@@ -622,8 +634,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
             for r in range(w)]
     combined = compose(xs, rows, cs, trace_domain, proof.original_length,
                        gammas)
-    claimed = np.array([q.layers[0].value if q.layers
-                        else proof.fri_proof.final_value for q in queries],
+    claimed = np.array(fri.queried_values(proof.fri_proof, fri_params),
                        dtype=np.uint64)
     bad = np.flatnonzero(combined != claimed)
     if bad.size:

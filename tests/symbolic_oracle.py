@@ -1,9 +1,11 @@
-"""Symbolic STARK quotients, kept as a slow oracle for the pointwise prover.
+"""Symbolic STARK quotients and the FRI fold, kept as slow oracles for the
+pointwise prover.
 
 Everything here works on coefficient lists: predicates are expanded by
 substituting column polynomials, and quotients come from schoolbook
 divmod by the vanishing polynomials.  The remainders tell whether a trace
-satisfies its constraints.
+satisfies its constraints.  The FRI fold splits a polynomial by
+coefficient index.
 """
 
 from vckit import stark
@@ -87,3 +89,15 @@ def first_violation(trace, tc):
         if not evaluate(tc.predicate, vals).is_zero():
             return i
     return None
+
+
+def fri_fold(poly, beta, arity):
+    """sum_r beta^r f_r, where poly(x) = sum over r < arity of
+    x^r f_r(x^arity): f_r takes the coefficients whose index is r mod
+    arity.  A fold by arity of poly's values is this at x^arity."""
+    field = poly.field
+    acc = Polynomial.zero(field)
+    for r in range(arity):
+        acc = acc + Polynomial(field, poly.coeffs[r::arity]).scale(
+            field(beta) ** r)
+    return acc

@@ -122,11 +122,14 @@ def test_vdf_trapdoor_agrees(tmp_path, capsys):
     ["--delay-seconds", "nan"],
     ["--delay-seconds", "inf"],
     ["-T", "64", "--security", "0"],
-    ["-T", "64", "--security", "7"]])
+    ["-T", "64", "--security", "7"],
+    ["-T", "0"],
+    ["-T", "-3"]])
 def test_vdf_setup_bad_delay_or_security(tmp_path, extra):
-    """Setup needs exactly one delay, a wall-clock target that is positive
-    and finite, and a security level whose 2*lambda-bit challenge primes
-    `vdf beacon` can draw; otherwise it writes no params file."""
+    """Setup needs exactly one delay, at least one squaring or a
+    wall-clock target that is positive and finite, and a security level
+    whose 2*lambda-bit challenge primes `vdf beacon` can draw; otherwise
+    it writes no params file."""
     params = tmp_path / "params.json"
     assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
                 "-o", str(params)] + extra) == 2
@@ -303,6 +306,28 @@ def test_bad_key_file(tmp_path, text):
     key.write_text(text)
     assert run(["hauth", "auth", "--key", str(key), "-m", "1",
                 "--label", "a", "-o", str(tmp_path / "t.bin")]) == 2
+
+
+def test_hauth_key_modulus_must_be_vetted_and_match(tmp_path):
+    """The key file fixes the field: a modulus off the vetted list is
+    refused, and so is an explicit --modulus other than the key's."""
+    key = tmp_path / "key.json"
+    tag = str(tmp_path / "t.bin")
+    auth = ["hauth", "auth", "--key", str(key), "-m", "3", "--label", "a",
+            "-o", tag]
+    assert run(["hauth", "keygen", "--seed", "00ff", "-o", str(key)]) == 0
+    assert json.loads(key.read_text())["modulus"] == DEFAULT_MODULUS
+    assert run(["--modulus", "17"] + auth) == 2
+    assert run(["--modulus", str(DEFAULT_MODULUS)] + auth) == 0
+    assert run(auth) == 0
+    prf_key = "ab" * 32
+    for modulus in (101, 15):
+        key.write_text(json.dumps({"sk": 5, "prf_key": prf_key,
+                                   "modulus": modulus}))
+        assert run(auth) == 2
+    key.write_text(json.dumps({"sk": 5, "prf_key": prf_key, "modulus": 97}))
+    assert run(auth) == 0
+    assert run(["--modulus", "17"] + auth) == 2
 
 
 @pytest.mark.parametrize("text", [

@@ -6,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
+import symbolic_oracle as oracle
 from vckit import fri
-from vckit.encoding import Reader, bytes_lp, u64
+from vckit.encoding import Reader, bytes_lp, u64, u64_rows
 from vckit.errors import InternalError, UsageError
-from vckit.merkle import AuthPath
+from vckit.merkle import AuthPath, MerkleTree, verify_path
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
-                         Polynomial)
+                         Polynomial, evaluate_on_domain)
 from vckit.transcript import Transcript
 
 F17 = Field(17)
@@ -42,12 +43,13 @@ def test_split_identity_f17():
 
 
 def test_fold_layer_oracle_f17():
-    """Folded evaluations equal f_even + x0 * f_odd on the squared domain."""
+    """Folded by 2, evaluations equal f_even + x0 * f_odd on the squared
+    domain."""
     dom = EvaluationDomain.subgroup(F17, 16)
     poly = rand_poly(F17, 8, seed=1)
     evals = [poly.evaluate(pt).value for pt in dom.points()]
     x0 = F17(7)
-    folded = fri.fold_layer(evals, dom, x0)
+    folded = fri.fold_layer(evals, dom, x0, 2)
     fe, fo = split(poly)
     expected = fe + Polynomial.constant(F17, x0) * fo
     sq = dom.squared()
@@ -60,12 +62,32 @@ def test_fold_layer_coset():
     poly = rand_poly(F17, 4, seed=2)
     evals = [poly.evaluate(pt).value for pt in dom.points()]
     x0 = F17(5)
-    folded = fri.fold_layer(evals, dom, x0)
+    folded = fri.fold_layer(evals, dom, x0, 2)
     fe, fo = split(poly)
     expected = fe + Polynomial.constant(F17, x0) * fo
     sq = dom.squared()
     for i in range(4):
         assert int(folded[i]) == expected.evaluate(sq.point(i)).value
+
+
+@pytest.mark.parametrize("field, dom, degree_bound", [
+    (F17, EvaluationDomain.subgroup(F17, 16), 8),
+    (F17, EvaluationDomain.coset(F17, 8, F17(3)), 4),
+    (FBIG, EvaluationDomain.coset(FBIG, 64, FBIG.generator()), 16)])
+def test_fold_by_4_oracle(field, dom, degree_bound):
+    """Folded by 4, the value at index c is sum_r beta^r f_r at x_c^4,
+    f_r holding the coefficients of index r mod 4; by 2 it is f_0 +
+    beta f_1 at x_c^2."""
+    poly = rand_poly(field, degree_bound, seed=dom.size)
+    evals = [poly.evaluate(pt).value for pt in dom.points()]
+    beta = field(random.Random(degree_bound).randrange(field.modulus))
+    for arity in (4, 2):
+        folded = fri.fold_layer(evals, dom, beta, arity)
+        expected = oracle.fri_fold(poly, beta, arity)
+        assert len(folded) == dom.size // arity
+        for c in range(dom.size // arity):
+            assert int(folded[c]) == expected.evaluate(
+                dom.point(c) ** arity).value
 
 
 def test_params_validation():
@@ -77,18 +99,56 @@ def test_params_validation():
     with pytest.raises(UsageError):
         fri.FriParams(dom, 8, 0)            # no query checks nothing
     params = fri.FriParams(dom, 8, 100)
-    assert params.rounds == 3
-    assert params.effective_queries() == 32
+    assert params.arities == [4, 2]
+    assert params.rounds == 2
+    assert params.effective_queries() == 64
+    assert fri.FriParams(dom, 16, 1).arities == [4, 4]
+    assert fri.FriParams(dom, 1, 1).arities == []
 
 
-def test_pair_tree_layout():
-    evals = list(range(10, 26))  # 16 values
-    tree = fri.pair_tree(evals)
-    for j in range(8):
-        path = fri.open_pair(tree, j)
-        assert fri.verify_pair(tree.root, j, evals[j], evals[j + 8], path)
-        assert not fri.verify_pair(tree.root, j, evals[j], evals[j + 8] ^ 1,
-                                   path)
+def test_coset_tree_layout():
+    """A layer of m values is a tree of m/arity leaves; leaf c holds the
+    values at c, c + m/arity, ..., whose points share x^arity, and one
+    path authenticates them all."""
+    dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
+    params = fri.FriParams(dom, 8, 1)
+    evals = np.arange(10, 42, dtype=np.uint64)
+    layers, trees, _, _ = fri.commit_phase(evals, params, Transcript("t"),
+                                           enforce_low_degree=False)
+    domain = dom
+    for layer, tree, arity in zip(layers, trees, params.arities):
+        width = len(layer) // arity
+        assert tree.num_leaves == width
+        for c in range(width):
+            assert len({domain.point(c + s * width) ** arity
+                        for s in range(arity)}) == 1
+            coset = [int(layer[c + s * width]) for s in range(arity)]
+            leaf = b"".join(u64(v) for v in coset)
+            assert verify_path(tree.root, c, leaf, tree.open(c))
+            coset[-1] ^= 1
+            assert not verify_path(tree.root, c,
+                                   b"".join(u64(v) for v in coset),
+                                   tree.open(c))
+        domain = fri._image(domain, arity)
+    assert [t.num_leaves for t in trees] == [8, 4]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 32, 2048, 4096])
+def test_completeness_for_even_and_odd_log_degree(d):
+    """Rounds of 4 with a last round of 2 when log2 d is odd; d = 1 has
+    no round at all."""
+    dom = EvaluationDomain.coset(FBIG, 2 * d if d > 1 else 4,
+                                 FBIG.generator())
+    params = fri.FriParams(dom, d, 8)
+    evals = evaluate_on_domain(rand_poly(FBIG, d, seed=d), dom)
+    proof = fri.prove(evals, params, Transcript("t"))
+    log_d = d.bit_length() - 1
+    assert len(proof.layer_roots) == (log_d + 1) // 2
+    assert [len(ql.values) for ql in proof.queries[0].layers] == (
+        [4] * (log_d // 2) + [2] * (log_d % 2))
+    back = fri.FriProof.deserialize(proof.serialize())
+    v = fri.verify(back, params, Transcript("t"))
+    assert v, v.reason
 
 
 def test_completeness_subgroup_and_coset():
@@ -154,19 +214,33 @@ def test_tampered_opening_rejected():
     evals = rand_poly(FBIG, 4, seed=11).evaluate_array(dom.point_array())
     proof = fri.prove(evals, params, Transcript("t"))
     ql = proof.queries[0].layers[0]
-    ql.value = (ql.value + 1) % FBIG.modulus
+    ql.values[0] = (ql.values[0] + 1) % FBIG.modulus
     v = fri.verify(proof, params, Transcript("t"))
     assert not v and "layer 0" in v.reason
 
 
+def test_changed_coset_value_rejected():
+    """Any one value of an opened coset changed, on any layer and in any
+    slot, breaks that coset's path."""
+    evals, params = _proof_64()
+    for layer, arity in enumerate(params.arities):
+        for slot in range(arity):
+            proof = fri.prove(evals, params, Transcript("t"))
+            values = proof.queries[-1].layers[layer].values
+            values[slot] = (values[slot] + 1) % FBIG.modulus
+            v = fri.verify(proof, params, Transcript("t"))
+            assert not v and v.reason == f"layer {layer}: bad opening"
+
+
 def test_query_indices_without_replacement():
+    """Positions are distinct and drawn from the whole first domain."""
     dom = EvaluationDomain.subgroup(FBIG, 64)
-    params = fri.FriParams(dom, 8, 200)  # capped at 32
+    params = fri.FriParams(dom, 8, 200)  # capped at 64
     evals = rand_poly(FBIG, 8, seed=12).evaluate_array(dom.point_array())
     proof = fri.prove(evals, params, Transcript("t"))
     idxs = [q.index for q in proof.queries]
-    assert len(idxs) == 32 == len(set(idxs))
-    assert all(0 <= i < 32 for i in idxs)
+    assert sorted(idxs) == list(range(64))
+    assert fri.verify(proof, params, Transcript("t"))
 
 
 def test_serialize_roundtrip():
@@ -181,6 +255,65 @@ def test_serialize_roundtrip():
         fri.FriProof.deserialize(b"BAD!" + proof.serialize()[4:])
 
 
+@pytest.mark.parametrize("version", [1, 3])
+def test_decoder_rejects_other_format_versions(version):
+    """The byte after the magic is the format version: 2, nothing else."""
+    evals, params = _proof_64()
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
+    assert blob[:5] == b"VCKF\x02" == fri.PROOF_MAGIC
+    with pytest.raises(UsageError, match=f"^unsupported FRI proof format "
+                                         f"version {version}$"):
+        fri.FriProof.deserialize(blob[:4] + bytes([version]) + blob[5:])
+
+
+def _first_width_offset(blob):
+    """Offset of the width byte of the first query's first opened coset."""
+    reader = Reader(blob)
+    reader.take(len(fri.PROOF_MAGIC) + 1)
+    reader.take(32 * reader.u32() + 8)
+    reader.take(4 + 4 + 4)
+    return reader.pos
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 255])
+def test_decoder_rejects_cosets_of_other_widths(width):
+    """Before a query's last layer every opened coset has 4 values; a
+    width byte of anything else is refused, whatever follows it."""
+    evals, params = _proof_64()
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
+    at = _first_width_offset(blob)
+    assert blob[at] == 4
+    forged = blob[:at] + bytes([width]) + blob[at + 1:]
+    with pytest.raises(UsageError, match=f"^opened coset of width {width} "
+                                         f"on layer 0$"):
+        fri.FriProof.deserialize(forged)
+
+
+def test_coset_of_the_wrong_width_rejected():
+    """A 2-value coset where a round folds by 4, and a 4-value coset where
+    the odd last round folds by 2: the decoder passes both (either width
+    may close a query), the verifier rejects them."""
+    evals, params = _proof_64()
+    assert params.arities == [4, 2]
+    proof = fri.prove(evals, params, Transcript("t"))
+    last = proof.queries[0].layers[-1]
+    last.values += last.values
+    back = fri.FriProof.deserialize(proof.serialize())
+    v = fri.verify(back, params, Transcript("t"))
+    assert not v and v.reason == "layer 1: wrong coset width"
+    d4 = fri.FriParams(params.domain, 4, 6)
+    proof = fri.prove(rand_poly(FBIG, 4, seed=18).evaluate_array(
+        params.domain.point_array()), d4, Transcript("t"))
+    for values in ([1, 2], [1, 2, 3], [1, 2, 3, 4, 5]):
+        forged = dataclasses.replace(proof, queries=list(proof.queries))
+        k = len(proof.queries) // 2
+        forged.queries[k] = dataclasses.replace(
+            proof.queries[k], layers=[dataclasses.replace(
+                proof.queries[k].layers[0], values=values)])
+        v = fri.verify(forged, d4, Transcript("t"))
+        assert not v and v.reason == "layer 0: wrong coset width"
+
+
 def test_decoder_rejects_trailing_bytes():
     dom = EvaluationDomain.subgroup(FBIG, 32)
     params = fri.FriParams(dom, 8, 5)
@@ -190,9 +323,8 @@ def test_decoder_rejects_trailing_bytes():
         fri.FriProof.deserialize(blob + b"\x00")
     # one byte appended inside the first query's first path record
     reader = Reader(blob)
-    reader.take(5)
-    reader.take(32 * reader.u32() + 8)
-    reader.take(4 + 4 + 4 + 16)
+    reader.take(_first_width_offset(blob))
+    reader.take(1 + 8 * 4)
     start = reader.pos
     path = reader.bytes_lp()
     padded = blob[:start] + bytes_lp(path + b"\x00") + blob[reader.pos:]
@@ -207,25 +339,27 @@ def _prove_committing(evals, params, t, tamper, layer=0):
     layers = [np.asarray(evals, dtype=np.uint64)]
     committed, trees, roots = [], [], []
     domain = params.domain
-    for j in range(params.rounds):
+    for j, arity in enumerate(params.arities):
         committed.append(tamper(layers[-1]) if j == layer else layers[-1])
-        tree = fri.pair_tree(committed[-1])
+        # leaf c: the values at c, c + m/arity, ... of the m-value layer
+        tree = MerkleTree(u64_rows(committed[-1].reshape(arity, -1).T))
         trees.append(tree)
         roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
         layers.append(fri.fold_layer(layers[-1], domain,
-                                     t.challenge_field(FBIG)))
-        domain = domain.squared()
+                                     t.challenge_field(FBIG), arity))
+        domain = fri._image(domain, arity)
     final_value = int(layers[-1][0])
     t.absorb(b"fri-final", u64(final_value))
     return fri.query_phase(committed + layers[-1:], trees, t, params, roots,
                            final_value)
 
 
-def test_prove_committing_reproduces_the_honest_proof():
-    dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
-    params = fri.FriParams(dom, 4, 6)
-    evals = rand_poly(FBIG, 4, seed=15).evaluate_array(dom.point_array())
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_prove_committing_reproduces_the_honest_proof(d):
+    dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
+    params = fri.FriParams(dom, d, 6)
+    evals = rand_poly(FBIG, d, seed=15).evaluate_array(dom.point_array())
     honest = fri.prove(evals, params, Transcript("t"))
     for layer in range(params.rounds):
         same = _prove_committing(evals, params, Transcript("t"),
@@ -236,7 +370,9 @@ def test_prove_committing_reproduces_the_honest_proof():
 @pytest.mark.parametrize("half", ["value", "value_neg"])
 def test_non_canonical_layer_values_rejected(half):
     """Layer-0 values are never compared with a fold, so value + p there
-    folds like value; the verifier must reject it as non-canonical."""
+    folds like value; the verifier must reject it as non-canonical.
+    "value" shifts the layer's first half, slots 0 and 1 of every coset,
+    "value_neg" its second half, slots 2 and 3 at the negated points."""
     dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
     params = fri.FriParams(dom, 4, 6)
     evals = rand_poly(FBIG, 4, seed=16).evaluate_array(dom.point_array())
@@ -274,27 +410,27 @@ def _proof_64():
 
 
 def test_consistency_failure_in_a_later_query_and_layer():
-    """A layer-1 commitment changed at one value, which only query k > 0
-    opens and which is its own point there, not its partner's: every
-    query passes layer 0 and the layer-1 paths, and the fold of layer 0
-    fails to match at query k alone."""
+    """A layer-1 commitment changed at one value in slot 1 of its coset,
+    which is the position of query k > 0 alone: every query passes
+    layer 0 and the layer-1 paths, and the fold of layer 0 fails to
+    match at query k alone.  Queries opening the same coset at the other
+    slot still match."""
     evals, params = _proof_64()
-    quarter = params.domain.size // 4
-    for pos in range(2 * quarter):
+    size1 = params.domain.size // 4      # layer 1, cosets of 2
+    for pos in range(size1 // 2, size1):
         def bump(layer):
             out = layer.copy()
             out[pos] = (int(out[pos]) + 1) % FBIG.modulus
             return out
         proof = _prove_committing(evals, params, Transcript("t"), bump, 1)
         touching = [k for k, q in enumerate(proof.queries)
-                    if q.index % quarter == pos % quarter]
-        if (len(touching) != 1 or touching[0] == 0
-                or proof.queries[touching[0]].index != pos):
+                    if q.index % size1 == pos]
+        if len(touching) != 1 or touching[0] == 0:
             continue
         v = fri.verify(proof, params, Transcript("t"))
         assert not v and v.reason == "layer 1: consistency failure"
         return
-    pytest.fail("no position is opened by exactly one later query")
+    pytest.fail("no slot-1 position is opened by exactly one later query")
 
 
 def test_bad_opening_in_the_last_query_only():
@@ -335,7 +471,7 @@ def test_wrong_number_of_layer_roots_rejected():
         assert not v and v.reason == "wrong number of layer roots"
 
 
-def test_pair_path_without_siblings_rejected():
+def test_coset_path_without_siblings_rejected():
     evals, params = _proof_64()
     for layer in range(params.rounds):
         proof = fri.prove(evals, params, Transcript("t"))

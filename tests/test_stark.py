@@ -122,10 +122,12 @@ def test_transition_vanishing_matches_eval():
 
 
 @pytest.mark.parametrize("rows", [[], [0], [0, 1, 31], list(range(5, 64)),
-                                  [3, 3]])
+                                  [3, 3], list(range(40, 48)),
+                                  list(range(40, 49))])
 def test_row_product_on_a_domain_matches_the_point_array(rows):
-    """The coefficient-and-NTT product on a coset equals the pass-per-row
-    product at the same points."""
+    """On a coset of 256 points, up to log2 256 = 8 rows take the
+    pass-per-row path and 9 or more the coefficient-and-NTT product; each
+    equals the pass-per-row product at the same points."""
     g = EvaluationDomain.subgroup(F, 64).generator
     lde = EvaluationDomain.coset(F, 256, F.generator())
     on_domain = stark._row_product(lde, g, rows)
@@ -425,9 +427,10 @@ def test_check_satisfaction_names_first_violation():
                 stark.check_satisfaction(bad, cs)
 
 
-# Offset of the zk flag byte: magic, hash id, five u32 header fields; the
-# binding flag follows the 32-byte constraint-system digest.
-ZK_FLAG = 4 + 1 + 5 * 4
+# Offset of the zk flag byte: magic with its version byte, hash id, five
+# u32 header fields; the binding flag follows the 32-byte constraint-system
+# digest.
+ZK_FLAG = len(stark.PROOF_MAGIC) + 1 + 5 * 4
 BINDING_FLAG = ZK_FLAG + 1 + 32
 
 
@@ -443,6 +446,17 @@ def test_decoder_rejects_trailing_bytes():
     assert stark.StarkProof.deserialize(blob).serialize() == blob
     with pytest.raises(UsageError, match="trailing"):
         stark.StarkProof.deserialize(blob + b"\x00")
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_decoder_rejects_other_format_versions(version):
+    """The byte after the magic is the format version: 2, nothing else."""
+    blob = _blob()
+    assert blob[:5] == b"VCKS\x02" == stark.PROOF_MAGIC
+    forged = blob[:4] + bytes([version]) + blob[5:]
+    with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
+                                         f"version {version}$"):
+        stark.StarkProof.deserialize(forged)
 
 
 @pytest.mark.parametrize("offset", [ZK_FLAG, BINDING_FLAG])
