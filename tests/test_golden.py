@@ -3,10 +3,11 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK and FRI hashes were taken from the symbolic (divmod-quotient,
-Horner-LDE) prover before it was replaced; the VDF hashes from the
-bit-by-bit long-division prover and 40-round random Miller-Rabin, so they
-also pin the setup moduli and the challenge primes.
+The STARK and FRI hashes are of format version 2, FRI with one leaf per
+4-point coset; the version-1 hashes, which the symbolic (divmod-quotient,
+Horner-LDE) prover also gave, are listed in CHANGES.md.  The VDF hashes
+come from the bit-by-bit long-division prover and 40-round random
+Miller-Rabin, so they also pin the setup moduli and the challenge primes.
 """
 
 import hashlib
@@ -69,17 +70,17 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "02b96bc2ab4e4a56a37c62399b6b42c99953de9e938538bc84cbcc77f83bf8fd",
+        "d0cff59354868bd024447592aa6057dc2b8a88d9e3c79d456e56564daf72c27e",
     "fib64-b4-q8-zk1":
-        "0f901d80afb87af56cc5b949981baeb6c5a19f6383cc04c2f0bc032a0e4087f3",
+        "b59133648a2bded52a56264d3df963d7b6daa3812e1e770823b736a39a39fe54",
     "fib1900-b8-q20-zk7":
-        "16e3d0a25717da1b964b5bf3290d1b9cf1a79509e33a550ca8b63de87d3d46ac",
+        "15459dc9e2bccd52be33e649d4040880bf4a62916f25990f7df92cf217b25e01",
     "fib4000-b4-q8-zk5":
-        "77fd83f18901baa4d812b0ffb5f7dec02c19556740cce7d164e3687667496bcd",
+        "7550d6d3b8a1990141c743723fb78770e8dab5f26125846b2b520d9af4461be0",
     "two-column-b8-q10":
-        "b10ea7ca77aafcd0989d177704584848228b1071c0b7344f323c64fe0f6cb0e5",
+        "f4241d16fbf72428b39954535dc633c54248ec81ea57033fd383db22b2f6ac57",
     "fri-coset256-d32-q16":
-        "1090c5f99d05448574d4a149c3f2003a3950a4498313e49d905f1c7943b5bf59",
+        "92b001ed894e9ebb5d8848ea00161475805e14672c734509585eb707dea8ac62",
     "vdf-n32-T0":
         "eebcd9802aad643d9e511489830c80bd5f6de22f343b0e5f22dedd7f8110b0da",
     "vdf-n32-T3":
