@@ -63,10 +63,6 @@ class FriParams:
         log_d = self.degree_bound.bit_length() - 1
         return [4] * (log_d // 2) + [2] * (log_d % 2)
 
-    @property
-    def rounds(self) -> int:
-        return len(self.arities)
-
     def effective_queries(self) -> int:
         # positions are drawn without replacement from [0, |D|)
         return min(self.num_queries, self.domain.size)
@@ -143,24 +139,34 @@ def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
     return (even + odd * np.uint64(x0)) % mod
 
 
-def _fold_cosets(rows, x_inv, root_inv: int, beta: int,
-                 p: int) -> np.ndarray:
-    """Fold cosets of k = len(rows) points, k a power of two: rows[s][c]
-    is f(x_c w^s) for a primitive k-th root of unity w, x_inv[c] is
-    1/x_c and root_inv 1/w.  Returns sum_r beta^r f_r(x_c^k) for each c.
+def _cosets(layer: np.ndarray, arity: int) -> np.ndarray:
+    """The layer's folding cosets, one per row: row c holds the values at
+    indices c, c + m/arity, ... of the m-value layer, at the points
+    x_c w^s (w a primitive arity-th root of unity) that all map to
+    x_c^arity.  Row c is Merkle leaf c."""
+    return layer.reshape(arity, -1).T
 
-    Each halving is one _fold: rows s and s + k/2 hold f at +-x_c w^s,
+
+def _fold_cosets(slots, x_inv, root_inv: int, beta: int,
+                 p: int) -> np.ndarray:
+    """Fold cosets of k = len(slots) points, k a power of two, given
+    slot-major (the transpose of _cosets, so each slot is one contiguous
+    row): slots[s][c] is f(x_c w^s) for a primitive k-th root of unity
+    w, x_inv[c] is 1/x_c and root_inv 1/w.  Returns
+    sum_r beta^r f_r(x_c^k) for each c.
+
+    Each halving is one _fold: slots s and s + k/2 hold f at +-x_c w^s,
     and the result holds the next function at (x_c w^s)^2, whose cosets
     have half the points, the squared root and the squared challenge."""
     mod = np.uint64(p)
-    while len(rows) > 1:
-        h = len(rows) // 2
+    while len(slots) > 1:
+        h = len(slots) // 2
         alpha_inv = _power_array(root_inv, h, p)[:, None] * x_inv % mod
-        rows = _fold(rows[:h], rows[h:], alpha_inv, beta, p)
+        slots = _fold(slots[:h], slots[h:], alpha_inv, beta, p)
         x_inv = x_inv * x_inv % mod
         root_inv = root_inv * root_inv % p
         beta = beta * beta % p
-    return rows[0]
+    return slots[0]
 
 
 def _image(domain: EvaluationDomain, arity: int) -> EvaluationDomain:
@@ -173,9 +179,9 @@ def _image(domain: EvaluationDomain, arity: int) -> EvaluationDomain:
 
 def fold_layer(evals, domain: EvaluationDomain, beta,
                arity: int) -> np.ndarray:
-    """One folding round: each coset of `arity` points, the values at
-    indices c, c + m/arity, ... of the m-point layer, folded with the
-    challenge beta to one value at x_c^arity, index c of the image."""
+    """One folding round: each coset of `arity` points (_cosets) folded
+    with the challenge beta to one value at x_c^arity, index c of the
+    image."""
     field = domain.field
     p = field.modulus
     if p == 2:
@@ -187,8 +193,8 @@ def fold_layer(evals, domain: EvaluationDomain, beta,
     g = domain.generator.value
     x_inv = (_power_array(pow(g, -1, p), width, p)
              * np.uint64(pow(domain.offset.value, -1, p)) % np.uint64(p))
-    return _fold_cosets(evals.reshape(arity, width), x_inv,
-                        pow(g, -width, p), field(beta).value, p)
+    return _fold_cosets(_cosets(evals, arity).T, x_inv, pow(g, -width, p),
+                        field(beta).value, p)
 
 
 def commit_phase(evals, params: FriParams, t: Transcript,
@@ -213,7 +219,7 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     roots = []
     domain = params.domain
     for arity in params.arities:
-        tree = MerkleTree(u64_rows(layers[-1].reshape(arity, -1).T))
+        tree = MerkleTree(u64_rows(_cosets(layers[-1], arity)))
         trees.append(tree)
         roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
@@ -247,10 +253,9 @@ def query_phase(layers, trees, t: Transcript, params: FriParams,
         bundle = []
         c = pos
         for layer, tree, arity in zip(layers, trees, params.arities):
-            width = len(layer) // arity
-            c %= width
-            bundle.append(FriQueryLayer(
-                [int(v) for v in layer[c::width]], tree.open(c)))
+            c %= len(layer) // arity
+            bundle.append(FriQueryLayer(_cosets(layer, arity)[c].tolist(),
+                                        tree.open(c)))
         queries.append(FriQuery(pos, bundle))
     return FriProof(list(roots), final_value, queries)
 

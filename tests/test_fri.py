@@ -100,16 +100,16 @@ def test_params_validation():
         fri.FriParams(dom, 8, 0)            # no query checks nothing
     params = fri.FriParams(dom, 8, 100)
     assert params.arities == [4, 2]
-    assert params.rounds == 2
     assert params.effective_queries() == 64
     assert fri.FriParams(dom, 16, 1).arities == [4, 4]
     assert fri.FriParams(dom, 1, 1).arities == []
 
 
-def test_coset_tree_layout():
-    """A layer of m values is a tree of m/arity leaves; leaf c holds the
-    values at c, c + m/arity, ..., whose points share x^arity, and one
-    path authenticates them all."""
+def test_pair_tree_layout():
+    """Each (alpha, -alpha) pair sits in one coset leaf with the rest
+    of its coset: a layer of m values is a tree of m/arity leaves, leaf c
+    holds the values at c, c + m/arity, ..., whose points share x^arity,
+    and one path authenticates them all."""
     dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
     params = fri.FriParams(dom, 8, 1)
     evals = np.arange(10, 42, dtype=np.uint64)
@@ -341,8 +341,7 @@ def _prove_committing(evals, params, t, tamper, layer=0):
     domain = params.domain
     for j, arity in enumerate(params.arities):
         committed.append(tamper(layers[-1]) if j == layer else layers[-1])
-        # leaf c: the values at c, c + m/arity, ... of the m-value layer
-        tree = MerkleTree(u64_rows(committed[-1].reshape(arity, -1).T))
+        tree = MerkleTree(u64_rows(fri._cosets(committed[-1], arity)))
         trees.append(tree)
         roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
@@ -355,16 +354,16 @@ def _prove_committing(evals, params, t, tamper, layer=0):
                            final_value)
 
 
-@pytest.mark.parametrize("d", [4, 8, 16])
-def test_prove_committing_reproduces_the_honest_proof(d):
+def test_prove_committing_reproduces_the_honest_proof():
     dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
-    params = fri.FriParams(dom, d, 6)
-    evals = rand_poly(FBIG, d, seed=15).evaluate_array(dom.point_array())
-    honest = fri.prove(evals, params, Transcript("t"))
-    for layer in range(params.rounds):
-        same = _prove_committing(evals, params, Transcript("t"),
-                                 lambda honest_layer: honest_layer, layer)
-        assert same.serialize() == honest.serialize()
+    for d in (4, 8, 16):
+        params = fri.FriParams(dom, d, 6)
+        evals = rand_poly(FBIG, d, seed=15).evaluate_array(dom.point_array())
+        honest = fri.prove(evals, params, Transcript("t"))
+        for layer in range(len(params.arities)):
+            same = _prove_committing(evals, params, Transcript("t"),
+                                     lambda honest_layer: honest_layer, layer)
+            assert same.serialize() == honest.serialize()
 
 
 @pytest.mark.parametrize("half", ["value", "value_neg"])
@@ -435,7 +434,7 @@ def test_consistency_failure_in_a_later_query_and_layer():
 
 def test_bad_opening_in_the_last_query_only():
     evals, params = _proof_64()
-    for layer in range(params.rounds):
+    for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
         path = proof.queries[-1].layers[layer].path
         path.siblings[-1] = bytes(32)
@@ -471,9 +470,10 @@ def test_wrong_number_of_layer_roots_rejected():
         assert not v and v.reason == "wrong number of layer roots"
 
 
-def test_coset_path_without_siblings_rejected():
+def test_pair_path_without_siblings_rejected():
+    """A coset path with no siblings is a bad opening on every layer."""
     evals, params = _proof_64()
-    for layer in range(params.rounds):
+    for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
         layers = proof.queries[0].layers
         layers[layer] = dataclasses.replace(
