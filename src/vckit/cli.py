@@ -95,6 +95,15 @@ def get_field(modulus) -> Field:
     return Field(modulus)
 
 
+def file_field(explicit, modulus: int, what: str) -> Field:
+    """The field of the modulus an input file fixes, which must be vetted;
+    an explicit --modulus may only repeat it."""
+    if explicit is not None and explicit != modulus:
+        raise UsageError(f"--modulus {explicit} differs from the {what}'s "
+                         f"modulus {modulus}")
+    return get_field(modulus)
+
+
 # ---------------------------------------------------------------------------
 # hauth
 
@@ -162,11 +171,7 @@ def cmd_hauth(args):
         return EXIT_OK
     raw = load_json(args.key, "key file",
                     {"sk": int, "prf_key": str, "modulus": int})
-    # the key fixes the field: --modulus may only repeat it
-    if args.modulus is not None and args.modulus != raw["modulus"]:
-        raise UsageError(f"--modulus {args.modulus} differs from the key "
-                         f"file's modulus {raw['modulus']}")
-    field = get_field(raw["modulus"])
+    field = file_field(args.modulus, raw["modulus"], "key file")
     key = hauth.AuthKey(field(raw["sk"]), hauth.PrfKey(
         _from_hex(raw["prf_key"], "key file 'prf_key'")))
     if args.cmd == "auth":
@@ -307,7 +312,7 @@ def cmd_fri(args):
         reader = Reader(fh.read())
     if reader.take(4) != FRI_FILE_MAGIC:
         raise UsageError("not a FRI proof file")
-    field = Field(reader.u32())
+    field = file_field(args.modulus, reader.u32(), "proof file")
     domain_size = reader.u32()
     degree = reader.u32()
     queries = reader.u32()

@@ -1,5 +1,7 @@
 """Big-endian, length-prefixed binary encoding shared by all proof formats."""
 
+import struct
+
 import numpy as np
 
 from .errors import UsageError
@@ -69,6 +71,10 @@ class Reader:
 
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
+
+    def u64s(self, k: int) -> tuple:
+        """k u64s, decoded in one read."""
+        return struct.unpack(f">{k}Q", self.take(8 * k))
 
     def bytes_lp(self) -> bytes:
         return self.take(self.u32())

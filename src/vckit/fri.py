@@ -120,7 +120,7 @@ class FriProof:
                 if width != 4 and (width != 2 or k + 1 < num_layers):
                     raise UsageError(f"opened coset of width {width} on "
                                      f"layer {k}")
-                values = [reader.u64() for _ in range(width)]
+                values = list(reader.u64s(width))
                 layers.append(FriQueryLayer(
                     values, AuthPath.from_bytes(reader.bytes_lp())))
             queries.append(FriQuery(idx, layers))

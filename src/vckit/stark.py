@@ -17,9 +17,12 @@ coset per row instead.  x^n - 1 takes only blowup distinct values
 there, so only those are inverted.
 
 FRI draws its query positions from the whole coset.  For a position
-holding x the proof opens the trace rows at x, g x, ..., g^(w-1) x
-(indices position + r * blowup), and the verifier reads the composition
-at x from the FRI layer-0 coset that holds the position.
+holding x the verifier needs the trace rows at x, g x, ..., g^(w-1) x
+(indices position + r * blowup) and reads the composition at x from the
+FRI layer-0 coset that holds the position.  The trace is committed with
+one Merkle leaf per R = min(4, n) consecutive trace rows at one coset
+shift (window_leaves), so a query opens the one or two leaves holding
+its window rather than w single rows.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -44,9 +47,12 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
 from .merkle import AuthPath, MerkleTree, verify_path
 from .transcript import HASH_ID, Transcript
 
-PROOF_VERSION = 2
+PROOF_VERSION = 3
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
+# Consecutive trace rows per trace-tree leaf; a shorter trace puts all its
+# rows in one leaf per coset shift.
+TRACE_ROWS_PER_LEAF = 4
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +197,8 @@ class StarkProof:
     trace_root: bytes
     composition_root: bytes
     fri_proof: "fri.FriProof"
-    # per query: list over window rows of (column values, path)
+    # per query: list over the leaves window_leaves names of (the leaf's
+    # values, row-major over its rows and then the columns, path)
     trace_openings: List[List[Tuple[List[int], AuthPath]]]
 
     def serialize(self) -> bytes:
@@ -230,11 +237,12 @@ class StarkProof:
         trace_root = reader.take(32)
         comp_root = reader.take(32)
         fri_proof = fri.FriProof.deserialize(Reader(reader.bytes_lp()))
+        leaf_width = _rows_per_leaf(n) * ncols
         openings = []
         for _ in range(reader.u32()):
             bundle = []
             for _ in range(reader.u32()):
-                values = [reader.u64() for _ in range(ncols)]
+                values = list(reader.u64s(leaf_width))
                 path = AuthPath.from_bytes(reader.bytes_lp())
                 bundle.append((values, path))
             openings.append(bundle)
@@ -488,6 +496,48 @@ def zk_statement_digest(secret_input: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# trace commitment layout
+
+def _rows_per_leaf(n: int) -> int:
+    return min(TRACE_ROWS_PER_LEAF, n)
+
+
+def _trace_leaves(table: np.ndarray, blowup: int) -> np.ndarray:
+    """The trace tree's leaves, one row each, from the LDE table (one row
+    per LDE index, one column per trace column): with n trace rows and
+    R = _rows_per_leaf(n), leaf s*(n/R) + J holds LDE rows
+    s + blowup*(R*J + t) for t < R, all columns of each row in order.
+    Those are trace rows R*J .. R*J + R-1 at the coset shift s."""
+    size, ncols = table.shape
+    n = size // blowup
+    rows_per_leaf = _rows_per_leaf(n)
+    return (table.reshape(n, blowup, ncols).transpose(1, 0, 2)
+            .reshape(size // rows_per_leaf, rows_per_leaf * ncols))
+
+
+def window_leaves(position: int, blowup: int, n: int,
+                  window: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The trace leaves (_trace_leaves) a query at LDE index `position`
+    opens, and where each row of its window sits in them.
+
+    The position is s + blowup*j for the shift s < blowup; its window
+    rows are trace rows (j + r) mod n at that shift, r < window, wrapping
+    past the last row.  Returns the distinct leaves holding them in
+    window order, and for each r the pair (index into those leaves, row
+    slot within the leaf)."""
+    rows_per_leaf = _rows_per_leaf(n)
+    s, j = position % blowup, position // blowup
+    leaves, cells = [], []
+    for r in range(window):
+        row = (j + r) % n
+        leaf = s * (n // rows_per_leaf) + row // rows_per_leaf
+        if leaf not in leaves:
+            leaves.append(leaf)
+        cells.append((leaves.index(leaf), row % rows_per_leaf))
+    return leaves, cells
+
+
+# ---------------------------------------------------------------------------
 # prover / verifier
 
 def _header_bytes(proof_fields) -> bytes:
@@ -532,7 +582,8 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
                    for col in trace.columns]
-    trace_tree = MerkleTree(u64_rows(np.stack(lde_columns, axis=1)))
+    leaf_values = _trace_leaves(np.stack(lde_columns, axis=1), params.blowup)
+    trace_tree = MerkleTree(u64_rows(leaf_values))
     t.absorb(b"trace-root", trace_tree.root)
 
     gammas = _draw_gammas(cs, field, t)
@@ -545,15 +596,11 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
                           enforce_low_degree=not skip_satisfaction_check)
     composition_root = fri_proof.layer_roots[0]
 
-    w = cs.max_window()
     openings = []
     for q in fri_proof.queries:
-        bundle = []
-        for r in range(w):
-            idx = (q.index + r * params.blowup) % lde.size
-            values = [int(col[idx]) for col in lde_columns]
-            bundle.append((values, trace_tree.open(idx)))
-        openings.append(bundle)
+        leaves, _ = window_leaves(q.index, params.blowup, n, cs.max_window())
+        openings.append([(leaf_values[leaf].tolist(), trace_tree.open(leaf))
+                         for leaf in leaves])
 
     return StarkProof(n, trace.original_length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
@@ -603,35 +650,42 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
         return VerifyResult.reject(f"fri: {fri_verdict.reason}")
 
     w = cs.max_window()
+    ncols = proof.num_columns
+    leaf_width = _rows_per_leaf(n) * ncols
     queries = proof.fri_proof.queries
     if len(proof.trace_openings) != len(queries):
         return VerifyResult.reject("query bundle count mismatch")
-    for k, bundle in enumerate(proof.trace_openings):
-        if len(bundle) != w:
+    layouts = [window_leaves(q.index, params.blowup, n, w) for q in queries]
+    for k, (bundle, (leaves, _)) in enumerate(zip(proof.trace_openings,
+                                                  layouts)):
+        if len(bundle) != len(leaves):
             return VerifyResult.reject(f"query {k}: window truncated")
         for values, _ in bundle:
-            if len(values) != proof.num_columns:
+            if len(values) != leaf_width:
                 return VerifyResult.reject(f"query {k}: bad row width")
             if any(v >= field.modulus for v in values):
                 return VerifyResult.reject(
                     f"query {k}: non-canonical trace value")
-    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point
-    opened = np.array([[values for values, _ in bundle]
-                       for bundle in proof.trace_openings],
-                      dtype=np.uint64).reshape(len(queries), w,
-                                               proof.num_columns)
-    leaves = u64_rows(opened.reshape(-1, proof.num_columns))
-    for k, (q, bundle) in enumerate(zip(queries, proof.trace_openings)):
-        for r, (_, path) in enumerate(bundle):
-            idx = (q.index + r * params.blowup) % lde.size
-            if not verify_path(proof.trace_root, idx, leaves[k * w + r],
+    leaf_bytes = iter(u64_rows(np.array(
+        [values for bundle in proof.trace_openings for values, _ in bundle],
+        dtype=np.uint64)))
+    for k, (bundle, (leaves, _)) in enumerate(zip(proof.trace_openings,
+                                                  layouts)):
+        for (_, path), leaf in zip(bundle, leaves):
+            if not verify_path(proof.trace_root, leaf, next(leaf_bytes),
                                path):
                 return VerifyResult.reject(f"query {k}: trace path failure")
 
+    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point, read
+    # from its (leaf, slot)
+    opened = np.array([[bundle[i][0][slot * ncols:(slot + 1) * ncols]
+                        for i, slot in cells]
+                       for bundle, (_, cells) in zip(proof.trace_openings,
+                                                     layouts)],
+                      dtype=np.uint64).reshape(len(queries), w, ncols)
     xs = np.array([lde.point(q.index).value for q in queries],
                   dtype=np.uint64)
-    rows = [[opened[:, r, c] for c in range(proof.num_columns)]
-            for r in range(w)]
+    rows = [[opened[:, r, c] for c in range(ncols)] for r in range(w)]
     combined = compose(xs, rows, cs, trace_domain, proof.original_length,
                        gammas)
     claimed = np.array(fri.queried_values(proof.fri_proof, fri_params),

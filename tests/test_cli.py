@@ -9,7 +9,7 @@ import pytest
 
 from vckit import cli, fri, stark, vdf
 from vckit.encoding import Reader, bytes_lp, u32
-from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field
+from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
 
 
@@ -56,9 +56,9 @@ def test_vdf_end_to_end(tmp_path):
     assert run(verify + [proof]) == 0
     assert run(["vdf", "verify", "--params", params, "--input", "cafe",
                 proof]) == 1
-    blob = bytearray(open(proof, "rb").read())
+    blob = bytearray(Path(proof).read_bytes())
     blob[-1] ^= 1
-    open(proof, "wb").write(bytes(blob))
+    Path(proof).write_bytes(bytes(blob))
     assert run(verify + [proof]) in (1, 2)
 
 
@@ -151,9 +151,9 @@ def test_fri_prove_verify(tmp_path):
     assert run(["fri", "prove", "--domain", "64", "--degree", "8",
                 "--queries", "10", "-o", proof]) == 0
     assert run(["fri", "verify", proof]) == 0
-    blob = bytearray(open(proof, "rb").read())
+    blob = bytearray(Path(proof).read_bytes())
     blob[-3] ^= 1
-    open(proof, "wb").write(bytes(blob))
+    Path(proof).write_bytes(bytes(blob))
     assert run(["fri", "verify", proof]) in (1, 2)
 
 
@@ -172,11 +172,11 @@ def test_stark_zk_and_custom_boundary(tmp_path):
     bad_boundary = str(tmp_path / "b.json")
     # an extra boundary consistent with the fib trace: row 2 holds 2
     good = str(tmp_path / "g.json")
-    open(good, "w").write(json.dumps([{"column": 0, "row": 2, "value": 2}]))
+    Path(good).write_text(json.dumps([{"column": 0, "row": 2, "value": 2}]))
     assert run(["stark", "prove", "--length", "8", "--zk",
                 "--boundary-json", good, "-o", proof]) == 0
     assert run(["stark", "verify", proof]) == 0
-    open(bad_boundary, "w").write(
+    Path(bad_boundary).write_text(
         json.dumps([{"column": 0, "row": 2, "value": 3}]))
     assert run(["stark", "prove", "--length", "8",
                 "--boundary-json", bad_boundary, "-o", proof]) == 2
@@ -209,7 +209,7 @@ def test_bench_smoke(capsys):
 
 def test_config_file(tmp_path):
     cfg = str(tmp_path / "vckit.cfg")
-    open(cfg, "w").write("# comment\nqueries = 6\nblowup = 4\n")
+    Path(cfg).write_text("# comment\nqueries = 6\nblowup = 4\n")
     proof = str(tmp_path / "s.bin")
     assert run(["--config", cfg, "stark", "prove", "--length", "8",
                 "-o", proof]) == 0
@@ -265,6 +265,38 @@ def test_zero_query_fri_file_refused(tmp_path):
     path.write_bytes(cli.FRI_FILE_MAGIC + u32(field.modulus) + u32(256)
                      + u32(8) + u32(0) + proof.serialize())
     assert run(["fri", "verify", str(path)]) == 2
+
+
+def _honest_fri_file(path, modulus):
+    """A FRI proof file over the field of `modulus`, written as `fri
+    prove` writes one: a random polynomial of degree < 8 on a coset of
+    32 points, 10 queries."""
+    field = Field(modulus)
+    domain = EvaluationDomain.coset(field, 32, field.generator())
+    rng = random.Random(modulus)
+    poly = Polynomial(field, [rng.randrange(modulus) for _ in range(8)])
+    t = Transcript("fri")
+    t.absorb(b"params", u32(32) + u32(8) + u32(10))
+    proof = fri.prove(poly.evaluate_array(domain.point_array()),
+                      fri.FriParams(domain, 8, 10), t)
+    path.write_bytes(cli.FRI_FILE_MAGIC + u32(modulus) + u32(32) + u32(8)
+                     + u32(10) + proof.serialize())
+
+
+def test_fri_file_modulus_must_be_vetted_and_match(tmp_path):
+    """The proof file fixes the field: honest proofs over moduli off the
+    vetted list are refused, and so is an explicit --modulus other than
+    the file's."""
+    path = tmp_path / "fri.bin"
+    for modulus in (193, 257, 7681):
+        _honest_fri_file(path, modulus)
+        assert run(["fri", "verify", str(path)]) == 2
+    for modulus in (DEFAULT_MODULUS, 97):
+        _honest_fri_file(path, modulus)
+        assert run(["fri", "verify", str(path)]) == 0
+        assert run(["--modulus", str(modulus), "fri", "verify",
+                    str(path)]) == 0
+    assert run(["--modulus", "17", "fri", "verify", str(path)]) == 2
 
 
 def test_zero_query_stark_file_refused(tmp_path):

@@ -448,11 +448,11 @@ def test_decoder_rejects_trailing_bytes():
         stark.StarkProof.deserialize(blob + b"\x00")
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [2, 4])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 2, nothing else."""
+    """The byte after the magic is the format version: 3, nothing else."""
     blob = _blob()
-    assert blob[:5] == b"VCKS\x02" == stark.PROOF_MAGIC
+    assert blob[:5] == b"VCKS\x03" == stark.PROOF_MAGIC
     forged = blob[:4] + bytes([version]) + blob[5:]
     with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
                                          f"version {version}$"):
@@ -483,7 +483,7 @@ def _rewrap(blob, what):
                 + blob[reader.pos:])
     reader.u32()
     reader.u32()
-    reader.u64()
+    reader.take(8 * stark.TRACE_ROWS_PER_LEAF)  # one column, 16 rows
     path_start = reader.pos
     path = reader.bytes_lp()
     return (blob[:path_start] + bytes_lp(path + b"\x00")
@@ -539,17 +539,20 @@ def _forge(proof, cs, params, leaf_columns, composition):
     t.absorb(b"header", stark._header_bytes(
         (n, orig, len(leaf_columns), params.blowup, params.num_queries,
          proof.zk, cs.digest(), proof.binding_digest)))
-    leaves = [[int(col[i]) for col in leaf_columns] for i in range(lde.size)]
-    tree = MerkleTree([b"".join(u64(v) for v in row) for row in leaves])
+    table = np.array([[int(col[i]) for col in leaf_columns]
+                      for i in range(lde.size)],
+                     dtype=np.uint64).reshape(lde.size, len(leaf_columns))
+    leaves = stark._trace_leaves(table, params.blowup).tolist()
+    tree = MerkleTree([b"".join(u64(v) for v in leaf) for leaf in leaves])
     t.absorb(b"trace-root", tree.root)
     comp = composition(stark._draw_gammas(cs, F, t))
     d = stark.composition_degree_bound(n, orig, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
     openings = []
     for q in fri_proof.queries:
-        idxs = [(q.index + r * params.blowup) % lde.size
-                for r in range(cs.max_window())]
-        openings.append([(leaves[i], tree.open(i)) for i in idxs])
+        opened, _ = stark.window_leaves(q.index, params.blowup, n,
+                                        cs.max_window())
+        openings.append([(leaves[i], tree.open(i)) for i in opened])
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
         composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
@@ -639,10 +642,10 @@ def test_fri_layer_root_dropped_rejected():
     assert not verdict and verdict.reason == "fri: wrong number of layer roots"
 
 
-def _with_last_bundle(proof, change):
-    """proof with its last query's trace-opening bundle changed."""
+def _with_bundle(proof, k, change):
+    """proof with query k's trace-opening bundle changed."""
     openings = list(proof.trace_openings)
-    openings[-1] = change(openings[-1])
+    openings[k] = change(openings[k])
     return dataclasses.replace(proof, trace_openings=openings)
 
 
@@ -654,14 +657,146 @@ def test_trace_bundle_shape_rejected():
     forged = {
         "query bundle count mismatch": dataclasses.replace(
             proof, trace_openings=proof.trace_openings[:-1]),
-        f"query {last}: window truncated": _with_last_bundle(
-            proof, lambda bundle: bundle[:-1]),
-        f"query {last}: bad row width": _with_last_bundle(
-            proof, lambda bundle: [(values + [0], path)
+        f"query {last}: window truncated": _with_bundle(
+            proof, last, lambda bundle: bundle[:-1]),
+        f"query {last}: bad row width": _with_bundle(
+            proof, last, lambda bundle: [(values + [0], path)
                                    for values, path in bundle])}
     for reason, bad in forged.items():
         verdict = stark.verify(bad, cs, params, F)
         assert not verdict and verdict.reason == reason
+
+
+@pytest.mark.parametrize("n, window", [
+    (n, window) for n in (2, 4, 8, 64) for window in (2, 3) if window <= n])
+@pytest.mark.parametrize("blowup", [4, 8])
+def test_window_leaves_match_the_oracle(n, window, blowup):
+    """For every position, window_leaves names the leaves of the trace
+    tree that hold the window's LDE indices (position + r*blowup) mod N,
+    found by search in a table of the indices themselves, deduplicated in
+    window order, and the (leaf, slot) of each window row; windows that
+    wrap past the last trace row included."""
+    size = blowup * n
+    table = stark._trace_leaves(
+        np.arange(size, dtype=np.uint64).reshape(size, 1), blowup)
+    assert table.shape == (size // min(4, n), min(4, n))
+    where = {int(v): divmod(i, table.shape[1])
+             for i, v in enumerate(table.flat)}
+    for position in range(size):
+        cells = [where[(position + r * blowup) % size]
+                 for r in range(window)]
+        leaves = list(dict.fromkeys(leaf for leaf, _ in cells))
+        assert stark.window_leaves(position, blowup, n, window) == (
+            leaves, [(leaves.index(leaf), slot) for leaf, slot in cells])
+
+
+def _squaring_system(n):
+    """One column x with x' = x^2 from x = 3: a window-2 system that
+    still has a FRI round at n = 2."""
+    column = [3]
+    while len(column) < n:
+        column.append(column[-1] ** 2 % F.modulus)
+    pred = stark.MultivariatePoly(F, 2, {(0, 1): 1, (2, 0): -1})
+    cs = stark.ConstraintSystem(1, [stark.BoundaryConstraint(0, 0, 3)],
+                                [stark.TransitionConstraint(2, pred)])
+    return stark.TraceTable([column], n, F), cs
+
+
+def _fib(n):
+    return (stark.trace_fibonacci(n, F),
+            stark.fibonacci_constraint_system(n, F))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: _fib(4), lambda: _squaring_system(2), lambda: _two_column(4),
+    lambda: _two_column(8)], ids=["fib4", "squaring2", "two-column4",
+                                  "two-column8"])
+@pytest.mark.parametrize("blowup", [4, 8])
+def test_short_traces_prove_and_verify(system, blowup):
+    """Every position queried (as many queries as LDE points): at n = 4
+    the fib window wraps inside one leaf, at n = 2 one leaf of 2 rows
+    holds every window, and two columns share each leaf row."""
+    tr, cs = system()
+    params = stark.StarkParams(blowup, blowup * tr.length)
+    proof = stark.StarkProof.deserialize(
+        stark.prove(tr, cs, params).serialize())
+    assert len(proof.fri_proof.queries) == blowup * tr.length
+    verdict = stark.verify(proof, cs, params, F)
+    assert verdict, verdict.reason
+    width = min(4, tr.length) * tr.num_columns
+    for q, bundle in zip(proof.fri_proof.queries, proof.trace_openings):
+        leaves, _ = stark.window_leaves(q.index, blowup, tr.length,
+                                        cs.max_window())
+        assert [path.leaf_index for _, path in bundle] == leaves
+        assert all(len(values) == width for values, _ in bundle)
+
+
+def test_every_opened_trace_slot_is_authenticated():
+    """Changing any value of any opened trace leaf, including the slots
+    the window does not read, breaks that query's path."""
+    proof, cs, params = _fib8_proof()
+    unread = 0
+    for k, bundle in enumerate(proof.trace_openings):
+        _, cells = stark.window_leaves(proof.fri_proof.queries[k].index,
+                                       params.blowup, proof.trace_length,
+                                       cs.max_window())
+        for i, (values, path) in enumerate(bundle):
+            for slot in range(len(values)):
+                unread += (i, slot) not in cells
+                changed = list(values)
+                changed[slot] = (changed[slot] + 1) % F.modulus
+                forged = _with_bundle(proof, k, lambda b: (
+                    b[:i] + [(changed, path)] + b[i + 1:]))
+                verdict = stark.verify(forged, cs, params, F)
+                assert not verdict
+                assert verdict.reason == f"query {k}: trace path failure"
+    assert unread
+
+
+def test_trace_bundle_leaf_count_rejected():
+    """A bundle with one of its leaves dropped or duplicated, or with a
+    leaf its window does not need, is truncated or padded against the
+    layout: `query k: window truncated` for every query k."""
+    proof, cs, params = _fib8_proof()
+    bundles = proof.trace_openings
+    assert {len(b) for b in bundles} == {1, 2}
+    for k, bundle in enumerate(bundles):
+        held = {path.leaf_index for _, path in bundle}
+        spare = next(opening for other in bundles for opening in other
+                     if opening[1].leaf_index not in held)
+        changes = [lambda b: b + [spare], lambda b: [spare] + b]
+        for i in range(len(bundle)):
+            changes += [lambda b, i=i: b[:i] + b[i + 1:],
+                        lambda b, i=i: b[:i + 1] + b[i:]]
+        for change in changes:
+            verdict = stark.verify(_with_bundle(proof, k, change),
+                                   cs, params, F)
+            assert not verdict
+            assert verdict.reason == f"query {k}: window truncated"
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("system", [lambda: _fib(8), lambda: _two_column(8)],
+                         ids=["fib8", "two-column8"])
+def test_leaf_of_the_wrong_width_refused(system, delta):
+    """A leaf holds R*ncols values: one fewer or one more is a rejection
+    by the verifier and, once encoded, by the decoder or the verifier."""
+    tr, cs = system()
+    params = stark.StarkParams(8, 6)
+    proof = stark.prove(tr, cs, params)
+    assert {len(v) for b in proof.trace_openings for v, _ in b} == {
+        4 * tr.num_columns}
+    last = len(proof.trace_openings) - 1
+    forged = _with_bundle(proof, last, lambda bundle: [
+        ((values + [0])[:len(values) + delta], path)
+        for values, path in bundle])
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict and verdict.reason == f"query {last}: bad row width"
+    try:
+        decoded = stark.StarkProof.deserialize(forged.serialize())
+    except UsageError:
+        return
+    assert not stark.verify(decoded, cs, params, F)
 
 
 def test_non_canonical_trace_values_rejected():
