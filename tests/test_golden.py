@@ -3,8 +3,9 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK and FRI hashes are of format version 2, FRI with one leaf per
-4-point coset; the version-1 hashes, which the symbolic (divmod-quotient,
+The STARK hashes are of format version 3, the trace with one leaf per
+four trace rows, and the FRI hash of version 2, one leaf per 4-point
+coset; earlier hashes, including those the symbolic (divmod-quotient,
 Horner-LDE) prover also gave, are listed in CHANGES.md.  The VDF hashes
 come from the bit-by-bit long-division prover and 40-round random
 Miller-Rabin, so they also pin the setup moduli and the challenge primes.
@@ -70,15 +71,15 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "d0cff59354868bd024447592aa6057dc2b8a88d9e3c79d456e56564daf72c27e",
+        "1a95f37d6760ba70c240f3ecdb3d0f9f3776642ce3189e5732de5680edf98684",
     "fib64-b4-q8-zk1":
-        "b59133648a2bded52a56264d3df963d7b6daa3812e1e770823b736a39a39fe54",
+        "45351109f477a7d55e1c833c3f723e2ea8f0f864a5f3b33021d9cf00851c1f61",
     "fib1900-b8-q20-zk7":
-        "15459dc9e2bccd52be33e649d4040880bf4a62916f25990f7df92cf217b25e01",
+        "1507c436f1d1cde3ad7a73252cd2ed8b4a45f61fa78f145eafc6fc81730876d1",
     "fib4000-b4-q8-zk5":
-        "7550d6d3b8a1990141c743723fb78770e8dab5f26125846b2b520d9af4461be0",
+        "97fbf0e7e69e50f89ab0313eec3ae4fac725d8c92c8678685263afd1f3f370a5",
     "two-column-b8-q10":
-        "f4241d16fbf72428b39954535dc633c54248ec81ea57033fd383db22b2f6ac57",
+        "85967f6e9379f3b64b3c5df6c45874365000a7da68ea5bda9c56a17037bfae77",
     "fri-coset256-d32-q16":
         "92b001ed894e9ebb5d8848ea00161475805e14672c734509585eb707dea8ac62",
     "vdf-n32-T0":
