@@ -650,8 +650,8 @@ def _with_bundle(proof, k, change):
 
 
 def test_trace_bundle_shape_rejected():
-    """One bundle too few, a window one row short, a row one value wide
-    too many: each named, the last two by their query."""
+    """One bundle too few, a bundle one leaf short, leaves one value too
+    many: each named, the last two by their query."""
     proof, cs, params = _fib8_proof()
     last = len(proof.trace_openings) - 1
     forged = {
@@ -661,7 +661,7 @@ def test_trace_bundle_shape_rejected():
             proof, last, lambda bundle: bundle[:-1]),
         f"query {last}: bad row width": _with_bundle(
             proof, last, lambda bundle: [(values + [0], path)
-                                   for values, path in bundle])}
+                                         for values, path in bundle])}
     for reason, bad in forged.items():
         verdict = stark.verify(bad, cs, params, F)
         assert not verdict and verdict.reason == reason
