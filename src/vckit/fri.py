@@ -323,9 +323,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
 
 
 def queried_values(proof: FriProof, params: FriParams) -> List[int]:
-    """f at each query position, read from its opened layer-0 coset (the
-    final constant when no round folds).  For a proof verify accepted."""
-    if not params.arities:
-        return [proof.final_value] * len(proof.queries)
+    """f at each query position, read from its opened layer-0 coset.  For
+    a proof verify accepted with at least one folding round."""
     width = params.domain.size // params.arities[0]
     return [q.layers[0].values[q.index // width] for q in proof.queries]

@@ -52,7 +52,7 @@ class Tag:
     poly: Union[Polynomial, MultivariatePoly]
     arity: int = 1
     slot: Optional[int] = None        # variable index for two-party tags
-    key_fp: Optional[bytes] = None
+    key_fp: Optional[bytes] = None    # slot key's fingerprint, likewise
 
 
 def keygen(seed: bytes, field: Field) -> AuthKey:
@@ -113,7 +113,7 @@ def auth(key: AuthKey, m, label: MultiLabel) -> Tag:
     """One-shot tag; label-reuse tracking is the caller's duty without a session."""
     m = key.field(m)
     r = label_randomness(key, label)
-    return Tag(_fresh_tag_poly(key, m, r), arity=1, key_fp=key.fingerprint())
+    return Tag(_fresh_tag_poly(key, m, r), arity=1)
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,9 @@ def compose(points, rows, cs: ConstraintSystem,
 
 def composition_degree_bound(trace_length: int, orig_length: int,
                              cs: ConstraintSystem) -> int:
-    """Max quotient degree, rounded up so the FRI bound deg < d holds."""
+    """Max quotient degree, rounded up so the FRI bound deg < d holds;
+    at least 2, so FRI folds at least once and its layer 0 commits the
+    composition."""
     degs = []
     per_col = {}
     for bc in cs.boundaries:
@@ -465,7 +467,7 @@ def composition_degree_bound(trace_length: int, orig_length: int,
     for tc in cs.transitions:
         degs.append(tc.degree * (trace_length - 1)
                     - (orig_length - tc.window + 1))
-    d = 1
+    d = 2
     while d < max(degs) + 1:
         d *= 2
     return d
@@ -516,25 +518,20 @@ def _trace_leaves(table: np.ndarray, blowup: int) -> np.ndarray:
 
 
 def window_leaves(position: int, blowup: int, n: int,
-                  window: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+                  window: int) -> List[int]:
     """The trace leaves (_trace_leaves) a query at LDE index `position`
-    opens, and where each row of its window sits in them.
+    opens: the distinct leaves holding its window rows, in window order.
 
     The position is s + blowup*j for the shift s < blowup; its window
     rows are trace rows (j + r) mod n at that shift, r < window, wrapping
-    past the last row.  Returns the distinct leaves holding them in
-    window order, and for each r the pair (index into those leaves, row
-    slot within the leaf)."""
+    past the last row.  With the rows of these leaves concatenated,
+    window row r sits at index (j mod R + r) mod (len(leaves) * R), for
+    R = _rows_per_leaf(n)."""
     rows_per_leaf = _rows_per_leaf(n)
     s, j = position % blowup, position // blowup
-    leaves, cells = [], []
-    for r in range(window):
-        row = (j + r) % n
-        leaf = s * (n // rows_per_leaf) + row // rows_per_leaf
-        if leaf not in leaves:
-            leaves.append(leaf)
-        cells.append((leaves.index(leaf), row % rows_per_leaf))
-    return leaves, cells
+    return list(dict.fromkeys(s * (n // rows_per_leaf)
+                              + (j + r) % n // rows_per_leaf
+                              for r in range(window)))
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +595,9 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     openings = []
     for q in fri_proof.queries:
-        leaves, _ = window_leaves(q.index, params.blowup, n, cs.max_window())
         openings.append([(leaf_values[leaf].tolist(), trace_tree.open(leaf))
-                         for leaf in leaves])
+                         for leaf in window_leaves(q.index, params.blowup, n,
+                                                   cs.max_window())])
 
     return StarkProof(n, trace.original_length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
@@ -610,12 +607,13 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
 def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
            field: Field) -> VerifyResult:
-    """Replay the transcript, check every opening, re-derive each query's
-    constraint combination and compare with the FRI layer-0 value, then
-    check the FRI low-degree proof."""
+    """Replay the transcript, check the FRI low-degree proof and every
+    trace opening, then re-derive each query's constraint combination and
+    compare it with the FRI layer-0 value."""
     if proof.cs_digest != cs.digest():
         return VerifyResult.reject("constraint-system digest mismatch")
-    if proof.blowup != params.blowup or proof.num_queries != params.num_queries:
+    if ((proof.blowup, proof.num_queries, proof.zk)
+            != (params.blowup, params.num_queries, params.zk)):
         return VerifyResult.reject("parameter mismatch")
     if proof.num_columns != cs.num_columns:
         return VerifyResult.reject("column count mismatch")
@@ -641,23 +639,22 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
 
     d = composition_degree_bound(n, proof.original_length, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
-    if not proof.fri_proof.layer_roots:
-        return VerifyResult.reject("fri: no layer roots")
-    if proof.composition_root != proof.fri_proof.layer_roots[0]:
-        return VerifyResult.reject("composition root mismatch")
     fri_verdict = fri.verify(proof.fri_proof, fri_params, t)
     if not fri_verdict:
         return VerifyResult.reject(f"fri: {fri_verdict.reason}")
+    # d >= 2, so FRI checked that layer 0 has a root
+    if proof.composition_root != proof.fri_proof.layer_roots[0]:
+        return VerifyResult.reject("composition root mismatch")
 
     w = cs.max_window()
     ncols = proof.num_columns
-    leaf_width = _rows_per_leaf(n) * ncols
+    rows_per_leaf = _rows_per_leaf(n)
+    leaf_width = rows_per_leaf * ncols
     queries = proof.fri_proof.queries
     if len(proof.trace_openings) != len(queries):
         return VerifyResult.reject("query bundle count mismatch")
     layouts = [window_leaves(q.index, params.blowup, n, w) for q in queries]
-    for k, (bundle, (leaves, _)) in enumerate(zip(proof.trace_openings,
-                                                  layouts)):
+    for k, (bundle, leaves) in enumerate(zip(proof.trace_openings, layouts)):
         if len(bundle) != len(leaves):
             return VerifyResult.reject(f"query {k}: window truncated")
         for values, _ in bundle:
@@ -666,23 +663,24 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
             if any(v >= field.modulus for v in values):
                 return VerifyResult.reject(
                     f"query {k}: non-canonical trace value")
-    leaf_bytes = iter(u64_rows(np.array(
+    leaf_table = np.array(
         [values for bundle in proof.trace_openings for values, _ in bundle],
-        dtype=np.uint64)))
-    for k, (bundle, (leaves, _)) in enumerate(zip(proof.trace_openings,
-                                                  layouts)):
+        dtype=np.uint64)
+    leaf_bytes = iter(u64_rows(leaf_table))
+    for k, (bundle, leaves) in enumerate(zip(proof.trace_openings, layouts)):
         for (_, path), leaf in zip(bundle, leaves):
             if not verify_path(proof.trace_root, leaf, next(leaf_bytes),
                                path):
                 return VerifyResult.reject(f"query {k}: trace path failure")
 
-    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point, read
-    # from its (leaf, slot)
-    opened = np.array([[bundle[i][0][slot * ncols:(slot + 1) * ncols]
-                        for i, slot in cells]
-                       for bundle, (_, cells) in zip(proof.trace_openings,
-                                                     layouts)],
-                      dtype=np.uint64).reshape(len(queries), w, ncols)
+    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point.  The
+    # rows of query k's leaves, concatenated, hold its window as a cyclic
+    # slice (window_leaves); they start at row first[k] of all opened rows.
+    held = np.array([len(leaves) for leaves in layouts]) * rows_per_leaf
+    first = np.cumsum(held) - held
+    starts = np.array([q.index // params.blowup for q in queries])
+    opened = leaf_table.reshape(-1, ncols)[first[:, None] + (
+        starts[:, None] % rows_per_leaf + np.arange(w)) % held[:, None]]
     xs = np.array([lde.point(q.index).value for q in queries],
                   dtype=np.uint64)
     rows = [[opened[:, r, c] for c in range(ncols)] for r in range(w)]

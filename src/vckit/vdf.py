@@ -252,22 +252,16 @@ def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:
 
 
 def verify(params: VdfParams, x_prime: int, proof: VdfProof,
-           counters: VdfCounters = None, interactive_r: int = None
-           ) -> VerifyResult:
+           counters: VdfCounters = None) -> VerifyResult:
     """Check pi^r * x'^residue == +-y, recomputing r from the transcript.
 
     y and pi must lie in (0, N): 0 and N satisfy the equation for any
-    input.  Passing interactive_r skips the Fiat-Shamir recomputation
-    (protocol trace testing).
+    input.
     """
     n = params.n_modulus
     if not (0 < proof.y < n and 0 < proof.pi < n):
         return VerifyResult.reject("out-of-range")
-    if interactive_r is None:
-        expected = derive_challenge(params, x_prime, proof.y)
-        if expected != proof.r:
-            return VerifyResult.reject("challenge-mismatch")
-    elif interactive_r != proof.r:
+    if derive_challenge(params, x_prime, proof.y) != proof.r:
         return VerifyResult.reject("challenge-mismatch")
     residue = pow(2, params.delay, proof.r)
     lhs = counting_modpow(proof.pi, proof.r, n, counters)

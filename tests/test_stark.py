@@ -201,6 +201,28 @@ def test_wrong_statement_rejected():
     assert not stark.verify(proof, other, params, F)
 
 
+@pytest.mark.parametrize("proved_zk", [False, True])
+def test_zk_flag_mismatch_rejected(proved_zk):
+    """A proof made with zk off does not verify under parameters with zk
+    on, nor the other way round."""
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    proof = stark.prove(tr, cs, stark.StarkParams(8, 12, zk=proved_zk),
+                        zk_seed=3)
+    assert stark.verify(proof, cs, stark.StarkParams(8, 12, zk=proved_zk), F)
+    verdict = stark.verify(proof, cs,
+                           stark.StarkParams(8, 12, zk=not proved_zk), F)
+    assert not verdict and verdict.reason == "parameter mismatch"
+
+
+def test_prover_refuses_column_count_mismatch():
+    tr = stark.trace_fibonacci(8, F)
+    two = stark.TraceTable([tr.columns[0], tr.columns[0]], 8, F)
+    with pytest.raises(UsageError, match="column count mismatch"):
+        stark.prove(two, stark.fibonacci_constraint_system(8, F),
+                    stark.StarkParams(8, 6), skip_satisfaction_check=True)
+
+
 @pytest.mark.parametrize("blowup, queries", [(2, 8), (6, 8), (8, 0), (8, -1)])
 def test_params_validation(blowup, queries):
     with pytest.raises(UsageError):
@@ -276,6 +298,17 @@ def test_secret_binding_digest_checked():
     assert stark.verify(proof, cs, params, F)
     proof.binding_digest = stark.zk_statement_digest(b"other")
     assert not stark.verify(proof, cs, params, F)
+
+
+def test_binding_digest_serialize_roundtrip():
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    params = stark.StarkParams(8, 6)
+    blob = stark.prove(tr, cs, params, secret_binding=b"witness").serialize()
+    back = stark.StarkProof.deserialize(blob)
+    assert back.binding_digest == stark.zk_statement_digest(b"witness")
+    assert back.serialize() == blob
+    assert stark.verify(back, cs, params, F)
 
 
 def test_probabilistic_poly_eq():
@@ -550,8 +583,8 @@ def _forge(proof, cs, params, leaf_columns, composition):
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
     openings = []
     for q in fri_proof.queries:
-        opened, _ = stark.window_leaves(q.index, params.blowup, n,
-                                        cs.max_window())
+        opened = stark.window_leaves(q.index, params.blowup, n,
+                                     cs.max_window())
         openings.append([(leaves[i], tree.open(i)) for i in opened])
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
@@ -601,14 +634,16 @@ def test_column_count_mismatch_rejected(num_columns):
 
 
 def test_fri_proof_without_layer_roots_rejected():
+    """FRI refuses the root count before the composition root is read
+    from layer 0."""
     proof, cs, params = _fib8_proof()
     empty = dataclasses.replace(proof.fri_proof, layer_roots=[])
     verdict = stark.verify(dataclasses.replace(proof, fri_proof=empty),
                            cs, params, F)
-    assert not verdict and verdict.reason == "fri: no layer roots"
+    assert not verdict and verdict.reason == "fri: wrong number of layer roots"
     blob = dataclasses.replace(proof, fri_proof=empty).serialize()
     verdict = stark.verify(stark.StarkProof.deserialize(blob), cs, params, F)
-    assert not verdict and verdict.reason == "fri: no layer roots"
+    assert not verdict and verdict.reason == "fri: wrong number of layer roots"
 
 
 @pytest.mark.parametrize("change", [{"trace_length": 3},
@@ -674,20 +709,23 @@ def test_window_leaves_match_the_oracle(n, window, blowup):
     """For every position, window_leaves names the leaves of the trace
     tree that hold the window's LDE indices (position + r*blowup) mod N,
     found by search in a table of the indices themselves, deduplicated in
-    window order, and the (leaf, slot) of each window row; windows that
-    wrap past the last trace row included."""
+    window order; and in those leaves' rows, concatenated, window row r
+    sits at (j mod R + r) mod (leaves * R), j = position // blowup.
+    Windows that wrap past the last trace row included."""
     size = blowup * n
+    rows_per_leaf = min(4, n)
     table = stark._trace_leaves(
         np.arange(size, dtype=np.uint64).reshape(size, 1), blowup)
-    assert table.shape == (size // min(4, n), min(4, n))
-    where = {int(v): divmod(i, table.shape[1])
-             for i, v in enumerate(table.flat)}
+    assert table.shape == (size // rows_per_leaf, rows_per_leaf)
+    leaf_of = {int(v): leaf for leaf, row in enumerate(table) for v in row}
     for position in range(size):
-        cells = [where[(position + r * blowup) % size]
-                 for r in range(window)]
-        leaves = list(dict.fromkeys(leaf for leaf, _ in cells))
-        assert stark.window_leaves(position, blowup, n, window) == (
-            leaves, [(leaves.index(leaf), slot) for leaf, slot in cells])
+        window_lde = [(position + r * blowup) % size for r in range(window)]
+        leaves = list(dict.fromkeys(leaf_of[i] for i in window_lde))
+        assert stark.window_leaves(position, blowup, n, window) == leaves
+        rows = table[leaves].ravel()
+        start = position // blowup % rows_per_leaf
+        assert [int(rows[(start + r) % len(rows)])
+                for r in range(window)] == window_lde
 
 
 def _squaring_system(n):
@@ -725,24 +763,45 @@ def test_short_traces_prove_and_verify(system, blowup):
     assert verdict, verdict.reason
     width = min(4, tr.length) * tr.num_columns
     for q, bundle in zip(proof.fri_proof.queries, proof.trace_openings):
-        leaves, _ = stark.window_leaves(q.index, blowup, tr.length,
-                                        cs.max_window())
+        leaves = stark.window_leaves(q.index, blowup, tr.length,
+                                     cs.max_window())
         assert [path.leaf_index for _, path in bundle] == leaves
         assert all(len(values) == width for values, _ in bundle)
+
+
+@pytest.mark.parametrize("zk", [False, True])
+def test_two_row_two_column_system_proves_and_verifies(zk):
+    """Without zk every quotient of the two-column system at n = 2 is
+    constant; the composition degree bound is still 2, so FRI folds once
+    and its layer-0 root is the composition root.  With zk the noise rows
+    lengthen the trace."""
+    tr, cs = _two_column(2)
+    params = stark.StarkParams(4, 6, zk=zk)
+    proof = stark.StarkProof.deserialize(
+        stark.prove(tr, cs, params, zk_seed=5).serialize())
+    verdict = stark.verify(proof, cs, params, F)
+    assert verdict, verdict.reason
+    assert proof.composition_root == proof.fri_proof.layer_roots[0]
+    if not zk:
+        assert stark.composition_degree_bound(2, 2, cs) == 2
+        assert len(proof.fri_proof.layer_roots) == 1
 
 
 def test_every_opened_trace_slot_is_authenticated():
     """Changing any value of any opened trace leaf, including the slots
     the window does not read, breaks that query's path."""
     proof, cs, params = _fib8_proof()
+    rows_per_leaf = min(4, proof.trace_length)
     unread = 0
     for k, bundle in enumerate(proof.trace_openings):
-        _, cells = stark.window_leaves(proof.fri_proof.queries[k].index,
-                                       params.blowup, proof.trace_length,
-                                       cs.max_window())
+        start = (proof.fri_proof.queries[k].index // params.blowup
+                 % rows_per_leaf)
+        read = {(start + r) % (len(bundle) * rows_per_leaf)
+                for r in range(cs.max_window())}
         for i, (values, path) in enumerate(bundle):
             for slot in range(len(values)):
-                unread += (i, slot) not in cells
+                # one column: slot is the row within the leaf
+                unread += i * rows_per_leaf + slot not in read
                 changed = list(values)
                 changed[slot] = (changed[slot] + 1) % F.modulus
                 forged = _with_bundle(proof, k, lambda b: (

@@ -29,13 +29,15 @@ def test_prove_worked_example():
     # floor(2^3 / 5) = 1, so pi = 2^1 = 2 and residue = 2^3 mod 5 = 3
     pi = vdf.prove(N35, 2, 11, 5)
     assert pi == 2
-    proof = vdf.VdfProof(11, 2, 5)
-    assert vdf.verify(N35, 2, proof, interactive_r=5)
+    # the verifier's equation pi^r * x'^residue == y: 2^5 * 2^3 = 256 = 11
+    assert pow(pi, 5, 35) * pow(2, pow(2, 3, 5), 35) % 35 == 11
 
 
-def test_interactive_wrong_r_rejected():
-    proof = vdf.VdfProof(11, 2, 5)
-    v = vdf.verify(N35, 2, proof, interactive_r=7)
+def test_wrong_r_rejected():
+    """r = 5 satisfies the worked example's equation, but it is not the
+    Fiat-Shamir challenge for (N, T, x', y)."""
+    assert vdf.derive_challenge(N35, 2, 11) != 5
+    v = vdf.verify(N35, 2, vdf.VdfProof(11, 2, 5))
     assert not v and v.reason == "challenge-mismatch"
 
 
@@ -100,9 +102,12 @@ def test_sign_insensitive_equality():
     """y and N - y are the same element of Z_N^*/{+-1}."""
     params, _ = vdf.setup(16, b"sign", delay=20)
     x, proof = vdf.vdf_round(params, b"m")
-    flipped = vdf.VdfProof(params.n_modulus - proof.y, proof.pi, proof.r)
-    # challenge recomputation sees a different y encoding, so go interactive
-    assert vdf.verify(params, x, flipped, interactive_r=proof.r)
+    # N - y has its own Fiat-Shamir challenge, and so its own proof
+    neg_y = params.n_modulus - proof.y
+    r = vdf.derive_challenge(params, x, neg_y)
+    assert r != proof.r
+    assert vdf.verify(params, x, vdf.VdfProof(neg_y, vdf.prove(params, x,
+                                                                neg_y, r), r))
 
 
 def test_counters():
@@ -199,7 +204,6 @@ def test_degenerate_values_rejected(bogus):
     forged = vdf.VdfProof(v, v, vdf.derive_challenge(params, x, v))
     verdict = vdf.verify(params, x, forged)
     assert not verdict and verdict.reason == "out-of-range"
-    assert not vdf.verify(params, x, forged, interactive_r=forged.r)
 
 
 @pytest.mark.parametrize("field", ["y", "pi"])
@@ -210,8 +214,7 @@ def test_out_of_range_component_rejected(field, value):
     n = params.n_modulus
     v = {"zero": 0, "modulus": n, "above": getattr(proof, field) + n}[value]
     y, pi = (v, proof.pi) if field == "y" else (proof.y, v)
-    verdict = vdf.verify(params, x, vdf.VdfProof(y, pi, proof.r),
-                         interactive_r=proof.r)
+    verdict = vdf.verify(params, x, vdf.VdfProof(y, pi, proof.r))
     assert not verdict and verdict.reason == "out-of-range"
 
 
