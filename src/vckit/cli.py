@@ -322,7 +322,9 @@ def cmd_fri(args):
     proof = fri_mod.FriProof.deserialize(reader)
     t = Transcript("fri")
     t.absorb(b"params", u32(domain_size) + u32(degree) + u32(queries))
-    verdict = fri_mod.verify(proof, params, t)
+    # the query count is the verifier's to choose, not the file's
+    verdict = (fri_mod.verify(proof, params, t) if queries == args.queries
+               else VerifyResult.reject("parameter mismatch"))
     print("accept" if verdict else f"reject ({verdict.reason})")
     return EXIT_OK if verdict else EXIT_REJECT
 
@@ -348,6 +350,13 @@ def build_program(name: str, length: int, field, boundary_json=None):
     return trace, cs
 
 
+def _stark_params(args, zk: bool) -> stark.StarkParams:
+    """--blowup and --queries, else the config file's, else 8 and 20."""
+    return stark.StarkParams(8 if args.blowup is None else args.blowup,
+                             20 if args.queries is None else args.queries,
+                             zk=zk)
+
+
 def cmd_stark(args):
     field = get_field(args.modulus)
     if args.cmd == "prove":
@@ -355,9 +364,7 @@ def cmd_stark(args):
         if args.boundary_json:
             boundary = load_json(args.boundary_json, "boundary file")
         trace, cs = build_program(args.program, args.length, field, boundary)
-        params = stark.StarkParams(
-            8 if args.blowup is None else args.blowup,
-            20 if args.queries is None else args.queries, zk=args.zk)
+        params = _stark_params(args, args.zk)
         proof = stark.prove(trace, cs, params, zk_seed=args.zk_seed)
         blob = (json.dumps({"program": args.program, "length": args.length,
                             "boundary": boundary}).encode())
@@ -374,8 +381,8 @@ def cmd_stark(args):
         len(reader.data) - reader.pos))
     _, cs = build_program(meta["program"], meta["length"], field,
                           meta.get("boundary"))
-    params = stark.StarkParams(proof.blowup, proof.num_queries, zk=proof.zk)
-    verdict = stark.verify(proof, cs, params, field)
+    # soundness comes from the verifier's parameters, zk from the file
+    verdict = stark.verify(proof, cs, _stark_params(args, proof.zk), field)
     print("accept" if verdict else f"reject ({verdict.reason})")
     return EXIT_OK if verdict else EXIT_REJECT
 
@@ -550,6 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("-o", "--output", required=True)
     pv = fr.add_parser("verify")
+    pv.add_argument("--queries", type=int, default=20)
     pv.add_argument("proof")
     pd = fr.add_parser("demo")
     pd.add_argument("--domain", type=int, default=64)
@@ -566,6 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--boundary-json")
     pp.add_argument("-o", "--output", required=True)
     pv = st.add_parser("verify")
+    pv.add_argument("--blowup", type=int)
+    pv.add_argument("--queries", type=int)
     pv.add_argument("proof")
 
     be = sub.add_parser("bench").add_subparsers(dest="cmd", required=True)

@@ -10,10 +10,12 @@ squared domain), so the final layer is always one constant.
 A layer of m values is committed with one leaf per folding coset: leaf c
 holds, as u64s, the values at indices c, c + m/4, c + m/2 and c + 3m/4,
 the points x_c * {1, i, -1, -i} that fold to x_c^4 (two values, at
-+-x_c, in a 2-fold round).  One authentication path covers a query's
-whole coset.  Query positions are drawn from all of the first domain;
-on each layer the verifier opens the coset holding the position, checks
-that the position's slot equals the previous layer's fold, and folds.
++-x_c, in a 2-fold round).  Query positions are drawn from all of the
+first domain; a position pos lies in coset pos % (m/arity) of each layer.
+Each layer sends the distinct cosets its queries hold, once each in
+ascending order, with one Merkle path for all of them.  The verifier
+checks that each position's slot equals the previous layer's fold, and
+folds.
 
 One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 4 takes two
 of its calls, with beta and then beta^2 (_fold_cosets).  The prover folds
@@ -26,15 +28,14 @@ from typing import List
 
 import numpy as np
 
-from .encoding import (Reader, bytes_lp, read_magic, u8, u32, u64,
-                       u64_rows)
+from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
 from .field import (EvaluationDomain, FieldElement, _inverse_array,
                     _power_array)
-from .merkle import AuthPath, MerkleTree, verify_path
+from .merkle import MerkleTree, Opening
 from .transcript import HASH_ID, Transcript
 
-PROOF_VERSION = 2
+PROOF_VERSION = 3
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKF" + u8(PROOF_VERSION)
 
@@ -69,15 +70,8 @@ class FriParams:
 
 
 @dataclass
-class FriQueryLayer:
-    values: List[int]   # the coset holding the position, in slot order
-    path: AuthPath
-
-
-@dataclass
 class FriQuery:
     index: int                     # position in [0, |D|)
-    layers: List[FriQueryLayer]
 
 
 @dataclass
@@ -85,47 +79,41 @@ class FriProof:
     layer_roots: List[bytes]
     final_value: int
     queries: List[FriQuery]
+    # per folding round, the cosets the query positions hold
+    layers: List[Opening]
 
     def serialize(self) -> bytes:
         out = [PROOF_MAGIC, u8(HASH_ID), u32(len(self.layer_roots))]
         out += self.layer_roots
         out.append(u64(self.final_value))
         out.append(u32(len(self.queries)))
-        for q in self.queries:
-            out.append(u32(q.index))
-            out.append(u32(len(q.layers)))
-            for ql in q.layers:
-                out.append(u8(len(ql.values)))
-                out += [u64(v) for v in ql.values]
-                out.append(bytes_lp(ql.path.serialize()))
+        out += [u32(q.index) for q in self.queries]
+        for opening in self.layers:
+            out.append(u8(opening.rows.shape[1]))
+            out.append(opening.serialize())
         return b"".join(out)
 
     @staticmethod
     def deserialize(data) -> "FriProof":
-        """Decode a proof that fills all of data (bytes or a Reader).  An
-        opened coset has 4 values, or 2 on a query's last layer."""
+        """Decode a proof that fills all of data (bytes or a Reader): one
+        opening per layer root, of cosets of 4 values, or of 2 on the last
+        layer."""
         reader = data if isinstance(data, Reader) else Reader(data)
         read_magic(reader, PROOF_MAGIC, "FRI")
         if reader.u8() != HASH_ID:
             raise UsageError("unsupported hash algorithm id")
         roots = [reader.take(32) for _ in range(reader.u32())]
         final_value = reader.u64()
-        queries = []
-        for _ in range(reader.u32()):
-            idx = reader.u32()
-            layers = []
-            num_layers = reader.u32()
-            for k in range(num_layers):
-                width = reader.u8()
-                if width != 4 and (width != 2 or k + 1 < num_layers):
-                    raise UsageError(f"opened coset of width {width} on "
-                                     f"layer {k}")
-                values = list(reader.u64s(width))
-                layers.append(FriQueryLayer(
-                    values, AuthPath.from_bytes(reader.bytes_lp())))
-            queries.append(FriQuery(idx, layers))
+        queries = [FriQuery(reader.u32()) for _ in range(reader.u32())]
+        layers = []
+        for k in range(len(roots)):
+            width = reader.u8()
+            if width != 4 and (width != 2 or k + 1 < len(roots)):
+                raise UsageError(f"opened coset of width {width} on "
+                                 f"layer {k}")
+            layers.append(Opening.deserialize(reader, width))
         reader.finish()
-        return FriProof(roots, final_value, queries)
+        return FriProof(roots, final_value, queries, layers)
 
 
 def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
@@ -247,17 +235,17 @@ def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
 
 def query_phase(layers, trees, t: Transcript, params: FriParams,
                 roots, final_value) -> FriProof:
-    """Open, on every layer, the coset holding each query position."""
-    queries = []
-    for pos in _draw_positions(t, params):
-        bundle = []
-        c = pos
-        for layer, tree, arity in zip(layers, trees, params.arities):
-            c %= len(layer) // arity
-            bundle.append(FriQueryLayer(_cosets(layer, arity)[c].tolist(),
-                                        tree.open(c)))
-        queries.append(FriQuery(pos, bundle))
-    return FriProof(list(roots), final_value, queries)
+    """Open, on every layer, the distinct cosets holding the query
+    positions."""
+    positions = _draw_positions(t, params)
+    openings = []
+    for layer, tree, arity in zip(layers, trees, params.arities):
+        width = len(layer) // arity
+        cosets = sorted({pos % width for pos in positions})
+        openings.append(Opening(_cosets(layer, arity)[cosets],
+                                tree.open(cosets)))
+    return FriProof(list(roots), final_value,
+                    [FriQuery(pos) for pos in positions], openings)
 
 
 def prove(evals, params: FriParams, t: Transcript,
@@ -269,10 +257,10 @@ def prove(evals, params: FriParams, t: Transcript,
 
 def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     """Replay the transcript, re-draw challenges and query positions, then
-    check every query layer by layer down to the final constant: opened
-    cosets of the round's width, values canonical, coset paths valid, the
-    slot at each position equal to the previous layer's fold; then the
-    cosets of all queries are folded in one call."""
+    check the layers in turn down to the final constant: each layer's
+    opening holds the distinct cosets of the positions, of the round's
+    width, canonical, under the layer root; the slot at each position
+    equals the previous layer's fold; then the cosets are folded."""
     field = params.domain.field
     p = field.modulus
     arities = params.arities
@@ -288,32 +276,29 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     positions = _draw_positions(t, params)
     if [q.index for q in proof.queries] != positions:
         return VerifyResult.reject("query indices diverge from transcript")
-    if any(len(q.layers) != len(arities) for q in proof.queries):
-        return VerifyResult.reject("malformed query bundle")
+    if len(proof.layers) != len(arities):
+        return VerifyResult.reject("wrong number of layer openings")
+    positions = np.array(positions, dtype=np.int64)
     domain = params.domain
     folded = None
-    for j, (root, beta, arity) in enumerate(zip(proof.layer_roots,
-                                                challenges, arities)):
-        opened = [q.layers[j] for q in proof.queries]
-        if any(len(ql.values) != arity for ql in opened):
-            return VerifyResult.reject(f"layer {j}: wrong coset width")
-        if any(v >= p for ql in opened for v in ql.values):
-            return VerifyResult.reject(f"layer {j}: non-canonical value")
+    for j, (root, beta, arity, opening) in enumerate(zip(
+            proof.layer_roots, challenges, arities, proof.layers)):
         width = domain.size // arity
-        cosets = [pos % width for pos in positions]
-        values = np.array([ql.values for ql in opened], dtype=np.uint64)
-        if not all(verify_path(root, c, leaf, ql.path) for c, leaf, ql
-                   in zip(cosets, u64_rows(values), opened)):
-            return VerifyResult.reject(f"layer {j}: bad opening")
-        slots = [pos // width for pos in positions]
-        here = values[np.arange(len(positions)), slots]
+        cosets = positions % width
+        opened = np.unique(cosets)
+        fault = opening.fault(root, width, opened.tolist(), arity, p)
+        if fault:
+            return VerifyResult.reject(f"layer {j}: {fault}")
+        # row index[k] of the opening is the coset of position k
+        index = np.searchsorted(opened, cosets)
+        here = opening.rows[index, positions // width]
         if folded is not None and (here != folded).any():
             return VerifyResult.reject(f"layer {j}: consistency failure")
         g = domain.generator.value
-        xs = np.array([domain.offset.value * pow(g, c, p) % p
-                       for c in cosets], dtype=np.uint64)
-        folded = _fold_cosets(values.T, _inverse_array(xs, p),
-                              pow(g, -width, p), beta, p)
+        xs = np.array([domain.offset.value * pow(g, int(c), p) % p
+                       for c in opened], dtype=np.uint64)
+        folded = _fold_cosets(opening.rows.T, _inverse_array(xs, p),
+                              pow(g, -width, p), beta, p)[index]
         positions = cosets
         domain = _image(domain, arity)
     # with zero rounds layer 0 is already the constant
@@ -322,8 +307,11 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     return VerifyResult.accept()
 
 
-def queried_values(proof: FriProof, params: FriParams) -> List[int]:
+def queried_values(proof: FriProof, params: FriParams) -> np.ndarray:
     """f at each query position, read from its opened layer-0 coset.  For
     a proof verify accepted with at least one folding round."""
     width = params.domain.size // params.arities[0]
-    return [q.layers[0].values[q.index // width] for q in proof.queries]
+    positions = np.array([q.index for q in proof.queries], dtype=np.int64)
+    cosets = positions % width
+    return proof.layers[0].rows[np.searchsorted(np.unique(cosets), cosets),
+                                positions // width]

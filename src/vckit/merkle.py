@@ -1,17 +1,25 @@
-"""Binary Merkle-tree vector commitments with authentication paths.
+"""Binary Merkle-tree vector commitments with pruned multiproofs.
 
 Leaf and node hashes are domain-separated (0x00 / 0x01 prefixes); a tree
 has 2^k >= 2 leaves, so no padding can give two leaf vectors one root.
 Every hash starts from a copy of a SHA-256 state already fed its prefix, so
 the tree build hashes each level in one loop with no per-hash function call
 or concatenation.
+
+One authentication path covers a set of leaves: it holds, level by level
+from the leaves up, the siblings the verifier cannot compute from the
+leaves and the nodes below, each level in ascending index order.  Queries
+that share a subtree share its upper siblings, which are sent and hashed
+once.  A single leaf is the one-element set.
 """
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional
 
-from .encoding import Reader, u8, u32
+import numpy as np
+
+from .encoding import Reader, u32, u64_rows
 from .errors import UsageError
 
 
@@ -35,29 +43,18 @@ def node_hash(left: bytes, right: bytes) -> bytes:
 
 @dataclass
 class AuthPath:
-    """Sibling hashes from leaf to root."""
+    """The siblings a set of leaves needs, from the leaves to the root."""
 
-    leaf_index: int
     siblings: List[bytes]
 
     def serialize(self) -> bytes:
-        return (u32(self.leaf_index) + u8(len(self.siblings))
-                + b"".join(self.siblings))
+        return u32(len(self.siblings)) + b"".join(self.siblings)
 
     @staticmethod
     def deserialize(reader: Reader) -> "AuthPath":
-        idx = reader.u32()
-        n = reader.u8()
+        n = reader.u32()
         raw = reader.take(32 * n)
-        return AuthPath(idx, [raw[k:k + 32] for k in range(0, len(raw), 32)])
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "AuthPath":
-        """Decode a path that must fill the whole byte string."""
-        reader = Reader(data)
-        path = AuthPath.deserialize(reader)
-        reader.finish()
-        return path
+        return AuthPath([raw[k:k + 32] for k in range(0, len(raw), 32)])
 
 
 class MerkleTree:
@@ -89,23 +86,81 @@ class MerkleTree:
             self.levels.append(level)
         self.root = level[0]
 
-    def open(self, index: int) -> AuthPath:
-        if not 0 <= index < self.num_leaves:
-            raise UsageError(f"leaf index {index} out of range")
+    def open(self, indices) -> AuthPath:
+        """The path of a non-empty set of leaf indices."""
+        known = sorted(set(indices))
+        if not known or known[0] < 0 or known[-1] >= self.num_leaves:
+            raise UsageError(f"leaf indices {known} out of range")
         siblings = []
-        i = index
         for level in self.levels[:-1]:
-            siblings.append(level[i ^ 1])
-            i //= 2
-        return AuthPath(index, siblings)
+            held = set(known)
+            siblings += [level[i ^ 1] for i in known if i ^ 1 not in held]
+            known = list(dict.fromkeys(i >> 1 for i in known))
+        return AuthPath(siblings)
 
 
-def verify_path(root: bytes, index: int, leaf: bytes, path: AuthPath) -> bool:
-    if index != path.leaf_index or index < 0:
+def verify_path(root: bytes, num_leaves: int, leaves: Dict[int, bytes],
+                path: AuthPath) -> bool:
+    """Whether leaves, a map from leaf index to leaf bytes, sit at those
+    indices of the tree of num_leaves leaves with this root.  The tree's
+    depth comes from num_leaves, never from the path; a path whose
+    siblings run out or are left over fails."""
+    if (num_leaves < 2 or num_leaves & (num_leaves - 1) or not leaves
+            or min(leaves) < 0 or max(leaves) >= num_leaves):
         return False
-    node = leaf_hash(leaf)
-    i = index
-    for sib in path.siblings:
-        node = node_hash(node, sib) if i % 2 == 0 else node_hash(sib, node)
-        i //= 2
-    return i == 0 and node == root
+    # each level's nodes by index, ascending, the order siblings come in
+    nodes = {i: leaf_hash(leaves[i]) for i in sorted(leaves)}
+    siblings = iter(path.siblings)
+    try:
+        for _ in range(num_leaves.bit_length() - 1):
+            parents = {}
+            for i, node in nodes.items():
+                if i & 1 == 0:
+                    right = nodes.get(i + 1) or next(siblings)
+                    parents[i >> 1] = node_hash(node, right)
+                elif i - 1 not in nodes:
+                    parents[i >> 1] = node_hash(next(siblings), node)
+            nodes = parents
+    except StopIteration:
+        return False
+    return next(siblings, None) is None and nodes[0] == root
+
+
+@dataclass
+class Opening:
+    """A tree's opened leaves, each a row of u64 values: rows[k] is the
+    k-th leaf of the opened index set in ascending order, each leaf once,
+    and path covers them all."""
+
+    rows: np.ndarray      # uint64, one row per opened leaf
+    path: AuthPath
+
+    def serialize(self) -> bytes:
+        return (u32(len(self.rows)) + self.rows.astype(">u8").tobytes()
+                + self.path.serialize())
+
+    @staticmethod
+    def deserialize(reader: Reader, width: int) -> "Opening":
+        """Decode an opening of leaves of `width` values each."""
+        count = reader.u32()
+        raw = reader.take(8 * width * count)
+        rows = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+        return Opening(rows.reshape(count, width),
+                       AuthPath.deserialize(reader))
+
+    def fault(self, root: bytes, num_leaves: int, indices: List[int],
+              width: int, p: int) -> Optional[str]:
+        """Why the rows are not the leaves at `indices` (ascending,
+        distinct) of the tree of num_leaves leaves with this root, each of
+        `width` values below p; None when they are."""
+        if len(self.rows) != len(indices):
+            return "wrong leaf count"
+        if self.rows.ndim != 2 or self.rows.shape[1] != width:
+            return "wrong leaf width"
+        if (self.rows >= np.uint64(p)).any():
+            return "non-canonical value"
+        if not verify_path(root, num_leaves,
+                           dict(zip(indices, u64_rows(self.rows))),
+                           self.path):
+            return "bad opening"
+        return None

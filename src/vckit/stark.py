@@ -11,18 +11,20 @@ The prover interpolates the trace columns once and handles every other
 polynomial by its values on the coset: O(n log n) field work.  The
 product of (x - g^j) over the e rows the transition constraints exclude
 is multiplied out once, in O(e^2) on arrays of at most e + 1
-coefficients, and evaluated on the coset by one NTT; a product over at
-most log2 N rows, such as the boundary rows, takes one pass over the
-coset per row instead.  x^n - 1 takes only blowup distinct values
-there, so only those are inverted.
+coefficients, and evaluated on the coset by one NTT.  A product over at
+most log2 N rows, such as the boundary rows, and every product at the
+verifier's query points is an array of the factors (x - g^j) reduced by
+pairwise products instead.  x^n - 1 takes only blowup distinct values
+on the coset, so only those are inverted.
 
 FRI draws its query positions from the whole coset.  For a position
 holding x the verifier needs the trace rows at x, g x, ..., g^(w-1) x
 (indices position + r * blowup) and reads the composition at x from the
 FRI layer-0 coset that holds the position.  The trace is committed with
 one Merkle leaf per R = min(4, n) consecutive trace rows at one coset
-shift (window_leaves), so a query opens the one or two leaves holding
-its window rather than w single rows.
+shift (window_leaves), so a query needs the one or two leaves holding
+its window rather than w single rows.  The proof sends each needed leaf
+once, in ascending index order, with one Merkle path for all of them.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -42,12 +44,13 @@ from .encoding import Reader, bytes_lp, read_magic, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
-                    Polynomial, _inverse_array, _pow_array, _values_array,
-                    evaluate_on_domain, interpolate, interpolate_on_domain)
-from .merkle import AuthPath, MerkleTree, verify_path
+                    Polynomial, _inverse_array, _pow_array, _power_array,
+                    _values_array, evaluate_on_domain, interpolate,
+                    interpolate_on_domain)
+from .merkle import MerkleTree, Opening
 from .transcript import HASH_ID, Transcript
 
-PROOF_VERSION = 3
+PROOF_VERSION = 4
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
 # Consecutive trace rows per trace-tree leaf; a shorter trace puts all its
@@ -197,9 +200,9 @@ class StarkProof:
     trace_root: bytes
     composition_root: bytes
     fri_proof: "fri.FriProof"
-    # per query: list over the leaves window_leaves names of (the leaf's
-    # values, row-major over its rows and then the columns, path)
-    trace_openings: List[List[Tuple[List[int], AuthPath]]]
+    # the trace leaves the queries' windows need (window_leaves), each a
+    # row of values row-major over its trace rows and then the columns
+    trace_opening: Opening
 
     def serialize(self) -> bytes:
         out = [PROOF_MAGIC, u8(HASH_ID), u32(self.trace_length),
@@ -212,12 +215,7 @@ class StarkProof:
             out += [u8(1), self.binding_digest]
         out += [self.trace_root, self.composition_root,
                 bytes_lp(self.fri_proof.serialize()),
-                u32(len(self.trace_openings))]
-        for bundle in self.trace_openings:
-            out.append(u32(len(bundle)))
-            for values, path in bundle:
-                out.append(b"".join(u64(v) for v in values))
-                out.append(bytes_lp(path.serialize()))
+                self.trace_opening.serialize()]
         return b"".join(out)
 
     @staticmethod
@@ -231,24 +229,18 @@ class StarkProof:
         ncols = reader.u32()
         blowup = reader.u32()
         queries = reader.u32()
+        if queries < 1:
+            raise UsageError("need at least one query")
         zk = _flag(reader, "zk")
         cs_digest = reader.take(32)
         binding = reader.take(32) if _flag(reader, "binding") else None
         trace_root = reader.take(32)
         comp_root = reader.take(32)
         fri_proof = fri.FriProof.deserialize(Reader(reader.bytes_lp()))
-        leaf_width = _rows_per_leaf(n) * ncols
-        openings = []
-        for _ in range(reader.u32()):
-            bundle = []
-            for _ in range(reader.u32()):
-                values = list(reader.u64s(leaf_width))
-                path = AuthPath.from_bytes(reader.bytes_lp())
-                bundle.append((values, path))
-            openings.append(bundle)
+        opening = Opening.deserialize(reader, _rows_per_leaf(n) * ncols)
         reader.finish()
         return StarkProof(n, orig, ncols, blowup, queries, zk, cs_digest,
-                          binding, trace_root, comp_root, fri_proof, openings)
+                          binding, trace_root, comp_root, fri_proof, opening)
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +326,32 @@ def _point_array(points) -> np.ndarray:
     return points
 
 
+# Entries of the (rows x points) array _row_product holds at a time.
+_ROW_BLOCK_ENTRIES = 1 << 16
+
+
 def _row_product(points, g: FieldElement, rows) -> np.ndarray:
     """prod over the given trace rows j of (x - g^j) at every point x.
 
-    At a point array (the verifier's queries), and on a domain for at
-    most log2 N rows (the boundary rows), it takes one pass over the
-    points per row.  On a domain of N points for more rows (the rows the
+    On a domain of N points for more than log2 N rows (the rows the
     transition constraints exclude) the product's coefficients are
     multiplied out once, one short array pass per row, and evaluated by
-    NTT, which costs about log2 N passes."""
+    NTT, which costs about log2 N passes.  Otherwise (the verifier's
+    query points, or the boundary rows) it builds the array of x - g^j,
+    one row per j and one column per point, and halves it by pairwise
+    products down to one row.  It takes the rows in blocks of at most
+    _ROW_BLOCK_ENTRIES entries, so an unpadded trace of 2^k + 1 rows,
+    with about half its rows excluded, needs no array of points x n."""
     p = g.field.modulus
     mod = np.uint64(p)
-    negated_roots = [np.uint64(p - pow(g.value, j, p)) for j in rows]
+    rows = np.fromiter(rows, dtype=np.int64)
+    roots = _power_array(g.value, int(rows.max()) + 1 if rows.size else 0,
+                         p)[rows]
     if (isinstance(points, EvaluationDomain)
-            and len(negated_roots) > points.size.bit_length() - 1):
-        coeffs = np.zeros(len(negated_roots) + 1, dtype=np.uint64)
+            and len(roots) > points.size.bit_length() - 1):
+        coeffs = np.zeros(len(roots) + 1, dtype=np.uint64)
         coeffs[0] = 1  # lowest degree first
-        for k, neg in enumerate(negated_roots):
+        for k, neg in enumerate(mod - roots):
             # times (x - root): c[i] <- c[i-1] - root c[i], degree k+1;
             # p^2 - p < 2^64, so one reduction suffices
             coeffs[1:k + 2] = (coeffs[:k + 1] + coeffs[1:k + 2] * neg) % mod
@@ -358,8 +359,16 @@ def _row_product(points, g: FieldElement, rows) -> np.ndarray:
         return evaluate_on_domain(Polynomial(g.field, coeffs.tolist()), points)
     xs = _point_array(points)
     acc = np.ones(len(xs), dtype=np.uint64)
-    for neg in negated_roots:
-        acc = acc * ((xs + neg) % mod) % mod
+    block = max(1, _ROW_BLOCK_ENTRIES // max(len(xs), 1))
+    for start in range(0, len(roots), block):
+        factors = (xs + (mod - roots[start:start + block, None])) % mod
+        while len(factors) > 1:
+            half = len(factors) // 2
+            paired = factors[:half] * factors[half:2 * half] % mod
+            if len(factors) % 2:
+                paired[0] = paired[0] * factors[-1] % mod
+            factors = paired
+        acc = acc * factors[0] % mod
     return acc
 
 
@@ -534,6 +543,15 @@ def window_leaves(position: int, blowup: int, n: int,
                               for r in range(window)))
 
 
+def _trace_layout(fri_proof: "fri.FriProof", blowup: int, n: int,
+                  window: int) -> Tuple[List[List[int]], List[int]]:
+    """The leaves each query's window needs (window_leaves), and all of
+    them in ascending order, each once: the trace opening's index set."""
+    layouts = [window_leaves(q.index, blowup, n, window)
+               for q in fri_proof.queries]
+    return layouts, sorted(set().union(*layouts))
+
+
 # ---------------------------------------------------------------------------
 # prover / verifier
 
@@ -593,16 +611,13 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
                           enforce_low_degree=not skip_satisfaction_check)
     composition_root = fri_proof.layer_roots[0]
 
-    openings = []
-    for q in fri_proof.queries:
-        openings.append([(leaf_values[leaf].tolist(), trace_tree.open(leaf))
-                         for leaf in window_leaves(q.index, params.blowup, n,
-                                                   cs.max_window())])
+    _, opened = _trace_layout(fri_proof, params.blowup, n, cs.max_window())
+    opening = Opening(leaf_values[opened], trace_tree.open(opened))
 
     return StarkProof(n, trace.original_length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
                       cs.digest(), binding, trace_tree.root,
-                      composition_root, fri_proof, openings)
+                      composition_root, fri_proof, opening)
 
 
 def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
@@ -649,45 +664,34 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     w = cs.max_window()
     ncols = proof.num_columns
     rows_per_leaf = _rows_per_leaf(n)
-    leaf_width = rows_per_leaf * ncols
-    queries = proof.fri_proof.queries
-    if len(proof.trace_openings) != len(queries):
-        return VerifyResult.reject("query bundle count mismatch")
-    layouts = [window_leaves(q.index, params.blowup, n, w) for q in queries]
-    for k, (bundle, leaves) in enumerate(zip(proof.trace_openings, layouts)):
-        if len(bundle) != len(leaves):
-            return VerifyResult.reject(f"query {k}: window truncated")
-        for values, _ in bundle:
-            if len(values) != leaf_width:
-                return VerifyResult.reject(f"query {k}: bad row width")
-            if any(v >= field.modulus for v in values):
-                return VerifyResult.reject(
-                    f"query {k}: non-canonical trace value")
-    leaf_table = np.array(
-        [values for bundle in proof.trace_openings for values, _ in bundle],
-        dtype=np.uint64)
-    leaf_bytes = iter(u64_rows(leaf_table))
-    for k, (bundle, leaves) in enumerate(zip(proof.trace_openings, layouts)):
-        for (_, path), leaf in zip(bundle, leaves):
-            if not verify_path(proof.trace_root, leaf, next(leaf_bytes),
-                               path):
-                return VerifyResult.reject(f"query {k}: trace path failure")
+    layouts, opened = _trace_layout(proof.fri_proof, params.blowup, n, w)
+    fault = proof.trace_opening.fault(
+        proof.trace_root, lde.size // rows_per_leaf, opened,
+        rows_per_leaf * ncols, field.modulus)
+    if fault:
+        return VerifyResult.reject(f"trace: {fault}")
 
-    # opened[k, r, c]: column c at g^r x_k, x_k the k-th query point.  The
-    # rows of query k's leaves, concatenated, hold its window as a cyclic
-    # slice (window_leaves); they start at row first[k] of all opened rows.
+    # window[k, r, c]: column c at g^r x_k, x_k the k-th query point.  The
+    # rows of query k's leaves, concatenated in window order, hold its
+    # window as a cyclic slice (window_leaves); leaf i of those is row
+    # slot[k, i] of the opening.
+    queries = proof.fri_proof.queries
+    row_of = {leaf: i for i, leaf in enumerate(opened)}
+    widest = max(len(leaves) for leaves in layouts)
+    slot = np.array([[row_of[leaf] for leaf in leaves]
+                     + [0] * (widest - len(leaves)) for leaves in layouts])
     held = np.array([len(leaves) for leaves in layouts]) * rows_per_leaf
-    first = np.cumsum(held) - held
     starts = np.array([q.index // params.blowup for q in queries])
-    opened = leaf_table.reshape(-1, ncols)[first[:, None] + (
-        starts[:, None] % rows_per_leaf + np.arange(w)) % held[:, None]]
+    cyclic = (starts[:, None] % rows_per_leaf + np.arange(w)) % held[:, None]
+    window = proof.trace_opening.rows.reshape(-1, ncols)[
+        slot[np.arange(len(queries))[:, None], cyclic // rows_per_leaf]
+        * rows_per_leaf + cyclic % rows_per_leaf]
     xs = np.array([lde.point(q.index).value for q in queries],
                   dtype=np.uint64)
-    rows = [[opened[:, r, c] for c in range(ncols)] for r in range(w)]
+    rows = [[window[:, r, c] for c in range(ncols)] for r in range(w)]
     combined = compose(xs, rows, cs, trace_domain, proof.original_length,
                        gammas)
-    claimed = np.array(fri.queried_values(proof.fri_proof, fri_params),
-                       dtype=np.uint64)
+    claimed = fri.queried_values(proof.fri_proof, fri_params)
     bad = np.flatnonzero(combined != claimed)
     if bad.size:
         return VerifyResult.reject(

@@ -150,11 +150,22 @@ def test_fri_prove_verify(tmp_path):
     proof = str(tmp_path / "fri.bin")
     assert run(["fri", "prove", "--domain", "64", "--degree", "8",
                 "--queries", "10", "-o", proof]) == 0
-    assert run(["fri", "verify", proof]) == 0
+    assert run(["fri", "verify", "--queries", "10", proof]) == 0
     blob = bytearray(Path(proof).read_bytes())
     blob[-3] ^= 1
     Path(proof).write_bytes(bytes(blob))
-    assert run(["fri", "verify", proof]) in (1, 2)
+    assert run(["fri", "verify", "--queries", "10", proof]) in (1, 2)
+
+
+def test_fri_verify_holds_the_file_to_its_own_query_count(tmp_path,
+                                                          capsys):
+    """A 1-query file is rejected under the default 20 queries and
+    accepted when the verifier asks for 1."""
+    proof = str(tmp_path / "fri.bin")
+    assert run(["fri", "prove", "--queries", "1", "-o", proof]) == 0
+    assert run(["fri", "verify", proof]) == 1
+    assert "parameter mismatch" in capsys.readouterr().out
+    assert run(["fri", "verify", "--queries", "1", proof]) == 0
 
 
 def test_fri_demo():
@@ -165,6 +176,22 @@ def test_stark_prove_verify(tmp_path):
     proof = str(tmp_path / "stark.bin")
     assert run(["stark", "prove", "--length", "8", "-o", proof]) == 0
     assert run(["stark", "verify", proof]) == 0
+
+
+def test_stark_verify_holds_the_file_to_its_own_parameters(tmp_path,
+                                                           capsys):
+    """A weak file (1 query, blowup 4) is rejected under the defaults
+    (8 and 20) and accepted with flags that match it; a flag outside
+    StarkParams' range is a usage error."""
+    proof = str(tmp_path / "weak.bin")
+    assert run(["stark", "prove", "--length", "64", "--queries", "1",
+                "--blowup", "4", "-o", proof]) == 0
+    assert run(["stark", "verify", proof]) == 1
+    assert "parameter mismatch" in capsys.readouterr().out
+    assert run(["stark", "verify", "--queries", "1", proof]) == 1
+    assert run(["stark", "verify", "--queries", "1", "--blowup", "4",
+                proof]) == 0
+    assert run(["stark", "verify", "--blowup", "3", proof]) == 2
 
 
 def test_stark_zk_and_custom_boundary(tmp_path):
@@ -213,7 +240,8 @@ def test_config_file(tmp_path):
     proof = str(tmp_path / "s.bin")
     assert run(["--config", cfg, "stark", "prove", "--length", "8",
                 "-o", proof]) == 0
-    assert run(["stark", "verify", proof]) == 0
+    assert run(["--config", cfg, "stark", "verify", proof]) == 0
+    assert run(["stark", "verify", proof]) == 1
 
 
 @pytest.mark.parametrize("content", ["blowup = x\n", b"queries = \xff\n",
@@ -270,17 +298,17 @@ def test_zero_query_fri_file_refused(tmp_path):
 def _honest_fri_file(path, modulus):
     """A FRI proof file over the field of `modulus`, written as `fri
     prove` writes one: a random polynomial of degree < 8 on a coset of
-    32 points, 10 queries."""
+    32 points, the default 20 queries."""
     field = Field(modulus)
     domain = EvaluationDomain.coset(field, 32, field.generator())
     rng = random.Random(modulus)
     poly = Polynomial(field, [rng.randrange(modulus) for _ in range(8)])
     t = Transcript("fri")
-    t.absorb(b"params", u32(32) + u32(8) + u32(10))
+    t.absorb(b"params", u32(32) + u32(8) + u32(20))
     proof = fri.prove(poly.evaluate_array(domain.point_array()),
-                      fri.FriParams(domain, 8, 10), t)
+                      fri.FriParams(domain, 8, 20), t)
     path.write_bytes(cli.FRI_FILE_MAGIC + u32(modulus) + u32(32) + u32(8)
-                     + u32(10) + proof.serialize())
+                     + u32(20) + proof.serialize())
 
 
 def test_fri_file_modulus_must_be_vetted_and_match(tmp_path):
@@ -307,7 +335,6 @@ def test_zero_query_stark_file_refused(tmp_path):
     proof = stark.StarkProof.deserialize(reader.take(
         len(reader.data) - reader.pos))
     proof.num_queries = 0
-    proof.trace_openings = []
     proof.fri_proof.queries = []
     path.write_bytes(bytes_lp(header) + proof.serialize())
     assert run(["stark", "verify", str(path)]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri
-from vckit.encoding import Reader, bytes_lp, u64, u64_rows
+from vckit.encoding import Reader, u32, u64, u64_rows
 from vckit.errors import InternalError, UsageError
 from vckit.merkle import AuthPath, MerkleTree, verify_path
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
@@ -109,7 +109,7 @@ def test_pair_tree_layout():
     """Each (alpha, -alpha) pair sits in one coset leaf with the rest
     of its coset: a layer of m values is a tree of m/arity leaves, leaf c
     holds the values at c, c + m/arity, ..., whose points share x^arity,
-    and one path authenticates them all."""
+    and the leaf alone is opened by its one-element path."""
     dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
     params = fri.FriParams(dom, 8, 1)
     evals = np.arange(10, 42, dtype=np.uint64)
@@ -124,11 +124,11 @@ def test_pair_tree_layout():
                         for s in range(arity)}) == 1
             coset = [int(layer[c + s * width]) for s in range(arity)]
             leaf = b"".join(u64(v) for v in coset)
-            assert verify_path(tree.root, c, leaf, tree.open(c))
+            assert verify_path(tree.root, width, {c: leaf}, tree.open([c]))
             coset[-1] ^= 1
-            assert not verify_path(tree.root, c,
-                                   b"".join(u64(v) for v in coset),
-                                   tree.open(c))
+            assert not verify_path(tree.root, width,
+                                   {c: b"".join(u64(v) for v in coset)},
+                                   tree.open([c]))
         domain = fri._image(domain, arity)
     assert [t.num_leaves for t in trees] == [8, 4]
 
@@ -144,7 +144,7 @@ def test_completeness_for_even_and_odd_log_degree(d):
     proof = fri.prove(evals, params, Transcript("t"))
     log_d = d.bit_length() - 1
     assert len(proof.layer_roots) == (log_d + 1) // 2
-    assert [len(ql.values) for ql in proof.queries[0].layers] == (
+    assert [opening.rows.shape[1] for opening in proof.layers] == (
         [4] * (log_d // 2) + [2] * (log_d % 2))
     back = fri.FriProof.deserialize(proof.serialize())
     v = fri.verify(back, params, Transcript("t"))
@@ -213,23 +213,25 @@ def test_tampered_opening_rejected():
     params = fri.FriParams(dom, 4, 6)
     evals = rand_poly(FBIG, 4, seed=11).evaluate_array(dom.point_array())
     proof = fri.prove(evals, params, Transcript("t"))
-    ql = proof.queries[0].layers[0]
-    ql.values[0] = (ql.values[0] + 1) % FBIG.modulus
+    rows = proof.layers[0].rows
+    rows[0, 0] = (rows[0, 0] + 1) % FBIG.modulus
     v = fri.verify(proof, params, Transcript("t"))
     assert not v and "layer 0" in v.reason
 
 
 def test_changed_coset_value_rejected():
-    """Any one value of an opened coset changed, on any layer and in any
-    slot, breaks that coset's path."""
+    """Any one value of any opened coset changed, on any layer and in any
+    slot, breaks the layer's path."""
     evals, params = _proof_64()
+    honest = fri.prove(evals, params, Transcript("t"))
     for layer, arity in enumerate(params.arities):
-        for slot in range(arity):
-            proof = fri.prove(evals, params, Transcript("t"))
-            values = proof.queries[-1].layers[layer].values
-            values[slot] = (values[slot] + 1) % FBIG.modulus
-            v = fri.verify(proof, params, Transcript("t"))
-            assert not v and v.reason == f"layer {layer}: bad opening"
+        for row in range(len(honest.layers[layer].rows)):
+            for slot in range(arity):
+                proof = fri.FriProof.deserialize(honest.serialize())
+                rows = proof.layers[layer].rows
+                rows[row, slot] = (rows[row, slot] + 1) % FBIG.modulus
+                v = fri.verify(proof, params, Transcript("t"))
+                assert not v and v.reason == f"layer {layer}: bad opening"
 
 
 def test_query_indices_without_replacement():
@@ -255,30 +257,31 @@ def test_serialize_roundtrip():
         fri.FriProof.deserialize(b"BAD!" + proof.serialize()[4:])
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 2, 4])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 2, nothing else."""
+    """The byte after the magic is the format version: 3, nothing else."""
     evals, params = _proof_64()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
-    assert blob[:5] == b"VCKF\x02" == fri.PROOF_MAGIC
+    assert blob[:5] == b"VCKF\x03" == fri.PROOF_MAGIC
     with pytest.raises(UsageError, match=f"^unsupported FRI proof format "
                                          f"version {version}$"):
         fri.FriProof.deserialize(blob[:4] + bytes([version]) + blob[5:])
 
 
 def _first_width_offset(blob):
-    """Offset of the width byte of the first query's first opened coset."""
+    """Offset of the width byte of the first layer's opening: after the
+    roots, the final value and the query positions."""
     reader = Reader(blob)
     reader.take(len(fri.PROOF_MAGIC) + 1)
     reader.take(32 * reader.u32() + 8)
-    reader.take(4 + 4 + 4)
+    reader.take(4 * reader.u32())
     return reader.pos
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 255])
 def test_decoder_rejects_cosets_of_other_widths(width):
-    """Before a query's last layer every opened coset has 4 values; a
-    width byte of anything else is refused, whatever follows it."""
+    """Before the last layer every opened coset has 4 values; a width
+    byte of anything else is refused, whatever follows it."""
     evals, params = _proof_64()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
     at = _first_width_offset(blob)
@@ -289,29 +292,53 @@ def test_decoder_rejects_cosets_of_other_widths(width):
         fri.FriProof.deserialize(forged)
 
 
+def _with_layer_rows(proof, layer, rows):
+    """proof with layer `layer`'s opened cosets replaced by rows."""
+    layers = list(proof.layers)
+    layers[layer] = dataclasses.replace(layers[layer], rows=rows)
+    return dataclasses.replace(proof, layers=layers)
+
+
 def test_coset_of_the_wrong_width_rejected():
-    """A 2-value coset where a round folds by 4, and a 4-value coset where
-    the odd last round folds by 2: the decoder passes both (either width
-    may close a query), the verifier rejects them."""
+    """4-value cosets where the odd last round folds by 2, and cosets of
+    2, 3 or 5 values where a round folds by 4: the decoder passes the
+    first (either width may close the proof), the verifier rejects
+    each."""
     evals, params = _proof_64()
     assert params.arities == [4, 2]
     proof = fri.prove(evals, params, Transcript("t"))
-    last = proof.queries[0].layers[-1]
-    last.values += last.values
-    back = fri.FriProof.deserialize(proof.serialize())
+    last = proof.layers[-1].rows
+    forged = _with_layer_rows(proof, 1, np.hstack([last, last]))
+    back = fri.FriProof.deserialize(forged.serialize())
     v = fri.verify(back, params, Transcript("t"))
-    assert not v and v.reason == "layer 1: wrong coset width"
+    assert not v and v.reason == "layer 1: wrong leaf width"
     d4 = fri.FriParams(params.domain, 4, 6)
     proof = fri.prove(rand_poly(FBIG, 4, seed=18).evaluate_array(
         params.domain.point_array()), d4, Transcript("t"))
-    for values in ([1, 2], [1, 2, 3], [1, 2, 3, 4, 5]):
-        forged = dataclasses.replace(proof, queries=list(proof.queries))
-        k = len(proof.queries) // 2
-        forged.queries[k] = dataclasses.replace(
-            proof.queries[k], layers=[dataclasses.replace(
-                proof.queries[k].layers[0], values=values)])
+    rows = proof.layers[0].rows
+    for width in (2, 3, 5):
+        forged = _with_layer_rows(proof, 0, np.resize(rows,
+                                                      (len(rows), width)))
         v = fri.verify(forged, d4, Transcript("t"))
-        assert not v and v.reason == "layer 0: wrong coset width"
+        assert not v and v.reason == "layer 0: wrong leaf width"
+
+
+def test_coset_count_other_than_the_positions_need_rejected():
+    """Each layer sends each coset its positions hold once: one coset
+    dropped, one sent twice, or one more appended is a count mismatch,
+    on the wire too."""
+    evals, params = _proof_64()
+    proof = fri.prove(evals, params, Transcript("t"))
+    for layer in range(len(params.arities)):
+        rows = proof.layers[layer].rows
+        for changed in (rows[1:], np.vstack([rows[:1], rows]),
+                        np.vstack([rows, rows[-1:]])):
+            forged = _with_layer_rows(proof, layer, changed)
+            for candidate in (forged, fri.FriProof.deserialize(
+                    forged.serialize())):
+                v = fri.verify(candidate, params, Transcript("t"))
+                assert not v
+                assert v.reason == f"layer {layer}: wrong leaf count"
 
 
 def test_decoder_rejects_trailing_bytes():
@@ -321,15 +348,18 @@ def test_decoder_rejects_trailing_bytes():
     blob = fri.prove(evals, params, Transcript("t")).serialize()
     with pytest.raises(UsageError, match="trailing"):
         fri.FriProof.deserialize(blob + b"\x00")
-    # one byte appended inside the first query's first path record
-    reader = Reader(blob)
-    reader.take(_first_width_offset(blob))
-    reader.take(1 + 8 * 4)
-    start = reader.pos
-    path = reader.bytes_lp()
-    padded = blob[:start] + bytes_lp(path + b"\x00") + blob[reader.pos:]
+    # the last layer's sibling count one short leaves its last sibling;
+    # here 6 queries leave the last layer's 8 cosets partly unopened
+    evals, params = _proof_64()
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
+    proof = fri.FriProof.deserialize(blob)
+    siblings = len(proof.layers[-1].path.siblings)
+    assert siblings
+    count_at = len(blob) - 32 * siblings - 4
+    assert blob[count_at:count_at + 4] == u32(siblings)
+    short = blob[:count_at] + u32(siblings - 1) + blob[count_at + 4:]
     with pytest.raises(UsageError, match="trailing"):
-        fri.FriProof.deserialize(padded)
+        fri.FriProof.deserialize(short)
 
 
 def _prove_committing(evals, params, t, tamper, layer=0):
@@ -433,28 +463,26 @@ def test_consistency_failure_in_a_later_query_and_layer():
 
 
 def test_bad_opening_in_the_last_query_only():
+    """The last sibling of a layer's path zeroed: the upper levels the
+    queries share are checked once, and still checked."""
     evals, params = _proof_64()
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
-        path = proof.queries[-1].layers[layer].path
+        path = proof.layers[layer].path
+        assert path.siblings
         path.siblings[-1] = bytes(32)
         v = fri.verify(proof, params, Transcript("t"))
         assert not v and v.reason == f"layer {layer}: bad opening"
 
 
 def test_malformed_query_bundle_rejected():
-    """A query with a layer missing, or one too many, is malformed."""
+    """A layer opening missing, or one too many, against the roots."""
     evals, params = _proof_64()
-    for k in (0, -1):
-        for change in ("drop", "extra"):
-            proof = fri.prove(evals, params, Transcript("t"))
-            layers = proof.queries[k].layers
-            if change == "drop":
-                layers.pop()
-            else:
-                layers.append(layers[-1])
-            v = fri.verify(proof, params, Transcript("t"))
-            assert not v and v.reason == "malformed query bundle"
+    proof = fri.prove(evals, params, Transcript("t"))
+    for layers in (proof.layers[:-1], proof.layers + proof.layers[-1:]):
+        v = fri.verify(dataclasses.replace(proof, layers=layers), params,
+                       Transcript("t"))
+        assert not v and v.reason == "wrong number of layer openings"
 
 
 def test_wrong_number_of_layer_roots_rejected():
@@ -471,12 +499,13 @@ def test_wrong_number_of_layer_roots_rejected():
 
 
 def test_pair_path_without_siblings_rejected():
-    """A coset path with no siblings is a bad opening on every layer."""
+    """A layer path with no siblings, where the cosets do not cover the
+    layer, is a bad opening on every layer."""
     evals, params = _proof_64()
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
-        layers = proof.queries[0].layers
-        layers[layer] = dataclasses.replace(
-            layers[layer], path=AuthPath(layers[layer].path.leaf_index, []))
+        layers = proof.layers
+        assert layers[layer].path.siblings
+        layers[layer] = dataclasses.replace(layers[layer], path=AuthPath([]))
         v = fri.verify(proof, params, Transcript("t"))
         assert not v and v.reason == f"layer {layer}: bad opening"

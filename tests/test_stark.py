@@ -8,12 +8,12 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri, stark
-from vckit.encoding import Reader, bytes_lp, u64
+from vckit.encoding import Reader, bytes_lp, u32, u64
 from vckit.errors import ConstraintViolation, InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
-from vckit.merkle import MerkleTree
+from vckit.merkle import MerkleTree, Opening
 from vckit.transcript import Transcript
 
 F = Field(DEFAULT_MODULUS)
@@ -133,6 +133,29 @@ def test_row_product_on_a_domain_matches_the_point_array(rows):
     on_domain = stark._row_product(lde, g, rows)
     assert on_domain.tolist() == stark._row_product(
         lde.point_array(), g, rows).tolist()
+
+
+@pytest.mark.parametrize("entries", [1, 7, 40, 1 << 16])
+def test_row_product_in_blocks_matches_the_product_per_row(monkeypatch,
+                                                           entries):
+    """A trace of 2^5 + 1 rows pads to 64, and its window-3 transition
+    excludes rows 31 .. 63, about half of them.  At 20 query points the
+    product over those rows, taken in blocks of any size, equals the
+    product of (x - g^j) one row at a time in plain integers."""
+    p = F.modulus
+    g = EvaluationDomain.subgroup(F, 64).generator
+    rng = random.Random(64)
+    xs = [rng.randrange(1, p) for _ in range(20)]
+    rows = range(31, 64)
+    expected = []
+    for x in xs:
+        acc = 1
+        for j in rows:
+            acc = acc * (x - pow(g.value, j, p)) % p
+        expected.append(acc)
+    monkeypatch.setattr(stark, "_ROW_BLOCK_ENTRIES", entries)
+    assert stark._row_product(np.array(xs, dtype=np.uint64), g,
+                              rows).tolist() == expected
 
 
 def test_transition_quotient_exact_for_honest_trace():
@@ -262,6 +285,19 @@ def test_byte_flip_fuzz_rejected():
         except (UsageError, OverflowError):
             accepted = False
         assert not accepted
+
+
+@pytest.mark.parametrize("length, blowup, queries, zk_seed, limit", [
+    (1900, 8, 20, 0, 21_000), (4000, 4, 8, 5, 10_000)])
+def test_multiproof_proof_sizes(length, blowup, queries, zk_seed, limit):
+    """One pruned path per tree: the CLI-default proof of 1900 rows fell
+    from 45 576 B with a path per opened leaf, and the 4000-row proof
+    from 17 885 B."""
+    tr = stark.trace_fibonacci(length, F)
+    cs = stark.fibonacci_constraint_system(length, F)
+    params = stark.StarkParams(blowup, queries, zk=True)
+    blob = stark.prove(tr, cs, params, zk_seed=zk_seed).serialize()
+    assert len(blob) <= limit
 
 
 def test_zk_padding_disjoint_openings():
@@ -481,11 +517,11 @@ def test_decoder_rejects_trailing_bytes():
         stark.StarkProof.deserialize(blob + b"\x00")
 
 
-@pytest.mark.parametrize("version", [2, 4])
+@pytest.mark.parametrize("version", [2, 3, 5])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 3, nothing else."""
+    """The byte after the magic is the format version: 4, nothing else."""
     blob = _blob()
-    assert blob[:5] == b"VCKS\x03" == stark.PROOF_MAGIC
+    assert blob[:5] == b"VCKS\x04" == stark.PROOF_MAGIC
     forged = blob[:4] + bytes([version]) + blob[5:]
     with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
                                          f"version {version}$"):
@@ -503,8 +539,9 @@ def test_decoder_rejects_non_boolean_flags(offset, value):
 
 
 def _rewrap(blob, what):
-    """Re-encode a proof with one byte appended inside a sub-record: the
-    FRI proof or the first trace-opening path."""
+    """Re-encode a proof with a byte left over inside a sub-record: one
+    appended to the FRI proof, or the trace path's sibling count one
+    short, which leaves its last sibling over."""
     reader = Reader(blob)
     reader.take(BINDING_FLAG)
     assert reader.u8() == 0
@@ -514,13 +551,12 @@ def _rewrap(blob, what):
     if what == "fri":
         return (blob[:fri_start] + bytes_lp(fri_blob + b"\x00")
                 + blob[reader.pos:])
-    reader.u32()
-    reader.u32()
-    reader.take(8 * stark.TRACE_ROWS_PER_LEAF)  # one column, 16 rows
-    path_start = reader.pos
-    path = reader.bytes_lp()
-    return (blob[:path_start] + bytes_lp(path + b"\x00")
-            + blob[reader.pos:])
+    leaves = reader.u32()
+    reader.take(8 * stark.TRACE_ROWS_PER_LEAF * leaves)  # one column
+    count_at = reader.pos
+    siblings = reader.u32()
+    assert siblings
+    return blob[:count_at] + u32(siblings - 1) + blob[count_at + 4:]
 
 
 @pytest.mark.parametrize("what", ["fri", "trace-path"])
@@ -575,21 +611,20 @@ def _forge(proof, cs, params, leaf_columns, composition):
     table = np.array([[int(col[i]) for col in leaf_columns]
                       for i in range(lde.size)],
                      dtype=np.uint64).reshape(lde.size, len(leaf_columns))
-    leaves = stark._trace_leaves(table, params.blowup).tolist()
-    tree = MerkleTree([b"".join(u64(v) for v in leaf) for leaf in leaves])
+    leaves = stark._trace_leaves(table, params.blowup)
+    tree = MerkleTree([b"".join(u64(int(v)) for v in leaf)
+                       for leaf in leaves])
     t.absorb(b"trace-root", tree.root)
     comp = composition(stark._draw_gammas(cs, F, t))
     d = stark.composition_degree_bound(n, orig, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
-    openings = []
-    for q in fri_proof.queries:
-        opened = stark.window_leaves(q.index, params.blowup, n,
-                                     cs.max_window())
-        openings.append([(leaves[i], tree.open(i)) for i in opened])
+    opened = sorted({leaf for q in fri_proof.queries
+                     for leaf in stark.window_leaves(q.index, params.blowup,
+                                                     n, cs.max_window())})
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
         composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
-        trace_openings=openings)
+        trace_opening=Opening(leaves[opened], tree.open(opened)))
 
 
 def _fib8_lde():
@@ -637,7 +672,7 @@ def test_fri_proof_without_layer_roots_rejected():
     """FRI refuses the root count before the composition root is read
     from layer 0."""
     proof, cs, params = _fib8_proof()
-    empty = dataclasses.replace(proof.fri_proof, layer_roots=[])
+    empty = dataclasses.replace(proof.fri_proof, layer_roots=[], layers=[])
     verdict = stark.verify(dataclasses.replace(proof, fri_proof=empty),
                            cs, params, F)
     assert not verdict and verdict.reason == "fri: wrong number of layer roots"
@@ -677,26 +712,21 @@ def test_fri_layer_root_dropped_rejected():
     assert not verdict and verdict.reason == "fri: wrong number of layer roots"
 
 
-def _with_bundle(proof, k, change):
-    """proof with query k's trace-opening bundle changed."""
-    openings = list(proof.trace_openings)
-    openings[k] = change(openings[k])
-    return dataclasses.replace(proof, trace_openings=openings)
+def _with_rows(proof, rows):
+    """proof with its opened trace leaves replaced by rows."""
+    return dataclasses.replace(proof, trace_opening=dataclasses.replace(
+        proof.trace_opening, rows=rows))
 
 
 def test_trace_bundle_shape_rejected():
-    """One bundle too few, a bundle one leaf short, leaves one value too
-    many: each named, the last two by their query."""
+    """The opened trace leaves one leaf short, and one value too wide:
+    each named."""
     proof, cs, params = _fib8_proof()
-    last = len(proof.trace_openings) - 1
+    rows = proof.trace_opening.rows
     forged = {
-        "query bundle count mismatch": dataclasses.replace(
-            proof, trace_openings=proof.trace_openings[:-1]),
-        f"query {last}: window truncated": _with_bundle(
-            proof, last, lambda bundle: bundle[:-1]),
-        f"query {last}: bad row width": _with_bundle(
-            proof, last, lambda bundle: [(values + [0], path)
-                                         for values, path in bundle])}
+        "trace: wrong leaf count": _with_rows(proof, rows[:-1]),
+        "trace: wrong leaf width": _with_rows(
+            proof, np.hstack([rows, rows[:, :1]]))}
     for reason, bad in forged.items():
         verdict = stark.verify(bad, cs, params, F)
         assert not verdict and verdict.reason == reason
@@ -761,12 +791,11 @@ def test_short_traces_prove_and_verify(system, blowup):
     assert len(proof.fri_proof.queries) == blowup * tr.length
     verdict = stark.verify(proof, cs, params, F)
     assert verdict, verdict.reason
-    width = min(4, tr.length) * tr.num_columns
-    for q, bundle in zip(proof.fri_proof.queries, proof.trace_openings):
-        leaves = stark.window_leaves(q.index, blowup, tr.length,
-                                     cs.max_window())
-        assert [path.leaf_index for _, path in bundle] == leaves
-        assert all(len(values) == width for values, _ in bundle)
+    opened = {leaf for q in proof.fri_proof.queries
+              for leaf in stark.window_leaves(q.index, blowup, tr.length,
+                                              cs.max_window())}
+    assert proof.trace_opening.rows.shape == (
+        len(opened), min(4, tr.length) * tr.num_columns)
 
 
 @pytest.mark.parametrize("zk", [False, True])
@@ -789,49 +818,51 @@ def test_two_row_two_column_system_proves_and_verifies(zk):
 
 def test_every_opened_trace_slot_is_authenticated():
     """Changing any value of any opened trace leaf, including the slots
-    the window does not read, breaks that query's path."""
+    no window reads, breaks the trace path."""
     proof, cs, params = _fib8_proof()
-    rows_per_leaf = min(4, proof.trace_length)
+    n, blowup = proof.trace_length, params.blowup
+    rows_per_leaf = min(4, n)
+    opened = sorted({leaf for q in proof.fri_proof.queries
+                     for leaf in stark.window_leaves(q.index, blowup, n,
+                                                     cs.max_window())})
+    read = set()
+    for q in proof.fri_proof.queries:
+        shift, j = q.index % blowup, q.index // blowup
+        for r in range(cs.max_window()):
+            row = (j + r) % n
+            read.add((shift * (n // rows_per_leaf) + row // rows_per_leaf,
+                      row % rows_per_leaf))
+    rows = proof.trace_opening.rows
     unread = 0
-    for k, bundle in enumerate(proof.trace_openings):
-        start = (proof.fri_proof.queries[k].index // params.blowup
-                 % rows_per_leaf)
-        read = {(start + r) % (len(bundle) * rows_per_leaf)
-                for r in range(cs.max_window())}
-        for i, (values, path) in enumerate(bundle):
-            for slot in range(len(values)):
-                # one column: slot is the row within the leaf
-                unread += i * rows_per_leaf + slot not in read
-                changed = list(values)
-                changed[slot] = (changed[slot] + 1) % F.modulus
-                forged = _with_bundle(proof, k, lambda b: (
-                    b[:i] + [(changed, path)] + b[i + 1:]))
-                verdict = stark.verify(forged, cs, params, F)
-                assert not verdict
-                assert verdict.reason == f"query {k}: trace path failure"
+    for i, leaf in enumerate(opened):
+        for slot in range(rows.shape[1]):
+            # one column: slot is the row within the leaf
+            unread += (leaf, slot) not in read
+            changed = rows.copy()
+            changed[i, slot] = (changed[i, slot] + 1) % F.modulus
+            verdict = stark.verify(_with_rows(proof, changed), cs, params, F)
+            assert not verdict and verdict.reason == "trace: bad opening"
     assert unread
 
 
 def test_trace_bundle_leaf_count_rejected():
-    """A bundle with one of its leaves dropped or duplicated, or with a
-    leaf its window does not need, is truncated or padded against the
-    layout: `query k: window truncated` for every query k."""
+    """The opening with one of its leaves dropped or duplicated, or with
+    a leaf no window needs, has the wrong leaf count for the queries'
+    index set, before and after encoding."""
     proof, cs, params = _fib8_proof()
-    bundles = proof.trace_openings
-    assert {len(b) for b in bundles} == {1, 2}
-    for k, bundle in enumerate(bundles):
-        held = {path.leaf_index for _, path in bundle}
-        spare = next(opening for other in bundles for opening in other
-                     if opening[1].leaf_index not in held)
-        changes = [lambda b: b + [spare], lambda b: [spare] + b]
-        for i in range(len(bundle)):
-            changes += [lambda b, i=i: b[:i] + b[i + 1:],
-                        lambda b, i=i: b[:i + 1] + b[i:]]
-        for change in changes:
-            verdict = stark.verify(_with_bundle(proof, k, change),
-                                   cs, params, F)
+    rows = proof.trace_opening.rows
+    spare = np.zeros((1, rows.shape[1]), dtype=np.uint64)
+    changes = [np.vstack([rows, spare]), np.vstack([spare, rows])]
+    for i in range(len(rows)):
+        changes += [np.delete(rows, i, axis=0),
+                    np.insert(rows, i, rows[i], axis=0)]
+    for changed in changes:
+        forged = _with_rows(proof, changed)
+        for candidate in (forged, stark.StarkProof.deserialize(
+                forged.serialize())):
+            verdict = stark.verify(candidate, cs, params, F)
             assert not verdict
-            assert verdict.reason == f"query {k}: window truncated"
+            assert verdict.reason == "trace: wrong leaf count"
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -843,14 +874,12 @@ def test_leaf_of_the_wrong_width_refused(system, delta):
     tr, cs = system()
     params = stark.StarkParams(8, 6)
     proof = stark.prove(tr, cs, params)
-    assert {len(v) for b in proof.trace_openings for v, _ in b} == {
-        4 * tr.num_columns}
-    last = len(proof.trace_openings) - 1
-    forged = _with_bundle(proof, last, lambda bundle: [
-        ((values + [0])[:len(values) + delta], path)
-        for values, path in bundle])
+    rows = proof.trace_opening.rows
+    assert rows.shape[1] == 4 * tr.num_columns
+    forged = _with_rows(proof, np.resize(rows, (len(rows),
+                                                rows.shape[1] + delta)))
     verdict = stark.verify(forged, cs, params, F)
-    assert not verdict and verdict.reason == f"query {last}: bad row width"
+    assert not verdict and verdict.reason == "trace: wrong leaf width"
     try:
         decoded = stark.StarkProof.deserialize(forged.serialize())
     except UsageError:
@@ -866,7 +895,7 @@ def test_non_canonical_trace_values_rejected():
     forged = _forge(proof, cs, params, shifted, composition)
     verdict = stark.verify(forged, cs, params, F)
     assert not verdict
-    assert verdict.reason == "query 0: non-canonical trace value"
+    assert verdict.reason == "trace: non-canonical value"
 
 
 def test_constraint_failure_names_the_query():
