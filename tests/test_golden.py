@@ -3,10 +3,11 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK hashes are of format version 3, the trace with one leaf per
-four trace rows, and the FRI hash of version 2, one leaf per 4-point
-coset; earlier hashes, including those the symbolic (divmod-quotient,
-Horner-LDE) prover also gave, are listed in CHANGES.md.  The VDF hashes
+The STARK hashes are of format version 4 and the FRI hash of version 3:
+each tree sends its distinct opened leaves once with one pruned Merkle
+multiproof; earlier hashes, including those the symbolic
+(divmod-quotient, Horner-LDE) prover also gave, are listed in
+CHANGES.md.  The VDF hashes
 come from the bit-by-bit long-division prover and 40-round random
 Miller-Rabin, so they also pin the setup moduli and the challenge primes.
 """
@@ -71,17 +72,17 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "1a95f37d6760ba70c240f3ecdb3d0f9f3776642ce3189e5732de5680edf98684",
+        "2b06f2a2cc5b049ae5b4635ae29abc942cb15681f4eeac1829ab4b05189c3fa7",
     "fib64-b4-q8-zk1":
-        "45351109f477a7d55e1c833c3f723e2ea8f0f864a5f3b33021d9cf00851c1f61",
+        "929aa8c335982e3524e93d87b2cd424339e9bae895584d5599bf34c73e0e78a1",
     "fib1900-b8-q20-zk7":
-        "1507c436f1d1cde3ad7a73252cd2ed8b4a45f61fa78f145eafc6fc81730876d1",
+        "c44b2508b42f4ec8e3009f84f6dad5f0f5b60970d3e87767e608a4100cad4624",
     "fib4000-b4-q8-zk5":
-        "97fbf0e7e69e50f89ab0313eec3ae4fac725d8c92c8678685263afd1f3f370a5",
+        "05d43b7c0eca6ef8cc8d14a024a9154cd5f078b9aa81bf5b3626bbbb062a8718",
     "two-column-b8-q10":
-        "85967f6e9379f3b64b3c5df6c45874365000a7da68ea5bda9c56a17037bfae77",
+        "816a2166c2114b433b9021e1e61b34cba7e7b47a250e347ec9a6ef37e092191d",
     "fri-coset256-d32-q16":
-        "92b001ed894e9ebb5d8848ea00161475805e14672c734509585eb707dea8ac62",
+        "a944f8c74dd5319080ec4a8b70f8f57e600afd83954a91f7428bb419bc2f8b1d",
     "vdf-n32-T0":
         "eebcd9802aad643d9e511489830c80bd5f6de22f343b0e5f22dedd7f8110b0da",
     "vdf-n32-T3":
