@@ -9,7 +9,7 @@ instrumented exponent-tracking group standing in for a pairing curve.
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import UsageError, VerifyResult
 from .field import Field, FieldElement, MultivariatePoly, Polynomial
@@ -79,10 +79,19 @@ def _prf2(key: AuthKey, delta: bytes) -> FieldElement:
     return prf(key.prf_key, b"\x02" + delta, key.field)
 
 
+def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
+    """r = PRF1(l) + PRF2(delta) for each label: the additive merge that
+    makes the amortized Load equation exact.  PRF1 runs once per distinct
+    l and PRF2 once per distinct delta, so an epoch's labels, which share
+    one delta, cost one PRF2 call between them."""
+    prf1 = {l: _prf1(key, l) for l in {lab.l for lab in labels}}
+    prf2 = {d: _prf2(key, d) for d in {lab.delta for lab in labels}}
+    return [prf1[lab.l] + prf2[lab.delta] for lab in labels]
+
+
 def label_randomness(key: AuthKey, label: MultiLabel) -> FieldElement:
-    """r = PRF1(l) + PRF2(delta): the additive merge that makes the
-    amortized Load equation exact."""
-    return _prf1(key, label.l) + _prf2(key, label.delta)
+    """labels_randomness for one label."""
+    return labels_randomness(key, [label])[0]
 
 
 def _fresh_tag_poly(key: AuthKey, m: FieldElement, r: FieldElement) -> Polynomial:
@@ -200,8 +209,7 @@ def verify(key: AuthKey, circuit: Circuit, labels, tag: Tag,
     does not exceed the circuit's syntactic degree."""
     field = key.field
     claimed_y = field(claimed_y)
-    rs = [label_randomness(key, lab) for lab in labels]
-    f_r = circuit.evaluate(rs)
+    f_r = circuit.evaluate(labels_randomness(key, labels))
     deg = tag.poly.degree
     if deg is not None and deg > circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")

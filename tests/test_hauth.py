@@ -111,6 +111,38 @@ def test_label_randomness_is_additive_split():
     assert r == hauth._prf1(KEY, b"l") + hauth._prf2(KEY, b"d")
 
 
+def test_verify_evaluates_each_prf_once_per_distinct_input(monkeypatch):
+    """An epoch of 128 labels under one delta: verify makes 128 PRF1
+    calls and one PRF2 call, and labels_randomness gives each label's
+    label_randomness, repeated labels included."""
+    h = 64
+    gates = [hauth.Gate("mul", i, h + i) for i in range(h)]
+    acc = 2 * h
+    for i in range(1, h):
+        gates.append(hauth.Gate("add", acc, 2 * h + i))
+        acc = 2 * h + len(gates) - 1
+    circ = hauth.Circuit(2 * h, tuple(gates))
+    labels = [lab(b"column-%d" % i, b"epoch-1") for i in range(2 * h)]
+    msgs = list(range(1, 2 * h + 1))
+    out = hauth.eval_tags(circ, [hauth.auth(KEY, m, label)
+                                 for m, label in zip(msgs, labels)])
+    claimed = sum(msgs[i] * msgs[h + i] for i in range(h))
+    calls = []
+    real_prf = hauth.prf
+
+    def counting_prf(key, data, field):
+        calls.append(data[:1])
+        return real_prf(key, data, field)
+    monkeypatch.setattr(hauth, "prf", counting_prf)
+    assert hauth.verify(KEY, circ, labels, out, claimed)
+    assert calls.count(b"\x01") == 2 * h and calls.count(b"\x02") == 1
+    assert not hauth.verify(KEY, circ, labels, out, claimed + 1)
+    mixed = labels[:3] + [labels[0], lab(b"column-0", b"epoch-2")]
+    assert hauth.labels_randomness(KEY, mixed) == [
+        hauth._prf1(KEY, label.l) + hauth._prf2(KEY, label.delta)
+        for label in mixed]
+
+
 # ---------------------------------------------------------------------------
 # amortization
 
