@@ -1,7 +1,5 @@
 """Big-endian, length-prefixed binary encoding shared by all proof formats."""
 
-import struct
-
 import numpy as np
 
 from .errors import UsageError
@@ -72,9 +70,12 @@ class Reader:
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
 
-    def u64s(self, k: int) -> tuple:
-        """k u64s, decoded in one read."""
-        return struct.unpack(f">{k}Q", self.take(8 * k))
+    def u64_matrix(self, rows: int, width: int) -> np.ndarray:
+        """rows x width u64s as a uint64 array, decoded in one read: the
+        inverse of u64_rows."""
+        raw = self.take(8 * rows * width)
+        return (np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+                .reshape(rows, width))
 
     def bytes_lp(self) -> bytes:
         return self.take(self.u32())

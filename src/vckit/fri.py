@@ -233,6 +233,12 @@ def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
     return positions
 
 
+def _opened_cosets(positions: np.ndarray, width: int) -> np.ndarray:
+    """The leaves a layer of `width` leaves opens for the positions: the
+    distinct cosets pos % width, ascending."""
+    return np.unique(positions % width)
+
+
 def query_phase(layers, trees, t: Transcript, params: FriParams,
                 roots, final_value) -> FriProof:
     """Open, on every layer, the distinct cosets holding the query
@@ -240,10 +246,9 @@ def query_phase(layers, trees, t: Transcript, params: FriParams,
     positions = _draw_positions(t, params)
     openings = []
     for layer, tree, arity in zip(layers, trees, params.arities):
-        width = len(layer) // arity
-        cosets = sorted({pos % width for pos in positions})
+        cosets = _opened_cosets(np.array(positions), len(layer) // arity)
         openings.append(Opening(_cosets(layer, arity)[cosets],
-                                tree.open(cosets)))
+                                tree.open(cosets.tolist())))
     return FriProof(list(roots), final_value,
                     [FriQuery(pos) for pos in positions], openings)
 
@@ -285,7 +290,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
             proof.layer_roots, challenges, arities, proof.layers)):
         width = domain.size // arity
         cosets = positions % width
-        opened = np.unique(cosets)
+        opened = _opened_cosets(positions, width)
         fault = opening.fault(root, width, opened.tolist(), arity, p)
         if fault:
             return VerifyResult.reject(f"layer {j}: {fault}")
@@ -312,6 +317,6 @@ def queried_values(proof: FriProof, params: FriParams) -> np.ndarray:
     a proof verify accepted with at least one folding round."""
     width = params.domain.size // params.arities[0]
     positions = np.array([q.index for q in proof.queries], dtype=np.int64)
-    cosets = positions % width
-    return proof.layers[0].rows[np.searchsorted(np.unique(cosets), cosets),
-                                positions // width]
+    index = np.searchsorted(_opened_cosets(positions, width),
+                            positions % width)
+    return proof.layers[0].rows[index, positions // width]

@@ -90,7 +90,8 @@ class MerkleTree:
         """The path of a non-empty set of leaf indices."""
         known = sorted(set(indices))
         if not known or known[0] < 0 or known[-1] >= self.num_leaves:
-            raise UsageError(f"leaf indices {known} out of range")
+            raise UsageError(f"leaf indices must be a non-empty subset of "
+                             f"range({self.num_leaves})")
         siblings = []
         for level in self.levels[:-1]:
             held = set(known)
@@ -142,11 +143,8 @@ class Opening:
     @staticmethod
     def deserialize(reader: Reader, width: int) -> "Opening":
         """Decode an opening of leaves of `width` values each."""
-        count = reader.u32()
-        raw = reader.take(8 * width * count)
-        rows = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-        return Opening(rows.reshape(count, width),
-                       AuthPath.deserialize(reader))
+        rows = reader.u64_matrix(reader.u32(), width)
+        return Opening(rows, AuthPath.deserialize(reader))
 
     def fault(self, root: bytes, num_leaves: int, indices: List[int],
               width: int, p: int) -> Optional[str]:
