@@ -9,6 +9,7 @@ instrumented exponent-tracking group standing in for a pairing curve.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import List, Optional, Tuple, Union
 
 from .errors import UsageError, VerifyResult
@@ -79,19 +80,23 @@ def _prf2(key: AuthKey, delta: bytes) -> FieldElement:
     return prf(key.prf_key, b"\x02" + delta, key.field)
 
 
-def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
-    """r = PRF1(l) + PRF2(delta) for each label: the additive merge that
-    makes the amortized Load equation exact.  PRF1 runs once per distinct
-    l and PRF2 once per distinct delta, so an epoch's labels, which share
-    one delta, cost one PRF2 call between them."""
-    prf1 = {l: _prf1(key, l) for l in {lab.l for lab in labels}}
-    prf2 = {d: _prf2(key, d) for d in {lab.delta for lab in labels}}
-    return [prf1[lab.l] + prf2[lab.delta] for lab in labels]
+def _label_randomness(label: MultiLabel, prf1, prf2) -> FieldElement:
+    """r = PRF1(l) + PRF2(delta), given the two keyed PRFs: the additive
+    merge that makes the amortized Load equation exact."""
+    return prf1(label.l) + prf2(label.delta)
 
 
 def label_randomness(key: AuthKey, label: MultiLabel) -> FieldElement:
-    """labels_randomness for one label."""
-    return labels_randomness(key, [label])[0]
+    return _label_randomness(label, partial(_prf1, key), partial(_prf2, key))
+
+
+def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
+    """label_randomness of each label, with PRF1 evaluated once per
+    distinct l and PRF2 once per distinct delta: an epoch's labels share
+    one delta, so they cost one PRF2 call between them."""
+    prf1 = cache(partial(_prf1, key))
+    prf2 = cache(partial(_prf2, key))
+    return [_label_randomness(lab, prf1, prf2) for lab in labels]
 
 
 def _fresh_tag_poly(key: AuthKey, m: FieldElement, r: FieldElement) -> Polynomial:
