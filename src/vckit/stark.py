@@ -326,8 +326,10 @@ def _point_array(points) -> np.ndarray:
     return points
 
 
-# Entries of the (rows x points) array _row_product holds at a time.
-_ROW_BLOCK_ENTRIES = 1 << 16
+# Entries of the (rows x points) array _row_product holds at a time: all
+# the excluded rows at the verifier's few query points, one row at a
+# time on the prover's coset.
+_ROW_BLOCK_ENTRIES = 1 << 12
 
 
 def _row_product(points, g: FieldElement, rows) -> np.ndarray:
@@ -340,8 +342,10 @@ def _row_product(points, g: FieldElement, rows) -> np.ndarray:
     query points, or the boundary rows) it builds the array of x - g^j,
     one row per j and one column per point, and halves it by pairwise
     products down to one row.  It takes the rows in blocks of at most
-    _ROW_BLOCK_ENTRIES entries, so an unpadded trace of 2^k + 1 rows,
-    with about half its rows excluded, needs no array of points x n."""
+    _ROW_BLOCK_ENTRIES entries (at least one row), so an unpadded trace
+    of 2^k + 1 rows, with about half its rows excluded, needs no array
+    of points x n, and a coset of as many points takes one pass per
+    row."""
     p = g.field.modulus
     mod = np.uint64(p)
     rows = np.fromiter(rows, dtype=np.int64)
