@@ -235,8 +235,11 @@ def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
 
 def _opened_cosets(positions: np.ndarray, width: int) -> np.ndarray:
     """The leaves a layer of `width` leaves opens for the positions: the
-    distinct cosets pos % width, ascending."""
-    return np.unique(positions % width)
+    distinct cosets pos % width, ascending.  (Sorted in Python: there are
+    at most a few dozen, and a first np.unique call maps some 1.7 MiB of
+    numpy's sort code.)"""
+    return np.array(sorted(set((positions % width).tolist())),
+                    dtype=np.int64)
 
 
 def query_phase(layers, trees, t: Transcript, params: FriParams,
