@@ -272,6 +272,11 @@ def cmd_vdf(args):
 FRI_FILE_MAGIC = b"VCKp"
 
 
+def _queries(args) -> int:
+    """--queries, else the config file's, else 20."""
+    return 20 if args.queries is None else args.queries
+
+
 def cmd_fri(args):
     field = get_field(args.modulus)
     if args.cmd == "demo":
@@ -292,18 +297,19 @@ def cmd_fri(args):
         rng = _random.Random(args.seed)
         domain = stark.EvaluationDomain.coset(field, args.domain,
                                               field.generator())
-        params = fri_mod.FriParams(domain, args.degree, args.queries)
+        queries = _queries(args)
+        params = fri_mod.FriParams(domain, args.degree, queries)
         poly = Polynomial(field,
                           [rng.randrange(field.modulus)
                            for _ in range(args.degree)])
         evals = poly.evaluate_array(domain.point_array())
         t = Transcript("fri")
         t.absorb(b"params", u32(args.domain) + u32(args.degree)
-                 + u32(args.queries))
+                 + u32(queries))
         proof = fri_mod.prove(evals, params, t)
         with open(args.output, "wb") as fh:
             fh.write(FRI_FILE_MAGIC + u32(field.modulus) + u32(args.domain)
-                     + u32(args.degree) + u32(args.queries)
+                     + u32(args.degree) + u32(queries)
                      + proof.serialize())
         print(f"wrote FRI proof to {args.output}")
         return EXIT_OK
@@ -323,7 +329,7 @@ def cmd_fri(args):
     t = Transcript("fri")
     t.absorb(b"params", u32(domain_size) + u32(degree) + u32(queries))
     # the query count is the verifier's to choose, not the file's
-    verdict = (fri_mod.verify(proof, params, t) if queries == args.queries
+    verdict = (fri_mod.verify(proof, params, t) if queries == _queries(args)
                else VerifyResult.reject("parameter mismatch"))
     print("accept" if verdict else f"reject ({verdict.reason})")
     return EXIT_OK if verdict else EXIT_REJECT
@@ -353,8 +359,7 @@ def build_program(name: str, length: int, field, boundary_json=None):
 def _stark_params(args, zk: bool) -> stark.StarkParams:
     """--blowup and --queries, else the config file's, else 8 and 20."""
     return stark.StarkParams(8 if args.blowup is None else args.blowup,
-                             20 if args.queries is None else args.queries,
-                             zk=zk)
+                             _queries(args), zk=zk)
 
 
 def cmd_stark(args):
@@ -553,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     pp = fr.add_parser("prove")
     pp.add_argument("--domain", type=int, default=64)
     pp.add_argument("--degree", type=int, default=8)
-    pp.add_argument("--queries", type=int, default=20)
+    pp.add_argument("--queries", type=int)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("-o", "--output", required=True)
     pv = fr.add_parser("verify")
-    pv.add_argument("--queries", type=int, default=20)
+    pv.add_argument("--queries", type=int)
     pv.add_argument("proof")
     pd = fr.add_parser("demo")
     pd.add_argument("--domain", type=int, default=64)

@@ -30,8 +30,7 @@ import numpy as np
 
 from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
-from .field import (EvaluationDomain, FieldElement, _inverse_array,
-                    _power_array)
+from .field import EvaluationDomain, FieldElement, _power_array
 from .merkle import MerkleTree, Opening
 from .transcript import HASH_ID, Transcript
 
@@ -302,11 +301,13 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         here = opening.rows[index, positions // width]
         if folded is not None and (here != folded).any():
             return VerifyResult.reject(f"layer {j}: consistency failure")
-        g = domain.generator.value
-        xs = np.array([domain.offset.value * pow(g, int(c), p) % p
-                       for c in opened], dtype=np.uint64)
-        folded = _fold_cosets(opening.rows.T, _inverse_array(xs, p),
-                              pow(g, -width, p), beta, p)[index]
+        # 1/x_c = offset^-1 * (g^-1)^c, with no inversion per coset
+        g_inv = pow(domain.generator.value, -1, p)
+        offset_inv = pow(domain.offset.value, -1, p)
+        x_inv = np.array([offset_inv * pow(g_inv, int(c), p) % p
+                          for c in opened], dtype=np.uint64)
+        folded = _fold_cosets(opening.rows.T, x_inv, pow(g_inv, width, p),
+                              beta, p)[index]
         positions = cosets
         domain = _image(domain, arity)
     # with zero rounds layer 0 is already the constant

@@ -243,10 +243,19 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
 
 def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
               labeled_slots, tag: Tag, claimed_y) -> VerifyResult:
-    """Verification needs both secret keys: tag(sk1, sk2) = f(r)."""
+    """Verification needs both secret keys: tag(sk1, sk2) = f(r).  Each
+    key's labels take one labels_randomness call, so one PRF2 call per
+    delta per key."""
     field = keys[0].field
     claimed_y = field(claimed_y)
-    rs = [label_randomness(keys[slot], lab) for lab, slot in labeled_slots]
+    if any(slot not in (0, 1) for _, slot in labeled_slots):
+        raise UsageError("slot must be 0 or 1")
+    rs = [None] * len(labeled_slots)
+    for slot, key in enumerate(keys):
+        mine = [i for i, (_, s) in enumerate(labeled_slots) if s == slot]
+        for i, r in zip(mine, labels_randomness(
+                key, [labeled_slots[i][0] for i in mine])):
+            rs[i] = r
     f_r = circuit.evaluate(rs)
     if tag.poly.total_degree > 2 * circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")

@@ -8,6 +8,7 @@ that, _RANDOM_ROUNDS bases are drawn from a PRNG seeded with the candidate
 itself, so results are deterministic across runs and platforms.
 """
 
+import math
 import random
 
 _SIEVE_LIMIT = 1000
@@ -15,6 +16,10 @@ _sieve_primes = []
 for _n in range(2, _SIEVE_LIMIT):
     if all(_n % _p for _p in _sieve_primes):
         _sieve_primes.append(_n)
+_SIEVE_SET = frozenset(_sieve_primes)
+# n >= _SIEVE_LIMIT shares a factor with this product exactly when a
+# sieve prime divides it
+_SIEVE_PRODUCT = math.prod(_sieve_primes)
 
 # (exclusive bound, bases that decide every n below it)
 _DETERMINISTIC_BASES = [
@@ -39,14 +44,13 @@ def _strong_probable_prime(n: int, d: int, s: int, a: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin after small-prime sieving: exact with fixed bases below
-    3.3e24, _RANDOM_ROUNDS random bases above."""
-    if n < 2:
+    3.3e24, _RANDOM_ROUNDS random bases above.  Below _SIEVE_LIMIT the
+    sieve alone decides; above it, one gcd with the product of the sieve
+    primes replaces a trial division by each."""
+    if n < _SIEVE_LIMIT:
+        return n in _SIEVE_SET
+    if math.gcd(n, _SIEVE_PRODUCT) != 1:
         return False
-    for p in _sieve_primes:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -2,8 +2,9 @@
 
 The working group is Z_N^* / {+-1}: every element is normalized to
 min(v, N - v) and equality is sign-insensitive.  Evaluation is T modular
-squarings and deliberately sequential; verification is two short
-exponentiations.
+squarings and deliberately sequential; verification computes
+pi^r * x'^(2^T mod r) with one left-to-right ladder over both short
+exponents, whose squarings the two exponentiations share.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
@@ -232,14 +233,52 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
     return _normalize(pi, n)
 
 
-def counting_modpow(base: int, exponent: int, n: int,
-                    counters: VdfCounters = None) -> int:
-    """pow, metered as square-and-multiply: a squaring per bit below the
-    top bit and a multiplication per set bit below it."""
-    if counters is not None and exponent:
-        counters.multiplications += (exponent.bit_length()
-                                     + exponent.bit_count() - 2)
-    return pow(base, exponent, n)
+def counting_modpow(pairs, n: int, counters: VdfCounters = None) -> int:
+    """prod base^exponent mod n over the (base, exponent) pairs, by one
+    left-to-right ladder over all exponents at once (Straus 1964; Shamir's
+    trick for two pairs).
+
+    Below the top bit of the longest exponent, each bit costs one squaring
+    plus one multiplication by the product of the bases whose exponents
+    have a 1 there.  That product is computed the first time its set of
+    bases occurs, with one multiplication per base after the first, and
+    reused: for two pairs the only one is base_0 * base_1.  The exact count
+    of squarings and multiplications is added to counters.multiplications;
+    for a single pair it is bit_length + popcount - 2, as square-and-multiply.
+    """
+    pairs = [(base % n, e) for base, e in pairs if e]
+    if any(e < 0 for _, e in pairs):
+        raise UsageError("exponents must be non-negative")
+    top = max((e.bit_length() for _, e in pairs), default=0)
+    products = {1 << j: base for j, (base, _) in enumerate(pairs)}
+    acc = 1 % n
+    multiplications = 0
+    for i in reversed(range(top)):
+        mask = 0
+        for j, (_, e) in enumerate(pairs):
+            mask |= (e >> i & 1) << j
+        if i < top - 1:
+            acc = acc * acc % n
+            multiplications += 1
+        if not mask:
+            continue
+        factor = products.get(mask)
+        if factor is None:
+            members = [base for j, (base, _) in enumerate(pairs)
+                       if mask >> j & 1]
+            factor = members[0]
+            for base in members[1:]:
+                factor = factor * base % n
+            multiplications += len(members) - 1
+            products[mask] = factor
+        if i < top - 1:
+            acc = acc * factor % n
+            multiplications += 1
+        else:
+            acc = factor
+    if counters is not None:
+        counters.multiplications += multiplications
+    return acc
 
 
 def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:
@@ -264,11 +303,8 @@ def verify(params: VdfParams, x_prime: int, proof: VdfProof,
     if derive_challenge(params, x_prime, proof.y) != proof.r:
         return VerifyResult.reject("challenge-mismatch")
     residue = pow(2, params.delay, proof.r)
-    lhs = counting_modpow(proof.pi, proof.r, n, counters)
-    rhs = counting_modpow(x_prime, residue, n, counters)
-    v = lhs * rhs % n
-    if counters is not None:
-        counters.multiplications += 1
+    v = counting_modpow([(proof.pi, proof.r), (x_prime, residue)], n,
+                        counters)
     if _normalize(v, n) != _normalize(proof.y, n):
         return VerifyResult.reject("equation-failure")
     return VerifyResult.accept()

@@ -244,7 +244,31 @@ def test_config_file(tmp_path):
     assert run(["stark", "verify", proof]) == 1
 
 
-@pytest.mark.parametrize("content", ["blowup = x\n", b"queries = \xff\n",
+def test_config_queries_preset_fri_prove_and_verify(tmp_path, capsys):
+    """The config's queries reach fri prove and fri verify, and an
+    explicit --queries overrides them."""
+    cfg = str(tmp_path / "vckit.cfg")
+    Path(cfg).write_text("queries = 6\n")
+    proof = tmp_path / "fri.bin"
+
+    def file_queries():
+        # magic, then u32 modulus, domain size, degree bound and queries
+        return int.from_bytes(proof.read_bytes()[16:20], "big")
+    assert run(["--config", cfg, "fri", "prove", "-o", str(proof)]) == 0
+    assert file_queries() == 6
+    assert run(["--config", cfg, "fri", "verify", str(proof)]) == 0
+    assert run(["fri", "verify", str(proof)]) == 1
+    assert run(["--config", cfg, "fri", "verify", "--queries", "20",
+                str(proof)]) == 1
+    assert "parameter mismatch" in capsys.readouterr().out
+    assert run(["--config", cfg, "fri", "prove", "--queries", "3",
+                "-o", str(proof)]) == 0
+    assert file_queries() == 3
+    assert run(["--config", cfg, "fri", "verify", "--queries", "3",
+                str(proof)]) == 0
+
+
+@pytest.mark.parametrize("content",["blowup = x\n", b"queries = \xff\n",
                                      None])
 def test_bad_config_file(tmp_path, content):
     """A non-integer value, a file that is not UTF-8 and a directory are

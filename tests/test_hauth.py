@@ -192,6 +192,48 @@ def test_multikey_roundtrip():
     assert not v and v.reason == "output-check"
 
 
+def test_verify_mk_evaluates_prf2_once_per_key(monkeypatch):
+    """A two-party epoch of 4 labels per party under one delta, the
+    parties' inputs interleaved: verify_mk makes one PRF1 call per label
+    and one PRF2 call per key."""
+    keys = (KEY, KEY2)
+    h = 4
+    gates = [hauth.Gate("mul", 2 * i, 2 * i + 1) for i in range(h)]
+    acc = 2 * h
+    for i in range(1, h):
+        gates.append(hauth.Gate("add", acc, 2 * h + i))
+        acc = 2 * h + len(gates) - 1
+    circ = hauth.Circuit(2 * h, tuple(gates))
+    labeled_slots = [(lab(b"party-%d-in-%d" % (i % 2, i), b"epoch-9"), i % 2)
+                     for i in range(2 * h)]
+    msgs = list(range(3, 3 + 2 * h))
+    out = hauth.eval_tags(circ, [
+        hauth.auth_mk(keys, m, label, slot)
+        for m, (label, slot) in zip(msgs, labeled_slots)])
+    claimed = sum(msgs[2 * i] * msgs[2 * i + 1] for i in range(h))
+    calls = []
+    real_prf = hauth.prf
+
+    def counting_prf(key, data, field):
+        calls.append((key, data[:1]))
+        return real_prf(key, data, field)
+    monkeypatch.setattr(hauth, "prf", counting_prf)
+    assert hauth.verify_mk(keys, circ, labeled_slots, out, claimed)
+    for key in keys:
+        assert calls.count((key.prf_key, b"\x01")) == h
+        assert calls.count((key.prf_key, b"\x02")) == 1
+    assert len(calls) == 2 * h + 2
+    # each r lands on its own input: swapping two of one party's labels
+    # changes f(r)
+    swapped = ([labeled_slots[2], labeled_slots[1], labeled_slots[0]]
+               + labeled_slots[3:])
+    v = hauth.verify_mk(keys, circ, swapped, out, claimed)
+    assert not v and v.reason == "key-check"
+    with pytest.raises(UsageError, match="slot"):
+        hauth.verify_mk(keys, circ, labeled_slots[:-1] +
+                        [(labeled_slots[-1][0], 2)], out, claimed)
+
+
 def _multikey_forgery(pad_terms):
     """The honest tag of test_multikey_roundtrip plus a padding term."""
     keys = (KEY, KEY2)

@@ -125,7 +125,7 @@ def test_counters():
 
 def test_counting_modpow_matches_pow():
     for base, e, n in [(3, 0, 35), (3, 1, 35), (2, 77, 1003), (5, 2**20, 9973)]:
-        assert vdf.counting_modpow(base, e, n) == pow(base, e, n)
+        assert vdf.counting_modpow([(base, e)], n) == pow(base, e, n)
 
 
 def test_counting_modpow_meter_matches_square_and_multiply():
@@ -139,10 +139,75 @@ def test_counting_modpow_meter_matches_square_and_multiply():
     for e in exponents:
         base = rng.randrange(n)
         counters = vdf.VdfCounters()
-        value = vdf.counting_modpow(base, e, n, counters)
+        value = vdf.counting_modpow([(base, e)], n, counters)
         assert (value, counters.multiplications) == \
             oracle.square_and_multiply(base, e, n)
         assert counters.squarings == 0
+
+
+def _check_joint(pairs, n):
+    counters = vdf.VdfCounters()
+    value = vdf.counting_modpow(pairs, n, counters)
+    expected = 1 % n
+    for base, e in pairs:
+        expected = expected * pow(base, e, n) % n
+    assert value == expected
+    assert (value, counters.multiplications) == \
+        oracle.joint_square_and_multiply(pairs, n)
+    assert counters.squarings == 0
+
+
+def test_joint_modpow_matches_the_joint_ladder():
+    """Value and meter against the oracle's ladder: one and two pairs,
+    zero exponents, exponents of unequal length, 2^32 - 1 and 2000 seeded
+    random pairs of exponents up to 300 bits."""
+    rng = random.Random(14)
+    n = 1000003 * 998244353
+    cases = [
+        [], [(5, 0)], [(5, 0), (7, 0)], [(5, 3)], [(5, 3), (7, 0)],
+        [(5, 0), (7, 3)], [(5, 1), (7, 1)], [(5, 2**31), (7, 1)],
+        [(5, 1), (7, 2**31)], [(5, 2**32 - 1), (7, 2**32 - 1)],
+        [(5, 2**32 - 1), (7, 2**5 + 1)], [(5, 2**100 + 1), (7, 2**3)],
+        [(n + 5, 6), (-7, 9)],
+    ]
+    for pairs in cases:
+        _check_joint(pairs, n)
+    for _ in range(2000):
+        pairs = [(rng.randrange(n), rng.getrandbits(rng.randrange(0, 300)))
+                 for _ in range(rng.choice((1, 2)))]
+        _check_joint(pairs, n)
+
+
+def test_joint_modpow_costs_less_than_two_ladders():
+    """Two 32-bit exponents with every bit set cost 31 squarings, 31
+    multiplications and one product of the bases: 63, against 62 + 62
+    + 1 for two square-and-multiply ladders and their product."""
+    counters = vdf.VdfCounters()
+    vdf.counting_modpow([(3, 2**32 - 1), (5, 2**32 - 1)], 10007, counters)
+    assert counters.multiplications == 63
+
+
+def test_joint_modpow_refuses_negative_exponents():
+    with pytest.raises(UsageError, match="non-negative"):
+        vdf.counting_modpow([(3, 5), (2, -1)], 35)
+
+
+def test_verify_counts_the_joint_ladder_at_criterion_04():
+    """At the criterion-04 configuration (16-bit primes, T = 2^16,
+    16-bit security) verify's meter reads the oracle's count for
+    pi^r * x'^(2^T mod r): about 57, where two separate ladders and
+    their product took about 97."""
+    params, _ = vdf.setup(16, b"asymmetry", delay=2**16, security_bits=16)
+    x, proof = vdf.vdf_round(params, b"beacon")
+    counters = vdf.VdfCounters()
+    assert vdf.verify(params, x, proof, counters)
+    residue = pow(2, params.delay, proof.r)
+    _, expected = oracle.joint_square_and_multiply(
+        [(proof.pi, proof.r), (x, residue)], params.n_modulus)
+    assert counters.multiplications == expected
+    separate = sum(oracle.square_and_multiply(base, e, params.n_modulus)[1]
+                   for base, e in [(proof.pi, proof.r), (x, residue)]) + 1
+    assert expected < separate
 
 
 def test_setup_primes_have_exactly_the_requested_bits():

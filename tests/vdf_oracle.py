@@ -37,3 +37,36 @@ def square_and_multiply(base, exponent, n):
             result = result * base % n
             count += 1
     return result, count
+
+
+def joint_square_and_multiply(pairs, n):
+    """(prod base^exponent mod n, multiplications) by one left-to-right
+    ladder over all exponents, the meter `vckit.vdf.counting_modpow`
+    reports.
+
+    A bit's factor is the product of the bases with a 1 in that bit,
+    built the first time that set of bases occurs at one multiplication
+    per base after the first.  Below the top bit, each bit costs a
+    squaring, plus a multiplication when the factor is not 1.
+    """
+    pairs = [(base % n, e) for base, e in pairs if e > 0]
+    top = max([e.bit_length() for _, e in pairs] + [0])
+    seen = set()
+    result, count = 1 % n, 0
+    for i in range(top - 1, -1, -1):
+        if i != top - 1:
+            result = result * result % n
+            count += 1
+        members = tuple(j for j, (_, e) in enumerate(pairs) if (e >> i) & 1)
+        if not members:
+            continue
+        factor = 1
+        for j in members:
+            factor = factor * pairs[j][0] % n
+        if members not in seen:
+            seen.add(members)
+            count += len(members) - 1
+        result = result * factor % n
+        if i != top - 1:
+            count += 1
+    return result, count
