@@ -250,35 +250,32 @@ def counting_modpow(pairs, n: int, counters: VdfCounters = None) -> int:
     if any(e < 0 for _, e in pairs):
         raise UsageError("exponents must be non-negative")
     top = max((e.bit_length() for _, e in pairs), default=0)
-    products = {1 << j: base for j, (base, _) in enumerate(pairs)}
-    acc = 1 % n
+    products = {}  # bit column -> product of the bases with a 1 in it
+    acc = None
     multiplications = 0
-    for i in reversed(range(top)):
-        mask = 0
-        for j, (_, e) in enumerate(pairs):
-            mask |= (e >> i & 1) << j
-        if i < top - 1:
+    for column in zip(*(format(e, f"0{top}b") for _, e in pairs)):
+        if acc is not None:
             acc = acc * acc % n
             multiplications += 1
-        if not mask:
+        if "1" not in column:
             continue
-        factor = products.get(mask)
+        factor = products.get(column)
         if factor is None:
-            members = [base for j, (base, _) in enumerate(pairs)
-                       if mask >> j & 1]
+            members = [base for (base, _), bit in zip(pairs, column)
+                       if bit == "1"]
             factor = members[0]
             for base in members[1:]:
                 factor = factor * base % n
             multiplications += len(members) - 1
-            products[mask] = factor
-        if i < top - 1:
+            products[column] = factor
+        if acc is None:
+            acc = factor
+        else:
             acc = acc * factor % n
             multiplications += 1
-        else:
-            acc = factor
     if counters is not None:
         counters.multiplications += multiplications
-    return acc
+    return 1 % n if acc is None else acc
 
 
 def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:
