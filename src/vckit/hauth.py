@@ -250,12 +250,10 @@ def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
     claimed_y = field(claimed_y)
     if any(slot not in (0, 1) for _, slot in labeled_slots):
         raise UsageError("slot must be 0 or 1")
-    rs = [None] * len(labeled_slots)
-    for slot, key in enumerate(keys):
-        mine = [i for i, (_, s) in enumerate(labeled_slots) if s == slot]
-        for i, r in zip(mine, labels_randomness(
-                key, [labeled_slots[i][0] for i in mine])):
-            rs[i] = r
+    per_slot = [iter(labels_randomness(
+        key, [lab for lab, s in labeled_slots if s == slot]))
+        for slot, key in enumerate(keys)]
+    rs = [next(per_slot[slot]) for _, slot in labeled_slots]
     f_r = circuit.evaluate(rs)
     if tag.poly.total_degree > 2 * circuit.syntactic_degree():
         return VerifyResult.reject("degree-check")
