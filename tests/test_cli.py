@@ -268,7 +268,7 @@ def test_config_queries_preset_fri_prove_and_verify(tmp_path, capsys):
                 str(proof)]) == 0
 
 
-@pytest.mark.parametrize("content",["blowup = x\n", b"queries = \xff\n",
+@pytest.mark.parametrize("content", ["blowup = x\n", b"queries = \xff\n",
                                      None])
 def test_bad_config_file(tmp_path, content):
     """A non-integer value, a file that is not UTF-8 and a directory are
