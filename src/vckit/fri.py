@@ -11,11 +11,10 @@ A layer of m values is committed with one leaf per folding coset: leaf c
 holds, as u64s, the values at indices c, c + m/4, c + m/2 and c + 3m/4,
 the points x_c * {1, i, -1, -i} that fold to x_c^4 (two values, at
 +-x_c, in a 2-fold round).  Query positions are drawn from all of the
-first domain; a position pos lies in coset pos % (m/arity) of each layer.
-Each layer sends the distinct cosets its queries hold, once each in
-ascending order, with one Merkle path for all of them.  The verifier
-checks that each position's slot equals the previous layer's fold, and
-folds.
+first domain; a position pos lies in slot pos div (m/arity) of leaf
+pos % (m/arity) of each layer.  Each layer opens the index_set of its
+queries' leaves with one Merkle path.  The verifier checks that each
+position's slot equals the previous layer's fold, and folds.
 
 One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 4 takes two
 of its calls, with beta and then beta^2 (_fold_cosets).  The prover folds
@@ -31,7 +30,7 @@ import numpy as np
 from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
 from .field import EvaluationDomain, FieldElement, _power_array
-from .merkle import MerkleTree, Opening
+from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
 PROOF_VERSION = 3
@@ -232,15 +231,6 @@ def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
     return positions
 
 
-def _opened_cosets(positions: np.ndarray, width: int) -> np.ndarray:
-    """The leaves a layer of `width` leaves opens for the positions: the
-    distinct cosets pos % width, ascending.  (Sorted in Python: there are
-    at most a few dozen, and a first np.unique call maps some 1.7 MiB of
-    numpy's sort code.)"""
-    return np.array(sorted(set((positions % width).tolist())),
-                    dtype=np.int64)
-
-
 def query_phase(layers, trees, t: Transcript, params: FriParams,
                 roots, final_value) -> FriProof:
     """Open, on every layer, the distinct cosets holding the query
@@ -248,9 +238,10 @@ def query_phase(layers, trees, t: Transcript, params: FriParams,
     positions = _draw_positions(t, params)
     openings = []
     for layer, tree, arity in zip(layers, trees, params.arities):
-        cosets = _opened_cosets(np.array(positions), len(layer) // arity)
+        width = len(layer) // arity
+        cosets = index_set([pos % width for pos in positions])
         openings.append(Opening(_cosets(layer, arity)[cosets],
-                                tree.open(cosets.tolist())))
+                                tree.open(cosets)))
     return FriProof(list(roots), final_value,
                     [FriQuery(pos) for pos in positions], openings)
 
@@ -292,8 +283,8 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
             proof.layer_roots, challenges, arities, proof.layers)):
         width = domain.size // arity
         cosets = positions % width
-        opened = _opened_cosets(positions, width)
-        fault = opening.fault(root, width, opened.tolist(), arity, p)
+        opened = index_set(cosets)
+        fault = opening.fault(root, width, opened, arity, p)
         if fault:
             return VerifyResult.reject(f"layer {j}: {fault}")
         # row index[k] of the opening is the coset of position k
@@ -304,7 +295,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         # 1/x_c = offset^-1 * (g^-1)^c, with no inversion per coset
         g_inv = pow(domain.generator.value, -1, p)
         offset_inv = pow(domain.offset.value, -1, p)
-        x_inv = np.array([offset_inv * pow(g_inv, int(c), p) % p
+        x_inv = np.array([offset_inv * pow(g_inv, c, p) % p
                           for c in opened], dtype=np.uint64)
         folded = _fold_cosets(opening.rows.T, x_inv, pow(g_inv, width, p),
                               beta, p)[index]
@@ -321,6 +312,6 @@ def queried_values(proof: FriProof, params: FriParams) -> np.ndarray:
     a proof verify accepted with at least one folding round."""
     width = params.domain.size // params.arities[0]
     positions = np.array([q.index for q in proof.queries], dtype=np.int64)
-    index = np.searchsorted(_opened_cosets(positions, width),
-                            positions % width)
-    return proof.layers[0].rows[index, positions // width]
+    cosets = positions % width
+    return proof.layers[0].rows[np.searchsorted(index_set(cosets), cosets),
+                                positions // width]

@@ -6,7 +6,9 @@ Every hash starts from a copy of a SHA-256 state already fed its prefix, so
 the tree build hashes each level in one loop with no per-hash function call
 or concatenation.
 
-One authentication path covers a set of leaves: it holds, level by level
+An opening sends the leaves of its index_set, the distinct leaf indices
+ascending, so a value is read as rows[searchsorted(index_set, leaf),
+slot].  One authentication path covers them all: it holds, level by level
 from the leaves up, the siblings the verifier cannot compute from the
 leaves and the nodes below, each level in ascending index order.  Queries
 that share a subtree share its upper siblings, which are sent and hashed
@@ -57,6 +59,16 @@ class AuthPath:
         return AuthPath([raw[k:k + 32] for k in range(0, len(raw), 32)])
 
 
+def index_set(leaves) -> List[int]:
+    """The distinct indices among leaves (ints, or an integer array of any
+    shape) in ascending order: the leaves an opening sends, each once.
+    (Sorted in Python: there are at most a few dozen, and a first
+    np.unique call maps some 1.7 MiB of numpy's sort code.)"""
+    if isinstance(leaves, np.ndarray):
+        leaves = leaves.ravel().tolist()
+    return sorted(set(leaves))
+
+
 class MerkleTree:
     """Immutable commitment to a leaf vector; reads are freely concurrent."""
 
@@ -88,7 +100,7 @@ class MerkleTree:
 
     def open(self, indices) -> AuthPath:
         """The path of a non-empty set of leaf indices."""
-        known = sorted(set(indices))
+        known = index_set(indices)
         if not known or known[0] < 0 or known[-1] >= self.num_leaves:
             raise UsageError(f"leaf indices must be a non-empty subset of "
                              f"range({self.num_leaves})")
@@ -110,7 +122,7 @@ def verify_path(root: bytes, num_leaves: int, leaves: Dict[int, bytes],
             or min(leaves) < 0 or max(leaves) >= num_leaves):
         return False
     # each level's nodes by index, ascending, the order siblings come in
-    nodes = {i: leaf_hash(leaves[i]) for i in sorted(leaves)}
+    nodes = {i: leaf_hash(leaves[i]) for i in index_set(leaves)}
     siblings = iter(path.siblings)
     try:
         for _ in range(num_leaves.bit_length() - 1):
@@ -130,8 +142,7 @@ def verify_path(root: bytes, num_leaves: int, leaves: Dict[int, bytes],
 @dataclass
 class Opening:
     """A tree's opened leaves, each a row of u64 values: rows[k] is the
-    k-th leaf of the opened index set in ascending order, each leaf once,
-    and path covers them all."""
+    leaf at index_set[k], and path covers them all."""
 
     rows: np.ndarray      # uint64, one row per opened leaf
     path: AuthPath
@@ -148,9 +159,9 @@ class Opening:
 
     def fault(self, root: bytes, num_leaves: int, indices: List[int],
               width: int, p: int) -> Optional[str]:
-        """Why the rows are not the leaves at `indices` (ascending,
-        distinct) of the tree of num_leaves leaves with this root, each of
-        `width` values below p; None when they are."""
+        """Why the rows are not the leaves at `indices` (an index_set) of
+        the tree of num_leaves leaves with this root, each of `width`
+        values below p; None when they are."""
         if len(self.rows) != len(indices):
             return "wrong leaf count"
         if self.rows.ndim != 2 or self.rows.shape[1] != width:

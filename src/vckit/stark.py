@@ -22,9 +22,11 @@ holding x the verifier needs the trace rows at x, g x, ..., g^(w-1) x
 (indices position + r * blowup) and reads the composition at x from the
 FRI layer-0 coset that holds the position.  The trace is committed with
 one Merkle leaf per R = min(4, n) consecutive trace rows at one coset
-shift (window_leaves), so a query needs the one or two leaves holding
-its window rather than w single rows.  The proof sends each needed leaf
-once, in ascending index order, with one Merkle path for all of them.
+shift, so a query needs the one or two leaves holding its window rather
+than w single rows.  For a position s + blowup*j, window row r is trace
+row t = (j + r) mod n, slot t mod R of leaf s*(n/R) + t div R
+(_window_cells).  The proof opens the index_set of those leaves with one
+Merkle path.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -35,7 +37,7 @@ zero-knowledge padding relies on.
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
                     Polynomial, _inverse_array, _pow_array, _power_array,
                     _values_array, evaluate_on_domain, interpolate,
                     interpolate_on_domain)
-from .merkle import MerkleTree, Opening
+from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
 PROOF_VERSION = 4
@@ -200,7 +202,7 @@ class StarkProof:
     trace_root: bytes
     composition_root: bytes
     fri_proof: "fri.FriProof"
-    # the trace leaves the queries' windows need (window_leaves), each a
+    # the trace leaves the queries' windows need (_window_cells), each a
     # row of values row-major over its trace rows and then the columns
     trace_opening: Opening
 
@@ -530,30 +532,18 @@ def _trace_leaves(table: np.ndarray, blowup: int) -> np.ndarray:
             .reshape(size // rows_per_leaf, rows_per_leaf * ncols))
 
 
-def window_leaves(position: int, blowup: int, n: int,
-                  window: int) -> List[int]:
-    """The trace leaves (_trace_leaves) a query at LDE index `position`
-    opens: the distinct leaves holding its window rows, in window order.
-
-    The position is s + blowup*j for the shift s < blowup; its window
-    rows are trace rows (j + r) mod n at that shift, r < window, wrapping
-    past the last row.  With the rows of these leaves concatenated,
-    window row r sits at index (j mod R + r) mod (len(leaves) * R), for
-    R = _rows_per_leaf(n)."""
+def _window_cells(positions, blowup: int, n: int, window: int):
+    """(leaf, slot), two arrays of shape (len(positions), window): window
+    row r of the query at LDE index positions[k] is slot slot[k, r] of
+    trace leaf leaf[k, r] (_trace_leaves).  For a position s + blowup*j,
+    window row r is trace row t = (j + r) mod n at the coset shift s,
+    wrapping past the last row; that row is slot t mod R of leaf
+    s*(n/R) + t div R, for R = _rows_per_leaf(n)."""
     rows_per_leaf = _rows_per_leaf(n)
-    s, j = position % blowup, position // blowup
-    return list(dict.fromkeys(s * (n // rows_per_leaf)
-                              + (j + r) % n // rows_per_leaf
-                              for r in range(window)))
-
-
-def _trace_layout(fri_proof: "fri.FriProof", blowup: int, n: int,
-                  window: int) -> Tuple[List[List[int]], List[int]]:
-    """The leaves each query's window needs (window_leaves), and all of
-    them in ascending order, each once: the trace opening's index set."""
-    layouts = [window_leaves(q.index, blowup, n, window)
-               for q in fri_proof.queries]
-    return layouts, sorted(set().union(*layouts))
+    positions = np.asarray(positions, dtype=np.int64)[:, None]
+    t = (positions // blowup + np.arange(window)) % n
+    return (positions % blowup * (n // rows_per_leaf) + t // rows_per_leaf,
+            t % rows_per_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +605,9 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
                           enforce_low_degree=not skip_satisfaction_check)
     composition_root = fri_proof.layer_roots[0]
 
-    _, opened = _trace_layout(fri_proof, params.blowup, n, cs.max_window())
+    leaf, _ = _window_cells([q.index for q in fri_proof.queries],
+                            params.blowup, n, cs.max_window())
+    opened = index_set(leaf)
     opening = Opening(leaf_values[opened], trace_tree.open(opened))
 
     return StarkProof(n, trace.original_length, cs.num_columns,
@@ -668,28 +660,19 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     w = cs.max_window()
     ncols = proof.num_columns
     rows_per_leaf = _rows_per_leaf(n)
-    layouts, opened = _trace_layout(proof.fri_proof, params.blowup, n, w)
+    queries = proof.fri_proof.queries
+    leaf, slot = _window_cells([q.index for q in queries], params.blowup, n,
+                               w)
+    opened = index_set(leaf)
     fault = proof.trace_opening.fault(
         proof.trace_root, lde.size // rows_per_leaf, opened,
         rows_per_leaf * ncols, field.modulus)
     if fault:
         return VerifyResult.reject(f"trace: {fault}")
 
-    # window[k, r, c]: column c at g^r x_k, x_k the k-th query point.  The
-    # rows of query k's leaves, concatenated in window order, hold its
-    # window as a cyclic slice (window_leaves); leaf i of those is row
-    # slot[k, i] of the opening.
-    queries = proof.fri_proof.queries
-    row_of = {leaf: i for i, leaf in enumerate(opened)}
-    widest = max(len(leaves) for leaves in layouts)
-    slot = np.array([[row_of[leaf] for leaf in leaves]
-                     + [0] * (widest - len(leaves)) for leaves in layouts])
-    held = np.array([len(leaves) for leaves in layouts]) * rows_per_leaf
-    starts = np.array([q.index // params.blowup for q in queries])
-    cyclic = (starts[:, None] % rows_per_leaf + np.arange(w)) % held[:, None]
-    window = proof.trace_opening.rows.reshape(-1, ncols)[
-        slot[np.arange(len(queries))[:, None], cyclic // rows_per_leaf]
-        * rows_per_leaf + cyclic % rows_per_leaf]
+    # window[k, r, c]: column c at g^r x_k, x_k the k-th query point
+    window = proof.trace_opening.rows.reshape(-1, rows_per_leaf, ncols)[
+        np.searchsorted(opened, leaf), slot]
     xs = np.array([lde.point(q.index).value for q in queries],
                   dtype=np.uint64)
     rows = [[window[:, r, c] for c in range(ncols)] for r in range(w)]

@@ -13,7 +13,7 @@ from vckit.errors import ConstraintViolation, InternalError, UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
-from vckit.merkle import MerkleTree, Opening
+from vckit.merkle import MerkleTree, Opening, index_set
 from vckit.transcript import Transcript
 
 F = Field(DEFAULT_MODULUS)
@@ -618,9 +618,9 @@ def _forge(proof, cs, params, leaf_columns, composition):
     comp = composition(stark._draw_gammas(cs, F, t))
     d = stark.composition_degree_bound(n, orig, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
-    opened = sorted({leaf for q in fri_proof.queries
-                     for leaf in stark.window_leaves(q.index, params.blowup,
-                                                     n, cs.max_window())})
+    opened = index_set(stark._window_cells(
+        [q.index for q in fri_proof.queries], params.blowup, n,
+        cs.max_window())[0])
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
         composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
@@ -736,26 +736,21 @@ def test_trace_bundle_shape_rejected():
     (n, window) for n in (2, 4, 8, 64) for window in (2, 3) if window <= n])
 @pytest.mark.parametrize("blowup", [4, 8])
 def test_window_leaves_match_the_oracle(n, window, blowup):
-    """For every position, window_leaves names the leaves of the trace
-    tree that hold the window's LDE indices (position + r*blowup) mod N,
-    found by search in a table of the indices themselves, deduplicated in
-    window order; and in those leaves' rows, concatenated, window row r
-    sits at (j mod R + r) mod (leaves * R), j = position // blowup.
-    Windows that wrap past the last trace row included."""
+    """For every position, _window_cells names the (leaf, slot) of the
+    trace tree that holds each window row's LDE index
+    (position + r*blowup) mod N, read from a table of the indices
+    themselves.  Windows that wrap past the last trace row included."""
     size = blowup * n
     rows_per_leaf = min(4, n)
     table = stark._trace_leaves(
         np.arange(size, dtype=np.uint64).reshape(size, 1), blowup)
     assert table.shape == (size // rows_per_leaf, rows_per_leaf)
-    leaf_of = {int(v): leaf for leaf, row in enumerate(table) for v in row}
+    leaf, slot = stark._window_cells(range(size), blowup, n, window)
+    assert leaf.shape == slot.shape == (size, window)
     for position in range(size):
-        window_lde = [(position + r * blowup) % size for r in range(window)]
-        leaves = list(dict.fromkeys(leaf_of[i] for i in window_lde))
-        assert stark.window_leaves(position, blowup, n, window) == leaves
-        rows = table[leaves].ravel()
-        start = position // blowup % rows_per_leaf
-        assert [int(rows[(start + r) % len(rows)])
-                for r in range(window)] == window_lde
+        for r in range(window):
+            assert (int(table[leaf[position, r], slot[position, r]])
+                    == (position + r * blowup) % size)
 
 
 def _squaring_system(n):
@@ -791,9 +786,9 @@ def test_short_traces_prove_and_verify(system, blowup):
     assert len(proof.fri_proof.queries) == blowup * tr.length
     verdict = stark.verify(proof, cs, params, F)
     assert verdict, verdict.reason
-    opened = {leaf for q in proof.fri_proof.queries
-              for leaf in stark.window_leaves(q.index, blowup, tr.length,
-                                              cs.max_window())}
+    opened = index_set(stark._window_cells(
+        [q.index for q in proof.fri_proof.queries], blowup, tr.length,
+        cs.max_window())[0])
     assert proof.trace_opening.rows.shape == (
         len(opened), min(4, tr.length) * tr.num_columns)
 
@@ -822,9 +817,9 @@ def test_every_opened_trace_slot_is_authenticated():
     proof, cs, params = _fib8_proof()
     n, blowup = proof.trace_length, params.blowup
     rows_per_leaf = min(4, n)
-    opened = sorted({leaf for q in proof.fri_proof.queries
-                     for leaf in stark.window_leaves(q.index, blowup, n,
-                                                     cs.max_window())})
+    opened = index_set(stark._window_cells(
+        [q.index for q in proof.fri_proof.queries], blowup, n,
+        cs.max_window())[0])
     read = set()
     for q in proof.fri_proof.queries:
         shift, j = q.index % blowup, q.index // blowup
