@@ -81,7 +81,12 @@ class Reader:
         return self.take(self.u32())
 
     def int_lp(self) -> int:
-        return int.from_bytes(self.bytes_lp(), "big")
+        """The inverse of int_lp, refusing an empty or non-minimal
+        encoding: a leading zero byte is only valid as 0 itself."""
+        raw = self.bytes_lp()
+        if not raw or (raw[0] == 0 and len(raw) > 1):
+            raise UsageError("non-minimal integer encoding")
+        return int.from_bytes(raw, "big")
 
     def done(self) -> bool:
         return self.pos == len(self.data)

@@ -332,8 +332,14 @@ class Polynomial:
 
     @staticmethod
     def deserialize(field: Field, reader: Reader) -> "Polynomial":
-        n = reader.u32()
-        return Polynomial(field, [reader.u64() for _ in range(n)])
+        """The inverse of serialize, refusing what it never writes: a
+        coefficient of p or more, or a zero top coefficient."""
+        coeffs = [reader.u64() for _ in range(reader.u32())]
+        if any(c >= field.modulus for c in coeffs):
+            raise UsageError("non-canonical polynomial coefficient")
+        if coeffs and coeffs[-1] == 0:
+            raise UsageError("polynomial with a zero top coefficient")
+        return Polynomial(field, coeffs)
 
 
 def interpolate(points) -> Polynomial:
@@ -503,7 +509,6 @@ class EvaluationDomain:
         self.size = size
         self.generator = generator
         self.offset = offset
-        self._points = None
         self._point_array = None
 
     @staticmethod
@@ -528,12 +533,6 @@ class EvaluationDomain:
             arr = _power_array(self.generator.value, self.size, p)
             self._point_array = arr * np.uint64(self.offset.value) % np.uint64(p)
         return self._point_array
-
-    def points(self):
-        if self._points is None:
-            self._points = [FieldElement(self.field, int(v))
-                            for v in self.point_array()]
-        return self._points
 
     def point(self, i: int) -> FieldElement:
         """i-th domain point, offset * generator^i, in O(log i)."""

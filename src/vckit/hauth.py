@@ -180,10 +180,6 @@ class Circuit:
                 degs.append(degs[g.a])
         return degs[self.output]
 
-    @staticmethod
-    def identity() -> "Circuit":
-        return Circuit(1, (), output=0)
-
 
 def eval_tags(circuit: Circuit, tags) -> Tag:
     """sigma_y = f(sigma_x): apply the circuit to tag polynomials."""
@@ -339,17 +335,6 @@ class GroupPolynomial:
                                                      a.level))
         return GroupPolynomial(self.field, self.clear0 + other.clear0, rest,
                                self.used_pairing or other.used_pairing)
-
-    def add_const(self, c) -> "GroupPolynomial":
-        return GroupPolynomial(self.field, self.clear0 + self.field(c),
-                               self.rest, self.used_pairing)
-
-    def mul_const(self, c) -> "GroupPolynomial":
-        c = self.field(c)
-        rest = [InstrumentedGroupElement(e.exponent * c, e.level)
-                for e in self.rest]
-        return GroupPolynomial(self.field, self.clear0 * c, rest,
-                               self.used_pairing)
 
     def mul(self, other: "GroupPolynomial") -> "GroupPolynomial":
         """One pairing-backed multiplication; exhausting the budget raises.

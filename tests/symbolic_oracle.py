@@ -39,9 +39,14 @@ def substitute(pred, polys):
     return acc
 
 
+def domain_points(domain):
+    """The domain's points, in domain order, as field elements."""
+    return [domain.field(int(v)) for v in domain.point_array()]
+
+
 def interpolate_trace(trace):
     """Column polynomials by generic Lagrange interpolation."""
-    pts = trace.domain().points()
+    pts = domain_points(trace.domain())
     return [interpolate(list(zip(pts, [trace.field(v) for v in col])))
             for col in trace.columns]
 

@@ -234,6 +234,15 @@ def test_bench_smoke(capsys):
     assert run(["bench", "stark-mutation", "--trials", "5"]) == 0
 
 
+def test_stark_mutation_bench_rejects_every_trial(capsys):
+    """The roadmap's gate: a proof of a trace with one mutated cell is
+    rejected in all of 100 trials."""
+    assert run(["bench", "stark-mutation", "--trials", "100"]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec == {"bench": "stark-mutation", "trials": 100,
+                   "reject_rate": 1.0}
+
+
 def test_config_file(tmp_path):
     cfg = str(tmp_path / "vckit.cfg")
     Path(cfg).write_text("# comment\nqueries = 6\nblowup = 4\n")
@@ -473,6 +482,69 @@ def test_tag_file_with_trailing_byte_rejected(tmp_path, circuit_file):
     assert run(verify) == 0
     with open(out, "ab") as fh:
         fh.write(b"\x00")
+    assert run(verify) == 2
+
+
+@pytest.mark.parametrize("change", ["coefficient plus p", "zero on top"])
+def test_tag_file_with_non_canonical_encoding_refused(tmp_path, circuit_file,
+                                                      change):
+    """A tag file is the canonical encoding of its polynomial: a
+    coefficient of p or more, or a zero top coefficient, is refused by
+    hauth verify and hauth eval, not read as the honest tag."""
+    key, t1, t2, out = (str(tmp_path / n)
+                        for n in ("key.json", "t1.bin", "t2.bin", "out.bin"))
+    assert run(["hauth", "keygen", "--seed", "00ff", "-o", key]) == 0
+    for tag, m, label in ((t1, "3", "a"), (t2, "5", "b")):
+        assert run(["hauth", "auth", "--key", key, "-m", m,
+                    "--label", label, "-o", tag]) == 0
+    evaluate = ["hauth", "eval", "--key", key, "--circuit", circuit_file,
+                "--tags", t1, t2, "-o", out]
+    assert run(evaluate) == 0
+    verify = ["hauth", "verify", "--key", key, "--circuit", circuit_file,
+              "--labels", "a", "b", "--tag", out, "--claim", "22"]
+    assert run(verify) == 0
+    for path in (t1, out):
+        reader = Reader(Path(path).read_bytes())
+        assert reader.u8() == 1
+        coeffs = [reader.u64() for _ in range(reader.u32())]
+        if change == "coefficient plus p":
+            coeffs[0] += DEFAULT_MODULUS
+        else:
+            coeffs.append(0)
+        Path(path).write_bytes(b"\x01" + u32(len(coeffs))
+                               + b"".join(c.to_bytes(8, "big")
+                                          for c in coeffs))
+    assert run(verify) == 2
+    assert run(evaluate) == 2
+
+
+def _vdf_proof_fields(blob):
+    """A VCKV file cut into its head and its seven int_lp payloads."""
+    reader = Reader(blob)
+    head = reader.take(len(vdf.PROOF_MAGIC) + 1)
+    fields = [reader.bytes_lp() for _ in range(7)]
+    reader.finish()
+    return head, fields
+
+
+@pytest.mark.parametrize("field", range(7),
+                         ids=["N", "T", "lambda", "x", "y", "pi", "r"])
+@pytest.mark.parametrize("change", ["leading zero", "empty"])
+def test_vdf_proof_with_non_minimal_integer_refused(tmp_path, field, change):
+    """Each integer of a VCKV file has one encoding, minimal big-endian:
+    a leading zero byte, or no bytes at all, is refused with exit 2."""
+    params = str(tmp_path / "params.json")
+    proof = tmp_path / "proof.bin"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
+                "-T", "64", "-o", params]) == 0
+    assert run(["vdf", "beacon", "--params", params,
+                "--input", "deadbeef", "-o", str(proof)]) == 0
+    verify = ["vdf", "verify", "--params", params, "--input", "deadbeef",
+              str(proof)]
+    assert run(verify) == 0
+    head, fields = _vdf_proof_fields(proof.read_bytes())
+    fields[field] = b"\x00" + fields[field] if change == "leading zero" else b""
+    proof.write_bytes(head + b"".join(bytes_lp(f) for f in fields))
     assert run(verify) == 2
 
 

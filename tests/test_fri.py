@@ -47,7 +47,7 @@ def test_fold_layer_oracle_f17():
     domain."""
     dom = EvaluationDomain.subgroup(F17, 16)
     poly = rand_poly(F17, 8, seed=1)
-    evals = [poly.evaluate(pt).value for pt in dom.points()]
+    evals = [poly.evaluate(pt).value for pt in oracle.domain_points(dom)]
     x0 = F17(7)
     folded = fri.fold_layer(evals, dom, x0, 2)
     fe, fo = split(poly)
@@ -60,7 +60,7 @@ def test_fold_layer_oracle_f17():
 def test_fold_layer_coset():
     dom = EvaluationDomain.coset(F17, 8, F17(3))
     poly = rand_poly(F17, 4, seed=2)
-    evals = [poly.evaluate(pt).value for pt in dom.points()]
+    evals = [poly.evaluate(pt).value for pt in oracle.domain_points(dom)]
     x0 = F17(5)
     folded = fri.fold_layer(evals, dom, x0, 2)
     fe, fo = split(poly)
@@ -79,7 +79,7 @@ def test_fold_by_4_oracle(field, dom, degree_bound):
     f_r holding the coefficients of index r mod 4; by 2 it is f_0 +
     beta f_1 at x_c^2."""
     poly = rand_poly(field, degree_bound, seed=dom.size)
-    evals = [poly.evaluate(pt).value for pt in dom.points()]
+    evals = [poly.evaluate(pt).value for pt in oracle.domain_points(dom)]
     beta = field(random.Random(degree_bound).randrange(field.modulus))
     for arity in (4, 2):
         folded = fri.fold_layer(evals, dom, beta, arity)

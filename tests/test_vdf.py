@@ -8,6 +8,7 @@ import pytest
 
 import vdf_oracle as oracle
 from vckit import vdf
+from vckit.encoding import bytes_lp
 from vckit.errors import UsageError
 from vckit.primes import is_prime
 
@@ -411,6 +412,15 @@ def test_interleaved_threads_never_get_a_wrong_proof():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+def test_zero_delay_decodes_from_one_zero_byte():
+    """T = 0 is the single byte 00, the one encoding with a leading zero
+    the decoder takes."""
+    params = vdf.VdfParams(35, 0, 16)
+    blob = vdf.serialize_proof(params, 2, vdf.VdfProof(2, 1, 3))
+    assert bytes_lp(b"\x00") in blob
+    assert vdf.deserialize_proof(blob) == (params, 2, vdf.VdfProof(2, 1, 3))
 
 
 def test_deserialize_rejects_trailing_bytes():
