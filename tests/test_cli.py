@@ -543,7 +543,8 @@ def test_vdf_proof_with_non_minimal_integer_refused(tmp_path, field, change):
               str(proof)]
     assert run(verify) == 0
     head, fields = _vdf_proof_fields(proof.read_bytes())
-    fields[field] = b"\x00" + fields[field] if change == "leading zero" else b""
+    fields[field] = (b"\x00" + fields[field] if change == "leading zero"
+                     else b"")
     proof.write_bytes(head + b"".join(bytes_lp(f) for f in fields))
     assert run(verify) == 2
 

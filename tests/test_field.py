@@ -207,7 +207,8 @@ def test_interpolate_on_subgroup_matches_generic(field, size):
     dom = EvaluationDomain.subgroup(field, size)
     vals = [rng.randrange(field.modulus) for _ in range(size)]
     fast = interpolate_on_domain(vals, dom)
-    slow = interpolate(list(zip(oracle.domain_points(dom), [field(v) for v in vals])))
+    slow = interpolate(list(zip(oracle.domain_points(dom),
+                                [field(v) for v in vals])))
     assert fast == slow
 
 
@@ -244,7 +245,8 @@ def test_ntt_matches_horner_and_lagrange(field, log_size, kind):
     assert (evaluate_on_domain(poly, dom).tolist()
             == poly.evaluate_array(dom.point_array()).tolist())
     vals = [rng.randrange(field.modulus) for _ in range(size)]
-    slow = interpolate(list(zip(oracle.domain_points(dom), [field(v) for v in vals])))
+    slow = interpolate(list(zip(oracle.domain_points(dom),
+                                [field(v) for v in vals])))
     assert interpolate_on_domain(vals, dom) == slow
 
 
