@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fri as fri_mod
 from . import hauth, stark, vdf
-from .encoding import Reader, bytes_lp, u8, u32, u64
+from .encoding import Reader, u8, u32
 from .errors import ConstraintViolation, UsageError, VerifyResult
 from .field import DEFAULT_MODULUS, Field, Polynomial
 from .transcript import Transcript
@@ -85,6 +85,14 @@ def load_json(source, what, fields=None):
     except ValueError as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from None
     return _require(doc, what, fields) if fields else doc
+
+
+def report(verdict: VerifyResult, accepted: str = "") -> int:
+    """Print the verdict, an accept followed by what it accepted, and
+    return its exit code."""
+    print(f"accept {accepted}".rstrip() if verdict
+          else f"reject ({verdict.reason})")
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 def get_field(modulus) -> Field:
@@ -188,9 +196,7 @@ def cmd_hauth(args):
     # verify
     labels = [parse_label(l) for l in args.labels]
     tag = load_tag(args.tag, field)
-    verdict = hauth.verify(key, circuit, labels, tag, args.claim)
-    print("accept" if verdict else f"reject ({verdict.reason})")
-    return EXIT_OK if verdict else EXIT_REJECT
+    return report(hauth.verify(key, circuit, labels, tag, args.claim))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +252,7 @@ def cmd_vdf(args):
             verdict = VerifyResult.reject("input-mismatch")
         else:
             verdict = vdf.verify(params, x_prime, proof)
-        print("accept" if verdict else f"reject ({verdict.reason})")
-        return EXIT_OK if verdict else EXIT_REJECT
+        return report(verdict)
     if args.cmd == "eval":
         x_prime = vdf.hash_to_group(_from_hex(args.input, "--input"),
                                     params.n_modulus)
@@ -278,11 +283,10 @@ def _queries(args) -> int:
 
 
 def cmd_fri(args):
-    field = get_field(args.modulus)
     if args.cmd == "demo":
         params = fri_mod.FriParams(
-            stark.EvaluationDomain.subgroup(field, args.domain),
-            args.degree, 1)
+            stark.EvaluationDomain.subgroup(get_field(args.modulus),
+                                            args.domain), args.degree, 1)
         print("FRI commits each layer with one leaf per folding coset and "
               "folds it by 4 (by 2 in an odd last round);")
         size, d = args.domain, args.degree
@@ -293,67 +297,64 @@ def cmd_fri(args):
         print(f"  final layer of {size} evaluations: a single constant")
         return EXIT_OK
     if args.cmd == "prove":
+        field = get_field(args.modulus)
+    else:
+        with open(args.proof, "rb") as fh:
+            reader = Reader(fh.read())
+        if reader.take(4) != FRI_FILE_MAGIC:
+            raise UsageError("not a FRI proof file")
+        field = file_field(args.modulus, reader.u32(), "proof file")
+    domain = stark.EvaluationDomain.coset(field, args.domain,
+                                          field.generator())
+    params = fri_mod.FriParams(domain, args.degree, _queries(args))
+    # (domain size, degree bound, queries): the three u32s that follow the
+    # modulus in a proof file, and the transcript's first absorb
+    statement = (args.domain, args.degree, params.num_queries)
+    t = Transcript("fri")
+    t.absorb(b"params", b"".join(map(u32, statement)))
+    if args.cmd == "prove":
         import random as _random
         rng = _random.Random(args.seed)
-        domain = stark.EvaluationDomain.coset(field, args.domain,
-                                              field.generator())
-        queries = _queries(args)
-        params = fri_mod.FriParams(domain, args.degree, queries)
         poly = Polynomial(field,
                           [rng.randrange(field.modulus)
                            for _ in range(args.degree)])
-        evals = poly.evaluate_array(domain.point_array())
-        t = Transcript("fri")
-        t.absorb(b"params", u32(args.domain) + u32(args.degree)
-                 + u32(queries))
-        proof = fri_mod.prove(evals, params, t)
+        proof = fri_mod.prove(poly.evaluate_array(domain.point_array()),
+                              params, t)
         with open(args.output, "wb") as fh:
-            fh.write(FRI_FILE_MAGIC + u32(field.modulus) + u32(args.domain)
-                     + u32(args.degree) + u32(queries)
-                     + proof.serialize())
+            fh.write(FRI_FILE_MAGIC + u32(field.modulus)
+                     + b"".join(map(u32, statement)) + proof.serialize())
         print(f"wrote FRI proof to {args.output}")
         return EXIT_OK
-    # verify
-    with open(args.proof, "rb") as fh:
-        reader = Reader(fh.read())
-    if reader.take(4) != FRI_FILE_MAGIC:
-        raise UsageError("not a FRI proof file")
-    field = file_field(args.modulus, reader.u32(), "proof file")
-    domain_size = reader.u32()
-    degree = reader.u32()
-    queries = reader.u32()
-    domain = stark.EvaluationDomain.coset(field, domain_size,
-                                          field.generator())
-    params = fri_mod.FriParams(domain, degree, queries)
+    declared = (reader.u32(), reader.u32(), reader.u32())
+    if not declared[2]:
+        raise UsageError("need at least one query")
     proof = fri_mod.FriProof.deserialize(reader)
-    t = Transcript("fri")
-    t.absorb(b"params", u32(domain_size) + u32(degree) + u32(queries))
-    # the query count is the verifier's to choose, not the file's
-    verdict = (fri_mod.verify(proof, params, t) if queries == _queries(args)
+    # the statement is the verifier's to choose, not the file's
+    verdict = (fri_mod.verify(proof, params, t) if declared == statement
                else VerifyResult.reject("parameter mismatch"))
-    print("accept" if verdict else f"reject ({verdict.reason})")
-    return EXIT_OK if verdict else EXIT_REJECT
+    return report(verdict, "(domain={}, degree={}, queries={})".format(
+        *statement))
 
 
 # ---------------------------------------------------------------------------
 # stark
 
-def build_program(name: str, length: int, field, boundary_json=None):
-    if name != "fib":
-        raise UsageError(f"unknown program {name}")
-    trace = stark.trace_fibonacci(length, field)
-    cs = stark.fibonacci_constraint_system(length, field)
-    if boundary_json:
-        if not isinstance(boundary_json, list):
-            raise UsageError("boundary constraints must be a JSON list")
-        entries = [_require(b, "boundary constraint",
-                            {"column": int, "row": int, "value": int})
-                   for b in boundary_json]
-        extra = [stark.BoundaryConstraint(b["column"], b["row"], b["value"])
-                 for b in entries]
-        cs = stark.ConstraintSystem(cs.num_columns,
-                                    cs.boundaries + extra, cs.transitions)
-    return trace, cs
+def load_statement(args, field) -> stark.ConstraintSystem:
+    """The statement --length and --boundary-json pose: the Fibonacci
+    constraint system of --length rows plus the extra boundary rows."""
+    cs = stark.fibonacci_constraint_system(args.length, field)
+    if not args.boundary_json:
+        return cs
+    entries = load_json(args.boundary_json, "boundary file")
+    if not isinstance(entries, list):
+        raise UsageError("boundary constraints must be a JSON list")
+    entries = [_require(b, "boundary constraint",
+                        {"column": int, "row": int, "value": int})
+               for b in entries]
+    extra = [stark.BoundaryConstraint(b["column"], b["row"], b["value"])
+             for b in entries]
+    return stark.ConstraintSystem(cs.num_columns, cs.boundaries + extra,
+                                  cs.transitions)
 
 
 def _stark_params(args, zk: bool) -> stark.StarkParams:
@@ -364,32 +365,25 @@ def _stark_params(args, zk: bool) -> stark.StarkParams:
 
 def cmd_stark(args):
     field = get_field(args.modulus)
+    cs = load_statement(args, field)
     if args.cmd == "prove":
-        boundary = None
-        if args.boundary_json:
-            boundary = load_json(args.boundary_json, "boundary file")
-        trace, cs = build_program(args.program, args.length, field, boundary)
-        params = _stark_params(args, args.zk)
-        proof = stark.prove(trace, cs, params, zk_seed=args.zk_seed)
-        blob = (json.dumps({"program": args.program, "length": args.length,
-                            "boundary": boundary}).encode())
+        proof = stark.prove(stark.trace_fibonacci(args.length, field), cs,
+                            _stark_params(args, args.zk),
+                            zk_seed=args.zk_seed)
         with open(args.output, "wb") as fh:
-            fh.write(bytes_lp(blob) + proof.serialize())
+            fh.write(proof.serialize())
         print(f"wrote proof ({args.length}-row trace) to {args.output}")
         return EXIT_OK
-    # verify
+    # verify: the statement and the soundness parameters are the
+    # verifier's, only the zk flag comes from the file
     with open(args.proof, "rb") as fh:
-        reader = Reader(fh.read())
-    meta = load_json(reader.bytes_lp(), "proof header",
-                     {"program": str, "length": int})
-    proof = stark.StarkProof.deserialize(reader.take(
-        len(reader.data) - reader.pos))
-    _, cs = build_program(meta["program"], meta["length"], field,
-                          meta.get("boundary"))
-    # soundness comes from the verifier's parameters, zk from the file
-    verdict = stark.verify(proof, cs, _stark_params(args, proof.zk), field)
-    print("accept" if verdict else f"reject ({verdict.reason})")
-    return EXIT_OK if verdict else EXIT_REJECT
+        proof = stark.StarkProof.deserialize(fh.read())
+    params = _stark_params(args, proof.zk)
+    boundaries = [(bc.column, bc.row, bc.value) for bc in cs.boundaries]
+    return report(stark.verify(proof, cs, params, field),
+                  f"(length={args.length}, boundaries={boundaries}, "
+                  f"blowup={params.blowup}, queries={params.num_queries}, "
+                  f"zk={params.zk})")
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +464,8 @@ def bench_stark_mutation(args, field):
     import random as _random
     rng = _random.Random(args.seed)
     length = 8
-    trace, cs = build_program("fib", length, field)
+    trace = stark.trace_fibonacci(length, field)
+    cs = stark.fibonacci_constraint_system(length, field)
     params = stark.StarkParams(8, 20)
     rejects = 0
     for _ in range(args.trials):
@@ -554,34 +549,33 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--input", required=True, help="hex input bytes")
     pv.add_argument("proof")
 
+    # prove and verify take the same statement and soundness flags
     fr = sub.add_parser("fri").add_subparsers(dest="cmd", required=True)
-    pp = fr.add_parser("prove")
-    pp.add_argument("--domain", type=int, default=64)
-    pp.add_argument("--degree", type=int, default=8)
-    pp.add_argument("--queries", type=int)
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("-o", "--output", required=True)
-    pv = fr.add_parser("verify")
-    pv.add_argument("--queries", type=int)
-    pv.add_argument("proof")
-    pd = fr.add_parser("demo")
-    pd.add_argument("--domain", type=int, default=64)
-    pd.add_argument("--degree", type=int, default=8)
+    for name in ("prove", "verify", "demo"):
+        pp = fr.add_parser(name)
+        pp.add_argument("--domain", type=int, default=64)
+        pp.add_argument("--degree", type=int, default=8)
+        if name != "demo":
+            pp.add_argument("--queries", type=int)
+        if name == "prove":
+            pp.add_argument("--seed", type=int, default=0)
+            pp.add_argument("-o", "--output", required=True)
+        elif name == "verify":
+            pp.add_argument("proof")
 
     st = sub.add_parser("stark").add_subparsers(dest="cmd", required=True)
-    pp = st.add_parser("prove")
-    pp.add_argument("--program", default="fib")
-    pp.add_argument("--length", type=int, required=True)
-    pp.add_argument("--blowup", type=int)
-    pp.add_argument("--queries", type=int)
-    pp.add_argument("--zk", action="store_true")
-    pp.add_argument("--zk-seed", type=int, default=0)
-    pp.add_argument("--boundary-json")
-    pp.add_argument("-o", "--output", required=True)
-    pv = st.add_parser("verify")
-    pv.add_argument("--blowup", type=int)
-    pv.add_argument("--queries", type=int)
-    pv.add_argument("proof")
+    for name in ("prove", "verify"):
+        pp = st.add_parser(name)
+        pp.add_argument("--length", type=int, required=True)
+        pp.add_argument("--boundary-json")
+        pp.add_argument("--blowup", type=int)
+        pp.add_argument("--queries", type=int)
+        if name == "prove":
+            pp.add_argument("--zk", action="store_true")
+            pp.add_argument("--zk-seed", type=int, default=0)
+            pp.add_argument("-o", "--output", required=True)
+        else:
+            pp.add_argument("proof")
 
     be = sub.add_parser("bench").add_subparsers(dest="cmd", required=True)
     p2 = be.add_parser("2poly")

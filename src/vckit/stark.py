@@ -52,7 +52,7 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
-PROOF_VERSION = 4
+PROOF_VERSION = 5
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
 # Consecutive trace rows per trace-tree leaf; a shorter trace puts all its
@@ -198,7 +198,6 @@ class StarkProof:
     num_queries: int
     zk: bool
     cs_digest: bytes
-    binding_digest: Optional[bytes]
     trace_root: bytes
     composition_root: bytes
     fri_proof: "fri.FriProof"
@@ -210,14 +209,9 @@ class StarkProof:
         out = [PROOF_MAGIC, u8(HASH_ID), u32(self.trace_length),
                u32(self.original_length), u32(self.num_columns),
                u32(self.blowup), u32(self.num_queries),
-               u8(1 if self.zk else 0), self.cs_digest]
-        if self.binding_digest is None:
-            out.append(u8(0))
-        else:
-            out += [u8(1), self.binding_digest]
-        out += [self.trace_root, self.composition_root,
-                bytes_lp(self.fri_proof.serialize()),
-                self.trace_opening.serialize()]
+               u8(1 if self.zk else 0), self.cs_digest, self.trace_root,
+               self.composition_root, bytes_lp(self.fri_proof.serialize()),
+               self.trace_opening.serialize()]
         return b"".join(out)
 
     @staticmethod
@@ -235,14 +229,13 @@ class StarkProof:
             raise UsageError("need at least one query")
         zk = _flag(reader, "zk")
         cs_digest = reader.take(32)
-        binding = reader.take(32) if _flag(reader, "binding") else None
         trace_root = reader.take(32)
         comp_root = reader.take(32)
         fri_proof = fri.FriProof.deserialize(Reader(reader.bytes_lp()))
         opening = Opening.deserialize(reader, _rows_per_leaf(n) * ncols)
         reader.finish()
         return StarkProof(n, orig, ncols, blowup, queries, zk, cs_digest,
-                          binding, trace_root, comp_root, fri_proof, opening)
+                          trace_root, comp_root, fri_proof, opening)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +260,8 @@ def trace_fibonacci(n: int, field: Field) -> TraceTable:
 def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
     """Seed rows pinned to 1, output row pinned to fib(n-1), and the
     window-3 recurrence on every interior row."""
+    if n < 2:
+        raise UsageError("need at least the two seed rows")
     p = field.modulus
     a, b = 1, 1
     for _ in range(n - 2):
@@ -507,11 +502,6 @@ def zk_pad(trace: TraceTable, num_queries: int, rng_seed) -> TraceTable:
     return TraceTable(cols, trace.original_length, trace.field)
 
 
-def zk_statement_digest(secret_input: bytes) -> bytes:
-    """Public digest h = H(x) bound into the transcript before commitment."""
-    return hashlib.sha256(b"zk-statement" + secret_input).digest()
-
-
 # ---------------------------------------------------------------------------
 # trace commitment layout
 
@@ -550,17 +540,13 @@ def _window_cells(positions, blowup: int, n: int, window: int):
 # prover / verifier
 
 def _header_bytes(proof_fields) -> bytes:
-    (n, orig, ncols, blowup, queries, zk, cs_digest, binding) = proof_fields
-    out = (u32(n) + u32(orig) + u32(ncols) + u32(blowup) + u32(queries)
-           + u8(1 if zk else 0) + cs_digest)
-    if binding is not None:
-        out += binding
-    return out
+    (n, orig, ncols, blowup, queries, zk, cs_digest) = proof_fields
+    return (u32(n) + u32(orig) + u32(ncols) + u32(blowup) + u32(queries)
+            + u8(1 if zk else 0) + cs_digest)
 
 
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
-          zk_seed=None, secret_binding: Optional[bytes] = None,
-          skip_satisfaction_check: bool = False) -> StarkProof:
+          zk_seed=None, skip_satisfaction_check: bool = False) -> StarkProof:
     """Commit, draw gammas, compose, run FRI, open trace windows.
 
     The trace columns are interpolated and extended to the LDE coset by
@@ -580,13 +566,11 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     n = trace.length
     trace_domain = trace.domain()
     lde = params.lde_domain(field, n)
-    binding = (zk_statement_digest(secret_binding)
-               if secret_binding is not None else None)
 
     t = Transcript("stark")
     t.absorb(b"header", _header_bytes(
         (n, trace.original_length, cs.num_columns, params.blowup,
-         params.num_queries, params.zk, cs.digest(), binding)))
+         params.num_queries, params.zk, cs.digest())))
 
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
@@ -612,7 +596,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     return StarkProof(n, trace.original_length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
-                      cs.digest(), binding, trace_tree.root,
+                      cs.digest(), trace_tree.root,
                       composition_root, fri_proof, opening)
 
 
@@ -642,8 +626,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     t = Transcript("stark")
     t.absorb(b"header", _header_bytes(
         (n, proof.original_length, proof.num_columns, proof.blowup,
-         proof.num_queries, proof.zk, proof.cs_digest,
-         proof.binding_digest)))
+         proof.num_queries, proof.zk, proof.cs_digest)))
     t.absorb(b"trace-root", proof.trace_root)
 
     gammas = _draw_gammas(cs, field, t)

@@ -27,19 +27,13 @@ def _h(*parts: bytes) -> bytes:
 class Transcript:
     """Deterministic challenge stream bound to every absorbed byte.
 
-    A transcript is a value: clone() forks the stream, and replaying the
-    same absorb/draw script always reproduces the same challenges.
+    Replaying the same absorb/draw script always reproduces the same
+    challenges.
     """
 
-    def __init__(self, protocol: str, _state: bytes = None, _counter: int = 0):
-        if _state is None:
-            _state = _h(DOMAIN_TAG, protocol.encode())
-        self.protocol = protocol
-        self.state = _state
-        self.counter = _counter
-
-    def clone(self) -> "Transcript":
-        return Transcript(self.protocol, self.state, self.counter)
+    def __init__(self, protocol: str):
+        self.state = _h(DOMAIN_TAG, protocol.encode())
+        self.counter = 0
 
     def absorb(self, label: bytes, data: bytes) -> None:
         if len(label) > 32:

@@ -168,6 +168,19 @@ def test_fri_verify_holds_the_file_to_its_own_query_count(tmp_path,
     assert run(["fri", "verify", "--queries", "1", proof]) == 0
 
 
+def test_fri_verify_takes_the_statement(tmp_path, capsys):
+    """--domain and --degree are the verifier's, as --queries is: a file
+    made with another degree bound or domain size is rejected under the
+    defaults (64 and 8) and accepted with flags that match it."""
+    proof = str(tmp_path / "fri.bin")
+    for flags in (["--degree", "32"], ["--domain", "128"]):
+        assert run(["fri", "prove"] + flags + ["-o", proof]) == 0
+        capsys.readouterr()
+        assert run(["fri", "verify", proof]) == 1
+        assert "parameter mismatch" in capsys.readouterr().out
+        assert run(["fri", "verify"] + flags + [proof]) == 0
+
+
 def test_fri_demo():
     assert run(["fri", "demo", "--domain", "32", "--degree", "4"]) == 0
 
@@ -175,7 +188,66 @@ def test_fri_demo():
 def test_stark_prove_verify(tmp_path):
     proof = str(tmp_path / "stark.bin")
     assert run(["stark", "prove", "--length", "8", "-o", proof]) == 0
-    assert run(["stark", "verify", proof]) == 0
+    assert run(["stark", "verify", "--length", "8", proof]) == 0
+
+
+def test_stark_file_is_a_bare_proof(tmp_path):
+    """`stark prove` writes the VCKS bytes and nothing else; a file with
+    anything before them is refused."""
+    path = tmp_path / "stark.bin"
+    assert run(["stark", "prove", "--length", "8", "-o", str(path)]) == 0
+    blob = path.read_bytes()
+    assert stark.StarkProof.deserialize(blob).serialize() == blob
+    header = json.dumps({"program": "fib", "length": 8}).encode()
+    path.write_bytes(bytes_lp(header) + blob)
+    assert run(["stark", "verify", "--length", "8", str(path)]) == 2
+
+
+def test_stark_verify_takes_the_statement(tmp_path):
+    """The statement is the verifier's --length and --boundary-json: a
+    proof with a boundary the verifier did not ask for, and a proof of
+    another length, are rejected; each verifies under its own statement."""
+    proof = str(tmp_path / "stark.bin")
+    extra = str(tmp_path / "b.json")
+    # fib row 5 holds 8
+    Path(extra).write_text(json.dumps([{"column": 0, "row": 5, "value": 8}]))
+    assert run(["stark", "prove", "--length", "8", "--boundary-json", extra,
+                "-o", proof]) == 0
+    assert run(["stark", "verify", "--length", "8", proof]) == 1
+    assert run(["stark", "verify", "--length", "8", "--boundary-json", extra,
+                proof]) == 0
+    assert run(["stark", "prove", "--length", "16", "-o", proof]) == 0
+    assert run(["stark", "verify", "--length", "8", proof]) == 1
+    assert run(["stark", "verify", "--length", "16", proof]) == 0
+
+
+def test_stark_verify_never_builds_the_trace(tmp_path, monkeypatch):
+    proof = str(tmp_path / "stark.bin")
+    assert run(["stark", "prove", "--length", "8", "-o", proof]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the verifier built the trace")
+    monkeypatch.setattr(stark, "trace_fibonacci", refuse)
+    assert run(["stark", "verify", "--length", "8", proof]) == 0
+
+
+def test_accept_names_what_was_accepted(tmp_path, capsys):
+    proof = str(tmp_path / "p.bin")
+    extra = str(tmp_path / "b.json")
+    Path(extra).write_text(json.dumps([{"column": 0, "row": 2, "value": 2}]))
+    assert run(["stark", "prove", "--length", "8", "--zk", "--queries", "6",
+                "--boundary-json", extra, "-o", proof]) == 0
+    capsys.readouterr()
+    assert run(["stark", "verify", "--length", "8", "--queries", "6",
+                "--boundary-json", extra, proof]) == 0
+    assert capsys.readouterr().out == (
+        "accept (length=8, boundaries=[(0, 0, 1), (0, 1, 1), (0, 7, 21), "
+        "(0, 2, 2)], blowup=8, queries=6, zk=True)\n")
+    assert run(["fri", "prove", "--domain", "128", "-o", proof]) == 0
+    capsys.readouterr()
+    assert run(["fri", "verify", "--domain", "128", proof]) == 0
+    assert capsys.readouterr().out == (
+        "accept (domain=128, degree=8, queries=20)\n")
 
 
 def test_stark_verify_holds_the_file_to_its_own_parameters(tmp_path,
@@ -186,12 +258,12 @@ def test_stark_verify_holds_the_file_to_its_own_parameters(tmp_path,
     proof = str(tmp_path / "weak.bin")
     assert run(["stark", "prove", "--length", "64", "--queries", "1",
                 "--blowup", "4", "-o", proof]) == 0
-    assert run(["stark", "verify", proof]) == 1
+    verify = ["stark", "verify", "--length", "64"]
+    assert run(verify + [proof]) == 1
     assert "parameter mismatch" in capsys.readouterr().out
-    assert run(["stark", "verify", "--queries", "1", proof]) == 1
-    assert run(["stark", "verify", "--queries", "1", "--blowup", "4",
-                proof]) == 0
-    assert run(["stark", "verify", "--blowup", "3", proof]) == 2
+    assert run(verify + ["--queries", "1", proof]) == 1
+    assert run(verify + ["--queries", "1", "--blowup", "4", proof]) == 0
+    assert run(verify + ["--blowup", "3", proof]) == 2
 
 
 def test_stark_zk_and_custom_boundary(tmp_path):
@@ -202,7 +274,8 @@ def test_stark_zk_and_custom_boundary(tmp_path):
     Path(good).write_text(json.dumps([{"column": 0, "row": 2, "value": 2}]))
     assert run(["stark", "prove", "--length", "8", "--zk",
                 "--boundary-json", good, "-o", proof]) == 0
-    assert run(["stark", "verify", proof]) == 0
+    assert run(["stark", "verify", "--length", "8", "--boundary-json", good,
+                proof]) == 0
     Path(bad_boundary).write_text(
         json.dumps([{"column": 0, "row": 2, "value": 3}]))
     assert run(["stark", "prove", "--length", "8",
@@ -249,8 +322,9 @@ def test_config_file(tmp_path):
     proof = str(tmp_path / "s.bin")
     assert run(["--config", cfg, "stark", "prove", "--length", "8",
                 "-o", proof]) == 0
-    assert run(["--config", cfg, "stark", "verify", proof]) == 0
-    assert run(["stark", "verify", proof]) == 1
+    assert run(["--config", cfg, "stark", "verify", "--length", "8",
+                proof]) == 0
+    assert run(["stark", "verify", "--length", "8", proof]) == 1
 
 
 def test_config_queries_preset_fri_prove_and_verify(tmp_path, capsys):
@@ -349,28 +423,25 @@ def test_fri_file_modulus_must_be_vetted_and_match(tmp_path):
     vetted list are refused, and so is an explicit --modulus other than
     the file's."""
     path = tmp_path / "fri.bin"
+    verify = ["fri", "verify", "--domain", "32", str(path)]
     for modulus in (193, 257, 7681):
         _honest_fri_file(path, modulus)
-        assert run(["fri", "verify", str(path)]) == 2
+        assert run(verify) == 2
     for modulus in (DEFAULT_MODULUS, 97):
         _honest_fri_file(path, modulus)
-        assert run(["fri", "verify", str(path)]) == 0
-        assert run(["--modulus", str(modulus), "fri", "verify",
-                    str(path)]) == 0
-    assert run(["--modulus", "17", "fri", "verify", str(path)]) == 2
+        assert run(verify) == 0
+        assert run(["--modulus", str(modulus)] + verify) == 0
+    assert run(["--modulus", "17"] + verify) == 2
 
 
 def test_zero_query_stark_file_refused(tmp_path):
     path = tmp_path / "s.bin"
     assert run(["stark", "prove", "--length", "8", "-o", str(path)]) == 0
-    reader = Reader(path.read_bytes())
-    header = reader.bytes_lp()
-    proof = stark.StarkProof.deserialize(reader.take(
-        len(reader.data) - reader.pos))
+    proof = stark.StarkProof.deserialize(path.read_bytes())
     proof.num_queries = 0
     proof.fri_proof.queries = []
-    path.write_bytes(bytes_lp(header) + proof.serialize())
-    assert run(["stark", "verify", str(path)]) == 2
+    path.write_bytes(proof.serialize())
+    assert run(["stark", "verify", "--length", "8", str(path)]) == 2
 
 
 # Malformed JSON, a document without a key the command needs, and one
@@ -453,19 +524,6 @@ def test_bad_boundary_file(tmp_path, text):
     boundary.write_text(text)
     assert run(["stark", "prove", "--length", "8", "--boundary-json",
                 str(boundary), "-o", str(tmp_path / "s.bin")]) == 2
-
-
-@pytest.mark.parametrize("header", [b"{\"program\": ", b'{"program": "fib"}',
-                                    b"\xff\xfe",
-                                    b'{"program": "fib", "length": "8"}',
-                                    b'{"program": 1, "length": 8}'])
-def test_bad_stark_proof_header(tmp_path, header):
-    proof = tmp_path / "s.bin"
-    assert run(["stark", "prove", "--length", "8", "-o", str(proof)]) == 0
-    reader = Reader(proof.read_bytes())
-    reader.bytes_lp()
-    proof.write_bytes(bytes_lp(header) + reader.data[reader.pos:])
-    assert run(["stark", "verify", str(proof)]) == 2
 
 
 def test_tag_file_with_trailing_byte_rejected(tmp_path, circuit_file):

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from pairing_model import (BASE, TARGET, GroupPolynomial,
+                           InstrumentedGroupElement, group_lift)
 from vckit import hauth
 from vckit.errors import UsageError
 from vckit.field import DEFAULT_MODULUS, Field, MultivariatePoly, Polynomial
@@ -304,7 +306,7 @@ def test_mixed_arity_rejected():
 
 def test_group_lift_evaluates_like_polynomial():
     tag = hauth.auth(KEY, 5, lab(b"g1"))
-    gp = hauth.group_lift(tag.poly)
+    gp = group_lift(tag.poly)
     for x in (0, 1, 12345):
         assert gp.evaluate(x).exponent == tag.poly.evaluate(x)
 
@@ -316,7 +318,7 @@ def _merge_level(cur, new):
         return new
     if new is None:
         return cur
-    return cur if cur == new else hauth.TARGET
+    return cur if cur == new else TARGET
 
 
 def _tracked_levels(x, y):
@@ -328,8 +330,8 @@ def _tracked_levels(x, y):
     for i, al in enumerate(alev):
         for j, bl in enumerate(blev):
             term = (None if al is None and bl is None
-                    else hauth.TARGET if al is not None and bl is not None
-                    else hauth.BASE)
+                    else TARGET if al is not None and bl is not None
+                    else BASE)
             levels[i + j] = _merge_level(levels[i + j], term)
     return levels
 
@@ -347,16 +349,16 @@ def test_group_mul_levels_match_tracked_rule(da, db):
                               for _ in range(d)] + [1])
 
     pa, pb = poly(da), poly(db)
-    x, y = hauth.group_lift(pa), hauth.group_lift(pb)
+    x, y = group_lift(pa), group_lift(pb)
     before = F.op_count
     prod = x.mul(y)
     assert F.op_count - before == 2 * (da + 1) * (db + 1)
     levels = _tracked_levels(x, y)
     assert levels[0] is None
-    assert [e.level for e in prod.rest] == [l or hauth.BASE
+    assert [e.level for e in prod.rest] == [l or BASE
                                            for l in levels[1:]]
     if da == 0 or db == 0:
-        assert all(e.level == hauth.BASE for e in prod.rest)
+        assert all(e.level == BASE for e in prod.rest)
     want = pa * pb
     assert prod.clear0 == want.coefficient(0)
     assert [e.exponent for e in prod.rest] == [
@@ -365,30 +367,30 @@ def test_group_mul_levels_match_tracked_rule(da, db):
 
 
 def test_group_first_coefficient_stays_clear():
-    t1 = hauth.group_lift(hauth.auth(KEY, 3, lab(b"c1")).poly)
-    t2 = hauth.group_lift(hauth.auth(KEY, 4, lab(b"c2")).poly)
+    t1 = group_lift(hauth.auth(KEY, 3, lab(b"c1")).poly)
+    t2 = group_lift(hauth.auth(KEY, 4, lab(b"c2")).poly)
     prod = t1.mul(t2)
     assert prod.clear0 == F(12)
-    assert prod.rest[0].level == hauth.BASE       # cross terms: one lift each
-    assert prod.rest[1].level == hauth.TARGET     # both factors lifted
+    assert prod.rest[0].level == BASE       # cross terms: one lift each
+    assert prod.rest[1].level == TARGET     # both factors lifted
 
 
 def _add_const(gp, c):
-    return hauth.GroupPolynomial(gp.field, gp.clear0 + gp.field(c), gp.rest,
+    return GroupPolynomial(gp.field, gp.clear0 + gp.field(c), gp.rest,
                                  gp.used_pairing)
 
 
 def _mul_const(gp, c):
     c = gp.field(c)
-    rest = [hauth.InstrumentedGroupElement(e.exponent * c, e.level)
+    rest = [InstrumentedGroupElement(e.exponent * c, e.level)
             for e in gp.rest]
-    return hauth.GroupPolynomial(gp.field, gp.clear0 * c, rest,
+    return GroupPolynomial(gp.field, gp.clear0 * c, rest,
                                  gp.used_pairing)
 
 
 def test_group_add_and_consts():
-    t1 = hauth.group_lift(hauth.auth(KEY, 3, lab(b"a1")).poly)
-    t2 = hauth.group_lift(hauth.auth(KEY, 4, lab(b"a2")).poly)
+    t1 = group_lift(hauth.auth(KEY, 3, lab(b"a1")).poly)
+    t2 = group_lift(hauth.auth(KEY, 4, lab(b"a2")).poly)
     s = _mul_const(_add_const(t1.add(t2), 5), 2)
     want = (hauth.auth(KEY, 3, lab(b"a1")).poly
             + hauth.auth(KEY, 4, lab(b"a2")).poly + 5) * 2
@@ -397,13 +399,13 @@ def test_group_add_and_consts():
 
 
 def test_pairing_budget_is_one():
-    t1 = hauth.group_lift(hauth.auth(KEY, 3, lab(b"b1")).poly)
-    t2 = hauth.group_lift(hauth.auth(KEY, 4, lab(b"b2")).poly)
-    t3 = hauth.group_lift(hauth.auth(KEY, 5, lab(b"b3")).poly)
+    t1 = group_lift(hauth.auth(KEY, 3, lab(b"b1")).poly)
+    t2 = group_lift(hauth.auth(KEY, 4, lab(b"b2")).poly)
+    t3 = group_lift(hauth.auth(KEY, 5, lab(b"b3")).poly)
     prod = t1.mul(t2)
     with pytest.raises(UsageError):
         prod.mul(t3)
     # additions after the pairing are still allowed
-    other = hauth.group_lift(hauth.auth(KEY, 6, lab(b"b4")).poly)
-    deg2 = other.mul(hauth.group_lift(hauth.auth(KEY, 7, lab(b"b5")).poly))
+    other = group_lift(hauth.auth(KEY, 6, lab(b"b4")).poly)
+    deg2 = other.mul(group_lift(hauth.auth(KEY, 7, lab(b"b5")).poly))
     assert prod.add(deg2).degree == 2

@@ -325,28 +325,6 @@ def test_zk_seeds_give_distinct_proofs():
     assert stark.verify(p2, cs, params, F)
 
 
-def test_secret_binding_digest_checked():
-    tr = stark.trace_fibonacci(8, F)
-    cs = stark.fibonacci_constraint_system(8, F)
-    params = stark.StarkParams(8, 6)
-    proof = stark.prove(tr, cs, params, secret_binding=b"witness")
-    assert proof.binding_digest == stark.zk_statement_digest(b"witness")
-    assert stark.verify(proof, cs, params, F)
-    proof.binding_digest = stark.zk_statement_digest(b"other")
-    assert not stark.verify(proof, cs, params, F)
-
-
-def test_binding_digest_serialize_roundtrip():
-    tr = stark.trace_fibonacci(8, F)
-    cs = stark.fibonacci_constraint_system(8, F)
-    params = stark.StarkParams(8, 6)
-    blob = stark.prove(tr, cs, params, secret_binding=b"witness").serialize()
-    back = stark.StarkProof.deserialize(blob)
-    assert back.binding_digest == stark.zk_statement_digest(b"witness")
-    assert back.serialize() == blob
-    assert stark.verify(back, cs, params, F)
-
-
 def test_probabilistic_poly_eq():
     rng = random.Random(5)
     f = Polynomial(F, [rng.randrange(F.modulus) for _ in range(5)])
@@ -497,10 +475,8 @@ def test_check_satisfaction_names_first_violation():
 
 
 # Offset of the zk flag byte: magic with its version byte, hash id, five
-# u32 header fields; the binding flag follows the 32-byte constraint-system
-# digest.
+# u32 header fields; the 32-byte constraint-system digest follows it.
 ZK_FLAG = len(stark.PROOF_MAGIC) + 1 + 5 * 4
-BINDING_FLAG = ZK_FLAG + 1 + 32
 
 
 def _blob():
@@ -517,18 +493,18 @@ def test_decoder_rejects_trailing_bytes():
         stark.StarkProof.deserialize(blob + b"\x00")
 
 
-@pytest.mark.parametrize("version", [2, 3, 5])
+@pytest.mark.parametrize("version", [2, 3, 4, 6])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 4, nothing else."""
+    """The byte after the magic is the format version: 5, nothing else."""
     blob = _blob()
-    assert blob[:5] == b"VCKS\x04" == stark.PROOF_MAGIC
+    assert blob[:5] == b"VCKS\x05" == stark.PROOF_MAGIC
     forged = blob[:4] + bytes([version]) + blob[5:]
     with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
                                          f"version {version}$"):
         stark.StarkProof.deserialize(forged)
 
 
-@pytest.mark.parametrize("offset", [ZK_FLAG, BINDING_FLAG])
+@pytest.mark.parametrize("offset", [ZK_FLAG])
 @pytest.mark.parametrize("value", [2, 3, 255])
 def test_decoder_rejects_non_boolean_flags(offset, value):
     blob = bytearray(_blob())
@@ -543,9 +519,8 @@ def _rewrap(blob, what):
     appended to the FRI proof, or the trace path's sibling count one
     short, which leaves its last sibling over."""
     reader = Reader(blob)
-    reader.take(BINDING_FLAG)
-    assert reader.u8() == 0
-    reader.take(64)
+    # past the zk flag, the constraint-system digest and the two roots
+    reader.take(ZK_FLAG + 1 + 32 + 64)
     fri_start = reader.pos
     fri_blob = reader.bytes_lp()
     if what == "fri":
@@ -607,7 +582,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
     t = Transcript("stark")
     t.absorb(b"header", stark._header_bytes(
         (n, orig, len(leaf_columns), params.blowup, params.num_queries,
-         proof.zk, cs.digest(), proof.binding_digest)))
+         proof.zk, cs.digest())))
     table = np.array([[int(col[i]) for col in leaf_columns]
                       for i in range(lde.size)],
                      dtype=np.uint64).reshape(lde.size, len(leaf_columns))

@@ -48,15 +48,6 @@ def test_framing_unambiguous():
     assert a.challenge_bytes(16) != b.challenge_bytes(16)
 
 
-def test_clone_forks_stream():
-    a = Transcript("t")
-    a.absorb(b"x", b"data")
-    b = a.clone()
-    assert a.challenge_bytes(8) == b.challenge_bytes(8)
-    a.absorb(b"more", b"")
-    assert a.challenge_bytes(8) != b.challenge_bytes(8)
-
-
 def test_draws_advance_the_stream():
     t = Transcript("t")
     assert t.challenge_bytes(16) != t.challenge_bytes(16)
