@@ -3,9 +3,9 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK hashes are of format version 4 and the FRI hash of version 3:
+The STARK hashes are of format version 5 and the FRI hash of version 3:
 each tree sends its distinct opened leaves once with one pruned Merkle
-multiproof; earlier hashes, including those the symbolic
+multiproof, and a STARK header carries no binding digest; earlier hashes, including those the symbolic
 (divmod-quotient, Horner-LDE) prover also gave, are listed in
 CHANGES.md.  The VDF hashes
 come from the bit-by-bit long-division prover and 40-round random
@@ -72,15 +72,15 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "2b06f2a2cc5b049ae5b4635ae29abc942cb15681f4eeac1829ab4b05189c3fa7",
+        "acffdcf1a475287293c7667813e608ff4950a381d16f3f1bd1832957e1ce0199",
     "fib64-b4-q8-zk1":
-        "929aa8c335982e3524e93d87b2cd424339e9bae895584d5599bf34c73e0e78a1",
+        "4b569ef00a9ee43c34f6b0c1e0d146a4bd65e063b4823bc2822416f2f6289f60",
     "fib1900-b8-q20-zk7":
-        "c44b2508b42f4ec8e3009f84f6dad5f0f5b60970d3e87767e608a4100cad4624",
+        "9948a00821f771c41e327d63b4693e2e3caf84e9b56727e8801fea62d94b3c04",
     "fib4000-b4-q8-zk5":
-        "05d43b7c0eca6ef8cc8d14a024a9154cd5f078b9aa81bf5b3626bbbb062a8718",
+        "bc80f90a65adae67487e15e5d8bc764e1351667c5c41ee7fe24554ce15a7fe3a",
     "two-column-b8-q10":
-        "816a2166c2114b433b9021e1e61b34cba7e7b47a250e347ec9a6ef37e092191d",
+        "80535d1416611e5a3499ff406d812ddab4a119ec6c2c224c4ac029332413b183",
     "fri-coset256-d32-q16":
         "a944f8c74dd5319080ec4a8b70f8f57e600afd83954a91f7428bb419bc2f8b1d",
     "vdf-n32-T0":
