@@ -219,6 +219,8 @@ def test_stark_verify_takes_the_statement(tmp_path):
     assert run(["stark", "prove", "--length", "16", "-o", proof]) == 0
     assert run(["stark", "verify", "--length", "8", proof]) == 1
     assert run(["stark", "verify", "--length", "16", proof]) == 0
+    # a statement without the two seed rows is no statement
+    assert run(["stark", "verify", "--length", "1", proof]) == 2
 
 
 def test_stark_verify_never_builds_the_trace(tmp_path, monkeypatch):
