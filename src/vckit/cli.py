@@ -103,15 +103,6 @@ def get_field(modulus) -> Field:
     return Field(modulus)
 
 
-def file_field(explicit, modulus: int, what: str) -> Field:
-    """The field of the modulus an input file fixes, which must be vetted;
-    an explicit --modulus may only repeat it."""
-    if explicit is not None and explicit != modulus:
-        raise UsageError(f"--modulus {explicit} differs from the {what}'s "
-                         f"modulus {modulus}")
-    return get_field(modulus)
-
-
 # ---------------------------------------------------------------------------
 # hauth
 
@@ -177,9 +168,22 @@ def cmd_hauth(args):
                        "modulus": field.modulus}, fh)
         print(f"wrote key to {args.output}")
         return EXIT_OK
+    if args.cmd == "eval":
+        # the server's step: the circuit and the tags in the --modulus
+        # field, never the client's secret key
+        field = get_field(args.modulus)
+        circuit = load_circuit(args.circuit)
+        tags = [load_tag(p, field) for p in args.tags]
+        save_tag(hauth.eval_tags(circuit, tags), args.output)
+        print(f"wrote tag to {args.output}")
+        return EXIT_OK
     raw = load_json(args.key, "key file",
                     {"sk": int, "prf_key": str, "modulus": int})
-    field = file_field(args.modulus, raw["modulus"], "key file")
+    # the key file fixes the field; an explicit --modulus may only repeat it
+    if args.modulus not in (None, raw["modulus"]):
+        raise UsageError(f"--modulus {args.modulus} differs from the key "
+                         f"file's modulus {raw['modulus']}")
+    field = get_field(raw["modulus"])
     key = hauth.AuthKey(field(raw["sk"]), hauth.PrfKey(
         _from_hex(raw["prf_key"], "key file 'prf_key'")))
     if args.cmd == "auth":
@@ -188,12 +192,6 @@ def cmd_hauth(args):
         print(f"wrote tag to {args.output}")
         return EXIT_OK
     circuit = load_circuit(args.circuit)
-    if args.cmd == "eval":
-        tags = [load_tag(p, field) for p in args.tags]
-        save_tag(hauth.eval_tags(circuit, tags), args.output)
-        print(f"wrote tag to {args.output}")
-        return EXIT_OK
-    # verify
     labels = [parse_label(l) for l in args.labels]
     tag = load_tag(args.tag, field)
     return report(hauth.verify(key, circuit, labels, tag, args.claim))
@@ -239,43 +237,30 @@ def cmd_vdf(args):
         fields.update(p=int, q=int)
     raw = load_json(args.params, "params file", fields)
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
-    if args.cmd == "verify":
-        # N, T, lambda and x' come from the verifier's own files; the copies
-        # in the proof file must match them, never replace them.
-        with open(args.proof, "rb") as fh:
-            file_params, file_x, proof = vdf.deserialize_proof(fh.read())
-        x_prime = vdf.hash_to_group(_from_hex(args.input, "--input"),
-                                    params.n_modulus)
-        if file_params != params:
-            verdict = VerifyResult.reject("params-mismatch")
-        elif file_x != x_prime:
-            verdict = VerifyResult.reject("input-mismatch")
-        else:
-            verdict = vdf.verify(params, x_prime, proof)
-        return report(verdict)
-    if args.cmd == "eval":
-        x_prime = vdf.hash_to_group(_from_hex(args.input, "--input"),
-                                    params.n_modulus)
-        if args.trapdoor:
-            y = vdf.eval_trapdoor(vdf.TrapdoorKey(raw["p"], raw["q"]),
-                                  params, x_prime)
-        else:
-            y = vdf.eval_sequential(params, x_prime)
-        print(json.dumps({"x_prime": x_prime, "y": y}))
+    input_bytes = _from_hex(args.input, "--input")
+    if args.cmd in ("prove", "beacon"):
+        _, proof = vdf.vdf_round(params, input_bytes)
+        with open(args.output, "wb") as fh:
+            fh.write(vdf.serialize_proof(proof))
+        print(f"wrote proof (y={proof.y}) to {args.output}")
         return EXIT_OK
-    # prove and beacon
-    x_prime, proof = vdf.vdf_round(params, _from_hex(args.input, "--input"))
-    with open(args.output, "wb") as fh:
-        fh.write(vdf.serialize_proof(params, x_prime, proof))
-    print(f"wrote proof (y={proof.y}) to {args.output}")
+    x_prime = vdf.hash_to_group(input_bytes, params.n_modulus)
+    if args.cmd == "verify":
+        # N, T, lambda and x' are the verifier's; the file holds the proof
+        with open(args.proof, "rb") as fh:
+            proof = vdf.deserialize_proof(fh.read())
+        return report(vdf.verify(params, x_prime, proof))
+    if args.trapdoor:
+        y = vdf.eval_trapdoor(vdf.TrapdoorKey(raw["p"], raw["q"]), params,
+                              x_prime)
+    else:
+        y = vdf.eval_sequential(params, x_prime)
+    print(json.dumps({"x_prime": x_prime, "y": y}))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # fri
-
-FRI_FILE_MAGIC = b"VCKp"
-
 
 def _queries(args) -> int:
     """--queries, else the config file's, else 20."""
@@ -283,10 +268,11 @@ def _queries(args) -> int:
 
 
 def cmd_fri(args):
+    field = get_field(args.modulus)
     if args.cmd == "demo":
         params = fri_mod.FriParams(
-            stark.EvaluationDomain.subgroup(get_field(args.modulus),
-                                            args.domain), args.degree, 1)
+            stark.EvaluationDomain.subgroup(field, args.domain),
+            args.degree, 1)
         print("FRI commits each layer with one leaf per folding coset and "
               "folds it by 4 (by 2 in an odd last round);")
         size, d = args.domain, args.degree
@@ -296,19 +282,11 @@ def cmd_fri(args):
             size, d = size // arity, d // arity
         print(f"  final layer of {size} evaluations: a single constant")
         return EXIT_OK
-    if args.cmd == "prove":
-        field = get_field(args.modulus)
-    else:
-        with open(args.proof, "rb") as fh:
-            reader = Reader(fh.read())
-        if reader.take(4) != FRI_FILE_MAGIC:
-            raise UsageError("not a FRI proof file")
-        field = file_field(args.modulus, reader.u32(), "proof file")
     domain = stark.EvaluationDomain.coset(field, args.domain,
                                           field.generator())
     params = fri_mod.FriParams(domain, args.degree, _queries(args))
-    # (domain size, degree bound, queries): the three u32s that follow the
-    # modulus in a proof file, and the transcript's first absorb
+    # (domain size, degree bound, queries), the transcript's first absorb:
+    # a proof made for another statement fails verification
     statement = (args.domain, args.degree, params.num_queries)
     t = Transcript("fri")
     t.absorb(b"params", b"".join(map(u32, statement)))
@@ -321,19 +299,13 @@ def cmd_fri(args):
         proof = fri_mod.prove(poly.evaluate_array(domain.point_array()),
                               params, t)
         with open(args.output, "wb") as fh:
-            fh.write(FRI_FILE_MAGIC + u32(field.modulus)
-                     + b"".join(map(u32, statement)) + proof.serialize())
+            fh.write(proof.serialize())
         print(f"wrote FRI proof to {args.output}")
         return EXIT_OK
-    declared = (reader.u32(), reader.u32(), reader.u32())
-    if not declared[2]:
-        raise UsageError("need at least one query")
-    proof = fri_mod.FriProof.deserialize(reader)
-    # the statement is the verifier's to choose, not the file's
-    verdict = (fri_mod.verify(proof, params, t) if declared == statement
-               else VerifyResult.reject("parameter mismatch"))
-    return report(verdict, "(domain={}, degree={}, queries={})".format(
-        *statement))
+    with open(args.proof, "rb") as fh:
+        proof = fri_mod.FriProof.deserialize(fh.read())
+    return report(fri_mod.verify(proof, params, t),
+                  "(domain={}, degree={}, queries={})".format(*statement))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--label", required=True)
     pa.add_argument("-o", "--output", required=True)
     pe = ha.add_parser("eval")
-    pe.add_argument("--key", required=True)
     pe.add_argument("--circuit", required=True)
     pe.add_argument("--tags", nargs="+", required=True)
     pe.add_argument("-o", "--output", required=True)

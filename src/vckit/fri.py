@@ -46,8 +46,9 @@ class FriParams:
 
     def __post_init__(self):
         d, n = self.degree_bound, self.domain.size
-        if d < 1 or d & (d - 1):
-            raise UsageError("degree bound must be a power of two")
+        # a bound of 1 would fold no round and commit to nothing
+        if d < 2 or d & (d - 1):
+            raise UsageError("degree bound must be a power of two, at least 2")
         if n % d != 0:
             raise UsageError("degree bound must divide the domain size")
         if d > n // 2:
@@ -278,7 +279,6 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         return VerifyResult.reject("wrong number of layer openings")
     positions = np.array(positions, dtype=np.int64)
     domain = params.domain
-    folded = None
     for j, (root, beta, arity, opening) in enumerate(zip(
             proof.layer_roots, challenges, arities, proof.layers)):
         width = domain.size // arity
@@ -290,7 +290,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         # row index[k] of the opening is the coset of position k
         index = np.searchsorted(opened, cosets)
         here = opening.rows[index, positions // width]
-        if folded is not None and (here != folded).any():
+        if j and (here != folded).any():
             return VerifyResult.reject(f"layer {j}: consistency failure")
         # 1/x_c = offset^-1 * (g^-1)^c, with no inversion per coset
         g_inv = pow(domain.generator.value, -1, p)
@@ -301,15 +301,14 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
                               beta, p)[index]
         positions = cosets
         domain = _image(domain, arity)
-    # with zero rounds layer 0 is already the constant
-    if folded is not None and (folded != proof.final_value).any():
+    if (folded != proof.final_value).any():
         return VerifyResult.reject("final value mismatch")
     return VerifyResult.accept()
 
 
 def queried_values(proof: FriProof, params: FriParams) -> np.ndarray:
     """f at each query position, read from its opened layer-0 coset.  For
-    a proof verify accepted with at least one folding round."""
+    a proof verify accepted."""
     width = params.domain.size // params.arities[0]
     positions = np.array([q.index for q in proof.queries], dtype=np.int64)
     cosets = positions % width

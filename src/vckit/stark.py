@@ -258,20 +258,26 @@ def trace_fibonacci(n: int, field: Field) -> TraceTable:
 
 
 def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
-    """Seed rows pinned to 1, output row pinned to fib(n-1), and the
-    window-3 recurrence on every interior row."""
+    """Seed rows pinned to 1, output row pinned to row n-1 of the trace,
+    F(n) mod p, and the window-3 recurrence on every interior row.
+
+    F(n) comes from fast doubling, F(2k) = F(k) (2 F(k+1) - F(k)) and
+    F(2k+1) = F(k)^2 + F(k+1)^2, in O(log n) steps: the verifier builds
+    this system and must not redo the n-step computation."""
     if n < 2:
         raise UsageError("need at least the two seed rows")
     p = field.modulus
-    a, b = 1, 1
-    for _ in range(n - 2):
-        a, b = b, (a + b) % p
+    a, b = 0, 1  # F(k), F(k+1) for k the bits of n read so far
+    for bit in format(n, "b"):
+        a, b = a * (2 * b - a) % p, (a * a + b * b) % p
+        if bit == "1":
+            a, b = b, (a + b) % p
     pred = MultivariatePoly(field, 3, {(0, 0, 1): 1, (0, 1, 0): -1,
                                        (1, 0, 0): -1})
     return ConstraintSystem(
         num_columns=1,
         boundaries=[BoundaryConstraint(0, 0, 1), BoundaryConstraint(0, 1, 1),
-                    BoundaryConstraint(0, n - 1, b)],
+                    BoundaryConstraint(0, n - 1, a)],
         transitions=[TransitionConstraint(3, pred)])
 
 

@@ -1,10 +1,11 @@
 """RSW96 sequential time-lock puzzle with Wesolowski's succinct proof.
 
-The working group is Z_N^* / {+-1}: every element is normalized to
-min(v, N - v) and equality is sign-insensitive.  Evaluation is T modular
-squarings and deliberately sequential; verification computes
-pi^r * x'^(2^T mod r) with one left-to-right ladder over both short
-exponents, whose squarings the two exponentiations share.
+The working group is Z_N^* / {+-1}: every element is represented by
+min(v, N - v), and the verifier refuses a y or pi above N/2, so each
+proof has one encoding.  Evaluation is T modular squarings and
+deliberately sequential; verification computes pi^r * x'^(2^T mod r)
+with one left-to-right ladder over both short exponents, whose
+squarings the two exponentiations share.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
@@ -18,12 +19,14 @@ call `prove` recomputes them with T squarings first.
 import math
 from dataclasses import dataclass
 
-from .encoding import Reader, int_lp, u8
+from .encoding import Reader, int_lp, read_magic, u8
 from .errors import UsageError, VerifyResult
 from .primes import is_prime
 from .transcript import _h, HASH_ID, Transcript, hash_to_group
 
-PROOF_MAGIC = b"VCKV"
+PROOF_VERSION = 2
+# Every proof starts with the magic and then the format version byte.
+PROOF_MAGIC = b"VCKV" + u8(PROOF_VERSION)
 
 
 @dataclass(frozen=True)
@@ -292,17 +295,20 @@ def verify(params: VdfParams, x_prime: int, proof: VdfProof,
     """Check pi^r * x'^residue == +-y, recomputing r from the transcript.
 
     y and pi must lie in (0, N): 0 and N satisfy the equation for any
-    input.
+    input.  They must also be the representatives min(v, N - v) of their
+    classes, at most N/2, since N - y and N - pi satisfy it too.
     """
     n = params.n_modulus
     if not (0 < proof.y < n and 0 < proof.pi < n):
         return VerifyResult.reject("out-of-range")
+    if max(proof.y, proof.pi) > n // 2:
+        return VerifyResult.reject("non-canonical")
     if derive_challenge(params, x_prime, proof.y) != proof.r:
         return VerifyResult.reject("challenge-mismatch")
     residue = pow(2, params.delay, proof.r)
     v = counting_modpow([(proof.pi, proof.r), (x_prime, residue)], n,
                         counters)
-    if _normalize(v, n) != _normalize(proof.y, n):
+    if _normalize(v, n) != proof.y:
         return VerifyResult.reject("equation-failure")
     return VerifyResult.accept()
 
@@ -321,25 +327,17 @@ def vdf_round(params: VdfParams, input_bytes: bytes,
     return x_prime, VdfProof(y, pi, r)
 
 
-def serialize_proof(params: VdfParams, x_prime: int, proof: VdfProof) -> bytes:
+def serialize_proof(proof: VdfProof) -> bytes:
+    """The proof alone: N, T, lambda and x' are the verifier's."""
     return (PROOF_MAGIC + u8(HASH_ID)
-            + int_lp(params.n_modulus) + int_lp(params.delay)
-            + int_lp(params.security_bits) + int_lp(x_prime)
             + int_lp(proof.y) + int_lp(proof.pi) + int_lp(proof.r))
 
 
-def deserialize_proof(data: bytes):
+def deserialize_proof(data: bytes) -> VdfProof:
     reader = Reader(data)
-    if reader.take(4) != PROOF_MAGIC:
-        raise UsageError("not a VDF proof file")
+    read_magic(reader, PROOF_MAGIC, "VDF")
     if reader.u8() != HASH_ID:
         raise UsageError("unsupported hash algorithm id")
-    n = reader.int_lp()
-    delay = reader.int_lp()
-    lam = reader.int_lp()
-    x_prime = reader.int_lp()
-    y = reader.int_lp()
-    pi = reader.int_lp()
-    r = reader.int_lp()
+    proof = VdfProof(reader.int_lp(), reader.int_lp(), reader.int_lp())
     reader.finish()
-    return VdfParams(n, delay, lam), x_prime, VdfProof(y, pi, r)
+    return proof

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vckit import cli, fri, stark, vdf
-from vckit.encoding import Reader, bytes_lp, u32
+from vckit.encoding import Reader, bytes_lp, u32, u64
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
 
@@ -33,7 +33,7 @@ def test_hauth_end_to_end(tmp_path, circuit_file, capsys):
                 "--label", "a", "-o", t1]) == 0
     assert run(["hauth", "auth", "--key", key, "-m", "5",
                 "--label", "b", "-o", t2]) == 0
-    assert run(["hauth", "eval", "--key", key, "--circuit", circuit_file,
+    assert run(["hauth", "eval", "--circuit", circuit_file,
                 "--tags", t1, t2, "-o", out]) == 0
     assert run(["hauth", "verify", "--key", key, "--circuit", circuit_file,
                 "--labels", "a", "b", "--tag", out, "--claim", "22"]) == 0
@@ -72,13 +72,12 @@ def _forge_zero_delay(params_path, proof_path, input_hex):
     r = vdf.derive_challenge(params, x, y)
     proof = vdf.VdfProof(y, vdf.prove(params, x, y, r), r)
     assert vdf.verify(params, x, proof)
-    with open(proof_path, "wb") as fh:
-        fh.write(vdf.serialize_proof(params, x, proof))
+    Path(proof_path).write_bytes(vdf.serialize_proof(proof))
 
 
 def test_vdf_verify_rejects_zero_delay_forgery(tmp_path, capsys):
-    """The proof file's own N, T, lambda and x' are never trusted: a
-    self-consistent T = 0 proof is rejected under the real parameters."""
+    """N, T, lambda and x' are the verifier's: a self-consistent T = 0
+    proof fails the challenge the verifier derives for the real T."""
     params = str(tmp_path / "params.json")
     proof = str(tmp_path / "forged.bin")
     assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
@@ -87,7 +86,7 @@ def test_vdf_verify_rejects_zero_delay_forgery(tmp_path, capsys):
     capsys.readouterr()
     assert run(["vdf", "verify", "--params", params, "--input", "deadbeef",
                 proof]) == 1
-    assert "params-mismatch" in capsys.readouterr().out
+    assert "challenge-mismatch" in capsys.readouterr().out
 
 
 def test_vdf_verify_requires_params_and_input(tmp_path):
@@ -146,6 +145,22 @@ def test_vdf_setup_primes_keep_their_bit_length(tmp_path):
     assert raw["N"] == raw["p"] * raw["q"]
 
 
+def test_vdf_params_without_the_trapdoor(tmp_path):
+    """Only `vdf eval --trapdoor` needs p and q: a params file without
+    them serves beacon, verify and sequential eval."""
+    params = tmp_path / "params.json"
+    proof = str(tmp_path / "proof.bin")
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "64",
+                "-o", str(params)]) == 0
+    raw = json.loads(params.read_text())
+    params.write_text(json.dumps({k: raw[k] for k in ("N", "T", "lambda")}))
+    given = ["--params", str(params), "--input", "00"]
+    assert run(["vdf", "beacon"] + given + ["-o", proof]) == 0
+    assert run(["vdf", "verify"] + given + [proof]) == 0
+    assert run(["vdf", "eval"] + given) == 0
+    assert run(["vdf", "eval"] + given + ["--trapdoor"]) == 2
+
+
 def test_fri_prove_verify(tmp_path):
     proof = str(tmp_path / "fri.bin")
     assert run(["fri", "prove", "--domain", "64", "--degree", "8",
@@ -163,21 +178,27 @@ def test_fri_verify_holds_the_file_to_its_own_query_count(tmp_path,
     accepted when the verifier asks for 1."""
     proof = str(tmp_path / "fri.bin")
     assert run(["fri", "prove", "--queries", "1", "-o", proof]) == 0
+    capsys.readouterr()
     assert run(["fri", "verify", proof]) == 1
-    assert "parameter mismatch" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "reject (query indices diverge from transcript)\n")
     assert run(["fri", "verify", "--queries", "1", proof]) == 0
 
 
 def test_fri_verify_takes_the_statement(tmp_path, capsys):
-    """--domain and --degree are the verifier's, as --queries is: a file
-    made with another degree bound or domain size is rejected under the
-    defaults (64 and 8) and accepted with flags that match it."""
+    """--domain and --degree are the verifier's, as --queries is, and a
+    FRI file is the bare proof: a file made with another degree bound or
+    domain size fails verification under the defaults (64 and 8) and is
+    accepted with flags that match it."""
     proof = str(tmp_path / "fri.bin")
-    for flags in (["--degree", "32"], ["--domain", "128"]):
+    for flags, reason in ((["--degree", "32"], "wrong number of layer roots"),
+                          (["--domain", "128"],
+                           "query indices diverge from transcript")):
         assert run(["fri", "prove"] + flags + ["-o", proof]) == 0
+        assert Path(proof).read_bytes()[:5] == fri.PROOF_MAGIC
         capsys.readouterr()
         assert run(["fri", "verify", proof]) == 1
-        assert "parameter mismatch" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"reject ({reason})\n"
         assert run(["fri", "verify"] + flags + [proof]) == 0
 
 
@@ -337,15 +358,15 @@ def test_config_queries_preset_fri_prove_and_verify(tmp_path, capsys):
     proof = tmp_path / "fri.bin"
 
     def file_queries():
-        # magic, then u32 modulus, domain size, degree bound and queries
-        return int.from_bytes(proof.read_bytes()[16:20], "big")
+        return len(fri.FriProof.deserialize(proof.read_bytes()).queries)
     assert run(["--config", cfg, "fri", "prove", "-o", str(proof)]) == 0
     assert file_queries() == 6
     assert run(["--config", cfg, "fri", "verify", str(proof)]) == 0
     assert run(["fri", "verify", str(proof)]) == 1
+    capsys.readouterr()
     assert run(["--config", cfg, "fri", "verify", "--queries", "20",
                 str(proof)]) == 1
-    assert "parameter mismatch" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("reject (")
     assert run(["--config", cfg, "fri", "prove", "--queries", "3",
                 "-o", str(proof)]) == 0
     assert file_queries() == 3
@@ -387,8 +408,8 @@ def test_bad_numeric_arguments(tmp_path, argv):
 
 
 def test_zero_query_fri_file_refused(tmp_path):
-    """A FRI proof file of 256 random evaluations that declares zero
-    queries, and so opens nothing, is refused."""
+    """A FRI proof of 256 random evaluations with zero queries, which
+    opens nothing, is rejected: the verifier draws its own 20."""
     field = Field(DEFAULT_MODULUS)
     domain = EvaluationDomain.coset(field, 256, field.generator())
     rng = random.Random(3)
@@ -399,15 +420,34 @@ def test_zero_query_fri_file_refused(tmp_path):
                       enforce_low_degree=False)
     proof.queries = []
     path = tmp_path / "fri.bin"
-    path.write_bytes(cli.FRI_FILE_MAGIC + u32(field.modulus) + u32(256)
-                     + u32(8) + u32(0) + proof.serialize())
-    assert run(["fri", "verify", str(path)]) == 2
+    path.write_bytes(proof.serialize())
+    assert run(["fri", "verify", "--domain", "256", str(path)]) == 1
+
+
+def test_fri_degree_bound_one_refused(tmp_path, capsys):
+    """A file with no layer root and any final value would pass a degree
+    bound of 1, which folds no round; the bound is refused instead."""
+    t = Transcript("fri")
+    t.absorb(b"params", u32(64) + u32(1) + u32(20))
+    t.absorb(b"fri-final", u64(12345))
+    positions = []
+    while len(positions) < 20:
+        pos = t.challenge_index(64)
+        if pos not in positions:
+            positions.append(pos)
+    path = tmp_path / "fri.bin"
+    path.write_bytes(fri.FriProof([], 12345, [fri.FriQuery(pos)
+                                              for pos in positions],
+                                  []).serialize())
+    assert run(["fri", "verify", "--degree", "1", "--domain", "64",
+                str(path)]) == 2
+    assert "at least 2" in capsys.readouterr().err
 
 
 def _honest_fri_file(path, modulus):
     """A FRI proof file over the field of `modulus`, written as `fri
     prove` writes one: a random polynomial of degree < 8 on a coset of
-    32 points, the default 20 queries."""
+    32 points, the default 20 queries, the bare proof."""
     field = Field(modulus)
     domain = EvaluationDomain.coset(field, 32, field.generator())
     rng = random.Random(modulus)
@@ -416,23 +456,25 @@ def _honest_fri_file(path, modulus):
     t.absorb(b"params", u32(32) + u32(8) + u32(20))
     proof = fri.prove(poly.evaluate_array(domain.point_array()),
                       fri.FriParams(domain, 8, 20), t)
-    path.write_bytes(cli.FRI_FILE_MAGIC + u32(modulus) + u32(32) + u32(8)
-                     + u32(20) + proof.serialize())
+    path.write_bytes(proof.serialize())
 
 
 def test_fri_file_modulus_must_be_vetted_and_match(tmp_path):
-    """The proof file fixes the field: honest proofs over moduli off the
-    vetted list are refused, and so is an explicit --modulus other than
-    the file's."""
+    """The verifier's --modulus fixes the field, as in `fri prove`: a
+    proof verifies only in the field it was made over, and a modulus off
+    the vetted list is refused, whatever the file."""
     path = tmp_path / "fri.bin"
     verify = ["fri", "verify", "--domain", "32", str(path)]
     for modulus in (193, 257, 7681):
         _honest_fri_file(path, modulus)
-        assert run(verify) == 2
-    for modulus in (DEFAULT_MODULUS, 97):
-        _honest_fri_file(path, modulus)
-        assert run(verify) == 0
-        assert run(["--modulus", str(modulus)] + verify) == 0
+        assert run(["--modulus", str(modulus)] + verify) == 2
+    _honest_fri_file(path, DEFAULT_MODULUS)
+    assert run(verify) == 0
+    assert run(["--modulus", str(DEFAULT_MODULUS)] + verify) == 0
+    assert run(["--modulus", "97"] + verify) == 1
+    _honest_fri_file(path, 97)
+    assert run(verify) == 1
+    assert run(["--modulus", "97"] + verify) == 0
     assert run(["--modulus", "17"] + verify) == 2
 
 
@@ -511,7 +553,7 @@ def test_bad_circuit_file(tmp_path, text):
     assert run(["hauth", "keygen", "--seed", "01", "-o", key]) == 0
     assert run(["hauth", "auth", "--key", key, "-m", "1", "--label", "a",
                 "-o", tag]) == 0
-    assert run(["hauth", "eval", "--key", key, "--circuit", str(circuit),
+    assert run(["hauth", "eval", "--circuit", str(circuit),
                 "--tags", tag, "-o", str(tmp_path / "out.bin")]) == 2
 
 
@@ -535,7 +577,7 @@ def test_tag_file_with_trailing_byte_rejected(tmp_path, circuit_file):
     for tag, m, label in ((t1, "3", "a"), (t2, "5", "b")):
         assert run(["hauth", "auth", "--key", key, "-m", m,
                     "--label", label, "-o", tag]) == 0
-    assert run(["hauth", "eval", "--key", key, "--circuit", circuit_file,
+    assert run(["hauth", "eval", "--circuit", circuit_file,
                 "--tags", t1, t2, "-o", out]) == 0
     verify = ["hauth", "verify", "--key", key, "--circuit", circuit_file,
               "--labels", "a", "b", "--tag", out, "--claim", "22"]
@@ -557,7 +599,7 @@ def test_tag_file_with_non_canonical_encoding_refused(tmp_path, circuit_file,
     for tag, m, label in ((t1, "3", "a"), (t2, "5", "b")):
         assert run(["hauth", "auth", "--key", key, "-m", m,
                     "--label", label, "-o", tag]) == 0
-    evaluate = ["hauth", "eval", "--key", key, "--circuit", circuit_file,
+    evaluate = ["hauth", "eval", "--circuit", circuit_file,
                 "--tags", t1, t2, "-o", out]
     assert run(evaluate) == 0
     verify = ["hauth", "verify", "--key", key, "--circuit", circuit_file,
@@ -579,16 +621,15 @@ def test_tag_file_with_non_canonical_encoding_refused(tmp_path, circuit_file,
 
 
 def _vdf_proof_fields(blob):
-    """A VCKV file cut into its head and its seven int_lp payloads."""
+    """A VCKV file cut into its head and its three int_lp payloads."""
     reader = Reader(blob)
     head = reader.take(len(vdf.PROOF_MAGIC) + 1)
-    fields = [reader.bytes_lp() for _ in range(7)]
+    fields = [reader.bytes_lp() for _ in range(3)]
     reader.finish()
     return head, fields
 
 
-@pytest.mark.parametrize("field", range(7),
-                         ids=["N", "T", "lambda", "x", "y", "pi", "r"])
+@pytest.mark.parametrize("field", range(3), ids=["y", "pi", "r"])
 @pytest.mark.parametrize("change", ["leading zero", "empty"])
 def test_vdf_proof_with_non_minimal_integer_refused(tmp_path, field, change):
     """Each integer of a VCKV file has one encoding, minimal big-endian:

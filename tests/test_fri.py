@@ -102,7 +102,9 @@ def test_params_validation():
     assert params.arities == [4, 2]
     assert params.effective_queries() == 64
     assert fri.FriParams(dom, 16, 1).arities == [4, 4]
-    assert fri.FriParams(dom, 1, 1).arities == []
+    assert fri.FriParams(dom, 2, 1).arities == [2]
+    with pytest.raises(UsageError, match="at least 2"):
+        fri.FriParams(dom, 1, 1)            # would fold no round
 
 
 def test_pair_tree_layout():
@@ -133,12 +135,10 @@ def test_pair_tree_layout():
     assert [t.num_leaves for t in trees] == [8, 4]
 
 
-@pytest.mark.parametrize("d", [1, 2, 4, 8, 32, 2048, 4096])
+@pytest.mark.parametrize("d", [2, 4, 8, 32, 2048, 4096])
 def test_completeness_for_even_and_odd_log_degree(d):
-    """Rounds of 4 with a last round of 2 when log2 d is odd; d = 1 has
-    no round at all."""
-    dom = EvaluationDomain.coset(FBIG, 2 * d if d > 1 else 4,
-                                 FBIG.generator())
+    """Rounds of 4 with a last round of 2 when log2 d is odd."""
+    dom = EvaluationDomain.coset(FBIG, 2 * d, FBIG.generator())
     params = fri.FriParams(dom, d, 8)
     evals = evaluate_on_domain(rand_poly(FBIG, d, seed=d), dom)
     proof = fri.prove(evals, params, Transcript("t"))
@@ -417,16 +417,15 @@ def test_non_canonical_layer_values_rejected(half):
 
 
 def test_non_canonical_final_value_rejected():
-    """With zero folding rounds nothing compares the final value, so
-    c + p for a constant c must be rejected as non-canonical."""
+    """c + p for the constant c of the last layer is rejected as
+    non-canonical, before anything is folded."""
     dom = EvaluationDomain.coset(FBIG, 16, FBIG.generator())
-    params = fri.FriParams(dom, 1, 4)
+    params = fri.FriParams(dom, 2, 4)
     evals = np.full(16, 7, dtype=np.uint64)
-    assert fri.verify(fri.prove(evals, params, Transcript("t")), params,
-                      Transcript("t"))
-    t = Transcript("t")
-    t.absorb(b"fri-final", u64(7 + FBIG.modulus))
-    proof = fri.query_phase([evals], [], t, params, [], 7 + FBIG.modulus)
+    proof = fri.prove(evals, params, Transcript("t"))
+    assert fri.verify(proof, params, Transcript("t"))
+    assert proof.final_value == 7
+    proof.final_value += FBIG.modulus
     v = fri.verify(proof, params, Transcript("t"))
     assert not v and v.reason == "non-canonical final value"
 

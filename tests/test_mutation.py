@@ -1,5 +1,5 @@
-"""Seeded byte-level mutation sweep over the STARK (VCKS) and FRI (VCKF)
-proof formats.
+"""Seeded byte-level mutation sweep over the STARK (VCKS), FRI (VCKF) and
+VDF (VCKV) proof formats.
 
 Every mutant, a single bit flip, a truncation or one trailing byte, must
 end in a VerifyResult rejection or a UsageError from the decoder: none
@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from vckit import fri, stark
+from vckit import fri, stark, vdf
 from vckit.errors import UsageError
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
@@ -46,6 +46,15 @@ def _fri_case():
     return blob, verify
 
 
+def _vdf_case():
+    params, _ = vdf.setup(16, b"mutation", delay=64)
+    x, proof = vdf.vdf_round(params, b"m")
+
+    def verify(data):
+        return vdf.verify(params, x, vdf.deserialize_proof(data))
+    return vdf.serialize_proof(proof), verify
+
+
 def _mutants(blob, rng):
     """BIT_FLIPS seeded single-bit flips, TRUNCATIONS truncations at
     seeded lengths (the empty string among them), and one trailing
@@ -61,8 +70,8 @@ def _mutants(blob, rng):
     yield blob + bytes([rng.randrange(256)])
 
 
-@pytest.mark.parametrize("case", [_stark_case, _fri_case],
-                         ids=["stark", "fri"])
+@pytest.mark.parametrize("case", [_stark_case, _fri_case, _vdf_case],
+                         ids=["stark", "fri", "vdf"])
 def test_no_mutant_verifies(case):
     blob, verify = case()
     assert verify(blob)

@@ -42,6 +42,20 @@ def test_constraint_system_pins_output():
     assert cs.max_window() == 3
 
 
+def test_constraint_system_output_matches_the_addition_loop():
+    """The output row, by fast doubling, equals the n - 2 additions it
+    replaces, in the default field and a small one; a length whose output
+    row does not fit a u32 is refused at once."""
+    for field in (F, Field(97)):
+        a, b = 1, 1
+        for n in range(2, 301):
+            cs = stark.fibonacci_constraint_system(n, field)
+            assert cs.boundaries[-1] == stark.BoundaryConstraint(0, n - 1, b)
+            a, b = b, (a + b) % field.modulus
+    with pytest.raises(UsageError, match="not encodable"):
+        stark.fibonacci_constraint_system(2**32 + 1, F)
+
+
 def test_check_satisfaction_oracle():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)

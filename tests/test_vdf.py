@@ -8,7 +8,7 @@ import pytest
 
 import vdf_oracle as oracle
 from vckit import vdf
-from vckit.encoding import bytes_lp
+from vckit.encoding import Reader, bytes_lp, int_lp
 from vckit.errors import UsageError
 from vckit.primes import is_prime
 
@@ -99,16 +99,24 @@ def test_tamper_rejected():
     assert not vdf.verify(params, x, bad_r)
 
 
-def test_sign_insensitive_equality():
-    """y and N - y are the same element of Z_N^*/{+-1}."""
+def test_non_canonical_representatives_rejected():
+    """y and N - y are the same element of Z_N^*/{+-1}, and so are pi and
+    N - pi, but a proof carries only the representative at most N/2: the
+    other one is refused, so a beacon's output has one encoding."""
     params, _ = vdf.setup(16, b"sign", delay=20)
     x, proof = vdf.vdf_round(params, b"m")
+    n = params.n_modulus
+    assert vdf.verify(params, x, proof)
+    verdict = vdf.verify(params, x, vdf.VdfProof(proof.y, n - proof.pi,
+                                                 proof.r))
+    assert not verdict and verdict.reason == "non-canonical"
     # N - y has its own Fiat-Shamir challenge, and so its own proof
-    neg_y = params.n_modulus - proof.y
+    neg_y = n - proof.y
     r = vdf.derive_challenge(params, x, neg_y)
     assert r != proof.r
-    assert vdf.verify(params, x, vdf.VdfProof(neg_y, vdf.prove(params, x,
-                                                                neg_y, r), r))
+    verdict = vdf.verify(params, x, vdf.VdfProof(
+        neg_y, vdf.prove(params, x, neg_y, r), r))
+    assert not verdict and verdict.reason == "non-canonical"
 
 
 def test_counters():
@@ -244,14 +252,30 @@ def test_eight_bit_security_round_trips():
 
 
 def test_serialize_roundtrip():
+    """A VCKV file is the magic, the version byte, the hash id and then
+    y, pi and r: N, T, lambda and x' are the verifier's."""
     params, _ = vdf.setup(16, b"ser", delay=40)
     x, proof = vdf.vdf_round(params, b"m")
-    blob = vdf.serialize_proof(params, x, proof)
-    p2, x2, pr2 = vdf.deserialize_proof(blob)
-    assert (p2, x2, pr2) == (params, x, proof)
-    assert vdf.verify(p2, x2, pr2)
+    blob = vdf.serialize_proof(proof)
+    assert blob == (b"VCKV\x02\x01" + int_lp(proof.y) + int_lp(proof.pi)
+                    + int_lp(proof.r))
+    assert vdf.deserialize_proof(blob) == proof
+    assert vdf.verify(params, x, vdf.deserialize_proof(blob))
     with pytest.raises(UsageError):
         vdf.deserialize_proof(b"XXXX" + blob[4:])
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_decoder_rejects_other_format_versions(version):
+    """The byte after the magic is the format version: 2, nothing else.
+    A version-1 file, whose byte 4 is its hash id 1, reads as version 1."""
+    params, _ = vdf.setup(16, b"ser", delay=40)
+    _, proof = vdf.vdf_round(params, b"m")
+    blob = vdf.serialize_proof(proof)
+    assert blob[:5] == vdf.PROOF_MAGIC
+    with pytest.raises(UsageError, match=f"^unsupported VDF proof format "
+                                         f"version {version}$"):
+        vdf.deserialize_proof(blob[:4] + bytes([version]) + blob[5:])
 
 
 def test_zero_delay_identity():
@@ -415,18 +439,16 @@ def test_interleaved_threads_never_get_a_wrong_proof():
 
 
 def test_zero_delay_decodes_from_one_zero_byte():
-    """T = 0 is the single byte 00, the one encoding with a leading zero
-    the decoder takes."""
-    params = vdf.VdfParams(35, 0, 16)
-    blob = vdf.serialize_proof(params, 2, vdf.VdfProof(2, 1, 3))
-    assert bytes_lp(b"\x00") in blob
-    assert vdf.deserialize_proof(blob) == (params, 2, vdf.VdfProof(2, 1, 3))
+    """Zero, such as T = 0, is the single byte 00, the one encoding with
+    a leading zero the decoder takes."""
+    assert int_lp(0) == bytes_lp(b"\x00")
+    assert Reader(int_lp(0)).int_lp() == 0
 
 
 def test_deserialize_rejects_trailing_bytes():
     params, _ = vdf.setup(16, b"strict", delay=40)
     x, proof = vdf.vdf_round(params, b"m")
-    blob = vdf.serialize_proof(params, x, proof)
-    assert vdf.deserialize_proof(blob) == (params, x, proof)
+    blob = vdf.serialize_proof(proof)
+    assert vdf.deserialize_proof(blob) == proof
     with pytest.raises(UsageError, match="trailing"):
         vdf.deserialize_proof(blob + b"\x00")
