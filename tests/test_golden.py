@@ -7,9 +7,9 @@ The STARK hashes are of format version 5 and the FRI hash of version 3:
 each tree sends its distinct opened leaves once with one pruned Merkle
 multiproof, and a STARK header carries no binding digest; earlier hashes, including those the symbolic
 (divmod-quotient, Horner-LDE) prover also gave, are listed in
-CHANGES.md.  The VDF hashes
-come from the bit-by-bit long-division prover and 40-round random
-Miller-Rabin, so they also pin the setup moduli and the challenge primes.
+CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
+and r only; they pin the setup moduli and the challenge primes through
+the proofs made under them.
 """
 
 import hashlib
@@ -49,8 +49,8 @@ def _fri_proof():
 
 def _vdf_proof(prime_bits, seed, delay, security_bits=16):
     params, _ = vdf.setup(prime_bits, seed, delay, security_bits)
-    x_prime, proof = vdf.vdf_round(params, b"golden-input")
-    return vdf.serialize_proof(params, x_prime, proof)
+    _, proof = vdf.vdf_round(params, b"golden-input")
+    return vdf.serialize_proof(proof)
 
 
 CASES = {
@@ -84,17 +84,17 @@ GOLDEN = {
     "fri-coset256-d32-q16":
         "a944f8c74dd5319080ec4a8b70f8f57e600afd83954a91f7428bb419bc2f8b1d",
     "vdf-n32-T0":
-        "eebcd9802aad643d9e511489830c80bd5f6de22f343b0e5f22dedd7f8110b0da",
+        "118e561ac607a6dc240e4d48e7995d64428259126331a7f7b11578756e51a377",
     "vdf-n32-T3":
-        "2ab1ebef09dc3d4f2357261843b611e3583026a0f5002e34d75f9a09766c1264",
+        "2d6221ebd89e0cd4b397c24629887e086eee1b08139dd64900c12b91e44ca6ab",
     "vdf-n64-T1013":
-        "ac27443d2c8304f22eb251ce7073b84977db560b3815c5c5384f3d09fa7ac025",
+        "2dd454e1170cfe95417f4dd81b83ec527c0cad2365107c6b282860cbee31d3fe",
     "vdf-n128-T777-lam32":
-        "57d3c311ea6fea0de6cf1eb9b51205bc97637d0e38c9f10dac940f037b056b2d",
+        "295e233fc4ba716970487d0cd5b9945da7d961890196fab5633f5bfd40047c14",
     "vdf-n256-T300-lam48":
-        "040c5aa2ab519c3032082aacd9eed088fde5987328c1da5acccfc293977a6c2c",
+        "9f1ea78cc80e2ba3981faa0e8c3695bfa0d9fe533132bf3428a772542ae97cb9",
     "vdf-n2048-T4096":
-        "1908fc005a1161daa0c70082d7f511080019e742425615317dbdcfd36e79875b",
+        "ed7aa4408b35e4331e1b1b305e492c1507f87e770d1a0091024861dcc2e02895",
 }
 
 
