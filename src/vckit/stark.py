@@ -258,8 +258,8 @@ def trace_fibonacci(n: int, field: Field) -> TraceTable:
 
 
 def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
-    """Seed rows pinned to 1, output row pinned to row n-1 of the trace,
-    F(n) mod p, and the window-3 recurrence on every interior row.
+    """Seed rows pinned to 1, output row n-1 pinned to F(n) mod p, and
+    the window-3 recurrence on every interior row.
 
     F(n) comes from fast doubling, F(2k) = F(k) (2 F(k+1) - F(k)) and
     F(2k+1) = F(k)^2 + F(k+1)^2, in O(log n) steps: the verifier builds
