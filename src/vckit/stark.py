@@ -42,7 +42,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import fri
-from .encoding import Reader, bytes_lp, read_magic, u8, u32, u64, u64_rows
+from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
@@ -52,7 +52,7 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
-PROOF_VERSION = 5
+PROOF_VERSION = 6
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
 # Consecutive trace rows per trace-tree leaf; a shorter trace puts all its
@@ -191,27 +191,28 @@ def _flag(reader: Reader, what: str) -> bool:
 
 @dataclass
 class StarkProof:
+    """What the verifier cannot derive from its own statement: the
+    constraint system's digest is absorbed by each side from its own
+    copy, and the composition is committed by FRI's layer-0 root."""
+
     trace_length: int
     original_length: int
     num_columns: int
     blowup: int
     num_queries: int
     zk: bool
-    cs_digest: bytes
     trace_root: bytes
-    composition_root: bytes
-    fri_proof: "fri.FriProof"
     # the trace leaves the queries' windows need (_window_cells), each a
     # row of values row-major over its trace rows and then the columns
     trace_opening: Opening
+    fri_proof: "fri.FriProof"
 
     def serialize(self) -> bytes:
         out = [PROOF_MAGIC, u8(HASH_ID), u32(self.trace_length),
                u32(self.original_length), u32(self.num_columns),
                u32(self.blowup), u32(self.num_queries),
-               u8(1 if self.zk else 0), self.cs_digest, self.trace_root,
-               self.composition_root, bytes_lp(self.fri_proof.serialize()),
-               self.trace_opening.serialize()]
+               u8(1 if self.zk else 0), self.trace_root,
+               self.trace_opening.serialize(), self.fri_proof.serialize()]
         return b"".join(out)
 
     @staticmethod
@@ -228,14 +229,12 @@ class StarkProof:
         if queries < 1:
             raise UsageError("need at least one query")
         zk = _flag(reader, "zk")
-        cs_digest = reader.take(32)
         trace_root = reader.take(32)
-        comp_root = reader.take(32)
-        fri_proof = fri.FriProof.deserialize(Reader(reader.bytes_lp()))
         opening = Opening.deserialize(reader, _rows_per_leaf(n) * ncols)
-        reader.finish()
-        return StarkProof(n, orig, ncols, blowup, queries, zk, cs_digest,
-                          trace_root, comp_root, fri_proof, opening)
+        # the FRI proof runs to the end of the blob and finishes the reader
+        fri_proof = fri.FriProof.deserialize(reader)
+        return StarkProof(n, orig, ncols, blowup, queries, zk, trace_root,
+                          opening, fri_proof)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +544,14 @@ def _window_cells(positions, blowup: int, n: int, window: int):
 # ---------------------------------------------------------------------------
 # prover / verifier
 
-def _header_bytes(proof_fields) -> bytes:
-    (n, orig, ncols, blowup, queries, zk, cs_digest) = proof_fields
-    return (u32(n) + u32(orig) + u32(ncols) + u32(blowup) + u32(queries)
-            + u8(1 if zk else 0) + cs_digest)
+def _header_bytes(n: int, original_length: int, cs: ConstraintSystem,
+                  params: StarkParams) -> bytes:
+    """The transcript's first absorb: the trace shape, the parameters and
+    the digest of the caller's own constraint system, which the proof
+    does not carry."""
+    return (u32(n) + u32(original_length) + u32(cs.num_columns)
+            + u32(params.blowup) + u32(params.num_queries)
+            + u8(1 if params.zk else 0) + cs.digest())
 
 
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
@@ -574,9 +577,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     lde = params.lde_domain(field, n)
 
     t = Transcript("stark")
-    t.absorb(b"header", _header_bytes(
-        (n, trace.original_length, cs.num_columns, params.blowup,
-         params.num_queries, params.zk, cs.digest())))
+    t.absorb(b"header", _header_bytes(n, trace.original_length, cs, params))
 
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
@@ -593,7 +594,6 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     fri_params = fri.FriParams(lde, d, params.num_queries)
     fri_proof = fri.prove(comp_evals, fri_params, t,
                           enforce_low_degree=not skip_satisfaction_check)
-    composition_root = fri_proof.layer_roots[0]
 
     leaf, _ = _window_cells([q.index for q in fri_proof.queries],
                             params.blowup, n, cs.max_window())
@@ -602,17 +602,16 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     return StarkProof(n, trace.original_length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
-                      cs.digest(), trace_tree.root,
-                      composition_root, fri_proof, opening)
+                      trace_tree.root, opening, fri_proof)
 
 
 def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
            field: Field) -> VerifyResult:
     """Replay the transcript, check the FRI low-degree proof and every
     trace opening, then re-derive each query's constraint combination and
-    compare it with the FRI layer-0 value."""
-    if proof.cs_digest != cs.digest():
-        return VerifyResult.reject("constraint-system digest mismatch")
+    compare it with the FRI layer-0 value.  The transcript starts from
+    the verifier's own constraint system, so a proof of another statement
+    draws other challenges and fails."""
     if ((proof.blowup, proof.num_queries, proof.zk)
             != (params.blowup, params.num_queries, params.zk)):
         return VerifyResult.reject("parameter mismatch")
@@ -630,9 +629,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     lde = params.lde_domain(field, n)
 
     t = Transcript("stark")
-    t.absorb(b"header", _header_bytes(
-        (n, proof.original_length, proof.num_columns, proof.blowup,
-         proof.num_queries, proof.zk, proof.cs_digest)))
+    t.absorb(b"header", _header_bytes(n, proof.original_length, cs, params))
     t.absorb(b"trace-root", proof.trace_root)
 
     gammas = _draw_gammas(cs, field, t)
@@ -642,9 +639,6 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     fri_verdict = fri.verify(proof.fri_proof, fri_params, t)
     if not fri_verdict:
         return VerifyResult.reject(f"fri: {fri_verdict.reason}")
-    # d >= 2, so FRI checked that layer 0 has a root
-    if proof.composition_root != proof.fri_proof.layer_roots[0]:
-        return VerifyResult.reject("composition root mismatch")
 
     w = cs.max_window()
     ncols = proof.num_columns

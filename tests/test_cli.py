@@ -224,6 +224,25 @@ def test_stark_file_is_a_bare_proof(tmp_path):
     assert run(["stark", "verify", "--length", "8", str(path)]) == 2
 
 
+def test_stark_file_of_format_version_5_refused(tmp_path, capsys):
+    """A VCKS 5 file, which carried the constraint-system digest, a
+    composition root and a length-prefixed FRI proof ahead of the trace
+    opening, is refused by its version byte."""
+    path = tmp_path / "stark.bin"
+    assert run(["stark", "prove", "--length", "8", "-o", str(path)]) == 0
+    blob = path.read_bytes()
+    proof = stark.StarkProof.deserialize(blob)
+    head = b"VCKS\x05" + blob[5:27]  # hash id, five u32s, zk flag
+    cs = stark.fibonacci_constraint_system(8, Field(DEFAULT_MODULUS))
+    path.write_bytes(head + cs.digest() + proof.trace_root
+                     + proof.fri_proof.layer_roots[0]
+                     + bytes_lp(proof.fri_proof.serialize())
+                     + proof.trace_opening.serialize())
+    capsys.readouterr()
+    assert run(["stark", "verify", "--length", "8", str(path)]) == 2
+    assert "unsupported STARK proof format version 5" in capsys.readouterr().err
+
+
 def test_stark_verify_takes_the_statement(tmp_path):
     """The statement is the verifier's --length and --boundary-json: a
     proof with a boundary the verifier did not ask for, and a proof of

@@ -8,8 +8,9 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri, stark
-from vckit.encoding import Reader, bytes_lp, u32, u64
-from vckit.errors import ConstraintViolation, InternalError, UsageError
+from vckit.encoding import Reader, u32, u64
+from vckit.errors import (ConstraintViolation, InternalError, UsageError,
+                          VerifyResult)
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
@@ -236,6 +237,28 @@ def test_wrong_statement_rejected():
                                      bc.value + (1 if bc.row == 7 else 0))
             for bc in cs.boundaries], cs.transitions)
     assert not stark.verify(proof, other, params, F)
+
+
+@pytest.mark.parametrize("other", [
+    lambda cs: stark.ConstraintSystem(
+        1, cs.boundaries + [stark.BoundaryConstraint(0, 5, 8)],
+        cs.transitions),
+    lambda cs: stark.fibonacci_constraint_system(7, F),
+    lambda cs: stark.ConstraintSystem(1, cs.boundaries[:2], cs.transitions)],
+    ids=["extra-boundary", "fib7", "no-output"])
+def test_proof_of_another_constraint_system_rejected(other):
+    """The proof carries no statement: the verifier's transcript absorbs
+    its own constraint system's digest, so a fib-8 proof checked against
+    another system draws other challenges and FRI rejects it, a verdict
+    and not an exception."""
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    params = stark.StarkParams(8, 12)
+    proof = stark.prove(tr, cs, params)
+    assert stark.verify(proof, cs, params, F)
+    verdict = stark.verify(proof, other(cs), params, F)
+    assert isinstance(verdict, VerifyResult)
+    assert not verdict and verdict.reason.startswith("fri: ")
 
 
 @pytest.mark.parametrize("proved_zk", [False, True])
@@ -489,7 +512,7 @@ def test_check_satisfaction_names_first_violation():
 
 
 # Offset of the zk flag byte: magic with its version byte, hash id, five
-# u32 header fields; the 32-byte constraint-system digest follows it.
+# u32 header fields; the 32-byte trace root follows it.
 ZK_FLAG = len(stark.PROOF_MAGIC) + 1 + 5 * 4
 
 
@@ -507,11 +530,11 @@ def test_decoder_rejects_trailing_bytes():
         stark.StarkProof.deserialize(blob + b"\x00")
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 6])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 7])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 5, nothing else."""
+    """The byte after the magic is the format version: 6, nothing else."""
     blob = _blob()
-    assert blob[:5] == b"VCKS\x05" == stark.PROOF_MAGIC
+    assert blob[:5] == b"VCKS\x06" == stark.PROOF_MAGIC
     forged = blob[:4] + bytes([version]) + blob[5:]
     with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
                                          f"version {version}$"):
@@ -530,16 +553,14 @@ def test_decoder_rejects_non_boolean_flags(offset, value):
 
 def _rewrap(blob, what):
     """Re-encode a proof with a byte left over inside a sub-record: one
-    appended to the FRI proof, or the trace path's sibling count one
-    short, which leaves its last sibling over."""
-    reader = Reader(blob)
-    # past the zk flag, the constraint-system digest and the two roots
-    reader.take(ZK_FLAG + 1 + 32 + 64)
-    fri_start = reader.pos
-    fri_blob = reader.bytes_lp()
+    appended to the FRI proof, which runs to the end of the blob, or the
+    trace path's sibling count one short, which leaves its last sibling
+    over in front of the FRI proof."""
     if what == "fri":
-        return (blob[:fri_start] + bytes_lp(fri_blob + b"\x00")
-                + blob[reader.pos:])
+        return blob + b"\x00"
+    reader = Reader(blob)
+    # past the zk flag and the trace root
+    reader.take(ZK_FLAG + 1 + 32)
     leaves = reader.u32()
     reader.take(8 * stark.TRACE_ROWS_PER_LEAF * leaves)  # one column
     count_at = reader.pos
@@ -548,9 +569,13 @@ def _rewrap(blob, what):
     return blob[:count_at] + u32(siblings - 1) + blob[count_at + 4:]
 
 
-@pytest.mark.parametrize("what", ["fri", "trace-path"])
-def test_decoder_rejects_trailing_bytes_in_sub_records(what):
-    with pytest.raises(UsageError, match="trailing"):
+@pytest.mark.parametrize("what, reason", [("fri", "trailing"),
+                                          ("trace-path", "not a FRI proof")],
+                         ids=["fri", "trace-path"])
+def test_decoder_rejects_trailing_bytes_in_sub_records(what, reason):
+    """The FRI proof refuses a byte after it; the trace path's leftover
+    sibling is read where the FRI magic should be."""
+    with pytest.raises(UsageError, match=reason):
         stark.StarkProof.deserialize(_rewrap(_blob(), what))
 
 
@@ -594,9 +619,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
     n, orig = proof.trace_length, proof.original_length
     lde = params.lde_domain(F, n)
     t = Transcript("stark")
-    t.absorb(b"header", stark._header_bytes(
-        (n, orig, len(leaf_columns), params.blowup, params.num_queries,
-         proof.zk, cs.digest())))
+    t.absorb(b"header", stark._header_bytes(n, orig, cs, params))
     table = np.array([[int(col[i]) for col in leaf_columns]
                       for i in range(lde.size)],
                      dtype=np.uint64).reshape(lde.size, len(leaf_columns))
@@ -612,7 +635,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
         cs.max_window())[0])
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
-        composition_root=fri_proof.layer_roots[0], fri_proof=fri_proof,
+        fri_proof=fri_proof,
         trace_opening=Opening(leaves[opened], tree.open(opened)))
 
 
@@ -658,8 +681,8 @@ def test_column_count_mismatch_rejected(num_columns):
 
 
 def test_fri_proof_without_layer_roots_rejected():
-    """FRI refuses the root count before the composition root is read
-    from layer 0."""
+    """FRI refuses a proof with no layer root, before and after
+    encoding."""
     proof, cs, params = _fib8_proof()
     empty = dataclasses.replace(proof.fri_proof, layer_roots=[], layers=[])
     verdict = stark.verify(dataclasses.replace(proof, fri_proof=empty),
@@ -681,16 +704,8 @@ def test_malformed_header_rejected(change):
     assert not verdict and verdict.reason == "malformed header"
 
 
-def test_composition_root_mismatch_rejected():
-    proof, cs, params = _fib8_proof()
-    forged = dataclasses.replace(proof, composition_root=bytes(32))
-    verdict = stark.verify(forged, cs, params, F)
-    assert not verdict and verdict.reason == "composition root mismatch"
-
-
 def test_fri_layer_root_dropped_rejected():
-    """The last FRI root dropped: layer 0 still matches the composition
-    root, and FRI refuses the root count."""
+    """The last FRI root dropped: FRI refuses the root count."""
     proof, cs, params = _fib8_proof()
     roots = proof.fri_proof.layer_roots[:-1]
     assert roots
@@ -786,15 +801,15 @@ def test_short_traces_prove_and_verify(system, blowup):
 def test_two_row_two_column_system_proves_and_verifies(zk):
     """Without zk every quotient of the two-column system at n = 2 is
     constant; the composition degree bound is still 2, so FRI folds once
-    and its layer-0 root is the composition root.  With zk the noise rows
-    lengthen the trace."""
+    and commits the composition in its layer-0 root.  With zk the noise
+    rows lengthen the trace."""
     tr, cs = _two_column(2)
     params = stark.StarkParams(4, 6, zk=zk)
     proof = stark.StarkProof.deserialize(
         stark.prove(tr, cs, params, zk_seed=5).serialize())
     verdict = stark.verify(proof, cs, params, F)
     assert verdict, verdict.reason
-    assert proof.composition_root == proof.fri_proof.layer_roots[0]
+    assert proof.fri_proof.layer_roots
     if not zk:
         assert stark.composition_degree_bound(2, 2, cs) == 2
         assert len(proof.fri_proof.layer_roots) == 1
