@@ -3,11 +3,12 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK hashes are of format version 5 and the FRI hash of version 3:
+The STARK hashes are of format version 6 and the FRI hash of version 3:
 each tree sends its distinct opened leaves once with one pruned Merkle
-multiproof, and a STARK header carries no binding digest; earlier hashes, including those the symbolic
-(divmod-quotient, Horner-LDE) prover also gave, are listed in
-CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
+multiproof, and a STARK proof carries neither the constraint system's
+digest nor a composition root apart from FRI's layer 0; earlier hashes,
+including those the symbolic (divmod-quotient, Horner-LDE) prover also
+gave, are listed in CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
 and r only; they pin the setup moduli and the challenge primes through
 the proofs made under them.
 """
@@ -72,15 +73,15 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "acffdcf1a475287293c7667813e608ff4950a381d16f3f1bd1832957e1ce0199",
+        "ff80bc2bb5c53bf41c5d36ff5a1a4c7ee1210644d14b3a292773dc0731d02195",
     "fib64-b4-q8-zk1":
-        "4b569ef00a9ee43c34f6b0c1e0d146a4bd65e063b4823bc2822416f2f6289f60",
+        "ebc93ddeeddcf58a4943408d1bf770842d02837db0e668f99531d24413f37260",
     "fib1900-b8-q20-zk7":
-        "9948a00821f771c41e327d63b4693e2e3caf84e9b56727e8801fea62d94b3c04",
+        "4da88639f51cdb4e46c2d8ac95c8b380a7ffd69ccd33cd18a0935e9749e24f57",
     "fib4000-b4-q8-zk5":
-        "bc80f90a65adae67487e15e5d8bc764e1351667c5c41ee7fe24554ce15a7fe3a",
+        "ece338779ff5a860a2eb71f2c8181a10a39156df864b052527b3729e8b2a2b51",
     "two-column-b8-q10":
-        "80535d1416611e5a3499ff406d812ddab4a119ec6c2c224c4ac029332413b183",
+        "520103bbb3e3fbbab29436135ae6f26db9683cf9d57d858b8d66640a9548b2bb",
     "fri-coset256-d32-q16":
         "a944f8c74dd5319080ec4a8b70f8f57e600afd83954a91f7428bb419bc2f8b1d",
     "vdf-n32-T0":
