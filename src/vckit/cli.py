@@ -228,14 +228,16 @@ def cmd_vdf(args):
                                    params.security_bits)
         with open(args.output, "w") as fh:
             json.dump({"N": params.n_modulus, "T": params.delay,
-                       "lambda": params.security_bits,
-                       "p": trapdoor.p, "q": trapdoor.q}, fh)
+                       "lambda": params.security_bits}, fh)
         print(f"wrote params (T={params.delay}) to {args.output}")
+        # p and q skip the delay: they go to a file of their own, or nowhere
+        if args.trapdoor:
+            with open(args.trapdoor, "w") as fh:
+                json.dump({"p": trapdoor.p, "q": trapdoor.q}, fh)
+            print(f"wrote trapdoor to {args.trapdoor}")
         return EXIT_OK
-    fields = {"N": int, "T": int, "lambda": int}
-    if getattr(args, "trapdoor", False):
-        fields.update(p=int, q=int)
-    raw = load_json(args.params, "params file", fields)
+    raw = load_json(args.params, "params file",
+                    {"N": int, "T": int, "lambda": int})
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
     input_bytes = _from_hex(args.input, "--input")
     if args.cmd in ("prove", "beacon"):
@@ -251,7 +253,8 @@ def cmd_vdf(args):
             proof = vdf.deserialize_proof(fh.read())
         return report(vdf.verify(params, x_prime, proof))
     if args.trapdoor:
-        y = vdf.eval_trapdoor(vdf.TrapdoorKey(raw["p"], raw["q"]), params,
+        key = load_json(args.trapdoor, "trapdoor file", {"p": int, "q": int})
+        y = vdf.eval_trapdoor(vdf.TrapdoorKey(key["p"], key["q"]), params,
                               x_prime)
     else:
         y = vdf.eval_sequential(params, x_prime)
@@ -507,12 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="calibrate T from a wall-clock target")
     ps.add_argument("--security", type=int, default=16)
     ps.add_argument("-o", "--output", required=True)
+    ps.add_argument("--trapdoor", metavar="PATH",
+                    help="write the factors p and q of N to this file")
     for name in ("eval", "prove", "beacon"):
         pp = vd.add_parser(name)
         pp.add_argument("--params", required=True)
         pp.add_argument("--input", required=True, help="hex input bytes")
         if name == "eval":
-            pp.add_argument("--trapdoor", action="store_true")
+            pp.add_argument("--trapdoor", metavar="PATH",
+                            help="evaluate fast with setup's trapdoor file")
         else:
             pp.add_argument("-o", "--output", required=True)
     pv = vd.add_parser("verify")

@@ -163,8 +163,10 @@ def eval_sequential(params: VdfParams, x_prime: int,
 
 def eval_trapdoor(trapdoor: TrapdoorKey, params: VdfParams,
                   x_prime: int) -> int:
-    """Fast path via e = 2^T mod phi(N); agrees with eval_sequential."""
-    if trapdoor.p * trapdoor.q != params.n_modulus:
+    """Fast path via e = 2^T mod phi(N); agrees with eval_sequential.
+    Factors 1 and N would make phi zero."""
+    if not (1 < trapdoor.p and 1 < trapdoor.q
+            and trapdoor.p * trapdoor.q == params.n_modulus):
         raise UsageError("trapdoor does not match the modulus")
     _require_unit(x_prime, params.n_modulus)
     e = pow(2, params.delay, trapdoor.phi)

@@ -103,12 +103,16 @@ def test_vdf_verify_requires_params_and_input(tmp_path):
 
 
 def test_vdf_trapdoor_agrees(tmp_path, capsys):
+    """`eval --trapdoor` with setup's trapdoor file gives the sequential
+    result."""
     params = str(tmp_path / "params.json")
-    run(["vdf", "setup", "--bits", "16", "--seed", "bb", "-T", "100",
-         "-o", params])
-    run(["vdf", "eval", "--params", params, "--input", "0102"])
+    trapdoor = str(tmp_path / "trapdoor.json")
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "bb", "-T", "100",
+                "-o", params, "--trapdoor", trapdoor]) == 0
+    assert run(["vdf", "eval", "--params", params, "--input", "0102"]) == 0
     slow = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    run(["vdf", "eval", "--params", params, "--input", "0102", "--trapdoor"])
+    assert run(["vdf", "eval", "--params", params, "--input", "0102",
+                "--trapdoor", trapdoor]) == 0
     fast = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert slow == fast
 
@@ -128,37 +132,58 @@ def test_vdf_setup_bad_delay_or_security(tmp_path, extra):
     """Setup needs exactly one delay, at least one squaring or a
     wall-clock target that is positive and finite, and a security level
     whose 2*lambda-bit challenge primes `vdf beacon` can draw; otherwise
-    it writes no params file."""
+    it writes no params file and no trapdoor file."""
     params = tmp_path / "params.json"
+    trapdoor = tmp_path / "trapdoor.json"
     assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
-                "-o", str(params)] + extra) == 2
-    assert not params.exists()
+                "-o", str(params), "--trapdoor", str(trapdoor)] + extra) == 2
+    assert not params.exists() and not trapdoor.exists()
 
 
 def test_vdf_setup_primes_keep_their_bit_length(tmp_path):
     """This seed's upward prime search passes 2^16 (to 65537)."""
-    params = tmp_path / "params.json"
+    params, trapdoor = tmp_path / "params.json", tmp_path / "trapdoor.json"
     assert run(["vdf", "setup", "--bits", "16", "--seed", "353536",
-                "-T", "10", "-o", str(params)]) == 0
-    raw = json.loads(params.read_text())
-    assert raw["p"].bit_length() == raw["q"].bit_length() == 16
-    assert raw["N"] == raw["p"] * raw["q"]
+                "-T", "10", "-o", str(params), "--trapdoor",
+                str(trapdoor)]) == 0
+    key = json.loads(trapdoor.read_text())
+    assert key["p"].bit_length() == key["q"].bit_length() == 16
+    assert json.loads(params.read_text())["N"] == key["p"] * key["q"]
 
 
 def test_vdf_params_without_the_trapdoor(tmp_path):
-    """Only `vdf eval --trapdoor` needs p and q: a params file without
-    them serves beacon, verify and sequential eval."""
+    """Setup's params file holds N, T and lambda and nothing else; it
+    serves beacon, verify and sequential eval, and only `eval --trapdoor`
+    reads p and q, from the trapdoor file, which the params file is not."""
     params = tmp_path / "params.json"
     proof = str(tmp_path / "proof.bin")
     assert run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "64",
                 "-o", str(params)]) == 0
-    raw = json.loads(params.read_text())
-    params.write_text(json.dumps({k: raw[k] for k in ("N", "T", "lambda")}))
+    assert set(json.loads(params.read_text())) == {"N", "T", "lambda"}
     given = ["--params", str(params), "--input", "00"]
     assert run(["vdf", "beacon"] + given + ["-o", proof]) == 0
     assert run(["vdf", "verify"] + given + [proof]) == 0
     assert run(["vdf", "eval"] + given) == 0
-    assert run(["vdf", "eval"] + given + ["--trapdoor"]) == 2
+    assert run(["vdf", "eval"] + given + ["--trapdoor", str(params)]) == 2
+    assert run(["vdf", "eval"] + given + ["--trapdoor",
+                                          str(tmp_path / "none.json")]) == 2
+
+
+def test_vdf_trapdoor_file_must_factor_the_modulus(tmp_path):
+    """A trapdoor file whose p*q is not the params file's N, or whose
+    factors are 1 and N, exits 2 and evaluates nothing."""
+    params, trapdoor = tmp_path / "params.json", tmp_path / "trapdoor.json"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "64",
+                "-o", str(params), "--trapdoor", str(trapdoor)]) == 0
+    eval_ = ["vdf", "eval", "--params", str(params), "--input", "00",
+             "--trapdoor", str(trapdoor)]
+    assert run(eval_) == 0
+    key = json.loads(trapdoor.read_text())
+    n = key["p"] * key["q"]
+    for p, q in ((key["p"], key["q"] + 2), (1, n), (n, 1),
+                 (-key["p"], -key["q"])):
+        trapdoor.write_text(json.dumps({"p": p, "q": q}))
+        assert run(eval_) == 2
 
 
 def test_fri_prove_verify(tmp_path):
@@ -520,6 +545,18 @@ def test_bad_params_file(tmp_path, text):
     params.write_text(text)
     assert run(["vdf", "eval", "--params", str(params),
                 "--input", "00"]) == 2
+
+
+@pytest.mark.parametrize("text", ["{", "[5, 7]", '{"p": 5}',
+                                  '{"p": "5", "q": 7}',
+                                  '{"p": 5, "q": true}'])
+def test_bad_trapdoor_file(tmp_path, text):
+    params, trapdoor = tmp_path / "params.json", tmp_path / "trapdoor.json"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "8",
+                "-o", str(params)]) == 0
+    trapdoor.write_text(text)
+    assert run(["vdf", "eval", "--params", str(params), "--input", "00",
+                "--trapdoor", str(trapdoor)]) == 2
 
 
 @pytest.mark.parametrize("text", [
