@@ -1,16 +1,18 @@
 """Seeded byte-level mutation sweep over the STARK (VCKS), FRI (VCKF) and
-VDF (VCKV) proof formats.
+VDF (VCKV) proof formats and the hauth tag file.
 
 Every mutant, a single bit flip, a truncation or one trailing byte, must
 end in a VerifyResult rejection or a UsageError from the decoder: none
 may verify, and none may raise another exception type.
 """
 
+import os
 import random
+import tempfile
 
 import pytest
 
-from vckit import fri, stark, vdf
+from vckit import cli, fri, hauth, stark, vdf
 from vckit.errors import UsageError
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
@@ -55,6 +57,39 @@ def _vdf_case():
     return vdf.serialize_proof(proof), verify
 
 
+def _through_file(data, use):
+    """use(path) on a temporary file holding data, removed afterwards."""
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        return use(path)
+    finally:
+        os.remove(path)
+
+
+def _hauth_case():
+    """A tag file of x0*x1 + 7 over two authenticated inputs, decoded by
+    the CLI's load_tag and checked against its claim, 22."""
+    key = hauth.keygen(b"mutation", F)
+    circuit = hauth.Circuit(2, (hauth.Gate("mul", 0, 1),
+                                hauth.Gate("addc", 2, const=7)))
+    labels = [hauth.MultiLabel(b"a"), hauth.MultiLabel(b"b")]
+    tag = hauth.eval_tags(circuit, [hauth.auth(key, m, label)
+                                    for m, label in zip((3, 5), labels)])
+
+    def save(path):
+        cli.save_tag(tag, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def verify(data):
+        return hauth.verify(key, circuit, labels,
+                            _through_file(data, lambda path:
+                                          cli.load_tag(path, F)), 22)
+    return _through_file(b"", save), verify
+
+
 def _mutants(blob, rng):
     """BIT_FLIPS seeded single-bit flips, TRUNCATIONS truncations at
     seeded lengths (the empty string among them), and one trailing
@@ -70,8 +105,9 @@ def _mutants(blob, rng):
     yield blob + bytes([rng.randrange(256)])
 
 
-@pytest.mark.parametrize("case", [_stark_case, _fri_case, _vdf_case],
-                         ids=["stark", "fri", "vdf"])
+@pytest.mark.parametrize("case", [_stark_case, _fri_case, _vdf_case,
+                                  _hauth_case],
+                         ids=["stark", "fri", "vdf", "hauth"])
 def test_no_mutant_verifies(case):
     blob, verify = case()
     assert verify(blob)
