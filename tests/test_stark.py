@@ -552,19 +552,21 @@ def test_decoder_rejects_non_boolean_flags(offset, value):
 
 
 def _rewrap(blob, what):
-    """Re-encode a proof with a byte left over inside a sub-record: one
-    appended to the FRI proof, which runs to the end of the blob, or the
-    trace path's sibling count one short, which leaves its last sibling
-    over in front of the FRI proof."""
+    """Re-encode a proof with a path's sibling count one short, which
+    leaves its last sibling over: the last FRI layer's path, at the end
+    of the blob, or the trace path, whose sibling is then read where the
+    FRI magic should be."""
     if what == "fri":
-        return blob + b"\x00"
-    reader = Reader(blob)
-    # past the zk flag and the trace root
-    reader.take(ZK_FLAG + 1 + 32)
-    leaves = reader.u32()
-    reader.take(8 * stark.TRACE_ROWS_PER_LEAF * leaves)  # one column
-    count_at = reader.pos
-    siblings = reader.u32()
+        last = stark.StarkProof.deserialize(blob).fri_proof.layers[-1]
+        count_at = len(blob) - 32 * len(last.path.siblings) - 4
+    else:
+        reader = Reader(blob)
+        # past the zk flag and the trace root
+        reader.take(ZK_FLAG + 1 + 32)
+        leaves = reader.u32()
+        reader.take(8 * stark.TRACE_ROWS_PER_LEAF * leaves)  # one column
+        count_at = reader.pos
+    siblings = int.from_bytes(blob[count_at:count_at + 4], "big")
     assert siblings
     return blob[:count_at] + u32(siblings - 1) + blob[count_at + 4:]
 
@@ -573,8 +575,8 @@ def _rewrap(blob, what):
                                           ("trace-path", "not a FRI proof")],
                          ids=["fri", "trace-path"])
 def test_decoder_rejects_trailing_bytes_in_sub_records(what, reason):
-    """The FRI proof refuses a byte after it; the trace path's leftover
-    sibling is read where the FRI magic should be."""
+    """The leftover FRI sibling trails the proof; the trace path's is
+    read as the start of the FRI proof."""
     with pytest.raises(UsageError, match=reason):
         stark.StarkProof.deserialize(_rewrap(_blob(), what))
 
