@@ -547,8 +547,7 @@ def _window_cells(positions, blowup: int, n: int, window: int):
 def _header_bytes(n: int, original_length: int, cs: ConstraintSystem,
                   params: StarkParams) -> bytes:
     """The transcript's first absorb: the trace shape, the parameters and
-    the digest of the caller's own constraint system, which the proof
-    does not carry."""
+    the digest of the caller's own constraint system."""
     return (u32(n) + u32(original_length) + u32(cs.num_columns)
             + u32(params.blowup) + u32(params.num_queries)
             + u8(1 if params.zk else 0) + cs.digest())

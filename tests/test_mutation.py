@@ -84,9 +84,8 @@ def _hauth_case():
             return fh.read()
 
     def verify(data):
-        return hauth.verify(key, circuit, labels,
-                            _through_file(data, lambda path:
-                                          cli.load_tag(path, F)), 22)
+        decoded = _through_file(data, lambda path: cli.load_tag(path, F))
+        return hauth.verify(key, circuit, labels, decoded, 22)
     return _through_file(b"", save), verify
 
 
