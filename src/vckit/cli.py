@@ -350,10 +350,17 @@ def cmd_stark(args):
         print(f"wrote proof ({args.length}-row trace) to {args.output}")
         return EXIT_OK
     # verify: the statement and the soundness parameters are the
-    # verifier's, only the zk flag comes from the file
+    # verifier's, only the zk flag comes from the file.  The trace shape
+    # is the one `stark prove` pads --length rows to, so a proof cannot
+    # make the verifier work over rows it never asked about.
     with open(args.proof, "rb") as fh:
         proof = stark.StarkProof.deserialize(fh.read())
     params = _stark_params(args, proof.zk)
+    shape = (args.length, params.trace_length(args.length))
+    if (proof.original_length, proof.trace_length) != shape:
+        return report(VerifyResult.reject(
+            "trace shape mismatch: {} rows padded to {}, not {} to {}".format(
+                proof.original_length, proof.trace_length, *shape)))
     boundaries = [(bc.column, bc.row, bc.value) for bc in cs.boundaries]
     return report(stark.verify(proof, cs, params, field),
                   f"(length={args.length}, boundaries={boundaries}, "

@@ -7,9 +7,9 @@ operations go through FieldElement and are tallied in Field.op_count so
 cost experiments can meter them; the array paths are not metered.  An
 evaluation domain is a coset offset*<g> of a power-of-two subgroup (the
 subgroup itself has offset 1); evaluation on and interpolation over a
-domain run a vectorized radix-2 NTT in O(n log n), and
-Polynomial.evaluate_array is the O(n * deg) Horner path for arbitrary
-point arrays.
+domain run a vectorized radix-2 NTT in O(n log n) and take and return
+uint64 coefficient arrays, and Polynomial.evaluate_array is the
+O(n * deg) Horner path for arbitrary point arrays.
 """
 
 from __future__ import annotations
@@ -455,45 +455,39 @@ def _ntt(coeffs: np.ndarray, root: int, p: int) -> np.ndarray:
     return cur.reshape(n)
 
 
-def _values_array(values, field: Field) -> np.ndarray:
-    p = field.modulus
-    return np.array([v.value if isinstance(v, FieldElement) else v % p
-                     for v in values], dtype=np.uint64)
-
-
-def interpolate_on_domain(values, domain: "EvaluationDomain") -> Polynomial:
-    """Interpolate evaluations given in domain order.
+def interpolate_on_domain(values, domain: "EvaluationDomain") -> np.ndarray:
+    """The n coefficients, lowest degree first, of the polynomial of
+    degree below n taking the given reduced values in domain order, as a
+    reduced uint64 array with its top zeros kept.
 
     On a subgroup of order n with generator g,
     c_k = n^{-1} sum_j v_j g^{-jk}: an inverse NTT.  The offset h then
     rescales c_k by h^{-k}.
     """
-    field = domain.field
-    p = field.modulus
-    if len(values) != domain.size:
-        raise UsageError("value count does not match domain size")
-    n = domain.size
-    mod = np.uint64(p)
-    coeffs = _ntt(_values_array(values, field),
-                  pow(domain.generator.value, -1, p), p)
-    coeffs = coeffs * np.uint64(pow(n, -1, p)) % mod
-    coeffs = coeffs * _power_array(pow(domain.offset.value, -1, p), n, p) % mod
-    return Polynomial(field, coeffs.tolist())
-
-
-def evaluate_on_domain(poly: Polynomial, domain: "EvaluationDomain"
-                       ) -> np.ndarray:
-    """Evaluations of poly in domain order as an array: scale coefficient
-    k by offset^k, then one NTT.  The polynomial must have fewer
-    coefficients than the domain has points."""
-    n = domain.size
-    if len(poly.coeffs) > n:
-        raise UsageError("polynomial degree is not below the domain size")
     p = domain.field.modulus
-    coeffs = np.zeros(n, dtype=np.uint64)
-    coeffs[:len(poly.coeffs)] = poly.coeffs
-    coeffs = coeffs * _power_array(domain.offset.value, n, p) % np.uint64(p)
-    return _ntt(coeffs, domain.generator.value, p)
+    n = domain.size
+    if len(values) != n:
+        raise UsageError("value count does not match domain size")
+    mod = np.uint64(p)
+    coeffs = _ntt(values, pow(domain.generator.value, -1, p), p)
+    coeffs = coeffs * np.uint64(pow(n, -1, p)) % mod
+    return coeffs * _power_array(pow(domain.offset.value, -1, p), n, p) % mod
+
+
+def evaluate_on_domain(coeffs, domain: "EvaluationDomain") -> np.ndarray:
+    """Evaluations in domain order of the polynomial with the given
+    reduced coefficients, lowest degree first, at most domain.size of
+    them: scale coefficient k by offset^k, zero-extend, then one NTT."""
+    n = domain.size
+    if len(coeffs) > n:
+        raise UsageError("more coefficients than domain points")
+    p = domain.field.modulus
+    extended = np.zeros(n, dtype=np.uint64)
+    extended[:len(coeffs)] = (np.asarray(coeffs, dtype=np.uint64)
+                              * _power_array(domain.offset.value,
+                                             len(coeffs), p)
+                              % np.uint64(p))
+    return _ntt(extended, domain.generator.value, p)
 
 
 # ---------------------------------------------------------------------------

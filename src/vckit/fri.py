@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
-from .field import EvaluationDomain, FieldElement, _power_array
+from .field import EvaluationDomain, _power_array
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
@@ -69,15 +69,10 @@ class FriParams:
 
 
 @dataclass
-class FriQuery:
-    index: int                     # position in [0, |D|)
-
-
-@dataclass
 class FriProof:
     layer_roots: List[bytes]
     final_value: int
-    queries: List[FriQuery]
+    queries: List[int]             # positions in [0, |D|)
     # per folding round, the cosets the query positions hold
     layers: List[Opening]
 
@@ -86,7 +81,7 @@ class FriProof:
         out += self.layer_roots
         out.append(u64(self.final_value))
         out.append(u32(len(self.queries)))
-        out += [u32(q.index) for q in self.queries]
+        out += [u32(q) for q in self.queries]
         for opening in self.layers:
             out.append(u8(opening.rows.shape[1]))
             out.append(opening.serialize())
@@ -103,7 +98,7 @@ class FriProof:
             raise UsageError("unsupported hash algorithm id")
         roots = [reader.take(32) for _ in range(reader.u32())]
         final_value = reader.u64()
-        queries = [FriQuery(reader.u32()) for _ in range(reader.u32())]
+        queries = [reader.u32() for _ in range(reader.u32())]
         layers = []
         for k in range(len(roots)):
             width = reader.u8()
@@ -195,9 +190,6 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     prover continue for soundness experiments.
     """
     field = params.domain.field
-    if not isinstance(evals, np.ndarray):
-        evals = [v.value if isinstance(v, FieldElement) else int(v)
-                 for v in evals]
     evals = np.asarray(evals, dtype=np.uint64)
     if len(evals) != params.domain.size:
         raise UsageError("evaluation count does not match the domain")
@@ -243,8 +235,7 @@ def query_phase(layers, trees, t: Transcript, params: FriParams,
         cosets = index_set([pos % width for pos in positions])
         openings.append(Opening(_cosets(layer, arity)[cosets],
                                 tree.open(cosets)))
-    return FriProof(list(roots), final_value,
-                    [FriQuery(pos) for pos in positions], openings)
+    return FriProof(list(roots), final_value, positions, openings)
 
 
 def prove(evals, params: FriParams, t: Transcript,
@@ -273,7 +264,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         challenges.append(t.challenge_field(field).value)
     t.absorb(b"fri-final", u64(proof.final_value))
     positions = _draw_positions(t, params)
-    if [q.index for q in proof.queries] != positions:
+    if proof.queries != positions:
         return VerifyResult.reject("query indices diverge from transcript")
     if len(proof.layers) != len(arities):
         return VerifyResult.reject("wrong number of layer openings")
@@ -310,7 +301,7 @@ def queried_values(proof: FriProof, params: FriParams) -> np.ndarray:
     """f at each query position, read from its opened layer-0 coset.  For
     a proof verify accepted."""
     width = params.domain.size // params.arities[0]
-    positions = np.array([q.index for q in proof.queries], dtype=np.int64)
+    positions = np.array(proof.queries, dtype=np.int64)
     cosets = positions % width
     return proof.layers[0].rows[np.searchsorted(index_set(cosets), cosets),
                                 positions // width]

@@ -47,8 +47,7 @@ from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
                     Polynomial, _inverse_array, _pow_array, _power_array,
-                    _values_array, evaluate_on_domain, interpolate,
-                    interpolate_on_domain)
+                    evaluate_on_domain, interpolate, interpolate_on_domain)
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import HASH_ID, Transcript
 
@@ -94,6 +93,18 @@ class TraceTable:
 
     def domain(self) -> EvaluationDomain:
         return EvaluationDomain.subgroup(self.field, self.length)
+
+    def values(self) -> np.ndarray:
+        """The columns as one (num_columns, length) uint64 array, built
+        from the columns as they are now.  A value that is not an int in
+        [0, p) is refused, not reduced."""
+        # a FieldElement or float gives a non-integer dtype; the bounds
+        # are checked before the cast, which would wrap a negative value
+        table = np.array(self.columns)
+        if (table.dtype.kind not in "iu" or table.min() < 0
+                or table.max() >= self.field.modulus):
+            raise UsageError("trace value is not an int in [0, p)")
+        return table.astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,13 @@ class StarkParams:
         if self.num_queries < 1:
             raise UsageError("need at least one query")
 
+    def trace_length(self, original_length: int) -> int:
+        """The length prove pads a trace of original_length rows to: one
+        noise row per query with zk (zk_pad), then zeros up to a power
+        of two."""
+        return _padded_length(original_length
+                              + (self.num_queries if self.zk else 0))
+
     def lde_domain(self, field: Field, trace_length: int) -> EvaluationDomain:
         # offset = full-group generator, never inside any 2^k subgroup
         return EvaluationDomain.coset(field, self.blowup * trace_length,
@@ -240,6 +258,11 @@ class StarkProof:
 # ---------------------------------------------------------------------------
 # reference trace and constraints
 
+def _padded_length(rows: int) -> int:
+    """The power of two a trace of rows rows is zero-padded to."""
+    return 1 << (rows - 1).bit_length()
+
+
 def trace_fibonacci(n: int, field: Field) -> TraceTable:
     """Single-column Fibonacci trace of n rows, zero-padded to a power of two."""
     if n < 2:
@@ -249,11 +272,7 @@ def trace_fibonacci(n: int, field: Field) -> TraceTable:
     while len(rows) < n:
         rows.append((rows[-1] + rows[-2]) % p)
     rows = rows[:n]
-    padded = 1
-    while padded < n:
-        padded *= 2
-    rows += [0] * (padded - n)
-    return TraceTable([rows], n, field)
+    return TraceTable([rows + [0] * (_padded_length(n) - n)], n, field)
 
 
 def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
@@ -362,7 +381,7 @@ def _row_product(points, g: FieldElement, rows) -> np.ndarray:
             # p^2 - p < 2^64, so one reduction suffices
             coeffs[1:k + 2] = (coeffs[:k + 1] + coeffs[1:k + 2] * neg) % mod
             coeffs[0] = coeffs[0] * neg % mod
-        return evaluate_on_domain(Polynomial(g.field, coeffs.tolist()), points)
+        return evaluate_on_domain(coeffs, points)
     xs = _point_array(points)
     acc = np.ones(len(xs), dtype=np.uint64)
     block = max(1, _ROW_BLOCK_ENTRIES // max(len(xs), 1))
@@ -426,12 +445,12 @@ def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
     fault = cs.length_fault(trace.original_length)
     if fault:
         raise UsageError(fault)
+    values = trace.values()
     for bc in cs.boundaries:
-        if trace.columns[bc.column][bc.row] != bc.value % trace.field.modulus:
+        if values[bc.column, bc.row] != bc.value % trace.field.modulus:
             raise ConstraintViolation(
                 f"boundary (col {bc.column}, row {bc.row}) unsatisfied")
-    rows = _windows([_values_array(col, trace.field)
-                     for col in trace.columns], 1, cs.max_window())
+    rows = _windows(values, 1, cs.max_window())
     for k, tc in enumerate(cs.transitions):
         num_rows = _transition_rows(trace, tc)
         bad = np.flatnonzero(evaluate_transition(tc, rows)[:num_rows])
@@ -495,15 +514,11 @@ def zk_pad(trace: TraceTable, num_queries: int, rng_seed) -> TraceTable:
     """Append uniformly random noise rows (one per query), then re-pad."""
     rng = random.Random(rng_seed)
     p = trace.field.modulus
-    cols = []
-    for col in trace.columns:
-        extended = list(col[:trace.original_length])
-        extended += [rng.randrange(p) for _ in range(num_queries)]
-        padded = 1
-        while padded < len(extended):
-            padded *= 2
-        extended += [0] * (padded - len(extended))
-        cols.append(extended)
+    rows = trace.original_length + num_queries
+    zeros = [0] * (_padded_length(rows) - rows)
+    cols = [list(col[:trace.original_length])
+            + [rng.randrange(p) for _ in range(num_queries)] + zeros
+            for col in trace.columns]
     return TraceTable(cols, trace.original_length, trace.field)
 
 
@@ -580,7 +595,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
-                   for col in trace.columns]
+                   for col in trace.values()]
     leaf_values = _trace_leaves(np.stack(lde_columns, axis=1), params.blowup)
     trace_tree = MerkleTree(u64_rows(leaf_values))
     t.absorb(b"trace-root", trace_tree.root)
@@ -594,8 +609,8 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     fri_proof = fri.prove(comp_evals, fri_params, t,
                           enforce_low_degree=not skip_satisfaction_check)
 
-    leaf, _ = _window_cells([q.index for q in fri_proof.queries],
-                            params.blowup, n, cs.max_window())
+    leaf, _ = _window_cells(fri_proof.queries, params.blowup, n,
+                            cs.max_window())
     opened = index_set(leaf)
     opening = Opening(leaf_values[opened], trace_tree.open(opened))
 
@@ -643,8 +658,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     ncols = proof.num_columns
     rows_per_leaf = _rows_per_leaf(n)
     queries = proof.fri_proof.queries
-    leaf, slot = _window_cells([q.index for q in queries], params.blowup, n,
-                               w)
+    leaf, slot = _window_cells(queries, params.blowup, n, w)
     opened = index_set(leaf)
     fault = proof.trace_opening.fault(
         proof.trace_root, lde.size // rows_per_leaf, opened,
@@ -655,8 +669,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     # window[k, r, c]: column c at g^r x_k, x_k the k-th query point
     window = proof.trace_opening.rows.reshape(-1, rows_per_leaf, ncols)[
         np.searchsorted(opened, leaf), slot]
-    xs = np.array([lde.point(q.index).value for q in queries],
-                  dtype=np.uint64)
+    xs = np.array([lde.point(q).value for q in queries], dtype=np.uint64)
     rows = [[window[:, r, c] for c in range(ncols)] for r in range(w)]
     combined = compose(xs, rows, cs, trace_domain, proof.original_length,
                        gammas)

@@ -9,7 +9,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .encoding import u8, u32, u64
+from .encoding import u8, u64
 from .errors import InternalError, UsageError
 from .field import Field, FieldElement
 from .primes import is_prime

@@ -247,9 +247,9 @@ def test_criterion_09_zk_structure():
         lde = params.lde_domain(F, proof.trace_length)
         h0 = lde.size // 2
         for q in proof.fri_proof.queries:
-            opened = {(q.index + r * params.blowup) % lde.size
+            opened = {(q + r * params.blowup) % lde.size
                       for r in range(w)}
-            opened.update({q.index, q.index + h0})
+            opened.update({q, q + h0})
             for idx in opened:
                 if sub.contains(lde.point(idx)):
                     leaked += 1

@@ -298,6 +298,25 @@ def test_stark_verify_never_builds_the_trace(tmp_path, monkeypatch):
     assert run(["stark", "verify", "--length", "8", proof]) == 0
 
 
+def test_stark_verify_takes_the_trace_shape_from_its_flags(tmp_path,
+                                                           capsys):
+    """The trace shape is the one `stark prove` pads --length rows to:
+    an honest proof of fib 8 over-padded to 16 rows, which the library's
+    verify accepts, is rejected before any work over its rows."""
+    field = Field(DEFAULT_MODULUS)
+    cs = stark.fibonacci_constraint_system(8, field)
+    params = stark.StarkParams(8, 20)
+    rows = stark.trace_fibonacci(8, field).columns[0] + [0] * 8
+    proof = stark.prove(stark.TraceTable([rows], 8, field), cs, params)
+    assert stark.verify(proof, cs, params, field)
+    path = tmp_path / "s.bin"
+    path.write_bytes(proof.serialize())
+    capsys.readouterr()
+    assert run(["stark", "verify", "--length", "8", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "reject (trace shape mismatch: 8 rows padded to 16, not 8 to 8)\n")
+
+
 def test_accept_names_what_was_accepted(tmp_path, capsys):
     proof = str(tmp_path / "p.bin")
     extra = str(tmp_path / "b.json")
@@ -480,9 +499,7 @@ def test_fri_degree_bound_one_refused(tmp_path, capsys):
         if pos not in positions:
             positions.append(pos)
     path = tmp_path / "fri.bin"
-    path.write_bytes(fri.FriProof([], 12345, [fri.FriQuery(pos)
-                                              for pos in positions],
-                                  []).serialize())
+    path.write_bytes(fri.FriProof([], 12345, positions, []).serialize())
     assert run(["fri", "verify", "--degree", "1", "--domain", "64",
                 str(path)]) == 2
     assert "at least 2" in capsys.readouterr().err

@@ -201,23 +201,31 @@ def test_interpolate_duplicate_x_rejected():
         interpolate([(F17(1), F17(2)), (F17(1), F17(3))])
 
 
+def coefficient_list(poly, n):
+    """poly's n coefficients, lowest degree first, top zeros included:
+    the form the NTT helpers take and return."""
+    return list(poly.coeffs) + [0] * (n - len(poly.coeffs))
+
+
 @pytest.mark.parametrize("field,size", [(F17, 16), (FBIG, 64)])
 def test_interpolate_on_subgroup_matches_generic(field, size):
     rng = random.Random(size)
     dom = EvaluationDomain.subgroup(field, size)
     vals = [rng.randrange(field.modulus) for _ in range(size)]
-    fast = interpolate_on_domain(vals, dom)
+    fast = interpolate_on_domain(np.array(vals, dtype=np.uint64), dom)
     slow = interpolate(list(zip(oracle.domain_points(dom),
                                 [field(v) for v in vals])))
-    assert fast == slow
+    assert fast.dtype == np.uint64
+    assert fast.tolist() == coefficient_list(slow, size)
 
 
 def test_interpolate_on_coset_roundtrip():
     rng = random.Random(21)
     dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
     poly = Polynomial(FBIG, [rng.randrange(FBIG.modulus) for _ in range(32)])
-    vals = [int(v) for v in poly.evaluate_array(dom.point_array())]
-    assert interpolate_on_domain(vals, dom) == poly
+    vals = poly.evaluate_array(dom.point_array())
+    assert interpolate_on_domain(vals, dom).tolist() == coefficient_list(
+        poly, 32)
 
 
 # sizes 1 .. the largest power of two below 2^10 that each field supports
@@ -240,14 +248,15 @@ def test_ntt_matches_horner_and_lagrange(field, log_size, kind):
     size = 2 ** log_size
     rng = random.Random(field.modulus * 64 + log_size * 2 + (kind == "coset"))
     dom = _domain(field, size, kind)
-    poly = Polynomial(field, [rng.randrange(field.modulus)
-                              for _ in range(size)])
-    assert (evaluate_on_domain(poly, dom).tolist()
-            == poly.evaluate_array(dom.point_array()).tolist())
+    coeffs = [rng.randrange(field.modulus) for _ in range(size)]
+    poly = Polynomial(field, coeffs)
+    assert (evaluate_on_domain(np.array(coeffs, dtype=np.uint64), dom)
+            .tolist() == poly.evaluate_array(dom.point_array()).tolist())
     vals = [rng.randrange(field.modulus) for _ in range(size)]
     slow = interpolate(list(zip(oracle.domain_points(dom),
                                 [field(v) for v in vals])))
-    assert interpolate_on_domain(vals, dom) == slow
+    assert (interpolate_on_domain(np.array(vals, dtype=np.uint64), dom)
+            .tolist() == coefficient_list(slow, size))
 
 
 @pytest.mark.parametrize("field", [F17, F97, FBIG])
@@ -263,13 +272,22 @@ def test_batch_inverse_matches_pow(field):
 
 
 def test_evaluate_on_domain_short_and_oversized_polys():
-    dom = _domain(FBIG, 16, "coset")
-    for coeffs in ([], [7], [1, 2, 3]):
-        poly = Polynomial(FBIG, coeffs)
-        assert (evaluate_on_domain(poly, dom).tolist()
-                == poly.evaluate_array(dom.point_array()).tolist())
-    with pytest.raises(UsageError):
-        evaluate_on_domain(Polynomial(FBIG, [1] * 17), dom)
+    """A coefficient array shorter than the domain is zero-extended, top
+    zeros included; one longer than the domain is refused, on 16 points
+    and on one."""
+    for size in (16, 1):
+        for kind in ("subgroup", "coset"):
+            dom = _domain(FBIG, size, kind)
+            for coeffs in ([], [7], [1, 2, 3], [5, 0, 0]):
+                if len(coeffs) > size:
+                    continue
+                want = Polynomial(FBIG, coeffs).evaluate_array(
+                    dom.point_array())
+                got = evaluate_on_domain(np.array(coeffs, dtype=np.uint64),
+                                         dom)
+                assert got.tolist() == want.tolist()
+            with pytest.raises(UsageError):
+                evaluate_on_domain(np.ones(size + 1, dtype=np.uint64), dom)
 
 
 def test_evaluate_on_domain_refuses_explicit_and_wide_fields():

@@ -140,7 +140,7 @@ def test_completeness_for_even_and_odd_log_degree(d):
     """Rounds of 4 with a last round of 2 when log2 d is odd."""
     dom = EvaluationDomain.coset(FBIG, 2 * d, FBIG.generator())
     params = fri.FriParams(dom, d, 8)
-    evals = evaluate_on_domain(rand_poly(FBIG, d, seed=d), dom)
+    evals = evaluate_on_domain(rand_poly(FBIG, d, seed=d).coeffs, dom)
     proof = fri.prove(evals, params, Transcript("t"))
     log_d = d.bit_length() - 1
     assert len(proof.layer_roots) == (log_d + 1) // 2
@@ -240,8 +240,7 @@ def test_query_indices_without_replacement():
     params = fri.FriParams(dom, 8, 200)  # capped at 64
     evals = rand_poly(FBIG, 8, seed=12).evaluate_array(dom.point_array())
     proof = fri.prove(evals, params, Transcript("t"))
-    idxs = [q.index for q in proof.queries]
-    assert sorted(idxs) == list(range(64))
+    assert sorted(proof.queries) == list(range(64))
     assert fri.verify(proof, params, Transcript("t"))
 
 
@@ -452,7 +451,7 @@ def test_consistency_failure_in_a_later_query_and_layer():
             return out
         proof = _prove_committing(evals, params, Transcript("t"), bump, 1)
         touching = [k for k, q in enumerate(proof.queries)
-                    if q.index % size1 == pos]
+                    if q % size1 == pos]
         if len(touching) != 1 or touching[0] == 0:
             continue
         v = fri.verify(proof, params, Transcript("t"))

@@ -36,6 +36,17 @@ def test_trace_fibonacci_values():
     assert tr10.columns[0][10:] == [0] * 6
 
 
+def test_params_give_the_padded_trace_length():
+    """StarkParams.trace_length, which `stark verify` holds a file to, is
+    the length the prover's trace has, with zk and without."""
+    for n in range(2, 70):
+        for q in (1, 3, 8, 20):
+            assert stark.StarkParams(4, q).trace_length(n) == (
+                stark.trace_fibonacci(n, F).length)
+            assert stark.StarkParams(4, q, zk=True).trace_length(n) == (
+                stark.zk_pad(stark.trace_fibonacci(n, F), q, 0).length)
+
+
 def test_constraint_system_pins_output():
     cs = stark.fibonacci_constraint_system(8, F)
     assert any(bc.row == 7 and bc.value == fib_ints(8)[7]
@@ -65,6 +76,26 @@ def test_check_satisfaction_oracle():
     bad.columns[0][4] += 1
     with pytest.raises(ConstraintViolation):
         stark.check_satisfaction(bad, cs)
+
+
+@pytest.mark.parametrize("value", [3 + DEFAULT_MODULUS, 3 - DEFAULT_MODULUS,
+                                   F(3)], ids=["3+p", "3-p", "F(3)"])
+def test_trace_value_not_a_reduced_int_refused(value):
+    """Row 3 of fib 8 holds 3 and no boundary pins it.  Another
+    representative of 3 there is refused by the satisfaction check and by
+    the prover, with zk, without it and without the check: it is not
+    reduced."""
+    cs = stark.fibonacci_constraint_system(8, F)
+    tr = stark.trace_fibonacci(8, F)
+    assert tr.columns[0][3] == 3
+    tr.columns[0][3] = value
+    with pytest.raises(UsageError, match="not an int in"):
+        stark.check_satisfaction(tr, cs)
+    for params, skip in ((stark.StarkParams(8, 4), False),
+                         (stark.StarkParams(8, 4, zk=True), False),
+                         (stark.StarkParams(8, 4), True)):
+        with pytest.raises(UsageError, match="not an int in"):
+            stark.prove(tr, cs, params, skip_satisfaction_check=skip)
 
 
 def _lde_columns(trace, lde):
@@ -111,9 +142,9 @@ def test_boundary_quotient_exactness():
     bad = poly + Polynomial(F, [1])
     _, rem = oracle.boundary_quotient(bad, cs.boundaries, dom)
     assert not rem.is_zero()
-    bad_values = stark.boundary_quotient(xs, evaluate_on_domain(bad, lde),
-                                         cs.boundaries, dom)
-    assert interpolate_on_domain(bad_values, lde).degree >= tr.length
+    bad_values = stark.boundary_quotient(
+        xs, evaluate_on_domain(bad.coeffs, lde), cs.boundaries, dom)
+    assert interpolate_on_domain(bad_values, lde)[tr.length:].any()
 
 
 def test_transition_vanishing_matches_eval():
@@ -347,7 +378,7 @@ def test_zk_padding_disjoint_openings():
     lde = params.lde_domain(F, proof.trace_length)
     for q in proof.fri_proof.queries:
         for r in range(cs.max_window()):
-            idx = (q.index + r * params.blowup) % lde.size
+            idx = (q + r * params.blowup) % lde.size
             assert not sub.contains(lde.point(idx))
 
 
@@ -633,8 +664,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
     d = stark.composition_degree_bound(n, orig, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
     opened = index_set(stark._window_cells(
-        [q.index for q in fri_proof.queries], params.blowup, n,
-        cs.max_window())[0])
+        fri_proof.queries, params.blowup, n, cs.max_window())[0])
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
         fri_proof=fri_proof,
@@ -793,8 +823,7 @@ def test_short_traces_prove_and_verify(system, blowup):
     verdict = stark.verify(proof, cs, params, F)
     assert verdict, verdict.reason
     opened = index_set(stark._window_cells(
-        [q.index for q in proof.fri_proof.queries], blowup, tr.length,
-        cs.max_window())[0])
+        proof.fri_proof.queries, blowup, tr.length, cs.max_window())[0])
     assert proof.trace_opening.rows.shape == (
         len(opened), min(4, tr.length) * tr.num_columns)
 
@@ -824,11 +853,10 @@ def test_every_opened_trace_slot_is_authenticated():
     n, blowup = proof.trace_length, params.blowup
     rows_per_leaf = min(4, n)
     opened = index_set(stark._window_cells(
-        [q.index for q in proof.fri_proof.queries], blowup, n,
-        cs.max_window())[0])
+        proof.fri_proof.queries, blowup, n, cs.max_window())[0])
     read = set()
     for q in proof.fri_proof.queries:
-        shift, j = q.index % blowup, q.index // blowup
+        shift, j = q % blowup, q // blowup
         for r in range(cs.max_window()):
             row = (j + r) % n
             read.add((shift * (n // rows_per_leaf) + row // rows_per_leaf,
@@ -914,7 +942,7 @@ def test_constraint_failure_names_the_query():
             bumped[i] = (int(bumped[i]) + 1) % F.modulus
         forged = _forge(proof, cs, params, [bumped], composition)
         hit = [k for k, q in enumerate(forged.fri_proof.queries)
-               if {(q.index + r * params.blowup) % size
+               if {(q + r * params.blowup) % size
                    for r in range(cs.max_window())} & changed]
         verdict = stark.verify(forged, cs, params, F)
         if not hit:
