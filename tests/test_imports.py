@@ -2,7 +2,8 @@
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
-inside a string annotation.  `from __future__` imports and the package's
+inside a string that parses as an expression, such as the annotation
+"fri.FriProof".  `from __future__` imports and the package's
 `__init__.py`, whose imports are its re-exports, are exempt.
 """
 
@@ -32,7 +33,7 @@ def used_names(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # a string annotation such as "fri.FriProof"
+            # string annotations; other strings rarely parse
             try:
                 names |= used_names(ast.parse(node.value, mode="eval"))
             except SyntaxError:
