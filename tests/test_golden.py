@@ -10,7 +10,9 @@ digest nor a composition root apart from FRI's layer 0; earlier hashes,
 including those the symbolic (divmod-quotient, Horner-LDE) prover also
 gave, are listed in CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
 and r only; they pin the setup moduli and the challenge primes through
-the proofs made under them.
+the proofs made under them.  The hauth hash pins keygen (sk, PRF key and
+fingerprint), the PRF through the tags' randomness, and the tag file
+bytes, under the default modulus and F_97.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ import random
 import pytest
 
 from test_stark import _two_column
-from vckit import fri, stark, vdf
+from vckit import fri, hauth, stark, vdf
+from vckit.encoding import u8, u64
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
 
@@ -54,6 +57,22 @@ def _vdf_proof(prime_bits, seed, delay, security_bits=16):
     return vdf.serialize_proof(proof)
 
 
+def _hauth_bytes():
+    """Per field: sk, PRF key and fingerprint of one key, then the tag
+    files of a fresh tag and of a degree-2 evaluated one."""
+    out = []
+    circuit = hauth.Circuit(2, (hauth.Gate("mul", 0, 1),
+                                hauth.Gate("addc", 2, const=7)))
+    for field in (F, Field(97)):
+        key = hauth.keygen(b"golden-hauth", field)
+        out += [u64(key.sk.value), key.prf_key.key, key.fingerprint()]
+        tags = [hauth.auth(key, m, hauth.MultiLabel(l, b"epoch-1"))
+                for m, l in ((3, b"a"), (5, b"b"))]
+        for tag in (tags[0], hauth.eval_tags(circuit, tags)):
+            out.append(u8(1) + tag.poly.serialize())
+    return b"".join(out)
+
+
 CASES = {
     "fib8-b8-q12": lambda: _fib_proof(8, 8, 12),
     "fib64-b4-q8-zk1": lambda: _fib_proof(64, 4, 8, zk_seed=1),
@@ -69,6 +88,7 @@ CASES = {
     "vdf-n256-T300-lam48": lambda: _vdf_proof(128, b"golden-vdf-lam48", 300,
                                               48),
     "vdf-n2048-T4096": lambda: _vdf_proof(1024, b"golden-vdf-2048", 4096),
+    "hauth-keys-tags": _hauth_bytes,
 }
 
 GOLDEN = {
@@ -96,6 +116,8 @@ GOLDEN = {
         "9f1ea78cc80e2ba3981faa0e8c3695bfa0d9fe533132bf3428a772542ae97cb9",
     "vdf-n2048-T4096":
         "ed7aa4408b35e4331e1b1b305e492c1507f87e770d1a0091024861dcc2e02895",
+    "hauth-keys-tags":
+        "f994c5d394f01e5f2395b4b58604d5a1f5387bd80d892af2e6d5eeb8a7a24aaf",
 }
 
 
