@@ -6,13 +6,14 @@ testing, all over one prime-field substrate and one Fiat-Shamir
 transcript.
 """
 
+from .encoding import HASH_ID
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (DEFAULT_MODULUS, EvaluationDomain, Field, FieldElement,
                     MultivariatePoly, Polynomial, evaluate_on_domain,
                     interpolate, interpolate_on_domain)
 from .merkle import AuthPath, MerkleTree, verify_path
-from .transcript import HASH_ID, PrfKey, Transcript, hash_to_group, prf
+from .transcript import PrfKey, Transcript, hash_to_group, prf
 
 __all__ = [
     "AuthPath", "ConstraintViolation", "DEFAULT_MODULUS",

@@ -240,7 +240,7 @@ def cmd_vdf(args):
                     {"N": int, "T": int, "lambda": int})
     params = vdf.VdfParams(raw["N"], raw["T"], raw["lambda"])
     input_bytes = _from_hex(args.input, "--input")
-    if args.cmd in ("prove", "beacon"):
+    if args.cmd == "beacon":
         _, proof = vdf.vdf_round(params, input_bytes)
         with open(args.output, "wb") as fh:
             fh.write(vdf.serialize_proof(proof))
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-o", "--output", required=True)
     ps.add_argument("--trapdoor", metavar="PATH",
                     help="write the factors p and q of N to this file")
-    for name in ("eval", "prove", "beacon"):
+    for name in ("eval", "beacon"):
         pp = vd.add_parser(name)
         pp.add_argument("--params", required=True)
         pp.add_argument("--input", required=True, help="hex input bytes")

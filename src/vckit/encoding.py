@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import UsageError
 
+HASH_ID = 0x01  # SHA-256, the byte after every proof format's version
+
 
 def u8(v: int) -> bytes:
     return v.to_bytes(1, "big")
@@ -38,13 +40,15 @@ def int_lp(v: int) -> bytes:
 
 
 def read_magic(reader: "Reader", magic: bytes, what: str):
-    """Consume magic, a 4-byte format tag then a format version byte,
-    refusing another tag or another version."""
+    """Consume a proof's frame: magic, a 4-byte format tag then a format
+    version byte, and the hash id, refusing another of any of them."""
     if reader.take(4) != magic[:4]:
         raise UsageError(f"not a {what} proof")
     version = reader.u8()
     if version != magic[4]:
         raise UsageError(f"unsupported {what} proof format version {version}")
+    if reader.u8() != HASH_ID:
+        raise UsageError("unsupported hash algorithm id")
 
 
 class Reader:

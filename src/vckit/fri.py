@@ -27,11 +27,11 @@ from typing import List
 
 import numpy as np
 
-from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
+from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
 from .field import EvaluationDomain, _power_array
 from .merkle import MerkleTree, Opening, index_set
-from .transcript import HASH_ID, Transcript
+from .transcript import Transcript
 
 PROOF_VERSION = 3
 # Every proof starts with the magic and then the format version byte.
@@ -94,8 +94,6 @@ class FriProof:
         layer."""
         reader = data if isinstance(data, Reader) else Reader(data)
         read_magic(reader, PROOF_MAGIC, "FRI")
-        if reader.u8() != HASH_ID:
-            raise UsageError("unsupported hash algorithm id")
         roots = [reader.take(32) for _ in range(reader.u32())]
         final_value = reader.u64()
         queries = [reader.u32() for _ in range(reader.u32())]

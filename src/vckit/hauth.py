@@ -6,14 +6,14 @@ through (0, f(m)) and (sk, f(r)).  Includes the two-party extension, whose
 tags are sparse polynomials in (x, y), and multi-label amortization.
 """
 
-import hashlib
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import List, Optional, Tuple, Union
 
+from .encoding import u64
 from .errors import UsageError, VerifyResult
 from .field import Field, FieldElement, MultivariatePoly, Polynomial
-from .transcript import PrfKey, prf
+from .transcript import PrfKey, _h, prf
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,6 @@ class MultiLabel:
 
     l: bytes
     delta: bytes = b""
-
-    def encode(self) -> bytes:
-        return (len(self.l).to_bytes(8, "big") + self.l
-                + len(self.delta).to_bytes(8, "big") + self.delta)
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class AuthKey:
         return self.sk.field
 
     def fingerprint(self) -> bytes:
-        return hashlib.sha256(b"hauth-key" + self.prf_key.key).digest()[:8]
+        return _h(b"hauth-key", self.prf_key.key)[:8]
 
 
 @dataclass(frozen=True)
@@ -60,14 +56,12 @@ def keygen(seed: bytes, field: Field) -> AuthKey:
     mask = (1 << field.modulus.bit_length()) - 1
     ctr = 0
     while True:
-        digest = hashlib.sha256(b"hauth-sk" + seed
-                                + ctr.to_bytes(8, "big")).digest()
-        v = int.from_bytes(digest[:8], "big") & mask
+        v = int.from_bytes(_h(b"hauth-sk", seed, u64(ctr))[:8], "big") & mask
         if 0 < v < field.modulus:
             sk = FieldElement(field, v)
             break
         ctr += 1
-    prf_key = PrfKey(hashlib.sha256(b"hauth-prf" + seed).digest())
+    prf_key = PrfKey(_h(b"hauth-prf", seed))
     return AuthKey(sk, prf_key)
 
 
@@ -207,6 +201,8 @@ def verify(key: AuthKey, circuit: Circuit, labels, tag: Tag,
            claimed_y) -> VerifyResult:
     """Accept iff tag(sk) = f(r), tag(0) = claimed_y, and the tag degree
     does not exceed the circuit's syntactic degree."""
+    if not isinstance(tag.poly, Polynomial):
+        raise UsageError("verify takes arity-1 tags; use verify_mk")
     field = key.field
     claimed_y = field(claimed_y)
     f_r = circuit.evaluate(labels_randomness(key, labels))
@@ -241,6 +237,8 @@ def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
     """Verification needs both secret keys: tag(sk1, sk2) = f(r).  Each
     key's labels take one labels_randomness call, so one PRF2 call per
     delta per key."""
+    if not isinstance(tag.poly, MultivariatePoly):
+        raise UsageError("verify_mk takes arity-2 tags; use verify")
     field = keys[0].field
     claimed_y = field(claimed_y)
     if any(slot not in (0, 1) for _, slot in labeled_slots):

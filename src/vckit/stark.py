@@ -34,7 +34,6 @@ therefore never touch the original trace domain, which is what the
 zero-knowledge padding relies on.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import List, Optional
@@ -42,14 +41,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import fri
-from .encoding import Reader, read_magic, u8, u32, u64, u64_rows
+from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
                     Polynomial, _inverse_array, _pow_array, _power_array,
                     evaluate_on_domain, interpolate, interpolate_on_domain)
 from .merkle import MerkleTree, Opening, index_set
-from .transcript import HASH_ID, Transcript
+from .transcript import Transcript, _h
 
 PROOF_VERSION = 6
 # Every proof starts with the magic and then the format version byte.
@@ -165,14 +164,12 @@ class ConstraintSystem:
         return None
 
     def digest(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(u32(self.num_columns))
-        for bc in sorted(self.boundaries,
-                         key=lambda b: (b.column, b.row)):
-            h.update(u32(bc.column) + u32(bc.row) + u64(bc.value))
-        for tc in self.transitions:
-            h.update(u32(tc.window) + tc.predicate.serialize())
-        return h.digest()
+        boundaries = sorted(self.boundaries, key=lambda b: (b.column, b.row))
+        return _h(u32(self.num_columns),
+                  *(u32(bc.column) + u32(bc.row) + u64(bc.value)
+                    for bc in boundaries),
+                  *(u32(tc.window) + tc.predicate.serialize()
+                    for tc in self.transitions))
 
 
 @dataclass
@@ -237,8 +234,6 @@ class StarkProof:
     def deserialize(data: bytes) -> "StarkProof":
         reader = Reader(data)
         read_magic(reader, PROOF_MAGIC, "STARK")
-        if reader.u8() != HASH_ID:
-            raise UsageError("unsupported hash algorithm id")
         n = reader.u32()
         orig = reader.u32()
         ncols = reader.u32()
@@ -439,9 +434,11 @@ def transition_quotient(points, rows, tc: TransitionConstraint,
             % np.uint64(trace_domain.field.modulus))
 
 
-def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
-    """Raise naming the first violated constraint (and for a transition,
-    its first violating row)."""
+def check_satisfaction(trace: TraceTable,
+                       cs: ConstraintSystem) -> np.ndarray:
+    """The trace's values (TraceTable.values) once they satisfy cs; raise
+    naming the first violated constraint (and for a transition, its first
+    violating row)."""
     fault = cs.length_fault(trace.original_length)
     if fault:
         raise UsageError(fault)
@@ -457,6 +454,7 @@ def check_satisfaction(trace: TraceTable, cs: ConstraintSystem):
         if bad.size:
             raise ConstraintViolation(
                 f"transition {k} violated at row {bad[0]}")
+    return values
 
 
 def _draw_gammas(cs: ConstraintSystem, field: Field,
@@ -582,8 +580,8 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     field = trace.field
     if params.zk:
         trace = zk_pad(trace, params.num_queries, zk_seed)
-    if not skip_satisfaction_check:
-        check_satisfaction(trace, cs)
+    values = (trace.values() if skip_satisfaction_check
+              else check_satisfaction(trace, cs))
     if trace.num_columns != cs.num_columns:
         raise UsageError("column count mismatch")
     n = trace.length
@@ -595,7 +593,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
-                   for col in trace.values()]
+                   for col in values]
     leaf_values = _trace_leaves(np.stack(lde_columns, axis=1), params.blowup)
     trace_tree = MerkleTree(u64_rows(leaf_values))
     t.absorb(b"trace-root", trace_tree.root)

@@ -1,8 +1,11 @@
 """Random-oracle surface: Fiat-Shamir transcript, keyed PRF, hash-to-group
 and prime-challenge sampling.
 
-The hash is SHA-256 throughout, recorded in proof headers as HASH_ID.
-All framing is length-prefixed so concatenation is unambiguous.
+Every SHA-256 call of the library outside the Merkle tree goes through
+`_h` here: challenges, PRF outputs, hauth keys, VDF setup primes,
+hash-to-group and the STARK statement digest.  The hash is recorded in
+proof headers as encoding.HASH_ID.  All framing is length-prefixed so
+concatenation is unambiguous.
 """
 
 import hashlib
@@ -14,7 +17,6 @@ from .errors import InternalError, UsageError
 from .field import Field, FieldElement
 from .primes import is_prime
 
-HASH_ID = 0x01  # SHA-256
 DOMAIN_TAG = b"vc-kit/v1"
 
 _HASH_TO_GROUP_CAP = 2**16
@@ -22,6 +24,22 @@ _HASH_TO_GROUP_CAP = 2**16
 
 def _h(*parts: bytes) -> bytes:
     return hashlib.sha256(b"".join(parts)).digest()
+
+
+def _expand(nbytes: int, *prefix: bytes) -> bytes:
+    """H(prefix || u64(0)) || H(prefix || u64(1)) || ..., cut to nbytes."""
+    return b"".join([_h(*prefix, u64(block))
+                     for block in range(-(-nbytes // 32))])[:nbytes]
+
+
+def _prime_from(raw: bytes, bits: int) -> int:
+    """The first prime from raw masked to `bits` bits with the top and low
+    bits set, stepping by 2; it can exceed `bits` bits."""
+    v = int.from_bytes(raw, "big") & ((1 << bits) - 1)
+    v |= (1 << (bits - 1)) | 1
+    while not is_prime(v):
+        v += 2
+    return v
 
 
 class Transcript:
@@ -53,12 +71,8 @@ class Transcript:
         return out[:n]
 
     def challenge_field(self, field: Field) -> FieldElement:
-        """Uniform field element by rejection sampling on masked 8-byte draws."""
-        mask = (1 << field.modulus.bit_length()) - 1
-        while True:
-            v = int.from_bytes(self.challenge_bytes(8), "big") & mask
-            if v < field.modulus:
-                return FieldElement(field, v)
+        """Uniform field element: challenge_index(p)."""
+        return FieldElement(field, self.challenge_index(field.modulus))
 
     def challenge_index(self, n: int) -> int:
         """Uniform index in [0, n)."""
@@ -75,10 +89,7 @@ class Transcript:
         incremented until `is_prime` passes."""
         if bits < 16:
             raise UsageError("prime challenges need at least 16 bits")
-        raw = int.from_bytes(self.challenge_bytes((bits + 7) // 8), "big")
-        v = (raw & ((1 << bits) - 1)) | (1 << (bits - 1)) | 1
-        while not is_prime(v):
-            v += 2
+        v = _prime_from(self.challenge_bytes((bits + 7) // 8), bits)
         if v.bit_length() != bits:
             raise InternalError("prime search overflowed the bit budget")
         return v
@@ -117,12 +128,8 @@ def hash_to_group(x: bytes, n_modulus: int) -> int:
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
     for ctr in range(_HASH_TO_GROUP_CAP):
-        stream = b""
-        block = 0
-        while len(stream) < nbytes:
-            stream += _h(b"h2g", u64(len(x)), x, u64(ctr), u64(block))
-            block += 1
-        v = int.from_bytes(stream[:nbytes], "big") & mask
+        v = int.from_bytes(_expand(nbytes, b"h2g", u64(len(x)), x, u64(ctr)),
+                           "big") & mask
         if 0 < v < n_modulus and math.gcd(v, n_modulus) == 1:
             return min(v, n_modulus - v)
     raise InternalError("hash_to_group exhausted its iteration cap")

@@ -19,10 +19,10 @@ call `prove` recomputes them with T squarings first.
 import math
 from dataclasses import dataclass
 
-from .encoding import Reader, int_lp, read_magic, u8
+from .encoding import HASH_ID, Reader, int_lp, read_magic, u8, u64
 from .errors import UsageError, VerifyResult
 from .primes import is_prime
-from .transcript import _h, HASH_ID, Transcript, hash_to_group
+from .transcript import Transcript, _expand, _prime_from, hash_to_group
 
 PROOF_VERSION = 2
 # Every proof starts with the magic and then the format version byte.
@@ -74,21 +74,6 @@ def _normalize(v: int, n: int) -> int:
     return min(v, n - v)
 
 
-def _prime_from_seed(seed: bytes, bits: int, counter: int) -> int:
-    stream = b""
-    block = 0
-    nbytes = (bits + 7) // 8
-    while len(stream) < nbytes:
-        stream += _h(b"vdf-setup", seed, counter.to_bytes(8, "big"),
-                     block.to_bytes(8, "big"))
-        block += 1
-    v = int.from_bytes(stream[:nbytes], "big")
-    v = (v & ((1 << bits) - 1)) | (1 << (bits - 1)) | 1
-    while not is_prime(v):
-        v += 2
-    return v
-
-
 def setup(prime_bits: int, seed: bytes, delay: int = 0,
           security_bits: int = 16):
     """Deterministic-per-seed RSA-style modulus from two distinct primes of
@@ -97,7 +82,8 @@ def setup(prime_bits: int, seed: bytes, delay: int = 0,
         raise UsageError("prime_bits must be at least 8")
     primes, counter = [], 0
     while len(primes) < 2:
-        v = _prime_from_seed(seed, prime_bits, counter)
+        v = _prime_from(_expand((prime_bits + 7) // 8, b"vdf-setup", seed,
+                                u64(counter)), prime_bits)
         counter += 1
         if v.bit_length() == prime_bits and v not in primes:
             primes.append(v)
@@ -338,8 +324,6 @@ def serialize_proof(proof: VdfProof) -> bytes:
 def deserialize_proof(data: bytes) -> VdfProof:
     reader = Reader(data)
     read_magic(reader, PROOF_MAGIC, "VDF")
-    if reader.u8() != HASH_ID:
-        raise UsageError("unsupported hash algorithm id")
     proof = VdfProof(reader.int_lp(), reader.int_lp(), reader.int_lp())
     reader.finish()
     return proof

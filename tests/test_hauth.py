@@ -107,10 +107,6 @@ def test_session_rejects_label_reuse():
         sess.auth(2, lab(b"once", b"d0"))
 
 
-def test_multilabel_encoding_unambiguous():
-    assert lab(b"ab", b"c").encode() != lab(b"a", b"bc").encode()
-
-
 def test_label_randomness_is_additive_split():
     label = lab(b"l", b"d")
     r = hauth.label_randomness(KEY, label)
@@ -196,6 +192,19 @@ def test_multikey_roundtrip():
     assert hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 13)
     v = hauth.verify_mk(keys, circ, [(la, 0), (lb, 1)], out, 14)
     assert not v and v.reason == "output-check"
+
+
+def test_verify_refuses_a_two_party_tag():
+    keys = (KEY, KEY2)
+    tag = hauth.auth_mk(keys, 3, lab(b"alice"), slot=0)
+    with pytest.raises(UsageError, match="arity-1"):
+        hauth.verify(KEY, IDENTITY, [lab(b"alice")], tag, 3)
+
+
+def test_verify_mk_refuses_an_arity_1_tag():
+    tag = hauth.auth(KEY, 3, lab(b"alice"))
+    with pytest.raises(UsageError, match="arity-2"):
+        hauth.verify_mk((KEY, KEY2), IDENTITY, [(lab(b"alice"), 0)], tag, 3)
 
 
 def test_verify_mk_evaluates_prf2_once_per_key(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and only
+the random oracle and the Merkle tree import hashlib.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -14,6 +15,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vckit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# every other SHA-256 call goes through transcript._h
+HASHLIB_MODULES = {"transcript.py", "merkle.py"}
 
 
 def imported_names(tree):
@@ -59,3 +62,18 @@ def test_the_check_sees_an_unused_import():
               "from .encoding import u8, u32\n"
               "x: 'np.ndarray' = u8(1)\n")
     assert unused_imports(source) == [("os", 3), ("u32", 4)]
+
+
+def imported_packages(source):
+    """The top-level package of every absolute import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_the_random_oracle_and_merkle_import_hashlib():
+    importers = {p.name for p in PACKAGE.glob("*.py")
+                 if "hashlib" in imported_packages(p.read_text())}
+    assert importers == HASHLIB_MODULES
