@@ -329,7 +329,7 @@ def load_statement(args, field) -> stark.ConstraintSystem:
     extra = [stark.BoundaryConstraint(b["column"], b["row"], b["value"])
              for b in entries]
     return stark.ConstraintSystem(cs.num_columns, cs.boundaries + extra,
-                                  cs.transitions)
+                                  cs.transitions, cs.length)
 
 
 def _stark_params(args, zk: bool) -> stark.StarkParams:
@@ -350,17 +350,10 @@ def cmd_stark(args):
         print(f"wrote proof ({args.length}-row trace) to {args.output}")
         return EXIT_OK
     # verify: the statement and the soundness parameters are the
-    # verifier's, only the zk flag comes from the file.  The trace shape
-    # is the one `stark prove` pads --length rows to, so a proof cannot
-    # make the verifier work over rows it never asked about.
+    # verifier's; only the zk flag comes from the file.
     with open(args.proof, "rb") as fh:
         proof = stark.StarkProof.deserialize(fh.read())
     params = _stark_params(args, proof.zk)
-    shape = (args.length, params.trace_length(args.length))
-    if (proof.original_length, proof.trace_length) != shape:
-        return report(VerifyResult.reject(
-            "trace shape mismatch: {} rows padded to {}, not {} to {}".format(
-                proof.original_length, proof.trace_length, *shape)))
     boundaries = [(bc.column, bc.row, bc.value) for bc in cs.boundaries]
     return report(stark.verify(proof, cs, params, field),
                   f"(length={args.length}, boundaries={boundaries}, "

@@ -65,8 +65,8 @@ TRACE_ROWS_PER_LEAF = 4
 class TraceTable:
     """Equal-length columns over the trace subgroup; row i sits at g^i.
 
-    original_length is the pre-padding row count; constraints only ever
-    reference rows below it.
+    original_length is the row count before padding; prove holds it to
+    the statement's length L and the padded length to trace_length(L).
     """
 
     columns: List[List[int]]
@@ -74,6 +74,8 @@ class TraceTable:
     field: Field
 
     def __post_init__(self):
+        if not self.columns:
+            raise UsageError("trace has no columns")
         n = len(self.columns[0])
         if any(len(c) != n for c in self.columns):
             raise UsageError("ragged trace columns")
@@ -137,31 +139,28 @@ class ConstraintSystem:
     num_columns: int
     boundaries: List[BoundaryConstraint]
     transitions: List[TransitionConstraint]
+    length: int  # L, the rows constrained: fixes the trace shape
 
     def __post_init__(self):
         if self.num_columns < 1 or not (self.boundaries or self.transitions):
             raise UsageError("constraint system is empty")
+        if self.length < max(2, self.max_window()):
+            raise UsageError("length below 2 rows or a transition window")
+        if self.length >= 2**32:
+            raise UsageError("length not encodable")
         for bc in self.boundaries:
             if not 0 <= bc.column < self.num_columns:
                 raise UsageError("boundary references a missing column")
             if not (0 <= bc.row < 2**32 and 0 <= bc.value < 2**64):
                 raise UsageError("boundary row or value not encodable")
+            if bc.row >= self.length:
+                raise UsageError(f"boundary row {bc.row} not below length")
 
     def boundary_columns(self) -> List[int]:
         return sorted({bc.column for bc in self.boundaries})
 
     def max_window(self) -> int:
         return max((tc.window for tc in self.transitions), default=1)
-
-    def length_fault(self, original_length: int) -> Optional[str]:
-        """Why a trace of original_length rows cannot carry these
-        constraints, or None: every boundary row and every transition
-        window must lie below it."""
-        if any(bc.row >= original_length for bc in self.boundaries):
-            return "boundary row outside the original trace"
-        if original_length < self.max_window():
-            return "window does not fit in the trace"
-        return None
 
     def digest(self) -> bytes:
         boundaries = sorted(self.boundaries, key=lambda b: (b.column, b.row))
@@ -185,9 +184,9 @@ class StarkParams:
             raise UsageError("need at least one query")
 
     def trace_length(self, original_length: int) -> int:
-        """The length prove pads a trace of original_length rows to: one
-        noise row per query with zk (zk_pad), then zeros up to a power
-        of two."""
+        """The length a trace of original_length rows is padded to, the
+        only one prove and verify take: one noise row per query with zk
+        (zk_pad), then zeros up to a power of two."""
         return _padded_length(original_length
                               + (self.num_queries if self.zk else 0))
 
@@ -206,9 +205,10 @@ def _flag(reader: Reader, what: str) -> bool:
 
 @dataclass
 class StarkProof:
-    """What the verifier cannot derive from its own statement: the
-    constraint system's digest is absorbed by each side from its own
-    copy, and the composition is committed by FRI's layer-0 root."""
+    """What the verifier cannot derive from its own statement, and the
+    trace shape, which it derives and holds the header to.  The digest of
+    the constraint system is absorbed by each side from its own copy, and
+    the composition is committed by FRI's layer-0 root."""
 
     trace_length: int
     original_length: int
@@ -277,8 +277,6 @@ def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
     F(n) comes from fast doubling, F(2k) = F(k) (2 F(k+1) - F(k)) and
     F(2k+1) = F(k)^2 + F(k+1)^2, in O(log n) steps: the verifier builds
     this system and must not redo the n-step computation."""
-    if n < 2:
-        raise UsageError("need at least the two seed rows")
     p = field.modulus
     a, b = 0, 1  # F(k), F(k+1) for k the bits of n read so far
     for bit in format(n, "b"):
@@ -291,7 +289,7 @@ def fibonacci_constraint_system(n: int, field: Field) -> ConstraintSystem:
         num_columns=1,
         boundaries=[BoundaryConstraint(0, 0, 1), BoundaryConstraint(0, 1, 1),
                     BoundaryConstraint(0, n - 1, a)],
-        transitions=[TransitionConstraint(3, pred)])
+        transitions=[TransitionConstraint(3, pred)], length=n)
 
 
 def membership_poly(field: Field, values) -> Polynomial:
@@ -305,8 +303,20 @@ def membership_poly(field: Field, values) -> Polynomial:
 # ---------------------------------------------------------------------------
 # arithmetisation pipeline
 
-def _transition_rows(trace: TraceTable, tc: TransitionConstraint) -> int:
-    return trace.original_length - (tc.window - 1)
+def _transition_rows(cs: ConstraintSystem, tc: TransitionConstraint) -> int:
+    return cs.length - (tc.window - 1)
+
+
+def _shape_fault(shape, cs: ConstraintSystem, n: int) -> Optional[str]:
+    """Why a trace or proof header of shape (columns, original length,
+    trace length) is not cs padded to n rows, or None."""
+    want = (cs.num_columns, cs.length, n)
+    if shape == want:
+        return None
+    if shape[0] != want[0]:
+        return f"trace shape mismatch: {shape[0]} columns, not {want[0]}"
+    return "trace shape mismatch: {} rows padded to {}, not {} to {}".format(
+        *shape[1:], *want[1:])
 
 
 def _windows(columns, stride: int, width: int):
@@ -439,7 +449,8 @@ def check_satisfaction(trace: TraceTable,
     """The trace's values (TraceTable.values) once they satisfy cs; raise
     naming the first violated constraint (and for a transition, its first
     violating row)."""
-    fault = cs.length_fault(trace.original_length)
+    fault = _shape_fault((trace.num_columns, trace.original_length,
+                          trace.length), cs, trace.length)
     if fault:
         raise UsageError(fault)
     values = trace.values()
@@ -449,7 +460,7 @@ def check_satisfaction(trace: TraceTable,
                 f"boundary (col {bc.column}, row {bc.row}) unsatisfied")
     rows = _windows(values, 1, cs.max_window())
     for k, tc in enumerate(cs.transitions):
-        num_rows = _transition_rows(trace, tc)
+        num_rows = _transition_rows(cs, tc)
         bad = np.flatnonzero(evaluate_transition(tc, rows)[:num_rows])
         if bad.size:
             raise ConstraintViolation(
@@ -465,8 +476,7 @@ def _draw_gammas(cs: ConstraintSystem, field: Field,
 
 
 def compose(points, rows, cs: ConstraintSystem,
-            trace_domain: EvaluationDomain, original_length: int,
-            gammas) -> np.ndarray:
+            trace_domain: EvaluationDomain, gammas) -> np.ndarray:
     """Random linear combination, with the gammas, of every boundary and
     transition quotient at the points: the prover's LDE coset as an
     EvaluationDomain, or the verifier's query points as a uint64 array.
@@ -476,7 +486,7 @@ def compose(points, rows, cs: ConstraintSystem,
                                     if bc.column == c], trace_domain)
                  for c in cs.boundary_columns()]
     quotients += [transition_quotient(points, rows, tc, trace_domain,
-                                      original_length - (tc.window - 1))
+                                      _transition_rows(cs, tc))
                   for tc in cs.transitions]
     mod = np.uint64(trace_domain.field.modulus)
     acc = np.zeros(len(_point_array(points)), dtype=np.uint64)
@@ -485,8 +495,7 @@ def compose(points, rows, cs: ConstraintSystem,
     return acc
 
 
-def composition_degree_bound(trace_length: int, orig_length: int,
-                             cs: ConstraintSystem) -> int:
+def composition_degree_bound(trace_length: int, cs: ConstraintSystem) -> int:
     """Max quotient degree, rounded up so the FRI bound deg < d holds;
     at least 2, so FRI folds at least once and its layer 0 commits the
     composition."""
@@ -498,7 +507,7 @@ def composition_degree_bound(trace_length: int, orig_length: int,
         degs.append(trace_length - 1 - cnt)
     for tc in cs.transitions:
         degs.append(tc.degree * (trace_length - 1)
-                    - (orig_length - tc.window + 1))
+                    - _transition_rows(cs, tc))
     d = 2
     while d < max(degs) + 1:
         d *= 2
@@ -557,11 +566,10 @@ def _window_cells(positions, blowup: int, n: int, window: int):
 # ---------------------------------------------------------------------------
 # prover / verifier
 
-def _header_bytes(n: int, original_length: int, cs: ConstraintSystem,
-                  params: StarkParams) -> bytes:
+def _header_bytes(n: int, cs: ConstraintSystem, params: StarkParams) -> bytes:
     """The transcript's first absorb: the trace shape, the parameters and
     the digest of the caller's own constraint system."""
-    return (u32(n) + u32(original_length) + u32(cs.num_columns)
+    return (u32(n) + u32(cs.length) + u32(cs.num_columns)
             + u32(params.blowup) + u32(params.num_queries)
             + u8(1 if params.zk else 0) + cs.digest())
 
@@ -580,16 +588,18 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     field = trace.field
     if params.zk:
         trace = zk_pad(trace, params.num_queries, zk_seed)
+    n = trace.length
+    fault = _shape_fault((trace.num_columns, trace.original_length, n), cs,
+                         params.trace_length(cs.length))
+    if fault:
+        raise UsageError(fault)
     values = (trace.values() if skip_satisfaction_check
               else check_satisfaction(trace, cs))
-    if trace.num_columns != cs.num_columns:
-        raise UsageError("column count mismatch")
-    n = trace.length
     trace_domain = trace.domain()
     lde = params.lde_domain(field, n)
 
     t = Transcript("stark")
-    t.absorb(b"header", _header_bytes(n, trace.original_length, cs, params))
+    t.absorb(b"header", _header_bytes(n, cs, params))
 
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
@@ -601,8 +611,8 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     gammas = _draw_gammas(cs, field, t)
     comp_evals = compose(lde,
                          _windows(lde_columns, params.blowup, cs.max_window()),
-                         cs, trace_domain, trace.original_length, gammas)
-    d = composition_degree_bound(n, trace.original_length, cs)
+                         cs, trace_domain, gammas)
+    d = composition_degree_bound(n, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
     fri_proof = fri.prove(comp_evals, fri_params, t,
                           enforce_low_degree=not skip_satisfaction_check)
@@ -612,7 +622,7 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     opened = index_set(leaf)
     opening = Opening(leaf_values[opened], trace_tree.open(opened))
 
-    return StarkProof(n, trace.original_length, cs.num_columns,
+    return StarkProof(n, cs.length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
                       trace_tree.root, opening, fri_proof)
 
@@ -623,30 +633,26 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     trace opening, then re-derive each query's constraint combination and
     compare it with the FRI layer-0 value.  The transcript starts from
     the verifier's own constraint system, so a proof of another statement
-    draws other challenges and fails."""
+    draws other challenges and fails; a header of another trace shape
+    fails before any work over its rows."""
     if ((proof.blowup, proof.num_queries, proof.zk)
             != (params.blowup, params.num_queries, params.zk)):
         return VerifyResult.reject("parameter mismatch")
-    if proof.num_columns != cs.num_columns:
-        return VerifyResult.reject("column count mismatch")
-    n = proof.trace_length
-    if n & (n - 1) or not 2 <= proof.original_length <= n:
-        return VerifyResult.reject("malformed header")
-    # the prover chooses original_length: it must still cover every
-    # constraint, or rows past it would go unchecked
-    fault = cs.length_fault(proof.original_length)
+    n = params.trace_length(cs.length)
+    fault = _shape_fault((proof.num_columns, proof.original_length,
+                          proof.trace_length), cs, n)
     if fault:
         return VerifyResult.reject(fault)
     trace_domain = EvaluationDomain.subgroup(field, n)
     lde = params.lde_domain(field, n)
 
     t = Transcript("stark")
-    t.absorb(b"header", _header_bytes(n, proof.original_length, cs, params))
+    t.absorb(b"header", _header_bytes(n, cs, params))
     t.absorb(b"trace-root", proof.trace_root)
 
     gammas = _draw_gammas(cs, field, t)
 
-    d = composition_degree_bound(n, proof.original_length, cs)
+    d = composition_degree_bound(n, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
     fri_verdict = fri.verify(proof.fri_proof, fri_params, t)
     if not fri_verdict:
@@ -669,8 +675,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
         np.searchsorted(opened, leaf), slot]
     xs = np.array([lde.point(q).value for q in queries], dtype=np.uint64)
     rows = [[window[:, r, c] for c in range(ncols)] for r in range(w)]
-    combined = compose(xs, rows, cs, trace_domain, proof.original_length,
-                       gammas)
+    combined = compose(xs, rows, cs, trace_domain, gammas)
     claimed = fri.queried_values(proof.fri_proof, fri_params)
     bad = np.flatnonzero(combined != claimed)
     if bad.size:

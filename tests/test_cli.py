@@ -301,20 +301,37 @@ def test_stark_verify_never_builds_the_trace(tmp_path, monkeypatch):
 def test_stark_verify_takes_the_trace_shape_from_its_flags(tmp_path,
                                                            capsys):
     """The trace shape is the one `stark prove` pads --length rows to:
-    an honest proof of fib 8 over-padded to 16 rows, which the library's
-    verify accepts, is rejected before any work over its rows."""
+    a zk proof of fib 8, padded to 16 rows, with its zk flag cleared is
+    rejected before any work over its rows, by the library's verify and
+    so by the CLI."""
     field = Field(DEFAULT_MODULUS)
     cs = stark.fibonacci_constraint_system(8, field)
-    params = stark.StarkParams(8, 20)
-    rows = stark.trace_fibonacci(8, field).columns[0] + [0] * 8
-    proof = stark.prove(stark.TraceTable([rows], 8, field), cs, params)
-    assert stark.verify(proof, cs, params, field)
+    proof = stark.prove(stark.trace_fibonacci(8, field), cs,
+                        stark.StarkParams(8, 8, zk=True), zk_seed=1)
+    proof.zk = False
+    verdict = stark.verify(proof, cs, stark.StarkParams(8, 8), field)
+    reason = "trace shape mismatch: 8 rows padded to 16, not 8 to 8"
+    assert not verdict and verdict.reason == reason
     path = tmp_path / "s.bin"
     path.write_bytes(proof.serialize())
     capsys.readouterr()
-    assert run(["stark", "verify", "--length", "8", str(path)]) == 1
-    assert capsys.readouterr().out == (
-        "reject (trace shape mismatch: 8 rows padded to 16, not 8 to 8)\n")
+    assert run(["stark", "verify", "--length", "8", "--queries", "8",
+                str(path)]) == 1
+    assert capsys.readouterr().out == f"reject ({reason})\n"
+
+
+def test_boundary_row_past_the_length_is_a_usage_error(tmp_path, capsys):
+    """A boundary row at or past --length is no statement: prove and the
+    verify of an honest proof both exit 2, naming the row."""
+    proof = str(tmp_path / "p.bin")
+    extra = str(tmp_path / "b.json")
+    Path(extra).write_text(json.dumps([{"column": 0, "row": 9, "value": 5}]))
+    assert run(["stark", "prove", "--length", "8", "-o", proof]) == 0
+    capsys.readouterr()
+    for argv in (["prove", "-o", str(tmp_path / "q.bin")], ["verify", proof]):
+        assert run(["stark", argv[0], "--length", "8", "--boundary-json",
+                    extra] + argv[1:]) == 2
+        assert "boundary row 9 not below length" in capsys.readouterr().err
 
 
 def test_accept_names_what_was_accepted(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and only
-the random oracle and the Merkle tree import hashlib.
+"""Every name a library module imports is used in that module, every
+private helper is used somewhere in the library, and only the random
+oracle and the Merkle tree import hashlib.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -9,6 +10,7 @@ inside a string that parses as an expression, such as the annotation
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,41 @@ def test_the_check_sees_an_unused_import():
               "from .encoding import u8, u32\n"
               "x: 'np.ndarray' = u8(1)\n")
     assert unused_imports(source) == [("os", 3), ("u32", 4)]
+
+
+def references(node):
+    """Every name and attribute name read anywhere under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def dead_helpers(sources):
+    """The module-level functions and classes named with a leading _ that
+    no source references outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    total = Counter(name for tree in trees for name in references(tree))
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and total[node.name] == Counter(references(node))[node.name]]
+
+
+def test_no_dead_helpers():
+    """Code nothing calls gets deleted: a private helper only the tests
+    use is a test helper."""
+    assert dead_helpers(p.read_text() for p in PACKAGE.glob("*.py")) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = ["def _used(x):\n    return x\n\n"
+               "def _dead(n):\n    return _dead(n - 1)\n\n"
+               "class _Gone:\n    pass\n\n"
+               "def _other():\n    return _used(1)\n",
+               "from . import a\ny = a._other()\n"]
+    assert dead_helpers(sources) == ["_dead", "_Gone"]
 
 
 def imported_packages(source):

@@ -37,8 +37,8 @@ def test_trace_fibonacci_values():
 
 
 def test_params_give_the_padded_trace_length():
-    """StarkParams.trace_length, which `stark verify` holds a file to, is
-    the length the prover's trace has, with zk and without."""
+    """StarkParams.trace_length, which prove holds a trace and verify a
+    header to, is the length the Fibonacci trace and zk_pad give."""
     for n in range(2, 70):
         for q in (1, 3, 8, 20):
             assert stark.StarkParams(4, q).trace_length(n) == (
@@ -57,15 +57,24 @@ def test_constraint_system_pins_output():
 def test_constraint_system_output_matches_the_addition_loop():
     """The output row, by fast doubling, equals the n - 2 additions it
     replaces, in the default field and a small one; a length whose output
-    row does not fit a u32 is refused at once."""
+    row does not fit a u32 is refused at once, and so is n = 2, shorter
+    than the window of 3 rows."""
     for field in (F, Field(97)):
-        a, b = 1, 1
-        for n in range(2, 301):
+        a, b = 1, 2
+        for n in range(3, 301):
             cs = stark.fibonacci_constraint_system(n, field)
             assert cs.boundaries[-1] == stark.BoundaryConstraint(0, n - 1, b)
+            assert cs.length == n
             a, b = b, (a + b) % field.modulus
     with pytest.raises(UsageError, match="not encodable"):
         stark.fibonacci_constraint_system(2**32 + 1, F)
+    with pytest.raises(UsageError, match="below 2 rows or a transition"):
+        stark.fibonacci_constraint_system(2, F)
+
+
+def test_trace_without_columns_refused():
+    with pytest.raises(UsageError, match="no columns"):
+        stark.TraceTable([], 2, F)
 
 
 def test_check_satisfaction_oracle():
@@ -215,7 +224,7 @@ def test_transition_quotient_exact_for_honest_trace():
     xs = lde.point_array()
     rows = stark._windows(_lde_columns(tr, lde), 8, tc.window)
     pointwise = stark.transition_quotient(xs, rows, tc, tr.domain(),
-                                          stark._transition_rows(tr, tc))
+                                          stark._transition_rows(cs, tc))
     assert pointwise.tolist() == quot.evaluate_array(xs).tolist()
     bad = stark.TraceTable([list(tr.columns[0])], 8, F)
     bad.columns[0][3] += 1
@@ -266,22 +275,25 @@ def test_wrong_statement_rejected():
     other = stark.ConstraintSystem(
         1, [stark.BoundaryConstraint(bc.column, bc.row,
                                      bc.value + (1 if bc.row == 7 else 0))
-            for bc in cs.boundaries], cs.transitions)
+            for bc in cs.boundaries], cs.transitions, 8)
     assert not stark.verify(proof, other, params, F)
 
 
-@pytest.mark.parametrize("other", [
-    lambda cs: stark.ConstraintSystem(
+@pytest.mark.parametrize("other, reason", [
+    (lambda cs: stark.ConstraintSystem(
         1, cs.boundaries + [stark.BoundaryConstraint(0, 5, 8)],
-        cs.transitions),
-    lambda cs: stark.fibonacci_constraint_system(7, F),
-    lambda cs: stark.ConstraintSystem(1, cs.boundaries[:2], cs.transitions)],
+        cs.transitions, 8), "fri: "),
+    (lambda cs: stark.fibonacci_constraint_system(7, F),
+     "trace shape mismatch: 8 rows padded to 8, not 7 to 8"),
+    (lambda cs: stark.ConstraintSystem(1, cs.boundaries[:2], cs.transitions,
+                                       8), "fri: ")],
     ids=["extra-boundary", "fib7", "no-output"])
-def test_proof_of_another_constraint_system_rejected(other):
+def test_proof_of_another_constraint_system_rejected(other, reason):
     """The proof carries no statement: the verifier's transcript absorbs
     its own constraint system's digest, so a fib-8 proof checked against
-    another system draws other challenges and FRI rejects it, a verdict
-    and not an exception."""
+    another system of 8 rows draws other challenges and FRI rejects it,
+    a verdict and not an exception.  A system of another length fixes
+    another trace shape and is rejected on the header."""
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
     params = stark.StarkParams(8, 12)
@@ -289,7 +301,7 @@ def test_proof_of_another_constraint_system_rejected(other):
     assert stark.verify(proof, cs, params, F)
     verdict = stark.verify(proof, other(cs), params, F)
     assert isinstance(verdict, VerifyResult)
-    assert not verdict and verdict.reason.startswith("fri: ")
+    assert not verdict and verdict.reason.startswith(reason)
 
 
 @pytest.mark.parametrize("proved_zk", [False, True])
@@ -309,9 +321,23 @@ def test_zk_flag_mismatch_rejected(proved_zk):
 def test_prover_refuses_column_count_mismatch():
     tr = stark.trace_fibonacci(8, F)
     two = stark.TraceTable([tr.columns[0], tr.columns[0]], 8, F)
-    with pytest.raises(UsageError, match="column count mismatch"):
+    with pytest.raises(UsageError,
+                       match="^trace shape mismatch: 2 columns, not 1$"):
         stark.prove(two, stark.fibonacci_constraint_system(8, F),
                     stark.StarkParams(8, 6), skip_satisfaction_check=True)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_prover_refuses_an_over_padded_trace(skip):
+    """Without zk the statement's 8 rows pad to 8: a fib-8 trace padded
+    to 16 is refused, so prove never makes a proof its verifier
+    rejects."""
+    rows = stark.trace_fibonacci(8, F).columns[0] + [0] * 8
+    cs = stark.fibonacci_constraint_system(8, F)
+    with pytest.raises(UsageError, match="^trace shape mismatch: 8 rows "
+                                         "padded to 16, not 8 to 8$"):
+        stark.prove(stark.TraceTable([rows], 8, F), cs,
+                    stark.StarkParams(8, 6), skip_satisfaction_check=skip)
 
 
 @pytest.mark.parametrize("blowup, queries", [(2, 8), (6, 8), (8, 0), (8, -1)])
@@ -430,7 +456,7 @@ def _two_column(n):
         [stark.BoundaryConstraint(0, 0, 1), stark.BoundaryConstraint(1, 0, 1),
          stark.BoundaryConstraint(1, n - 1, b[-1])],
         [stark.TransitionConstraint(2, pred_a),
-         stark.TransitionConstraint(2, pred_b)])
+         stark.TransitionConstraint(2, pred_b)], n)
     return tr, cs
 
 
@@ -477,7 +503,7 @@ def test_pointwise_quotients_match_oracle(program):
         want = quot.evaluate_array(pts).tolist()
         for points in (lde, pts):
             got = stark.transition_quotient(points, rows, tc, dom,
-                                            stark._transition_rows(tr, tc))
+                                            stark._transition_rows(cs, tc))
             assert got.tolist() == want
 
 
@@ -508,12 +534,11 @@ def test_composition_at_sampled_points_matches_the_coset(program):
     gammas = [F(rng.randrange(F.modulus)) for _ in range(
         len(cs.boundary_columns()) + len(cs.transitions))]
     full = stark.compose(lde, stark._windows(cols, params.blowup, w), cs,
-                         dom, tr.original_length, gammas)
+                         dom, gammas)
     idx = np.array(rng.sample(range(lde.size), 20) + [0, lde.size - 1])
     rows = [[col[(idx + r * params.blowup) % lde.size] for col in cols]
             for r in range(w)]
-    sampled = stark.compose(lde.point_array()[idx], rows, cs, dom,
-                            tr.original_length, gammas)
+    sampled = stark.compose(lde.point_array()[idx], rows, cs, dom, gammas)
     assert sampled.tolist() == full[idx].tolist()
 
 
@@ -649,10 +674,10 @@ def _forge(proof, cs, params, leaf_columns, composition):
     """`proof` re-made with a trace tree over leaf_columns (LDE arrays, one
     per column the header claims) and, on the forged transcript, an honest
     FRI proof of composition(gammas)."""
-    n, orig = proof.trace_length, proof.original_length
+    n = proof.trace_length
     lde = params.lde_domain(F, n)
     t = Transcript("stark")
-    t.absorb(b"header", stark._header_bytes(n, orig, cs, params))
+    t.absorb(b"header", stark._header_bytes(n, cs, params))
     table = np.array([[int(col[i]) for col in leaf_columns]
                       for i in range(lde.size)],
                      dtype=np.uint64).reshape(lde.size, len(leaf_columns))
@@ -661,7 +686,7 @@ def _forge(proof, cs, params, leaf_columns, composition):
                        for leaf in leaves])
     t.absorb(b"trace-root", tree.root)
     comp = composition(stark._draw_gammas(cs, F, t))
-    d = stark.composition_degree_bound(n, orig, cs)
+    d = stark.composition_degree_bound(n, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
     opened = index_set(stark._window_cells(
         fri_proof.queries, params.blowup, n, cs.max_window())[0])
@@ -682,7 +707,7 @@ def _fib8_lde():
         return stark.compose(lde.point_array(),
                              stark._windows(cols, params.blowup,
                                             cs.max_window()),
-                             cs, tr.domain(), tr.original_length, gammas)
+                             cs, tr.domain(), gammas)
     return proof, cs, params, cols, composition
 
 
@@ -709,7 +734,9 @@ def test_column_count_mismatch_rejected(num_columns):
     rejection, even when its FRI proof and trace paths are consistent."""
     forged, cs, params = _column_count_forgery(num_columns)
     verdict = stark.verify(forged, cs, params, F)
-    assert not verdict and verdict.reason == "column count mismatch"
+    assert not verdict
+    assert verdict.reason == (f"trace shape mismatch: {num_columns} "
+                              f"columns, not 1")
 
 
 def test_fri_proof_without_layer_roots_rejected():
@@ -730,10 +757,33 @@ def test_fri_proof_without_layer_roots_rejected():
                                     {"original_length": 9}])
 def test_malformed_header_rejected(change):
     """A trace length that is not a power of two, or an original length
-    below the two seed rows or above the trace length."""
+    below the two seed rows or above the trace length: neither is the
+    shape the statement fixes."""
     proof, cs, params = _fib8_proof()
-    verdict = stark.verify(dataclasses.replace(proof, **change), cs, params, F)
-    assert not verdict and verdict.reason == "malformed header"
+    forged = dataclasses.replace(proof, **change)
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict
+    assert verdict.reason == (
+        f"trace shape mismatch: {forged.original_length} rows padded to "
+        f"{forged.trace_length}, not 8 to 8")
+
+
+def test_header_of_another_trace_length_rejected_before_any_domain(
+        monkeypatch):
+    """A fib-8 proof whose header claims 16 rows: the verifier derives 8
+    from its own statement and rejects the header before it builds a
+    domain, so a longer claimed trace costs it nothing."""
+    proof, cs, params = _fib8_proof()
+    forged = dataclasses.replace(proof, trace_length=16)
+
+    def refuse(*args):
+        raise AssertionError("the verifier built a domain")
+    monkeypatch.setattr(EvaluationDomain, "subgroup", refuse)
+    monkeypatch.setattr(EvaluationDomain, "coset", refuse)
+    verdict = stark.verify(forged, cs, params, F)
+    assert not verdict
+    assert verdict.reason == ("trace shape mismatch: 8 rows padded to 16, "
+                              "not 8 to 8")
 
 
 def test_fri_layer_root_dropped_rejected():
@@ -797,7 +847,7 @@ def _squaring_system(n):
         column.append(column[-1] ** 2 % F.modulus)
     pred = stark.MultivariatePoly(F, 2, {(0, 1): 1, (2, 0): -1})
     cs = stark.ConstraintSystem(1, [stark.BoundaryConstraint(0, 0, 3)],
-                                [stark.TransitionConstraint(2, pred)])
+                                [stark.TransitionConstraint(2, pred)], n)
     return stark.TraceTable([column], n, F), cs
 
 
@@ -842,7 +892,7 @@ def test_two_row_two_column_system_proves_and_verifies(zk):
     assert verdict, verdict.reason
     assert proof.fri_proof.layer_roots
     if not zk:
-        assert stark.composition_degree_bound(2, 2, cs) == 2
+        assert stark.composition_degree_bound(2, cs) == 2
         assert len(proof.fri_proof.layer_roots) == 1
 
 
@@ -957,11 +1007,10 @@ def test_constraint_failure_names_the_query():
     assert seen == {False, True}
 
 
-def _short_length_proof(column, original_length, cs):
-    trace = stark.TraceTable([column], original_length, F)
-    params = stark.StarkParams(8, 20)
-    return (stark.prove(trace, cs, params, skip_satisfaction_check=True),
-            params)
+def _fib_transition_system(boundaries, length):
+    return stark.ConstraintSystem(
+        1, [stark.BoundaryConstraint(0, *b) for b in boundaries],
+        stark.fibonacci_constraint_system(8, F).transitions, length)
 
 
 @pytest.mark.parametrize("column,original_length", [
@@ -969,36 +1018,68 @@ def _short_length_proof(column, original_length, cs):
     ([1, 1, 2, 3, 0, 0, 0, 999], 4)])
 def test_original_length_below_a_boundary_row_rejected(column,
                                                         original_length):
-    """The prover sets original_length in the header.  Set below the
-    output row, it would leave the transitions unchecked past it, and a
-    false output (999 at row 7) would verify; the verifier refuses it."""
-    cs = stark.fibonacci_constraint_system(8, F)
-    cs = stark.ConstraintSystem(1, [stark.BoundaryConstraint(0, 0, 1),
-                                    stark.BoundaryConstraint(0, 1, 1),
-                                    stark.BoundaryConstraint(0, 7, 999)],
-                                cs.transitions)
-    proof, params = _short_length_proof(column, original_length, cs)
-    verdict = stark.verify(proof, cs, params, F)
-    assert not verdict
-    assert verdict.reason == "boundary row outside the original trace"
-    with pytest.raises(UsageError, match="boundary row outside"):
-        stark.check_satisfaction(stark.TraceTable([column], original_length,
-                                                  F), cs)
-    full, _ = _short_length_proof(column, 8, cs)
+    """Below the output row, original_length would leave the transitions
+    unchecked past it, and a false output (999 at row 7) would verify.
+    The statement fixes it at 8: the prover and the satisfaction check
+    refuse the shorter trace, and the verifier a header claiming it."""
+    cs = _fib_transition_system([(0, 1), (1, 1), (7, 999)], 8)
+    params = stark.StarkParams(8, 20)
+    short = stark.TraceTable([column], original_length, F)
+    shape = f"^trace shape mismatch: {original_length} rows padded to 8, "
+    with pytest.raises(UsageError, match=shape):
+        stark.prove(short, cs, params, skip_satisfaction_check=True)
+    with pytest.raises(UsageError, match=shape):
+        stark.check_satisfaction(short, cs)
+    full = stark.prove(stark.TraceTable([column], 8, F), cs, params,
+                       skip_satisfaction_check=True)
     assert not stark.verify(full, cs, params, F)
+    verdict = stark.verify(
+        dataclasses.replace(full, original_length=original_length), cs,
+        params, F)
+    assert not verdict
+    assert verdict.reason == (f"trace shape mismatch: {original_length} "
+                              f"rows padded to 8, not 8 to 8")
 
 
 def test_original_length_below_the_window_rejected():
-    """A header whose original length is shorter than a transition
-    window is refused, as check_satisfaction refuses the trace."""
-    fib = stark.fibonacci_constraint_system(8, F)
-    cs = stark.ConstraintSystem(1, fib.boundaries[:2], fib.transitions)
-    column = [1, 1, 5, 0, 0, 0, 0, 0]
-    proof, params = _short_length_proof(column, 2, cs)
+    """A statement shorter than its transition window is refused where
+    it is built; for the statement of 8 rows a trace or a header of 2 is
+    a trace shape mismatch."""
+    with pytest.raises(UsageError, match="below 2 rows or a transition"):
+        _fib_transition_system([(0, 1), (1, 1)], 2)
+    cs = _fib_transition_system([(0, 1), (1, 1)], 8)
+    with pytest.raises(UsageError, match="^trace shape mismatch: 2 rows"):
+        stark.check_satisfaction(
+            stark.TraceTable([[1, 1, 5, 0, 0, 0, 0, 0]], 2, F), cs)
+    proof, _, params = _fib8_proof()
+    verdict = stark.verify(dataclasses.replace(proof, original_length=2), cs,
+                           params, F)
+    assert not verdict and verdict.reason.startswith(
+        "trace shape mismatch: 2 rows padded to 8")
+
+
+def test_proof_of_a_shorter_statement_rejected():
+    """Over 3 rows, "rows 0 and 1 are 1, and the Fibonacci transition"
+    constrains only row 0's window, so [1, 1, 2, 999, 5, 0, 0, 0] with
+    original length 3 satisfies it.  The prover refuses that trace for
+    the statement of 8 rows and for the one of 3, which pads to 4.  The
+    two statements have the same digest, and the verifier of 8 rows
+    rejects an honest proof of 3 on the header."""
+    params = stark.StarkParams(8, 20)
+    short = _fib_transition_system([(0, 1), (1, 1)], 3)
+    cs = _fib_transition_system([(0, 1), (1, 1)], 8)
+    assert short.digest() == cs.digest()
+    forged = stark.TraceTable([[1, 1, 2, 999, 5, 0, 0, 0]], 3, F)
+    for statement in (cs, short):
+        with pytest.raises(UsageError, match="^trace shape mismatch: 3 rows"):
+            stark.prove(forged, statement, params)
+    proof = stark.prove(stark.TraceTable([[1, 1, 2, 999]], 3, F), short,
+                        params)
+    assert stark.verify(proof, short, params, F)
     verdict = stark.verify(proof, cs, params, F)
-    assert not verdict and verdict.reason == "window does not fit in the trace"
-    with pytest.raises(UsageError, match="window does not fit"):
-        stark.check_satisfaction(stark.TraceTable([column], 2, F), cs)
+    assert not verdict
+    assert verdict.reason == ("trace shape mismatch: 3 rows padded to 4, "
+                              "not 8 to 8")
 
 
 @pytest.mark.parametrize("column,row,value", [(-1, 0, 1), (1, 0, 1),
@@ -1009,11 +1090,23 @@ def test_boundaries_outside_the_encoding_refused(column, row, value):
     and u64 fields of the constraint-system digest."""
     with pytest.raises(UsageError):
         stark.ConstraintSystem(1, [stark.BoundaryConstraint(column, row,
-                                                            value)], [])
+                                                            value)], [], 8)
+
+
+@pytest.mark.parametrize("row, length, reason", [
+    (0, 2**32, "length not encodable"), (8, 8, "boundary row 8 not below"),
+    (0, 1, "length below 2 rows")])
+def test_statement_length_refused(row, length, reason):
+    """The length must fit the header's u32 and hold every boundary row
+    and at least 2 rows."""
+    with pytest.raises(UsageError, match=reason):
+        stark.ConstraintSystem(1, [stark.BoundaryConstraint(0, row, 1)], [],
+                               length)
 
 
 def test_constraint_system_without_columns_refused():
     """A system over no columns constrains nothing a trace could hold."""
     pred = stark.MultivariatePoly(F, 0, {(): 1})
     with pytest.raises(UsageError, match="empty"):
-        stark.ConstraintSystem(0, [], [stark.TransitionConstraint(2, pred)])
+        stark.ConstraintSystem(0, [], [stark.TransitionConstraint(2, pred)],
+                               2)
