@@ -136,11 +136,36 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Arithmetic circuit over input slots; output = last wire by default."""
+    """Arithmetic circuit over input slots; output = last wire by default.
+
+    Wires are the inputs and then one per gate.  Each gate reads only
+    wires computed before it, add and mul two of them and addc and mulc
+    one and its constant, and the output is a wire, counted from the end
+    when negative; any other circuit is refused with UsageError."""
 
     num_inputs: int
     gates: Tuple[Gate, ...]
     output: int = -1
+
+    def __post_init__(self):
+        wires = self.num_inputs
+        for g in self.gates:
+            if g.op == "add" or g.op == "mul":
+                reads = (g.b is not None and 0 <= g.a < wires
+                         and 0 <= g.b < wires)
+            elif g.op == "addc" or g.op == "mulc":
+                if g.const is None:
+                    raise UsageError(f"circuit gate {wires - self.num_inputs}"
+                                     f" ({g.op}) has no constant")
+                reads = 0 <= g.a < wires
+            else:
+                raise UsageError(f"unknown gate {g.op}")
+            if not reads:
+                raise UsageError(f"circuit gate {wires - self.num_inputs} "
+                                 f"reads a wire not yet computed")
+            wires += 1
+        if not (isinstance(self.output, int) and -wires <= self.output < wires):
+            raise UsageError("circuit output is not a wire")
 
     def evaluate(self, inputs):
         """Run the circuit over field elements or polynomials, univariate or
@@ -155,10 +180,8 @@ class Circuit:
                 wires.append(wires[g.a] * wires[g.b])
             elif g.op == "addc":
                 wires.append(wires[g.a] + g.const)
-            elif g.op == "mulc":
+            else:  # mulc
                 wires.append(wires[g.a] * g.const)
-            else:
-                raise UsageError(f"unknown gate {g.op}")
         return wires[self.output]
 
     def syntactic_degree(self) -> int:

@@ -8,14 +8,14 @@ the whole LDE coset with the rolled LDE columns; the verifier calls it on
 its query points with the opened rows, so the constraint check is
 vectorized and not metered in op_count.
 The prover interpolates the trace columns once and handles every other
-polynomial by its values on the coset: O(n log n) field work.  The
-product of (x - g^j) over the e rows the transition constraints exclude
-is multiplied out once, in O(e^2) on arrays of at most e + 1
-coefficients, and evaluated on the coset by one NTT.  A product over at
-most log2 N rows, such as the boundary rows, and every product at the
-verifier's query points is an array of the factors (x - g^j) reduced by
-pairwise products instead.  x^n - 1 takes only blowup distinct values
-on the coset, so only those are inverted.
+polynomial by its values on the coset: O(n log n) field work.  A product
+of (x - g^j) over trace rows j, such as the rows the transition
+constraints exclude, is on the coset the array x - 1 rolled by blowup*j
+for each row (the coset generator w has w^blowup = g), multiplied out by
+doubling over each run of consecutive rows; at the verifier's query
+points it is an array of the factors reduced by pairwise products.
+x^n - 1 takes only blowup distinct values on the coset, so only those
+are inverted.
 
 FRI draws its query positions from the whole coset.  For a position
 holding x the verifier needs the trace rows at x, g x, ..., g^(w-1) x
@@ -352,46 +352,58 @@ def _point_array(points) -> np.ndarray:
     return points
 
 
-# Entries of the (rows x points) array _row_product holds at a time: all
-# the excluded rows at the verifier's few query points, one row at a
-# time on the prover's coset.
+# Entries of the (rows x points) array _row_product holds at a time at
+# the verifier's query points: an unpadded trace of 2^k + 1 rows, with
+# about half its rows excluded, then needs no array of points x n.
 _ROW_BLOCK_ENTRIES = 1 << 12
 
 
-def _row_product(points, g: FieldElement, rows) -> np.ndarray:
+def _row_product(points, trace_domain: EvaluationDomain,
+                 rows) -> np.ndarray:
     """prod over the given trace rows j of (x - g^j) at every point x.
 
-    On a domain of N points for more than log2 N rows (the rows the
-    transition constraints exclude) the product's coefficients are
-    multiplied out once, one short array pass per row, and evaluated by
-    NTT, which costs about log2 N passes.  Otherwise (the verifier's
-    query points, or the boundary rows) it builds the array of x - g^j,
-    one row per j and one column per point, and halves it by pairwise
-    products down to one row.  It takes the rows in blocks of at most
-    _ROW_BLOCK_ENTRIES entries (at least one row), so an unpadded trace
-    of 2^k + 1 rows, with about half its rows excluded, needs no array
-    of points x n, and a coset of as many points takes one pass per
-    row."""
+    On a coset of N = blowup * n points, whose generator w has
+    w^blowup = g, x g^-j is the point blowup*j places before x, so
+    x - g^j = g^j (x g^-j - 1) is the array x - 1 rolled by blowup*j,
+    times g^j.  Each run of consecutive rows multiplies its rolls out by
+    doubling, in O(N log run), and the g^j gather into one scalar.  At
+    query points (a uint64 array) it builds the array of x - g^j, one row
+    per j and one column per point, in blocks of at most
+    _ROW_BLOCK_ENTRIES entries (at least one row), and halves each block
+    by pairwise products down to one row."""
+    g = trace_domain.generator
+    n = trace_domain.size
     p = g.field.modulus
     mod = np.uint64(p)
     rows = np.fromiter(rows, dtype=np.int64)
+    if isinstance(points, EvaluationDomain):
+        if points.size % n:
+            raise InternalError("domain size is not a multiple of the "
+                                "trace length")
+        step = points.size // n
+        shifted = (points.point_array() + (mod - 1)) % mod
+        acc = np.full(points.size, pow(g.value, int(rows.sum()), p),
+                      dtype=np.uint64)
+        rows = np.sort(rows)
+        for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
+            if not run.size:
+                continue
+            # prod, the product of shifted rolled by step*k over k < have
+            prod, have = shifted, 1
+            for bit in format(run.size, "b")[1:]:
+                prod = prod * np.roll(prod, step * have) % mod
+                have *= 2
+                if bit == "1":
+                    prod = prod * np.roll(shifted, step * have) % mod
+                    have += 1
+            acc = acc * np.roll(prod, step * int(run[0])) % mod
+        return acc
     roots = _power_array(g.value, int(rows.max()) + 1 if rows.size else 0,
                          p)[rows]
-    if (isinstance(points, EvaluationDomain)
-            and len(roots) > points.size.bit_length() - 1):
-        coeffs = np.zeros(len(roots) + 1, dtype=np.uint64)
-        coeffs[0] = 1  # lowest degree first
-        for k, neg in enumerate(mod - roots):
-            # times (x - root): c[i] <- c[i-1] - root c[i], degree k+1;
-            # p^2 - p < 2^64, so one reduction suffices
-            coeffs[1:k + 2] = (coeffs[:k + 1] + coeffs[1:k + 2] * neg) % mod
-            coeffs[0] = coeffs[0] * neg % mod
-        return evaluate_on_domain(coeffs, points)
-    xs = _point_array(points)
-    acc = np.ones(len(xs), dtype=np.uint64)
-    block = max(1, _ROW_BLOCK_ENTRIES // max(len(xs), 1))
+    acc = np.ones(len(points), dtype=np.uint64)
+    block = max(1, _ROW_BLOCK_ENTRIES // max(len(points), 1))
     for start in range(0, len(roots), block):
-        factors = (xs + (mod - roots[start:start + block, None])) % mod
+        factors = (points + (mod - roots[start:start + block, None])) % mod
         while len(factors) > 1:
             half = len(factors) // 2
             paired = factors[:half] * factors[half:2 * half] % mod
@@ -413,7 +425,7 @@ def boundary_quotient(points, column: np.ndarray, bcs,
     pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
     num = (column + (mod - interpolate(pts).evaluate_array(
         _point_array(points)))) % mod
-    z_b = _row_product(points, trace_domain.generator, [bc.row for bc in bcs])
+    z_b = _row_product(points, trace_domain, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
 
 
@@ -427,7 +439,7 @@ def transition_vanishing_eval(points, trace_domain: EvaluationDomain,
     n = trace_domain.size
     p = trace_domain.field.modulus
     mod = np.uint64(p)
-    excluded = _row_product(points, trace_domain.generator, range(num_rows, n))
+    excluded = _row_product(points, trace_domain, range(num_rows, n))
     xs = _point_array(points)
     if isinstance(points, EvaluationDomain):
         xs = xs[:max(points.size // n, 1)]

@@ -102,6 +102,23 @@ def test_vdf_verify_requires_params_and_input(tmp_path):
                 proof]) == 0
 
 
+def test_directory_in_place_of_a_file_is_a_usage_error(tmp_path, capsys):
+    """A directory given as the stark proof or as the vdf params file is
+    an OS error on open, which exits 2 like a missing file, not 3."""
+    params = str(tmp_path / "params.json")
+    proof = str(tmp_path / "proof.bin")
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa", "-T", "8",
+                "-o", params]) == 0
+    assert run(["vdf", "beacon", "--params", params, "--input", "00",
+                "-o", proof]) == 0
+    capsys.readouterr()
+    assert run(["stark", "verify", "--length", "8", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert run(["vdf", "verify", "--params", str(tmp_path), "--input", "00",
+                proof]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_vdf_trapdoor_agrees(tmp_path, capsys):
     """`eval --trapdoor` with setup's trapdoor file gives the sequential
     result."""
@@ -195,6 +212,26 @@ def test_fri_prove_verify(tmp_path):
     blob[-3] ^= 1
     Path(proof).write_bytes(bytes(blob))
     assert run(["fri", "verify", "--queries", "10", proof]) in (1, 2)
+
+
+@pytest.mark.parametrize("domain, degree", [(64, 8), (1024, 256), (64, 2)])
+def test_fri_prove_commits_the_seeded_polynomial(tmp_path, domain, degree):
+    """`fri prove` writes fri.prove of its seeded random polynomial's
+    values, evaluated here point by point by Horner, under the
+    transcript that absorbs (domain, degree, queries)."""
+    field = Field(DEFAULT_MODULUS)
+    proof = tmp_path / "fri.bin"
+    assert run(["fri", "prove", "--domain", str(domain), "--degree",
+                str(degree), "--seed", "5", "-o", str(proof)]) == 0
+    rng = random.Random(5)
+    poly = Polynomial(field, [rng.randrange(field.modulus)
+                              for _ in range(degree)])
+    lde = EvaluationDomain.coset(field, domain, field.generator())
+    t = Transcript("fri")
+    t.absorb(b"params", u32(domain) + u32(degree) + u32(20))
+    expected = fri.prove(poly.evaluate_array(lde.point_array()),
+                         fri.FriParams(lde, degree, 20), t)
+    assert proof.read_bytes() == expected.serialize()
 
 
 def test_fri_verify_holds_the_file_to_its_own_query_count(tmp_path,

@@ -3,6 +3,7 @@ two-party tags and the instrumented group."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_constant_gates():
                              hauth.Gate("addc", 1, const=3)))
     out = hauth.eval_tags(circ, [t])
     assert hauth.verify(KEY, circ, [lab(b"x")], out, 63)
+
+
+@pytest.mark.parametrize("gates, output, reason", [
+    ((hauth.Gate("add", 0, 2),), -1, "gate 0 reads a wire not yet computed"),
+    ((hauth.Gate("mul", 0),), -1, "gate 0 reads a wire not yet computed"),
+    ((hauth.Gate("add", 0, 1), hauth.Gate("mulc", 3, const=2)), -1,
+     "gate 1 reads a wire not yet computed"),
+    ((hauth.Gate("sub", 0, 1),), -1, "unknown gate sub"),
+    ((hauth.Gate("addc", 0),), -1, "gate 0 (addc) has no constant"),
+    ((hauth.Gate("mulc", 1),), -1, "gate 0 (mulc) has no constant"),
+    ((hauth.Gate("add", 0, 1),), 3, "output is not a wire"),
+    ((hauth.Gate("add", 0, 1),), -4, "output is not a wire"),
+    ((), "0", "output is not a wire")])
+def test_malformed_circuit_refused(gates, output, reason):
+    """A gate reading a wire not yet computed, an unknown op, a constant
+    gate without its constant and an output that is not a wire are
+    refused when the circuit is built, not met as an IndexError,
+    TypeError or AttributeError inside eval_tags or verify."""
+    with pytest.raises(UsageError, match=re.escape(reason)):
+        hauth.Circuit(2, gates, output)
 
 
 def test_degree_grows_with_multiplication_only():

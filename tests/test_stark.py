@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -178,16 +179,30 @@ def test_transition_vanishing_matches_eval():
 
 @pytest.mark.parametrize("rows", [[], [0], [0, 1, 31], list(range(5, 64)),
                                   [3, 3], list(range(40, 48)),
-                                  list(range(40, 49))])
+                                  list(range(40, 49)), [31, 2, 17, 0, 63],
+                                  [9, 7, 8, 8, 7], [2, 3, 4, 20, 21, 22, 23],
+                                  list(range(32, 64))])
 def test_row_product_on_a_domain_matches_the_point_array(rows):
-    """On a coset of 256 points, up to log2 256 = 8 rows take the
-    pass-per-row path and 9 or more the coefficient-and-NTT product; each
-    equals the pass-per-row product at the same points."""
-    g = EvaluationDomain.subgroup(F, 64).generator
-    lde = EvaluationDomain.coset(F, 256, F.generator())
-    on_domain = stark._row_product(lde, g, rows)
-    assert on_domain.tolist() == stark._row_product(
-        lde.point_array(), g, rows).tolist()
+    """On the coset of blowup x 64 points, blowup 4, 8 and 16, the product
+    over the rows by rolling x - 1 (runs of consecutive rows multiplied
+    out by doubling) equals the product of the factors x - g^j at the
+    same points: for no rows, one, unsorted and repeated rows, one run,
+    two runs, and the tail of half the rows."""
+    trace_domain = EvaluationDomain.subgroup(F, 64)
+    for blowup in (4, 8, 16):
+        lde = EvaluationDomain.coset(F, 64 * blowup, F.generator())
+        on_domain = stark._row_product(lde, trace_domain, rows)
+        assert on_domain.tolist() == stark._row_product(
+            lde.point_array(), trace_domain, rows).tolist()
+
+
+def test_row_product_refuses_a_domain_of_another_size():
+    """A domain whose size is no multiple of the trace length has no
+    point blowup*j places before x: an internal fault, not a product."""
+    trace_domain = EvaluationDomain.subgroup(F, 64)
+    with pytest.raises(InternalError):
+        stark._row_product(EvaluationDomain.coset(F, 32, F.generator()),
+                           trace_domain, [1, 2])
 
 
 @pytest.mark.parametrize("entries", [1, 7, 40, 1 << 16])
@@ -198,7 +213,8 @@ def test_row_product_in_blocks_matches_the_product_per_row(monkeypatch,
     product over those rows, taken in blocks of any size, equals the
     product of (x - g^j) one row at a time in plain integers."""
     p = F.modulus
-    g = EvaluationDomain.subgroup(F, 64).generator
+    trace_domain = EvaluationDomain.subgroup(F, 64)
+    g = trace_domain.generator
     rng = random.Random(64)
     xs = [rng.randrange(1, p) for _ in range(20)]
     rows = range(31, 64)
@@ -209,7 +225,7 @@ def test_row_product_in_blocks_matches_the_product_per_row(monkeypatch,
             acc = acc * (x - pow(g.value, j, p)) % p
         expected.append(acc)
     monkeypatch.setattr(stark, "_ROW_BLOCK_ENTRIES", entries)
-    assert stark._row_product(np.array(xs, dtype=np.uint64), g,
+    assert stark._row_product(np.array(xs, dtype=np.uint64), trace_domain,
                               rows).tolist() == expected
 
 
@@ -242,6 +258,27 @@ def test_prove_verify_roundtrip():
     proof = stark.prove(tr, cs, params)
     v = stark.verify(proof, cs, params, F)
     assert v, v.reason
+
+
+def test_prove_time_depends_on_the_padded_length_only():
+    """L = 2^13 + 1 and L = 2^14 both pad to n = 2^14, but the first
+    excludes 2^13 - 2 rows from its transition and the second one row.
+    The excluded-row product costs O(N log run) on the coset, so the
+    minimum of 3 proofs at 2^13 + 1 stays within twice that at 2^14;
+    an O(k^2) product in the k excluded rows takes about three times."""
+    params = stark.StarkParams(4, 20)
+
+    def fastest(length):
+        tr = stark.trace_fibonacci(length, F)
+        cs = stark.fibonacci_constraint_system(length, F)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            stark.prove(tr, cs, params)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert fastest(2**13 + 1) <= 2 * fastest(2**14)
 
 
 def test_prover_refuses_bad_trace():
