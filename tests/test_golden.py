@@ -10,7 +10,9 @@ digest nor a composition root apart from FRI's layer 0; earlier hashes,
 including those the symbolic (divmod-quotient, Horner-LDE) prover also
 gave, are listed in CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
 and r only; they pin the setup moduli and the challenge primes through
-the proofs made under them.  The hauth hash pins keygen (sk, PRF key and
+the proofs made under them, and the two setup hashes pin the primes
+(p, q) themselves, one at 512 bits and one at the vdf-beacon benchmark's
+1024-bit seed.  The hauth hash pins keygen (sk, PRF key and
 fingerprint), the PRF through the tags' randomness, and the tag file
 bytes, under the default modulus and F_97.
 """
@@ -22,7 +24,7 @@ import pytest
 
 from test_stark import _two_column
 from vckit import fri, hauth, stark, vdf
-from vckit.encoding import u8, u64
+from vckit.encoding import int_lp, u8, u64
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
 from vckit.transcript import Transcript
 
@@ -57,6 +59,11 @@ def _vdf_proof(prime_bits, seed, delay, security_bits=16):
     return vdf.serialize_proof(proof)
 
 
+def _vdf_setup_primes(prime_bits, seed):
+    _, trapdoor = vdf.setup(prime_bits, seed)
+    return int_lp(trapdoor.p) + int_lp(trapdoor.q)
+
+
 def _hauth_bytes():
     """Per field: sk, PRF key and fingerprint of one key, then the tag
     files of a fresh tag and of a degree-2 evaluated one."""
@@ -88,6 +95,9 @@ CASES = {
     "vdf-n256-T300-lam48": lambda: _vdf_proof(128, b"golden-vdf-lam48", 300,
                                               48),
     "vdf-n2048-T4096": lambda: _vdf_proof(1024, b"golden-vdf-2048", 4096),
+    "vdf-setup-p512": lambda: _vdf_setup_primes(512, b"golden-vdf-setup-512"),
+    "vdf-setup-p1024-bench": lambda: _vdf_setup_primes(
+        1024, b"vckit-bench/vdf-beacon"),
     "hauth-keys-tags": _hauth_bytes,
 }
 
@@ -116,6 +126,10 @@ GOLDEN = {
         "9f1ea78cc80e2ba3981faa0e8c3695bfa0d9fe533132bf3428a772542ae97cb9",
     "vdf-n2048-T4096":
         "ed7aa4408b35e4331e1b1b305e492c1507f87e770d1a0091024861dcc2e02895",
+    "vdf-setup-p512":
+        "8054b14489477b2e010dbee51914605941d42ead8f7fde63bf24e7634a65121f",
+    "vdf-setup-p1024-bench":
+        "2c333491855f7067eb5105a8fccd5c30232eb38df73295e3f27ccc7cf49821fa",
     "hauth-keys-tags":
         "f994c5d394f01e5f2395b4b58604d5a1f5387bd80d892af2e6d5eeb8a7a24aaf",
 }
