@@ -139,9 +139,10 @@ class Circuit:
     """Arithmetic circuit over input slots; output = last wire by default.
 
     Wires are the inputs and then one per gate.  Each gate reads only
-    wires computed before it, add and mul two of them and addc and mulc
-    one and its constant, and the output is a wire, counted from the end
-    when negative; any other circuit is refused with UsageError."""
+    wires computed before it, by int index, add and mul two of them and
+    addc and mulc one and its int constant, and the output is a wire,
+    counted from the end when negative; any other circuit is refused with
+    UsageError."""
 
     num_inputs: int
     gates: Tuple[Gate, ...]
@@ -150,19 +151,25 @@ class Circuit:
     def __post_init__(self):
         wires = self.num_inputs
         for g in self.gates:
-            if g.op == "add" or g.op == "mul":
-                reads = (g.b is not None and 0 <= g.a < wires
-                         and 0 <= g.b < wires)
-            elif g.op == "addc" or g.op == "mulc":
-                if g.const is None:
-                    raise UsageError(f"circuit gate {wires - self.num_inputs}"
-                                     f" ({g.op}) has no constant")
-                reads = 0 <= g.a < wires
+            op, a, b = g.op, g.a, g.b
+            if op == "add" or op == "mul":
+                reads = (type(a) is int and type(b) is int
+                         and 0 <= a < wires and 0 <= b < wires)
+            elif op == "addc" or op == "mulc":
+                if type(g.const) is not int:
+                    raise UsageError(
+                        f"circuit gate {wires - self.num_inputs} ({op}) has "
+                        + ("no constant" if g.const is None
+                           else "a constant that is not an int"))
+                reads = type(a) is int and 0 <= a < wires
+                b = None
             else:
-                raise UsageError(f"unknown gate {g.op}")
+                raise UsageError(f"unknown gate {op}")
             if not reads:
-                raise UsageError(f"circuit gate {wires - self.num_inputs} "
-                                 f"reads a wire not yet computed")
+                typed = type(a) is int and (b is None or type(b) is int)
+                raise UsageError(
+                    f"circuit gate {wires - self.num_inputs} reads a wire "
+                    + ("not yet computed" if typed else "that is not an int"))
             wires += 1
         if not (isinstance(self.output, int) and -wires <= self.output < wires):
             raise UsageError("circuit output is not a wire")

@@ -76,12 +76,19 @@ def test_constant_gates():
     ((hauth.Gate("mulc", 1),), -1, "gate 0 (mulc) has no constant"),
     ((hauth.Gate("add", 0, 1),), 3, "output is not a wire"),
     ((hauth.Gate("add", 0, 1),), -4, "output is not a wire"),
-    ((), "0", "output is not a wire")])
+    ((), "0", "output is not a wire"),
+    ((hauth.Gate("add", 0, 1.0),), -1,
+     "gate 0 reads a wire that is not an int"),
+    ((hauth.Gate("mulc", "0", const=2),), -1,
+     "gate 0 reads a wire that is not an int"),
+    ((hauth.Gate("addc", 0, const="7"),), -1,
+     "gate 0 (addc) has a constant that is not an int")])
 def test_malformed_circuit_refused(gates, output, reason):
-    """A gate reading a wire not yet computed, an unknown op, a constant
-    gate without its constant and an output that is not a wire are
-    refused when the circuit is built, not met as an IndexError,
-    TypeError or AttributeError inside eval_tags or verify."""
+    """A gate reading a wire not yet computed or by an index that is not an
+    int, an unknown op, a constant gate without an int constant and an
+    output that is not a wire are refused when the circuit is built, not
+    met as an IndexError, TypeError or AttributeError inside eval_tags or
+    verify."""
     with pytest.raises(UsageError, match=re.escape(reason)):
         hauth.Circuit(2, gates, output)
 

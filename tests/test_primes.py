@@ -1,10 +1,14 @@
-"""Miller-Rabin against trial division and known strong pseudoprimes."""
+"""Miller-Rabin against trial division and known strong pseudoprimes, and
+the sieved next_prime against the plain step-by-2 search."""
 
+import math
 import random
 
 import pytest
 
-from vckit.primes import _strong_probable_prime, is_prime
+from vckit import primes
+from vckit.errors import UsageError
+from vckit.primes import _strong_probable_prime, is_prime, next_prime
 
 
 def _primes_below(limit):
@@ -82,3 +86,81 @@ def test_composites_above_the_deterministic_range_rejected():
     p, q = 2 ** 61 - 1, 2 ** 89 - 1
     assert not is_prime(p * q)
     assert not is_prime((2 ** 127 - 1) * (2 ** 61 - 1))
+
+
+def _next_prime_by_steps(v):
+    """Reference: is_prime on every odd candidate from v."""
+    while not is_prime(v):
+        v += 2
+    return v
+
+
+def _odd_start(rng, bits):
+    return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+
+
+@pytest.mark.parametrize("bits, count", [
+    (82, 40), (128, 20), (256, 10), (512, 4), (1024, 2)])
+def test_next_prime_matches_the_plain_search(bits, count):
+    """82-bit starts fall on both sides of the 3.3e24 cut."""
+    rng = random.Random(bits)
+    for _ in range(count):
+        v = _odd_start(rng, bits)
+        assert next_prime(v) == _next_prime_by_steps(v), v
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 2 ** 127 - 1, 2 ** 521 - 1])
+def test_next_prime_of_a_prime_and_of_the_odd_number_after_it(p):
+    assert next_prime(p) == p
+    assert next_prime(p + 2) == _next_prime_by_steps(p + 2) > p
+
+
+def test_next_prime_crosses_into_later_windows(monkeypatch):
+    monkeypatch.setattr(primes, "_WINDOW", 4)
+    rng = random.Random(4)
+    for bits in (96, 256):
+        for _ in range(5):
+            v = _odd_start(rng, bits)
+            q = next_prime(v)
+            assert q - v >= 2 * 4  # past the first window
+            assert q == _next_prime_by_steps(v), v
+
+
+@pytest.mark.parametrize("offset, sieved", [
+    (-2 * 200, False), (-2, False), (0, True), (2, True), (2 * 200, True)])
+def test_next_prime_at_the_cut(monkeypatch, offset, sieved):
+    """Starts below 3.3e24 take the plain loop, starts at or above it the
+    window sieve; both agree with the reference."""
+    windows = []
+    sieve_window = primes._sieve_window
+    monkeypatch.setattr(primes, "_sieve_window", lambda v, table: (
+        windows.append(v) or sieve_window(v, table)))
+    v = primes._SMALL_CUT + offset
+    assert v % 2 == 1
+    assert next_prime(v) == _next_prime_by_steps(v)
+    assert bool(windows) == sieved
+
+
+def test_next_prime_skips_only_candidates_with_a_table_factor(monkeypatch):
+    """Every candidate the sieve passes over has an odd prime factor below
+    the table bound; every other one reaches is_prime, in ascending order."""
+    seen = []
+    monkeypatch.setattr(primes, "is_prime",
+                        lambda n: seen.append(n) or is_prime(n))
+    table = math.prod(primes._odd_primes().tolist())
+    v = _odd_start(random.Random(5), 512)
+    q = next_prime(v)
+    assert seen == [n for n in range(v, q + 1, 2) if math.gcd(n, table) == 1]
+    assert seen[-1] == q
+
+
+def test_odd_prime_table_matches_the_sieve():
+    sieve = _primes_below(primes._TABLE_BOUND)
+    assert primes._odd_primes().tolist() == \
+        [n for n in range(3, primes._TABLE_BOUND) if sieve[n]]
+
+
+@pytest.mark.parametrize("v", [0, 4, 2 ** 100])
+def test_next_prime_refuses_an_even_start(v):
+    with pytest.raises(UsageError, match="odd"):
+        next_prime(v)

@@ -251,6 +251,24 @@ def test_eight_bit_security_round_trips():
     assert vdf.verify(params, x, proof)
 
 
+def test_challenge_past_the_bit_budget_is_drawn_again():
+    """At lambda = 8 about one (x', y) in 4 700 masks to a 16-bit start
+    above 65 521, the largest 16-bit prime.  derive_challenge draws again
+    from the same stream instead of raising, so verify gives a verdict on
+    any y and an honest round whose challenge needed a second draw proves
+    and verifies."""
+    params, _ = vdf.setup(16, b"s", 4, 8)
+    for x in (3792, 11361, 14437):
+        r = vdf.derive_challenge(params, x, 1)
+        assert r.bit_length() == 16 and is_prime(r)
+        assert not vdf.verify(params, x, vdf.VdfProof(1, 1, r))
+    x, proof = vdf.vdf_round(params, b"overflow-4907")
+    assert proof.r.bit_length() == 16
+    assert vdf.verify(params, x, proof)
+    assert vdf.verify(params, x, vdf.deserialize_proof(
+        vdf.serialize_proof(proof)))
+
+
 def test_serialize_roundtrip():
     """A VCKV file is the magic, the version byte, the hash id and then
     y, pi and r: N, T, lambda and x' are the verifier's."""
