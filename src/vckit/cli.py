@@ -8,7 +8,6 @@ Benchmarks emit line-delimited JSON records followed by a human summary.
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -197,17 +196,11 @@ def cmd_hauth(args):
 # vdf
 
 def estimate_delay(seconds: float, n_modulus: int) -> int:
-    """Map a wall-clock target to a squaring count by measuring throughput."""
+    """Map a wall-clock target to a squaring count at the rate the
+    evaluator's own squaring routine measures."""
     if not 0 < seconds < float("inf"):
         raise UsageError("--delay-seconds must be positive and finite")
-    x = 0x1234567 % n_modulus
-    count, start = 0, time.perf_counter()
-    while time.perf_counter() - start < 0.2:
-        for _ in range(1000):
-            x = x * x % n_modulus
-        count += 1000
-    rate = count / (time.perf_counter() - start)
-    return max(1, int(rate * seconds))
+    return max(1, int(vdf.squarings_per_second(n_modulus) * seconds))
 
 
 def cmd_vdf(args):

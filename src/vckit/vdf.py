@@ -3,9 +3,13 @@
 The working group is Z_N^* / {+-1}: every element is represented by
 min(v, N - v), and the verifier refuses a y or pi above N/2, so each
 proof has one encoding.  Evaluation is T modular squarings and
-deliberately sequential; verification computes pi^r * x'^(2^T mod r)
-with one left-to-right ladder over both short exponents, whose
-squarings the two exponentiations share.
+deliberately sequential.  They run in OpenSSL's Montgomery arithmetic
+(`bignum.modular_power`), one BN_mod_exp_mont by 2^steps per checkpoint
+interval, about 7x faster than CPython's `y * y % n` at 2048 bits; where
+libcrypto cannot be loaded, or N is even, the same exponentiations are
+built-in pow.  Verification stays in Python: it computes
+pi^r * x'^(2^T mod r) with one left-to-right ladder over both short
+exponents, whose squarings the two exponentiations share.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
@@ -17,8 +21,10 @@ call `prove` recomputes them with T squarings first.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
+from .bignum import modular_power
 from .encoding import HASH_ID, Reader, int_lp, read_magic, u8, u64
 from .errors import UsageError, VerifyResult
 from .primes import is_prime
@@ -109,18 +115,36 @@ def _chunk_bits(delay: int) -> int:
 
 
 def _square_with_checkpoints(n: int, x_prime: int, delay: int):
-    """(x'^(2^delay) mod n, checkpoints) by exactly `delay` squarings.
+    """(x'^(2^delay) mod n, checkpoints) by exactly `delay` squarings,
+    one modular exponentiation by 2^(k*gamma) per checkpoint interval.
 
     Checkpoint i is x'^(2^(i*k*gamma)), for every i*k*gamma below delay.
     """
     interval = _GAMMA * _chunk_bits(delay)
     checkpoints = []
     y = x_prime
-    for start in range(0, delay, interval):
-        checkpoints.append(y)
-        for _ in range(min(interval, delay - start)):
-            y = y * y % n
+    with modular_power(n) as power:
+        for start in range(0, delay, interval):
+            checkpoints.append(y)
+            y = power(y, 1 << min(interval, delay - start))
     return y, tuple(checkpoints)
+
+
+def squarings_per_second(n: int) -> float:
+    """Throughput of the evaluator's own squarings modulo n.
+
+    Times `_square_with_checkpoints`, the routine `eval_sequential` runs,
+    at doubling delays until one call takes at least 0.2 s, so a delay
+    derived from it matches what evaluation will take.
+    """
+    x, delay = 0x1234567 % n, 1024
+    while True:
+        start = time.perf_counter()
+        _square_with_checkpoints(n, x, delay)
+        elapsed = time.perf_counter() - start
+        if elapsed >= 0.2:
+            return delay / elapsed
+        delay *= 2
 
 
 # (N, T, x', checkpoints) of the latest eval_sequential call.  It is only
@@ -134,7 +158,11 @@ def eval_sequential(params: VdfParams, x_prime: int,
                     counters: VdfCounters = None) -> int:
     """y = x'^(2^T) by exactly T sequential squarings.
 
-    Keeps the prover's checkpoints for a following `prove` of the same
+    The squarings run in OpenSSL's Montgomery arithmetic, or in built-in
+    pow where libcrypto is missing or N is even; both give the same y.
+    A T chosen with `vckit vdf setup --delay-seconds` before they did was
+    calibrated on `y * y % n` and now evaluates about 7x faster.  Keeps
+    the prover's checkpoints for a following `prove` of the same
     (N, T, x').
     """
     global _last_eval

@@ -4,6 +4,7 @@ import json
 import random
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -166,6 +167,29 @@ def test_vdf_setup_primes_keep_their_bit_length(tmp_path):
     key = json.loads(trapdoor.read_text())
     assert key["p"].bit_length() == key["q"].bit_length() == 16
     assert json.loads(params.read_text())["N"] == key["p"] * key["q"]
+
+
+def test_delay_seconds_calibrates_on_the_evaluators_squarings(tmp_path,
+                                                               monkeypatch):
+    """--delay-seconds takes T from the rate of vdf._square_with_checkpoints,
+    the routine eval_sequential runs: here a stub whose squarings take
+    2^-20 s each on a stub clock, so 3 s is T = 3 * 2^20."""
+    clock, moduli = [0.0], set()
+
+    def squarings(n, x_prime, delay):
+        moduli.add(n)
+        clock[0] += delay * 2.0 ** -20
+        return x_prime, ()
+
+    monkeypatch.setattr(vdf, "_square_with_checkpoints", squarings)
+    monkeypatch.setattr(vdf, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    params = tmp_path / "params.json"
+    assert run(["vdf", "setup", "--bits", "16", "--seed", "aa",
+                "--delay-seconds", "3", "-o", str(params)]) == 0
+    written = json.loads(params.read_text())
+    assert written["T"] == 3 * 2 ** 20
+    assert moduli == {written["N"]}
 
 
 def test_vdf_params_without_the_trapdoor(tmp_path):

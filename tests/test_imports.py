@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private helper is used somewhere in the library, and only the random
-oracle and the Merkle tree import hashlib.
+private helper is used somewhere in the library, only the random
+oracle and the Merkle tree import hashlib, and only the OpenSSL binding
+imports ctypes or _hashlib.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -15,10 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from vckit import bignum
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vckit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # every other SHA-256 call goes through transcript._h
 HASHLIB_MODULES = {"transcript.py", "merkle.py"}
+# every native call goes through the libcrypto binding
+NATIVE_MODULES = {"bignum.py"}
 
 
 def imported_names(tree):
@@ -114,3 +119,37 @@ def test_only_the_random_oracle_and_merkle_import_hashlib():
     importers = {p.name for p in PACKAGE.glob("*.py")
                  if "hashlib" in imported_packages(p.read_text())}
     assert importers == HASHLIB_MODULES
+
+
+def test_only_the_binding_imports_ctypes_or_hashlib_module():
+    native = {"ctypes", "_hashlib"}
+    importers = {p.name for p in PACKAGE.glob("*.py")
+                 if native & set(imported_packages(p.read_text()))}
+    assert importers == NATIVE_MODULES
+
+
+def libcrypto_calls(source):
+    """The function names a binding reads off its library handle `lib`:
+    its attributes, and the names passed to `_call(lib, name, ...)`."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "lib"):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_call"):
+            yield node.args[1].value
+
+
+def test_the_binding_calls_only_typed_bignum_functions():
+    """The binding computes no hash: every libcrypto function it calls is a
+    BN_ function with its restype and argtypes declared."""
+    assert all(name.startswith("BN_") for name in bignum._SIGNATURES)
+    for name in NATIVE_MODULES:
+        calls = set(libcrypto_calls((PACKAGE / name).read_text()))
+        assert calls <= set(bignum._SIGNATURES), name
+
+
+def test_the_check_sees_a_libcrypto_call():
+    source = ("lib.BN_free(x)\n_call(lib, 'SHA256', b'', 0, None)\n"
+              "other.EVP_Digest()\n")
+    assert set(libcrypto_calls(source)) == {"BN_free", "SHA256"}

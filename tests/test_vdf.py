@@ -3,13 +3,14 @@
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 import vdf_oracle as oracle
-from vckit import vdf
+from vckit import bignum, vdf
 from vckit.encoding import Reader, bytes_lp, int_lp
-from vckit.errors import UsageError
+from vckit.errors import InternalError, UsageError
 from vckit.primes import is_prime
 
 # N = 5 * 7 worked example: x' = 2, T = 3 so y = 2^(2^3) = 256 = 11 mod 35.
@@ -470,3 +471,79 @@ def test_deserialize_rejects_trailing_bytes():
     assert vdf.deserialize_proof(blob) == proof
     with pytest.raises(UsageError, match="trailing"):
         vdf.deserialize_proof(blob + b"\x00")
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's squarings: OpenSSL, built-in pow and plain squaring
+
+def _modulus(bits, odd):
+    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+    return n if odd else n - 1
+
+
+EVAL_MODULI = [_modulus(bits, True) for bits in (16, 64, 512, 2048)]
+EVAL_MODULI.append(_modulus(64, False))
+EVAL_DELAYS = sorted({0, 1, 2, 3, INTERVAL16 - 1, INTERVAL16, INTERVAL16 + 1,
+                      1000})
+
+
+@pytest.mark.parametrize("delay", EVAL_DELAYS)
+@pytest.mark.parametrize("n", EVAL_MODULI, ids=lambda n: "%d-bit-%s" % (
+    n.bit_length(), "odd" if n % 2 else "even"))
+def test_squarings_agree_on_every_path(n, delay, monkeypatch):
+    """(y, checkpoints) from OpenSSL (pow for the even modulus), from
+    built-in pow and from plain y * y % n are the same, at delays on and
+    beside the checkpoint interval of 2 (small T) and 16 (T = 2^16)."""
+    x = random.Random(delay).randrange(2, n)
+    interval = vdf._GAMMA * vdf._chunk_bits(delay)
+    expected = oracle.square_with_checkpoints(n, x, delay, interval)
+    assert vdf._square_with_checkpoints(n, x, delay) == expected
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    assert vdf._square_with_checkpoints(n, x, delay) == expected
+
+
+def test_round_trip_on_built_in_pow(monkeypatch):
+    """Without libcrypto a round is the same T squarings, the same proof
+    and the same verdict."""
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    params, trapdoor = vdf.setup(16, b"fallback", delay=300)
+    counters = vdf.VdfCounters()
+    x, proof = vdf.vdf_round(params, b"m", counters)
+    assert counters.squarings == 300
+    assert proof.y == vdf.eval_trapdoor(trapdoor, params, x)
+    assert proof.pi == oracle.long_division_prove(params, x, proof.r)
+    assert vdf.verify(params, x, proof)
+
+
+def test_the_binding_resolves_wherever_hashlib_imports():
+    """A silent fallback to pow would give the same answers ~7x slower at
+    2048 bits; here it fails instead."""
+    pytest.importorskip("_hashlib")
+    assert bignum.libcrypto() is not None
+
+
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
+                                     "BN_mod_exp_mont", "BN_bn2binpad"])
+def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
+    """A 0 or NULL result (-1 from BN_bn2binpad) raises InternalError, and
+    every handle made before it is freed once."""
+    made, freed = [], []
+
+    def new():
+        made.append(len(made) + 1)
+        return made[-1]
+
+    lib = SimpleNamespace(
+        BN_CTX_new=new, BN_MONT_CTX_new=new, BN_new=new,
+        BN_bin2bn=lambda data, size, bn: bn,
+        BN_MONT_CTX_set=lambda mont, modulus, ctx: 1,
+        BN_mod_exp_mont=lambda *args: 1,
+        BN_bn2binpad=lambda bn, out, size: size,
+        BN_free=freed.append, BN_MONT_CTX_free=freed.append,
+        BN_CTX_free=freed.append)
+    setattr(lib, failing, lambda *args: -1 if failing == "BN_bn2binpad" else 0)
+    monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
+    with pytest.raises(InternalError, match=failing):
+        with bignum.modular_power(35) as power:
+            power(2, 8)
+    assert sorted(h for h in freed if h is not None) == made

@@ -1,7 +1,19 @@
-"""Bit-by-bit long-division Wesolowski prover, kept as a slow oracle for
-the checkpoint prover in `vckit.vdf.prove`."""
+"""Slow oracles for `vckit.vdf`: plain squaring for the evaluator, a
+bit-by-bit long-division Wesolowski prover for the checkpoint prover in
+`vckit.vdf.prove`, and square-and-multiply ladders for its meters."""
 
 from vckit import vdf
+
+
+def square_with_checkpoints(n, x_prime, delay, interval):
+    """(x'^(2^delay) mod n, checkpoints) by `delay` plain `y * y % n`
+    squarings, keeping y before every interval-th one."""
+    y, checkpoints = x_prime, []
+    for i in range(delay):
+        if i % interval == 0:
+            checkpoints.append(y)
+        y = y * y % n
+    return y, tuple(checkpoints)
 
 
 def long_division_prove(params, x_prime, r):
