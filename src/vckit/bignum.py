@@ -1,25 +1,29 @@
-"""Modular exponentiation in OpenSSL's Montgomery arithmetic.
+"""Modular arithmetic in OpenSSL's Montgomery arithmetic.
 
-A CPython `y * y % n` spends most of its time in the long division of the
-reduction; OpenSSL's BN_mod_exp_mont squares in Montgomery form instead.
+A CPython `a * b % n` spends most of its time in the long division of the
+reduction; OpenSSL multiplies in Montgomery form instead.  Two blocks are
+offered: `modular_power`, one BN_mod_exp_mont per exponentiation, and
+`modular_residues`, residues that stay in Montgomery form and multiply in
+place with BN_mod_mul_montgomery, for loops of many multiplications.
 The functions come through ctypes from the libcrypto that the
 interpreter's own `_hashlib` links, so no library beyond the interpreter's
 is needed.  Where they cannot be resolved, or the modulus is even
-(Montgomery reduction needs an odd one), the same exponentiation is
-built-in `pow`.  Only BN_ functions are resolved: nothing here hashes.
+(Montgomery reduction needs an odd one), the same arithmetic runs on
+built-in ints.  Only BN_ functions are resolved: nothing here hashes.
 """
 
 import ctypes
 import functools
 from contextlib import contextmanager
 
-from .errors import InternalError
+from .errors import InternalError, UsageError
 
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int
 # name -> (restype, argtypes), as declared in <openssl/bn.h>
 _SIGNATURES = {
     "BN_new": (_PTR, []),
     "BN_free": (None, [_PTR]),
+    "BN_copy": (_PTR, [_PTR, _PTR]),
     "BN_CTX_new": (_PTR, []),
     "BN_CTX_free": (None, [_PTR]),
     "BN_bin2bn": (_PTR, [_PTR, _INT, _PTR]),
@@ -27,6 +31,9 @@ _SIGNATURES = {
     "BN_MONT_CTX_new": (_PTR, []),
     "BN_MONT_CTX_set": (_INT, [_PTR, _PTR, _PTR]),
     "BN_MONT_CTX_free": (None, [_PTR]),
+    "BN_to_montgomery": (_INT, [_PTR, _PTR, _PTR, _PTR]),
+    "BN_from_montgomery": (_INT, [_PTR, _PTR, _PTR, _PTR]),
+    "BN_mod_mul_montgomery": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR]),
     "BN_mod_exp_mont": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
 }
 
@@ -54,9 +61,117 @@ def _call(lib, name, *args):
     return result
 
 
+def _check_exponent(exponent: int):
+    if exponent < 0:
+        raise UsageError("exponent must be non-negative")
+
+
+class _Montgomery:
+    """One odd modulus n in libcrypto: its BN_CTX and BN_MONT_CTX and every
+    BIGNUM made for it, all freed once by `close`.
+
+    The residue methods are those of `_IntResidues`: a residue is a BIGNUM
+    holding v*R mod n (R the Montgomery radix), so products never leave
+    Montgomery form between `residue` and `value`.
+    """
+
+    def __init__(self, lib, n: int):
+        self.lib, self.n = lib, n
+        self.size = (n.bit_length() + 7) // 8
+        self.ctx = self.mont = None
+        self.numbers = []
+        self._out = ctypes.create_string_buffer(self.size)
+
+    def open(self):
+        lib = self.lib
+        self.ctx = _call(lib, "BN_CTX_new")
+        self.mont = _call(lib, "BN_MONT_CTX_new")
+        self.modulus = self.new()
+        self._scratch = self.new()
+        self.load(self.modulus, self.n)
+        _call(lib, "BN_MONT_CTX_set", self.mont, self.modulus, self.ctx)
+
+    def close(self):
+        lib = self.lib
+        for number in self.numbers:
+            lib.BN_free(number)
+        lib.BN_MONT_CTX_free(self.mont)
+        lib.BN_CTX_free(self.ctx)
+
+    def new(self):
+        """A fresh BIGNUM owned by this block."""
+        number = _call(self.lib, "BN_new")
+        self.numbers.append(number)
+        return number
+
+    def load(self, number, value: int):
+        """Set `number` to value, for 0 <= value < 2^(8 * size)."""
+        _call(self.lib, "BN_bin2bn", value.to_bytes(self.size, "big"),
+              self.size, number)
+
+    def read(self, number) -> int:
+        """The plain-form value of `number`, below n."""
+        if self.lib.BN_bn2binpad(number, self._out, self.size) != self.size:
+            raise InternalError("BN_bn2binpad failed")
+        return int.from_bytes(self._out.raw, "big")
+
+    def residue(self, value: int):
+        number = self.new()
+        self.load(number, value % self.n)
+        _call(self.lib, "BN_to_montgomery", number, number, self.mont, self.ctx)
+        return number
+
+    def copy(self, out, a):
+        _call(self.lib, "BN_copy", out, a)
+
+    def multiply(self, out, a, b):
+        _call(self.lib, "BN_mod_mul_montgomery", out, a, b, self.mont,
+              self.ctx)
+
+    def value(self, a) -> int:
+        _call(self.lib, "BN_from_montgomery", self._scratch, a, self.mont,
+              self.ctx)
+        return self.read(self._scratch)
+
+
+class _IntResidues:
+    """Residues mod n as built-in ints, each in a one-element list so that
+    `copy` and `multiply` write in place as the BIGNUM ones do."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def residue(self, value: int):
+        """A new residue holding value mod n."""
+        return [value % self.n]
+
+    def copy(self, out, a):
+        """out = a."""
+        out[0] = a[0]
+
+    def multiply(self, out, a, b):
+        """out = a * b mod n; out may be a or b."""
+        out[0] = a[0] * b[0] % self.n
+
+    def value(self, a) -> int:
+        """The int a holds, below n."""
+        return a[0]
+
+
+@contextmanager
+def _montgomery(lib, n: int):
+    block = _Montgomery(lib, n)
+    try:
+        block.open()
+        yield block
+    finally:
+        block.close()
+
+
 @contextmanager
 def modular_power(n: int):
-    """Yield power(base, exponent) = base^exponent mod n, for exponent >= 0.
+    """Yield power(base, exponent) = base^exponent mod n, for exponent >= 0;
+    a negative exponent raises UsageError.
 
     With libcrypto and an odd n, the Montgomery context of n is set once
     on entry and each call is one BN_mod_exp_mont; every BIGNUM and
@@ -65,35 +180,42 @@ def modular_power(n: int):
     """
     lib = libcrypto()
     if lib is None or n % 2 == 0:
-        yield lambda base, exponent: pow(base, exponent, n)
+        def power(base: int, exponent: int) -> int:
+            _check_exponent(exponent)
+            return pow(base, exponent, n)
+
+        yield power
         return
-    size = (n.bit_length() + 7) // 8
-    ctx = mont = None
-    numbers = []
-    try:
-        ctx = _call(lib, "BN_CTX_new")
-        mont = _call(lib, "BN_MONT_CTX_new")
-        for _ in range(4):
-            numbers.append(_call(lib, "BN_new"))
-        modulus, base_bn, exponent_bn, result = numbers
-        _call(lib, "BN_bin2bn", n.to_bytes(size, "big"), size, modulus)
-        _call(lib, "BN_MONT_CTX_set", mont, modulus, ctx)
-        out = ctypes.create_string_buffer(size)
+    with _montgomery(lib, n) as block:
+        base_bn, exponent_bn, result = block.new(), block.new(), block.new()
 
         def power(base: int, exponent: int) -> int:
-            _call(lib, "BN_bin2bn", (base % n).to_bytes(size, "big"), size,
-                  base_bn)
+            _check_exponent(exponent)
+            block.load(base_bn, base % n)
             e = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
             _call(lib, "BN_bin2bn", e, len(e), exponent_bn)
             _call(lib, "BN_mod_exp_mont", result, base_bn, exponent_bn,
-                  modulus, ctx, mont)
-            if lib.BN_bn2binpad(result, out, size) != size:
-                raise InternalError("BN_bn2binpad failed")
-            return int.from_bytes(out.raw, "big")
+                  block.modulus, block.ctx, block.mont)
+            return block.read(result)
 
         yield power
-    finally:
-        for number in numbers:
-            lib.BN_free(number)
-        lib.BN_MONT_CTX_free(mont)
-        lib.BN_CTX_free(ctx)
+
+
+@contextmanager
+def modular_residues(n: int):
+    """Yield residues mod n that multiply in place, for product loops.
+
+    `residue(v)` makes a residue holding v mod n, `copy(out, a)` and
+    `multiply(out, a, b)` overwrite out (which may be a or b), and
+    `value(a)` returns the int below n that a holds.  With libcrypto and
+    an odd n a residue is a BIGNUM in Montgomery form and each multiply is
+    one BN_mod_mul_montgomery; the block makes one BIGNUM per residue plus
+    two, and frees every handle on leaving, so blocks in different threads
+    share nothing.  Otherwise residues are built-in ints.
+    """
+    lib = libcrypto()
+    if lib is None or n % 2 == 0:
+        yield _IntResidues(n)
+        return
+    with _montgomery(lib, n) as block:
+        yield block

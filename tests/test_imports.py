@@ -128,12 +128,18 @@ def test_only_the_binding_imports_ctypes_or_hashlib_module():
     assert importers == NATIVE_MODULES
 
 
+def _is_library_handle(node):
+    """`lib` or `<anything>.lib`."""
+    return (isinstance(node, ast.Name) and node.id == "lib"
+            or isinstance(node, ast.Attribute) and node.attr == "lib")
+
+
 def libcrypto_calls(source):
-    """The function names a binding reads off its library handle `lib`:
-    its attributes, and the names passed to `_call(lib, name, ...)`."""
+    """The function names a binding reads off its library handle `lib` or
+    `self.lib`: its attributes, and the names passed to
+    `_call(lib, name, ...)`."""
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "lib"):
+        if isinstance(node, ast.Attribute) and _is_library_handle(node.value):
             yield node.attr
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "_call"):
@@ -151,5 +157,26 @@ def test_the_binding_calls_only_typed_bignum_functions():
 
 def test_the_check_sees_a_libcrypto_call():
     source = ("lib.BN_free(x)\n_call(lib, 'SHA256', b'', 0, None)\n"
-              "other.EVP_Digest()\n")
-    assert set(libcrypto_calls(source)) == {"BN_free", "SHA256"}
+              "other.EVP_Digest()\nself.lib.BN_copy(a, b)\n")
+    assert set(libcrypto_calls(source)) == {"BN_free", "SHA256", "BN_copy"}
+
+
+def uncalled_signatures(source, signatures):
+    """The declared functions that the binding's source never calls."""
+    return sorted(set(signatures) - set(libcrypto_calls(source)))
+
+
+def test_every_declared_bignum_function_is_called():
+    """No function in `_SIGNATURES` is dead: each is typed because the
+    binding calls it."""
+    source = (PACKAGE / "bignum.py").read_text()
+    assert uncalled_signatures(source, bignum._SIGNATURES) == []
+
+
+def test_the_check_sees_a_declared_function_nothing_calls():
+    source = ("for name in _SIGNATURES:\n    getattr(lib, name)\n"
+              "lib.BN_free(x)\n_call(self.lib, 'BN_new')\n")
+    signatures = {"BN_new": None, "BN_free": None, "BN_copy": None,
+                  "BN_CTX_new": None}
+    assert uncalled_signatures(source, signatures) == ["BN_CTX_new",
+                                                       "BN_copy"]

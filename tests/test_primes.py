@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from vckit import primes
+from vckit import bignum, primes
 from vckit.errors import UsageError
 from vckit.primes import _strong_probable_prime, is_prime, next_prime
 
@@ -86,6 +86,35 @@ def test_composites_above_the_deterministic_range_rejected():
     p, q = 2 ** 61 - 1, 2 ** 89 - 1
     assert not is_prime(p * q)
     assert not is_prime((2 ** 127 - 1) * (2 ** 61 - 1))
+
+
+# Chernick's (6k + 1)(12k + 1)(18k + 1) at k = 14 000 240, all three
+# factors prime: a Carmichael number above 3.3e24, where random rounds decide
+CHERNICK_FACTORS = (84001441, 168002881, 252004321)
+CHERNICK = math.prod(CHERNICK_FACTORS)
+
+
+def test_random_rounds_agree_with_and_without_libcrypto(monkeypatch):
+    """Above the cut each n gets one `modular_power` block, below it none;
+    seeded 512- and 1024-bit primes, their products and a Carmichael
+    number get the same verdict with and without libcrypto."""
+    assert CHERNICK > primes._SMALL_CUT
+    assert all(is_prime(f) for f in CHERNICK_FACTORS)
+    assert all(pow(a, CHERNICK - 1, CHERNICK) == 1 for a in (2, 3, 5, 7))
+    cases = {CHERNICK: False}
+    for bits in (512, 1024):
+        rng = random.Random(bits)
+        p, q = (next_prime(_odd_start(rng, bits)) for _ in range(2))
+        cases.update({p: True, q: True, p * q: False})
+    blocks = []
+    modular_power = primes.modular_power
+    monkeypatch.setattr(primes, "modular_power",
+                        lambda n: blocks.append(n) or modular_power(n))
+    assert {n: is_prime(n) for n in cases} == cases
+    assert is_prime(4294967291) and not is_prime(318665857834031151167461)
+    assert blocks == list(cases)
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    assert {n: is_prime(n) for n in cases} == cases
 
 
 def _next_prime_by_steps(v):

@@ -1,5 +1,6 @@
 """Time-lock and VDF tests, anchored on a hand-checked N = 35 example."""
 
+import math
 import random
 import sys
 import threading
@@ -502,6 +503,31 @@ def test_squarings_agree_on_every_path(n, delay, monkeypatch):
     assert vdf._square_with_checkpoints(n, x, delay) == expected
 
 
+def _unit(n, seed):
+    rng = random.Random(seed)
+    while True:
+        x = rng.randrange(2, n)
+        if math.gcd(x, n) == 1:
+            return x
+
+
+@pytest.mark.parametrize("delay", EVAL_DELAYS)
+@pytest.mark.parametrize("n", EVAL_MODULI, ids=lambda n: "%d-bit-%s" % (
+    n.bit_length(), "odd" if n % 2 else "even"))
+def test_prover_agrees_on_every_path(n, delay, monkeypatch):
+    """pi from the memo and recomputed, in OpenSSL's Montgomery residues
+    (built-in ints for the even modulus) and then without libcrypto: the
+    same pi as long division and the same multiplication counts."""
+    params = vdf.VdfParams(n, delay, 16)
+    x = _unit(n, delay)
+    openssl = _hit_and_miss(params, x)
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    assert _hit_and_miss(params, x) == openssl
+    r, hit, miss, hit_muls, miss_muls = openssl
+    assert hit == miss == oracle.long_division_prove(params, x, r)
+    assert miss_muls == hit_muls + delay
+
+
 def test_round_trip_on_built_in_pow(monkeypatch):
     """Without libcrypto a round is the same T squarings, the same proof
     and the same verdict."""
@@ -522,12 +548,10 @@ def test_the_binding_resolves_wherever_hashlib_imports():
     assert bignum.libcrypto() is not None
 
 
-@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
-                                     "BN_mod_exp_mont", "BN_bn2binpad"])
-def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
-    """A 0 or NULL result (-1 from BN_bn2binpad) raises InternalError, and
-    every handle made before it is freed once."""
-    made, freed = [], []
+def _fake_libcrypto(failing, made, freed):
+    """A stand-in for libcrypto whose handles are 1, 2, 3, ... in `made`,
+    whose frees append to `freed`, and whose `failing` function returns
+    0 (-1 for BN_bn2binpad)."""
 
     def new():
         made.append(len(made) + 1)
@@ -536,14 +560,59 @@ def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
     lib = SimpleNamespace(
         BN_CTX_new=new, BN_MONT_CTX_new=new, BN_new=new,
         BN_bin2bn=lambda data, size, bn: bn,
-        BN_MONT_CTX_set=lambda mont, modulus, ctx: 1,
-        BN_mod_exp_mont=lambda *args: 1,
         BN_bn2binpad=lambda bn, out, size: size,
         BN_free=freed.append, BN_MONT_CTX_free=freed.append,
         BN_CTX_free=freed.append)
+    for name in bignum._SIGNATURES:
+        if not hasattr(lib, name):
+            setattr(lib, name, lambda *args: 1)
     setattr(lib, failing, lambda *args: -1 if failing == "BN_bn2binpad" else 0)
+    return lib
+
+
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
+                                     "BN_mod_exp_mont", "BN_bn2binpad"])
+def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
+    """A 0 or NULL result (-1 from BN_bn2binpad) raises InternalError, and
+    every handle made before it is freed once."""
+    made, freed = [], []
+    lib = _fake_libcrypto(failing, made, freed)
     monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
     with pytest.raises(InternalError, match=failing):
         with bignum.modular_power(35) as power:
             power(2, 8)
     assert sorted(h for h in freed if h is not None) == made
+
+
+@pytest.mark.parametrize("failing", [
+    "BN_CTX_new", "BN_MONT_CTX_new", "BN_new", "BN_MONT_CTX_set",
+    "BN_to_montgomery", "BN_copy", "BN_mod_mul_montgomery",
+    "BN_from_montgomery", "BN_bn2binpad"])
+def test_a_failing_residue_call_raises_and_frees_the_rest(monkeypatch,
+                                                          failing):
+    """The same for the residues block and each call the prover makes."""
+    made, freed = [], []
+    lib = _fake_libcrypto(failing, made, freed)
+    monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
+    with pytest.raises(InternalError, match=failing):
+        with bignum.modular_residues(35) as ring:
+            a, b = ring.residue(2), ring.residue(3)
+            ring.copy(b, a)
+            ring.multiply(a, a, b)
+            ring.value(a)
+    assert sorted(h for h in freed if h is not None) == made
+
+
+@pytest.mark.parametrize("n, libcrypto", [(35, True), (36, True), (35, False)],
+                         ids=["openssl", "even-modulus", "no-libcrypto"])
+def test_power_refuses_a_negative_exponent_on_every_path(monkeypatch, n,
+                                                         libcrypto):
+    """Built-in pow would return an inverse for -1 where one exists, and
+    the OpenSSL path could not encode it; both refuse it instead."""
+    if not libcrypto:
+        monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    with bignum.modular_power(n) as power:
+        assert power(2, 5) == 32 % n
+        for exponent in (-1, -(2 ** 70)):
+            with pytest.raises(UsageError, match="non-negative"):
+                power(2, exponent)
