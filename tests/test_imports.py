@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private helper is used somewhere in the library, only the random
-oracle and the Merkle tree import hashlib, and only the OpenSSL binding
-imports ctypes or _hashlib.
+oracle and the Merkle tree import hashlib, only the OpenSSL binding
+imports ctypes or _hashlib, and the binding calls every BN_ function it
+declares and no other.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
