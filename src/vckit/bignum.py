@@ -87,7 +87,7 @@ class _Montgomery:
         self.ctx = _call(lib, "BN_CTX_new")
         self.mont = _call(lib, "BN_MONT_CTX_new")
         self.modulus = self.new()
-        self._scratch = self.new()
+        self._plain = self.new()
         self.load(self.modulus, self.n)
         _call(lib, "BN_MONT_CTX_set", self.mont, self.modulus, self.ctx)
 
@@ -129,9 +129,9 @@ class _Montgomery:
               self.ctx)
 
     def value(self, a) -> int:
-        _call(self.lib, "BN_from_montgomery", self._scratch, a, self.mont,
+        _call(self.lib, "BN_from_montgomery", self._plain, a, self.mont,
               self.ctx)
-        return self.read(self._scratch)
+        return self.read(self._plain)
 
 
 class _IntResidues:
