@@ -1,10 +1,12 @@
 """Modular arithmetic in OpenSSL's Montgomery arithmetic.
 
 A CPython `a * b % n` spends most of its time in the long division of the
-reduction; OpenSSL multiplies in Montgomery form instead.  Two blocks are
-offered: `modular_power`, one BN_mod_exp_mont per exponentiation, and
-`modular_residues`, residues that stay in Montgomery form and multiply in
-place with BN_mod_mul_montgomery, for loops of many multiplications.
+reduction; OpenSSL multiplies in Montgomery form instead.  Three entry
+points are offered: the block `modular_power`, one BN_mod_exp_mont per
+exponentiation; `joint_power`, a^e * b^f in one BN_mod_exp2_mont call;
+and the block `modular_residues`, residues that stay in Montgomery form
+and multiply in place with BN_mod_mul_montgomery, for loops of many
+multiplications.
 The functions come through ctypes from the libcrypto that the
 interpreter's own `_hashlib` links, so no library beyond the interpreter's
 is needed.  Where they cannot be resolved, or the modulus is even
@@ -35,6 +37,8 @@ _SIGNATURES = {
     "BN_from_montgomery": (_INT, [_PTR, _PTR, _PTR, _PTR]),
     "BN_mod_mul_montgomery": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR]),
     "BN_mod_exp_mont": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "BN_mod_exp2_mont": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                                _PTR]),
 }
 
 
@@ -108,6 +112,11 @@ class _Montgomery:
         """Set `number` to value, for 0 <= value < 2^(8 * size)."""
         _call(self.lib, "BN_bin2bn", value.to_bytes(self.size, "big"),
               self.size, number)
+
+    def load_exponent(self, number, exponent: int):
+        """Set `number` to exponent >= 0, of any length."""
+        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+        _call(self.lib, "BN_bin2bn", data, len(data), number)
 
     def read(self, number) -> int:
         """The plain-form value of `number`, below n."""
@@ -192,13 +201,39 @@ def modular_power(n: int):
         def power(base: int, exponent: int) -> int:
             _check_exponent(exponent)
             block.load(base_bn, base % n)
-            e = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
-            _call(lib, "BN_bin2bn", e, len(e), exponent_bn)
+            block.load_exponent(exponent_bn, exponent)
             _call(lib, "BN_mod_exp_mont", result, base_bn, exponent_bn,
                   block.modulus, block.ctx, block.mont)
             return block.read(result)
 
         yield power
+
+
+def joint_power(a: int, e: int, b: int, f: int, n: int) -> int:
+    """a^e * b^f mod n, for e, f >= 0; a negative exponent raises
+    UsageError.
+
+    With libcrypto and an odd n this is one BN_mod_exp2_mont, whose
+    squarings serve both exponents, in a Montgomery block of its own
+    that is freed before the call returns.  Otherwise it is the product
+    of two built-in pows.
+    """
+    _check_exponent(e)
+    _check_exponent(f)
+    lib = libcrypto()
+    if lib is None or n % 2 == 0:
+        return pow(a, e, n) * pow(b, f, n) % n
+    with _montgomery(lib, n) as block:
+        a_bn, e_bn, b_bn, f_bn, result = (block.new() for _ in range(5))
+        # BN_mod_exp2_mont makes a base of 0 give 0 even under exponent 0,
+        # and two zero exponents give 1 even modulo 1
+        block.load(a_bn, a % n if e else 1)
+        block.load(b_bn, b % n if f else 1)
+        block.load_exponent(e_bn, e)
+        block.load_exponent(f_bn, f)
+        _call(lib, "BN_mod_exp2_mont", result, a_bn, e_bn, b_bn, f_bn,
+              block.modulus, block.ctx, block.mont)
+        return block.read(result) % n
 
 
 @contextmanager

@@ -7,9 +7,10 @@ deliberately sequential.  They run in OpenSSL's Montgomery arithmetic
 (`bignum.modular_power`), one BN_mod_exp_mont by 2^steps per checkpoint
 interval, about 7x faster than CPython's `y * y % n` at 2048 bits; where
 libcrypto cannot be loaded, or N is even, the same exponentiations are
-built-in pow.  Verification stays in Python: it computes
-pi^r * x'^(2^T mod r) with one left-to-right ladder over both short
-exponents, whose squarings the two exponentiations share.
+built-in pow.  Verification computes pi^r * x'^(2^T mod r) in one
+BN_mod_exp2_mont (`bignum.joint_power`), whose squarings the two short
+exponentiations share; without libcrypto, or for an even N, it is the
+product of two built-in pows.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
@@ -28,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .bignum import modular_power, modular_residues
+from .bignum import joint_power, modular_power, modular_residues
 from .encoding import HASH_ID, Reader, int_lp, read_magic, u8, u64
 from .errors import UsageError, VerifyResult
 from .primes import is_prime
@@ -270,48 +271,28 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
 
 
 def counting_modpow(pairs, n: int, counters: VdfCounters = None) -> int:
-    """prod base^exponent mod n over the (base, exponent) pairs, by one
-    left-to-right ladder over all exponents at once (Straus 1964; Shamir's
-    trick for two pairs).
+    """prod base^exponent mod n over at most two (base, exponent) pairs,
+    in one `bignum.joint_power` call (one BN_mod_exp2_mont with
+    libcrypto and an odd n).  More pairs raise UsageError, and so does a
+    negative exponent.
 
-    Below the top bit of the longest exponent, each bit costs one squaring
-    plus one multiplication by the product of the bases whose exponents
-    have a 1 there.  That product is computed the first time its set of
-    bases occurs, with one multiplication per base after the first, and
-    reused: for two pairs the only one is base_0 * base_1.  The exact count
-    of squarings and multiplications is added to counters.multiplications;
-    for a single pair it is bit_length + popcount - 2, as square-and-multiply.
+    counters.multiplications gets the cost of one left-to-right ladder
+    over both exponents (Straus 1964; Shamir's trick): a squaring for
+    each bit below the top one, a multiplication for each of those bits
+    where either exponent has a 1, and the product of the bases once if
+    some bit has a 1 in both.  It is a model count, as `squarings` is:
+    for a single pair it is bit_length + popcount - 2, as
+    square-and-multiply.
     """
-    pairs = [(base % n, e) for base, e in pairs if e]
-    if any(e < 0 for _, e in pairs):
-        raise UsageError("exponents must be non-negative")
-    top = max((e.bit_length() for _, e in pairs), default=0)
-    products = {}  # bit column -> product of the bases with a 1 in it
-    acc = None
-    multiplications = 0
-    for column in zip(*(format(e, f"0{top}b") for _, e in pairs)):
-        if acc is not None:
-            acc = acc * acc % n
-            multiplications += 1
-        if "1" not in column:
-            continue
-        factor = products.get(column)
-        if factor is None:
-            members = [base for (base, _), bit in zip(pairs, column)
-                       if bit == "1"]
-            factor = members[0]
-            for base in members[1:]:
-                factor = factor * base % n
-            multiplications += len(members) - 1
-            products[column] = factor
-        if acc is None:
-            acc = factor
-        else:
-            acc = acc * factor % n
-            multiplications += 1
-    if counters is not None:
-        counters.multiplications += multiplications
-    return 1 % n if acc is None else acc
+    if len(pairs) > 2:
+        raise UsageError("at most two (base, exponent) pairs")
+    (a, e), (b, f) = [*pairs, (1, 0), (1, 0)][:2]
+    value = joint_power(a, e, b, f, n)
+    either = e | f
+    if counters is not None and either:
+        counters.multiplications += (either.bit_length() + either.bit_count()
+                                     - 2 + bool(e & f))
+    return value
 
 
 def derive_challenge(params: VdfParams, x_prime: int, y: int) -> int:

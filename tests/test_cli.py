@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import vdf_oracle as oracle
 from vckit import cli, fri, stark, vdf
 from vckit.encoding import Reader, bytes_lp, u32, u64
 from vckit.field import DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial
@@ -469,6 +470,21 @@ def test_bench_smoke(capsys):
     assert 0 < rec["prover_multiplications"] < 2048
     assert run(["bench", "fri-soundness", "--trials", "20"]) == 0
     assert run(["bench", "stark-mutation", "--trials", "5"]) == 0
+
+
+def test_vdf_asymmetry_bench_reports_the_joint_ladder_count(capsys):
+    """At T = 2^16 `verifier_multiplications` is the oracle ladder's count
+    for the bench's own round, pi^r * x'^(2^T mod r): a model count, the
+    same whether the ladder runs or one joint exponentiation does."""
+    assert run(["bench", "vdf-asymmetry", "--T", "65536"]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    params, _ = vdf.setup(16, b"bench", delay=2**16, security_bits=16)
+    x, proof = vdf.vdf_round(params, b"bench-input")
+    _, expected = oracle.joint_square_and_multiply(
+        [(proof.pi, proof.r), (x, pow(2, 2**16, proof.r))], params.n_modulus)
+    assert rec["verifier_multiplications"] == expected
+    assert rec["prover_squarings"] == 2**16
+    assert rec["ratio"] == 2**16 / expected
 
 
 def test_stark_mutation_bench_rejects_every_trial(capsys):

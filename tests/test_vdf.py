@@ -221,6 +221,37 @@ def test_verify_counts_the_joint_ladder_at_criterion_04():
     assert expected < separate
 
 
+def test_joint_modpow_refuses_more_than_two_pairs():
+    with pytest.raises(UsageError, match="two"):
+        vdf.counting_modpow([(3, 5), (2, 1), (5, 1)], 35)
+
+
+def test_verify_exponentiates_through_counting_modpow(monkeypatch):
+    """verify calls the module global `vdf.counting_modpow` once for each
+    proof that reaches the equation and never for one refused before it,
+    so a wrapper bound to that name, as the traced benchmark's span is,
+    times the exponentiation."""
+    params, _ = vdf.setup(16, b"span", delay=64)
+    x, proof = vdf.vdf_round(params, b"m")
+    calls, modpow = [], vdf.counting_modpow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return modpow(*args, **kwargs)
+
+    monkeypatch.setattr(vdf, "counting_modpow", counting)
+    y1 = proof.y + 1
+    reaching = [proof, vdf.VdfProof(y1, proof.pi,
+                                    vdf.derive_challenge(params, x, y1))]
+    refused = [vdf.VdfProof(y1, proof.pi, proof.r),
+               vdf.VdfProof(0, 0, vdf.derive_challenge(params, x, 0)),
+               vdf.VdfProof(proof.y, params.n_modulus - proof.pi, proof.r)]
+    assert [bool(vdf.verify(params, x, p)) for p in reaching] == [True, False]
+    assert len(calls) == 2
+    assert not any(vdf.verify(params, x, p) for p in refused)
+    assert len(calls) == 2
+
+
 def test_setup_primes_have_exactly_the_requested_bits():
     """The upward prime search from a draw can pass 2^bits: seed b"556"
     reached p = 65537 at 16 bits and b"s15" q = 257 at 8 bits.  Such a
@@ -482,6 +513,10 @@ def _modulus(bits, odd):
     return n if odd else n - 1
 
 
+def _modulus_id(n):
+    return "%d-bit-%s" % (n.bit_length(), "odd" if n % 2 else "even")
+
+
 EVAL_MODULI = [_modulus(bits, True) for bits in (16, 64, 512, 2048)]
 EVAL_MODULI.append(_modulus(64, False))
 EVAL_DELAYS = sorted({0, 1, 2, 3, INTERVAL16 - 1, INTERVAL16, INTERVAL16 + 1,
@@ -489,8 +524,7 @@ EVAL_DELAYS = sorted({0, 1, 2, 3, INTERVAL16 - 1, INTERVAL16, INTERVAL16 + 1,
 
 
 @pytest.mark.parametrize("delay", EVAL_DELAYS)
-@pytest.mark.parametrize("n", EVAL_MODULI, ids=lambda n: "%d-bit-%s" % (
-    n.bit_length(), "odd" if n % 2 else "even"))
+@pytest.mark.parametrize("n", EVAL_MODULI, ids=_modulus_id)
 def test_squarings_agree_on_every_path(n, delay, monkeypatch):
     """(y, checkpoints) from OpenSSL (pow for the even modulus), from
     built-in pow and from plain y * y % n are the same, at delays on and
@@ -512,8 +546,7 @@ def _unit(n, seed):
 
 
 @pytest.mark.parametrize("delay", EVAL_DELAYS)
-@pytest.mark.parametrize("n", EVAL_MODULI, ids=lambda n: "%d-bit-%s" % (
-    n.bit_length(), "odd" if n % 2 else "even"))
+@pytest.mark.parametrize("n", EVAL_MODULI, ids=_modulus_id)
 def test_prover_agrees_on_every_path(n, delay, monkeypatch):
     """pi from the memo and recomputed, in OpenSSL's Montgomery residues
     (built-in ints for the even modulus) and then without libcrypto: the
@@ -526,6 +559,63 @@ def test_prover_agrees_on_every_path(n, delay, monkeypatch):
     r, hit, miss, hit_muls, miss_muls = openssl
     assert hit == miss == oracle.long_division_prove(params, x, r)
     assert miss_muls == hit_muls + delay
+
+
+def _joint_cases(n):
+    """(a, e, b, f): zero exponents on either side and on both, also on a
+    base of 0 mod n, exponents of unequal length, and bases >= n or
+    negative."""
+    rng = random.Random(n)
+    a, b = rng.randrange(n), rng.randrange(n)
+    return [(a, 0, b, 0), (a, 0, b, 77), (a, 77, b, 0), (n, 0, b, 5),
+            (a, 5, n, 0), (n, 0, n, 0), (n, 5, b, 3), (a, 1, b, 1),
+            (a, 2**32 - 1, b, 5), (a, 3, b, rng.getrandbits(300)),
+            (n + a, 2**31, -b - 1, 2**32 - 1), (-1, 3, 2 * n + 1, 9)]
+
+
+@pytest.mark.parametrize("n", [1, 3] + EVAL_MODULI, ids=_modulus_id)
+def test_joint_power_agrees_on_every_path(n, monkeypatch):
+    """a^e * b^f from BN_mod_exp2_mont (two pows for the even modulus) and
+    then without libcrypto: the oracle ladder's value, and from
+    `counting_modpow` also its multiplication count."""
+    def results():
+        for a, e, b, f in _joint_cases(n):
+            counters = vdf.VdfCounters()
+            yield (bignum.joint_power(a, e, b, f, n),
+                   vdf.counting_modpow([(a, e), (b, f)], n, counters),
+                   counters.multiplications)
+
+    expected = []
+    for a, e, b, f in _joint_cases(n):
+        value, count = oracle.joint_square_and_multiply([(a, e), (b, f)], n)
+        expected.append((value, value, count))
+    assert list(results()) == expected
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    assert list(results()) == expected
+
+
+@pytest.mark.parametrize("n", EVAL_MODULI, ids=_modulus_id)
+def test_verify_agrees_on_every_path(n, monkeypatch):
+    """The same verdicts with the joint power in OpenSSL (two pows for
+    the even modulus) and without libcrypto: an honest proof, y + 1 with
+    the honest r and with its own, N - pi, and the degenerate 0 and N."""
+    params = vdf.VdfParams(n, 64, 16)
+    x = _unit(n, 64)
+    y = vdf.eval_sequential(params, x)
+    r = vdf.derive_challenge(params, x, y)
+    pi = vdf.prove(params, x, y, r)
+    proofs = [vdf.VdfProof(y, pi, r), vdf.VdfProof(y + 1, pi, r),
+              vdf.VdfProof(y + 1, pi, vdf.derive_challenge(params, x, y + 1)),
+              vdf.VdfProof(y, n - pi, r)]
+    proofs += [vdf.VdfProof(v, v, vdf.derive_challenge(params, x, v))
+               for v in (0, n)]
+    expected = [vdf.VerifyResult.accept()] + [
+        vdf.VerifyResult.reject(reason) for reason in (
+            "challenge-mismatch", "equation-failure", "non-canonical",
+            "out-of-range", "out-of-range")]
+    assert [vdf.verify(params, x, proof) for proof in proofs] == expected
+    monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    assert [vdf.verify(params, x, proof) for proof in proofs] == expected
 
 
 def test_round_trip_on_built_in_pow(monkeypatch):
@@ -603,6 +693,19 @@ def test_a_failing_residue_call_raises_and_frees_the_rest(monkeypatch,
     assert sorted(h for h in freed if h is not None) == made
 
 
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
+                                     "BN_mod_exp2_mont", "BN_bn2binpad"])
+def test_a_failing_joint_power_call_raises_and_frees_the_rest(monkeypatch,
+                                                              failing):
+    """The same for the joint power, which opens a block per call."""
+    made, freed = [], []
+    lib = _fake_libcrypto(failing, made, freed)
+    monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
+    with pytest.raises(InternalError, match=failing):
+        bignum.joint_power(2, 3, 5, 7, 35)
+    assert sorted(h for h in freed if h is not None) == made
+
+
 @pytest.mark.parametrize("n, libcrypto", [(35, True), (36, True), (35, False)],
                          ids=["openssl", "even-modulus", "no-libcrypto"])
 def test_power_refuses_a_negative_exponent_on_every_path(monkeypatch, n,
@@ -616,3 +719,9 @@ def test_power_refuses_a_negative_exponent_on_every_path(monkeypatch, n,
         for exponent in (-1, -(2 ** 70)):
             with pytest.raises(UsageError, match="non-negative"):
                 power(2, exponent)
+    assert bignum.joint_power(2, 5, 3, 2, n) == 288 % n
+    for exponent in (-1, -(2 ** 70)):
+        with pytest.raises(UsageError, match="non-negative"):
+            bignum.joint_power(2, exponent, 3, 2, n)
+        with pytest.raises(UsageError, match="non-negative"):
+            bignum.joint_power(2, 5, 3, exponent, n)

@@ -1,6 +1,7 @@
 """Slow oracles for `vckit.vdf`: plain squaring for the evaluator, a
 bit-by-bit long-division Wesolowski prover for the checkpoint prover in
-`vckit.vdf.prove`, and square-and-multiply ladders for its meters."""
+`vckit.vdf.prove`, and square-and-multiply ladders for the verifier's
+joint exponentiation and its meter."""
 
 from vckit import vdf
 
