@@ -1,11 +1,11 @@
 """Modular arithmetic in OpenSSL's Montgomery arithmetic.
 
 A CPython `a * b % n` spends most of its time in the long division of the
-reduction; OpenSSL multiplies in Montgomery form instead.  Three entry
-points are offered: the block `modular_power`, one BN_mod_exp_mont per
-exponentiation; `joint_power`, a^e * b^f in one BN_mod_exp2_mont call;
-and the block `modular_residues`, residues that stay in Montgomery form
-and multiply in place with BN_mod_mul_montgomery, for loops of many
+reduction; OpenSSL multiplies in Montgomery form instead.  The one entry
+point is the block `modular_ring(n)`.  Its `power` is one BN_mod_exp_mont
+per exponentiation, its `joint_power` is a^e * b^f in one
+BN_mod_exp2_mont call, and its residues stay in Montgomery form and
+multiply in place with BN_mod_mul_montgomery, for loops of many
 multiplications.
 The functions come through ctypes from the libcrypto that the
 interpreter's own `_hashlib` links, so no library beyond the interpreter's
@@ -71,10 +71,11 @@ def _check_exponent(exponent: int):
 
 
 class _Montgomery:
-    """One odd modulus n in libcrypto: its BN_CTX and BN_MONT_CTX and every
-    BIGNUM made for it, all freed once by `close`.
+    """One odd modulus n in libcrypto: its BN_CTX and BN_MONT_CTX, the
+    scratch BIGNUMs of `power`, `joint_power` and `value`, and every
+    residue made for it, all freed once by `close`.
 
-    The residue methods are those of `_IntResidues`: a residue is a BIGNUM
+    The methods are those of `_IntResidues`.  A residue is a BIGNUM
     holding v*R mod n (R the Montgomery radix), so products never leave
     Montgomery form between `residue` and `value`.
     """
@@ -91,9 +92,11 @@ class _Montgomery:
         self.ctx = _call(lib, "BN_CTX_new")
         self.mont = _call(lib, "BN_MONT_CTX_new")
         self.modulus = self.new()
-        self._plain = self.new()
         self.load(self.modulus, self.n)
         _call(lib, "BN_MONT_CTX_set", self.mont, self.modulus, self.ctx)
+        # the operands and result of every call; made once per block
+        self._a, self._e, self._b, self._f, self._result = (
+            self.new() for _ in range(5))
 
     def close(self):
         lib = self.lib
@@ -124,6 +127,27 @@ class _Montgomery:
             raise InternalError("BN_bn2binpad failed")
         return int.from_bytes(self._out.raw, "big")
 
+    def power(self, base: int, exponent: int) -> int:
+        _check_exponent(exponent)
+        self.load(self._a, base % self.n)
+        self.load_exponent(self._e, exponent)
+        _call(self.lib, "BN_mod_exp_mont", self._result, self._a, self._e,
+              self.modulus, self.ctx, self.mont)
+        return self.read(self._result)
+
+    def joint_power(self, a: int, e: int, b: int, f: int) -> int:
+        _check_exponent(e)
+        _check_exponent(f)
+        # BN_mod_exp2_mont makes a base of 0 give 0 even under exponent 0,
+        # and two zero exponents give 1 even modulo 1
+        self.load(self._a, a % self.n if e else 1)
+        self.load(self._b, b % self.n if f else 1)
+        self.load_exponent(self._e, e)
+        self.load_exponent(self._f, f)
+        _call(self.lib, "BN_mod_exp2_mont", self._result, self._a, self._e,
+              self._b, self._f, self.modulus, self.ctx, self.mont)
+        return self.read(self._result) % self.n
+
     def residue(self, value: int):
         number = self.new()
         self.load(number, value % self.n)
@@ -138,17 +162,29 @@ class _Montgomery:
               self.ctx)
 
     def value(self, a) -> int:
-        _call(self.lib, "BN_from_montgomery", self._plain, a, self.mont,
+        _call(self.lib, "BN_from_montgomery", self._result, a, self.mont,
               self.ctx)
-        return self.read(self._plain)
+        return self.read(self._result)
 
 
 class _IntResidues:
-    """Residues mod n as built-in ints, each in a one-element list so that
-    `copy` and `multiply` write in place as the BIGNUM ones do."""
+    """Arithmetic mod n on built-in ints.  A residue is an int in a
+    one-element list, so that `copy` and `multiply` write in place as the
+    BIGNUM ones do."""
 
     def __init__(self, n: int):
         self.n = n
+
+    def power(self, base: int, exponent: int) -> int:
+        """base^exponent mod n, for exponent >= 0."""
+        _check_exponent(exponent)
+        return pow(base, exponent, self.n)
+
+    def joint_power(self, a: int, e: int, b: int, f: int) -> int:
+        """a^e * b^f mod n, for e, f >= 0."""
+        _check_exponent(e)
+        _check_exponent(f)
+        return pow(a, e, self.n) * pow(b, f, self.n) % self.n
 
     def residue(self, value: int):
         """A new residue holding value mod n."""
@@ -168,89 +204,31 @@ class _IntResidues:
 
 
 @contextmanager
-def _montgomery(lib, n: int):
-    block = _Montgomery(lib, n)
-    try:
-        block.open()
-        yield block
-    finally:
-        block.close()
+def modular_ring(n: int):
+    """Yield the arithmetic mod n, for the length of the block.
 
-
-@contextmanager
-def modular_power(n: int):
-    """Yield power(base, exponent) = base^exponent mod n, for exponent >= 0;
-    a negative exponent raises UsageError.
-
-    With libcrypto and an odd n, the Montgomery context of n is set once
-    on entry and each call is one BN_mod_exp_mont; every BIGNUM and
-    context belongs to this block and is freed on leaving it, so blocks
-    in different threads share nothing.  Otherwise power is built-in pow.
-    """
-    lib = libcrypto()
-    if lib is None or n % 2 == 0:
-        def power(base: int, exponent: int) -> int:
-            _check_exponent(exponent)
-            return pow(base, exponent, n)
-
-        yield power
-        return
-    with _montgomery(lib, n) as block:
-        base_bn, exponent_bn, result = block.new(), block.new(), block.new()
-
-        def power(base: int, exponent: int) -> int:
-            _check_exponent(exponent)
-            block.load(base_bn, base % n)
-            block.load_exponent(exponent_bn, exponent)
-            _call(lib, "BN_mod_exp_mont", result, base_bn, exponent_bn,
-                  block.modulus, block.ctx, block.mont)
-            return block.read(result)
-
-        yield power
-
-
-def joint_power(a: int, e: int, b: int, f: int, n: int) -> int:
-    """a^e * b^f mod n, for e, f >= 0; a negative exponent raises
-    UsageError.
-
-    With libcrypto and an odd n this is one BN_mod_exp2_mont, whose
-    squarings serve both exponents, in a Montgomery block of its own
-    that is freed before the call returns.  Otherwise it is the product
-    of two built-in pows.
-    """
-    _check_exponent(e)
-    _check_exponent(f)
-    lib = libcrypto()
-    if lib is None or n % 2 == 0:
-        return pow(a, e, n) * pow(b, f, n) % n
-    with _montgomery(lib, n) as block:
-        a_bn, e_bn, b_bn, f_bn, result = (block.new() for _ in range(5))
-        # BN_mod_exp2_mont makes a base of 0 give 0 even under exponent 0,
-        # and two zero exponents give 1 even modulo 1
-        block.load(a_bn, a % n if e else 1)
-        block.load(b_bn, b % n if f else 1)
-        block.load_exponent(e_bn, e)
-        block.load_exponent(f_bn, f)
-        _call(lib, "BN_mod_exp2_mont", result, a_bn, e_bn, b_bn, f_bn,
-              block.modulus, block.ctx, block.mont)
-        return block.read(result) % n
-
-
-@contextmanager
-def modular_residues(n: int):
-    """Yield residues mod n that multiply in place, for product loops.
-
+    `power(a, e)` is a^e mod n and `joint_power(a, e, b, f)` is
+    a^e * b^f mod n; a negative exponent raises UsageError.
     `residue(v)` makes a residue holding v mod n, `copy(out, a)` and
     `multiply(out, a, b)` overwrite out (which may be a or b), and
-    `value(a)` returns the int below n that a holds.  With libcrypto and
-    an odd n a residue is a BIGNUM in Montgomery form and each multiply is
-    one BN_mod_mul_montgomery; the block makes one BIGNUM per residue plus
-    two, and frees every handle on leaving, so blocks in different threads
-    share nothing.  Otherwise residues are built-in ints.
+    `value(a)` returns the int below n that a holds.
+
+    With libcrypto and an odd n, the Montgomery context of n is set once
+    on entry, `power` is one BN_mod_exp_mont, `joint_power` one
+    BN_mod_exp2_mont, whose squarings serve both exponents, and a residue
+    is a BIGNUM in Montgomery form that each multiply updates with one
+    BN_mod_mul_montgomery.  The block makes a fixed set of handles on
+    entry and one BIGNUM per residue, and frees every one on leaving, so
+    blocks in different threads share nothing.  Otherwise the same
+    arithmetic runs on built-in ints.
     """
     lib = libcrypto()
     if lib is None or n % 2 == 0:
         yield _IntResidues(n)
         return
-    with _montgomery(lib, n) as block:
-        yield block
+    ring = _Montgomery(lib, n)
+    try:
+        ring.open()
+        yield ring
+    finally:
+        ring.close()

@@ -21,7 +21,7 @@ import random
 
 import numpy as np
 
-from .bignum import modular_power
+from .bignum import modular_ring
 from .errors import UsageError
 
 _SIEVE_LIMIT = 1000
@@ -43,11 +43,10 @@ _DETERMINISTIC_BASES = [
 _RANDOM_ROUNDS = 40  # random bases drawn above both bounds
 
 
-def _strong_probable_prime(n: int, d: int, s: int, a: int,
-                           power=None) -> bool:
+def _strong_probable_prime(n: int, d: int, s: int, a: int, power) -> bool:
     """Miller-Rabin round for n - 1 = d * 2^s with base a; a^d comes from
-    power(a, d) if given, else from built-in pow."""
-    x = pow(a, d, n) if power is None else power(a, d)
+    power(a, d), which computes modulo n."""
+    x = power(a, d)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -62,8 +61,9 @@ def is_prime(n: int) -> bool:
     3.3e24, _RANDOM_ROUNDS random bases above.  Below _SIEVE_LIMIT the
     sieve alone decides; above it, one gcd with the product of the sieve
     primes replaces a trial division by each.  Above 3.3e24 each round's
-    a^d runs in OpenSSL's Montgomery arithmetic, one `modular_power`
-    block per n; below it built-in pow is cheaper than a ctypes call."""
+    a^d is the `power` of one `modular_ring` block per n, in OpenSSL's
+    Montgomery arithmetic; below it built-in pow is cheaper than a ctypes
+    call."""
     if n < _SIEVE_LIMIT:
         return n in _SIEVE_SET
     if math.gcd(n, _SIEVE_PRODUCT) != 1:
@@ -75,11 +75,14 @@ def is_prime(n: int) -> bool:
         s += 1
     for bound, bases in _DETERMINISTIC_BASES:
         if n < bound:
-            return all(_strong_probable_prime(n, d, s, a) for a in bases)
+            power = functools.partial(pow, mod=n)
+            return all(_strong_probable_prime(n, d, s, a, power)
+                       for a in bases)
     rng = random.Random(n)
     bases = (rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS))
-    with modular_power(n) as power:
-        return all(_strong_probable_prime(n, d, s, a, power) for a in bases)
+    with modular_ring(n) as ring:
+        return all(_strong_probable_prime(n, d, s, a, ring.power)
+                   for a in bases)
 
 
 _SMALL_CUT = _DETERMINISTIC_BASES[-1][0]  # below it: the plain loop

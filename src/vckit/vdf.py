@@ -3,33 +3,32 @@
 The working group is Z_N^* / {+-1}: every element is represented by
 min(v, N - v), and the verifier refuses a y or pi above N/2, so each
 proof has one encoding.  Evaluation is T modular squarings and
-deliberately sequential.  They run in OpenSSL's Montgomery arithmetic
-(`bignum.modular_power`), one BN_mod_exp_mont by 2^steps per checkpoint
-interval, about 7x faster than CPython's `y * y % n` at 2048 bits; where
-libcrypto cannot be loaded, or N is even, the same exponentiations are
-built-in pow.  Verification computes pi^r * x'^(2^T mod r) in one
-BN_mod_exp2_mont (`bignum.joint_power`), whose squarings the two short
-exponentiations share; without libcrypto, or for an even N, it is the
-product of two built-in pows.
+deliberately sequential.  All of the VDF's modular arithmetic runs in
+`bignum.modular_ring` blocks, in OpenSSL's Montgomery arithmetic where
+libcrypto loads and N is odd, and on built-in ints otherwise, with the
+same results.  The squarings are the ring's `power`, one BN_mod_exp_mont
+by 2^steps per checkpoint interval, about 7x faster than CPython's
+`y * y % n` at 2048 bits.  Verification computes pi^r * x'^(2^T mod r)
+with the ring's `joint_power`, one BN_mod_exp2_mont whose squarings the
+two short exponentiations share.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
 is assembled from those checkpoints in about T/k + gamma*2^(k+1) + gamma*k
 multiplications instead of T squarings plus a multiplication per quotient
-bit.  Those multiplications run on residues held in Montgomery form
-(`bignum.modular_residues`, one BN_mod_mul_montgomery each), about 5x
-faster than `a * b % n` at 2048 bits; where libcrypto cannot be loaded,
-or N is even, the same residues are built-in ints.  The checkpoints of
-the latest `eval_sequential` call are kept in a one-entry memo that
-`prove` consumes when N, T and x' match; on any other call `prove`
-recomputes them with T squarings first.
+bit.  Those multiplications run on the ring's residues, held in
+Montgomery form and one BN_mod_mul_montgomery each, about 5x faster
+than `a * b % n` at 2048 bits.  The checkpoints of the latest
+`eval_sequential` call are kept in a one-entry memo that `prove`
+consumes when N, T and x' match; on any other call `prove` recomputes
+them with T squarings first.
 """
 
 import math
 import time
 from dataclasses import dataclass
 
-from .bignum import joint_power, modular_power, modular_residues
+from .bignum import modular_ring
 from .encoding import HASH_ID, Reader, int_lp, read_magic, u8, u64
 from .errors import UsageError, VerifyResult
 from .primes import is_prime
@@ -128,10 +127,10 @@ def _square_with_checkpoints(n: int, x_prime: int, delay: int):
     interval = _GAMMA * _chunk_bits(delay)
     checkpoints = []
     y = x_prime
-    with modular_power(n) as power:
+    with modular_ring(n) as ring:
         for start in range(0, delay, interval):
             checkpoints.append(y)
-            y = power(y, 1 << min(interval, delay - start))
+            y = ring.power(y, 1 << min(interval, delay - start))
     return y, tuple(checkpoints)
 
 
@@ -229,7 +228,7 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
     plus T more when the checkpoints are not in the memo.  No knowledge of
     phi(N) is needed.
 
-    The checkpoints go into one `modular_residues` block, in Montgomery
+    The checkpoints go into one `modular_ring` block, in Montgomery
     form with libcrypto and an odd N, and only pi comes out as an int;
     without libcrypto, or for an even N, the same multiplications run on
     built-in ints.  The block holds one residue per checkpoint, 2^k
@@ -243,7 +242,7 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
     k = _chunk_bits(params.delay)
     digits = _digits((1 << params.delay) // r, k)
     multiplications = 0
-    with modular_residues(n) as ring:
+    with modular_ring(n) as ring:
         one = ring.residue(1)
         points = [ring.residue(c) for c in checkpoints]
         buckets = [ring.residue(1) for _ in range(1 << k)]
@@ -272,9 +271,9 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
 
 def counting_modpow(pairs, n: int, counters: VdfCounters = None) -> int:
     """prod base^exponent mod n over at most two (base, exponent) pairs,
-    in one `bignum.joint_power` call (one BN_mod_exp2_mont with
-    libcrypto and an odd n).  More pairs raise UsageError, and so does a
-    negative exponent.
+    in one `joint_power` call of a `bignum.modular_ring` block (one
+    BN_mod_exp2_mont with libcrypto and an odd n).  More pairs raise
+    UsageError, and so does a negative exponent.
 
     counters.multiplications gets the cost of one left-to-right ladder
     over both exponents (Straus 1964; Shamir's trick): a squaring for
@@ -287,7 +286,8 @@ def counting_modpow(pairs, n: int, counters: VdfCounters = None) -> int:
     if len(pairs) > 2:
         raise UsageError("at most two (base, exponent) pairs")
     (a, e), (b, f) = [*pairs, (1, 0), (1, 0)][:2]
-    value = joint_power(a, e, b, f, n)
+    with modular_ring(n) as ring:
+        value = ring.joint_power(a, e, b, f)
     either = e | f
     if counters is not None and either:
         counters.multiplications += (either.bit_length() + either.bit_count()

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private helper is used somewhere in the library, only the random
 oracle and the Merkle tree import hashlib, only the OpenSSL binding
-imports ctypes or _hashlib, and the binding calls every BN_ function it
-declares and no other.
+imports ctypes or _hashlib, the binding calls every BN_ function it
+declares and no other, and it decides between libcrypto and built-in
+ints in one place.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -181,3 +182,33 @@ def test_the_check_sees_a_declared_function_nothing_calls():
                   "BN_CTX_new": None}
     assert uncalled_signatures(source, signatures) == ["BN_CTX_new",
                                                        "BN_copy"]
+
+
+def public_functions_and_libcrypto_calls(source):
+    """(the module-level functions and classes not named with a leading _,
+    the number of `libcrypto()` calls)."""
+    tree = ast.parse(source)
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    calls = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "libcrypto" for node in ast.walk(tree))
+    return public, calls
+
+
+def test_the_binding_decides_its_fallback_in_one_place():
+    """`modular_ring` is the binding's one entry point and the one caller
+    of `libcrypto()`, so no second libcrypto-or-ints decision, with a
+    fallback of its own, can sit beside it."""
+    source = (PACKAGE / "bignum.py").read_text()
+    assert public_functions_and_libcrypto_calls(source) == (
+        {"libcrypto", "modular_ring"}, 1)
+
+
+def test_the_check_sees_a_second_entry_point():
+    source = ("def libcrypto():\n    pass\n\n"
+              "def modular_ring(n):\n    return libcrypto()\n\n"
+              "def joint_power(n):\n    lib = libcrypto()\n\n"
+              "class _Ring:\n    pass\n")
+    assert public_functions_and_libcrypto_calls(source) == (
+        {"libcrypto", "modular_ring", "joint_power"}, 2)

@@ -1,6 +1,7 @@
 """Miller-Rabin against trial division and known strong pseudoprimes, and
 the sieved next_prime against the plain step-by-2 search."""
 
+import functools
 import math
 import random
 
@@ -70,7 +71,8 @@ def test_sampled_32_bit_n_match_trial_division():
 ])
 def test_strong_pseudoprimes_rejected(n, fooled_by):
     d, s = _split(n)
-    assert all(_strong_probable_prime(n, d, s, a) for a in fooled_by)
+    power = functools.partial(pow, mod=n)
+    assert all(_strong_probable_prime(n, d, s, a, power) for a in fooled_by)
     assert not is_prime(n)
 
 
@@ -95,7 +97,7 @@ CHERNICK = math.prod(CHERNICK_FACTORS)
 
 
 def test_random_rounds_agree_with_and_without_libcrypto(monkeypatch):
-    """Above the cut each n gets one `modular_power` block, below it none;
+    """Above the cut each n gets one `modular_ring` block, below it none;
     seeded 512- and 1024-bit primes, their products and a Carmichael
     number get the same verdict with and without libcrypto."""
     assert CHERNICK > primes._SMALL_CUT
@@ -107,9 +109,9 @@ def test_random_rounds_agree_with_and_without_libcrypto(monkeypatch):
         p, q = (next_prime(_odd_start(rng, bits)) for _ in range(2))
         cases.update({p: True, q: True, p * q: False})
     blocks = []
-    modular_power = primes.modular_power
-    monkeypatch.setattr(primes, "modular_power",
-                        lambda n: blocks.append(n) or modular_power(n))
+    modular_ring = primes.modular_ring
+    monkeypatch.setattr(primes, "modular_ring",
+                        lambda n: blocks.append(n) or modular_ring(n))
     assert {n: is_prime(n) for n in cases} == cases
     assert is_prime(4294967291) and not is_prime(318665857834031151167461)
     assert blocks == list(cases)
