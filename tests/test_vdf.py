@@ -669,18 +669,53 @@ def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
     """A 0 or NULL result (-1 from BN_bn2binpad) from any function a ring
     calls, on entry or in any of its methods, raises InternalError, and
     every handle made before it is freed once."""
+    def use(ring):
+        ring.power(2, 8)
+        ring.joint_power(2, 3, 5, 7)
+        _use_residues(ring)
+
+    _fails_and_frees(monkeypatch, failing, use)
+
+
+def _fails_and_frees(monkeypatch, failing, use):
+    """use(ring) in a ring on a libcrypto whose `failing` function fails
+    raises InternalError naming it, and frees every handle made once."""
     made, freed = [], []
     lib = _fake_libcrypto(failing, made, freed)
     monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
     with pytest.raises(InternalError, match=failing):
         with bignum.modular_ring(35) as ring:
-            ring.power(2, 8)
-            ring.joint_power(2, 3, 5, 7)
-            a, b = ring.residue(2), ring.residue(3)
-            ring.copy(b, a)
-            ring.multiply(a, a, b)
-            ring.value(a)
+            use(ring)
     assert sorted(h for h in freed if h is not None) == made
+
+
+def _use_residues(ring):
+    a, b = ring.residue(2), ring.residue(3)
+    ring.copy(b, a)
+    ring.multiply(a, a, b)
+    ring.value(a)
+
+
+@pytest.mark.parametrize("failing", [
+    "BN_CTX_new", "BN_MONT_CTX_new", "BN_new", "BN_MONT_CTX_set",
+    "BN_to_montgomery", "BN_copy", "BN_mod_mul_montgomery",
+    "BN_from_montgomery", "BN_bn2binpad"])
+def test_a_failing_residue_call_raises_and_frees_the_rest(monkeypatch,
+                                                          failing):
+    """The same in a block that only makes and multiplies residues, as
+    the prover's does, so a call that fails inside one of those methods
+    rather than in an earlier power is covered too."""
+    _fails_and_frees(monkeypatch, failing, _use_residues)
+
+
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
+                                     "BN_mod_exp2_mont", "BN_bn2binpad"])
+def test_a_failing_joint_power_call_raises_and_frees_the_rest(monkeypatch,
+                                                              failing):
+    """The same in a block that only makes a joint power, as verify's
+    does, so BN_bn2binpad fails inside joint_power itself."""
+    _fails_and_frees(monkeypatch, failing,
+                     lambda ring: ring.joint_power(2, 3, 5, 7))
 
 
 def test_a_ring_makes_its_scratch_once_per_block(monkeypatch):
