@@ -4,7 +4,12 @@ and evaluation domains.
 Moduli are below 2^32, so the product of two reduced values fits in a
 uint64 and every bulk path works on numpy uint64 arrays.  Scalar
 operations go through FieldElement and are tallied in Field.op_count so
-cost experiments can meter them; the array paths are not metered.  An
+cost experiments can meter them; the array paths are not metered, and
+neither is coefficient arithmetic inside Polynomial or the plain-int
+per-tag path of hauth (a tag's slope and its label randomness).  A
+scalar is a FieldElement of the field or an int-like value that
+operator.index takes (int, bool, numpy ints); anything else, such as a
+float or a string, is refused with UsageError.  An
 evaluation domain is a coset offset*<g> of a power-of-two subgroup (the
 subgroup itself has offset 1); evaluation on and interpolation over a
 domain run a vectorized radix-2 NTT in O(n log n) and take and return
@@ -13,6 +18,8 @@ O(n * deg) Horner path for arbitrary point arrays.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -50,11 +57,10 @@ class Field:
         return f"Field({self.modulus})"
 
     def __call__(self, value) -> "FieldElement":
+        v = _canonical(self, value)
         if isinstance(value, FieldElement):
-            if value.field != self:
-                raise UsageError("element from a different field")
             return value
-        return FieldElement(self, value % self.modulus)
+        return FieldElement(self, v)
 
     @property
     def zero(self) -> "FieldElement":
@@ -81,6 +87,21 @@ class Field:
         if (p - 1) % n != 0:
             raise UsageError(f"no subgroup of order {n} in F_{p}")
         return self.generator() ** ((p - 1) // n)
+
+
+def _canonical(field: Field, value) -> int:
+    """value as a reduced int of field: the value of a FieldElement of
+    field, or an operator.index-able value reduced mod p.  Anything else,
+    a float, a string or an element of another field, is a UsageError."""
+    if isinstance(value, FieldElement):
+        if value.field is not field and value.field != field:
+            raise UsageError("element from a different field")
+        return value.value
+    try:
+        return operator.index(value) % field.modulus
+    except TypeError:
+        raise UsageError(
+            f"{type(value).__name__} is not a field value") from None
 
 
 def _factor(n: int) -> list:
@@ -111,7 +132,7 @@ class FieldElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise UsageError("mixed-field arithmetic")
             return other.value
         if isinstance(other, int):
@@ -177,7 +198,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return ((other.field is self.field or other.field == self.field)
+                    and self.value == other.value)
         if isinstance(other, int):
             return self.value == other % self.field.modulus
         return NotImplemented
@@ -205,12 +227,23 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        vals = [c.value if isinstance(c, FieldElement) else c % field.modulus
-                for c in coeffs]
+        vals = [_canonical(field, c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.field = field
         self.coeffs = tuple(vals)
+
+    @classmethod
+    def _reduced(cls, field: Field, vals: list) -> "Polynomial":
+        """From a list of ints already in [0, p), which it trims of top
+        zeros in place: the constructor without the checks and the
+        reductions."""
+        while vals and vals[-1] == 0:
+            vals.pop()
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(vals)
+        return poly
 
     @staticmethod
     def zero(field: Field) -> "Polynomial":
@@ -238,6 +271,10 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
 
+    def _check_field(self, other: "Polynomial"):
+        if other.field is not self.field and other.field != self.field:
+            raise UsageError("mixed-field arithmetic")
+
     def coefficient(self, i: int) -> FieldElement:
         v = self.coeffs[i] if i < len(self.coeffs) else 0
         return FieldElement(self.field, v)
@@ -245,14 +282,14 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, FieldElement)):
             other = Polynomial.constant(self.field, other)
-        if self.field != other.field:
-            raise UsageError("mixed-field arithmetic")
+        self._check_field(other)
         p = self.field.modulus
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [((self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)) % p
-               for i in range(n)]
-        return Polynomial(self.field, out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out += a[len(b):]
+        return Polynomial._reduced(self.field, out)
 
     def __sub__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -262,8 +299,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
-        if self.field != other.field:
-            raise UsageError("mixed-field arithmetic")
+        self._check_field(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
         p = self.field.modulus
@@ -273,14 +309,15 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = (out[i + j] + a * b) % p
-        return Polynomial(self.field, out)
+        return Polynomial._reduced(self.field, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = self.field(c).value
         p = self.field.modulus
-        return Polynomial(self.field, [a * c % p for a in self.coeffs])
+        return Polynomial._reduced(self.field,
+                                   [a * c % p for a in self.coeffs])
 
     def compose_scale(self, a) -> "Polynomial":
         """Substitute x -> a*x, i.e. return p(a*x)."""
@@ -290,7 +327,7 @@ class Polynomial:
         for c in self.coeffs:
             out.append(c * ak % p)
             ak = ak * a % p
-        return Polynomial(self.field, out)
+        return Polynomial._reduced(self.field, out)
 
     def evaluate(self, x) -> FieldElement:
         """Horner evaluation; metered through FieldElement arithmetic."""
@@ -325,7 +362,8 @@ class Polynomial:
                 quot[k] = c
                 for j, b in enumerate(divisor.coeffs):
                     rem[k + j] = (rem[k + j] - c * b) % p
-        return Polynomial(self.field, quot), Polynomial(self.field, rem[:dd])
+        return (Polynomial._reduced(self.field, quot),
+                Polynomial._reduced(self.field, rem[:dd]))
 
     def serialize(self) -> bytes:
         return u32(len(self.coeffs)) + b"".join(u64(c) for c in self.coeffs)
@@ -339,7 +377,7 @@ class Polynomial:
             raise UsageError("non-canonical polynomial coefficient")
         if coeffs and coeffs[-1] == 0:
             raise UsageError("polynomial with a zero top coefficient")
-        return Polynomial(field, coeffs)
+        return Polynomial._reduced(field, coeffs)
 
 
 def interpolate(points) -> Polynomial:
@@ -383,7 +421,7 @@ def interpolate(points) -> Polynomial:
         if s:
             for k in range(len(xs)):
                 acc[k] = (acc[k] + s * li[k]) % p
-    return Polynomial(field, acc)
+    return Polynomial._reduced(field, acc)
 
 
 def _power_array(base: int, n: int, p: int) -> np.ndarray:

@@ -4,15 +4,20 @@ A fresh tag is the degree-1 polynomial through (0, m) and (sk, r); circuit
 evaluation acts on tags coefficientwise, so the evaluated tag still passes
 through (0, f(m)) and (sk, f(r)).  Includes the two-party extension, whose
 tags are sparse polynomials in (x, y), and multi-label amortization.
+
+A tag's coefficients and its label randomness r are computed on reduced
+ints, with sk^-1 taken once per key, so they are not metered in
+Field.op_count; verification's circuit over the r values and its tag
+evaluations are.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import List, Optional, Tuple, Union
 
 from .encoding import u64
 from .errors import UsageError, VerifyResult
-from .field import Field, FieldElement, MultivariatePoly, Polynomial
+from .field import (Field, FieldElement, MultivariatePoly, Polynomial,
+                    _canonical)
 from .transcript import PrfKey, _h, prf
 
 
@@ -26,12 +31,18 @@ class MultiLabel:
 
 @dataclass(frozen=True)
 class AuthKey:
+    """The secret point sk and the PRF key; sk_inv, sk^-1 mod p as an
+    int, is derived once here and is not a field, so it takes no part in
+    equality or in the key file."""
+
     sk: FieldElement
     prf_key: PrfKey
 
     def __post_init__(self):
         if self.sk.is_zero():
             raise UsageError("sk must be nonzero")
+        object.__setattr__(self, "sk_inv",
+                           pow(self.sk.value, -1, self.sk.field.modulus))
 
     @property
     def field(self) -> Field:
@@ -73,29 +84,37 @@ def _prf2(key: AuthKey, delta: bytes) -> FieldElement:
     return prf(key.prf_key, b"\x02" + delta, key.field)
 
 
-def _label_randomness(label: MultiLabel, prf1, prf2) -> FieldElement:
-    """r = PRF1(l) + PRF2(delta), given the two keyed PRFs: the additive
-    merge that makes the amortized Load equation exact."""
-    return prf1(label.l) + prf2(label.delta)
+def _randomness(key: AuthKey, label: MultiLabel, prf1: dict,
+                prf2: dict) -> int:
+    """r = PRF1(l) + PRF2(delta) as a reduced int: the additive merge that
+    makes the amortized Load equation exact.  prf1 and prf2 hold the PRF
+    outputs already drawn, by input, and take in any new one."""
+    a = prf1.get(label.l)
+    if a is None:
+        a = prf1[label.l] = _prf1(key, label.l).value
+    b = prf2.get(label.delta)
+    if b is None:
+        b = prf2[label.delta] = _prf2(key, label.delta).value
+    return (a + b) % key.field.modulus
 
 
 def label_randomness(key: AuthKey, label: MultiLabel) -> FieldElement:
-    return _label_randomness(label, partial(_prf1, key), partial(_prf2, key))
+    return FieldElement(key.field, _randomness(key, label, {}, {}))
 
 
 def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
     """label_randomness of each label, with PRF1 evaluated once per
     distinct l and PRF2 once per distinct delta: an epoch's labels share
     one delta, so they cost one PRF2 call between them."""
-    prf1 = cache(partial(_prf1, key))
-    prf2 = cache(partial(_prf2, key))
-    return [_label_randomness(lab, prf1, prf2) for lab in labels]
+    field, prf1, prf2 = key.field, {}, {}
+    return [FieldElement(field, _randomness(key, lab, prf1, prf2))
+            for lab in labels]
 
 
-def _fresh_tag_poly(key: AuthKey, m: FieldElement, r: FieldElement) -> Polynomial:
-    # the line through (0, m) and (sk, r)
-    slope = (r - m) / key.sk
-    return Polynomial(key.field, [m, slope])
+def _fresh_tag_poly(key: AuthKey, m: int, r: int) -> Polynomial:
+    """The line through (0, m) and (sk, r), from reduced ints."""
+    p = key.field.modulus
+    return Polynomial._reduced(key.field, [m, (r - m) * key.sk_inv % p])
 
 
 class HauthSession:
@@ -118,8 +137,8 @@ class HauthSession:
 
 def auth(key: AuthKey, m, label: MultiLabel) -> Tag:
     """One-shot tag; label-reuse tracking is the caller's duty without a session."""
-    m = key.field(m)
-    r = label_randomness(key, label)
+    m = _canonical(key.field, m)
+    r = label_randomness(key, label).value
     return Tag(_fresh_tag_poly(key, m, r), arity=1)
 
 
@@ -255,8 +274,8 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
     if slot not in (0, 1):
         raise UsageError("slot must be 0 or 1")
     key = keys[slot]
-    m = key.field(m)
-    r = label_randomness(key, label)
+    m = _canonical(key.field, m)
+    r = label_randomness(key, label).value
     uni = _fresh_tag_poly(key, m, r)
     return Tag(MultivariatePoly.from_univariate(uni, slot), arity=2,
                slot=slot, key_fp=key.fingerprint())
@@ -302,7 +321,8 @@ def amortize_offline(key: AuthKey, circuit: Circuit,
     if circuit.syntactic_degree() > 2:
         raise UsageError("amortization caps circuits at degree 2")
     field = key.field
-    placeholders = [Polynomial(field, [_prf1(key, l), 1]) for l in l_parts]
+    placeholders = [Polynomial._reduced(field, [_prf1(key, l).value, 1])
+                    for l in l_parts]
     return AmortizedPrecompute(circuit.evaluate(placeholders))
 
 

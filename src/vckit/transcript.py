@@ -105,13 +105,17 @@ class PrfKey:
 
 
 def prf(key: PrfKey, label: bytes, field: Field) -> FieldElement:
-    """Keyed hash reduced to the field by counter-mode rejection sampling."""
-    mask = (1 << field.modulus.bit_length()) - 1
+    """Keyed hash reduced to the field by counter-mode rejection sampling:
+    the first H(key || u64(len(label)) || label || u64(ctr)), ctr = 0, 1,
+    ..., whose top 8 bytes masked to the modulus's bit length fall below
+    it."""
+    p = field.modulus
+    mask = (1 << p.bit_length()) - 1
+    prefix = key.key + u64(len(label)) + label
     ctr = 0
     while True:
-        digest = _h(key.key, u64(len(label)), label, u64(ctr))
-        v = int.from_bytes(digest[:8], "big") & mask
-        if v < field.modulus:
+        v = int.from_bytes(_h(prefix, u64(ctr))[:8], "big") & mask
+        if v < p:
             return FieldElement(field, v)
         ctr += 1
 

@@ -119,6 +119,29 @@ def test_op_count_meters_scalar_ops():
     assert f.op_count == before + 2
 
 
+def test_equal_fields_mix_and_other_fields_refuse():
+    """Elements and polynomials of two equal Field(97) instances combine
+    like one field's; with Field(101) every operation is refused."""
+    a, b = Field(97), Field(97)
+    assert a is not b and a == b
+    x, y = a(90), b(20)
+    assert (x + y).value == 13 and (x - y).value == 70 and (y - x).value == 27
+    assert (x * y).value == 90 * 20 % 97 and (x / y) * y == x
+    assert x == b(90) and b(x) is x and a(y) is y
+    assert (Polynomial(a, [1, 2]) + Polynomial(b, [3])).coeffs == (4, 2)
+    assert (Polynomial(a, [1, 2]) * Polynomial(b, [0, 1])).coeffs == (0, 1, 2)
+    assert Polynomial(a, [y, x]).coeffs == (20, 90)
+    c = Field(101)
+    z = c(3)
+    assert x != c(90)
+    for op in (lambda: x + z, lambda: x - z, lambda: z - x, lambda: x * z,
+               lambda: x / z, lambda: a(z), lambda: Polynomial(a, [z]),
+               lambda: Polynomial(a, [1]) + Polynomial(c, [1]),
+               lambda: Polynomial(a, [1]) * Polynomial(c, [1])):
+        with pytest.raises(UsageError):
+            op()
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -5,8 +5,10 @@ import dataclasses
 import random
 import re
 
+import numpy as np
 import pytest
 
+import hauth_oracle
 from pairing_model import (BASE, TARGET, GroupPolynomial,
                            InstrumentedGroupElement, group_lift)
 from vckit import hauth
@@ -171,6 +173,93 @@ def test_verify_evaluates_each_prf_once_per_distinct_input(monkeypatch):
     assert hauth.labels_randomness(KEY, mixed) == [
         hauth._prf1(KEY, label.l) + hauth._prf2(KEY, label.delta)
         for label in mixed]
+
+
+def test_auth_draws_both_prfs_on_every_call(monkeypatch):
+    """Each auth call makes one PRF1 and one PRF2 call, also for a label
+    or a delta met before: no PRF output is kept from one call to the
+    next."""
+    calls = []
+    real_prf = hauth.prf
+
+    def counting_prf(key, data, field):
+        calls.append(data[:1])
+        return real_prf(key, data, field)
+    monkeypatch.setattr(hauth, "prf", counting_prf)
+    labels = [lab(b"again", b"e"), lab(b"again", b"e"), lab(b"other", b"e"),
+              lab(b"again", b"f"), lab(b"again", b"e")]
+    for n, label in enumerate(labels, 1):
+        hauth.auth(KEY, n, label)
+        assert calls.count(b"\x01") == n and calls.count(b"\x02") == n
+        assert len(calls) == 2 * n
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 97])
+def test_tags_and_randomness_match_the_int_oracle(modulus):
+    """auth, auth_mk, label_randomness and labels_randomness against
+    `hauth_oracle`, on a seeded grid of keys, labels and messages.  F_97
+    rejects about a quarter of the PRF draws, so the grid takes the PRF's
+    later counters too."""
+    field = Field(modulus)
+    rng = random.Random(modulus)
+    keys = [hauth.keygen(b"oracle-key-%d" % i, field) for i in range(4)]
+    l_parts = [b"", b"l", b"column-7"] + [rng.randbytes(rng.randrange(1, 40))
+                                          for _ in range(5)]
+    deltas = [b"", b"epoch-1", rng.randbytes(17)]
+    msgs = [0, 1, modulus - 1, modulus, -1, 2**40 + 3,
+            *(rng.randrange(-2**64, 2**64) for _ in range(4))]
+    retries = 0
+    for key in keys:
+        sk, k = key.sk.value, key.prf_key.key
+        labels = [lab(l, d) for l in l_parts for d in deltas]
+        rs = [hauth_oracle.randomness(k, l.l, l.delta, modulus)
+              for l in labels]
+        assert [r.value for r in hauth.labels_randomness(key, labels)] == rs
+        for label, r in zip(labels, rs):
+            assert hauth.label_randomness(key, label).value == r
+            retries += sum(
+                hauth_oracle.prf_with_counter(k, x, modulus)[1] > 0
+                for x in (b"\x01" + label.l, b"\x02" + label.delta))
+        for m in msgs:
+            label = rng.choice(labels)
+            want = hauth_oracle.tag(sk, k, m, label.l, label.delta, modulus)
+            assert hauth.auth(key, m, label).poly.coeffs == want
+            two = hauth.auth_mk((key, keys[0]), m, label, slot=0)
+            assert two.poly.terms == {(i, 0): c for i, c in enumerate(want)
+                                      if c}
+    assert retries > 0
+
+
+NOT_FIELD_VALUES = [5.5, 5.0, "5", b"5", None]
+
+ENTRY_POINTS = {
+    "Field": lambda v: F(v),
+    "Polynomial": lambda v: Polynomial(F, [1, v]),
+    "auth": lambda v: hauth.auth(KEY, v, lab(b"typed")),
+    "verify": lambda v: hauth.verify(KEY, IDENTITY, [lab(b"typed")],
+                                     hauth.auth(KEY, 5, lab(b"typed")), v),
+}
+
+
+@pytest.mark.parametrize("value", NOT_FIELD_VALUES, ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_value_that_is_not_an_int_is_refused(entry, value):
+    """Floats, strings, bytes and None are refused with UsageError, not
+    taken as coefficients (5.5 once made a tag with float coefficients,
+    and claimed_y=5.0 verified) or met as a TypeError."""
+    with pytest.raises(UsageError, match="not a field value"):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [True, np.int64(-3), np.uint64(5)],
+                         ids=repr)
+def test_int_like_values_are_taken_as_ints(value):
+    as_int = int(value)
+    assert type(F(value).value) is int and F(value) == F(as_int)
+    assert Polynomial(F, [value]) == Polynomial(F, [as_int])
+    tag = hauth.auth(KEY, value, lab(b"typed"))
+    assert tag == hauth.auth(KEY, as_int, lab(b"typed"))
+    assert hauth.verify(KEY, IDENTITY, [lab(b"typed")], tag, value)
 
 
 # ---------------------------------------------------------------------------
