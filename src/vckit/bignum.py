@@ -3,7 +3,8 @@
 A CPython `a * b % n` spends most of its time in the long division of the
 reduction; OpenSSL multiplies in Montgomery form instead.  The one entry
 point is the block `modular_ring(n)`.  Its `power` is one BN_mod_exp_mont
-per exponentiation, its `joint_power` is a^e * b^f in one
+per exponentiation, its `square_chain` one per interval of a chain of
+squarings, its `joint_power` is a^e * b^f in one
 BN_mod_exp2_mont call, and its residues stay in Montgomery form and
 multiply in place with BN_mod_mul_montgomery, for loops of many
 multiplications.
@@ -70,10 +71,18 @@ def _check_exponent(exponent: int):
         raise UsageError("exponent must be non-negative")
 
 
+def _intervals(steps: int, interval: int):
+    """The lengths of `steps` squarings cut every `interval` of them."""
+    if steps < 0 or interval < 1:
+        raise UsageError("a square chain needs steps >= 0 and interval >= 1")
+    full, tail = divmod(steps, interval)
+    return [interval] * full + [tail] * (tail > 0)
+
+
 class _Montgomery:
     """One odd modulus n in libcrypto: its BN_CTX and BN_MONT_CTX, the
-    scratch BIGNUMs of `power`, `joint_power` and `value`, and every
-    residue made for it, all freed once by `close`.
+    scratch BIGNUMs of `power`, `square_chain`, `joint_power` and
+    `value`, and every residue made for it, all freed once by `close`.
 
     The methods are those of `_IntResidues`.  A residue is a BIGNUM
     holding v*R mod n (R the Montgomery radix), so products never leave
@@ -135,6 +144,24 @@ class _Montgomery:
               self.modulus, self.ctx, self.mont)
         return self.read(self._result)
 
+    def square_chain(self, base: int, steps: int, interval: int):
+        lengths = _intervals(steps, interval)
+        values = [base % self.n]
+        # y alternates between two BIGNUMs: BN_mod_exp_mont is not
+        # documented to allow its result to be its base
+        y, spare = self._a, self._result
+        self.load(y, values[0])
+        loaded = None
+        for length in lengths:
+            if length != loaded:
+                self.load_exponent(self._e, 1 << length)
+                loaded = length
+            _call(self.lib, "BN_mod_exp_mont", spare, y, self._e,
+                  self.modulus, self.ctx, self.mont)
+            y, spare = spare, y
+            values.append(self.read(y))
+        return values
+
     def joint_power(self, a: int, e: int, b: int, f: int) -> int:
         _check_exponent(e)
         _check_exponent(f)
@@ -180,6 +207,16 @@ class _IntResidues:
         _check_exponent(exponent)
         return pow(base, exponent, self.n)
 
+    def square_chain(self, base: int, steps: int, interval: int):
+        """[base^(2^j) mod n for j = 0, interval, 2*interval, ... below
+        steps] followed by base^(2^steps) mod n, for steps >= 0 and
+        interval >= 1."""
+        lengths = _intervals(steps, interval)
+        values = [base % self.n]
+        for length in lengths:
+            values.append(pow(values[-1], 1 << length, self.n))
+        return values
+
     def joint_power(self, a: int, e: int, b: int, f: int) -> int:
         """a^e * b^f mod n, for e, f >= 0."""
         _check_exponent(e)
@@ -209,12 +246,16 @@ def modular_ring(n: int):
 
     `power(a, e)` is a^e mod n and `joint_power(a, e, b, f)` is
     a^e * b^f mod n; a negative exponent raises UsageError.
+    `square_chain(a, steps, interval)` lists a^(2^j) mod n for every
+    multiple j of interval below steps, then a^(2^steps) mod n.
     `residue(v)` makes a residue holding v mod n, `copy(out, a)` and
     `multiply(out, a, b)` overwrite out (which may be a or b), and
     `value(a)` returns the int below n that a holds.
 
     With libcrypto and an odd n, the Montgomery context of n is set once
-    on entry, `power` is one BN_mod_exp_mont, `joint_power` one
+    on entry, `power` is one BN_mod_exp_mont, `square_chain` one
+    BN_mod_exp_mont per interval on a base that stays in a BIGNUM, with
+    the exponent 2^interval loaded once, `joint_power` one
     BN_mod_exp2_mont, whose squarings serve both exponents, and a residue
     is a BIGNUM in Montgomery form that each multiply updates with one
     BN_mod_mul_montgomery.  The block makes a fixed set of handles on

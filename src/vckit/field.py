@@ -597,12 +597,11 @@ class MultivariatePoly:
     two-party authenticator tag in (x, y)."""
 
     def __init__(self, field: Field, num_vars: int, terms: dict):
-        p = field.modulus
         clean = {}
         for exps, c in terms.items():
             if len(exps) != num_vars:
                 raise UsageError("exponent tuple arity mismatch")
-            v = (c.value if isinstance(c, FieldElement) else c) % p
+            v = _canonical(field, c)
             if v:
                 clean[tuple(exps)] = v
         self.field = field

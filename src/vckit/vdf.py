@@ -6,19 +6,21 @@ proof has one encoding.  Evaluation is T modular squarings and
 deliberately sequential.  All of the VDF's modular arithmetic runs in
 `bignum.modular_ring` blocks, in OpenSSL's Montgomery arithmetic where
 libcrypto loads and N is odd, and on built-in ints otherwise, with the
-same results.  The squarings are the ring's `power`, one BN_mod_exp_mont
-by 2^steps per checkpoint interval, about 7x faster than CPython's
-`y * y % n` at 2048 bits.  Verification computes pi^r * x'^(2^T mod r)
-with the ring's `joint_power`, one BN_mod_exp2_mont whose squarings the
-two short exponentiations share.
+same results.  The squarings are the ring's `square_chain`, one
+BN_mod_exp_mont by 2^(k*gamma) per checkpoint interval on a value that
+stays in one BIGNUM, about 11x faster than CPython's `y * y % n` at 2048
+bits.  Verification computes pi^r * x'^(2^T mod r) with the ring's
+`joint_power`, one BN_mod_exp2_mont whose squarings the two short
+exponentiations share.
 
 The prover follows Wesolowski 2019, section 4.1: evaluation keeps
 x'^(2^j) for every j that is a multiple of k*gamma, and pi = x'^floor(2^T/r)
-is assembled from those checkpoints in about T/k + gamma*2^(k+1) + gamma*k
+is assembled from those checkpoints in at most T/k + gamma*2^(k+1) + gamma*k
 multiplications instead of T squarings plus a multiplication per quotient
-bit.  Those multiplications run on the ring's residues, held in
-Montgomery form and one BN_mod_mul_montgomery each, about 5x faster
-than `a * b % n` at 2048 bits.  The checkpoints of the latest
+bit.  With gamma = 7 and k = 8 at T = 2^16 that is 1 171 checkpoints and
+about 10k multiplications.  Those multiplications run on the ring's
+residues, held in Montgomery form and one BN_mod_mul_montgomery each,
+about 5x faster than `a * b % n` at 2048 bits.  The checkpoints of the latest
 `eval_sequential` call are kept in a one-entry memo that `prove`
 consumes when N, T and x' match; on any other call `prove` recomputes
 them with T squarings first.
@@ -27,6 +29,8 @@ them with T squarings first.
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bignum import modular_ring
 from .encoding import HASH_ID, Reader, int_lp, read_magic, u8, u64
@@ -109,13 +113,20 @@ def _require_unit(x: int, n: int):
 
 # The prover splits floor(2^T / r) into k-bit digits and handles every
 # gamma-th digit in one pass over the checkpoints; evaluation keeps one
-# checkpoint per k*gamma squarings.
-_GAMMA = 2
+# checkpoint per k*gamma squarings.  Each checkpoint costs about as much
+# as _CHECKPOINT_COST of the prover's multiplications: the fixed part of
+# its BN_mod_exp_mont and its read-out in the evaluator, and its load
+# into a Montgomery residue in the prover.
+_GAMMA = 7
+_CHECKPOINT_COST = 7
 
 
 def _chunk_bits(delay: int) -> int:
-    """k minimizing the prover's delay/k + gamma * 2^(k+1) multiplications."""
-    return min(range(1, 17), key=lambda k: delay / k + _GAMMA * 2 ** (k + 1))
+    """k minimizing the prover's delay/k * (1 + C/gamma) + gamma * 2^(k+1)
+    multiplications, where each of the delay/(k*gamma) checkpoints counts
+    as C = _CHECKPOINT_COST."""
+    return min(range(1, 17), key=lambda k: (
+        delay / k * (1 + _CHECKPOINT_COST / _GAMMA) + _GAMMA * 2 ** (k + 1)))
 
 
 def _square_with_checkpoints(n: int, x_prime: int, delay: int):
@@ -124,13 +135,9 @@ def _square_with_checkpoints(n: int, x_prime: int, delay: int):
 
     Checkpoint i is x'^(2^(i*k*gamma)), for every i*k*gamma below delay.
     """
-    interval = _GAMMA * _chunk_bits(delay)
-    checkpoints = []
-    y = x_prime
     with modular_ring(n) as ring:
-        for start in range(0, delay, interval):
-            checkpoints.append(y)
-            y = ring.power(y, 1 << min(interval, delay - start))
+        *checkpoints, y = ring.square_chain(x_prime, delay,
+                                            _GAMMA * _chunk_bits(delay))
     return y, tuple(checkpoints)
 
 
@@ -165,7 +172,7 @@ def eval_sequential(params: VdfParams, x_prime: int,
     The squarings run in OpenSSL's Montgomery arithmetic, or in built-in
     pow where libcrypto is missing or N is even; both give the same y.
     A T chosen with `vckit vdf setup --delay-seconds` before they did was
-    calibrated on `y * y % n` and now evaluates about 7x faster.  Keeps
+    calibrated on `y * y % n` and now evaluates about 11x faster.  Keeps
     the prover's checkpoints for a following `prove` of the same
     (N, T, x').
     """
@@ -208,10 +215,11 @@ def _checkpoints_for(params: VdfParams, x_prime: int,
 
 
 def _digits(q: int, k: int):
-    """Base-2^k digits of q, least significant first."""
-    bits = format(q, "b")
-    return [int(bits[max(0, end - k):end], 2)
-            for end in range(len(bits), 0, -k)]
+    """Base-2^k digits of q >= 0, least significant first; [0] for q = 0."""
+    count = max(1, -(-q.bit_length() // k))
+    data = np.frombuffer(q.to_bytes((count * k + 7) // 8, "little"), np.uint8)
+    rows = np.unpackbits(data, bitorder="little")[:count * k].reshape(count, k)
+    return (rows @ (1 << np.arange(k))).tolist()
 
 
 def prove(params: VdfParams, x_prime: int, y: int, r: int,
@@ -220,19 +228,23 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
 
     Write q = floor(2^T / r) = sum_m b_m 2^(k*m) and C_i = x'^(2^(i*k*gamma)).
     Digit m = i*gamma + t contributes C_i^(b_m * 2^(k*t)).  For each offset
-    t, C_i goes into bucket b_(i*gamma + t), and suffix products over the
-    buckets give prod_c bucket_c^c; the gamma partial results are combined
-    Horner-style with k squarings between them.  As r >= 3, q has fewer
-    than T bits, so every digit has its checkpoint.  That is about
-    T/k + gamma*2^(k+1) + gamma*k multiplications (about 9.2k at T = 2^16),
-    plus T more when the checkpoints are not in the memo.  No knowledge of
+    t, C_i goes into bucket b_(i*gamma + t), copied in by the bucket's
+    first hit of the pass and multiplied in after that, and suffix
+    products from the highest filled bucket down give
+    prod_c bucket_c^c; the gamma partial results are combined
+    Horner-style with k squarings between them, and a pass without a
+    nonzero digit multiplies nothing into pi.  As r >= 3, q has fewer
+    than T bits, so every digit has its checkpoint.  That is at most
+    T/k + gamma*2^(k+1) + gamma*k multiplications (about 10k at
+    T = 2^16, where k = 8 and gamma = 7 give 1 171 checkpoints), plus T
+    more when the checkpoints are not in the memo.  No knowledge of
     phi(N) is needed.
 
     The checkpoints go into one `modular_ring` block, in Montgomery
     form with libcrypto and an odd N, and only pi comes out as an int;
     without libcrypto, or for an even N, the same multiplications run on
     built-in ints.  The block holds one residue per checkpoint, 2^k
-    buckets and four more.
+    buckets and three more.
     """
     if r < 3 or not is_prime(r):
         raise UsageError("challenge must be a prime >= 3")
@@ -243,26 +255,40 @@ def prove(params: VdfParams, x_prime: int, y: int, r: int,
     digits = _digits((1 << params.delay) // r, k)
     multiplications = 0
     with modular_ring(n) as ring:
-        one = ring.residue(1)
         points = [ring.residue(c) for c in checkpoints]
+        # every bucket is written by its first hit of a pass before use
         buckets = [ring.residue(1) for _ in range(1 << k)]
         running, part, pi = (ring.residue(1) for _ in range(3))
+        started = False  # pi holds 1 until a pass has a nonzero digit
         for t in reversed(range(_GAMMA)):
-            for bucket in buckets:
-                ring.copy(bucket, one)
+            if started:
+                for _ in range(k):
+                    ring.multiply(pi, pi, pi)
+                multiplications += k
+            filled, top = [False] * len(buckets), 0
             for c, digit in zip(points, digits[t::_GAMMA]):
-                if digit:
+                if filled[digit]:
                     ring.multiply(buckets[digit], buckets[digit], c)
                     multiplications += 1
-            ring.copy(running, one)
-            ring.copy(part, one)
-            for bucket in reversed(buckets[1:]):
-                ring.multiply(running, running, bucket)
+                elif digit:
+                    ring.copy(buckets[digit], c)
+                    filled[digit], top = True, max(top, digit)
+            if not top:
+                continue
+            ring.copy(running, buckets[top])
+            ring.copy(part, running)
+            for digit in range(top - 1, 0, -1):
+                if filled[digit]:
+                    ring.multiply(running, running, buckets[digit])
+                    multiplications += 1
                 ring.multiply(part, part, running)
-            for _ in range(k):
-                ring.multiply(pi, pi, pi)
-            ring.multiply(pi, pi, part)
-            multiplications += 2 * len(buckets) - 2 + k + 1
+            multiplications += top - 1
+            if started:
+                ring.multiply(pi, pi, part)
+                multiplications += 1
+            else:
+                ring.copy(pi, part)
+                started = True
         pi = ring.value(pi)
     if counters is not None:
         counters.multiplications += multiplications

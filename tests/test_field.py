@@ -414,6 +414,19 @@ def test_bivariate_ring_ops():
     assert prod.total_degree == 2
 
 
+@pytest.mark.parametrize("coeff", [5.5, "5", None, Field(101)(5)],
+                         ids=["float", "str", "none", "other-field"])
+def test_multivariate_refuses_a_coefficient_that_is_not_a_field_value(coeff):
+    with pytest.raises(UsageError):
+        MultivariatePoly(F97, 1, {(1,): coeff, (0,): 2})
+
+
+def test_multivariate_reduces_ints_and_elements_of_its_field():
+    """-1, as in the Fibonacci predicate, is p - 1; 97 is zero and drops."""
+    mp = MultivariatePoly(F97, 2, {(1, 0): -1, (0, 1): F97(3), (1, 1): 97})
+    assert mp.terms == {(1, 0): 96, (0, 1): 3}
+
+
 @pytest.mark.parametrize("num_vars", [2, 3])
 def test_multivariate_evaluate_matches_evaluate_array(num_vars):
     """The metered scalar evaluate and the bulk evaluate_array agree, and

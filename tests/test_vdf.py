@@ -444,6 +444,70 @@ def test_memo_is_keyed_on_modulus_and_delay():
     assert count.multiplications < 300
 
 
+def test_the_beacon_delay_keeps_at_most_1200_checkpoints():
+    """One checkpoint per k*gamma = 56 squarings at T = 2^16: 1 171, where
+    k*gamma = 16 kept 4 096."""
+    params, x = _instance(2 ** 16)
+    _, checkpoints = vdf._square_with_checkpoints(params.n_modulus, x, 2 ** 16)
+    assert len(checkpoints) == -(-2 ** 16 // INTERVAL16) <= 1200
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_digits_match_the_string_oracle(k):
+    big = random.Random(k).getrandbits(65504) | 1 << 65503
+    values = [0, 1, big] + [v for m in (1, k - 1, k, k + 1, 8 * k, 65503)
+                            for v in (2 ** m - 1, 2 ** m)]
+    for q in values:
+        assert vdf._digits(q, k) == oracle.digits(q, k)
+
+
+def _challenge_for(delay, q):
+    """The largest prime r with floor(2^delay / r) = q."""
+    r = (1 << delay) // q
+    while (1 << delay) // r == q:
+        if is_prime(r):
+            return r
+        r -= 1
+    raise AssertionError("no prime gives this quotient")
+
+
+# (delay, the quotient's base-2^k digits, least significant first)
+SPARSE_QUOTIENTS = [
+    (20, [1, 0, 1, 0, 0, 0, 1]),     # k = 1: passes 1, 3, 4 and 5 see a 0
+    (20, [1]),                       # one digit: no suffix multiplications
+    (60, [3, 0, 0, 1]),              # k = 2: passes 4 to 6 see no digit
+    (60, [0, 0, 0, 0, 0, 0, 3]),     # only the first pass has a digit
+    (100, [1, 2, 3, 0, 1, 2, 3, 2, 3, 1, 0, 3, 2, 1]),  # pass 3 sees 0, 0
+    (200, [5, 0, 7, 0, 0, 0, 2]),    # k = 3: buckets 1, 3, 4 and 6 empty
+    (700, [0, 9, 0, 0, 15, 0, 1]),   # k = 4
+    (700, [1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 2]),  # passes 5 to 1 see 0s
+]
+
+
+@pytest.mark.parametrize("libcrypto", [True, False],
+                         ids=["openssl", "no-libcrypto"])
+@pytest.mark.parametrize("delay, digits", SPARSE_QUOTIENTS)
+def test_prover_with_empty_passes_and_buckets(monkeypatch, libcrypto, delay,
+                                              digits):
+    """Quotients whose digits leave whole passes without a nonzero digit,
+    before and after the first one that has some, and leave buckets
+    empty: pi from the memo and recomputed is long division's."""
+    if not libcrypto:
+        monkeypatch.setattr(bignum, "libcrypto", lambda: None)
+    k = vdf._chunk_bits(delay)
+    q = sum(d << (k * m) for m, d in enumerate(digits))
+    r = _challenge_for(delay, q)
+    assert vdf._digits((1 << delay) // r, k) == digits
+    assert any(not any(digits[t::vdf._GAMMA]) for t in range(vdf._GAMMA))
+    params, x = _instance(delay, b"sparse")
+    y = vdf.eval_sequential(params, x)
+    hit, miss = vdf.VdfCounters(), vdf.VdfCounters()
+    expected = oracle.long_division_prove(params, x, r)
+    assert vdf.prove(params, x, y, r, hit) == expected
+    assert vdf.prove(params, x, y, r, miss) == expected
+    assert miss.multiplications == hit.multiplications + delay
+
+
 def test_prover_multiplications_at_the_beacon_delay():
     """About T/k + gamma*2^(k+1) + gamma*k at T = 2^16 (k = 8: ~9.2k)."""
     params, x = _instance(2 ** 16)
@@ -519,8 +583,11 @@ def _modulus_id(n):
 
 EVAL_MODULI = [_modulus(bits, True) for bits in (16, 64, 512, 2048)]
 EVAL_MODULI.append(_modulus(64, False))
-EVAL_DELAYS = sorted({0, 1, 2, 3, INTERVAL16 - 1, INTERVAL16, INTERVAL16 + 1,
-                      1000})
+# on and beside a multiple of the checkpoint interval: 7 at small T, and
+# INTERVAL16, the interval at T = 2^16; 15 to 17 end in a short interval
+# of 1 to 3 squarings
+EVAL_DELAYS = sorted({0, 1, 2, 3, 6, 7, 8, 15, 16, 17, INTERVAL16 - 1,
+                      INTERVAL16, INTERVAL16 + 1, 1000})
 
 
 @pytest.mark.parametrize("delay", EVAL_DELAYS)
@@ -528,13 +595,20 @@ EVAL_DELAYS = sorted({0, 1, 2, 3, INTERVAL16 - 1, INTERVAL16, INTERVAL16 + 1,
 def test_squarings_agree_on_every_path(n, delay, monkeypatch):
     """(y, checkpoints) from OpenSSL (pow for the even modulus), from
     built-in pow and from plain y * y % n are the same, at delays on and
-    beside the checkpoint interval of 2 (small T) and 16 (T = 2^16)."""
+    beside the checkpoint interval of 7 (small T) and 56 (T = 2^16), and
+    so is the ring's square chain, the checkpoints followed by y."""
     x = random.Random(delay).randrange(2, n)
     interval = vdf._GAMMA * vdf._chunk_bits(delay)
     expected = oracle.square_with_checkpoints(n, x, delay, interval)
     assert vdf._square_with_checkpoints(n, x, delay) == expected
+    with bignum.modular_ring(n) as ring:
+        assert ring.square_chain(x, delay, interval) == [*expected[1],
+                                                         expected[0]]
     monkeypatch.setattr(bignum, "libcrypto", lambda: None)
     assert vdf._square_with_checkpoints(n, x, delay) == expected
+    with bignum.modular_ring(n) as ring:
+        assert ring.square_chain(x, delay, interval) == [*expected[1],
+                                                         expected[0]]
 
 
 def _unit(n, seed):
@@ -671,6 +745,7 @@ def test_a_failing_bn_call_raises_and_frees_the_rest(monkeypatch, failing):
     every handle made before it is freed once."""
     def use(ring):
         ring.power(2, 8)
+        ring.square_chain(2, 5, 2)
         ring.joint_power(2, 3, 5, 7)
         _use_residues(ring)
 
@@ -708,6 +783,16 @@ def test_a_failing_residue_call_raises_and_frees_the_rest(monkeypatch,
     _fails_and_frees(monkeypatch, failing, _use_residues)
 
 
+@pytest.mark.parametrize("failing", ["BN_bin2bn", "BN_mod_exp_mont",
+                                     "BN_bn2binpad"])
+def test_a_failing_square_chain_call_raises_and_frees_the_rest(monkeypatch,
+                                                               failing):
+    """The same in a block that only runs a square chain, as the
+    evaluator's does, so each call fails inside square_chain itself."""
+    _fails_and_frees(monkeypatch, failing,
+                     lambda ring: ring.square_chain(2, 5, 2))
+
+
 @pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_new", "BN_MONT_CTX_set",
                                      "BN_mod_exp2_mont", "BN_bn2binpad"])
 def test_a_failing_joint_power_call_raises_and_frees_the_rest(monkeypatch,
@@ -720,9 +805,9 @@ def test_a_failing_joint_power_call_raises_and_frees_the_rest(monkeypatch,
 
 def test_a_ring_makes_its_scratch_once_per_block(monkeypatch):
     """A block makes a fixed set of handles plus one BIGNUM per residue,
-    however many power, joint_power and value calls it serves, and frees
-    each once.  The evaluator makes 4 096 powers per round, so scratch
-    made per call would show in its peak RSS."""
+    however many power, square_chain, joint_power and value calls it
+    serves, and frees each once.  The evaluator runs 1 171 exponentiations
+    per round, so scratch made per call would show in its peak RSS."""
     made, freed = [], []
     lib = _fake_libcrypto(None, made, freed)
     monkeypatch.setattr(bignum, "libcrypto", lambda: lib)
@@ -734,6 +819,7 @@ def test_a_ring_makes_its_scratch_once_per_block(monkeypatch):
             points = [ring.residue(v) for v in range(residues)]
             for i in range(calls):
                 ring.power(2, i)
+                ring.square_chain(2, i, 3)
                 ring.joint_power(2, i, 3, i + 1)
                 ring.value(points[i % residues])
         assert sorted(freed) == made
@@ -762,3 +848,6 @@ def test_power_refuses_a_negative_exponent_on_every_path(monkeypatch, n,
                 ring.joint_power(2, exponent, 3, 2)
             with pytest.raises(UsageError, match="non-negative"):
                 ring.joint_power(2, 5, 3, exponent)
+        for steps, interval in [(-1, 3), (5, 0), (5, -2)]:
+            with pytest.raises(UsageError, match="square chain"):
+                ring.square_chain(2, steps, interval)

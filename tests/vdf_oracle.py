@@ -1,5 +1,6 @@
-"""Slow oracles for `vckit.vdf`: plain squaring for the evaluator, a
-bit-by-bit long-division Wesolowski prover for the checkpoint prover in
+"""Slow oracles for `vckit.vdf`: plain squaring for the evaluator, digits
+read from a binary string for the prover's quotient digits, a bit-by-bit
+long-division Wesolowski prover for the checkpoint prover in
 `vckit.vdf.prove`, and square-and-multiply ladders for the verifier's
 joint exponentiation and its meter."""
 
@@ -15,6 +16,14 @@ def square_with_checkpoints(n, x_prime, delay, interval):
             checkpoints.append(y)
         y = y * y % n
     return y, tuple(checkpoints)
+
+
+def digits(q, k):
+    """Base-2^k digits of q, least significant first, cut from q's binary
+    string; [0] for q = 0."""
+    bits = format(q, "b")
+    return [int(bits[max(0, end - k):end], 2)
+            for end in range(len(bits), 0, -k)]
 
 
 def long_division_prove(params, x_prime, r):
