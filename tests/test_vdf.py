@@ -371,10 +371,12 @@ def _instance(delay, tag=b""):
     return params, vdf.hash_to_group(b"x-%d" % delay + tag, params.n_modulus)
 
 
-def _hit_and_miss(params, x):
-    """(pi from the memo, pi recomputed, their multiplication counts)."""
+def _hit_and_miss(params, x, r=None):
+    """(r, pi from the memo, pi recomputed, their multiplication counts),
+    for the Fiat-Shamir challenge r unless one is given."""
     y = vdf.eval_sequential(params, x)
-    r = vdf.derive_challenge(params, x, y)
+    if r is None:
+        r = vdf.derive_challenge(params, x, y)
     hit_count, miss_count = vdf.VdfCounters(), vdf.VdfCounters()
     hit = vdf.prove(params, x, y, r, hit_count)
     miss = vdf.prove(params, x, y, r, miss_count)
@@ -500,12 +502,9 @@ def test_prover_with_empty_passes_and_buckets(monkeypatch, libcrypto, delay,
     assert vdf._digits((1 << delay) // r, k) == digits
     assert any(not any(digits[t::vdf._GAMMA]) for t in range(vdf._GAMMA))
     params, x = _instance(delay, b"sparse")
-    y = vdf.eval_sequential(params, x)
-    hit, miss = vdf.VdfCounters(), vdf.VdfCounters()
-    expected = oracle.long_division_prove(params, x, r)
-    assert vdf.prove(params, x, y, r, hit) == expected
-    assert vdf.prove(params, x, y, r, miss) == expected
-    assert miss.multiplications == hit.multiplications + delay
+    _, hit, miss, hit_muls, miss_muls = _hit_and_miss(params, x, r)
+    assert hit == miss == oracle.long_division_prove(params, x, r)
+    assert miss_muls == hit_muls + delay
 
 
 def test_prover_multiplications_at_the_beacon_delay():
