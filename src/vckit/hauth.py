@@ -111,12 +111,6 @@ def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
             for lab in labels]
 
 
-def _fresh_tag_poly(key: AuthKey, m: int, r: int) -> Polynomial:
-    """The line through (0, m) and (sk, r), from reduced ints."""
-    p = key.field.modulus
-    return Polynomial._reduced(key.field, [m, (r - m) * key.sk_inv % p])
-
-
 class HauthSession:
     """Per-key authentication session; rejects (l, delta) reuse.
 
@@ -136,10 +130,12 @@ class HauthSession:
 
 
 def auth(key: AuthKey, m, label: MultiLabel) -> Tag:
-    """One-shot tag; label-reuse tracking is the caller's duty without a session."""
+    """One-shot tag, the line through (0, m) and (sk, r) from reduced ints;
+    label-reuse tracking is the caller's duty without a session."""
     m = _canonical(key.field, m)
     r = label_randomness(key, label).value
-    return Tag(_fresh_tag_poly(key, m, r), arity=1)
+    slope = (r - m) * key.sk_inv % key.field.modulus
+    return Tag(Polynomial._reduced(key.field, [m, slope]), arity=1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +242,30 @@ def _check_slots(tags):
             raise UsageError(f"slot {t.slot} claimed by two different keys")
 
 
+def _accept(circuit: Circuit, f_r, claimed_y, poly, deg,
+            key_point) -> VerifyResult:
+    """Both tag families' rule, checked in this order: degree deg (None
+    for the zero tag) at most the circuit's syntactic degree, then
+    poly(key_point) = f(r), then poly(0, ...) = claimed_y."""
+    if deg is not None and deg > circuit.syntactic_degree():
+        return VerifyResult.reject("degree-check")
+    if poly.evaluate(*key_point) != f_r:
+        return VerifyResult.reject("key-check")
+    if poly.evaluate(*(0,) * len(key_point)) != claimed_y:
+        return VerifyResult.reject("output-check")
+    return VerifyResult.accept()
+
+
 def verify(key: AuthKey, circuit: Circuit, labels, tag: Tag,
            claimed_y) -> VerifyResult:
     """Accept iff tag(sk) = f(r), tag(0) = claimed_y, and the tag degree
     does not exceed the circuit's syntactic degree."""
     if not isinstance(tag.poly, Polynomial):
         raise UsageError("verify takes arity-1 tags; use verify_mk")
-    field = key.field
-    claimed_y = field(claimed_y)
+    claimed_y = key.field(claimed_y)
     f_r = circuit.evaluate(labels_randomness(key, labels))
-    deg = tag.poly.degree
-    if deg is not None and deg > circuit.syntactic_degree():
-        return VerifyResult.reject("degree-check")
-    if tag.poly.evaluate(key.sk) != f_r:
-        return VerifyResult.reject("key-check")
-    if tag.poly.evaluate(0) != claimed_y:
-        return VerifyResult.reject("output-check")
-    return VerifyResult.accept()
+    return _accept(circuit, f_r, claimed_y, tag.poly, tag.poly.degree,
+                   (key.sk,))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +277,19 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
     if slot not in (0, 1):
         raise UsageError("slot must be 0 or 1")
     key = keys[slot]
-    m = _canonical(key.field, m)
-    r = label_randomness(key, label).value
-    uni = _fresh_tag_poly(key, m, r)
+    uni = auth(key, m, label).poly
     return Tag(MultivariatePoly.from_univariate(uni, slot), arity=2,
                slot=slot, key_fp=key.fingerprint())
 
 
 def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
               labeled_slots, tag: Tag, claimed_y) -> VerifyResult:
-    """Verification needs both secret keys: tag(sk1, sk2) = f(r).  Each
-    key's labels take one labels_randomness call, so one PRF2 call per
-    delta per key."""
+    """Verification needs both secret keys: tag(sk1, sk2) = f(r), under
+    verify's rule with the tag's total degree.  Each key's labels take
+    one labels_randomness call, so one PRF2 call per delta per key."""
     if not isinstance(tag.poly, MultivariatePoly):
         raise UsageError("verify_mk takes arity-2 tags; use verify")
-    field = keys[0].field
-    claimed_y = field(claimed_y)
+    claimed_y = keys[0].field(claimed_y)
     if any(slot not in (0, 1) for _, slot in labeled_slots):
         raise UsageError("slot must be 0 or 1")
     per_slot = [iter(labels_randomness(
@@ -297,13 +297,8 @@ def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
         for slot, key in enumerate(keys)]
     rs = [next(per_slot[slot]) for _, slot in labeled_slots]
     f_r = circuit.evaluate(rs)
-    if tag.poly.total_degree > 2 * circuit.syntactic_degree():
-        return VerifyResult.reject("degree-check")
-    if tag.poly.evaluate(keys[0].sk, keys[1].sk) != f_r:
-        return VerifyResult.reject("key-check")
-    if tag.poly.evaluate(0, 0) != claimed_y:
-        return VerifyResult.reject("output-check")
-    return VerifyResult.accept()
+    return _accept(circuit, f_r, claimed_y, tag.poly, tag.poly.total_degree,
+                   (keys[0].sk, keys[1].sk))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import hauth_oracle
 from pairing_model import (BASE, TARGET, GroupPolynomial,
                            InstrumentedGroupElement, group_lift)
+from test_acceptance import _random_circuit
 from vckit import hauth
 from vckit.errors import UsageError
 from vckit.field import DEFAULT_MODULUS, Field, MultivariatePoly, Polynomial
@@ -380,10 +381,12 @@ def _multikey_forgery(pad_terms):
 
 
 def test_multikey_degree_check_rejects_padded_tag():
-    """x^3 y (x - sk1) vanishes at (0, 0) and (sk1, sk2), so only the
-    degree (5, above twice the circuit's 2) gives the forgery away."""
-    v = _multikey_forgery({(4, 1): 1, (3, 1): -KEY.sk.value})
-    assert not v and v.reason == "degree-check"
+    """x^k y (x - sk1) vanishes at (0, 0) and (sk1, sk2), so only the
+    degree (k + 2 for k = 1, 2, 3, above the circuit's 2) gives the
+    forgery away."""
+    for k in (1, 2, 3):
+        v = _multikey_forgery({(k + 1, 1): 1, (k, 1): -KEY.sk.value})
+        assert not v and v.reason == "degree-check", k
 
 
 def test_multikey_key_check_rejects_shifted_tag():
@@ -408,6 +411,31 @@ def test_multikey_substitution_oracle():
         want = circ.evaluate([t1.poly.evaluate(x, y),
                               t2.poly.evaluate(x, y)])
         assert out.poly.evaluate(x, y) == want
+
+
+def test_honest_two_party_tags_stay_within_the_syntactic_degree():
+    """Random circuits of syntactic degree up to 4, each input tag on a
+    random slot: every honest tag's total degree is at most the circuit's
+    syntactic degree, so verify_mk's degree cap refuses none of them."""
+    rng = random.Random(3030)
+    keys = (KEY, KEY2)
+    degrees = set()
+    for i in range(200):
+        k = rng.randrange(1, 4)
+        circ = _random_circuit(rng, k, rng.randrange(1, 7),
+                               max_syntactic_degree=4)
+        labeled_slots = [(lab(b"honest-%d-%d" % (i, j)), rng.randrange(2))
+                         for j in range(k)]
+        msgs = [rng.randrange(F.modulus) for _ in range(k)]
+        out = hauth.eval_tags(circ, [
+            hauth.auth_mk(keys, m, label, slot)
+            for m, (label, slot) in zip(msgs, labeled_slots)])
+        d = circ.syntactic_degree()
+        degrees.add(d)
+        assert out.poly.total_degree <= d
+        assert hauth.verify_mk(keys, circ, labeled_slots, out,
+                               circ.evaluate([F(m) for m in msgs]))
+    assert degrees == {1, 2, 3, 4}
 
 
 def test_slot_collision_rejected():

@@ -508,7 +508,8 @@ def test_prover_with_empty_passes_and_buckets(monkeypatch, libcrypto, delay,
 
 
 def test_prover_multiplications_at_the_beacon_delay():
-    """About T/k + gamma*2^(k+1) + gamma*k at T = 2^16 (k = 8: ~9.2k)."""
+    """At most T/k + gamma*2^(k+1) + gamma*(k+1) at T = 2^16 (k = 8:
+    11 839)."""
     params, x = _instance(2 ** 16)
     r, hit, miss, hit_muls, miss_muls = _hit_and_miss(params, x)
     assert hit == miss == oracle.long_division_prove(params, x, r)
