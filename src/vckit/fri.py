@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64, u64_rows
 from .errors import InternalError, UsageError, VerifyResult
-from .field import EvaluationDomain, _power_array
+from .field import EvaluationDomain, _power_array, _reduce, _reduce_sum
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import Transcript
 
@@ -114,9 +114,10 @@ def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
     and 1/alpha."""
     mod = np.uint64(p)
     inv2 = np.uint64(pow(2, -1, p))
-    even = ((a + b) % mod) * inv2 % mod
-    odd = ((a + (mod - b)) % mod) * inv2 % mod * alpha_inv % mod
-    return (even + odd * np.uint64(x0)) % mod
+    even = _reduce(_reduce_sum(a + b, mod) * inv2, mod)
+    odd = _reduce(_reduce(_reduce_sum(a + (mod - b), mod) * inv2, mod)
+                  * alpha_inv, mod)
+    return _reduce(even + odd * np.uint64(x0), mod)
 
 
 def _cosets(layer: np.ndarray, arity: int) -> np.ndarray:
@@ -141,9 +142,10 @@ def _fold_cosets(slots, x_inv, root_inv: int, beta: int,
     mod = np.uint64(p)
     while len(slots) > 1:
         h = len(slots) // 2
-        alpha_inv = _power_array(root_inv, h, p)[:, None] * x_inv % mod
+        alpha_inv = _reduce(_power_array(root_inv, h, p)[:, None] * x_inv,
+                            mod)
         slots = _fold(slots[:h], slots[h:], alpha_inv, beta, p)
-        x_inv = x_inv * x_inv % mod
+        x_inv = _reduce(x_inv * x_inv, mod)
         root_inv = root_inv * root_inv % p
         beta = beta * beta % p
     return slots[0]
@@ -171,8 +173,9 @@ def fold_layer(evals, domain: EvaluationDomain, beta,
         raise UsageError("evaluation count does not match the domain")
     width = domain.size // arity
     g = domain.generator.value
-    x_inv = (_power_array(pow(g, -1, p), width, p)
-             * np.uint64(pow(domain.offset.value, -1, p)) % np.uint64(p))
+    x_inv = _reduce(_power_array(pow(g, -1, p), width, p)
+                    * np.uint64(pow(domain.offset.value, -1, p)),
+                    np.uint64(p))
     return _fold_cosets(_cosets(evals, arity).T, x_inv, pow(g, -width, p),
                         field(beta).value, p)
 

@@ -46,7 +46,8 @@ from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
                     Polynomial, _inverse_array, _pow_array, _power_array,
-                    evaluate_on_domain, interpolate, interpolate_on_domain)
+                    _reduce, _reduce_sum, evaluate_on_domain, interpolate,
+                    interpolate_on_domain)
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import Transcript, _h
 
@@ -341,7 +342,7 @@ def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
     if not divisor.all():
         raise InternalError("vanishing polynomial is zero at an LDE point")
     inverse = np.tile(_inverse_array(divisor, p), len(values) // len(divisor))
-    return values * inverse % np.uint64(p)
+    return _reduce(values * inverse, np.uint64(p))
 
 
 def _point_array(points) -> np.ndarray:
@@ -381,7 +382,7 @@ def _row_product(points, trace_domain: EvaluationDomain,
             raise InternalError("domain size is not a multiple of the "
                                 "trace length")
         step = points.size // n
-        shifted = (points.point_array() + (mod - 1)) % mod
+        shifted = _reduce_sum(points.point_array() + (mod - 1), mod)
         acc = np.full(points.size, pow(g.value, int(rows.sum()), p),
                       dtype=np.uint64)
         rows = np.sort(rows)
@@ -391,26 +392,27 @@ def _row_product(points, trace_domain: EvaluationDomain,
             # prod, the product of shifted rolled by step*k over k < have
             prod, have = shifted, 1
             for bit in format(run.size, "b")[1:]:
-                prod = prod * np.roll(prod, step * have) % mod
+                prod = _reduce(prod * np.roll(prod, step * have), mod)
                 have *= 2
                 if bit == "1":
-                    prod = prod * np.roll(shifted, step * have) % mod
+                    prod = _reduce(prod * np.roll(shifted, step * have), mod)
                     have += 1
-            acc = acc * np.roll(prod, step * int(run[0])) % mod
+            acc = _reduce(acc * np.roll(prod, step * int(run[0])), mod)
         return acc
     roots = _power_array(g.value, int(rows.max()) + 1 if rows.size else 0,
                          p)[rows]
     acc = np.ones(len(points), dtype=np.uint64)
     block = max(1, _ROW_BLOCK_ENTRIES // max(len(points), 1))
     for start in range(0, len(roots), block):
-        factors = (points + (mod - roots[start:start + block, None])) % mod
+        factors = _reduce_sum(
+            points + (mod - roots[start:start + block, None]), mod)
         while len(factors) > 1:
             half = len(factors) // 2
-            paired = factors[:half] * factors[half:2 * half] % mod
+            paired = _reduce(factors[:half] * factors[half:2 * half], mod)
             if len(factors) % 2:
-                paired[0] = paired[0] * factors[-1] % mod
+                paired[0] = _reduce(paired[0] * factors[-1], mod)
             factors = paired
-        acc = acc * factors[0] % mod
+        acc = _reduce(acc * factors[0], mod)
     return acc
 
 
@@ -423,8 +425,8 @@ def boundary_quotient(points, column: np.ndarray, bcs,
     p = field.modulus
     mod = np.uint64(p)
     pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-    num = (column + (mod - interpolate(pts).evaluate_array(
-        _point_array(points)))) % mod
+    num = _reduce_sum(column + (mod - interpolate(pts).evaluate_array(
+        _point_array(points))), mod)
     z_b = _row_product(points, trace_domain, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
 
@@ -443,7 +445,8 @@ def transition_vanishing_eval(points, trace_domain: EvaluationDomain,
     xs = _point_array(points)
     if isinstance(points, EvaluationDomain):
         xs = xs[:max(points.size // n, 1)]
-    return _divide(excluded, (_pow_array(xs, n, p) + (mod - 1)) % mod, p)
+    return _divide(excluded, _reduce_sum(_pow_array(xs, n, p) + (mod - 1),
+                                         mod), p)
 
 
 def transition_quotient(points, rows, tc: TransitionConstraint,
@@ -451,9 +454,9 @@ def transition_quotient(points, rows, tc: TransitionConstraint,
                         num_rows: int) -> np.ndarray:
     """predicate(col(x), col(g x), ...) / Z_E at the points (a domain or
     a uint64 array)."""
-    return (evaluate_transition(tc, rows)
-            * transition_vanishing_eval(points, trace_domain, num_rows)
-            % np.uint64(trace_domain.field.modulus))
+    return _reduce(evaluate_transition(tc, rows)
+                   * transition_vanishing_eval(points, trace_domain, num_rows),
+                   np.uint64(trace_domain.field.modulus))
 
 
 def check_satisfaction(trace: TraceTable,
@@ -503,7 +506,7 @@ def compose(points, rows, cs: ConstraintSystem,
     mod = np.uint64(trace_domain.field.modulus)
     acc = np.zeros(len(_point_array(points)), dtype=np.uint64)
     for gamma, q in zip(gammas, quotients):
-        acc = (acc + q * np.uint64(gamma.value) % mod) % mod
+        acc = _reduce_sum(acc + _reduce(q * np.uint64(gamma.value), mod), mod)
     return acc
 
 

@@ -9,7 +9,8 @@ import symbolic_oracle as oracle
 from vckit.errors import UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          FieldElement, MultivariatePoly, Polynomial,
-                         _inverse_array, evaluate_on_domain, interpolate,
+                         _SHORT_ARRAY, _inverse_array, _reduce, _reduce_sum,
+                         evaluate_on_domain, interpolate,
                          interpolate_on_domain)
 
 F13 = Field(13)
@@ -292,6 +293,50 @@ def test_batch_inverse_matches_pow(field):
         xs = [rng.randrange(1, p) for _ in range(n)]
         got = _inverse_array(np.array(xs, dtype=np.uint64), p)
         assert got.tolist() == [pow(x, -1, p) for x in xs]
+
+
+# the largest prime below 2^32, the widest modulus Field takes
+P32 = 2**32 - 5
+
+
+def _check_reduction(reduce, t, mod):
+    """reduce(t, mod) against t % mod, flat and, at even lengths, as two
+    rows."""
+    got = reduce(t, mod)
+    assert got.dtype == np.uint64 and got.tolist() == (t % mod).tolist()
+    if t.size % 2 == 0:
+        rows = t.reshape(2, -1)
+        assert reduce(rows, mod).tolist() == (rows % mod).tolist()
+
+
+def _with_edges(values, edges):
+    """values with as many of the edges as fit written in front."""
+    k = min(len(values), len(edges))
+    values[:k] = edges[:k]
+    return values
+
+
+@pytest.mark.parametrize("p", [DEFAULT_MODULUS, 97, P32])
+@pytest.mark.parametrize("n", [0, 1, _SHORT_ARRAY - 1, _SHORT_ARRAY,
+                               4 * _SHORT_ARRAY + 3])
+def test_reductions_match_remainder(p, n):
+    """_reduce and _reduce_sum against numpy's % on seeded uint64 arrays
+    of n entries, on both sides of the length where they change form.
+    _reduce takes any uint64 values, and products of two reduced values
+    led by 0, p - 1, (p - 1)^2 and 2(p - 1); _reduce_sum takes sums of
+    two reduced values and of one and p minus another, led by 0, p - 1
+    and 2(p - 1)."""
+    mod = np.uint64(p)
+    rng = np.random.default_rng(p + n)
+    a, b = (rng.integers(0, p, n, dtype=np.uint64) for _ in range(2))
+    _check_reduction(_reduce, rng.integers(0, 2**64, n, dtype=np.uint64),
+                     mod)
+    _check_reduction(_reduce, _with_edges(
+        a * b, np.array([0, p - 1, (p - 1)**2, 2 * (p - 1)],
+                        dtype=np.uint64)), mod)
+    for s in (a + b, a + (mod - b)):
+        _check_reduction(_reduce_sum, _with_edges(
+            s, np.array([0, p - 1, 2 * (p - 1)], dtype=np.uint64)), mod)
 
 
 def test_evaluate_on_domain_short_and_oversized_polys():

@@ -2,8 +2,9 @@
 private helper is used somewhere in the library, only the random
 oracle and the Merkle tree import hashlib, only the OpenSSL binding
 imports ctypes or _hashlib, the binding calls every BN_ function it
-declares and no other, and it decides between libcrypto and built-in
-ints in one place.
+declares and no other, it decides between libcrypto and built-in ints
+in one place, and the numpy arrays of the field, STARK and FRI modules
+are reduced mod p only inside field's reduction helpers.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -26,6 +27,9 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 HASHLIB_MODULES = {"transcript.py", "merkle.py"}
 # every native call goes through the libcrypto binding
 NATIVE_MODULES = {"bignum.py"}
+# modules whose uint64 arrays are reduced only by the helpers below
+REDUCING_MODULES = ["field.py", "stark.py", "fri.py"]
+REDUCTION_HELPERS = {"_reduce", "_reduce_sum"}
 
 
 def imported_names(tree):
@@ -212,3 +216,46 @@ def test_the_check_sees_a_second_entry_point():
               "class _Ring:\n    pass\n")
     assert public_functions_and_libcrypto_calls(source) == (
         {"libcrypto", "modular_ring", "joint_power"}, 2)
+
+
+def _is_array_modulus(node):
+    """`mod` or `<anything>.uint64(...)`: the uint64 modulus that the
+    bulk paths reduce arrays by."""
+    return (isinstance(node, ast.Name) and node.id == "mod"
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "uint64")
+
+
+def array_remainders(source):
+    """The lines that take `% mod` or `% np.uint64(...)`, as an operator
+    or as `%=`, outside the functions named in REDUCTION_HELPERS."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name in REDUCTION_HELPERS for n in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in inside and (
+                      isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Mod)
+                      and _is_array_modulus(node.right)
+                      or isinstance(node, ast.AugAssign)
+                      and isinstance(node.op, ast.Mod)
+                      and _is_array_modulus(node.value)))
+
+
+@pytest.mark.parametrize("name", REDUCING_MODULES)
+def test_arrays_are_reduced_by_the_field_helpers(name):
+    """Reduction of the bulk uint64 arrays has one home, field._reduce
+    and field._reduce_sum, which pick the cheaper form by length; a
+    scalar `% p` on ints is not theirs."""
+    assert array_remainders((PACKAGE / name).read_text()) == []
+
+
+def test_the_check_sees_an_array_remainder():
+    source = ("def _reduce(t, mod):\n    return t % mod\n\n"
+              "def fold(a, p):\n    mod = np.uint64(p)\n"
+              "    b = a * a % mod\n    b %= mod\n"
+              "    c = (a + 1) % np.uint64(p)\n"
+              "    return b + c + p % 7 + int(a[0]) % p\n")
+    assert array_remainders(source) == [6, 7, 8]
