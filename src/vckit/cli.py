@@ -266,7 +266,7 @@ def cmd_fri(args):
             stark.EvaluationDomain.subgroup(field, args.domain),
             args.degree, 1)
         print("FRI commits each layer with one leaf per folding coset and "
-              "folds it by 4 (by 2 in an odd last round);")
+              "folds it by 8 (by 2 or 4 in a last round);")
         size, d = args.domain, args.degree
         for arity in params.arities:
             print(f"  layer of {size} evaluations, degree bound {d}: "

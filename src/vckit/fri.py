@@ -1,25 +1,27 @@
 """Fast Reed-Solomon IOP of Proximity: commit-phase folding plus the
 query-phase consistency check.
 
-Each round folds by 4.  Write f(x) = sum over r < 4 of x^r f_r(x^4); the
+Each round folds by 8.  Write f(x) = sum over r < 8 of x^r f_r(x^8); the
 round draws one challenge beta and the next layer holds sum_r beta^r f_r
-on the image of the layer's domain under x -> x^4.  When log2 of the
-degree bound is odd, the last round folds by 2 (f_0 + beta f_1 on the
-squared domain), so the final layer is always one constant.
+on the image of the layer's domain under x -> x^8.  When log2 of the
+degree bound is not a multiple of 3, the last round folds by 2 or 4
+(sum over r < k of beta^r f_r on the image under x -> x^k), so the final
+layer is always one constant.
 
 A layer of m values is committed with one leaf per folding coset: leaf c
-holds, as u64s, the values at indices c, c + m/4, c + m/2 and c + 3m/4,
-the points x_c * {1, i, -1, -i} that fold to x_c^4 (two values, at
-+-x_c, in a 2-fold round).  Query positions are drawn from all of the
-first domain; a position pos lies in slot pos div (m/arity) of leaf
-pos % (m/arity) of each layer.  Each layer opens the index_set of its
-queries' leaves with one Merkle path.  The verifier checks that each
-position's slot equals the previous layer's fold, and folds.
+holds, as u64s, the 8 values at indices c + s m/8 for s < 8, the points
+x_c w^s (w a primitive 8th root of unity) that fold to x_c^8 (2 or 4
+values in a last round of 2 or 4).  Query positions are drawn from all
+of the first domain; a position pos lies in slot pos div (m/arity) of
+leaf pos % (m/arity) of each layer.  Each layer opens the index_set of
+its queries' leaves with one Merkle path.  The verifier checks that each
+position's slot equals the previous layer's fold, and folds.  A proof is
+format version 4 (VCKF 4); version 3 folded by 4.
 
-One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 4 takes two
-of its calls, with beta and then beta^2 (_fold_cosets).  The prover folds
-its whole layer at once, the verifier the opened cosets of all queries
-at once, layer by layer.
+One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 8 takes three
+of its calls, with beta, beta^2 and beta^4 (_fold_cosets).  The prover
+folds its whole layer at once, the verifier the opened cosets of all
+queries at once, layer by layer.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from .field import EvaluationDomain, _power_array, _reduce, _reduce_sum
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import Transcript
 
-PROOF_VERSION = 3
+PROOF_VERSION = 4
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKF" + u8(PROOF_VERSION)
 
@@ -58,10 +60,10 @@ class FriParams:
 
     @property
     def arities(self) -> List[int]:
-        """The folding factor of each round: 4, and 2 for the last round
-        when log2 of the degree bound is odd."""
-        log_d = self.degree_bound.bit_length() - 1
-        return [4] * (log_d // 2) + [2] * (log_d % 2)
+        """The folding factor of each round: 8, and 2 or 4 for the last
+        round when log2 of the degree bound leaves 1 or 2 mod 3."""
+        rounds, rest = divmod(self.degree_bound.bit_length() - 1, 3)
+        return [8] * rounds + ([2 ** rest] if rest else [])
 
     def effective_queries(self) -> int:
         # positions are drawn without replacement from [0, |D|)
@@ -90,8 +92,8 @@ class FriProof:
     @staticmethod
     def deserialize(data) -> "FriProof":
         """Decode a proof that fills all of data (bytes or a Reader): one
-        opening per layer root, of cosets of 4 values, or of 2 on the last
-        layer."""
+        opening per layer root, of cosets of 8 values, or of 2, 4 or 8 on
+        the last layer."""
         reader = data if isinstance(data, Reader) else Reader(data)
         read_magic(reader, PROOF_MAGIC, "FRI")
         roots = [reader.take(32) for _ in range(reader.u32())]
@@ -100,7 +102,7 @@ class FriProof:
         layers = []
         for k in range(len(roots)):
             width = reader.u8()
-            if width != 4 and (width != 2 or k + 1 < len(roots)):
+            if width != 8 and (width not in (2, 4) or k + 1 < len(roots)):
                 raise UsageError(f"opened coset of width {width} on "
                                  f"layer {k}")
             layers.append(Opening.deserialize(reader, width))

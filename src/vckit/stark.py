@@ -51,7 +51,7 @@ from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import Transcript, _h
 
-PROOF_VERSION = 6
+PROOF_VERSION = 7
 # Every proof starts with the magic and then the format version byte.
 PROOF_MAGIC = b"VCKS" + u8(PROOF_VERSION)
 # Consecutive trace rows per trace-tree leaf; a shorter trace puts all its

@@ -75,13 +75,12 @@ def test_fold_layer_coset():
     (F17, EvaluationDomain.coset(F17, 8, F17(3)), 4),
     (FBIG, EvaluationDomain.coset(FBIG, 64, FBIG.generator()), 16)])
 def test_fold_by_4_oracle(field, dom, degree_bound):
-    """Folded by 4, the value at index c is sum_r beta^r f_r at x_c^4,
-    f_r holding the coefficients of index r mod 4; by 2 it is f_0 +
-    beta f_1 at x_c^2."""
+    """Folded by k = 8, 4 or 2, the value at index c is sum_r beta^r f_r
+    at x_c^k, f_r holding the coefficients of index r mod k."""
     poly = rand_poly(field, degree_bound, seed=dom.size)
     evals = [poly.evaluate(pt).value for pt in oracle.domain_points(dom)]
     beta = field(random.Random(degree_bound).randrange(field.modulus))
-    for arity in (4, 2):
+    for arity in (8, 4, 2):
         folded = fri.fold_layer(evals, dom, beta, arity)
         expected = oracle.fri_fold(poly, beta, arity)
         assert len(folded) == dom.size // arity
@@ -98,10 +97,12 @@ def test_params_validation():
         fri.FriParams(dom, 64, 4)           # rate above 1/2
     with pytest.raises(UsageError):
         fri.FriParams(dom, 8, 0)            # no query checks nothing
-    params = fri.FriParams(dom, 8, 100)
-    assert params.arities == [4, 2]
+    params = fri.FriParams(dom, 16, 100)
+    assert params.arities == [8, 2]
     assert params.effective_queries() == 64
-    assert fri.FriParams(dom, 16, 1).arities == [4, 4]
+    assert fri.FriParams(dom, 32, 1).arities == [8, 4]
+    assert fri.FriParams(dom, 8, 1).arities == [8]
+    assert fri.FriParams(dom, 4, 1).arities == [4]
     assert fri.FriParams(dom, 2, 1).arities == [2]
     with pytest.raises(UsageError, match="at least 2"):
         fri.FriParams(dom, 1, 1)            # would fold no round
@@ -112,9 +113,9 @@ def test_pair_tree_layout():
     of its coset: a layer of m values is a tree of m/arity leaves, leaf c
     holds the values at c, c + m/arity, ..., whose points share x^arity,
     and the leaf alone is opened by its one-element path."""
-    dom = EvaluationDomain.coset(FBIG, 32, FBIG.generator())
-    params = fri.FriParams(dom, 8, 1)
-    evals = np.arange(10, 42, dtype=np.uint64)
+    dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
+    params = fri.FriParams(dom, 16, 1)
+    evals = np.arange(10, 74, dtype=np.uint64)
     layers, trees, _, _ = fri.commit_phase(evals, params, Transcript("t"),
                                            enforce_low_degree=False)
     domain = dom
@@ -135,17 +136,22 @@ def test_pair_tree_layout():
     assert [t.num_leaves for t in trees] == [8, 4]
 
 
-@pytest.mark.parametrize("d", [2, 4, 8, 32, 2048, 4096])
+# the width of each layer's cosets, for log2 d = 0, 1 and 2 mod 3
+ROUND_WIDTHS = {2: [2], 4: [4], 8: [8], 16: [8, 2], 32: [8, 4],
+                1024: [8, 8, 8, 2], 2048: [8, 8, 8, 4], 4096: [8, 8, 8, 8]}
+
+
+@pytest.mark.parametrize("d", sorted(ROUND_WIDTHS))
 def test_completeness_for_even_and_odd_log_degree(d):
-    """Rounds of 4 with a last round of 2 when log2 d is odd."""
+    """Rounds of 8 with a last round of 2 or 4 when log2 d is 1 or 2 mod
+    3."""
     dom = EvaluationDomain.coset(FBIG, 2 * d, FBIG.generator())
     params = fri.FriParams(dom, d, 8)
     evals = evaluate_on_domain(rand_poly(FBIG, d, seed=d).coeffs, dom)
     proof = fri.prove(evals, params, Transcript("t"))
-    log_d = d.bit_length() - 1
-    assert len(proof.layer_roots) == (log_d + 1) // 2
+    assert len(proof.layer_roots) == len(ROUND_WIDTHS[d])
     assert [opening.rows.shape[1] for opening in proof.layers] == (
-        [4] * (log_d // 2) + [2] * (log_d % 2))
+        ROUND_WIDTHS[d])
     back = fri.FriProof.deserialize(proof.serialize())
     v = fri.verify(back, params, Transcript("t"))
     assert v, v.reason
@@ -222,7 +228,7 @@ def test_tampered_opening_rejected():
 def test_changed_coset_value_rejected():
     """Any one value of any opened coset changed, on any layer and in any
     slot, breaks the layer's path."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     honest = fri.prove(evals, params, Transcript("t"))
     for layer, arity in enumerate(params.arities):
         for row in range(len(honest.layers[layer].rows)):
@@ -256,12 +262,13 @@ def test_serialize_roundtrip():
         fri.FriProof.deserialize(b"BAD!" + proof.serialize()[4:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 3, nothing else."""
-    evals, params = _proof_64()
+    """The byte after the magic is the format version: 4, nothing else.
+    Version 3 folded by 4."""
+    evals, params = _proof_128()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
-    assert blob[:5] == b"VCKF\x03" == fri.PROOF_MAGIC
+    assert blob[:5] == b"VCKF\x04" == fri.PROOF_MAGIC
     with pytest.raises(UsageError, match=f"^unsupported FRI proof format "
                                          f"version {version}$"):
         fri.FriProof.deserialize(blob[:4] + bytes([version]) + blob[5:])
@@ -277,14 +284,29 @@ def _first_width_offset(blob):
     return reader.pos
 
 
-@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 255])
+@pytest.mark.parametrize("width", [w for w in range(256) if w != 8])
 def test_decoder_rejects_cosets_of_other_widths(width):
-    """Before the last layer every opened coset has 4 values; a width
-    byte of anything else is refused, whatever follows it."""
-    evals, params = _proof_64()
+    """Before the last layer every opened coset has 8 values; a width
+    byte of anything else, 2 and 4 included, is refused, whatever
+    follows it."""
+    evals, params = _proof_128()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
     at = _first_width_offset(blob)
-    assert blob[at] == 4
+    assert blob[at] == 8 and params.arities == [8, 2]
+    forged = blob[:at] + bytes([width]) + blob[at + 1:]
+    with pytest.raises(UsageError, match=f"^opened coset of width {width} "
+                                         f"on layer 0$"):
+        fri.FriProof.deserialize(forged)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 5, 6, 7, 9, 16, 255])
+def test_decoder_rejects_last_cosets_of_other_widths(width):
+    """The last layer's cosets have 2, 4 or 8 values; any other width
+    byte there is refused."""
+    evals, params = _proof_one_round()
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
+    at = _first_width_offset(blob)
+    assert blob[at] == 8 and params.arities == [8]
     forged = blob[:at] + bytes([width]) + blob[at + 1:]
     with pytest.raises(UsageError, match=f"^opened coset of width {width} "
                                          f"on layer 0$"):
@@ -299,26 +321,26 @@ def _with_layer_rows(proof, layer, rows):
 
 
 def test_coset_of_the_wrong_width_rejected():
-    """4-value cosets where the odd last round folds by 2, and cosets of
-    2, 3 or 5 values where a round folds by 4: the decoder passes the
-    first (either width may close the proof), the verifier rejects
+    """4- and 8-value cosets where the last round folds by 2, and cosets
+    of 2, 3, 4, 5 or 7 values where a round folds by 8: the decoder passes
+    the first (2, 4 and 8 may each close the proof), the verifier rejects
     each."""
-    evals, params = _proof_64()
-    assert params.arities == [4, 2]
+    evals, params = _proof_128()
+    assert params.arities == [8, 2]
     proof = fri.prove(evals, params, Transcript("t"))
     last = proof.layers[-1].rows
-    forged = _with_layer_rows(proof, 1, np.hstack([last, last]))
-    back = fri.FriProof.deserialize(forged.serialize())
-    v = fri.verify(back, params, Transcript("t"))
-    assert not v and v.reason == "layer 1: wrong leaf width"
-    d4 = fri.FriParams(params.domain, 4, 6)
-    proof = fri.prove(rand_poly(FBIG, 4, seed=18).evaluate_array(
-        params.domain.point_array()), d4, Transcript("t"))
+    for copies in (2, 4):
+        forged = _with_layer_rows(proof, 1, np.hstack([last] * copies))
+        back = fri.FriProof.deserialize(forged.serialize())
+        v = fri.verify(back, params, Transcript("t"))
+        assert not v and v.reason == "layer 1: wrong leaf width"
+    evals, d8 = _proof_one_round()
+    proof = fri.prove(evals, d8, Transcript("t"))
     rows = proof.layers[0].rows
-    for width in (2, 3, 5):
+    for width in (2, 3, 4, 5, 7):
         forged = _with_layer_rows(proof, 0, np.resize(rows,
                                                       (len(rows), width)))
-        v = fri.verify(forged, d4, Transcript("t"))
+        v = fri.verify(forged, d8, Transcript("t"))
         assert not v and v.reason == "layer 0: wrong leaf width"
 
 
@@ -326,7 +348,7 @@ def test_coset_count_other_than_the_positions_need_rejected():
     """Each layer sends each coset its positions hold once: one coset
     dropped, one sent twice, or one more appended is a count mismatch,
     on the wire too."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     proof = fri.prove(evals, params, Transcript("t"))
     for layer in range(len(params.arities)):
         rows = proof.layers[layer].rows
@@ -349,7 +371,7 @@ def test_decoder_rejects_trailing_bytes():
         fri.FriProof.deserialize(blob + b"\x00")
     # the last layer's sibling count one short leaves its last sibling;
     # here 6 queries leave the last layer's 8 cosets partly unopened
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
     proof = fri.FriProof.deserialize(blob)
     siblings = len(proof.layers[-1].path.siblings)
@@ -429,10 +451,19 @@ def test_non_canonical_final_value_rejected():
     assert not v and v.reason == "non-canonical final value"
 
 
-def _proof_64():
+def _proof_128():
+    """Two rounds, by 8 and then by 2, on 128 points."""
+    dom = EvaluationDomain.coset(FBIG, 128, FBIG.generator())
+    params = fri.FriParams(dom, 16, 6)
+    evals = rand_poly(FBIG, 16, seed=17).evaluate_array(dom.point_array())
+    return evals, params
+
+
+def _proof_one_round():
+    """One round, by 8, on 64 points."""
     dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
     params = fri.FriParams(dom, 8, 6)
-    evals = rand_poly(FBIG, 8, seed=17).evaluate_array(dom.point_array())
+    evals = rand_poly(FBIG, 8, seed=18).evaluate_array(dom.point_array())
     return evals, params
 
 
@@ -442,8 +473,8 @@ def test_consistency_failure_in_a_later_query_and_layer():
     layer 0 and the layer-1 paths, and the fold of layer 0 fails to
     match at query k alone.  Queries opening the same coset at the other
     slot still match."""
-    evals, params = _proof_64()
-    size1 = params.domain.size // 4      # layer 1, cosets of 2
+    evals, params = _proof_128()
+    size1 = params.domain.size // 8      # layer 1, cosets of 2
     for pos in range(size1 // 2, size1):
         def bump(layer):
             out = layer.copy()
@@ -463,7 +494,7 @@ def test_consistency_failure_in_a_later_query_and_layer():
 def test_bad_opening_in_the_last_query_only():
     """The last sibling of a layer's path zeroed: the upper levels the
     queries share are checked once, and still checked."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
         path = proof.layers[layer].path
@@ -475,7 +506,7 @@ def test_bad_opening_in_the_last_query_only():
 
 def test_malformed_query_bundle_rejected():
     """A layer opening missing, or one too many, against the roots."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     proof = fri.prove(evals, params, Transcript("t"))
     for layers in (proof.layers[:-1], proof.layers + proof.layers[-1:]):
         v = fri.verify(dataclasses.replace(proof, layers=layers), params,
@@ -486,7 +517,7 @@ def test_malformed_query_bundle_rejected():
 def test_wrong_number_of_layer_roots_rejected():
     """One root dropped or one added: the list is not empty, but its
     length is not the number of folding rounds."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     proof = fri.prove(evals, params, Transcript("t"))
     roots = proof.layer_roots
     for forged in (roots[:-1], roots + roots[-1:]):
@@ -499,7 +530,7 @@ def test_wrong_number_of_layer_roots_rejected():
 def test_pair_path_without_siblings_rejected():
     """A layer path with no siblings, where the cosets do not cover the
     layer, is a bad opening on every layer."""
-    evals, params = _proof_64()
+    evals, params = _proof_128()
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
         layers = proof.layers

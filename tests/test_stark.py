@@ -610,9 +610,12 @@ ZK_FLAG = len(stark.PROOF_MAGIC) + 1 + 5 * 4
 
 
 def _blob():
+    """A zk proof of fib 8 whose last FRI layer, 16 values in 8 cosets of
+    2 at blowup 8, keeps a sibling in its path: 4 queries open at most 4
+    of the cosets."""
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
-    return stark.prove(tr, cs, stark.StarkParams(4, 4, zk=True),
+    return stark.prove(tr, cs, stark.StarkParams(8, 4, zk=True),
                        zk_seed=3).serialize()
 
 
@@ -623,11 +626,12 @@ def test_decoder_rejects_trailing_bytes():
         stark.StarkProof.deserialize(blob + b"\x00")
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 8])
 def test_decoder_rejects_other_format_versions(version):
-    """The byte after the magic is the format version: 6, nothing else."""
+    """The byte after the magic is the format version: 7, nothing else.
+    Version 6 carried a FRI proof folded by 4."""
     blob = _blob()
-    assert blob[:5] == b"VCKS\x06" == stark.PROOF_MAGIC
+    assert blob[:5] == b"VCKS\x07" == stark.PROOF_MAGIC
     forged = blob[:4] + bytes([version]) + blob[5:]
     with pytest.raises(UsageError, match=f"^unsupported STARK proof format "
                                          f"version {version}$"):
@@ -824,8 +828,12 @@ def test_header_of_another_trace_length_rejected_before_any_domain(
 
 
 def test_fri_layer_root_dropped_rejected():
-    """The last FRI root dropped: FRI refuses the root count."""
-    proof, cs, params = _fib8_proof()
+    """The last FRI root dropped from a proof of fib 16, whose FRI folds
+    by 8 and then by 2: FRI refuses the root count."""
+    tr = stark.trace_fibonacci(16, F)
+    cs = stark.fibonacci_constraint_system(16, F)
+    params = stark.StarkParams(8, 6)
+    proof = stark.prove(tr, cs, params)
     roots = proof.fri_proof.layer_roots[:-1]
     assert roots
     forged = dataclasses.replace(
