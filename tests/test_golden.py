@@ -3,10 +3,11 @@ configurations.
 
 An honest prover with a fixed configuration and zk seed is deterministic,
 so any refactor of the prover pipeline must leave these bytes unchanged.
-The STARK hashes are of format version 6 and the FRI hash of version 3:
-each tree sends its distinct opened leaves once with one pruned Merkle
-multiproof, and a STARK proof carries neither the constraint system's
-digest nor a composition root apart from FRI's layer 0; earlier hashes,
+The STARK hashes are of format version 7 and the FRI hash of version 4:
+FRI folds by 8, with a last round of 2 or 4, each tree sends its
+distinct opened leaves once with one pruned Merkle multiproof, and a
+STARK proof carries neither the constraint system's digest nor a
+composition root apart from FRI's layer 0; earlier hashes,
 including those the symbolic (divmod-quotient, Horner-LDE) prover also
 gave, are listed in CHANGES.md.  The VDF hashes are of format version 2, which holds y, pi
 and r only; they pin the setup moduli and the challenge primes through
@@ -103,17 +104,17 @@ CASES = {
 
 GOLDEN = {
     "fib8-b8-q12":
-        "ff80bc2bb5c53bf41c5d36ff5a1a4c7ee1210644d14b3a292773dc0731d02195",
+        "aedd0757ebafbb2be4e2f407c9a190015daaec94be2b82049703c5e74c6c4118",
     "fib64-b4-q8-zk1":
-        "ebc93ddeeddcf58a4943408d1bf770842d02837db0e668f99531d24413f37260",
+        "c45c9b0404ccba5253f059d668fb259a46cc9d08c26cab2a3433878733bf607b",
     "fib1900-b8-q20-zk7":
-        "4da88639f51cdb4e46c2d8ac95c8b380a7ffd69ccd33cd18a0935e9749e24f57",
+        "87913341e3c9cc80b11e87f1746daa14970f7800e8730611cef372d8a5e7303a",
     "fib4000-b4-q8-zk5":
-        "ece338779ff5a860a2eb71f2c8181a10a39156df864b052527b3729e8b2a2b51",
+        "36d62426ec4b2910460276e8bb1d0d9897b18ed27410aa5439635f7fc80c4db9",
     "two-column-b8-q10":
-        "520103bbb3e3fbbab29436135ae6f26db9683cf9d57d858b8d66640a9548b2bb",
+        "b821466d5568826ab5aa6aa188f56e4a0105447c72f5067d9cd6905214dcf2ab",
     "fri-coset256-d32-q16":
-        "a944f8c74dd5319080ec4a8b70f8f57e600afd83954a91f7428bb419bc2f8b1d",
+        "e16607aabb37d77f15dc7945d78a6bcaa125ab8340f610ee12e94ab9bf3a16ab",
     "vdf-n32-T0":
         "118e561ac607a6dc240e4d48e7995d64428259126331a7f7b11578756e51a377",
     "vdf-n32-T3":
