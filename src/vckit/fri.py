@@ -16,7 +16,7 @@ of the first domain; a position pos lies in slot pos div (m/arity) of
 leaf pos % (m/arity) of each layer.  Each layer opens the index_set of
 its queries' leaves with one Merkle path.  The verifier checks that each
 position's slot equals the previous layer's fold, and folds.  A proof is
-format version 4 (VCKF 4); version 3 folded by 4.
+format version 4 (VCKF 4).
 
 One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 8 takes three
 of its calls, with beta, beta^2 and beta^4 (_fold_cosets).  The prover

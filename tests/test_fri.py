@@ -274,14 +274,18 @@ def test_decoder_rejects_other_format_versions(version):
         fri.FriProof.deserialize(blob[:4] + bytes([version]) + blob[5:])
 
 
-def _first_width_offset(blob):
-    """Offset of the width byte of the first layer's opening: after the
-    roots, the final value and the query positions."""
+def _first_width_set_to(evals, params, width):
+    """The encoded proof with the width byte of its first layer's
+    opening, found after the roots, the final value and the query
+    positions, changed from 8 to width."""
+    blob = fri.prove(evals, params, Transcript("t")).serialize()
     reader = Reader(blob)
     reader.take(len(fri.PROOF_MAGIC) + 1)
     reader.take(32 * reader.u32() + 8)
     reader.take(4 * reader.u32())
-    return reader.pos
+    at = reader.pos
+    assert blob[at] == 8
+    return blob[:at] + bytes([width]) + blob[at + 1:]
 
 
 @pytest.mark.parametrize("width", [w for w in range(256) if w != 8])
@@ -290,13 +294,10 @@ def test_decoder_rejects_cosets_of_other_widths(width):
     byte of anything else, 2 and 4 included, is refused, whatever
     follows it."""
     evals, params = _proof_128()
-    blob = fri.prove(evals, params, Transcript("t")).serialize()
-    at = _first_width_offset(blob)
-    assert blob[at] == 8 and params.arities == [8, 2]
-    forged = blob[:at] + bytes([width]) + blob[at + 1:]
+    assert params.arities == [8, 2]
     with pytest.raises(UsageError, match=f"^opened coset of width {width} "
                                          f"on layer 0$"):
-        fri.FriProof.deserialize(forged)
+        fri.FriProof.deserialize(_first_width_set_to(evals, params, width))
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 5, 6, 7, 9, 16, 255])
@@ -304,13 +305,10 @@ def test_decoder_rejects_last_cosets_of_other_widths(width):
     """The last layer's cosets have 2, 4 or 8 values; any other width
     byte there is refused."""
     evals, params = _proof_one_round()
-    blob = fri.prove(evals, params, Transcript("t")).serialize()
-    at = _first_width_offset(blob)
-    assert blob[at] == 8 and params.arities == [8]
-    forged = blob[:at] + bytes([width]) + blob[at + 1:]
+    assert params.arities == [8]
     with pytest.raises(UsageError, match=f"^opened coset of width {width} "
                                          f"on layer 0$"):
-        fri.FriProof.deserialize(forged)
+        fri.FriProof.deserialize(_first_width_set_to(evals, params, width))
 
 
 def _with_layer_rows(proof, layer, rows):
