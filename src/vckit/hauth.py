@@ -9,6 +9,13 @@ A tag's coefficients and its label randomness r are computed on reduced
 ints, with sk^-1 taken once per key, so they are not metered in
 Field.op_count; verification's circuit over the r values and its tag
 evaluations are.
+
+Each key keeps its PRF outputs in a memo keyed by the PRF input, so
+PRF1(l) and PRF2(delta) are each evaluated once per key across auth,
+verify, amortize_offline and load.  A stream with fixed columns l and one
+new delta per epoch pays, in its first epoch, one PRF1 per column and one
+PRF2, and one PRF2 in each later epoch.  The memo holds at most
+_PRF_MEMO_ENTRIES values and is emptied when full.
 """
 
 from dataclasses import dataclass
@@ -20,20 +27,34 @@ from .field import (Field, FieldElement, MultivariatePoly, Polynomial,
                     _canonical)
 from .transcript import PrfKey, _h, prf
 
+# Most PRF outputs one key's memo holds; a full memo is emptied.  With
+# 10-byte labels a full memo takes about 115 KB.
+_PRF_MEMO_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class MultiLabel:
-    """Label split into a constant part l and a changing part delta."""
+    """Label split into a constant part l and a changing part delta, both
+    bytes; anything else is refused with UsageError."""
 
     l: bytes
     delta: bytes = b""
 
+    def __post_init__(self):
+        for name in ("l", "delta"):
+            if not isinstance(getattr(self, name), bytes):
+                raise UsageError(f"label part {name} is not bytes")
+
 
 @dataclass(frozen=True)
 class AuthKey:
-    """The secret point sk and the PRF key; sk_inv, sk^-1 mod p as an
-    int, is derived once here and is not a field, so it takes no part in
-    equality or in the key file."""
+    """The secret point sk and the PRF key.  Two values are derived here
+    and are not fields, so they take no part in equality, repr or the key
+    file: sk_inv, sk^-1 mod p as an int, and prf_memo, the PRF outputs
+    drawn so far under this key as reduced ints by PRF input, for the
+    key's lifetime and at most _PRF_MEMO_ENTRIES of them.  Threads may
+    share a key: a race can cost an extra PRF evaluation, or pass the
+    bound by an entry per thread, but never gives a wrong value."""
 
     sk: FieldElement
     prf_key: PrfKey
@@ -43,6 +64,7 @@ class AuthKey:
             raise UsageError("sk must be nonzero")
         object.__setattr__(self, "sk_inv",
                            pow(self.sk.value, -1, self.sk.field.modulus))
+        object.__setattr__(self, "prf_memo", {})
 
     @property
     def field(self) -> Field:
@@ -76,39 +98,40 @@ def keygen(seed: bytes, field: Field) -> AuthKey:
     return AuthKey(sk, prf_key)
 
 
-def _prf1(key: AuthKey, l: bytes) -> FieldElement:
-    return prf(key.prf_key, b"\x01" + l, key.field)
+def _prf_value(key: AuthKey, data: bytes) -> int:
+    """PRF_key(data) as a reduced int, evaluated only when the key's memo
+    does not hold it yet."""
+    memo = key.prf_memo
+    v = memo.get(data)
+    if v is None:
+        if len(memo) >= _PRF_MEMO_ENTRIES:
+            memo.clear()
+        v = memo[data] = prf(key.prf_key, data, key.field).value
+    return v
 
 
-def _prf2(key: AuthKey, delta: bytes) -> FieldElement:
-    return prf(key.prf_key, b"\x02" + delta, key.field)
+def _prf1(key: AuthKey, l: bytes) -> int:
+    return _prf_value(key, b"\x01" + l)
 
 
-def _randomness(key: AuthKey, label: MultiLabel, prf1: dict,
-                prf2: dict) -> int:
+def _prf2(key: AuthKey, delta: bytes) -> int:
+    return _prf_value(key, b"\x02" + delta)
+
+
+def _randomness(key: AuthKey, label: MultiLabel) -> int:
     """r = PRF1(l) + PRF2(delta) as a reduced int: the additive merge that
-    makes the amortized Load equation exact.  prf1 and prf2 hold the PRF
-    outputs already drawn, by input, and take in any new one."""
-    a = prf1.get(label.l)
-    if a is None:
-        a = prf1[label.l] = _prf1(key, label.l).value
-    b = prf2.get(label.delta)
-    if b is None:
-        b = prf2[label.delta] = _prf2(key, label.delta).value
-    return (a + b) % key.field.modulus
+    makes the amortized Load equation exact."""
+    return (_prf1(key, label.l) + _prf2(key, label.delta)) % key.field.modulus
 
 
 def label_randomness(key: AuthKey, label: MultiLabel) -> FieldElement:
-    return FieldElement(key.field, _randomness(key, label, {}, {}))
+    return FieldElement(key.field, _randomness(key, label))
 
 
 def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
-    """label_randomness of each label, with PRF1 evaluated once per
-    distinct l and PRF2 once per distinct delta: an epoch's labels share
-    one delta, so they cost one PRF2 call between them."""
-    field, prf1, prf2 = key.field, {}, {}
-    return [FieldElement(field, _randomness(key, lab, prf1, prf2))
-            for lab in labels]
+    """label_randomness of each label."""
+    field = key.field
+    return [FieldElement(field, _randomness(key, lab)) for lab in labels]
 
 
 class HauthSession:
@@ -285,18 +308,14 @@ def auth_mk(keys: Tuple[AuthKey, AuthKey], m, label: MultiLabel,
 def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
               labeled_slots, tag: Tag, claimed_y) -> VerifyResult:
     """Verification needs both secret keys: tag(sk1, sk2) = f(r), under
-    verify's rule with the tag's total degree.  Each key's labels take
-    one labels_randomness call, so one PRF2 call per delta per key."""
+    verify's rule with the tag's total degree."""
     if not isinstance(tag.poly, MultivariatePoly):
         raise UsageError("verify_mk takes arity-2 tags; use verify")
     claimed_y = keys[0].field(claimed_y)
     if any(slot not in (0, 1) for _, slot in labeled_slots):
         raise UsageError("slot must be 0 or 1")
-    per_slot = [iter(labels_randomness(
-        key, [lab for lab, s in labeled_slots if s == slot]))
-        for slot, key in enumerate(keys)]
-    rs = [next(per_slot[slot]) for _, slot in labeled_slots]
-    f_r = circuit.evaluate(rs)
+    f_r = circuit.evaluate([label_randomness(keys[slot], lab)
+                            for lab, slot in labeled_slots])
     return _accept(circuit, f_r, claimed_y, tag.poly, tag.poly.total_degree,
                    (keys[0].sk, keys[1].sk))
 
@@ -316,7 +335,7 @@ def amortize_offline(key: AuthKey, circuit: Circuit,
     if circuit.syntactic_degree() > 2:
         raise UsageError("amortization caps circuits at degree 2")
     field = key.field
-    placeholders = [Polynomial._reduced(field, [_prf1(key, l).value, 1])
+    placeholders = [Polynomial._reduced(field, [_prf1(key, l), 1])
                     for l in l_parts]
     return AmortizedPrecompute(circuit.evaluate(placeholders))
 

@@ -4,6 +4,8 @@ two-party tags and the instrumented group."""
 import dataclasses
 import random
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from vckit.errors import UsageError
 from vckit.field import DEFAULT_MODULUS, Field, MultivariatePoly, Polynomial
 
 F = Field(DEFAULT_MODULUS)
-KEY = hauth.keygen(b"unit-test-key", F)
-KEY2 = hauth.keygen(b"unit-test-key-2", F)
+KEY_SEEDS = (b"unit-test-key", b"unit-test-key-2")
+KEY = hauth.keygen(KEY_SEEDS[0], F)
+KEY2 = hauth.keygen(KEY_SEEDS[1], F)
 
 
 # the one-input circuit whose output is its input
@@ -27,6 +30,32 @@ IDENTITY = hauth.Circuit(1, (), output=0)
 
 def lab(name, delta=b""):
     return hauth.MultiLabel(name, delta)
+
+
+def fresh_keys():
+    """Keys equal to KEY and KEY2 whose PRF memos are empty, so a PRF
+    count does not depend on what other tests drew under KEY and KEY2."""
+    return tuple(hauth.keygen(seed, F) for seed in KEY_SEEDS)
+
+
+@pytest.fixture
+def prf_calls(monkeypatch):
+    """(PRF key, input's first byte) of each PRF evaluation hauth makes
+    from here on: 0x01 for PRF1, 0x02 for PRF2."""
+    calls = []
+    real_prf = hauth.prf
+
+    def counting_prf(key, data, field):
+        calls.append((key, data[:1]))
+        return real_prf(key, data, field)
+    monkeypatch.setattr(hauth, "prf", counting_prf)
+    return calls
+
+
+def prf_counts(calls, key):
+    """(PRF1, PRF2) evaluations under key among calls."""
+    return (calls.count((key.prf_key, b"\x01")),
+            calls.count((key.prf_key, b"\x02")))
 
 
 def test_keygen_deterministic_and_nonzero():
@@ -144,7 +173,7 @@ def test_label_randomness_is_additive_split():
     assert r == hauth._prf1(KEY, b"l") + hauth._prf2(KEY, b"d")
 
 
-def test_verify_evaluates_each_prf_once_per_distinct_input(monkeypatch):
+def test_verify_evaluates_each_prf_once_per_distinct_input(prf_calls):
     """An epoch of 128 labels under one delta: verify makes 128 PRF1
     calls and one PRF2 call, and labels_randomness gives each label's
     label_randomness, repeated labels included."""
@@ -160,59 +189,106 @@ def test_verify_evaluates_each_prf_once_per_distinct_input(monkeypatch):
     out = hauth.eval_tags(circ, [hauth.auth(KEY, m, label)
                                  for m, label in zip(msgs, labels)])
     claimed = sum(msgs[i] * msgs[h + i] for i in range(h))
-    calls = []
-    real_prf = hauth.prf
-
-    def counting_prf(key, data, field):
-        calls.append(data[:1])
-        return real_prf(key, data, field)
-    monkeypatch.setattr(hauth, "prf", counting_prf)
-    assert hauth.verify(KEY, circ, labels, out, claimed)
-    assert calls.count(b"\x01") == 2 * h and calls.count(b"\x02") == 1
-    assert not hauth.verify(KEY, circ, labels, out, claimed + 1)
+    key, _ = fresh_keys()
+    prf_calls.clear()
+    assert hauth.verify(key, circ, labels, out, claimed)
+    assert prf_counts(prf_calls, key) == (2 * h, 1)
+    assert len(prf_calls) == 2 * h + 1
+    assert not hauth.verify(key, circ, labels, out, claimed + 1)
     mixed = labels[:3] + [labels[0], lab(b"column-0", b"epoch-2")]
-    assert hauth.labels_randomness(KEY, mixed) == [
+    assert hauth.labels_randomness(key, mixed) == [
         hauth._prf1(KEY, label.l) + hauth._prf2(KEY, label.delta)
         for label in mixed]
 
 
-def test_auth_draws_both_prfs_on_every_call(monkeypatch):
-    """Each auth call makes one PRF1 and one PRF2 call, also for a label
-    or a delta met before: no PRF output is kept from one call to the
-    next."""
-    calls = []
-    real_prf = hauth.prf
-
-    def counting_prf(key, data, field):
-        calls.append(data[:1])
-        return real_prf(key, data, field)
-    monkeypatch.setattr(hauth, "prf", counting_prf)
+def test_each_prf_input_is_evaluated_once_per_key(prf_calls):
+    """auth evaluates PRF1(l) and PRF2(delta) only for an l or a delta
+    its key has not met: over again/e, again/e, other/e, again/f and
+    again/e, PRF1 runs for again and other, and PRF2 for e and f."""
     labels = [lab(b"again", b"e"), lab(b"again", b"e"), lab(b"other", b"e"),
               lab(b"again", b"f"), lab(b"again", b"e")]
-    for n, label in enumerate(labels, 1):
-        hauth.auth(KEY, n, label)
-        assert calls.count(b"\x01") == n and calls.count(b"\x02") == n
-        assert len(calls) == 2 * n
+    wants = [hauth.auth(hauth.keygen(b"prf-memo-key", F), n, label)
+             for n, label in enumerate(labels)]
+    key = hauth.keygen(b"prf-memo-key", F)
+    prf_calls.clear()
+    counts = []
+    for n, label in enumerate(labels):
+        assert hauth.auth(key, n, label) == wants[n]
+        counts.append(prf_counts(prf_calls, key))
+    assert counts == [(1, 1), (1, 1), (2, 1), (2, 2), (2, 2)]
+    # the memo is not part of the key: a used key equals a fresh one
+    fresh = hauth.keygen(b"prf-memo-key", F)
+    assert len(key.prf_memo) == 4 and not fresh.prf_memo
+    assert key == fresh and hash(key) == hash(fresh)
+    assert repr(key) == repr(fresh)
 
 
-@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 97])
-def test_tags_and_randomness_match_the_int_oracle(modulus):
-    """auth, auth_mk, label_randomness and labels_randomness against
-    `hauth_oracle`, on a seeded grid of keys, labels and messages.  F_97
-    rejects about a quarter of the PRF draws, so the grid takes the PRF's
-    later counters too."""
-    field = Field(modulus)
-    rng = random.Random(modulus)
-    keys = [hauth.keygen(b"oracle-key-%d" % i, field) for i in range(4)]
-    l_parts = [b"", b"l", b"column-7"] + [rng.randbytes(rng.randrange(1, 40))
-                                          for _ in range(5)]
-    deltas = [b"", b"epoch-1", rng.randbytes(17)]
-    msgs = [0, 1, modulus - 1, modulus, -1, 2**40 + 3,
-            *(rng.randrange(-2**64, 2**64) for _ in range(4))]
+def test_a_full_memo_is_emptied(monkeypatch, prf_calls):
+    """The memo never holds more than _PRF_MEMO_ENTRIES values; once
+    emptied, it evaluates an input it had held again."""
+    monkeypatch.setattr(hauth, "_PRF_MEMO_ENTRIES", 3)
+    key = hauth.keygen(b"prf-memo-cap", F)
+    # c0/e fills 2 entries and c1 the third; c2 empties the memo, so e is
+    # drawn again beside it, and a repeat of c2/e draws nothing
+    labels = [lab(b"c%d" % i, b"e") for i in range(3)] + [lab(b"c2", b"e")]
+    sizes, counts = [], []
+    for n, label in enumerate(labels):
+        want = hauth.auth(hauth.keygen(b"prf-memo-cap", F), n, label)
+        prf_calls.clear()
+        assert hauth.auth(key, n, label) == want
+        sizes.append(len(key.prf_memo))
+        counts.append(prf_counts(prf_calls, key))
+    assert sizes == [2, 3, 2, 2]
+    assert counts == [(1, 1), (1, 0), (1, 1), (0, 0)]
+
+
+def test_threads_sharing_a_key_never_get_a_wrong_tag(monkeypatch):
+    """Four threads authenticate and verify under one key while its memo,
+    capped at 8 values, fills and empties; a race may cost an extra PRF
+    evaluation but every tag and verdict must match `hauth_oracle`."""
+    monkeypatch.setattr(hauth, "_PRF_MEMO_ENTRIES", 8)
+    key = hauth.keygen(b"threads", F)
+    sk, k, p = key.sk.value, key.prf_key.key, F.modulus
+    circ = hauth.Circuit(2, (hauth.Gate("mul", 0, 1),))
+    wrong = []
+
+    def work(t):
+        for epoch in range(12):
+            labels = [lab(b"column-%d" % ((t + j) % 6), b"epoch-%d" % epoch)
+                      for j in range(2)]
+            msgs = [t + epoch + 1, 7 * epoch + 2]
+            tags = [hauth.auth(key, m, label)
+                    for m, label in zip(msgs, labels)]
+            if [tag.poly.coeffs for tag in tags] != [
+                    hauth_oracle.tag(sk, k, m, label.l, label.delta, p)
+                    for m, label in zip(msgs, labels)]:
+                wrong.append((t, epoch, "tag"))
+            out = hauth.eval_tags(circ, tags)
+            if not hauth.verify(key, circ, labels, out, msgs[0] * msgs[1]):
+                wrong.append((t, epoch, "verify"))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def _match_the_oracle(keys, l_parts, deltas, msgs, rng, modulus):
+    """Check auth, auth_mk, label_randomness and labels_randomness under
+    each key against `hauth_oracle`; the number of PRF draws that took a
+    later counter."""
     retries = 0
+    labels = [lab(l, d) for l in l_parts for d in deltas]
     for key in keys:
         sk, k = key.sk.value, key.prf_key.key
-        labels = [lab(l, d) for l in l_parts for d in deltas]
         rs = [hauth_oracle.randomness(k, l.l, l.delta, modulus)
               for l in labels]
         assert [r.value for r in hauth.labels_randomness(key, labels)] == rs
@@ -228,7 +304,40 @@ def test_tags_and_randomness_match_the_int_oracle(modulus):
             two = hauth.auth_mk((key, keys[0]), m, label, slot=0)
             assert two.poly.terms == {(i, 0): c for i, c in enumerate(want)
                                       if c}
-    assert retries > 0
+    return retries
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 97])
+def test_tags_and_randomness_match_the_int_oracle(modulus, prf_calls):
+    """auth, auth_mk, label_randomness and labels_randomness against
+    `hauth_oracle`, on a seeded grid of keys, labels and messages.  F_97
+    rejects about a quarter of the PRF draws, so the grid takes the PRF's
+    later counters too.  The grid runs on new keys, then again on the
+    same key objects, served from their PRF memos with no evaluation, and
+    then on new keys equal to them.  Its labels include l = delta = b"l",
+    and each label is authenticated under all four keys."""
+    field = Field(modulus)
+    rng = random.Random(modulus)
+    seeds = [b"oracle-key-%d" % i for i in range(4)]
+    l_parts = [b"", b"l", b"column-7"] + [rng.randbytes(rng.randrange(1, 40))
+                                          for _ in range(5)]
+    deltas = [b"", b"l", b"epoch-1", rng.randbytes(17)]
+    msgs = [0, 1, modulus - 1, modulus, -1, 2**40 + 3,
+            *(rng.randrange(-2**64, 2**64) for _ in range(4))]
+    keys = [hauth.keygen(seed, field) for seed in seeds]
+    for run, run_keys in enumerate(
+            [keys, keys, [hauth.keygen(seed, field) for seed in seeds]]):
+        prf_calls.clear()
+        assert _match_the_oracle(run_keys, l_parts, deltas, msgs,
+                                 random.Random(modulus + run), modulus) > 0
+        assert len(prf_calls) == (0 if run == 1 else
+                                  len(keys) * (len(l_parts) + len(deltas)))
+        shared = lab(b"shared")
+        tags = {hauth.auth(key, 5, shared).poly.coeffs for key in run_keys}
+        assert tags == {hauth_oracle.tag(key.sk.value, key.prf_key.key, 5,
+                                         shared.l, shared.delta, modulus)
+                        for key in run_keys}
+        assert len(tags) == len(run_keys)
 
 
 NOT_FIELD_VALUES = [5.5, 5.0, "5", b"5", None]
@@ -250,6 +359,32 @@ def test_a_value_that_is_not_an_int_is_refused(entry, value):
     and claimed_y=5.0 verified) or met as a TypeError."""
     with pytest.raises(UsageError, match="not a field value"):
         ENTRY_POINTS[entry](value)
+
+
+NOT_BYTES = ["abc", None, 5, bytearray(b"abc"), memoryview(b"abc")]
+
+LABEL_ENTRY_POINTS = {
+    "auth": lambda parts: hauth.auth(KEY, 3, lab(*parts)),
+    "label_randomness": lambda parts: hauth.label_randomness(KEY,
+                                                             lab(*parts)),
+    "verify": lambda parts: hauth.verify(
+        KEY, IDENTITY, [lab(*parts)], hauth.auth(KEY, 3, lab(b"typed")), 3),
+}
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["l", "delta"])
+@pytest.mark.parametrize("value", NOT_BYTES,
+                         ids=[type(v).__name__ for v in NOT_BYTES])
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_a_label_part_that_is_not_bytes_is_refused(entry, value, part):
+    """A label's l and delta are bytes: a string, None, an int, a
+    bytearray or a memoryview is refused with UsageError, not met as a
+    TypeError (a str l once raised "can't concat str to bytes")."""
+    parts = [b"typed", b"d"]
+    parts[part] = value
+    name = ("l", "delta")[part]
+    with pytest.raises(UsageError, match=f"label part {name} is not bytes"):
+        LABEL_ENTRY_POINTS[entry](parts)
 
 
 @pytest.mark.parametrize("value", [True, np.int64(-3), np.uint64(5)],
@@ -325,11 +460,10 @@ def test_verify_mk_refuses_an_arity_1_tag():
         hauth.verify_mk((KEY, KEY2), IDENTITY, [(lab(b"alice"), 0)], tag, 3)
 
 
-def test_verify_mk_evaluates_prf2_once_per_key(monkeypatch):
+def test_verify_mk_evaluates_prf2_once_per_key(prf_calls):
     """A two-party epoch of 4 labels per party under one delta, the
     parties' inputs interleaved: verify_mk makes one PRF1 call per label
     and one PRF2 call per key."""
-    keys = (KEY, KEY2)
     h = 4
     gates = [hauth.Gate("mul", 2 * i, 2 * i + 1) for i in range(h)]
     acc = 2 * h
@@ -341,21 +475,15 @@ def test_verify_mk_evaluates_prf2_once_per_key(monkeypatch):
                      for i in range(2 * h)]
     msgs = list(range(3, 3 + 2 * h))
     out = hauth.eval_tags(circ, [
-        hauth.auth_mk(keys, m, label, slot)
+        hauth.auth_mk((KEY, KEY2), m, label, slot)
         for m, (label, slot) in zip(msgs, labeled_slots)])
     claimed = sum(msgs[2 * i] * msgs[2 * i + 1] for i in range(h))
-    calls = []
-    real_prf = hauth.prf
-
-    def counting_prf(key, data, field):
-        calls.append((key, data[:1]))
-        return real_prf(key, data, field)
-    monkeypatch.setattr(hauth, "prf", counting_prf)
+    keys = fresh_keys()
+    prf_calls.clear()
     assert hauth.verify_mk(keys, circ, labeled_slots, out, claimed)
     for key in keys:
-        assert calls.count((key.prf_key, b"\x01")) == h
-        assert calls.count((key.prf_key, b"\x02")) == 1
-    assert len(calls) == 2 * h + 2
+        assert prf_counts(prf_calls, key) == (h, 1)
+    assert len(prf_calls) == 2 * h + 2
     # each r lands on its own input: swapping two of one party's labels
     # changes f(r)
     swapped = ([labeled_slots[2], labeled_slots[1], labeled_slots[0]]

@@ -3,8 +3,9 @@ private helper is used somewhere in the library, only the random
 oracle and the Merkle tree import hashlib, only the OpenSSL binding
 imports ctypes or _hashlib, the binding calls every BN_ function it
 declares and no other, it decides between libcrypto and built-in ints
-in one place, and the numpy arrays of the field, STARK and FRI modules
-are reduced mod p only inside field's reduction helpers.
+in one place, the numpy arrays of the field, STARK and FRI modules
+are reduced mod p only inside field's reduction helpers, and hauth
+evaluates the PRF only inside its memo helper.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -30,6 +31,8 @@ NATIVE_MODULES = {"bignum.py"}
 # modules whose uint64 arrays are reduced only by the helpers below
 REDUCING_MODULES = ["field.py", "stark.py", "fri.py"]
 REDUCTION_HELPERS = {"_reduce", "_reduce_sum"}
+# hauth's one caller of the PRF, which keeps each key's outputs
+PRF_HOME = "_prf_value"
 
 
 def imported_names(tree):
@@ -227,13 +230,18 @@ def _is_array_modulus(node):
             and node.func.attr == "uint64")
 
 
+def nodes_inside(tree, names):
+    """The ids of the nodes within the functions named in names."""
+    return {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            for n in ast.walk(node)}
+
+
 def array_remainders(source):
     """The lines that take `% mod` or `% np.uint64(...)`, as an operator
     or as `%=`, outside the functions named in REDUCTION_HELPERS."""
     tree = ast.parse(source)
-    inside = {id(n) for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef)
-              and node.name in REDUCTION_HELPERS for n in ast.walk(node)}
+    inside = nodes_inside(tree, REDUCTION_HELPERS)
     return sorted(node.lineno for node in ast.walk(tree)
                   if id(node) not in inside and (
                       isinstance(node, ast.BinOp)
@@ -259,3 +267,32 @@ def test_the_check_sees_an_array_remainder():
               "    c = (a + 1) % np.uint64(p)\n"
               "    return b + c + p % 7 + int(a[0]) % p\n")
     assert array_remainders(source) == [6, 7, 8]
+
+
+def prf_call_sites(source):
+    """(the number of calls to `prf` or `<anything>.prf` inside the
+    function PRF_HOME, the lines of those outside it)."""
+    tree = ast.parse(source)
+    inside = nodes_inside(tree, {PRF_HOME})
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "prf"
+                  or isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "prf")]
+    return (sum(id(node) in inside for node in calls),
+            sorted(node.lineno for node in calls if id(node) not in inside))
+
+
+def test_hauth_evaluates_the_prf_only_through_its_memo():
+    """Each key's PRF outputs have one home, hauth._prf_value: a second
+    caller of the PRF would evaluate it again for an input the key's memo
+    already holds."""
+    assert prf_call_sites((PACKAGE / "hauth.py").read_text()) == (1, [])
+
+
+def test_the_check_sees_a_stray_prf_call():
+    source = ("def _prf_value(key, data):\n"
+              "    return memo.get(data) or prf(key, data, f)\n\n"
+              "def _prf2(key, delta):\n"
+              "    return prf(key.prf_key, b'2' + delta, key.field)\n\n"
+              "def load(key, d):\n    return transcript.prf(key, d, f)\n")
+    assert prf_call_sites(source) == (1, [5, 8])
