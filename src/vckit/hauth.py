@@ -6,9 +6,12 @@ through (0, f(m)) and (sk, f(r)).  Includes the two-party extension, whose
 tags are sparse polynomials in (x, y), and multi-label amortization.
 
 A tag's coefficients and its label randomness r are computed on reduced
-ints, with sk^-1 taken once per key, so they are not metered in
-Field.op_count; verification's circuit over the r values and its tag
-evaluations are.
+ints, with sk^-1 taken once per key, and are not metered in
+Field.op_count.  Verification runs the circuit over the r values on
+reduced ints too, reducing mod p at every gate; Field.op_count keeps its
+model count for that run, one operation per gate, which is what the
+circuit over FieldElements charges.  The tag evaluations are metered as
+FieldElement arithmetic.
 
 Each key keeps its PRF outputs in a memo keyed by the PRF input, so
 PRF1(l) and PRF2(delta) are each evaluated once per key across auth,
@@ -19,7 +22,7 @@ _PRF_MEMO_ENTRIES values and is emptied when full.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .encoding import u64
 from .errors import UsageError, VerifyResult
@@ -41,9 +44,13 @@ class MultiLabel:
     delta: bytes = b""
 
     def __post_init__(self):
-        for name in ("l", "delta"):
-            if not isinstance(getattr(self, name), bytes):
-                raise UsageError(f"label part {name} is not bytes")
+        _check_label_part("l", self.l)
+        _check_label_part("delta", self.delta)
+
+
+def _check_label_part(name: str, value):
+    if not isinstance(value, bytes):
+        raise UsageError(f"label part {name} is not bytes")
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,6 @@ def label_randomness(key: AuthKey, label: MultiLabel) -> FieldElement:
     return FieldElement(key.field, _randomness(key, label))
 
 
-def labels_randomness(key: AuthKey, labels) -> List[FieldElement]:
-    """label_randomness of each label."""
-    field = key.field
-    return [FieldElement(field, _randomness(key, lab)) for lab in labels]
-
-
 class HauthSession:
     """Per-key authentication session; rejects (l, delta) reuse.
 
@@ -156,7 +157,7 @@ def auth(key: AuthKey, m, label: MultiLabel) -> Tag:
     """One-shot tag, the line through (0, m) and (sk, r) from reduced ints;
     label-reuse tracking is the caller's duty without a session."""
     m = _canonical(key.field, m)
-    r = label_randomness(key, label).value
+    r = _randomness(key, label)
     slope = (r - m) * key.sk_inv % key.field.modulus
     return Tag(Polynomial._reduced(key.field, [m, slope]), arity=1)
 
@@ -180,14 +181,19 @@ class Circuit:
     wires computed before it, by int index, add and mul two of them and
     addc and mulc one and its int constant, and the output is a wire,
     counted from the end when negative; any other circuit is refused with
-    UsageError."""
+    UsageError.  The syntactic degree, with every input counted as degree
+    1, is found by the same walk and kept; it is not a field, so it takes
+    no part in equality or repr."""
 
     num_inputs: int
     gates: Tuple[Gate, ...]
     output: int = -1
 
     def __post_init__(self):
+        if type(self.num_inputs) is not int:
+            raise UsageError("circuit input count is not an int")
         wires = self.num_inputs
+        degs = [1] * wires
         for g in self.gates:
             op, a, b = g.op, g.a, g.b
             if op == "add" or op == "mul":
@@ -208,38 +214,41 @@ class Circuit:
                 raise UsageError(
                     f"circuit gate {wires - self.num_inputs} reads a wire "
                     + ("not yet computed" if typed else "that is not an int"))
+            if op == "add":
+                degs.append(max(degs[a], degs[b]))
+            elif op == "mul":
+                degs.append(degs[a] + degs[b])
+            else:
+                degs.append(degs[a])
             wires += 1
         if not (isinstance(self.output, int) and -wires <= self.output < wires):
             raise UsageError("circuit output is not a wire")
+        object.__setattr__(self, "_degree", degs[self.output])
 
-    def evaluate(self, inputs):
+    def evaluate(self, inputs, modulus: Optional[int] = None):
         """Run the circuit over field elements or polynomials, univariate or
-        multivariate: anything with + and * between values and with ints."""
+        multivariate: anything with + and * between values and with ints.
+        Given a modulus, run it over ints, reducing every wire mod modulus
+        so that none grows."""
         if len(inputs) != self.num_inputs:
             raise UsageError("wrong number of circuit inputs")
         wires = list(inputs)
         for g in self.gates:
             if g.op == "add":
-                wires.append(wires[g.a] + wires[g.b])
+                v = wires[g.a] + wires[g.b]
             elif g.op == "mul":
-                wires.append(wires[g.a] * wires[g.b])
+                v = wires[g.a] * wires[g.b]
             elif g.op == "addc":
-                wires.append(wires[g.a] + g.const)
+                v = wires[g.a] + g.const
             else:  # mulc
-                wires.append(wires[g.a] * g.const)
+                v = wires[g.a] * g.const
+            wires.append(v if modulus is None else v % modulus)
         return wires[self.output]
 
     def syntactic_degree(self) -> int:
-        """Degree bound with every input counted as degree 1."""
-        degs = [1] * self.num_inputs
-        for g in self.gates:
-            if g.op == "add":
-                degs.append(max(degs[g.a], degs[g.b]))
-            elif g.op == "mul":
-                degs.append(degs[g.a] + degs[g.b])
-            else:
-                degs.append(degs[g.a])
-        return degs[self.output]
+        """Degree bound with every input counted as degree 1, found when
+        the circuit was built."""
+        return self._degree
 
 
 def eval_tags(circuit: Circuit, tags) -> Tag:
@@ -265,14 +274,22 @@ def _check_slots(tags):
             raise UsageError(f"slot {t.slot} claimed by two different keys")
 
 
-def _accept(circuit: Circuit, f_r, claimed_y, poly, deg,
+def _f_of_r(circuit: Circuit, field: Field, rs) -> int:
+    """f(r) as a reduced int from the reduced ints rs.  Field.op_count is
+    charged its model count, one operation per gate."""
+    f_r = circuit.evaluate(rs, field.modulus)
+    field.op_count += len(circuit.gates)
+    return f_r
+
+
+def _accept(circuit: Circuit, f_r: int, claimed_y, poly, deg,
             key_point) -> VerifyResult:
     """Both tag families' rule, checked in this order: degree deg (None
     for the zero tag) at most the circuit's syntactic degree, then
     poly(key_point) = f(r), then poly(0, ...) = claimed_y."""
-    if deg is not None and deg > circuit.syntactic_degree():
+    if deg is not None and deg > circuit._degree:
         return VerifyResult.reject("degree-check")
-    if poly.evaluate(*key_point) != f_r:
+    if poly.evaluate(*key_point).value != f_r:
         return VerifyResult.reject("key-check")
     if poly.evaluate(*(0,) * len(key_point)) != claimed_y:
         return VerifyResult.reject("output-check")
@@ -286,7 +303,8 @@ def verify(key: AuthKey, circuit: Circuit, labels, tag: Tag,
     if not isinstance(tag.poly, Polynomial):
         raise UsageError("verify takes arity-1 tags; use verify_mk")
     claimed_y = key.field(claimed_y)
-    f_r = circuit.evaluate(labels_randomness(key, labels))
+    f_r = _f_of_r(circuit, key.field,
+                  [_randomness(key, label) for label in labels])
     return _accept(circuit, f_r, claimed_y, tag.poly, tag.poly.degree,
                    (key.sk,))
 
@@ -311,11 +329,14 @@ def verify_mk(keys: Tuple[AuthKey, AuthKey], circuit: Circuit,
     verify's rule with the tag's total degree."""
     if not isinstance(tag.poly, MultivariatePoly):
         raise UsageError("verify_mk takes arity-2 tags; use verify")
-    claimed_y = keys[0].field(claimed_y)
+    field = keys[0].field
+    if keys[1].field != field:
+        raise UsageError("the two keys are over different fields")
+    claimed_y = field(claimed_y)
     if any(slot not in (0, 1) for _, slot in labeled_slots):
         raise UsageError("slot must be 0 or 1")
-    f_r = circuit.evaluate([label_randomness(keys[slot], lab)
-                            for lab, slot in labeled_slots])
+    f_r = _f_of_r(circuit, field, [_randomness(keys[slot], label)
+                                   for label, slot in labeled_slots])
     return _accept(circuit, f_r, claimed_y, tag.poly, tag.poly.total_degree,
                    (keys[0].sk, keys[1].sk))
 
@@ -332,14 +353,17 @@ class AmortizedPrecompute:
 
 def amortize_offline(key: AuthKey, circuit: Circuit,
                      l_parts) -> AmortizedPrecompute:
-    if circuit.syntactic_degree() > 2:
+    if circuit._degree > 2:
         raise UsageError("amortization caps circuits at degree 2")
     field = key.field
-    placeholders = [Polynomial._reduced(field, [_prf1(key, l), 1])
-                    for l in l_parts]
+    placeholders = []
+    for l in l_parts:
+        _check_label_part("l", l)
+        placeholders.append(Polynomial._reduced(field, [_prf1(key, l), 1]))
     return AmortizedPrecompute(circuit.evaluate(placeholders))
 
 
 def load(pre: AmortizedPrecompute, key: AuthKey, delta: bytes) -> FieldElement:
     """f(r) in O(deg C) field operations: evaluate C at Z = PRF2(delta)."""
+    _check_label_part("delta", delta)
     return pre.c_poly.evaluate(_prf2(key, delta))

@@ -125,6 +125,15 @@ def test_malformed_circuit_refused(gates, output, reason):
         hauth.Circuit(2, gates, output)
 
 
+@pytest.mark.parametrize("num_inputs", [2.0, "2", None], ids=repr)
+def test_an_input_count_that_is_not_an_int_is_refused(num_inputs):
+    """The degree walk that builds a circuit sizes its list by the input
+    count, so a count that is not an int is refused, not met as a
+    TypeError."""
+    with pytest.raises(UsageError, match="input count is not an int"):
+        hauth.Circuit(num_inputs, (hauth.Gate("add", 0, 1),))
+
+
 def test_degree_grows_with_multiplication_only():
     t1 = hauth.auth(KEY, 3, lab(b"a"))
     t2 = hauth.auth(KEY, 5, lab(b"b"))
@@ -173,22 +182,32 @@ def test_label_randomness_is_additive_split():
     assert r == hauth._prf1(KEY, b"l") + hauth._prf2(KEY, b"d")
 
 
-def test_verify_evaluates_each_prf_once_per_distinct_input(prf_calls):
-    """An epoch of 128 labels under one delta: verify makes 128 PRF1
-    calls and one PRF2 call, and labels_randomness gives each label's
-    label_randomness, repeated labels included."""
-    h = 64
+def _epoch(h=64):
+    """An epoch shaped like the benchmark's hauth-stream: the circuit
+    sum_{i<h} x_i * x_{h+i} + 7 (h mul, h - 1 add and one addc gate),
+    2h labels under one delta, the tag evaluated from their tags under
+    KEY, and the claimed output."""
     gates = [hauth.Gate("mul", i, h + i) for i in range(h)]
     acc = 2 * h
     for i in range(1, h):
         gates.append(hauth.Gate("add", acc, 2 * h + i))
         acc = 2 * h + len(gates) - 1
+    gates.append(hauth.Gate("addc", acc, const=7))
     circ = hauth.Circuit(2 * h, tuple(gates))
     labels = [lab(b"column-%d" % i, b"epoch-1") for i in range(2 * h)]
     msgs = list(range(1, 2 * h + 1))
     out = hauth.eval_tags(circ, [hauth.auth(KEY, m, label)
                                  for m, label in zip(msgs, labels)])
-    claimed = sum(msgs[i] * msgs[h + i] for i in range(h))
+    claimed = sum(msgs[i] * msgs[h + i] for i in range(h)) + 7
+    return circ, labels, out, claimed
+
+
+def test_verify_evaluates_each_prf_once_per_distinct_input(prf_calls):
+    """An epoch of 128 labels under one delta: verify makes 128 PRF1
+    calls and one PRF2 call, and label_randomness gives each label's
+    PRF1(l) + PRF2(delta), repeated labels included."""
+    h = 64
+    circ, labels, out, claimed = _epoch(h)
     key, _ = fresh_keys()
     prf_calls.clear()
     assert hauth.verify(key, circ, labels, out, claimed)
@@ -196,9 +215,25 @@ def test_verify_evaluates_each_prf_once_per_distinct_input(prf_calls):
     assert len(prf_calls) == 2 * h + 1
     assert not hauth.verify(key, circ, labels, out, claimed + 1)
     mixed = labels[:3] + [labels[0], lab(b"column-0", b"epoch-2")]
-    assert hauth.labels_randomness(key, mixed) == [
+    assert [hauth.label_randomness(key, label) for label in mixed] == [
         hauth._prf1(KEY, label.l) + hauth._prf2(KEY, label.delta)
         for label in mixed]
+
+
+def test_verify_meters_one_operation_per_gate():
+    """Field.op_count keeps a model count for f(r), one operation per
+    gate, as when the circuit ran over FieldElements, and meters each
+    evaluation of the tag: on the 128-gate epoch circuit with its
+    degree-2 tag, 128 + 2 * 6 on accept and on output-check, and
+    128 + 6 on key-check."""
+    circ, labels, out, claimed = _epoch()
+    shifted = dataclasses.replace(out, poly=out.poly + Polynomial(F, [0, 1]))
+    deltas = []
+    for tag, y in ((out, claimed), (out, claimed + 1), (shifted, claimed)):
+        before = F.op_count
+        verdict = hauth.verify(KEY, circ, labels, tag, y)
+        deltas.append((verdict.reason, F.op_count - before))
+    assert deltas == [("", 140), ("output-check", 140), ("key-check", 134)]
 
 
 def test_each_prf_input_is_evaluated_once_per_key(prf_calls):
@@ -282,16 +317,14 @@ def test_threads_sharing_a_key_never_get_a_wrong_tag(monkeypatch):
 
 
 def _match_the_oracle(keys, l_parts, deltas, msgs, rng, modulus):
-    """Check auth, auth_mk, label_randomness and labels_randomness under
-    each key against `hauth_oracle`; the number of PRF draws that took a
-    later counter."""
+    """Check auth, auth_mk and label_randomness under each key against
+    `hauth_oracle`; the number of PRF draws that took a later counter."""
     retries = 0
     labels = [lab(l, d) for l in l_parts for d in deltas]
     for key in keys:
         sk, k = key.sk.value, key.prf_key.key
         rs = [hauth_oracle.randomness(k, l.l, l.delta, modulus)
               for l in labels]
-        assert [r.value for r in hauth.labels_randomness(key, labels)] == rs
         for label, r in zip(labels, rs):
             assert hauth.label_randomness(key, label).value == r
             retries += sum(
@@ -309,13 +342,13 @@ def _match_the_oracle(keys, l_parts, deltas, msgs, rng, modulus):
 
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 97])
 def test_tags_and_randomness_match_the_int_oracle(modulus, prf_calls):
-    """auth, auth_mk, label_randomness and labels_randomness against
-    `hauth_oracle`, on a seeded grid of keys, labels and messages.  F_97
-    rejects about a quarter of the PRF draws, so the grid takes the PRF's
-    later counters too.  The grid runs on new keys, then again on the
-    same key objects, served from their PRF memos with no evaluation, and
-    then on new keys equal to them.  Its labels include l = delta = b"l",
-    and each label is authenticated under all four keys."""
+    """auth, auth_mk and label_randomness against `hauth_oracle`, on a
+    seeded grid of keys, labels and messages.  F_97 rejects about a
+    quarter of the PRF draws, so the grid takes the PRF's later counters
+    too.  The grid runs on new keys, then again on the same key objects,
+    served from their PRF memos with no evaluation, and then on new keys
+    equal to them.  Its labels include l = delta = b"l", and each label
+    is authenticated under all four keys."""
     field = Field(modulus)
     rng = random.Random(modulus)
     seeds = [b"oracle-key-%d" % i for i in range(4)]
@@ -369,6 +402,9 @@ LABEL_ENTRY_POINTS = {
                                                              lab(*parts)),
     "verify": lambda parts: hauth.verify(
         KEY, IDENTITY, [lab(*parts)], hauth.auth(KEY, 3, lab(b"typed")), 3),
+    # amortize_offline takes bare l parts and load a bare delta
+    "amortize_offline, load": lambda parts: hauth.load(
+        hauth.amortize_offline(KEY, IDENTITY, [parts[0]]), KEY, parts[1]),
 }
 
 
@@ -379,7 +415,8 @@ LABEL_ENTRY_POINTS = {
 def test_a_label_part_that_is_not_bytes_is_refused(entry, value, part):
     """A label's l and delta are bytes: a string, None, an int, a
     bytearray or a memoryview is refused with UsageError, not met as a
-    TypeError (a str l once raised "can't concat str to bytes")."""
+    TypeError (a str l once raised "can't concat str to bytes", and load
+    once took a bytearray delta)."""
     parts = [b"typed", b"d"]
     parts[part] = value
     name = ("l", "delta")[part]
@@ -564,6 +601,75 @@ def test_honest_two_party_tags_stay_within_the_syntactic_degree():
         assert hauth.verify_mk(keys, circ, labeled_slots, out,
                                circ.evaluate([F(m) for m in msgs]))
     assert degrees == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 97])
+def test_verify_matches_the_field_element_oracle(modulus):
+    """verify and verify_mk give the reason and charge the Field.op_count
+    that `hauth_oracle.verify` does, which runs each circuit over
+    label_randomness FieldElements.  Seeded random circuits of 0 to 5
+    gates take addc and mulc constants of -5, 0, p - 1, p and 2^64 and
+    an output anywhere in the circuit; each is checked with its honest
+    tag, a wrong claimed output, the tag plus a term of the circuit's
+    degree (key-check) and plus one above it (degree-check), and with
+    one input too many or too few (UsageError)."""
+    field = Field(modulus)
+    rng = random.Random(4040 + modulus)
+    keys = tuple(hauth.keygen(seed, field) for seed in KEY_SEEDS)
+    consts = [-5, 0, modulus - 1, modulus, 2**64]
+    # a monomial of total degree e, in x or in (x, y)
+    term = {1: lambda e: Polynomial(field, [0] * e + [1]),
+            2: lambda e: MultivariatePoly(field, 2, {(e - 1, 1): 1})}
+    reasons = set()
+    for i in range(120):
+        k = rng.randrange(1, 4)
+        gates = tuple(g if g.const is None
+                      else dataclasses.replace(g, const=rng.choice(consts))
+                      for g in _random_circuit(rng, k, rng.randrange(6)).gates)
+        wires = k + len(gates)
+        circ = hauth.Circuit(k, gates, rng.randrange(-wires, wires))
+        msgs = [rng.randrange(-2**64, 2**64) for _ in range(k)]
+        y, d = hauth_oracle.circuit_at(circ, [field(m) for m in msgs])
+        for arity, use in ((1, keys[:1]), (2, keys)):
+            labeled = [(lab(b"fr-%d-%d" % (i, j), b"e-%d" % arity),
+                        rng.randrange(arity)) for j in range(k)]
+            if arity == 1:
+                tags = [hauth.auth(keys[0], m, label)
+                        for m, (label, _) in zip(msgs, labeled)]
+
+                def run(labeled, tag, y):
+                    return hauth.verify(keys[0], circ,
+                                        [label for label, _ in labeled],
+                                        tag, y)
+            else:
+                tags = [hauth.auth_mk(keys, m, label, slot)
+                        for m, (label, slot) in zip(msgs, labeled)]
+
+                def run(labeled, tag, y):
+                    return hauth.verify_mk(keys, circ, labeled, tag, y)
+            out = hauth.eval_tags(circ, tags)
+            padded = [dataclasses.replace(out, poly=out.poly + term[arity](e))
+                      for e in (d, d + 1)]
+            for tag, claimed in ((out, y), (out, y + 1), (padded[0], y),
+                                 (padded[1], y)):
+                start = field.op_count
+                got = run(labeled, tag, claimed)
+                mid = field.op_count
+                want = hauth_oracle.verify(use, circ, labeled, tag, claimed)
+                assert (got.reason, mid - start) == (
+                    want, field.op_count - mid), (i, arity)
+                reasons.add(want)
+            for wrong in (labeled[:-1], labeled + labeled[:1]):
+                with pytest.raises(UsageError, match="number of circuit"):
+                    run(wrong, out, y)
+    assert reasons == {"", "output-check", "key-check", "degree-check"}
+
+
+def test_verify_mk_refuses_keys_over_different_fields():
+    keys = (KEY, hauth.keygen(KEY_SEEDS[1], Field(97)))
+    tag = hauth.auth_mk(keys, 3, lab(b"alice"), slot=0)
+    with pytest.raises(UsageError, match="different fields"):
+        hauth.verify_mk(keys, IDENTITY, [(lab(b"alice"), 0)], tag, 3)
 
 
 def test_slot_collision_rejected():
