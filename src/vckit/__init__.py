@@ -12,11 +12,11 @@ from .errors import (ConstraintViolation, InternalError, UsageError,
 from .field import (DEFAULT_MODULUS, EvaluationDomain, Field, FieldElement,
                     MultivariatePoly, Polynomial, evaluate_on_domain,
                     interpolate, interpolate_on_domain)
-from .merkle import AuthPath, MerkleTree, verify_path
+from .merkle import MerkleTree, verify_path
 from .transcript import PrfKey, Transcript, hash_to_group, prf
 
 __all__ = [
-    "AuthPath", "ConstraintViolation", "DEFAULT_MODULUS",
+    "ConstraintViolation", "DEFAULT_MODULUS",
     "EvaluationDomain", "Field", "FieldElement", "HASH_ID", "InternalError",
     "MerkleTree", "MultivariatePoly", "Polynomial", "PrfKey",
     "Transcript", "UsageError", "VerifyResult", "evaluate_on_domain",

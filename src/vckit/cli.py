@@ -113,7 +113,6 @@ def load_circuit(path) -> hauth.Circuit:
     ops and an output that is not a wire."""
     desc = load_json(path, "circuit file", {"inputs": int})
     spec = desc.get("gates", [])
-    output = desc.get("output", -1)
     if not isinstance(spec, list):
         raise UsageError("circuit file: 'gates' must be a list")
     gates = []
@@ -125,9 +124,7 @@ def load_circuit(path) -> hauth.Circuit:
         op, a, b = g
         gates.append(hauth.Gate(op, a, b) if op in ("add", "mul")
                      else hauth.Gate(op, a, const=b))
-    if not _of_type(output, int):
-        raise UsageError("circuit output is not a wire")
-    return hauth.Circuit(desc["inputs"], tuple(gates), output)
+    return hauth.Circuit(desc["inputs"], tuple(gates), desc.get("output", -1))
 
 
 def parse_label(text) -> hauth.MultiLabel:

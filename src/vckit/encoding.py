@@ -22,6 +22,8 @@ def u64(v: int) -> bytes:
 def u64_rows(matrix) -> list:
     """Each row of a 2-D uint64 array as the u64 encodings of its values,
     concatenated: one big-endian dump of the array, cut into rows."""
+    if not matrix.shape[1]:   # numpy has no zero-size void type
+        return [b""] * len(matrix)
     raw = matrix.astype(">u8").tobytes()
     return np.frombuffer(raw, dtype=f"V{8 * matrix.shape[1]}").tolist()
 

@@ -14,9 +14,9 @@ x_c w^s (w a primitive 8th root of unity) that fold to x_c^8 (2 or 4
 values in a last round of 2 or 4).  Query positions are drawn from all
 of the first domain; a position pos lies in slot pos div (m/arity) of
 leaf pos % (m/arity) of each layer.  Each layer opens the index_set of
-its queries' leaves with one Merkle path.  The verifier checks that each
-position's slot equals the previous layer's fold, and folds.  A proof is
-format version 4 (VCKF 4).
+its queries' leaves with one Merkle opening.  The verifier checks that
+each position's slot equals the previous layer's fold, and folds.  A
+proof is format version 4 (VCKF 4).
 
 One kernel, _fold, folds (alpha, -alpha) pairs; a coset of 8 takes three
 of its calls, with beta, beta^2 and beta^4 (_fold_cosets).  The prover
@@ -29,7 +29,7 @@ from typing import List
 
 import numpy as np
 
-from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64, u64_rows
+from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64
 from .errors import InternalError, UsageError, VerifyResult
 from .field import EvaluationDomain, _power_array, _reduce, _reduce_sum
 from .merkle import MerkleTree, Opening, index_set
@@ -111,15 +111,13 @@ class FriProof:
 
 
 def _fold(a, b, alpha_inv, x0, p: int) -> np.ndarray:
-    """(a+b)/2 + x0*(a-b)/(2 alpha) elementwise: the value at x0 of the
+    """((a+b) + x0*(a-b)/alpha)/2 elementwise: the value at x0 of the
     line through (alpha, a) and (-alpha, b), from reduced uint64 arrays
-    and 1/alpha."""
+    and 1/alpha, in three multiplications."""
     mod = np.uint64(p)
-    inv2 = np.uint64(pow(2, -1, p))
-    even = _reduce(_reduce_sum(a + b, mod) * inv2, mod)
-    odd = _reduce(_reduce(_reduce_sum(a + (mod - b), mod) * inv2, mod)
-                  * alpha_inv, mod)
-    return _reduce(even + odd * np.uint64(x0), mod)
+    diff = _reduce(_reduce_sum(a + (mod - b), mod) * alpha_inv, mod)
+    both = _reduce(_reduce_sum(a + b, mod) + diff * np.uint64(x0), mod)
+    return _reduce(both * np.uint64(pow(2, -1, p)), mod)
 
 
 def _cosets(layer: np.ndarray, arity: int) -> np.ndarray:
@@ -188,33 +186,30 @@ def commit_phase(evals, params: FriParams, t: Transcript,
     round's challenge from the transcript and fold, until the degree
     bound is used up.
 
-    Returns (layers, trees, roots, final_value).  The final layer must be
-    constant for an honest prover; enforce_low_degree=False lets a cheating
-    prover continue for soundness experiments.
+    Returns (trees, final_value): tree j commits layer j's cosets.  The
+    final layer must be constant for an honest prover;
+    enforce_low_degree=False lets a cheating prover continue for
+    soundness experiments.
     """
     field = params.domain.field
-    evals = np.asarray(evals, dtype=np.uint64)
-    if len(evals) != params.domain.size:
+    layer = np.asarray(evals, dtype=np.uint64)
+    if len(layer) != params.domain.size:
         raise UsageError("evaluation count does not match the domain")
-    layers = [evals]
     trees = []
-    roots = []
     domain = params.domain
     for arity in params.arities:
-        tree = MerkleTree(u64_rows(_cosets(layers[-1], arity)))
+        tree = MerkleTree(_cosets(layer, arity))
         trees.append(tree)
-        roots.append(tree.root)
         t.absorb(b"fri-root", tree.root)
         beta = t.challenge_field(field)
-        layers.append(fold_layer(layers[-1], domain, beta, arity))
+        layer = fold_layer(layer, domain, beta, arity)
         domain = _image(domain, arity)
-    final_layer = layers[-1]
-    if enforce_low_degree and len(set(int(v) for v in final_layer)) != 1:
+    if enforce_low_degree and len(set(int(v) for v in layer)) != 1:
         raise InternalError("final layer is not constant; input degree "
                             "exceeds the claimed bound")
-    final_value = int(final_layer[0])
+    final_value = int(layer[0])
     t.absorb(b"fri-final", u64(final_value))
-    return layers, trees, roots, final_value
+    return trees, final_value
 
 
 def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
@@ -227,25 +222,20 @@ def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
     return positions
 
 
-def query_phase(layers, trees, t: Transcript, params: FriParams,
-                roots, final_value) -> FriProof:
+def query_phase(trees, t: Transcript, params: FriParams,
+                final_value) -> FriProof:
     """Open, on every layer, the distinct cosets holding the query
     positions."""
     positions = _draw_positions(t, params)
-    openings = []
-    for layer, tree, arity in zip(layers, trees, params.arities):
-        width = len(layer) // arity
-        cosets = index_set([pos % width for pos in positions])
-        openings.append(Opening(_cosets(layer, arity)[cosets],
-                                tree.open(cosets)))
-    return FriProof(list(roots), final_value, positions, openings)
+    return FriProof([tree.root for tree in trees], final_value, positions,
+                    [tree.open([pos % tree.num_leaves for pos in positions])
+                     for tree in trees])
 
 
 def prove(evals, params: FriParams, t: Transcript,
           enforce_low_degree: bool = True) -> FriProof:
-    layers, trees, roots, final_value = commit_phase(
-        evals, params, t, enforce_low_degree)
-    return query_phase(layers, trees, t, params, roots, final_value)
+    trees, final_value = commit_phase(evals, params, t, enforce_low_degree)
+    return query_phase(trees, t, params, final_value)
 
 
 def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:

@@ -221,7 +221,7 @@ class Circuit:
             else:
                 degs.append(degs[a])
             wires += 1
-        if not (isinstance(self.output, int) and -wires <= self.output < wires):
+        if not (type(self.output) is int and -wires <= self.output < wires):
             raise UsageError("circuit output is not a wire")
         object.__setattr__(self, "_degree", degs[self.output])
 

@@ -26,7 +26,7 @@ shift, so a query needs the one or two leaves holding its window rather
 than w single rows.  For a position s + blowup*j, window row r is trace
 row t = (j + r) mod n, slot t mod R of leaf s*(n/R) + t div R
 (_window_cells).  The proof opens the index_set of those leaves with one
-Merkle path.
+Merkle opening.
 
 The LDE coset offset is a generator of the full multiplicative group, so
 no extended evaluation point ever lands in the trace subgroup; queries
@@ -41,7 +41,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import fri
-from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64, u64_rows
+from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
 from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
@@ -619,8 +619,8 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
                                       lde)
                    for col in values]
-    leaf_values = _trace_leaves(np.stack(lde_columns, axis=1), params.blowup)
-    trace_tree = MerkleTree(u64_rows(leaf_values))
+    trace_tree = MerkleTree(_trace_leaves(np.stack(lde_columns, axis=1),
+                                          params.blowup))
     t.absorb(b"trace-root", trace_tree.root)
 
     gammas = _draw_gammas(cs, field, t)
@@ -634,12 +634,9 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 
     leaf, _ = _window_cells(fri_proof.queries, params.blowup, n,
                             cs.max_window())
-    opened = index_set(leaf)
-    opening = Opening(leaf_values[opened], trace_tree.open(opened))
-
     return StarkProof(n, cs.length, cs.num_columns,
                       params.blowup, params.num_queries, params.zk,
-                      trace_tree.root, opening, fri_proof)
+                      trace_tree.root, trace_tree.open(leaf), fri_proof)
 
 
 def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,

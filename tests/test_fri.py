@@ -8,9 +8,9 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri
-from vckit.encoding import Reader, u32, u64, u64_rows
+from vckit.encoding import Reader, u32, u64
 from vckit.errors import InternalError, UsageError
-from vckit.merkle import AuthPath, MerkleTree, verify_path
+from vckit.merkle import MerkleTree, verify_path
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          Polynomial, evaluate_on_domain)
 from vckit.transcript import Transcript
@@ -116,10 +116,12 @@ def test_pair_tree_layout():
     dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
     params = fri.FriParams(dom, 16, 1)
     evals = np.arange(10, 74, dtype=np.uint64)
-    layers, trees, _, _ = fri.commit_phase(evals, params, Transcript("t"),
-                                           enforce_low_degree=False)
-    domain = dom
-    for layer, tree, arity in zip(layers, trees, params.arities):
+    trees, _ = fri.commit_phase(evals, params, Transcript("t"),
+                                enforce_low_degree=False)
+    # replay the challenges to rebuild each layer the trees commit
+    replay = Transcript("t")
+    layer, domain = evals, dom
+    for tree, arity in zip(trees, params.arities):
         width = len(layer) // arity
         assert tree.num_leaves == width
         for c in range(width):
@@ -127,11 +129,15 @@ def test_pair_tree_layout():
                         for s in range(arity)}) == 1
             coset = [int(layer[c + s * width]) for s in range(arity)]
             leaf = b"".join(u64(v) for v in coset)
-            assert verify_path(tree.root, width, {c: leaf}, tree.open([c]))
+            siblings = tree.open([c]).siblings
+            assert verify_path(tree.root, width, {c: leaf}, siblings)
             coset[-1] ^= 1
             assert not verify_path(tree.root, width,
                                    {c: b"".join(u64(v) for v in coset)},
-                                   tree.open([c]))
+                                   siblings)
+        replay.absorb(b"fri-root", tree.root)
+        layer = fri.fold_layer(layer, domain, replay.challenge_field(FBIG),
+                               arity)
         domain = fri._image(domain, arity)
     assert [t.num_leaves for t in trees] == [8, 4]
 
@@ -372,7 +378,7 @@ def test_decoder_rejects_trailing_bytes():
     evals, params = _proof_128()
     blob = fri.prove(evals, params, Transcript("t")).serialize()
     proof = fri.FriProof.deserialize(blob)
-    siblings = len(proof.layers[-1].path.siblings)
+    siblings = len(proof.layers[-1].siblings)
     assert siblings
     count_at = len(blob) - 32 * siblings - 4
     assert blob[count_at:count_at + 4] == u32(siblings)
@@ -385,22 +391,19 @@ def _prove_committing(evals, params, t, tamper, layer=0):
     """fri.prove, except that layer `layer` is committed and opened as
     tamper(the honest layer), while folding continues from the honest
     layer."""
-    layers = [np.asarray(evals, dtype=np.uint64)]
-    committed, trees, roots = [], [], []
+    honest = np.asarray(evals, dtype=np.uint64)
+    trees = []
     domain = params.domain
     for j, arity in enumerate(params.arities):
-        committed.append(tamper(layers[-1]) if j == layer else layers[-1])
-        tree = MerkleTree(u64_rows(fri._cosets(committed[-1], arity)))
-        trees.append(tree)
-        roots.append(tree.root)
-        t.absorb(b"fri-root", tree.root)
-        layers.append(fri.fold_layer(layers[-1], domain,
-                                     t.challenge_field(FBIG), arity))
+        committed = tamper(honest) if j == layer else honest
+        trees.append(MerkleTree(fri._cosets(committed, arity)))
+        t.absorb(b"fri-root", trees[-1].root)
+        honest = fri.fold_layer(honest, domain, t.challenge_field(FBIG),
+                                arity)
         domain = fri._image(domain, arity)
-    final_value = int(layers[-1][0])
+    final_value = int(honest[0])
     t.absorb(b"fri-final", u64(final_value))
-    return fri.query_phase(committed + layers[-1:], trees, t, params, roots,
-                           final_value)
+    return fri.query_phase(trees, t, params, final_value)
 
 
 def test_prove_committing_reproduces_the_honest_proof():
@@ -495,9 +498,9 @@ def test_bad_opening_in_the_last_query_only():
     evals, params = _proof_128()
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
-        path = proof.layers[layer].path
-        assert path.siblings
-        path.siblings[-1] = bytes(32)
+        siblings = proof.layers[layer].siblings
+        assert siblings
+        siblings[-1] = bytes(32)
         v = fri.verify(proof, params, Transcript("t"))
         assert not v and v.reason == f"layer {layer}: bad opening"
 
@@ -532,7 +535,7 @@ def test_pair_path_without_siblings_rejected():
     for layer in range(len(params.arities)):
         proof = fri.prove(evals, params, Transcript("t"))
         layers = proof.layers
-        assert layers[layer].path.siblings
-        layers[layer] = dataclasses.replace(layers[layer], path=AuthPath([]))
+        assert layers[layer].siblings
+        layers[layer] = dataclasses.replace(layers[layer], siblings=[])
         v = fri.verify(proof, params, Transcript("t"))
         assert not v and v.reason == f"layer {layer}: bad opening"

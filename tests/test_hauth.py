@@ -114,13 +114,18 @@ def test_constant_gates():
     ((hauth.Gate("mulc", "0", const=2),), -1,
      "gate 0 reads a wire that is not an int"),
     ((hauth.Gate("addc", 0, const="7"),), -1,
-     "gate 0 (addc) has a constant that is not an int")])
+     "gate 0 (addc) has a constant that is not an int"),
+    ((hauth.Gate("mul", 0, 1),), True, "output is not a wire"),
+    ((hauth.Gate("mul", 0, 1),), False, "output is not a wire"),
+    ((hauth.Gate("mul", 0, 1),), 1.0, "output is not a wire")])
 def test_malformed_circuit_refused(gates, output, reason):
     """A gate reading a wire not yet computed or by an index that is not an
     int, an unknown op, a constant gate without an int constant and an
     output that is not a wire are refused when the circuit is built, not
     met as an IndexError, TypeError or AttributeError inside eval_tags or
-    verify."""
+    verify.  Wires and the output are checked by type: a bool is an int
+    to isinstance, and output=True once built a circuit equal to
+    output=1."""
     with pytest.raises(UsageError, match=re.escape(reason)):
         hauth.Circuit(2, gates, output)
 

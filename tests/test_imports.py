@@ -4,8 +4,9 @@ oracle and the Merkle tree import hashlib, only the OpenSSL binding
 imports ctypes or _hashlib, the binding calls every BN_ function it
 declares and no other, it decides between libcrypto and built-in ints
 in one place, the numpy arrays of the field, STARK and FRI modules
-are reduced mod p only inside field's reduction helpers, and hauth
-evaluates the PRF only inside its memo helper.
+are reduced mod p only inside field's reduction helpers, hauth
+evaluates the PRF only inside its memo helper, and only the Merkle
+module turns rows into leaf bytes or builds an opening.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -33,6 +34,9 @@ REDUCING_MODULES = ["field.py", "stark.py", "fri.py"]
 REDUCTION_HELPERS = {"_reduce", "_reduce_sum"}
 # hauth's one caller of the PRF, which keeps each key's outputs
 PRF_HOME = "_prf_value"
+# what only merkle.py calls: the leaf encoding of a committed row, and
+# the opening type, which its trees build and its decoder reads
+MERKLE_ONLY = ["u64_rows", "Opening"]
 
 
 def imported_names(tree):
@@ -269,15 +273,20 @@ def test_the_check_sees_an_array_remainder():
     assert array_remainders(source) == [6, 7, 8]
 
 
+def calls_to(tree, name):
+    """The calls to `name` or `<anything>.name` under tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == name)]
+
+
 def prf_call_sites(source):
     """(the number of calls to `prf` or `<anything>.prf` inside the
     function PRF_HOME, the lines of those outside it)."""
     tree = ast.parse(source)
     inside = nodes_inside(tree, {PRF_HOME})
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and (isinstance(node.func, ast.Name) and node.func.id == "prf"
-                  or isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "prf")]
+    calls = calls_to(tree, "prf")
     return (sum(id(node) in inside for node in calls),
             sorted(node.lineno for node in calls if id(node) not in inside))
 
@@ -296,3 +305,28 @@ def test_the_check_sees_a_stray_prf_call():
               "    return prf(key.prf_key, b'2' + delta, key.field)\n\n"
               "def load(key, d):\n    return transcript.prf(key, d, f)\n")
     assert prf_call_sites(source) == (1, [5, 8])
+
+
+def callers(sources, name):
+    """The modules, of a map from module name to source, that call name."""
+    return {module for module, source in sources.items()
+            if calls_to(ast.parse(source), name)}
+
+
+@pytest.mark.parametrize("name", MERKLE_ONLY)
+def test_only_merkle_encodes_leaves_and_builds_openings(name):
+    """How a committed row becomes a leaf and how an opening is built
+    have one home: the trace and the FRI layers commit uint64 rows to a
+    MerkleTree and send what its open returns."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert callers(sources, name) == {"merkle.py"}
+
+
+def test_the_check_sees_a_stray_leaf_encoding():
+    sources = {"merkle.py": "for leaf in u64_rows(rows):\n    pass\n",
+               "fri.py": "tree = MerkleTree(u64_rows(cosets))\n",
+               "stark.py": "leaves = encoding.u64_rows(table)\n",
+               "field.py": "from .encoding import u64_rows\n"
+                           "name = 'u64_rows(x)'\n"}
+    assert callers(sources, "u64_rows") == {"merkle.py", "fri.py",
+                                            "stark.py"}

@@ -9,13 +9,13 @@ import pytest
 
 import symbolic_oracle as oracle
 from vckit import fri, stark
-from vckit.encoding import Reader, u32, u64
+from vckit.encoding import Reader, u32
 from vckit.errors import (ConstraintViolation, InternalError, UsageError,
                           VerifyResult)
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field, Polynomial,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
-from vckit.merkle import MerkleTree, Opening, index_set
+from vckit.merkle import MerkleTree, index_set
 from vckit.transcript import Transcript
 
 F = Field(DEFAULT_MODULUS)
@@ -655,7 +655,7 @@ def _rewrap(blob, what):
     FRI magic should be."""
     if what == "fri":
         last = stark.StarkProof.deserialize(blob).fri_proof.layers[-1]
-        count_at = len(blob) - 32 * len(last.path.siblings) - 4
+        count_at = len(blob) - 32 * len(last.siblings) - 4
     else:
         reader = Reader(blob)
         # past the zk flag and the trace root
@@ -722,19 +722,16 @@ def _forge(proof, cs, params, leaf_columns, composition):
     table = np.array([[int(col[i]) for col in leaf_columns]
                       for i in range(lde.size)],
                      dtype=np.uint64).reshape(lde.size, len(leaf_columns))
-    leaves = stark._trace_leaves(table, params.blowup)
-    tree = MerkleTree([b"".join(u64(int(v)) for v in leaf)
-                       for leaf in leaves])
+    tree = MerkleTree(stark._trace_leaves(table, params.blowup))
     t.absorb(b"trace-root", tree.root)
     comp = composition(stark._draw_gammas(cs, F, t))
     d = stark.composition_degree_bound(n, cs)
     fri_proof = fri.prove(comp, fri.FriParams(lde, d, params.num_queries), t)
-    opened = index_set(stark._window_cells(
-        fri_proof.queries, params.blowup, n, cs.max_window())[0])
+    leaf, _ = stark._window_cells(fri_proof.queries, params.blowup, n,
+                                  cs.max_window())
     return dataclasses.replace(
         proof, num_columns=len(leaf_columns), trace_root=tree.root,
-        fri_proof=fri_proof,
-        trace_opening=Opening(leaves[opened], tree.open(opened)))
+        fri_proof=fri_proof, trace_opening=tree.open(leaf))
 
 
 def _fib8_lde():
