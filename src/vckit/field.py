@@ -647,6 +647,16 @@ class MultivariatePoly:
                  for k, c in enumerate(poly.coeffs)}
         return MultivariatePoly(poly.field, num_vars, terms)
 
+    def __eq__(self, other):
+        return (isinstance(other, MultivariatePoly)
+                and self.field == other.field
+                and self.num_vars == other.num_vars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.field.modulus, self.num_vars,
+                     frozenset(self.terms.items())))
+
     @property
     def total_degree(self) -> int:
         if not self.terms:

@@ -140,6 +140,11 @@ class Opening:
     rows: np.ndarray      # uint64, one row per opened leaf
     siblings: List[bytes]
 
+    def __eq__(self, other):
+        return (isinstance(other, Opening)
+                and np.array_equal(self.rows, other.rows)
+                and self.siblings == other.siblings)
+
     def serialize(self) -> bytes:
         return (u32(len(self.rows)) + self.rows.astype(">u8").tobytes()
                 + u32(len(self.siblings)) + b"".join(self.siblings))

@@ -3,10 +3,10 @@ extension on a coset by NTT, constraint quotients and their randomized
 composition evaluated pointwise, Merkle commitment and FRI.
 
 One evaluator, compose, computes the composition at any array of points x
-from the trace values at x, g x, ..., g^(w-1) x.  The prover calls it on
-the whole LDE coset with the rolled LDE columns; the verifier calls it on
-its query points with the opened rows, so the constraint check is
-vectorized and not metered in op_count.
+from the (window, column, point) array of the trace at x, g x, ...,
+g^(w-1) x: the prover's LDE table rolled by _windows on the whole LDE
+coset, the verifier's opened window array at its query points, so the
+constraint check is vectorized and not metered in op_count.
 The prover interpolates the trace columns once and handles every other
 polynomial by its values on the coset: O(n log n) field work.  A product
 of (x - g^j) over trace rows j, such as the rows the transition
@@ -36,7 +36,7 @@ zero-knowledge padding relies on.
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -157,8 +157,10 @@ class ConstraintSystem:
             if bc.row >= self.length:
                 raise UsageError(f"boundary row {bc.row} not below length")
 
-    def boundary_columns(self) -> List[int]:
-        return sorted({bc.column for bc in self.boundaries})
+    def boundary_groups(self) -> Dict[int, List[BoundaryConstraint]]:
+        """Each constrained column's boundaries, by column ascending."""
+        return {c: [bc for bc in self.boundaries if bc.column == c]
+                for c in sorted({bc.column for bc in self.boundaries})}
 
     def max_window(self) -> int:
         return max((tc.window for tc in self.transitions), default=1)
@@ -320,18 +322,21 @@ def _shape_fault(shape, cs: ConstraintSystem, n: int) -> Optional[str]:
         *shape[1:], *want[1:])
 
 
-def _windows(columns, stride: int, width: int):
-    """rows[r][c] = column c rolled left by r*stride: with stride 1 on the
-    trace, row r holds the cell r rows below each row; with stride blowup
-    on the low-degree extension, the value at g^r x for each point x."""
-    return [[np.roll(col, -r * stride) for col in columns]
-            for r in range(width)]
+def _windows(table: np.ndarray, stride: int, width: int) -> np.ndarray:
+    """The (width, column, point) array rows of a (column, point) uint64
+    table, rows[r, c] being column c rolled left by r*stride: with stride
+    1 on the trace, the cell r rows below each row; with stride blowup on
+    the low-degree extension, the value at g^r x for each point x."""
+    rows = np.empty((width,) + table.shape, dtype=np.uint64)
+    for r in range(width):
+        rows[r] = np.roll(table, -r * stride, axis=1)
+    return rows
 
 
 def evaluate_transition(tc: TransitionConstraint, rows) -> np.ndarray:
-    """tc's predicate at every point, variable r*ncols+c being rows[r][c]."""
+    """tc's predicate at every point, variable r*ncols+c being rows[r, c]."""
     return tc.predicate.evaluate_array(
-        [col for row in rows[:tc.window] for col in row])
+        rows[:tc.window].reshape(-1, rows.shape[-1]))
 
 
 def _divide(values: np.ndarray, divisor: np.ndarray, p: int) -> np.ndarray:
@@ -487,19 +492,18 @@ def _draw_gammas(cs: ConstraintSystem, field: Field,
                  t: Transcript) -> List[FieldElement]:
     """One gamma per quotient, drawn right after the trace commitment."""
     return [t.challenge_field(field)
-            for _ in range(len(cs.boundary_columns()) + len(cs.transitions))]
+            for _ in range(len(cs.boundary_groups()) + len(cs.transitions))]
 
 
-def compose(points, rows, cs: ConstraintSystem,
+def compose(points, rows: np.ndarray, cs: ConstraintSystem,
             trace_domain: EvaluationDomain, gammas) -> np.ndarray:
     """Random linear combination, with the gammas, of every boundary and
     transition quotient at the points: the prover's LDE coset as an
     EvaluationDomain, or the verifier's query points as a uint64 array.
-    rows[r][c] holds column c at g^r x for each point x."""
-    quotients = [boundary_quotient(points, rows[0][c],
-                                   [bc for bc in cs.boundaries
-                                    if bc.column == c], trace_domain)
-                 for c in cs.boundary_columns()]
+    rows[r, c] of the (window, column, point) array rows holds column c
+    at g^r x for each point x."""
+    quotients = [boundary_quotient(points, rows[0, c], bcs, trace_domain)
+                 for c, bcs in cs.boundary_groups().items()]
     quotients += [transition_quotient(points, rows, tc, trace_domain,
                                       _transition_rows(cs, tc))
                   for tc in cs.transitions]
@@ -514,15 +518,10 @@ def composition_degree_bound(trace_length: int, cs: ConstraintSystem) -> int:
     """Max quotient degree, rounded up so the FRI bound deg < d holds;
     at least 2, so FRI folds at least once and its layer 0 commits the
     composition."""
-    degs = []
-    per_col = {}
-    for bc in cs.boundaries:
-        per_col[bc.column] = per_col.get(bc.column, 0) + 1
-    for cnt in per_col.values():
-        degs.append(trace_length - 1 - cnt)
-    for tc in cs.transitions:
-        degs.append(tc.degree * (trace_length - 1)
-                    - _transition_rows(cs, tc))
+    degs = [trace_length - 1 - len(bcs)
+            for bcs in cs.boundary_groups().values()]
+    degs += [tc.degree * (trace_length - 1) - _transition_rows(cs, tc)
+             for tc in cs.transitions]
     d = 2
     while d < max(degs) + 1:
         d *= 2
@@ -616,16 +615,14 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     t = Transcript("stark")
     t.absorb(b"header", _header_bytes(n, cs, params))
 
-    lde_columns = [evaluate_on_domain(interpolate_on_domain(col, trace_domain),
-                                      lde)
-                   for col in values]
-    trace_tree = MerkleTree(_trace_leaves(np.stack(lde_columns, axis=1),
-                                          params.blowup))
+    lde_table = np.array([evaluate_on_domain(
+        interpolate_on_domain(col, trace_domain), lde) for col in values])
+    trace_tree = MerkleTree(_trace_leaves(lde_table.T, params.blowup))
     t.absorb(b"trace-root", trace_tree.root)
 
     gammas = _draw_gammas(cs, field, t)
     comp_evals = compose(lde,
-                         _windows(lde_columns, params.blowup, cs.max_window()),
+                         _windows(lde_table, params.blowup, cs.max_window()),
                          cs, trace_domain, gammas)
     d = composition_degree_bound(n, cs)
     fri_params = fri.FriParams(lde, d, params.num_queries)
@@ -686,8 +683,8 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     window = proof.trace_opening.rows.reshape(-1, rows_per_leaf, ncols)[
         np.searchsorted(opened, leaf), slot]
     xs = np.array([lde.point(q).value for q in queries], dtype=np.uint64)
-    rows = [[window[:, r, c] for c in range(ncols)] for r in range(w)]
-    combined = compose(xs, rows, cs, trace_domain, gammas)
+    combined = compose(xs, window.transpose(1, 2, 0), cs, trace_domain,
+                       gammas)
     claimed = fri.queried_values(proof.fri_proof, fri_params)
     bad = np.flatnonzero(combined != claimed)
     if bad.size:

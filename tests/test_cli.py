@@ -724,6 +724,24 @@ def test_bad_circuit_file(tmp_path, text):
                 "--tags", tag, "-o", str(tmp_path / "out.bin")]) == 2
 
 
+@pytest.mark.parametrize("gate", ['["add", 0, 1.5]', '["add", 0, true]'])
+def test_circuit_wire_that_is_not_an_int_refused_by_circuit(tmp_path, capsys,
+                                                           gate):
+    """A gate of the right JSON shape reaches hauth.Circuit, whose message
+    names the wire, not the file's shape."""
+    key, tag = str(tmp_path / "key.json"), str(tmp_path / "t.bin")
+    circuit = tmp_path / "circ.json"
+    circuit.write_text(f'{{"inputs": 1, "gates": [{gate}]}}')
+    assert run(["hauth", "keygen", "--seed", "01", "-o", key]) == 0
+    assert run(["hauth", "auth", "--key", key, "-m", "1", "--label", "a",
+                "-o", tag]) == 0
+    capsys.readouterr()
+    assert run(["hauth", "eval", "--circuit", str(circuit),
+                "--tags", tag, "-o", str(tmp_path / "out.bin")]) == 2
+    assert ("circuit gate 0 reads a wire that is not an int"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("text", ['[{"column": 0,',
                                   '[{"column": 0, "row": 2}]',
                                   '{"column": 0, "row": 2, "value": 2}',

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import symbolic_oracle as oracle
+from vckit import hauth, stark
 from vckit.errors import UsageError
 from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          FieldElement, MultivariatePoly, Polynomial,
@@ -470,6 +471,26 @@ def test_multivariate_reduces_ints_and_elements_of_its_field():
     """-1, as in the Fibonacci predicate, is p - 1; 97 is zero and drops."""
     mp = MultivariatePoly(F97, 2, {(1, 0): -1, (0, 1): F97(3), (1, 1): 97})
     assert mp.terms == {(1, 0): 96, (0, 1): 3}
+
+
+def test_multivariate_compares_and_hashes_by_value():
+    """Field, arity and terms decide equality and the hash: two two-party
+    tags of one message, label and slot are equal, and so are two builds
+    of one constraint system, whose transitions hash alike."""
+    keys = (hauth.keygen(b"a", FBIG), hauth.keygen(b"b", FBIG))
+    label = hauth.MultiLabel(b"l", b"d")
+    one, two = (hauth.auth_mk(keys, 5, label, slot=1) for _ in range(2))
+    assert one == two and hash(one.poly) == hash(two.poly)
+    assert hauth.auth_mk(keys, 5, label, slot=0) != one
+    built = [stark.fibonacci_constraint_system(8, FBIG) for _ in range(2)]
+    assert built[0] == built[1]
+    assert hash(built[0].transitions[0]) == hash(built[1].transitions[0])
+    mp = MultivariatePoly(F97, 2, {(1, 0): 3, (0, 1): 1})
+    assert mp == MultivariatePoly(F97, 2, {(0, 1): 1, (1, 0): 3, (1, 1): 97})
+    for other in (MultivariatePoly(F97, 2, {(1, 0): 3, (0, 1): 2}),
+                  MultivariatePoly(F97, 3, {(1, 0, 0): 3, (0, 1, 0): 1}),
+                  MultivariatePoly(F17, 2, {(1, 0): 3, (0, 1): 1})):
+        assert mp != other
 
 
 @pytest.mark.parametrize("num_vars", [2, 3])

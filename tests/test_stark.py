@@ -108,10 +108,11 @@ def test_trace_value_not_a_reduced_int_refused(value):
             stark.prove(tr, cs, params, skip_satisfaction_check=skip)
 
 
-def _lde_columns(trace, lde):
+def _lde_table(trace, lde):
+    """The trace's low-degree extension, one row per column."""
     dom = trace.domain()
-    return [evaluate_on_domain(interpolate_on_domain(col, dom), lde)
-            for col in trace.columns]
+    return np.array([evaluate_on_domain(interpolate_on_domain(col, dom), lde)
+                     for col in trace.columns])
 
 
 def test_multivariate_predicate_eval_and_substitute():
@@ -144,7 +145,7 @@ def test_boundary_quotient_exactness():
     assert quot * z_b + b_poly == poly
     # the pointwise quotient is the oracle quotient at every LDE point
     xs = lde.point_array()
-    pointwise = stark.boundary_quotient(xs, _lde_columns(tr, lde)[0],
+    pointwise = stark.boundary_quotient(xs, _lde_table(tr, lde)[0],
                                         cs.boundaries, dom)
     assert pointwise.tolist() == quot.evaluate_array(xs).tolist()
     # off the boundary values, division leaves a remainder, and the
@@ -238,7 +239,7 @@ def test_transition_quotient_exact_for_honest_trace():
     assert rem.is_zero()
     assert quot.degree is None or quot.degree < tr.length
     xs = lde.point_array()
-    rows = stark._windows(_lde_columns(tr, lde), 8, tc.window)
+    rows = stark._windows(_lde_table(tr, lde), 8, tc.window)
     pointwise = stark.transition_quotient(xs, rows, tc, tr.domain(),
                                           stark._transition_rows(cs, tc))
     assert pointwise.tolist() == quot.evaluate_array(xs).tolist()
@@ -396,6 +397,36 @@ def test_proof_serialize_roundtrip():
         stark.StarkProof.deserialize(b"NOPE" + blob[4:])
 
 
+@pytest.mark.parametrize("change", ["value", "sibling", "row"])
+def test_proofs_compare_by_value(change):
+    """A STARK proof and its FRI proof equal their decoded copies; a copy
+    with one opened value or sibling changed, or one opened row dropped,
+    in the trace opening or a FRI layer, does not."""
+    tr = stark.trace_fibonacci(8, F)
+    cs = stark.fibonacci_constraint_system(8, F)
+    proof = stark.prove(tr, cs, stark.StarkParams(8, 6))
+    back = stark.StarkProof.deserialize(proof.serialize())
+    assert back == proof and back.fri_proof == proof.fri_proof
+
+    def changed(opening):
+        rows, siblings = opening.rows.copy(), list(opening.siblings)
+        assert siblings
+        if change == "value":
+            rows[0, 0] ^= np.uint64(1)
+        elif change == "sibling":
+            siblings[-1] = bytes([siblings[-1][0] ^ 1]) + siblings[-1][1:]
+        else:
+            rows = rows[:-1]
+        return dataclasses.replace(opening, rows=rows, siblings=siblings)
+    assert (dataclasses.replace(back, trace_opening=changed(
+        back.trace_opening)) != proof)
+    layers = list(back.fri_proof.layers)
+    layers[0] = changed(layers[0])
+    fri_copy = dataclasses.replace(back.fri_proof, layers=layers)
+    assert fri_copy != proof.fri_proof
+    assert dataclasses.replace(back, fri_proof=fri_copy) != proof
+
+
 def test_byte_flip_fuzz_rejected():
     """Flipping any of a sample of proof bytes must not yield acceptance
     of a different proof (re-serialization equality guards no-ops)."""
@@ -497,6 +528,53 @@ def _two_column(n):
     return tr, cs
 
 
+def _three_column(n):
+    """Columns (a, b, c) with a' = a + 1 and c' = c + a b, over n rows;
+    b is free.  Boundaries pin a and c at rows 0 and n - 1, and none
+    touches b."""
+    p = F.modulus
+    a = list(range(n))
+    b = [(7 * i + 3) % p for i in range(n)]
+    c = [5]
+    for i in range(n - 1):
+        c.append((c[-1] + a[i] * b[i]) % p)
+    tr = stark.TraceTable([a, b, c], n, F)
+    # variable r*3 + col is column col at row + r
+    step = stark.MultivariatePoly(F, 6, {(0, 0, 0, 1, 0, 0): 1,
+                                         (1, 0, 0, 0, 0, 0): -1,
+                                         (0, 0, 0, 0, 0, 0): -1})
+    accumulate = stark.MultivariatePoly(F, 6, {(0, 0, 0, 0, 0, 1): 1,
+                                               (0, 0, 1, 0, 0, 0): -1,
+                                               (1, 1, 0, 0, 0, 0): -1})
+    cs = stark.ConstraintSystem(
+        3,
+        [stark.BoundaryConstraint(2, n - 1, c[-1]),
+         stark.BoundaryConstraint(0, 0, 0),
+         stark.BoundaryConstraint(2, 0, 5),
+         stark.BoundaryConstraint(0, n - 1, n - 1)],
+        [stark.TransitionConstraint(2, step),
+         stark.TransitionConstraint(2, accumulate)], n)
+    return tr, cs
+
+
+def test_system_with_a_column_without_boundaries():
+    """Boundaries on columns 0 and 2 only: one quotient and one gamma per
+    constrained column, in column order, and one per transition."""
+    tr, cs = _three_column(8)
+    bcs = cs.boundaries
+    assert cs.boundary_groups() == {0: [bcs[1], bcs[3]], 2: [bcs[0], bcs[2]]}
+    assert list(cs.boundary_groups()) == [0, 2]
+    assert len(stark._draw_gammas(cs, F, Transcript("t"))) == 4
+    params = stark.StarkParams(8, 10)
+    v = stark.verify(stark.prove(tr, cs, params), cs, params, F)
+    assert v, v.reason
+    for col, row in ((0, 3), (1, 3), (2, 7)):
+        bad = stark.TraceTable([list(c) for c in tr.columns], 8, F)
+        bad.columns[col][row] = (bad.columns[col][row] + 1) % F.modulus
+        cheat = stark.prove(bad, cs, params, skip_satisfaction_check=True)
+        assert not stark.verify(cheat, cs, params, F)
+
+
 def test_custom_two_column_system():
     """A second program shape: columns (a, b) with a' = b, b' = a + b."""
     n = 8
@@ -512,7 +590,8 @@ def test_custom_two_column_system():
     assert not stark.verify(cheat, cs, params, F)
 
 
-@pytest.mark.parametrize("program", ["fib64-zk", "two-column"])
+@pytest.mark.parametrize("program", ["fib64-zk", "two-column",
+                                     "three-column"])
 def test_pointwise_quotients_match_oracle(program):
     """Every boundary and transition quotient of the prover equals the
     symbolic quotient at every point of the LDE coset."""
@@ -521,13 +600,12 @@ def test_pointwise_quotients_match_oracle(program):
     dom = tr.domain()
     lde = stark.StarkParams(4, 1).lde_domain(F, tr.length)
     pts = lde.point_array()
-    lde_cols = _lde_columns(tr, lde)
+    lde_cols = _lde_table(tr, lde)
     rows = stark._windows(lde_cols, 4, cs.max_window())
     polys = oracle.interpolate_trace(tr)
     for poly, col in zip(polys, lde_cols):
         assert poly.evaluate_array(pts).tolist() == col.tolist()
-    for c in cs.boundary_columns():
-        bcs = [bc for bc in cs.boundaries if bc.column == c]
+    for c, bcs in cs.boundary_groups().items():
         quot, rem = oracle.boundary_quotient(polys[c], bcs, dom)
         assert rem.is_zero()
         want = quot.evaluate_array(pts).tolist()
@@ -547,6 +625,8 @@ def test_pointwise_quotients_match_oracle(program):
 def _program(name):
     if name == "two-column":
         return _two_column(8)
+    if name == "three-column":
+        return _three_column(8)
     if name == "fib33":
         # unpadded, just above a power of two: 33 of 64 rows excluded
         return (stark.trace_fibonacci(33, F),
@@ -555,7 +635,8 @@ def _program(name):
     return tr, stark.fibonacci_constraint_system(64, F)
 
 
-@pytest.mark.parametrize("program", ["fib64-zk", "two-column", "fib33"])
+@pytest.mark.parametrize("program", ["fib64-zk", "two-column", "fib33",
+                                     "three-column"])
 def test_composition_at_sampled_points_matches_the_coset(program):
     """compose at a few LDE points, given only the window values there
     (the verifier's call, on a point array), equals the prover's
@@ -565,18 +646,46 @@ def test_composition_at_sampled_points_matches_the_coset(program):
     params = stark.StarkParams(4, 1)
     dom = tr.domain()
     lde = params.lde_domain(F, tr.length)
-    cols = _lde_columns(tr, lde)
+    cols = _lde_table(tr, lde)
     w = cs.max_window()
     rng = random.Random(program)
     gammas = [F(rng.randrange(F.modulus)) for _ in range(
-        len(cs.boundary_columns()) + len(cs.transitions))]
+        len(cs.boundary_groups()) + len(cs.transitions))]
     full = stark.compose(lde, stark._windows(cols, params.blowup, w), cs,
                          dom, gammas)
     idx = np.array(rng.sample(range(lde.size), 20) + [0, lde.size - 1])
-    rows = [[col[(idx + r * params.blowup) % lde.size] for col in cols]
-            for r in range(w)]
+    rows = np.array([cols[:, (idx + r * params.blowup) % lde.size]
+                     for r in range(w)])
     sampled = stark.compose(lde.point_array()[idx], rows, cs, dom, gammas)
     assert sampled.tolist() == full[idx].tolist()
+
+
+@pytest.mark.parametrize("program", ["two-column", "fib33", "three-column"])
+def test_verifier_window_array_is_the_provers_at_the_queries(program,
+                                                             monkeypatch):
+    """The (window, column, query) array the verifier reads from the
+    trace opening and hands compose is the prover's window array over the
+    LDE table (_windows) at the query positions."""
+    tr, cs = _program(program)
+    params = stark.StarkParams(4, 8)
+    inputs = []
+    compose = stark.compose
+
+    def recording(points, rows, *args):
+        inputs.append(rows)
+        return compose(points, rows, *args)
+    monkeypatch.setattr(stark, "compose", recording)
+    proof = stark.prove(tr, cs, params)
+    assert stark.verify(proof, cs, params, F)
+    lde = params.lde_domain(F, tr.length)
+    want = stark._windows(_lde_table(tr, lde), params.blowup,
+                          cs.max_window())
+    prover_rows, verifier_rows = inputs
+    assert np.array_equal(prover_rows, want)
+    assert verifier_rows.shape == (cs.max_window(), cs.num_columns,
+                                   params.num_queries)
+    assert np.array_equal(verifier_rows,
+                          want[:, :, proof.fri_proof.queries])
 
 
 def test_check_satisfaction_names_first_violation():
@@ -694,7 +803,7 @@ def test_quotients_refuse_a_domain_meeting_the_trace_subgroup():
     tr = stark.trace_fibonacci(8, F)
     cs = stark.fibonacci_constraint_system(8, F)
     bad_lde = EvaluationDomain.subgroup(F, 64)
-    cols = _lde_columns(tr, bad_lde)
+    cols = _lde_table(tr, bad_lde)
     for points in (bad_lde, bad_lde.point_array()):
         with pytest.raises(InternalError):
             stark.boundary_quotient(points, cols[0], cs.boundaries,
@@ -739,7 +848,7 @@ def _fib8_lde():
     proof, cs, params = _fib8_proof()
     tr = stark.trace_fibonacci(8, F)
     lde = params.lde_domain(F, tr.length)
-    cols = _lde_columns(tr, lde)
+    cols = _lde_table(tr, lde)
 
     def composition(gammas):
         return stark.compose(lde.point_array(),
