@@ -403,7 +403,8 @@ def bench_fri_soundness(args, field):
         evals = [rng.randrange(field.modulus) for _ in range(64)]
         t = Transcript("fri-bench")
         t.absorb(b"trial", trial.to_bytes(8, "big"))
-        proof = fri_mod.prove(evals, params, t, enforce_low_degree=False)
+        trees, layer = fri_mod.commit_phase(evals, params, t)
+        proof = fri_mod.query_phase(trees, t, params, int(layer[0]))
         t = Transcript("fri-bench")
         t.absorb(b"trial", trial.to_bytes(8, "big"))
         if not fri_mod.verify(proof, params, t):
@@ -420,18 +421,16 @@ def bench_stark_mutation(args, field):
     import random as _random
     rng = _random.Random(args.seed)
     length = 8
-    trace = stark.trace_fibonacci(length, field)
+    values = stark.trace_fibonacci(length, field).values()
     cs = stark.fibonacci_constraint_system(length, field)
     params = stark.StarkParams(8, 20)
     rejects = 0
     for _ in range(args.trials):
-        mutated = stark.TraceTable([list(c) for c in trace.columns],
-                                   trace.original_length, field)
+        mutated = values.copy()
         row = rng.randrange(length)
-        mutated.columns[0][row] = (mutated.columns[0][row]
-                                   + rng.randrange(1, field.modulus)) % field.modulus
-        proof = stark.prove(mutated, cs, params,
-                            skip_satisfaction_check=True)
+        mutated[0, row] = (int(mutated[0, row])
+                           + rng.randrange(1, field.modulus)) % field.modulus
+        proof = stark.prove_table(mutated, field, cs, params)
         if not stark.verify(proof, cs, params, field):
             rejects += 1
     rate = rejects / args.trials

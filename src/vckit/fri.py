@@ -180,16 +180,14 @@ def fold_layer(evals, domain: EvaluationDomain, beta,
                         field(beta).value, p)
 
 
-def commit_phase(evals, params: FriParams, t: Transcript,
-                 enforce_low_degree: bool = True):
+def commit_phase(evals, params: FriParams, t: Transcript):
     """Commit each layer with one leaf per folding coset, draw the
     round's challenge from the transcript and fold, until the degree
-    bound is used up.
+    bound is used up; absorb the final layer's first value.
 
-    Returns (trees, final_value): tree j commits layer j's cosets.  The
-    final layer must be constant for an honest prover;
-    enforce_low_degree=False lets a cheating prover continue for
-    soundness experiments.
+    Returns (trees, final_layer): tree j commits layer j's cosets.  The
+    final layer is constant only if deg(evals) < the bound; this does
+    not check it (prove does).
     """
     field = params.domain.field
     layer = np.asarray(evals, dtype=np.uint64)
@@ -204,12 +202,8 @@ def commit_phase(evals, params: FriParams, t: Transcript,
         beta = t.challenge_field(field)
         layer = fold_layer(layer, domain, beta, arity)
         domain = _image(domain, arity)
-    if enforce_low_degree and len(set(int(v) for v in layer)) != 1:
-        raise InternalError("final layer is not constant; input degree "
-                            "exceeds the claimed bound")
-    final_value = int(layer[0])
-    t.absorb(b"fri-final", u64(final_value))
-    return trees, final_value
+    t.absorb(b"fri-final", u64(int(layer[0])))
+    return trees, layer
 
 
 def _draw_positions(t: Transcript, params: FriParams) -> List[int]:
@@ -232,10 +226,13 @@ def query_phase(trees, t: Transcript, params: FriParams,
                      for tree in trees])
 
 
-def prove(evals, params: FriParams, t: Transcript,
-          enforce_low_degree: bool = True) -> FriProof:
-    trees, final_value = commit_phase(evals, params, t, enforce_low_degree)
-    return query_phase(trees, t, params, final_value)
+def prove(evals, params: FriParams, t: Transcript) -> FriProof:
+    """commit_phase, a check that the final layer is constant, query_phase."""
+    trees, layer = commit_phase(evals, params, t)
+    if (layer != layer[0]).any():
+        raise InternalError("final layer is not constant; input degree "
+                            "exceeds the claimed bound")
+    return query_phase(trees, t, params, int(layer[0]))
 
 
 def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:

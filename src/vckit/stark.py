@@ -149,6 +149,7 @@ class ConstraintSystem:
             raise UsageError("length below 2 rows or a transition window")
         if self.length >= 2**32:
             raise UsageError("length not encodable")
+        cells = set()
         for bc in self.boundaries:
             if not 0 <= bc.column < self.num_columns:
                 raise UsageError("boundary references a missing column")
@@ -156,6 +157,10 @@ class ConstraintSystem:
                 raise UsageError("boundary row or value not encodable")
             if bc.row >= self.length:
                 raise UsageError(f"boundary row {bc.row} not below length")
+            if (bc.column, bc.row) in cells:
+                raise UsageError(f"two boundaries on (col {bc.column}, "
+                                 f"row {bc.row})")
+            cells.add((bc.column, bc.row))
 
     def boundary_groups(self) -> Dict[int, List[BoundaryConstraint]]:
         """Each constrained column's boundaries, by column ascending."""
@@ -589,27 +594,26 @@ def _header_bytes(n: int, cs: ConstraintSystem, params: StarkParams) -> bytes:
 
 
 def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
-          zk_seed=None, skip_satisfaction_check: bool = False) -> StarkProof:
-    """Commit, draw gammas, compose, run FRI, open trace windows.
-
-    The trace columns are interpolated and extended to the LDE coset by
-    NTT; the quotients and their combination are computed pointwise there.
-    skip_satisfaction_check enables the cheating-prover variant used by
-    soundness experiments: unsatisfied constraints then give a composition
-    that is a rational function rather than a polynomial, and FRI runs
-    without insisting on a constant final layer.
-    """
-    field = trace.field
+          zk_seed=None) -> StarkProof:
+    """zk_pad the trace when params.zk, check it satisfies cs
+    (check_satisfaction), then prove_table its values."""
     if params.zk:
         trace = zk_pad(trace, params.num_queries, zk_seed)
-    n = trace.length
-    fault = _shape_fault((trace.num_columns, trace.original_length, n), cs,
+    return prove_table(check_satisfaction(trace, cs), trace.field, cs, params)
+
+
+def prove_table(values: np.ndarray, field: Field, cs: ConstraintSystem,
+                params: StarkParams) -> StarkProof:
+    """Commit, draw gammas, compose, run FRI and open trace windows for
+    values, a (column, row) uint64 table of trace_length(cs.length) rows.
+    Nothing checks it against cs: a false table proves a rational
+    composition, which verify rejects."""
+    ncols, n = values.shape
+    fault = _shape_fault((ncols, cs.length, n), cs,
                          params.trace_length(cs.length))
     if fault:
         raise UsageError(fault)
-    values = (trace.values() if skip_satisfaction_check
-              else check_satisfaction(trace, cs))
-    trace_domain = trace.domain()
+    trace_domain = EvaluationDomain.subgroup(field, n)
     lde = params.lde_domain(field, n)
 
     t = Transcript("stark")
@@ -624,10 +628,10 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
     comp_evals = compose(lde,
                          _windows(lde_table, params.blowup, cs.max_window()),
                          cs, trace_domain, gammas)
-    d = composition_degree_bound(n, cs)
-    fri_params = fri.FriParams(lde, d, params.num_queries)
-    fri_proof = fri.prove(comp_evals, fri_params, t,
-                          enforce_low_degree=not skip_satisfaction_check)
+    fri_params = fri.FriParams(lde, composition_degree_bound(n, cs),
+                               params.num_queries)
+    trees, layer = fri.commit_phase(comp_evals, fri_params, t)
+    fri_proof = fri.query_phase(trees, t, fri_params, int(layer[0]))
 
     leaf, _ = _window_cells(fri_proof.queries, params.blowup, n,
                             cs.max_window())

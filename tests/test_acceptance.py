@@ -175,7 +175,8 @@ def test_criterion_06_fri_grid_and_soundness():
         evals = [rng.randrange(F.modulus) for _ in range(64)]
         t = Transcript("fri-far")
         t.absorb(b"trial", trial.to_bytes(8, "big"))
-        proof = fri.prove(evals, params, t, enforce_low_degree=False)
+        trees, layer = fri.commit_phase(evals, params, t)
+        proof = fri.query_phase(trees, t, params, int(layer[0]))
         t = Transcript("fri-far")
         t.absorb(b"trial", trial.to_bytes(8, "big"))
         if not fri.verify(proof, params, t):
@@ -199,7 +200,7 @@ def test_criterion_07_stark_end_to_end():
         row = rng.randrange(8)
         bad.columns[0][row] = (bad.columns[0][row]
                                + rng.randrange(1, F.modulus)) % F.modulus
-        proof = stark.prove(bad, cs, params, skip_satisfaction_check=True)
+        proof = stark.prove_table(bad.values(), F, cs, params)
         if not stark.verify(proof, cs, params, F):
             rejects += 1
     ok = honest and rejects >= 99

@@ -431,6 +431,17 @@ def test_stark_verify_holds_the_file_to_its_own_parameters(tmp_path,
     assert run(verify + ["--blowup", "3", proof]) == 2
 
 
+def test_repeated_boundary_is_a_usage_error(tmp_path, capsys):
+    """A boundary on a cell the Fibonacci system already pins, even with
+    the value it pins, is refused by name before anything is proved."""
+    extra = tmp_path / "b.json"
+    extra.write_text(json.dumps([{"column": 0, "row": 0, "value": 1}]))
+    assert run(["stark", "prove", "--length", "8", "--boundary-json",
+                str(extra), "-o", str(tmp_path / "s.bin")]) == 2
+    assert ("usage error: two boundaries on (col 0, row 0)"
+            in capsys.readouterr().err)
+
+
 def test_stark_zk_and_custom_boundary(tmp_path):
     proof = str(tmp_path / "stark.bin")
     bad_boundary = str(tmp_path / "b.json")
@@ -493,6 +504,15 @@ def test_stark_mutation_bench_rejects_every_trial(capsys):
     assert run(["bench", "stark-mutation", "--trials", "100"]) == 0
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec == {"bench": "stark-mutation", "trials": 100,
+                   "reject_rate": 1.0}
+
+
+def test_fri_soundness_bench_rejects_every_trial(capsys):
+    """A FRI proof of a random word, far from every polynomial under the
+    degree bound, is rejected in all of 100 trials."""
+    assert run(["bench", "fri-soundness", "--trials", "100"]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec == {"bench": "fri-soundness", "trials": 100,
                    "reject_rate": 1.0}
 
 
@@ -573,8 +593,9 @@ def test_zero_query_fri_file_refused(tmp_path):
     evals = [rng.randrange(field.modulus) for _ in range(256)]
     t = Transcript("fri")
     t.absorb(b"params", u32(256) + u32(8) + u32(0))
-    proof = fri.prove(evals, fri.FriParams(domain, 8, 1), t,
-                      enforce_low_degree=False)
+    params = fri.FriParams(domain, 8, 1)
+    trees, layer = fri.commit_phase(evals, params, t)
+    proof = fri.query_phase(trees, t, params, int(layer[0]))
     proof.queries = []
     path = tmp_path / "fri.bin"
     path.write_bytes(proof.serialize())

@@ -116,8 +116,7 @@ def test_pair_tree_layout():
     dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
     params = fri.FriParams(dom, 16, 1)
     evals = np.arange(10, 74, dtype=np.uint64)
-    trees, _ = fri.commit_phase(evals, params, Transcript("t"),
-                                enforce_low_degree=False)
+    trees, _ = fri.commit_phase(evals, params, Transcript("t"))
     # replay the challenges to rebuild each layer the trees commit
     replay = Transcript("t")
     layer, domain = evals, dom
@@ -193,8 +192,9 @@ def test_cheating_prover_rejected():
     params = fri.FriParams(dom, 4, 20)
     rng = random.Random(8)
     evals = [rng.randrange(FBIG.modulus) for _ in range(64)]
-    proof = fri.prove(evals, params, Transcript("t"),
-                      enforce_low_degree=False)
+    t = Transcript("t")
+    trees, layer = fri.commit_phase(evals, params, t)
+    proof = fri.query_phase(trees, t, params, int(layer[0]))
     assert not fri.verify(proof, params, Transcript("t"))
 
 

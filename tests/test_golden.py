@@ -15,7 +15,10 @@ the proofs made under them, and the two setup hashes pin the primes
 (p, q) themselves, one at 512 bits and one at the vdf-beacon benchmark's
 1024-bit seed.  The hauth hash pins keygen (sk, PRF key and
 fingerprint), the PRF through the tags' randomness, and the tag file
-bytes, under the default modulus and F_97.
+bytes, under the default modulus and F_97.  The forged cases are false
+statements proved by stark.prove_table and FRI's two phases, which skip
+the checks stark.prove and fri.prove make; they pin the bytes a
+soundness experiment builds.
 """
 
 import hashlib
@@ -54,6 +57,30 @@ def _fri_proof():
                      t).serialize()
 
 
+def _forged_fib_proof(blowup, queries, zk_seed=None):
+    """A false fib-8 proof: 17 added to row 5, and the table proved
+    without the satisfaction check (the verifier rejects it)."""
+    trace = stark.trace_fibonacci(8, F)
+    trace.columns[0][5] = (trace.columns[0][5] + 17) % F.modulus
+    params = stark.StarkParams(blowup, queries, zk=zk_seed is not None)
+    if params.zk:
+        trace = stark.zk_pad(trace, queries, zk_seed)
+    return stark.prove_table(trace.values(), F,
+                             stark.fibonacci_constraint_system(8, F),
+                             params).serialize()
+
+
+def _forged_fri_proof():
+    """FRI's two phases on a random word, far from the degree bound."""
+    rng = random.Random(2025)
+    dom = EvaluationDomain.coset(F, 256, F.generator())
+    params = fri.FriParams(dom, 32, 16)
+    t = Transcript("golden-fri")
+    trees, layer = fri.commit_phase(
+        [rng.randrange(F.modulus) for _ in range(256)], params, t)
+    return fri.query_phase(trees, t, params, int(layer[0])).serialize()
+
+
 def _vdf_proof(prime_bits, seed, delay, security_bits=16):
     params, _ = vdf.setup(prime_bits, seed, delay, security_bits)
     _, proof = vdf.vdf_round(params, b"golden-input")
@@ -88,6 +115,9 @@ CASES = {
     "fib4000-b4-q8-zk5": lambda: _fib_proof(4000, 4, 8, zk_seed=5),
     "two-column-b8-q10": _two_column_proof,
     "fri-coset256-d32-q16": _fri_proof,
+    "forged-fib8-row5-b8-q20": lambda: _forged_fib_proof(8, 20),
+    "forged-fib8-row5-b4-q6-zk3": lambda: _forged_fib_proof(4, 6, zk_seed=3),
+    "forged-fri-coset256-d32-q16": _forged_fri_proof,
     "vdf-n32-T0": lambda: _vdf_proof(16, b"golden-vdf-t0", 0),
     "vdf-n32-T3": lambda: _vdf_proof(16, b"golden-vdf-t3", 3),
     "vdf-n64-T1013": lambda: _vdf_proof(32, b"golden-vdf-1013", 1013),
@@ -115,6 +145,12 @@ GOLDEN = {
         "b821466d5568826ab5aa6aa188f56e4a0105447c72f5067d9cd6905214dcf2ab",
     "fri-coset256-d32-q16":
         "e16607aabb37d77f15dc7945d78a6bcaa125ab8340f610ee12e94ab9bf3a16ab",
+    "forged-fib8-row5-b8-q20":
+        "87d855789c4782b034377cc4dac3d7c018fc9b7b23c7e01206aeb65869ac33fc",
+    "forged-fib8-row5-b4-q6-zk3":
+        "273d10bee0e4434cf100114aeedbdde74b4a92320bd703ae26aee05b380269a8",
+    "forged-fri-coset256-d32-q16":
+        "1b6beb9fa6e493d114ec4c765001be0f1c8f9c36b6d5e2765b610c0e222f3074",
     "vdf-n32-T0":
         "118e561ac607a6dc240e4d48e7995d64428259126331a7f7b11578756e51a377",
     "vdf-n32-T3":

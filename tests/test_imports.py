@@ -5,8 +5,9 @@ imports ctypes or _hashlib, the binding calls every BN_ function it
 declares and no other, it decides between libcrypto and built-in ints
 in one place, the numpy arrays of the field, STARK and FRI modules
 are reduced mod p only inside field's reduction helpers, hauth
-evaluates the PRF only inside its memo helper, and only the Merkle
-module turns rows into leaf bytes or builds an opening.
+evaluates the PRF only inside its memo helper, only the Merkle
+module turns rows into leaf bytes or builds an opening, and no STARK or
+FRI function takes a switch: a parameter whose default is a bool.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -37,6 +38,8 @@ PRF_HOME = "_prf_value"
 # what only merkle.py calls: the leaf encoding of a committed row, and
 # the opening type, which its trees build and its decoder reads
 MERKLE_ONLY = ["u64_rows", "Opening"]
+# modules whose provers have one honest path
+ONE_PATH_MODULES = ["stark.py", "fri.py"]
 
 
 def imported_names(tree):
@@ -330,3 +333,41 @@ def test_the_check_sees_a_stray_leaf_encoding():
                            "name = 'u64_rows(x)'\n"}
     assert callers(sources, "u64_rows") == {"merkle.py", "fri.py",
                                             "stark.py"}
+
+
+def switch_parameters(source):
+    """(function, parameter) for every parameter, positional or keyword,
+    whose default is True or False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                             a.defaults)) + list(zip(a.kwonlyargs,
+                                                     a.kw_defaults))
+            found += [(node.name, arg.arg) for arg, default in pairs
+                      if isinstance(default, ast.Constant)
+                      and isinstance(default.value, bool)]
+    return found
+
+
+@pytest.mark.parametrize("name", ONE_PATH_MODULES)
+def test_provers_take_no_switch(name):
+    """The STARK and FRI provers have one honest path: a false proof is
+    built from the part that does not check (stark.prove_table, or
+    fri.commit_phase then query_phase), not by a flag that turns a check
+    off."""
+    assert switch_parameters((PACKAGE / name).read_text()) == []
+
+
+def test_the_check_sees_a_switch():
+    source = ("def prove(trace, zk_seed=None, skip: bool = False):\n"
+              "    pass\n\n"
+              "def commit(evals, strict=1, *, enforce=True, lazy=None):\n"
+              "    pass\n\n"
+              "class Params:\n    zk: bool = False\n\n"
+              "    def open(self, rows, /, pruned=True):\n        pass\n")
+    assert switch_parameters(source) == [("prove", "skip"),
+                                         ("commit", "enforce"),
+                                         ("open", "pruned")]

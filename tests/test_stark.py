@@ -92,20 +92,20 @@ def test_check_satisfaction_oracle():
                                    F(3)], ids=["3+p", "3-p", "F(3)"])
 def test_trace_value_not_a_reduced_int_refused(value):
     """Row 3 of fib 8 holds 3 and no boundary pins it.  Another
-    representative of 3 there is refused by the satisfaction check and by
-    the prover, with zk, without it and without the check: it is not
-    reduced."""
+    representative of 3 there is refused by the satisfaction check, by
+    the prover with zk and without it, and by trace.values(), which a
+    prove_table caller reads: it is not reduced."""
     cs = stark.fibonacci_constraint_system(8, F)
     tr = stark.trace_fibonacci(8, F)
     assert tr.columns[0][3] == 3
     tr.columns[0][3] = value
     with pytest.raises(UsageError, match="not an int in"):
         stark.check_satisfaction(tr, cs)
-    for params, skip in ((stark.StarkParams(8, 4), False),
-                         (stark.StarkParams(8, 4, zk=True), False),
-                         (stark.StarkParams(8, 4), True)):
+    for params in (stark.StarkParams(8, 4), stark.StarkParams(8, 4, zk=True)):
         with pytest.raises(UsageError, match="not an int in"):
-            stark.prove(tr, cs, params, skip_satisfaction_check=skip)
+            stark.prove(tr, cs, params)
+    with pytest.raises(UsageError, match="not an int in"):
+        tr.values()
 
 
 def _lde_table(trace, lde):
@@ -298,7 +298,7 @@ def test_cheating_prover_rejected():
     tr.columns[0][5] = (tr.columns[0][5] + 17) % F.modulus
     cs = stark.fibonacci_constraint_system(8, F)
     params = stark.StarkParams(8, 20)
-    proof = stark.prove(tr, cs, params, skip_satisfaction_check=True)
+    proof = stark.prove_table(tr.values(), F, cs, params)
     verdict = stark.verify(proof, cs, params, F)
     assert not verdict and verdict.reason.startswith("fri:")
 
@@ -356,26 +356,43 @@ def test_zk_flag_mismatch_rejected(proved_zk):
     assert not verdict and verdict.reason == "parameter mismatch"
 
 
+@pytest.mark.parametrize("value", [1, 2])
+def test_repeated_boundary_refused(value):
+    """Two boundaries on one (column, row), with one value or two, are
+    refused when the system is built, naming the cell."""
+    fib = stark.fibonacci_constraint_system(8, F)
+    with pytest.raises(UsageError,
+                       match=r"^two boundaries on \(col 0, row 1\)$"):
+        stark.ConstraintSystem(
+            1, fib.boundaries + [stark.BoundaryConstraint(0, 1, value)],
+            fib.transitions, 8)
+
+
 def test_prover_refuses_column_count_mismatch():
     tr = stark.trace_fibonacci(8, F)
     two = stark.TraceTable([tr.columns[0], tr.columns[0]], 8, F)
     with pytest.raises(UsageError,
                        match="^trace shape mismatch: 2 columns, not 1$"):
-        stark.prove(two, stark.fibonacci_constraint_system(8, F),
-                    stark.StarkParams(8, 6), skip_satisfaction_check=True)
+        stark.prove_table(two.values(), F,
+                          stark.fibonacci_constraint_system(8, F),
+                          stark.StarkParams(8, 6))
 
 
-@pytest.mark.parametrize("skip", [False, True])
-def test_prover_refuses_an_over_padded_trace(skip):
+@pytest.mark.parametrize("table", [False, True])
+def test_prover_refuses_an_over_padded_trace(table):
     """Without zk the statement's 8 rows pad to 8: a fib-8 trace padded
-    to 16 is refused, so prove never makes a proof its verifier
-    rejects."""
+    to 16 is refused, by prove and by prove_table on its 16-row table, so
+    neither makes a proof its verifier rejects."""
     rows = stark.trace_fibonacci(8, F).columns[0] + [0] * 8
+    trace = stark.TraceTable([rows], 8, F)
     cs = stark.fibonacci_constraint_system(8, F)
+    params = stark.StarkParams(8, 6)
     with pytest.raises(UsageError, match="^trace shape mismatch: 8 rows "
                                          "padded to 16, not 8 to 8$"):
-        stark.prove(stark.TraceTable([rows], 8, F), cs,
-                    stark.StarkParams(8, 6), skip_satisfaction_check=skip)
+        if table:
+            stark.prove_table(trace.values(), F, cs, params)
+        else:
+            stark.prove(trace, cs, params)
 
 
 @pytest.mark.parametrize("blowup, queries", [(2, 8), (6, 8), (8, 0), (8, -1)])
@@ -571,7 +588,7 @@ def test_system_with_a_column_without_boundaries():
     for col, row in ((0, 3), (1, 3), (2, 7)):
         bad = stark.TraceTable([list(c) for c in tr.columns], 8, F)
         bad.columns[col][row] = (bad.columns[col][row] + 1) % F.modulus
-        cheat = stark.prove(bad, cs, params, skip_satisfaction_check=True)
+        cheat = stark.prove_table(bad.values(), F, cs, params)
         assert not stark.verify(cheat, cs, params, F)
 
 
@@ -586,7 +603,7 @@ def test_custom_two_column_system():
     assert v, v.reason
     bad = stark.TraceTable([list(a), list(b)], n, F)
     bad.columns[1][3] += 5
-    cheat = stark.prove(bad, cs, params, skip_satisfaction_check=True)
+    cheat = stark.prove_table(bad.values(), F, cs, params)
     assert not stark.verify(cheat, cs, params, F)
 
 
@@ -1178,11 +1195,11 @@ def test_original_length_below_a_boundary_row_rejected(column,
     short = stark.TraceTable([column], original_length, F)
     shape = f"^trace shape mismatch: {original_length} rows padded to 8, "
     with pytest.raises(UsageError, match=shape):
-        stark.prove(short, cs, params, skip_satisfaction_check=True)
+        stark.prove(short, cs, params)
     with pytest.raises(UsageError, match=shape):
         stark.check_satisfaction(short, cs)
-    full = stark.prove(stark.TraceTable([column], 8, F), cs, params,
-                       skip_satisfaction_check=True)
+    full = stark.prove_table(stark.TraceTable([column], 8, F).values(), F,
+                             cs, params)
     assert not stark.verify(full, cs, params, F)
     verdict = stark.verify(
         dataclasses.replace(full, original_length=original_length), cs,
