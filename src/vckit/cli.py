@@ -365,7 +365,7 @@ def bench_2poly(args, field):
     for trial in range(args.trials):
         t = Transcript("2poly-bench")
         t.absorb(b"trial", trial.to_bytes(8, "big"))
-        if stark.probabilistic_poly_eq(f_evals, g_evals, d, t, 1):
+        if stark.probabilistic_poly_eq(f_evals, g_evals, t, 1):
             accepts += 1
     rate = accepts / args.trials
     expected = d / n

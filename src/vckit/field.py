@@ -2,19 +2,19 @@
 and evaluation domains.
 
 Moduli are below 2^32, so the product of two reduced values fits in a
-uint64 and every bulk path works on numpy uint64 arrays.  Scalar
-operations go through FieldElement and are tallied in Field.op_count so
-cost experiments can meter them; the array paths are not metered, and
-neither is coefficient arithmetic inside Polynomial or the plain-int
-per-tag path of hauth (a tag's slope and its label randomness).  A
-scalar is a FieldElement of the field or an int-like value that
-operator.index takes (int, bool, numpy ints); anything else, such as a
-float or a string, is refused with UsageError.  An
-evaluation domain is a coset offset*<g> of a power-of-two subgroup (the
-subgroup itself has offset 1); evaluation on and interpolation over a
-domain run a vectorized radix-2 NTT in O(n log n) and take and return
-uint64 coefficient arrays, and Polynomial.evaluate_array is the
-O(n * deg) Horner path for arbitrary point arrays.
+uint64 and every bulk path works on numpy uint64 arrays.  Domains,
+interpolate and Polynomial's coefficient arithmetic compute on reduced
+ints, unmetered.  FieldElement is the metered scalar: its arithmetic,
+Polynomial.evaluate and MultivariatePoly.evaluate are tallied in
+Field.op_count, which in the library only hauth reaches.  A scalar is
+a FieldElement of the field or an int-like value that operator.index
+takes (int, bool, numpy ints); anything else, such as a float or a
+string, is refused with UsageError.  An evaluation domain is a coset
+offset*<g> of a power-of-two subgroup (the subgroup itself has offset
+1); evaluation on and interpolation over a domain run a vectorized
+radix-2 NTT in O(n log n) and take and return uint64 coefficient
+arrays, and Polynomial.evaluate_array is the O(n * deg) Horner path
+for arbitrary point arrays.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def generator(self) -> "FieldElement":
+    def generator(self) -> int:
         """Smallest generator of the full multiplicative group."""
         if self._generator is None:
             p = self.modulus
@@ -78,15 +78,15 @@ class Field:
             g = 2
             while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
                 g += 1
-            self._generator = FieldElement(self, g)
+            self._generator = g
         return self._generator
 
-    def nth_root(self, n: int) -> "FieldElement":
+    def nth_root(self, n: int) -> int:
         """A generator of the order-n multiplicative subgroup."""
         p = self.modulus
         if (p - 1) % n != 0:
             raise UsageError(f"no subgroup of order {n} in F_{p}")
-        return self.generator() ** ((p - 1) // n)
+        return pow(self.generator(), (p - 1) // n, p)
 
 
 def _canonical(field: Field, value) -> int:
@@ -314,14 +314,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = self.field(c).value
+        c = _canonical(self.field, c)
         p = self.field.modulus
         return Polynomial._reduced(self.field,
                                    [a * c % p for a in self.coeffs])
 
     def compose_scale(self, a) -> "Polynomial":
         """Substitute x -> a*x, i.e. return p(a*x)."""
-        a = self.field(a).value
+        a = _canonical(self.field, a)
         p = self.field.modulus
         out, ak = [], 1
         for c in self.coeffs:
@@ -380,8 +380,8 @@ class Polynomial:
         return Polynomial._reduced(field, coeffs)
 
 
-def interpolate(points) -> Polynomial:
-    """Lagrange interpolation through (x, y) pairs; O(n^2).
+def interpolate(field: Field, points) -> Polynomial:
+    """Lagrange interpolation over field through (x, y) scalar pairs; O(n^2).
 
     Builds the master product once, then peels each linear factor off by
     synthetic division.
@@ -389,10 +389,9 @@ def interpolate(points) -> Polynomial:
     points = list(points)
     if not points:
         raise UsageError("interpolation needs at least one point")
-    field = points[0][0].field
     p = field.modulus
-    xs = [field(x).value for x, _ in points]
-    ys = [field(y).value for _, y in points]
+    xs = [_canonical(field, x) for x, _ in points]
+    ys = [_canonical(field, y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise UsageError("duplicate x-coordinates")
     # master(x) = prod (x - x_i)
@@ -535,10 +534,10 @@ def interpolate_on_domain(values, domain: "EvaluationDomain") -> np.ndarray:
     if len(values) != n:
         raise UsageError("value count does not match domain size")
     mod = np.uint64(p)
-    coeffs = _ntt(values, pow(domain.generator.value, -1, p), p)
+    coeffs = _ntt(values, pow(domain.generator, -1, p), p)
     coeffs = _reduce(coeffs * np.uint64(pow(n, -1, p)), mod)
     return _reduce(
-        coeffs * _power_array(pow(domain.offset.value, -1, p), n, p), mod)
+        coeffs * _power_array(pow(domain.offset, -1, p), n, p), mod)
 
 
 def evaluate_on_domain(coeffs, domain: "EvaluationDomain") -> np.ndarray:
@@ -552,8 +551,8 @@ def evaluate_on_domain(coeffs, domain: "EvaluationDomain") -> np.ndarray:
     extended = np.zeros(n, dtype=np.uint64)
     extended[:len(coeffs)] = _reduce(
         np.asarray(coeffs, dtype=np.uint64)
-        * _power_array(domain.offset.value, len(coeffs), p), np.uint64(p))
-    return _ntt(extended, domain.generator.value, p)
+        * _power_array(domain.offset, len(coeffs), p), np.uint64(p))
+    return _ntt(extended, domain.generator, p)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +560,9 @@ def evaluate_on_domain(coeffs, domain: "EvaluationDomain") -> np.ndarray:
 
 class EvaluationDomain:
     """The coset offset*<generator> of a power-of-two multiplicative
-    subgroup; the subgroup itself is the coset with offset 1."""
+    subgroup (offset 1 for the subgroup itself); both are reduced ints."""
 
-    def __init__(self, field: Field, size: int, generator: FieldElement,
-                 offset: FieldElement):
+    def __init__(self, field: Field, size: int, generator: int, offset: int):
         self.field = field
         self.size = size
         self.generator = generator
@@ -574,42 +572,37 @@ class EvaluationDomain:
     @staticmethod
     def subgroup(field: Field, size: int) -> "EvaluationDomain":
         _check_pow2(size)
-        gen = field.nth_root(size)
-        if size > 1 and (gen ** (size // 2)).value == 1:
-            raise UsageError("generator has too small an order")
-        return EvaluationDomain(field, size, gen, field.one)
+        return EvaluationDomain(field, size, field.nth_root(size), 1)
 
     @staticmethod
     def coset(field: Field, size: int, offset) -> "EvaluationDomain":
         dom = EvaluationDomain.subgroup(field, size)
-        offset = field(offset)
-        if offset.is_zero():
+        offset = _canonical(field, offset)
+        if offset == 0:
             raise UsageError("coset offset must be nonzero")
         return EvaluationDomain(field, size, dom.generator, offset)
 
     def point_array(self) -> np.ndarray:
         if self._point_array is None:
             p = self.field.modulus
-            arr = _power_array(self.generator.value, self.size, p)
-            self._point_array = _reduce(arr * np.uint64(self.offset.value),
+            arr = _power_array(self.generator, self.size, p)
+            self._point_array = _reduce(arr * np.uint64(self.offset),
                                         np.uint64(p))
         return self._point_array
 
-    def point(self, i: int) -> FieldElement:
+    def point(self, i: int) -> int:
         """i-th domain point, offset * generator^i, in O(log i)."""
-        return self.offset * self.generator ** i
-
-    def contains(self, x) -> bool:
-        # x = offset * y with y^size = 1 exactly when x^size = offset^size
-        return self.field(x) ** self.size == self.offset ** self.size
+        p = self.field.modulus
+        return self.offset * pow(self.generator, i, p) % p
 
     def squared(self) -> "EvaluationDomain":
         """Image of this domain under x -> x^2 (half size)."""
         if self.size < 2:
             raise UsageError("cannot halve a size-1 domain")
+        p = self.field.modulus
         return EvaluationDomain(self.field, self.size // 2,
-                                self.generator * self.generator,
-                                self.offset * self.offset)
+                                self.generator ** 2 % p,
+                                self.offset ** 2 % p)
 
 
 def _check_pow2(n: int):
@@ -692,7 +685,7 @@ class MultivariatePoly:
         return MultivariatePoly(self.field, self.num_vars, out)
 
     def scale(self, c) -> "MultivariatePoly":
-        c = self.field(c).value
+        c = _canonical(self.field, c)
         return MultivariatePoly(self.field, self.num_vars,
                                 {k: v * c for k, v in self.terms.items()})
 
@@ -701,7 +694,7 @@ class MultivariatePoly:
         if len(xs) != self.num_vars:
             raise UsageError("wrong number of polynomial inputs")
         p = self.field.modulus
-        xs = [self.field(x).value for x in xs]
+        xs = [_canonical(self.field, x) for x in xs]
         acc = 0
         for exps, c in self.terms.items():
             for x, e in zip(xs, exps):

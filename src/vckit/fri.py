@@ -31,7 +31,8 @@ import numpy as np
 
 from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64
 from .errors import InternalError, UsageError, VerifyResult
-from .field import EvaluationDomain, _power_array, _reduce, _reduce_sum
+from .field import (EvaluationDomain, _canonical, _power_array, _reduce,
+                    _reduce_sum)
 from .merkle import MerkleTree, Opening, index_set
 from .transcript import Transcript
 
@@ -172,12 +173,12 @@ def fold_layer(evals, domain: EvaluationDomain, beta,
     if len(evals) != domain.size:
         raise UsageError("evaluation count does not match the domain")
     width = domain.size // arity
-    g = domain.generator.value
+    g = domain.generator
     x_inv = _reduce(_power_array(pow(g, -1, p), width, p)
-                    * np.uint64(pow(domain.offset.value, -1, p)),
+                    * np.uint64(pow(domain.offset, -1, p)),
                     np.uint64(p))
     return _fold_cosets(_cosets(evals, arity).T, x_inv, pow(g, -width, p),
-                        field(beta).value, p)
+                        _canonical(field, beta), p)
 
 
 def commit_phase(evals, params: FriParams, t: Transcript):
@@ -189,7 +190,7 @@ def commit_phase(evals, params: FriParams, t: Transcript):
     final layer is constant only if deg(evals) < the bound; this does
     not check it (prove does).
     """
-    field = params.domain.field
+    p = params.domain.field.modulus
     layer = np.asarray(evals, dtype=np.uint64)
     if len(layer) != params.domain.size:
         raise UsageError("evaluation count does not match the domain")
@@ -199,7 +200,7 @@ def commit_phase(evals, params: FriParams, t: Transcript):
         tree = MerkleTree(_cosets(layer, arity))
         trees.append(tree)
         t.absorb(b"fri-root", tree.root)
-        beta = t.challenge_field(field)
+        beta = t.challenge_index(p)
         layer = fold_layer(layer, domain, beta, arity)
         domain = _image(domain, arity)
     t.absorb(b"fri-final", u64(int(layer[0])))
@@ -241,8 +242,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     opening holds the distinct cosets of the positions, of the round's
     width, canonical, under the layer root; the slot at each position
     equals the previous layer's fold; then the cosets are folded."""
-    field = params.domain.field
-    p = field.modulus
+    p = params.domain.field.modulus
     arities = params.arities
     if len(proof.layer_roots) != len(arities):
         return VerifyResult.reject("wrong number of layer roots")
@@ -251,7 +251,7 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
     challenges = []
     for root in proof.layer_roots:
         t.absorb(b"fri-root", root)
-        challenges.append(t.challenge_field(field).value)
+        challenges.append(t.challenge_index(p))
     t.absorb(b"fri-final", u64(proof.final_value))
     positions = _draw_positions(t, params)
     if proof.queries != positions:
@@ -274,8 +274,8 @@ def verify(proof: FriProof, params: FriParams, t: Transcript) -> VerifyResult:
         if j and (here != folded).any():
             return VerifyResult.reject(f"layer {j}: consistency failure")
         # 1/x_c = offset^-1 * (g^-1)^c, with no inversion per coset
-        g_inv = pow(domain.generator.value, -1, p)
-        offset_inv = pow(domain.offset.value, -1, p)
+        g_inv = pow(domain.generator, -1, p)
+        offset_inv = pow(domain.offset, -1, p)
         x_inv = np.array([offset_inv * pow(g_inv, c, p) % p
                           for c in opened], dtype=np.uint64)
         folded = _fold_cosets(opening.rows.T, x_inv, pow(g_inv, width, p),

@@ -113,7 +113,7 @@ def _prf_value(key: AuthKey, data: bytes) -> int:
     if v is None:
         if len(memo) >= _PRF_MEMO_ENTRIES:
             memo.clear()
-        v = memo[data] = prf(key.prf_key, data, key.field).value
+        v = memo[data] = prf(key.prf_key, data, key.field)
     return v
 
 

@@ -44,8 +44,8 @@ from . import fri
 from .encoding import HASH_ID, Reader, read_magic, u8, u32, u64
 from .errors import (ConstraintViolation, InternalError, UsageError,
                      VerifyResult)
-from .field import (EvaluationDomain, Field, FieldElement, MultivariatePoly,
-                    Polynomial, _inverse_array, _pow_array, _power_array,
+from .field import (EvaluationDomain, Field, MultivariatePoly, Polynomial,
+                    _canonical, _inverse_array, _pow_array, _power_array,
                     _reduce, _reduce_sum, evaluate_on_domain, interpolate,
                     interpolate_on_domain)
 from .merkle import MerkleTree, Opening, index_set
@@ -304,7 +304,7 @@ def membership_poly(field: Field, values) -> Polynomial:
     """C(y) = prod (y - c_i): zero exactly on the allowed value set."""
     acc = Polynomial(field, [1])
     for c in values:
-        acc = acc * Polynomial(field, [-field(c).value, 1])
+        acc = acc * Polynomial(field, [-_canonical(field, c), 1])
     return acc
 
 
@@ -384,7 +384,7 @@ def _row_product(points, trace_domain: EvaluationDomain,
     by pairwise products down to one row."""
     g = trace_domain.generator
     n = trace_domain.size
-    p = g.field.modulus
+    p = trace_domain.field.modulus
     mod = np.uint64(p)
     rows = np.fromiter(rows, dtype=np.int64)
     if isinstance(points, EvaluationDomain):
@@ -393,7 +393,7 @@ def _row_product(points, trace_domain: EvaluationDomain,
                                 "trace length")
         step = points.size // n
         shifted = _reduce_sum(points.point_array() + (mod - 1), mod)
-        acc = np.full(points.size, pow(g.value, int(rows.sum()), p),
+        acc = np.full(points.size, pow(g, int(rows.sum()), p),
                       dtype=np.uint64)
         rows = np.sort(rows)
         for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
@@ -409,7 +409,7 @@ def _row_product(points, trace_domain: EvaluationDomain,
                     have += 1
             acc = _reduce(acc * np.roll(prod, step * int(run[0])), mod)
         return acc
-    roots = _power_array(g.value, int(rows.max()) + 1 if rows.size else 0,
+    roots = _power_array(g, int(rows.max()) + 1 if rows.size else 0,
                          p)[rows]
     acc = np.ones(len(points), dtype=np.uint64)
     block = max(1, _ROW_BLOCK_ENTRIES // max(len(points), 1))
@@ -434,8 +434,8 @@ def boundary_quotient(points, column: np.ndarray, bcs,
     field = trace_domain.field
     p = field.modulus
     mod = np.uint64(p)
-    pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
-    num = _reduce_sum(column + (mod - interpolate(pts).evaluate_array(
+    pts = [(trace_domain.point(bc.row), bc.value) for bc in bcs]
+    num = _reduce_sum(column + (mod - interpolate(field, pts).evaluate_array(
         _point_array(points))), mod)
     z_b = _row_product(points, trace_domain, [bc.row for bc in bcs])
     return _divide(num, z_b, p)
@@ -494,9 +494,9 @@ def check_satisfaction(trace: TraceTable,
 
 
 def _draw_gammas(cs: ConstraintSystem, field: Field,
-                 t: Transcript) -> List[FieldElement]:
+                 t: Transcript) -> List[int]:
     """One gamma per quotient, drawn right after the trace commitment."""
-    return [t.challenge_field(field)
+    return [t.challenge_index(field.modulus)
             for _ in range(len(cs.boundary_groups()) + len(cs.transitions))]
 
 
@@ -515,7 +515,7 @@ def compose(points, rows: np.ndarray, cs: ConstraintSystem,
     mod = np.uint64(trace_domain.field.modulus)
     acc = np.zeros(len(_point_array(points)), dtype=np.uint64)
     for gamma, q in zip(gammas, quotients):
-        acc = _reduce_sum(acc + _reduce(q * np.uint64(gamma.value), mod), mod)
+        acc = _reduce_sum(acc + _reduce(q * np.uint64(gamma), mod), mod)
     return acc
 
 
@@ -605,9 +605,12 @@ def prove(trace: TraceTable, cs: ConstraintSystem, params: StarkParams,
 def prove_table(values: np.ndarray, field: Field, cs: ConstraintSystem,
                 params: StarkParams) -> StarkProof:
     """Commit, draw gammas, compose, run FRI and open trace windows for
-    values, a (column, row) uint64 table of trace_length(cs.length) rows.
-    Nothing checks it against cs: a false table proves a rational
+    values, a (column, row) uint64 array below p of trace_length(cs.length)
+    rows.  Nothing checks it against cs: a false table proves a rational
     composition, which verify rejects."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.uint64
+            and values.ndim == 2 and (values < field.modulus).all()):
+        raise UsageError("trace table is not a 2-D uint64 array below p")
     ncols, n = values.shape
     fault = _shape_fault((ncols, cs.length, n), cs,
                          params.trace_length(cs.length))
@@ -686,7 +689,7 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
     # window[k, r, c]: column c at g^r x_k, x_k the k-th query point
     window = proof.trace_opening.rows.reshape(-1, rows_per_leaf, ncols)[
         np.searchsorted(opened, leaf), slot]
-    xs = np.array([lde.point(q).value for q in queries], dtype=np.uint64)
+    xs = np.array([lde.point(q) for q in queries], dtype=np.uint64)
     combined = compose(xs, window.transpose(1, 2, 0), cs, trace_domain,
                        gammas)
     claimed = fri.queried_values(proof.fri_proof, fri_params)
@@ -700,10 +703,10 @@ def verify(proof: StarkProof, cs: ConstraintSystem, params: StarkParams,
 # ---------------------------------------------------------------------------
 # standalone 2POLY primitive
 
-def probabilistic_poly_eq(f_evals, g_evals, degree_bound: int,
-                          t: Transcript, num_queries: int) -> bool:
-    """Accept iff the two evaluation tables agree at num_queries random
-    indices; soundness error (d/|D|)^k for worst-case unequal pairs."""
+def probabilistic_poly_eq(f_evals, g_evals, t: Transcript,
+                          num_queries: int) -> bool:
+    """Accept iff the two evaluation tables agree at num_queries = k random
+    indices; soundness error (d/|D|)^k for distinct degree-d polynomials."""
     if len(f_evals) != len(g_evals):
         raise UsageError("evaluation tables differ in length")
     n = len(f_evals)

@@ -5,7 +5,8 @@ Every SHA-256 call of the library outside the Merkle tree goes through
 `_h` here: challenges, PRF outputs, hauth keys, VDF setup primes,
 hash-to-group and the STARK statement digest.  The hash is recorded in
 proof headers as encoding.HASH_ID.  All framing is length-prefixed so
-concatenation is unambiguous.
+concatenation is unambiguous.  Draws are ints: a field challenge is
+challenge_index(p), and prf returns a value in [0, p).
 """
 
 import hashlib
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .encoding import u8, u64
 from .errors import InternalError, UsageError
-from .field import Field, FieldElement
+from .field import Field
 from .primes import next_prime
 
 DOMAIN_TAG = b"vc-kit/v1"
@@ -69,10 +70,6 @@ class Transcript:
             self.counter += 1
         return out[:n]
 
-    def challenge_field(self, field: Field) -> FieldElement:
-        """Uniform field element: challenge_index(p)."""
-        return FieldElement(field, self.challenge_index(field.modulus))
-
     def challenge_index(self, n: int) -> int:
         """Uniform index in [0, n)."""
         if n < 1:
@@ -104,7 +101,7 @@ class PrfKey:
             raise UsageError("PRF keys are exactly 32 bytes")
 
 
-def prf(key: PrfKey, label: bytes, field: Field) -> FieldElement:
+def prf(key: PrfKey, label: bytes, field: Field) -> int:
     """Keyed hash reduced to the field by counter-mode rejection sampling:
     the first H(key || u64(len(label)) || label || u64(ctr)), ctr = 0, 1,
     ..., whose top 8 bytes masked to the modulus's bit length fall below
@@ -116,7 +113,7 @@ def prf(key: PrfKey, label: bytes, field: Field) -> FieldElement:
     while True:
         v = int.from_bytes(_h(prefix, u64(ctr))[:8], "big") & mask
         if v < p:
-            return FieldElement(field, v)
+            return v
         ctr += 1
 
 

@@ -44,24 +44,32 @@ def domain_points(domain):
     return [domain.field(int(v)) for v in domain.point_array()]
 
 
+def contains(domain, x):
+    """Whether x is a point of the domain: x = offset * y with y^size = 1
+    exactly when x^size = offset^size."""
+    field = domain.field
+    return field(x) ** domain.size == field(domain.offset) ** domain.size
+
+
 def interpolate_trace(trace):
     """Column polynomials by generic Lagrange interpolation."""
     pts = domain_points(trace.domain())
-    return [interpolate(list(zip(pts, [trace.field(v) for v in col])))
+    return [interpolate(trace.field,
+                        list(zip(pts, [trace.field(v) for v in col])))
             for col in trace.columns]
 
 
 def boundary_quotient(column_poly, bcs, trace_domain):
     """(quotient, remainder) of (column - B) by Z_B."""
     field = column_poly.field
-    pts = [(trace_domain.point(bc.row), field(bc.value)) for bc in bcs]
+    pts = [(field(trace_domain.point(bc.row)), field(bc.value)) for bc in bcs]
     z_b = stark.membership_poly(field, [x for x, _ in pts])
-    return divmod(column_poly - interpolate(pts), z_b)
+    return divmod(column_poly - interpolate(field, pts), z_b)
 
 
 def vanishing_poly(domain):
     """Z_D = x^size - offset^size, zero exactly on the domain."""
-    hn = (domain.offset ** domain.size).value
+    hn = (domain.field(domain.offset) ** domain.size).value
     return Polynomial(domain.field, [-hn] + [0] * (domain.size - 1) + [1])
 
 
@@ -78,7 +86,7 @@ def transition_vanishing(field, trace_domain, num_rows):
 def transition_quotient(column_polys, tc, trace):
     """(quotient, remainder) of predicate(col(x), col(g x), ...) by Z_E."""
     domain = trace.domain()
-    g = domain.generator
+    g = trace.field(domain.generator)
     shifted = [poly.compose_scale(g ** r)
                for r in range(tc.window) for poly in column_polys]
     num_rows = trace.original_length - (tc.window - 1)

@@ -13,6 +13,7 @@ from vckit.field import (DEFAULT_MODULUS, EvaluationDomain, Field,
                          _SHORT_ARRAY, _inverse_array, _reduce, _reduce_sum,
                          evaluate_on_domain, interpolate,
                          interpolate_on_domain)
+from vckit.transcript import PrfKey, prf
 
 F13 = Field(13)
 F17 = Field(17)
@@ -87,7 +88,7 @@ def test_generator_has_full_order():
     for field in (F13, F17, F97, FBIG):
         g = field.generator()
         p = field.modulus
-        assert (g ** (p - 1)).value == 1
+        assert pow(g, p - 1, p) == 1
         # order is exactly p-1: no prime factor of p-1 divides it out
         n = p - 1
         factors = set()
@@ -101,14 +102,14 @@ def test_generator_has_full_order():
         if n > 1:
             factors.add(n)
         for q in factors:
-            assert (g ** ((p - 1) // q)).value != 1
+            assert pow(g, (p - 1) // q, p) != 1
 
 
 def test_nth_root_orders():
     for n in (2, 4, 1024, 2**20):
         w = FBIG.nth_root(n)
-        assert (w ** n).value == 1
-        assert (w ** (n // 2)).value != 1
+        assert pow(w, n, FBIG.modulus) == 1
+        assert pow(w, n // 2, FBIG.modulus) != 1
     with pytest.raises(UsageError):
         F13.nth_root(5)
 
@@ -215,7 +216,7 @@ def test_compose_scale():
 def test_interpolate_roundtrip():
     rng = random.Random(11)
     pts = [(F97(x), F97(rng.randrange(97))) for x in rng.sample(range(97), 12)]
-    poly = interpolate(pts)
+    poly = interpolate(F97, pts)
     assert poly.degree is None or poly.degree < 12
     for x, y in pts:
         assert poly.evaluate(x) == y
@@ -223,7 +224,7 @@ def test_interpolate_roundtrip():
 
 def test_interpolate_duplicate_x_rejected():
     with pytest.raises(UsageError):
-        interpolate([(F17(1), F17(2)), (F17(1), F17(3))])
+        interpolate(F17, [(F17(1), F17(2)), (F17(1), F17(3))])
 
 
 def coefficient_list(poly, n):
@@ -238,8 +239,8 @@ def test_interpolate_on_subgroup_matches_generic(field, size):
     dom = EvaluationDomain.subgroup(field, size)
     vals = [rng.randrange(field.modulus) for _ in range(size)]
     fast = interpolate_on_domain(np.array(vals, dtype=np.uint64), dom)
-    slow = interpolate(list(zip(oracle.domain_points(dom),
-                                [field(v) for v in vals])))
+    slow = interpolate(field, list(zip(oracle.domain_points(dom),
+                                       [field(v) for v in vals])))
     assert fast.dtype == np.uint64
     assert fast.tolist() == coefficient_list(slow, size)
 
@@ -278,8 +279,8 @@ def test_ntt_matches_horner_and_lagrange(field, log_size, kind):
     assert (evaluate_on_domain(np.array(coeffs, dtype=np.uint64), dom)
             .tolist() == poly.evaluate_array(dom.point_array()).tolist())
     vals = [rng.randrange(field.modulus) for _ in range(size)]
-    slow = interpolate(list(zip(oracle.domain_points(dom),
-                                [field(v) for v in vals])))
+    slow = interpolate(field, list(zip(oracle.domain_points(dom),
+                                       [field(v) for v in vals])))
     assert (interpolate_on_domain(np.array(vals, dtype=np.uint64), dom)
             .tolist() == coefficient_list(slow, size))
 
@@ -384,21 +385,22 @@ def test_subgroup_domain_points_distinct_and_closed():
     pts = {pt.value for pt in oracle.domain_points(dom)}
     assert len(pts) == 8
     for pt in oracle.domain_points(dom):
-        assert dom.contains(pt)
-    assert not dom.contains(F17(3))  # 3 generates the full group of order 16
+        assert oracle.contains(dom, pt)
+    # 3 generates the full group of order 16
+    assert not oracle.contains(dom, F17(3))
 
 
 def test_coset_disjoint_from_subgroup():
     sub = EvaluationDomain.subgroup(FBIG, 16)
     coset = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
     for i in range(64):
-        assert not sub.contains(coset.point(i))
+        assert not oracle.contains(sub, coset.point(i))
 
 
 def test_domain_point_matches_array():
     dom = EvaluationDomain.coset(F17, 8, F17(3))
     for i in range(8):
-        assert dom.point(i).value == int(dom.point_array()[i])
+        assert dom.point(i) == int(dom.point_array()[i])
 
 
 def test_squared_domain():
@@ -407,7 +409,7 @@ def test_squared_domain():
     assert sq.size == 4
     for i in range(8):
         x = dom.point(i)
-        assert sq.contains(x * x)
+        assert oracle.contains(sq, x * x)
 
 
 def test_vanishing_poly_and_eval_agree():
@@ -419,12 +421,50 @@ def test_vanishing_poly_and_eval_agree():
         members = {pt.value for pt in oracle.domain_points(dom)}
         for x in range(17):
             assert z.evaluate(x).is_zero() == (x in members)
-            assert dom.contains(F17(x)) == (x in members)
+            assert oracle.contains(dom, F17(x)) == (x in members)
 
 
 def test_non_pow2_subgroup_rejected():
     with pytest.raises(UsageError):
         EvaluationDomain.subgroup(F17, 3)
+
+
+def test_domains_generators_and_prf_give_plain_ints():
+    """Generators, domain scalars and PRF outputs are ints, with the
+    values they had as FieldElements."""
+    dom = EvaluationDomain.coset(FBIG, 64, FBIG.generator())
+    sq = dom.squared()
+    got = {
+        "generator": (FBIG.generator(), 5),
+        "generator F17": (F17.generator(), 3),
+        "nth_root(8)": (FBIG.nth_root(8), 1031213943),
+        "nth_root(2^20)": (FBIG.nth_root(2**20), 3009749949),
+        "domain generator": (dom.generator, 651814490),
+        "domain offset": (dom.offset, 5),
+        "point(5)": (dom.point(5), 698133936),
+        "point(63)": (dom.point(63), 303212852),
+        "squared generator": (sq.generator, 66931328),
+        "squared offset": (sq.offset, 25),
+        "squared point(3)": (sq.point(3), 2457606268),
+        "subgroup offset": (EvaluationDomain.subgroup(F17, 8).offset, 1),
+        "prf": (prf(PrfKey(bytes(32)), b"a", FBIG), 1103245873),
+        "prf F13": (prf(PrfKey(bytes(32)), b"a", F13), 12),
+        "prf label": (prf(PrfKey(bytes(range(32))), b"label", FBIG),
+                      1821218970),
+    }
+    for what, (value, want) in got.items():
+        assert type(value) is int and value == want, what
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EvaluationDomain.coset(F17, 8, 0), "offset must be nonzero"),
+    (lambda: EvaluationDomain.coset(F17, 8, 17), "offset must be nonzero"),
+    (lambda: interpolate(F17, [(1, 2), (F97(2), 3)]), "different field"),
+    (lambda: interpolate(F17, [(1, 2), (2, 3.0)]), "float is not a field"),
+], ids=["coset-0", "coset-p", "interpolate-other-field", "interpolate-float"])
+def test_domains_and_interpolate_refuse_bad_scalars(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

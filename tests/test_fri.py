@@ -124,7 +124,7 @@ def test_pair_tree_layout():
         width = len(layer) // arity
         assert tree.num_leaves == width
         for c in range(width):
-            assert len({domain.point(c + s * width) ** arity
+            assert len({pow(domain.point(c + s * width), arity, FBIG.modulus)
                         for s in range(arity)}) == 1
             coset = [int(layer[c + s * width]) for s in range(arity)]
             leaf = b"".join(u64(v) for v in coset)
@@ -135,8 +135,8 @@ def test_pair_tree_layout():
                                    {c: b"".join(u64(v) for v in coset)},
                                    siblings)
         replay.absorb(b"fri-root", tree.root)
-        layer = fri.fold_layer(layer, domain, replay.challenge_field(FBIG),
-                               arity)
+        layer = fri.fold_layer(layer, domain,
+                               replay.challenge_index(FBIG.modulus), arity)
         domain = fri._image(domain, arity)
     assert [t.num_leaves for t in trees] == [8, 4]
 
@@ -398,8 +398,8 @@ def _prove_committing(evals, params, t, tamper, layer=0):
         committed = tamper(honest) if j == layer else honest
         trees.append(MerkleTree(fri._cosets(committed, arity)))
         t.absorb(b"fri-root", trees[-1].root)
-        honest = fri.fold_layer(honest, domain, t.challenge_field(FBIG),
-                                arity)
+        honest = fri.fold_layer(honest, domain,
+                                t.challenge_index(FBIG.modulus), arity)
         domain = fri._image(domain, arity)
     final_value = int(honest[0])
     t.absorb(b"fri-final", u64(final_value))

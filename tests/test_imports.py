@@ -6,8 +6,10 @@ declares and no other, it decides between libcrypto and built-in ints
 in one place, the numpy arrays of the field, STARK and FRI modules
 are reduced mod p only inside field's reduction helpers, hauth
 evaluates the PRF only inside its memo helper, only the Merkle
-module turns rows into leaf bytes or builds an opening, and no STARK or
-FRI function takes a switch: a parameter whose default is a bool.
+module turns rows into leaf bytes or builds an opening, no STARK or
+FRI function takes a switch: a parameter whose default is a bool, the
+STARK, FRI and transcript modules compute on ints and never name
+FieldElement, and no library module draws a challenge_field.
 
 A static check with the standard library's ast: a bound import name
 counts as used when it appears as a name anywhere in the module, also
@@ -40,6 +42,8 @@ PRF_HOME = "_prf_value"
 MERKLE_ONLY = ["u64_rows", "Opening"]
 # modules whose provers have one honest path
 ONE_PATH_MODULES = ["stark.py", "fri.py"]
+# modules that hold and pass field values as reduced ints
+INT_MODULES = ["stark.py", "fri.py", "transcript.py"]
 
 
 def imported_names(tree):
@@ -371,3 +375,51 @@ def test_the_check_sees_a_switch():
     assert switch_parameters(source) == [("prove", "skip"),
                                          ("commit", "enforce"),
                                          ("open", "pruned")]
+
+
+def field_element_lines(source):
+    """The lines that import FieldElement, under any name, or read it as a
+    name or an attribute, also inside a string that parses as an
+    expression, such as the annotation "List[FieldElement]"."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "FieldElement" for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if "FieldElement" in references(node):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            if "FieldElement" in references(inner):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", INT_MODULES)
+def test_proof_systems_compute_on_ints(name):
+    """Evaluation domains, the STARK, FRI and the transcript hold and pass
+    reduced ints: FieldElement, the metered scalar, is hauth's."""
+    assert field_element_lines((PACKAGE / name).read_text()) == []
+
+
+def test_no_module_draws_a_challenge_field():
+    """A field challenge is transcript.challenge_index(p), an int."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert callers(sources, "challenge_field") == set()
+
+
+def test_the_check_sees_a_field_element():
+    source = ("from .field import Field, FieldElement as FE\n"
+              "import vckit.field\n"
+              "def draw(t, f) -> 'List[FieldElement]':\n"
+              "    return vckit.field.FieldElement(f, t.challenge_index(9))\n"
+              "ok = isinstance(x, FieldElement)\n"
+              "doc = 'a FieldElement, not an int'\n"
+              "gamma = t.challenge_field(f)\n")
+    assert field_element_lines(source) == [1, 3, 4, 5]
+    assert callers({"stark.py": source, "fri.py": "t.challenge_index(p)\n"},
+                   "challenge_field") == {"stark.py"}
